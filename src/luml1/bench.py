@@ -26,45 +26,43 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dataset import gen_clean
+from .dataset import gen_clean, noisy_set
 from .errors import InvalidInputError
 from .fnv import fnv1a64
-from .image import Image, clamp01
-from .losses import LossSpec
-from .metrics import psnr, ssim
+from .image import clamp01
+from .losses import LossSpec, parse_loss
+from .metrics import SsimParams
 from .net import TinyNet, build_tinynet, net_forward
 from .pnm import load_image, save_image
-from .rng import DOMAIN_EVAL_NOISE, eval_seed, normal, stream, train_seed
-from .trainer import TrainConfig, train
+from .rng import eval_seed, train_seed
+from .trainer import TrainConfig, mean_scores, train
 
 DEFAULT_EVAL_SIGMAS = tuple(float(s) for s in range(5, 80, 5))
 
 
 @dataclass(frozen=True)
 class BenchPlan:
-    """Everything a benchmark run depends on."""
+    """Everything a benchmark run depends on.
+
+    ``train`` holds the training knobs of every cell; a cell replaces its
+    loss and sigma_max_255. Knobs a plan file cannot carry must keep their
+    TrainConfig defaults, so that the config hash names exactly one plan.
+    """
 
     sigma_max_list: tuple[float, ...] = (55.0, 75.0)
     eval_sigmas: tuple[float, ...] = DEFAULT_EVAL_SIGMAS
     losses: tuple[LossSpec, ...] = (LossSpec("l1"), LossSpec("luml1", lam=1.0))
-    steps: int = 500
-    batch_size: int = 8
-    lr: float = 1e-3
-    patch_size: int = 32
-    corpus_count: int = 64
-    corpus_h: int = 40
-    corpus_w: int = 40
+    train: TrainConfig = field(default_factory=lambda: TrainConfig(seed=909))
     eval_count: int = 64
     eval_h: int = 40
     eval_w: int = 40
     hidden_channels: int = 16
     hidden_depth: int = 3
-    seed: int = 909
 
     def __post_init__(self):
         if not self.eval_sigmas:
@@ -73,23 +71,22 @@ class BenchPlan:
             raise InvalidInputError("eval_sigmas must be strictly increasing")
         if not self.losses or not self.sigma_max_list:
             raise InvalidInputError("need at least one loss and one sigma_max")
+        if not all(s >= 0.0 for s in self.sigma_max_list + self.eval_sigmas):
+            raise InvalidInputError("sigma_max and eval_sigmas must be nonnegative")
         labels = [s.label() for s in self.losses]
         if len(set(labels)) != len(labels):
             raise InvalidInputError(f"loss labels collide: {labels}")
-
-    def train_config(self, loss: LossSpec, sigma_max: float) -> TrainConfig:
-        return TrainConfig(
-            loss=loss,
-            steps=self.steps,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            seed=self.seed,
-            sigma_max_255=sigma_max,
-            patch_size=self.patch_size,
-            corpus_count=self.corpus_count,
-            corpus_h=self.corpus_h,
-            corpus_w=self.corpus_w,
-        )
+        for spec in self.losses:
+            if spec != parse_loss(spec.kind, spec.lam, spec.pixel_base):
+                raise InvalidInputError(f"a plan file cannot express the loss {spec}")
+        unset = TrainConfig()
+        for _, files, _, name in CONFIG_KEYS:
+            if files == "train" and getattr(self.train, name) != getattr(unset, name):
+                raise InvalidInputError(f"a plan cannot set the training knob {name!r}")
+        if self.eval_count < 1 or min(self.eval_h, self.eval_w) < SsimParams().window_size:
+            raise InvalidInputError("eval_count must be >= 1 and eval_size must hold the SSIM window")
+        if self.hidden_depth < 0 or self.hidden_channels < 1:
+            raise InvalidInputError("hidden_depth must be >= 0 and hidden_channels >= 1")
 
 
 def fast_plan() -> BenchPlan:
@@ -99,7 +96,8 @@ def fast_plan() -> BenchPlan:
 
 def full_plan() -> BenchPlan:
     """The two training noise ceilings of the reference table layout."""
-    return BenchPlan(sigma_max_list=(55.0, 75.0), steps=1500)
+    plan = BenchPlan(sigma_max_list=(55.0, 75.0))
+    return replace(plan, train=replace(plan.train, steps=1500))
 
 
 @dataclass
@@ -120,19 +118,6 @@ class BenchReport:
         return cells[(label, sigma_max, sigma)] - cells[(base, sigma_max, sigma)]
 
 
-def _eval_noisy_sets(plan: BenchPlan) -> tuple[list[Image], dict]:
-    """Fixed eval images plus, per sigma, their noisy (unclamped) versions."""
-    es = eval_seed(plan.seed)
-    clean = gen_clean(es, plan.eval_count, plan.eval_h, plan.eval_w)
-    noisy = {}
-    for si, sigma in enumerate(plan.eval_sigmas):
-        noisy[sigma] = [
-            Image(im.data + normal(stream(es, DOMAIN_EVAL_NOISE, si, j), im.shape, sigma / 255.0))
-            for j, im in enumerate(clean)
-        ]
-    return clean, noisy
-
-
 def _round_through_checkpoint(net: TinyNet) -> None:
     """Snap parameters to float32 checkpoint precision, in place."""
     for layer in net.layers:
@@ -140,42 +125,31 @@ def _round_through_checkpoint(net: TinyNet) -> None:
         layer.bias = layer.bias.astype("<f4").astype(np.float64)
 
 
-def _mean_scores(net: TinyNet, noisy: list[Image], clean: list[Image]) -> tuple[float, float]:
-    ps, ss = [], []
-    for n, c in zip(noisy, clean):
-        out = clamp01(net_forward(net, n)[0])
-        ps.append(psnr(out, c))
-        ss.append(ssim(out, c))
-    return float(np.mean(ps)), float(np.mean(ss))
-
-
 def run_bench(plan: BenchPlan, ckpt_dir=None) -> BenchReport:
     """Train and evaluate every (loss, sigma_max) cell of the plan."""
     t_start = time.perf_counter()
-    clean, noisy_sets = _eval_noisy_sets(plan)
+    es = eval_seed(plan.train.seed)
+    clean = gen_clean(es, plan.eval_count, plan.eval_h, plan.eval_w)
+    noisy_sets = [noisy_set(clean, sigma, es, si) for si, sigma in enumerate(plan.eval_sigmas)]
     noisy_psnr, noisy_ssim = {}, {}
-    for sigma in plan.eval_sigmas:
-        ps = [psnr(clamp01(n), c) for n, c in zip(noisy_sets[sigma], clean)]
-        ss = [ssim(clamp01(n), c) for n, c in zip(noisy_sets[sigma], clean)]
-        noisy_psnr[sigma] = float(np.mean(ps))
-        noisy_ssim[sigma] = float(np.mean(ss))
+    for sigma, noisy in zip(plan.eval_sigmas, noisy_sets):
+        noisy_psnr[sigma], noisy_ssim[sigma] = mean_scores(None, noisy, clean)
     columns = [(loss.label(), sm) for sm in plan.sigma_max_list for loss in plan.losses]
     psnr_cells, ssim_cells = {}, {}
     for sigma_max in plan.sigma_max_list:
         for loss in plan.losses:
             net = build_tinynet(
-                train_seed(plan.seed),
+                train_seed(plan.train.seed),
                 hidden_channels=plan.hidden_channels,
                 hidden_depth=plan.hidden_depth,
             )
-            train(net, plan.train_config(loss, sigma_max))
+            train(net, replace(plan.train, loss=loss, sigma_max_255=sigma_max))
             _round_through_checkpoint(net)
             if ckpt_dir is not None:
                 save_checkpoint(net, f"{ckpt_dir}/{loss.label()}_{_fmt_sigma(sigma_max)}.ckpt")
-            for sigma in plan.eval_sigmas:
-                p, s = _mean_scores(net, noisy_sets[sigma], clean)
-                psnr_cells[(loss.label(), sigma_max, sigma)] = p
-                ssim_cells[(loss.label(), sigma_max, sigma)] = s
+            for sigma, noisy in zip(plan.eval_sigmas, noisy_sets):
+                cell = (loss.label(), sigma_max, sigma)
+                psnr_cells[cell], ssim_cells[cell] = mean_scores(net, noisy, clean)
     return BenchReport(
         plan=plan,
         columns=columns,
@@ -195,7 +169,8 @@ def _fmt_sigma(s: float) -> str:
 def _fmt_val(v: float) -> str:
     if math.isinf(v):
         return "inf"
-    return f"{v:.4f}"
+    text = f"{v:.4f}"
+    return "0.0000" if text == "-0.0000" else text  # a signed zero would read as a result
 
 
 def report_to_csv(report: BenchReport) -> str:
@@ -206,7 +181,7 @@ def report_to_csv(report: BenchReport) -> str:
         "# mean reconstruction quality per noise level (std dev, 0-255 scale); "
         "ssim columns extend the plain psnr table; delta columns are computed "
         f"as each loss minus the base loss '{base}' at the same sigma_max",
-        f"# seed={plan.seed} config=fnv64:{report.config_hash:016x}",
+        f"# seed={plan.train.seed} config=fnv64:{report.config_hash:016x}",
     ]
     for sigma in plan.eval_sigmas:
         lines.append(
@@ -285,42 +260,138 @@ def denoise_file(ckpt_path, in_path, out_path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# plan files: plain key=value lines
+# plan and train config files: plain key=value lines
+
+# The one key table of both file kinds: (key, file kinds, value type, field).
+# A key that train config files accept sets a TrainConfig field (in a plan,
+# one of BenchPlan.train); a plan-only key sets a BenchPlan field. lambda and
+# pixel_base set no field: they are the lam and pixel_base that bare luml1
+# loss tokens take. Rows are in canonical order.
+CONFIG_KEYS = (
+    ("sigma_max", "plan", "floats", "sigma_max_list"),
+    ("eval_sigmas", "plan", "floats", "eval_sigmas"),
+    ("losses", "plan", "losses", "losses"),
+    ("loss", "train", "loss", "loss"),
+    ("lambda", "plan train", "float", None),
+    ("pixel_base", "plan train", "str", None),
+    ("steps", "plan train", "int", "steps"),
+    ("batch_size", "plan train", "int", "batch_size"),
+    ("lr", "plan train", "float", "lr"),
+    ("adam_beta1", "train", "float", "adam_beta1"),
+    ("adam_beta2", "train", "float", "adam_beta2"),
+    ("adam_eps", "train", "float", "adam_eps"),
+    ("sigma_max", "train", "float", "sigma_max_255"),
+    ("patch_size", "plan train", "int", "patch_size"),
+    ("corpus_count", "plan train", "int", "corpus_count"),
+    ("corpus_size", "plan train", "size", "corpus_h corpus_w"),
+    ("checkpoint_every", "train", "int", "checkpoint_every"),
+    ("eval_count", "plan", "int", "eval_count"),
+    ("eval_size", "plan", "size", "eval_h eval_w"),
+    ("hidden_channels", "plan", "int", "hidden_channels"),
+    ("hidden_depth", "plan", "int", "hidden_depth"),
+    ("seed", "plan train", "int", "seed"),
+)
 
 
-_PLAN_DEFAULT = BenchPlan()
+def _keys(kind: str) -> list[tuple]:
+    return [row for row in CONFIG_KEYS if kind in row[1].split()]
+
+
+def _fmt_float(x: float) -> str:
+    """``:g`` text when it reads back exactly, else ``repr``."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
+def _parse_value(vtype: str, text: str, lam: float, pixel_base: str):
+    if vtype == "int":
+        return int(text)
+    if vtype == "float":
+        return float(text)
+    if vtype == "floats":
+        return tuple(float(s) for s in text.split(","))
+    if vtype == "size":
+        return parse_size(text)
+    if vtype == "loss":
+        return parse_loss(text, lam, pixel_base)
+    return tuple(parse_loss(t, lam, pixel_base) for t in text.split(","))
+
+
+def _format_value(vtype: str, value, lam: float, pixel_base: str) -> str:
+    if vtype == "float":
+        return _fmt_float(value)
+    if vtype == "floats":
+        return ",".join(_fmt_float(v) for v in value)
+    if vtype == "size":
+        return f"{value[0]}x{value[1]}"
+    if vtype == "loss":
+        return _loss_token(value, lam, pixel_base)
+    if vtype == "losses":
+        return ",".join(_loss_token(s, lam, pixel_base) for s in value)
+    return str(value)
+
+
+def _loss_token(spec: LossSpec, lam: float, pixel_base: str) -> str:
+    if spec.kind != "luml1" or (spec.lam, spec.pixel_base) == (lam, pixel_base):
+        return spec.kind
+    token = f"luml1:{_fmt_float(spec.lam)}"
+    return token if spec.pixel_base == pixel_base else f"{token}:{spec.pixel_base}"
+
+
+def parse_config(text: str, kind: str, overrides: dict[str, str] | None = None) -> BenchPlan | TrainConfig:
+    """Parse a ``kind`` ("plan" or "train") file; ``overrides`` (key -> text) win over its lines.
+
+    Returns a BenchPlan or a TrainConfig. Keys the file kind does not accept
+    and values that do not parse raise InvalidInputError.
+    """
+    kv = {**parse_kv(text), **(overrides or {})}
+    rows = _keys(kind)
+    known = {row[0] for row in rows}
+    for key in kv:
+        if key not in known:
+            raise InvalidInputError(f"unknown {'config' if kind == 'train' else kind} key {key!r}")
+    train_fields, plan_fields = {}, {}
+    try:
+        lam, pixel_base = float(kv.get("lambda", "1")), kv.get("pixel_base", "l1")
+        for key, files, vtype, name in rows:
+            if name is not None and key in kv:
+                value = _parse_value(vtype, kv[key], lam, pixel_base)
+                names = name.split()
+                target = train_fields if "train" in files else plan_fields
+                target.update(zip(names, value) if len(names) > 1 else [(name, value)])
+    except ValueError as exc:
+        raise InvalidInputError(f"bad {kind} value: {exc}") from None
+    if kind == "train":
+        return TrainConfig(**train_fields)
+    return BenchPlan(train=replace(BenchPlan().train, **train_fields), **plan_fields)
+
+
+def format_config(obj: BenchPlan | TrainConfig) -> str:
+    """Canonical key=value text of a plan or train config; parse_config reads it back exactly."""
+    kind = "plan" if isinstance(obj, BenchPlan) else "train"
+    train_cfg = obj.train if kind == "plan" else obj
+    losses = obj.losses if kind == "plan" else (obj.loss,)
+    lum = [s for s in losses if s.kind == "luml1"]
+    lam, pixel_base = (lum[0].lam, lum[0].pixel_base) if lum else (1.0, "l1")
+    lines = []
+    for key, files, vtype, name in _keys(kind):
+        if name is None:
+            value = lam if key == "lambda" else pixel_base
+        else:
+            src = train_cfg if "train" in files else obj
+            value = tuple(getattr(src, n) for n in name.split())
+            value = value[0] if len(value) == 1 else value
+        lines.append(f"{key}={_format_value(vtype, value, lam, pixel_base)}")
+    return "\n".join(lines) + "\n"
 
 
 def format_plan(plan: BenchPlan) -> str:
     """Canonical key=value serialization (also the config-hash input)."""
-    lum_specs = [s for s in plan.losses if s.kind == "luml1"]
-    lam = lum_specs[0].lam if lum_specs else 1.0
-    pixel_base = lum_specs[0].pixel_base if lum_specs else "l1"
-    loss_tokens = []
-    for spec in plan.losses:
-        if spec.kind == "luml1" and spec.lam != lam:
-            loss_tokens.append(f"luml1:{spec.lam:g}")
-        else:
-            loss_tokens.append(spec.kind)
-    lines = [
-        f"sigma_max={','.join(_fmt_sigma(s) for s in plan.sigma_max_list)}",
-        f"eval_sigmas={','.join(_fmt_sigma(s) for s in plan.eval_sigmas)}",
-        f"losses={','.join(loss_tokens)}",
-        f"lambda={lam:g}",
-        f"pixel_base={pixel_base}",
-        f"steps={plan.steps}",
-        f"batch_size={plan.batch_size}",
-        f"lr={plan.lr:g}",
-        f"patch_size={plan.patch_size}",
-        f"corpus_count={plan.corpus_count}",
-        f"corpus_size={plan.corpus_h}x{plan.corpus_w}",
-        f"eval_count={plan.eval_count}",
-        f"eval_size={plan.eval_h}x{plan.eval_w}",
-        f"hidden_channels={plan.hidden_channels}",
-        f"hidden_depth={plan.hidden_depth}",
-        f"seed={plan.seed}",
-    ]
-    return "\n".join(lines) + "\n"
+    return format_config(plan)
+
+
+def parse_plan(text: str) -> BenchPlan:
+    return parse_config(text, "plan")
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -343,50 +414,6 @@ def parse_size(token: str) -> tuple[int, int]:
         return int(h), int(w)
     except ValueError:
         raise InvalidInputError(f"expected HxW size, got {token!r}") from None
-
-
-def parse_plan(text: str) -> BenchPlan:
-    kv = parse_kv(text)
-    known = {
-        "sigma_max", "eval_sigmas", "losses", "lambda", "pixel_base", "steps",
-        "batch_size", "lr", "patch_size", "corpus_count", "corpus_size",
-        "eval_count", "eval_size", "hidden_channels", "hidden_depth", "seed",
-    }
-    for key in kv:
-        if key not in known:
-            raise InvalidInputError(f"unknown plan key {key!r}")
-    d = _PLAN_DEFAULT
-    lam = float(kv.get("lambda", "1.0"))
-    pixel_base = kv.get("pixel_base", "l1")
-
-    def loss_from(token: str) -> LossSpec:
-        kind, _, suffix = token.partition(":")
-        spec_lam = float(suffix) if suffix else lam
-        if kind == "luml1":
-            return LossSpec("luml1", lam=spec_lam, pixel_base=pixel_base)
-        return LossSpec(kind)
-
-    losses = tuple(loss_from(t) for t in kv["losses"].split(",")) if "losses" in kv else d.losses
-    corpus_h, corpus_w = parse_size(kv["corpus_size"]) if "corpus_size" in kv else (d.corpus_h, d.corpus_w)
-    eval_h, eval_w = parse_size(kv["eval_size"]) if "eval_size" in kv else (d.eval_h, d.eval_w)
-    return BenchPlan(
-        sigma_max_list=tuple(float(s) for s in kv["sigma_max"].split(",")) if "sigma_max" in kv else d.sigma_max_list,
-        eval_sigmas=tuple(float(s) for s in kv["eval_sigmas"].split(",")) if "eval_sigmas" in kv else d.eval_sigmas,
-        losses=losses,
-        steps=int(kv.get("steps", d.steps)),
-        batch_size=int(kv.get("batch_size", d.batch_size)),
-        lr=float(kv.get("lr", d.lr)),
-        patch_size=int(kv.get("patch_size", d.patch_size)),
-        corpus_count=int(kv.get("corpus_count", d.corpus_count)),
-        corpus_h=corpus_h,
-        corpus_w=corpus_w,
-        eval_count=int(kv.get("eval_count", d.eval_count)),
-        eval_h=eval_h,
-        eval_w=eval_w,
-        hidden_channels=int(kv.get("hidden_channels", d.hidden_channels)),
-        hidden_depth=int(kv.get("hidden_depth", d.hidden_depth)),
-        seed=int(kv.get("seed", d.seed)),
-    )
 
 
 def load_plan(path) -> BenchPlan:

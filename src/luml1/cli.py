@@ -10,67 +10,24 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from .bench import load_plan, parse_kv, parse_size, report_to_csv, run_bench, denoise_file
+from .bench import denoise_file, load_plan, parse_config, parse_size, report_to_csv, run_bench
 from .checkpoint import load_checkpoint
-from .dataset import NoiseSpec, add_noise, gen_clean
+from .dataset import NoiseSpec, add_noise, gen_clean, noisy_set
 from .errors import FormatError, InvalidInputError, NumericalError
 from .gradcheck import run_gradcheck
-from .image import Image, clamp01
-from .losses import LossSpec, eval_loss, luminance_l1_loss
+from .image import clamp01
+from .losses import LossSpec, eval_loss, luminance_l1_loss, parse_loss
 from .metrics import psnr, ssim
-from .net import build_tinynet, net_forward
+from .net import build_tinynet
 from .pnm import load_image, save_image
-from .rng import DOMAIN_EVAL_NOISE, eval_seed, normal, stream, train_seed
-from .trainer import TrainConfig, optimize_pixels, train
+from .rng import eval_seed, train_seed
+from .trainer import mean_scores, optimize_pixels, train
 
 
 class _Parser(argparse.ArgumentParser):
     # usage errors are invalid input (exit 1), not argparse's default exit 2
     def error(self, message):
         raise InvalidInputError(message)
-
-
-def _loss_spec(kind: str, lam: float, pixel_base: str) -> LossSpec:
-    if kind == "luml1":
-        return LossSpec("luml1", lam=lam, pixel_base=pixel_base)
-    return LossSpec(kind)
-
-
-def _train_config(args) -> TrainConfig:
-    kv = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            kv = parse_kv(fh.read())
-    known = {
-        "loss", "lambda", "pixel_base", "steps", "batch_size", "lr", "adam_beta1",
-        "adam_beta2", "adam_eps", "seed", "sigma_max", "patch_size", "corpus_count",
-        "corpus_size", "checkpoint_every",
-    }
-    for key in kv:
-        if key not in known:
-            raise InvalidInputError(f"unknown config key {key!r}")
-    kind = args.loss or kv.get("loss", "l1")
-    lam = args.lam if args.lam is not None else float(kv.get("lambda", "1.0"))
-    base = TrainConfig()
-    corpus_h, corpus_w = parse_size(kv["corpus_size"]) if "corpus_size" in kv else (base.corpus_h, base.corpus_w)
-    return TrainConfig(
-        loss=_loss_spec(kind, lam, kv.get("pixel_base", "l1")),
-        steps=int(kv.get("steps", base.steps)),
-        batch_size=int(kv.get("batch_size", base.batch_size)),
-        lr=float(kv.get("lr", base.lr)),
-        adam_beta1=float(kv.get("adam_beta1", base.adam_beta1)),
-        adam_beta2=float(kv.get("adam_beta2", base.adam_beta2)),
-        adam_eps=float(kv.get("adam_eps", base.adam_eps)),
-        seed=args.seed if args.seed is not None else int(kv.get("seed", base.seed)),
-        sigma_max_255=args.sigma_max if args.sigma_max is not None else float(kv.get("sigma_max", base.sigma_max_255)),
-        patch_size=int(kv.get("patch_size", base.patch_size)),
-        corpus_count=int(kv.get("corpus_count", base.corpus_count)),
-        corpus_h=corpus_h,
-        corpus_w=corpus_w,
-        checkpoint_every=int(kv.get("checkpoint_every", base.checkpoint_every)),
-    )
 
 
 def cmd_gen(args) -> int:
@@ -98,7 +55,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _train_config(args)
+    text = ""
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    flags = {"loss": args.loss, "lambda": args.lam, "sigma_max": args.sigma_max, "seed": args.seed}
+    cfg = parse_config(text, "train", {k: str(v) for k, v in flags.items() if v is not None})
     net = build_tinynet(train_seed(cfg.seed))
     net, log = train(net, cfg, ckpt_path=args.out)
     if log.steps:
@@ -122,19 +84,9 @@ def cmd_eval(args) -> int:
     sigmas = [float(s) for s in args.sigmas.split(",")]
     lines = ["sigma,psnr,ssim,noisy_psnr,noisy_ssim"]
     for si, sigma in enumerate(sigmas):
-        ps, ss, nps, nss = [], [], [], []
-        for j, img in enumerate(clean):
-            noise = normal(stream(eval_seed(args.seed), DOMAIN_EVAL_NOISE, si, j), img.shape, sigma / 255.0)
-            noisy_raw = Image(img.data + noise)
-            noisy = clamp01(noisy_raw)
-            out = clamp01(net_forward(net, noisy_raw)[0])
-            ps.append(psnr(out, img))
-            ss.append(ssim(out, img))
-            nps.append(psnr(noisy, img))
-            nss.append(ssim(noisy, img))
-        lines.append(
-            f"{sigma:g},{np.mean(ps):.4f},{np.mean(ss):.4f},{np.mean(nps):.4f},{np.mean(nss):.4f}"
-        )
+        noisy = noisy_set(clean, sigma, eval_seed(args.seed), si)
+        scores = mean_scores(net, noisy, clean) + mean_scores(None, noisy, clean)
+        lines.append(f"{sigma:g}," + ",".join(f"{v:.4f}" for v in scores))
     text = "\n".join(lines) + "\n"
     with open(args.csv, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -184,7 +136,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_pixopt(args) -> int:
     init = load_image(args.init)
     target = load_image(args.target)
-    spec = _loss_spec(args.loss, args.lam if args.lam is not None else 1.0, args.pixel_base)
+    spec = parse_loss(args.loss, args.lam if args.lam is not None else 1.0, args.pixel_base)
     result = optimize_pixels(init, target, spec, args.steps, args.lr)
     save_image(result, args.out)
     final = eval_loss(spec, result, target).value

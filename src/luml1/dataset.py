@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .image import Image
-from .rng import DOMAIN_BATCH, DOMAIN_CLEAN, DOMAIN_NOISE, normal, stream
+from .rng import DOMAIN_BATCH, DOMAIN_CLEAN, DOMAIN_EVAL_NOISE, DOMAIN_NOISE, normal, stream
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,19 @@ def add_noise(img: Image, spec: NoiseSpec) -> Image:
         return img
     g = normal(stream(spec.seed, DOMAIN_NOISE), img.shape, spec.sigma)
     return Image(img.data + g)
+
+
+def noisy_set(clean: list[Image], sigma_255: float, seed: int, level: int = 0) -> list[Image]:
+    """Unclamped noisy copies of ``clean`` for evaluation at one noise level.
+
+    Image j draws its noise from the (seed, DOMAIN_EVAL_NOISE, level, j)
+    stream, where ``level`` is the noise level's index in the evaluation's
+    sigma list, so every (level, image) pair has its own realization.
+    """
+    return [
+        Image(im.data + normal(stream(seed, DOMAIN_EVAL_NOISE, level, j), im.shape, sigma_255 / 255.0))
+        for j, im in enumerate(clean)
+    ]
 
 
 def _draw_patch_params(

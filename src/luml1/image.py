@@ -1,4 +1,4 @@
-"""Pixel container, luminance projection, and basic image arithmetic.
+"""Pixel container, luminance projection, and clamping.
 
 Images are (height, width, channels) float64 arrays in nominal range
 [0, 1], stored C-contiguous (row-major, channel-interleaved) and marked
@@ -71,19 +71,6 @@ class Image:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
-
-    def __add__(self, other: "Image") -> "Image":
-        require_same_shape(self, other, "add")
-        return Image(self.data + other.data)
-
-    def __sub__(self, other: "Image") -> "Image":
-        require_same_shape(self, other, "subtract")
-        return Image(self.data - other.data)
-
-    def __mul__(self, scalar: float) -> "Image":
-        return Image(self.data * float(scalar))
-
-    __rmul__ = __mul__
 
 
 def require_same_shape(a: Image, b: Image, op: str) -> None:

@@ -71,6 +71,23 @@ class LossSpec:
         return self.kind
 
 
+def parse_loss(token: str, lam: float = 1.0, pixel_base: str = "l1") -> LossSpec:
+    """Build a spec from a loss token ``kind``, or ``luml1:lam[:pixel_base]``.
+
+    ``lam`` and ``pixel_base`` are the defaults a bare ``luml1`` token takes.
+    A lam that is not a number raises ValueError.
+    """
+    kind, *suffix = token.split(":")
+    if kind != "luml1":
+        if suffix:
+            raise InvalidInputError(f"loss token {token!r}: only luml1 takes a suffix")
+        return LossSpec(kind)
+    if len(suffix) > 2:
+        raise InvalidInputError(f"expected luml1[:lam[:pixel_base]], got {token!r}")
+    lam = float(suffix[0]) if suffix else lam
+    return LossSpec("luml1", lam=lam, pixel_base=suffix[1] if len(suffix) > 1 else pixel_base)
+
+
 def l1_loss(pred: Image, target: Image) -> LossOutput:
     """Mean absolute error; subgradient sign(0) = 0."""
     require_same_shape(pred, target, "compare")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import BlindTrainSpec, NoiseSpec, add_noise, gen_clean, make_blind_batches
+from .dataset import BlindTrainSpec, gen_clean, make_blind_batches, noisy_set
 from .errors import InvalidInputError, NumericalError
 from .image import Image, clamp01
 from .losses import LossSpec, eval_loss
@@ -49,6 +49,8 @@ class TrainConfig:
             raise InvalidInputError("Adam betas must lie strictly between 0 and 1")
         if self.adam_eps <= 0 or self.lr <= 0:
             raise InvalidInputError("lr and adam_eps must be positive")
+        if self.corpus_count < 1 or self.patch_size > min(self.corpus_h, self.corpus_w):
+            raise InvalidInputError("corpus_count must be >= 1 and patch_size must fit the corpus images")
 
     def blind_spec(self) -> BlindTrainSpec:
         return BlindTrainSpec(
@@ -117,10 +119,18 @@ def adam_step(
         p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-def _validation_set(cfg: TrainConfig, count: int = 4) -> list[tuple[Image, Image]]:
-    sigma = cfg.sigma_max_255 / 2.0
-    clean = gen_clean(eval_seed(cfg.seed), count, cfg.corpus_h, cfg.corpus_w)
-    return [(add_noise(im, NoiseSpec(sigma, eval_seed(cfg.seed) + i)), im) for i, im in enumerate(clean)]
+def mean_scores(net: TinyNet | None, noisy: list[Image], clean: list[Image]) -> tuple[float, float]:
+    """Mean PSNR and SSIM of the clamped denoised images against ``clean``.
+
+    With ``net`` None the noisy images themselves are scored (clamped), which
+    is the noisy-input baseline.
+    """
+    ps, ss = [], []
+    for n, c in zip(noisy, clean):
+        out = clamp01(n if net is None else net_forward(net, n)[0])
+        ps.append(psnr(out, c))
+        ss.append(ssim(out, c))
+    return float(np.mean(ps)), float(np.mean(ss))
 
 
 # parameters beyond float32 range cannot be checkpointed; treat as divergence
@@ -143,7 +153,7 @@ def train(net: TinyNet, cfg: TrainConfig, ckpt_path=None) -> tuple[TinyNet, Trai
     params = net.parameters()
     names = net.parameter_names()
     state = AdamState.for_params(params)
-    val_set = None
+    val_clean = val_noisy = None
     for step in range(1, cfg.steps + 1):
         t0 = time.perf_counter()
         accum = [np.zeros_like(p) for p in params]
@@ -174,21 +184,14 @@ def train(net: TinyNet, cfg: TrainConfig, ckpt_path=None) -> tuple[TinyNet, Trai
         if cfg.checkpoint_every > 0 and step % cfg.checkpoint_every == 0:
             if ckpt_path is not None:
                 save_checkpoint(net, ckpt_path)
-            if val_set is None:
-                val_set = _validation_set(cfg)
-            if min(cfg.corpus_h, cfg.corpus_w) >= 11:
-                try:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        outs = [(clamp01(net_forward(net, n)[0]), c) for n, c in val_set]
-                        log.validations.append(
-                            (
-                                step,
-                                float(np.mean([psnr(o, c) for o, c in outs])),
-                                float(np.mean([ssim(o, c) for o, c in outs])),
-                            )
-                        )
-                except InvalidInputError as exc:
-                    raise NumericalError(f"aborted at step {step}: {exc}") from exc
+            if val_clean is None:
+                val_clean = gen_clean(eval_seed(cfg.seed), 4, cfg.corpus_h, cfg.corpus_w)
+                val_noisy = noisy_set(val_clean, cfg.sigma_max_255 / 2.0, eval_seed(cfg.seed))
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    log.validations.append((step, *mean_scores(net, val_noisy, val_clean)))
+            except InvalidInputError as exc:
+                raise NumericalError(f"aborted at step {step}: {exc}") from exc
     if ckpt_path is not None:
         save_checkpoint(net, ckpt_path)
     return net, log

@@ -2,6 +2,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from luml1.checkpoint import save_checkpoint
 from luml1.cli import main
@@ -123,6 +124,40 @@ class TestTrainCli:
         cfg.write_text("stepz=5\n")
         rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")])
         assert rc == 1
+
+    def test_patch_larger_than_corpus_exits_1_before_training(self, tmp_path, capsys):
+        cfg = tmp_path / "big_patch.cfg"
+        cfg.write_text("steps=2\npatch_size=64\n")
+        ckpt = tmp_path / "x.ckpt"
+        rc = main(["train", "--config", str(cfg), "--out", str(ckpt)])
+        assert rc == 1
+        assert "patch_size" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+
+class TestBenchCli:
+    PLAN = (
+        "sigma_max=25\neval_sigmas=15\nlosses=l1\nsteps=2\nbatch_size=2\npatch_size=16\n"
+        "corpus_count=2\ncorpus_size=16x16\neval_count=2\neval_size=16x16\nhidden_channels=4\nhidden_depth=1\n"
+    )
+
+    @pytest.mark.parametrize(
+        "line", ["eval_count=0", "eval_size=10x10", "hidden_depth=-1", "hidden_channels=0", "eval_sigmas=-5,15"]
+    )
+    def test_invalid_plan_exits_1_and_writes_no_csv(self, tmp_path, capsys, line):
+        plan = tmp_path / "bad.plan"
+        plan.write_text(self.PLAN + line + "\n")
+        csv = tmp_path / "table.csv"
+        rc = main(["bench", "--plan", str(plan), "--csv", str(csv)])
+        assert rc == 1
+        assert not csv.exists()
+
+    def test_valid_plan_writes_csv(self, tmp_path, capsys):
+        plan = tmp_path / "ok.plan"
+        plan.write_text(self.PLAN)
+        csv = tmp_path / "table.csv"
+        assert main(["bench", "--plan", str(plan), "--csv", str(csv)]) == 0
+        assert csv.read_text().splitlines()[-1].startswith("mean,")
 
 
 class TestEvalCli:

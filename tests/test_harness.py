@@ -1,14 +1,19 @@
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from luml1.bench import (
     BenchPlan,
+    _fmt_val,
     fast_plan,
+    format_config,
     format_plan,
     full_plan,
     load_plan,
+    parse_config,
     parse_plan,
     parse_report_csv,
     report_to_csv,
@@ -17,12 +22,14 @@ from luml1.bench import (
 )
 from luml1.checkpoint import save_checkpoint
 from luml1.errors import InvalidInputError
-from luml1.image import clamp01
+from luml1.fnv import fnv1a64
+from luml1.image import LuminanceWeights, clamp01
 from luml1.losses import LossSpec
 from luml1.metrics import psnr
 from luml1.net import ConvLayer, TinyNet
 from luml1.pnm import load_image, save_image
 from luml1.rng import eval_seed, train_seed
+from luml1.trainer import TrainConfig
 
 from conftest import rand_image
 
@@ -48,7 +55,64 @@ def micro_plan(**overrides) -> BenchPlan:
         seed=11,
     )
     base.update(overrides)
-    return BenchPlan(**base)
+    knobs = {f.name for f in fields(TrainConfig)}
+    train = TrainConfig(**{k: v for k, v in base.items() if k in knobs})
+    return BenchPlan(train=train, **{k: v for k, v in base.items() if k not in knobs})
+
+
+_sigmas = st.floats(0.0, 100.0, allow_nan=False)
+
+
+@st.composite
+def losses(draw):
+    lum = st.builds(
+        lambda lam, base: LossSpec("luml1", lam=lam, pixel_base=base),
+        st.floats(0.0, 10.0, allow_nan=False),
+        st.sampled_from(["l1", "l2"]),
+    )
+    plain = st.sampled_from([LossSpec("l1"), LossSpec("l2")])
+    return tuple(draw(st.lists(st.one_of(plain, lum), min_size=1, max_size=4, unique_by=LossSpec.label)))
+
+
+@st.composite
+def train_configs(draw, plan=False):
+    h, w = draw(st.integers(16, 64)), draw(st.integers(16, 64))
+    cfg = TrainConfig(
+        steps=draw(st.integers(0, 10**6)),
+        batch_size=draw(st.integers(1, 64)),
+        lr=draw(st.floats(1e-9, 1.0)),
+        seed=draw(st.integers(0, 2**64)),
+        patch_size=draw(st.integers(1, min(h, w))),
+        corpus_count=draw(st.integers(1, 1000)),
+        corpus_h=h,
+        corpus_w=w,
+    )
+    if plan:
+        return cfg
+    return replace(
+        cfg,
+        loss=draw(losses())[0],
+        adam_beta1=draw(st.floats(0.01, 0.99)),
+        adam_beta2=draw(st.floats(0.01, 0.99)),
+        adam_eps=draw(st.floats(1e-12, 1e-3)),
+        sigma_max_255=draw(_sigmas),
+        checkpoint_every=draw(st.integers(0, 1000)),
+    )
+
+
+@st.composite
+def plans(draw):
+    return BenchPlan(
+        sigma_max_list=tuple(draw(st.lists(_sigmas, min_size=1, max_size=3))),
+        eval_sigmas=tuple(sorted(draw(st.lists(_sigmas, min_size=1, max_size=5, unique=True)))),
+        losses=draw(losses()),
+        train=draw(train_configs(plan=True)),
+        eval_count=draw(st.integers(1, 500)),
+        eval_h=draw(st.integers(11, 64)),
+        eval_w=draw(st.integers(11, 64)),
+        hidden_channels=draw(st.integers(1, 64)),
+        hidden_depth=draw(st.integers(0, 8)),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -73,10 +137,10 @@ def trained_cell(tmp_path_factory):
         eval_sigmas=(5.0, 15.0, 30.0),
     )
     report = run_bench(plan)
-    net = build_tinynet(train_seed(plan.seed), hidden_channels=8, hidden_depth=1)
-    train(net, plan.train_config(plan.losses[0], plan.sigma_max_list[0]))
+    net = build_tinynet(train_seed(plan.train.seed), hidden_channels=8, hidden_depth=1)
+    train(net, replace(plan.train, loss=plan.losses[0], sigma_max_255=plan.sigma_max_list[0]))
     _round_through_checkpoint(net)
-    clean = gen_clean(eval_seed(plan.seed), plan.eval_count, plan.eval_h, plan.eval_w)
+    clean = gen_clean(eval_seed(plan.train.seed), plan.eval_count, plan.eval_h, plan.eval_w)
     return {"plan": plan, "report": report, "net": net, "clean": clean}
 
 
@@ -110,6 +174,66 @@ class TestPlanFiles:
         assert [s.label() for s in plan.losses] == ["l1", "luml1-0.5", "luml1-2"]
         assert parse_plan(format_plan(plan)) == plan
 
+    def test_luml1_tokens_carry_their_own_pixel_base(self):
+        plan = parse_plan("losses=luml1,luml1:0.5:l2\npixel_base=l1\n")
+        assert [(s.lam, s.pixel_base) for s in plan.losses] == [(1.0, "l1"), (0.5, "l2")]
+        assert parse_plan(format_plan(plan)) == plan
+
+    @pytest.mark.parametrize("token", ["l1:0.5", "luml1:1:l1:x", "luml1:abc", "luml1:1:l3"])
+    def test_bad_loss_token_rejected(self, token):
+        with pytest.raises(InvalidInputError):
+            parse_plan(f"losses={token}\n")
+
+    def test_shipped_plans_keep_their_config_hash(self):
+        for name, digest in (("fast", 0x6F9EA8CBE7AA4EEF), ("full", 0x67D5BCA62BFCEB1D)):
+            text = (REPO_ROOT / "plans" / f"{name}.plan").read_text()
+            assert format_plan(parse_plan(text)) == text
+            assert fnv1a64(text.encode()) == digest
+
+    def test_nearby_learning_rates_hash_differently(self):
+        base = fast_plan()
+        a, b = (replace(base, train=replace(base.train, lr=lr)) for lr in (1.2345678e-4, 1.23457e-4))
+        assert fnv1a64(format_plan(a).encode()) != fnv1a64(format_plan(b).encode())
+        assert parse_plan(format_plan(a)) == a
+
+    @settings(max_examples=200, deadline=None)
+    @given(plans())
+    def test_plan_round_trip_property(self, plan):
+        assert parse_plan(format_plan(plan)) == plan
+
+    @settings(max_examples=200, deadline=None)
+    @given(train_configs())
+    def test_train_config_round_trip_property(self, cfg):
+        assert parse_config(format_config(cfg), "train") == cfg
+
+    def test_shipped_input_files_parse(self):
+        for path in sorted((REPO_ROOT / "plans").glob("*.plan")):
+            assert isinstance(load_plan(path), BenchPlan)
+        eval_plan = parse_plan((REPO_ROOT / "perfbench" / "eval.plan").read_text() + "seed=4\n")
+        assert eval_plan.train.seed == 4 and [s.label() for s in eval_plan.losses] == ["luml1"]
+        train_cfg = (REPO_ROOT / "perfbench" / "train.cfg").read_text()
+        cfg = parse_config(train_cfg, "train", {"loss": "luml1", "seed": "3"})
+        assert (cfg.loss, cfg.steps, cfg.seed) == (LossSpec("luml1"), 250, 3)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(eval_count=0),
+            dict(eval_sigmas=(-5.0, 5.0)),
+            dict(sigma_max_list=(25.0, float("nan"))),
+            dict(eval_h=10),
+            dict(hidden_depth=-1),
+            dict(hidden_channels=0),
+            dict(losses=(LossSpec("luml1", weights=LuminanceWeights(1.0, 0.0, 0.0)),)),
+            dict(losses=(LossSpec("l1", lam=0.5),)),
+            dict(checkpoint_every=5),
+            dict(adam_beta1=0.8),
+        ],
+    )
+    def test_plan_rejects_what_it_cannot_run_or_write(self, overrides):
+        with pytest.raises(InvalidInputError):
+            micro_plan(**overrides)
+
 
 class TestRunBench:
     def test_cells_cover_the_grid(self, micro_report):
@@ -134,10 +258,10 @@ class TestRunBench:
 
     def test_training_uses_train_domain_and_eval_uses_eval_domain(self, micro_report):
         plan = micro_report.plan
-        cfg = plan.train_config(plan.losses[0], plan.sigma_max_list[0])
+        cfg = replace(plan.train, loss=plan.losses[0], sigma_max_255=plan.sigma_max_list[0])
         assert cfg.blind_spec().seed & 1 == 0
-        assert train_seed(plan.seed) & 1 == 0
-        assert eval_seed(plan.seed) & 1 == 1
+        assert train_seed(plan.train.seed) & 1 == 0
+        assert eval_seed(plan.train.seed) & 1 == 1
 
     def test_noisy_baseline_present_per_sigma(self, micro_report):
         for sigma in micro_report.plan.eval_sigmas:
@@ -192,6 +316,9 @@ class TestReportCsv:
             l for l in csv.splitlines() if not l.startswith("#") and not l.startswith("sigma") and not l.startswith("mean")
         ]
         assert again_lines == original_data
+
+    def test_no_signed_zero(self):
+        assert [_fmt_val(v) for v in (-4e-5, -0.0, 0.0, 4e-5, -6e-5)] == ["0.0000"] * 4 + ["-0.0001"]
 
     def test_comment_mentions_ssim_extension(self, micro_report):
         assert "ssim columns extend" in report_to_csv(micro_report).splitlines()[0]

@@ -40,17 +40,6 @@ class TestImageType:
         with pytest.raises(ValueError):
             img.data[0, 0, 0] = 1.0
 
-    def test_arithmetic(self):
-        a = one_pixel(0.2, 0.4, 0.6)
-        b = one_pixel(0.1, 0.1, 0.1)
-        assert np.allclose((a + b).data, [[[0.3, 0.5, 0.7]]])
-        assert np.allclose((a - b).data, [[[0.1, 0.3, 0.5]]])
-        assert np.allclose((2.0 * b).data, [[[0.2, 0.2, 0.2]]])
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(InvalidInputError):
-            rand_image(1, 4, 4) + rand_image(1, 5, 5)
-
 
 class TestLuminanceWeights:
     def test_defaults_are_the_standard_constants(self):

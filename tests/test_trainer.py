@@ -145,6 +145,10 @@ class TestTrainLoop:
             small_config(batch_size=0)
         with pytest.raises(InvalidInputError):
             small_config(adam_beta1=1.0)
+        with pytest.raises(InvalidInputError):
+            small_config(patch_size=25)
+        with pytest.raises(InvalidInputError):
+            small_config(corpus_count=0)
 
 
 class TestOptimizePixels:
