@@ -38,7 +38,6 @@ from .image import (
     Image,
     LuminanceWeights,
     clamp01,
-    grayscale_backward,
     to_grayscale,
 )
 from .losses import (
@@ -53,15 +52,10 @@ from .losses import (
 from .metrics import SsimParams, mse, psnr, ssim
 from .net import (
     ConvLayer,
-    GradTape,
     TinyNet,
     build_tinynet,
-    conv_backward,
-    conv_forward,
     net_backward,
     net_forward,
-    relu_backward,
-    relu_forward,
 )
 from .pnm import load_image, save_image
 from .trainer import AdamState, TrainConfig, TrainLog, adam_step, optimize_pixels, train
@@ -77,7 +71,6 @@ __all__ = [
     "CorruptCheckpointError",
     "DEFAULT_WEIGHTS",
     "FormatError",
-    "GradTape",
     "Image",
     "InvalidInputError",
     "LossOutput",
@@ -94,15 +87,12 @@ __all__ = [
     "add_noise",
     "build_tinynet",
     "clamp01",
-    "conv_backward",
-    "conv_forward",
     "denoise_file",
     "eval_loss",
     "fast_plan",
     "format_plan",
     "full_plan",
     "gen_clean",
-    "grayscale_backward",
     "l1_loss",
     "l2_loss",
     "load_checkpoint",
@@ -118,8 +108,6 @@ __all__ = [
     "parse_plan",
     "parse_report_csv",
     "psnr",
-    "relu_backward",
-    "relu_forward",
     "report_to_csv",
     "run_bench",
     "save_checkpoint",

@@ -71,8 +71,8 @@ class BenchPlan:
             raise InvalidInputError("eval_sigmas must be strictly increasing")
         if not self.losses or not self.sigma_max_list:
             raise InvalidInputError("need at least one loss and one sigma_max")
-        if not all(s >= 0.0 for s in self.sigma_max_list + self.eval_sigmas):
-            raise InvalidInputError("sigma_max and eval_sigmas must be nonnegative")
+        check_sigmas("sigma_max", self.sigma_max_list)
+        check_sigmas("eval_sigmas", self.eval_sigmas)
         labels = [s.label() for s in self.losses]
         if len(set(labels)) != len(labels):
             raise InvalidInputError(f"loss labels collide: {labels}")
@@ -164,6 +164,25 @@ def run_bench(plan: BenchPlan, ckpt_dir=None) -> BenchReport:
 
 def _fmt_sigma(s: float) -> str:
     return f"{s:g}"
+
+
+def check_sigmas(what: str, sigmas: tuple[float, ...]) -> None:
+    """Reject negative or NaN sigmas, and sigmas whose labels (CSV and checkpoint names) collide."""
+    if not all(s >= 0.0 for s in sigmas):
+        raise InvalidInputError(f"{what} must be nonnegative")
+    labels = [_fmt_sigma(s) for s in sigmas]
+    if len(set(labels)) != len(labels):
+        raise InvalidInputError(f"{what} labels collide: {labels}")
+
+
+def parse_sigmas(text: str) -> tuple[float, ...]:
+    """A comma-separated sigma list in the plan-file codec, checked by check_sigmas."""
+    try:
+        sigmas = _parse_value("floats", text, 1.0, "l1")
+    except ValueError as exc:
+        raise InvalidInputError(f"bad sigma list {text!r}: {exc}") from None
+    check_sigmas("sigmas", sigmas)
+    return sigmas
 
 
 def _fmt_val(v: float) -> str:

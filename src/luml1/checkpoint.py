@@ -21,6 +21,7 @@ import numpy as np
 from .errors import CorruptCheckpointError, FormatError
 from .fnv import fnv1a64
 from .net import ConvLayer, TinyNet
+from .pnm import write_atomic
 
 MAGIC = b"LUMNET1\n"
 
@@ -37,8 +38,7 @@ def checkpoint_bytes(net: TinyNet) -> bytes:
 
 
 def save_checkpoint(net: TinyNet, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(net))
+    write_atomic(path, checkpoint_bytes(net))
 
 
 def load_checkpoint(path) -> TinyNet:

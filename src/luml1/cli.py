@@ -10,7 +10,15 @@ import argparse
 import os
 import sys
 
-from .bench import denoise_file, load_plan, parse_config, parse_size, report_to_csv, run_bench
+from .bench import (
+    denoise_file,
+    load_plan,
+    parse_config,
+    parse_sigmas,
+    parse_size,
+    report_to_csv,
+    run_bench,
+)
 from .checkpoint import load_checkpoint
 from .dataset import NoiseSpec, add_noise, gen_clean, noisy_set
 from .errors import FormatError, InvalidInputError, NumericalError
@@ -19,7 +27,7 @@ from .image import clamp01
 from .losses import LossSpec, eval_loss, luminance_l1_loss, parse_loss
 from .metrics import psnr, ssim
 from .net import build_tinynet
-from .pnm import load_image, save_image
+from .pnm import load_image, save_image, write_atomic
 from .rng import eval_seed, train_seed
 from .trainer import mean_scores, optimize_pixels, train
 
@@ -48,8 +56,7 @@ def cmd_gen(args) -> int:
         save_image(clamp01(noisy), paths["noisy_ppm"])
         save_image(noisy, paths["noisy_lumf"])
         manifest.append(f"{i} {args.sigma:g} " + " ".join(paths.values()))
-    with open(os.path.join(args.out, "manifest.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(manifest) + "\n")
+    write_atomic(os.path.join(args.out, "manifest.txt"), "\n".join(manifest) + "\n")
     print(f"wrote {len(images)} clean/noisy pairs to {args.out}")
     return 0
 
@@ -67,13 +74,13 @@ def cmd_train(args) -> int:
         first, last = log.steps[0][1], log.steps[-1][1]
         print(f"trained {cfg.steps} steps ({cfg.loss.label()}): loss {first:.6f} -> {last:.6f}")
     if args.log:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            fh.write(log.to_csv())
+        write_atomic(args.log, log.to_csv())
     print(f"checkpoint written to {args.out}")
     return 0
 
 
 def cmd_eval(args) -> int:
+    sigmas = parse_sigmas(args.sigmas)
     net = load_checkpoint(args.ckpt)
     names = sorted(
         n for n in os.listdir(args.data) if n.endswith(".ppm") or n.endswith(".lumf")
@@ -81,15 +88,13 @@ def cmd_eval(args) -> int:
     if not names:
         raise InvalidInputError(f"no .ppm or .lumf images in {args.data}")
     clean = [load_image(os.path.join(args.data, n)) for n in names]
-    sigmas = [float(s) for s in args.sigmas.split(",")]
     lines = ["sigma,psnr,ssim,noisy_psnr,noisy_ssim"]
     for si, sigma in enumerate(sigmas):
         noisy = noisy_set(clean, sigma, eval_seed(args.seed), si)
         scores = mean_scores(net, noisy, clean) + mean_scores(None, noisy, clean)
         lines.append(f"{sigma:g}," + ",".join(f"{v:.4f}" for v in scores))
     text = "\n".join(lines) + "\n"
-    with open(args.csv, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_atomic(args.csv, text)
     print(text, end="")
     return 0
 
@@ -99,9 +104,7 @@ def cmd_bench(args) -> int:
     if args.ckpt_dir:
         os.makedirs(args.ckpt_dir, exist_ok=True)
     report = run_bench(plan, ckpt_dir=args.ckpt_dir)
-    csv = report_to_csv(report)
-    with open(args.csv, "w", encoding="utf-8") as fh:
-        fh.write(csv)
+    write_atomic(args.csv, report_to_csv(report))
     print(f"benchmark finished in {report.wall_clock_s:.1f}s; table written to {args.csv}")
     return 0
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .image import Image, to_grayscale
-from .losses import LossSpec, eval_loss
-from .net import TinyNet, build_tinynet, conv_forward, net_forward, net_backward
+from .image import DEFAULT_WEIGHTS, Image, to_grayscale
+from .losses import LossSpec, eval_loss, luminance_term
+from .net import ConvLayer, build_tinynet, conv_backward, conv_forward, net_backward, net_forward
 from .rng import stream
 
 FD_STEP = 1e-5
@@ -72,37 +73,44 @@ def _random_pair(rng, h=8, w=8) -> tuple[Image, Image]:
     return Image(rng.random((h, w, 3))), Image(rng.random((h, w, 3)))
 
 
-def _kink_mask(spec: LossSpec, pred: Image, target: Image) -> np.ndarray:
-    """True where an element sits within KINK_DISTANCE of an L1 kink."""
-    mask = np.zeros(pred.shape, dtype=bool)
-    pixel_l1 = spec.kind == "l1" or (spec.kind == "luml1" and spec.pixel_base == "l1")
-    if pixel_l1:
-        mask |= np.abs(pred.data - target.data) < KINK_DISTANCE
-    if spec.kind == "luml1" and spec.lam > 0:
-        lum = np.abs(to_grayscale(pred, spec.weights).data - to_grayscale(target, spec.weights).data)
-        mask |= np.broadcast_to(lum < KINK_DISTANCE, pred.shape)
-    return mask
-
-
 _KIND_IDS = {"l1": 1, "l2": 2, "luml1": 3}
 
 
-def check_loss_gradient(spec: LossSpec, seed: int, pairs: int = 10, tolerance: float = 1e-4) -> CheckResult:
-    """FD-check one loss over seeded random 8x8x3 image pairs."""
-    rng = stream(seed, 10, _KIND_IDS[spec.kind], int(spec.lam * 16))
+def check_loss_gradient(
+    spec: LossSpec | None, seed: int, pairs: int = 10, tolerance: float = 1e-4
+) -> CheckResult:
+    """FD-check one loss over seeded random 8x8x3 image pairs.
+
+    ``spec`` None checks the bare luminance term (no pixel component).
+    Elements within KINK_DISTANCE of an L1 kink are excluded.
+    """
+    if spec is None:
+        name, rng, loss, weights = "luminance_term", stream(seed, 11), luminance_term, DEFAULT_WEIGHTS
+        pixel_l1, lum_l1 = False, True
+    else:
+        name = spec.label() if spec.kind != "luml1" else f"luml1(lam={spec.lam:g})"
+        rng = stream(seed, 10, _KIND_IDS[spec.kind], int(spec.lam * 16))
+        loss, weights = partial(eval_loss, spec), spec.weights
+        pixel_l1 = spec.kind == "l1" or (spec.kind == "luml1" and spec.pixel_base == "l1")
+        lum_l1 = spec.kind == "luml1" and spec.lam > 0
     worst = 0.0
     checked = excluded = 0
     for _ in range(pairs):
         pred, target = _random_pair(rng)
-        out = eval_loss(spec, pred, target)
-        fd = fd_gradient(lambda x: eval_loss(spec, Image(x), target).value, pred.data.copy())
+        out = loss(pred, target)
+        fd = fd_gradient(lambda x: loss(Image(x), target).value, pred.data.copy())
         err = rel_error(out.grad.data, fd)
-        keep = ~_kink_mask(spec, pred, target)
+        kink = np.zeros(pred.shape, dtype=bool)
+        if pixel_l1:
+            kink |= np.abs(pred.data - target.data) < KINK_DISTANCE
+        if lum_l1:
+            lum = np.abs(to_grayscale(pred, weights).data - to_grayscale(target, weights).data)
+            kink |= np.broadcast_to(lum < KINK_DISTANCE, pred.shape)
+        keep = ~kink
         checked += int(keep.sum())
         excluded += int((~keep).sum())
         if keep.any():
             worst = max(worst, float(err[keep].max()))
-    name = spec.label() if spec.kind != "luml1" else f"luml1(lam={spec.lam:g})"
     return CheckResult(name, worst, tolerance, checked, excluded)
 
 
@@ -111,38 +119,15 @@ def loss_gradient_suite(seed: int) -> list[CheckResult]:
     results = [
         check_loss_gradient(LossSpec("l1"), seed, tolerance=1e-4),
         check_loss_gradient(LossSpec("l2"), seed, tolerance=1e-6),
-        check_luminance_term_gradient(seed),
+        check_loss_gradient(None, seed),
     ]
     for lam in (0.5, 1.0, 2.0):
         results.append(check_loss_gradient(LossSpec("luml1", lam=lam), seed, tolerance=1e-4))
     return results
 
 
-def check_luminance_term_gradient(seed: int, pairs: int = 10, tolerance: float = 1e-4) -> CheckResult:
-    """FD-check the bare luminance term (no pixel component)."""
-    from .losses import luminance_term
-
-    rng = stream(seed, 11)
-    worst = 0.0
-    checked = excluded = 0
-    for _ in range(pairs):
-        pred, target = _random_pair(rng)
-        out = luminance_term(pred, target)
-        fd = fd_gradient(lambda x: luminance_term(Image(x), target).value, pred.data.copy())
-        err = rel_error(out.grad.data, fd)
-        lum = np.abs(to_grayscale(pred).data - to_grayscale(target).data)
-        keep = ~np.broadcast_to(lum < KINK_DISTANCE, pred.shape)
-        checked += int(keep.sum())
-        excluded += int((~keep).sum())
-        if keep.any():
-            worst = max(worst, float(err[keep].max()))
-    return CheckResult("luminance_term", worst, tolerance, checked, excluded)
-
-
 def check_conv_gradients(seed: int, tolerance: float = 1e-5) -> CheckResult:
     """FD-check conv kernel/bias/input gradients on one small layer."""
-    from .net import ConvLayer, conv_backward
-
     rng = stream(seed, 12)
     layer = ConvLayer(rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2))
     x = rng.random((3, 5, 5))
@@ -165,24 +150,15 @@ def check_conv_gradients(seed: int, tolerance: float = 1e-5) -> CheckResult:
     return CheckResult("conv_forward/backward", worst, tolerance, n, 0)
 
 
-def _kink_margins(net: TinyNet, noisy: Image, target: Image, spec: LossSpec) -> float:
+def _kink_margins(cache: list, pred: Image, target: Image, spec: LossSpec) -> float:
     """Smallest distance of any piecewise-linear break point from zero.
 
-    Covers ReLU pre-activations plus the pixel and luminance differences at
-    the loss. A 1e-5 parameter step moves any of these by well under
-    KINK_DISTANCE, so a margin above it guarantees no FD step crosses a kink.
+    Covers the ReLU pre-activations in net_forward's cache plus the pixel and
+    luminance differences at the loss. A 1e-5 parameter step moves any of
+    these by well under KINK_DISTANCE, so a margin above it guarantees no FD
+    step crosses a kink.
     """
-    from .net import relu_forward
-
-    t = noisy.data.transpose(2, 0, 1)
-    margin = np.inf
-    for i, layer in enumerate(net.layers):
-        t, _ = conv_forward(t, layer)
-        if i < len(net.layers) - 1:
-            margin = min(margin, float(np.abs(t).min()))
-            t, _ = relu_forward(t)
-    out = noisy.data.transpose(2, 0, 1) - t if net.residual_mode else t
-    pred = Image(out.transpose(1, 2, 0))
+    margin = min((float(np.abs(pre).min()) for _, pre in cache[:-1]), default=np.inf)
     margin = min(margin, float(np.abs(pred.data - target.data).min()))
     lum = to_grayscale(pred, spec.weights).data - to_grayscale(target, spec.weights).data
     return min(margin, float(np.abs(lum).min()))
@@ -203,11 +179,8 @@ def check_net_gradients(seed: int, tolerance: float = 1e-4) -> CheckResult:
     spec = LossSpec("luml1", lam=1.0)
 
     out, cache = net_forward(net, noisy)
-    result = eval_loss(spec, out, target)
-    tape = net_backward(net, cache, result.grad)
-    analytic = tape.parameter_grads()
-
-    kinked = _kink_margins(net, noisy, target, spec) < KINK_DISTANCE
+    analytic = net_backward(net, cache, eval_loss(spec, out, target).grad)
+    kinked = _kink_margins(cache, out, target, spec) < KINK_DISTANCE
 
     def run(_: np.ndarray) -> float:
         # fd_gradient perturbs the parameter array in place; the net holds
@@ -229,8 +202,6 @@ def check_net_gradients(seed: int, tolerance: float = 1e-4) -> CheckResult:
 
 def adjoint_error(seed: int) -> float:
     """|<conv(x), u> - <x, conv_backward(u)>| for a zero-bias layer."""
-    from .net import ConvLayer, conv_backward
-
     rng = stream(seed, 14)
     layer = ConvLayer(rng.normal(size=(3, 2, 3, 3)), np.zeros(3))
     x = rng.random((2, 6, 6))

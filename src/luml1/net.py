@@ -12,7 +12,7 @@ pass is the exact transpose of the same linear map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -157,71 +157,46 @@ def relu_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return grad_out * mask
 
 
-@dataclass
-class NetCache:
-    conv: list[ConvCache]
-    masks: list[np.ndarray]
-    residual: bool
-    hw: tuple
-
-
-@dataclass
-class GradTape:
-    """Parameter gradients (shapes mirror the layers) plus the input gradient."""
-
-    kernel_grads: list[np.ndarray] = field(default_factory=list)
-    bias_grads: list[np.ndarray] = field(default_factory=list)
-    input_grad: Image | None = None
-
-    def parameter_grads(self) -> list[np.ndarray]:
-        """Flat list matching TinyNet.parameters() ordering."""
-        return [arr for pair in zip(self.kernel_grads, self.bias_grads) for arr in pair]
-
-
-def _stack_forward(net: TinyNet, x: np.ndarray) -> tuple[np.ndarray, list[ConvCache], list[np.ndarray]]:
-    caches, masks = [], []
-    t = x
-    for i, layer in enumerate(net.layers):
-        t, cache = conv_forward(t, layer)
-        caches.append(cache)
-        if i < len(net.layers) - 1:
-            t, mask = relu_forward(t)
-            masks.append(mask)
-    return t, caches, masks
-
-
-def net_forward(net: TinyNet, noisy: Image) -> tuple[Image, NetCache]:
+def net_forward(net: TinyNet, noisy: Image) -> tuple[Image, list[tuple[ConvCache, np.ndarray]]]:
     """Denoise one image; returns the output and the cache for backward.
 
-    In residual mode the stack output is treated as a noise estimate and
-    subtracted from the input; otherwise the stack output is returned
-    directly. No clamping happens here.
+    The cache holds, per layer, its ConvCache and its conv output (the ReLU
+    pre-activation for every layer but the last). In residual mode the stack
+    output is treated as a noise estimate and subtracted from the input;
+    otherwise the stack output is returned directly. No clamping happens here.
     """
     if noisy.channels != 3:
         raise InvalidInputError(f"network input must have 3 channels, got {noisy.channels}")
     x = noisy.data.transpose(2, 0, 1)
-    est, caches, masks = _stack_forward(net, x)
-    out = x - est if net.residual_mode else est
-    return Image(out.transpose(1, 2, 0)), NetCache(caches, masks, net.residual_mode, x.shape[1:])
+    cache = []
+    t = x
+    for i, layer in enumerate(net.layers):
+        pre, conv = conv_forward(t, layer)
+        cache.append((conv, pre))
+        t = relu_forward(pre)[0] if i < len(net.layers) - 1 else pre
+    out = x - t if net.residual_mode else t
+    return Image(out.transpose(1, 2, 0)), cache
 
 
-def net_backward(net: TinyNet, cache: NetCache, grad_out: Image) -> GradTape:
-    """Exact gradients of the forward map for every parameter and the input."""
-    if len(cache.conv) != len(net.layers) or cache.residual != net.residual_mode:
+def net_backward(net: TinyNet, cache: list, grad_out: Image) -> list[np.ndarray]:
+    """Exact parameter gradients of the forward map, in TinyNet.parameters() order.
+
+    ``cache`` must come from net_forward on this net's own layers.
+    """
+    layers = [conv.layer for conv, _ in cache]
+    if len(layers) != len(net.layers) or any(a is not b for a, b in zip(layers, net.layers)):
         raise RuntimeError("forward cache does not match this network")
     g = grad_out.data.transpose(2, 0, 1)
-    if g.shape[1:] != cache.hw:
-        raise RuntimeError(f"gradient spatial shape {g.shape[1:]} does not match cache {cache.hw}")
+    hw = cache[0][0].x_shape[1:]
+    if g.shape[1:] != hw:
+        raise RuntimeError(f"gradient spatial shape {g.shape[1:]} does not match cache {hw}")
     # residual mode: output = input - stack(input), so the stack sees -g
     s = -g if net.residual_mode else g
-    n = len(net.layers)
-    kernel_grads: list[np.ndarray] = [np.empty(0)] * n
-    bias_grads: list[np.ndarray] = [np.empty(0)] * n
-    for i in range(n - 1, -1, -1):
-        if i < n - 1:
-            s = relu_backward(s, cache.masks[i])
-        s, gk, gb = conv_backward(s, cache.conv[i])
-        kernel_grads[i] = gk
-        bias_grads[i] = gb
-    gin = g + s if net.residual_mode else s
-    return GradTape(kernel_grads, bias_grads, Image(gin.transpose(1, 2, 0)))
+    grads: list[np.ndarray] = []
+    for i in range(len(net.layers) - 1, -1, -1):
+        conv, pre = cache[i]
+        if i < len(net.layers) - 1:
+            s = relu_backward(s, pre > 0)
+        s, gk, gb = conv_backward(s, conv)
+        grads += [gb, gk]
+    return grads[::-1]

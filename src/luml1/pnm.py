@@ -1,4 +1,5 @@
-"""Image file I/O: binary PPM (P6, maxval 255) and the LUMF1 raw-float format.
+"""File I/O: binary PPM (P6, maxval 255), the LUMF1 raw-float format, and
+write_atomic, which every output file of the package goes through.
 
 PPM stores 8-bit RGB; bytes map to floats as b/255 on load, and floats are
 clamped to [0, 1] and rounded to the nearest byte on save, so load/save
@@ -44,8 +45,30 @@ def save_image(img: Image, path) -> None:
         data = save_lumf_bytes(img)
     else:
         raise InvalidInputError(f"{name}: unsupported image extension (use .ppm or .lumf)")
-    with open(path, "wb") as fh:
-        fh.write(data)
+    write_atomic(path, data)
+
+
+def write_atomic(path, data: bytes | str) -> None:
+    """Write ``data`` (str as UTF-8) to a temporary file next to ``path``, then rename it there.
+
+    A write that fails or is killed leaves any earlier file at ``path`` whole.
+    A path that exists but is no regular file (a pipe, /dev/stdout) is written in place.
+    """
+    name = os.fspath(path)
+    data = data.encode("utf-8") if isinstance(data, str) else data
+    if os.path.exists(name) and not os.path.isfile(name):
+        with open(name, "wb") as fh:
+            fh.write(data)
+        return
+    tmp = f"{name}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, name)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_ppm_bytes(img: Image) -> bytes:

@@ -164,8 +164,7 @@ def train(net: TinyNet, cfg: TrainConfig, ckpt_path=None) -> tuple[TinyNet, Trai
                     noisy, target = next(batches)
                     out, cache = net_forward(net, noisy)
                     result = eval_loss(cfg.loss, out, target)
-                    tape = net_backward(net, cache, result.grad)
-                    for acc, g in zip(accum, tape.parameter_grads()):
+                    for acc, g in zip(accum, net_backward(net, cache, result.grad)):
                         acc += g
                     total += result.value
         except InvalidInputError as exc:

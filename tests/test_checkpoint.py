@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from luml1.checkpoint import (
 from luml1.errors import CorruptCheckpointError, FormatError
 from luml1.fnv import fnv1a64
 from luml1.net import build_tinynet, net_forward
+from luml1.pnm import write_atomic
 
 from conftest import rand_image
 
@@ -97,3 +100,39 @@ def _payload_start(blob: bytes) -> int:
     for _ in range(n_layers):
         pos = blob.index(b"\n", pos) + 1
     return pos
+
+
+class TestAtomicWrites:
+    def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        import luml1.checkpoint as ckpt_mod
+
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(build_tinynet(60, hidden_channels=4, hidden_depth=0), path)
+        before = path.read_bytes()
+
+        def failing(net):
+            raise MemoryError("simulated failure while encoding")
+
+        monkeypatch.setattr(ckpt_mod, "checkpoint_bytes", failing)
+        with pytest.raises(MemoryError):
+            save_checkpoint(build_tinynet(61, hidden_channels=4, hidden_depth=0), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
+
+    def test_write_failing_after_open_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_atomic(path, "a,b\n1,2\n")
+        with pytest.raises(TypeError):
+            write_atomic(path, 12345)  # the temporary file is open when write() rejects this
+        assert path.read_text() == "a,b\n1,2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+    def test_text_is_written_as_utf8_and_replaces_the_file(self, tmp_path):
+        path = tmp_path / "log.csv"
+        write_atomic(path, b"old contents that are longer")
+        write_atomic(path, "step,\u03bb\n")
+        assert path.read_bytes() == "step,\u03bb\n".encode("utf-8")
+
+    def test_non_regular_file_is_written_in_place(self):
+        write_atomic(os.devnull, b"discarded")
+        assert not os.path.isfile(os.devnull)

@@ -142,7 +142,15 @@ class TestBenchCli:
     )
 
     @pytest.mark.parametrize(
-        "line", ["eval_count=0", "eval_size=10x10", "hidden_depth=-1", "hidden_channels=0", "eval_sigmas=-5,15"]
+        "line",
+        [
+            "eval_count=0",
+            "eval_size=10x10",
+            "hidden_depth=-1",
+            "hidden_channels=0",
+            "eval_sigmas=-5,15",
+            "sigma_max=12.3456781,12.3456789",
+        ],
     )
     def test_invalid_plan_exits_1_and_writes_no_csv(self, tmp_path, capsys, line):
         plan = tmp_path / "bad.plan"
@@ -179,6 +187,18 @@ class TestEvalCli:
         for line in lines[1:]:
             _, p, _, np_, _ = line.split(",")
             assert p == np_
+
+    @pytest.mark.parametrize("sigmas", ["5,abc", "-5,5", "5,nan", "", "12.3456781,12.3456789"])
+    def test_bad_sigmas_exit_1_before_any_work(self, tmp_path, capsys, sigmas):
+        # the checkpoint and data paths do not exist: the sigma list must fail first
+        csv = tmp_path / "eval.csv"
+        rc = main([
+            "eval", "--ckpt", str(tmp_path / "none.ckpt"), "--data", str(tmp_path / "none"),
+            f"--sigmas={sigmas}", "--csv", str(csv),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not csv.exists()
 
 
 class TestExitCodes:

@@ -63,6 +63,10 @@ def micro_plan(**overrides) -> BenchPlan:
 _sigmas = st.floats(0.0, 100.0, allow_nan=False)
 
 
+def _label(sigma: float) -> str:
+    return f"{sigma:g}"  # a plan's sigmas must have distinct labels
+
+
 @st.composite
 def losses(draw):
     lum = st.builds(
@@ -103,8 +107,8 @@ def train_configs(draw, plan=False):
 @st.composite
 def plans(draw):
     return BenchPlan(
-        sigma_max_list=tuple(draw(st.lists(_sigmas, min_size=1, max_size=3))),
-        eval_sigmas=tuple(sorted(draw(st.lists(_sigmas, min_size=1, max_size=5, unique=True)))),
+        sigma_max_list=tuple(draw(st.lists(_sigmas, min_size=1, max_size=3, unique_by=_label))),
+        eval_sigmas=tuple(sorted(draw(st.lists(_sigmas, min_size=1, max_size=5, unique_by=_label)))),
         losses=draw(losses()),
         train=draw(train_configs(plan=True)),
         eval_count=draw(st.integers(1, 500)),
@@ -228,6 +232,10 @@ class TestPlanFiles:
             dict(losses=(LossSpec("l1", lam=0.5),)),
             dict(checkpoint_every=5),
             dict(adam_beta1=0.8),
+            # sigmas whose :g labels collide would share a CSV column or row and a checkpoint name
+            dict(sigma_max_list=(12.3456781, 12.3456789)),
+            dict(eval_sigmas=(12.3456781, 12.3456789)),
+            dict(sigma_max_list=(25.0, 25.0)),
         ],
     )
     def test_plan_rejects_what_it_cannot_run_or_write(self, overrides):

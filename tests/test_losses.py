@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from luml1.errors import InvalidInputError
-from luml1.gradcheck import check_loss_gradient, check_luminance_term_gradient
+from luml1.gradcheck import check_loss_gradient
 from luml1.image import Image, LuminanceWeights
 from luml1.losses import (
     LossSpec,
@@ -87,7 +87,7 @@ class TestLuminanceTerm:
         assert out.value < 1e-12
 
     def test_gradient_matches_finite_differences(self):
-        result = check_luminance_term_gradient(seed=5, pairs=3)
+        result = check_loss_gradient(None, seed=5, pairs=3)
         assert result.ok, result.line()
 
     def test_single_channel_rejected(self):
