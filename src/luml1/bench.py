@@ -24,7 +24,6 @@ columns are an extension beyond plain PSNR tables.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -167,9 +166,9 @@ def _fmt_sigma(s: float) -> str:
 
 
 def check_sigmas(what: str, sigmas: tuple[float, ...]) -> None:
-    """Reject negative or NaN sigmas, and sigmas whose labels (CSV and checkpoint names) collide."""
-    if not all(s >= 0.0 for s in sigmas):
-        raise InvalidInputError(f"{what} must be nonnegative")
+    """Reject negative or non-finite sigmas, and sigmas whose labels (CSV and checkpoint names) collide."""
+    if not all(np.isfinite(s) and s >= 0.0 for s in sigmas):
+        raise InvalidInputError(f"{what} must be finite and nonnegative")
     labels = [_fmt_sigma(s) for s in sigmas]
     if len(set(labels)) != len(labels):
         raise InvalidInputError(f"{what} labels collide: {labels}")
@@ -186,8 +185,6 @@ def parse_sigmas(text: str) -> tuple[float, ...]:
 
 
 def _fmt_val(v: float) -> str:
-    if math.isinf(v):
-        return "inf"
     text = f"{v:.4f}"
     return "0.0000" if text == "-0.0000" else text  # a signed zero would read as a result
 
@@ -414,7 +411,7 @@ def parse_plan(text: str) -> BenchPlan:
 
 
 def parse_kv(text: str) -> dict[str, str]:
-    """Parse key=value lines; '#' starts a comment, blank lines are ignored."""
+    """Parse key=value lines; '#' starts a comment, blank lines are ignored, a key may appear once."""
     out = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -422,8 +419,10 @@ def parse_kv(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise InvalidInputError(f"line {ln}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise InvalidInputError(f"line {ln}: key {key!r} is already set")
+        out[key] = value
     return out
 
 

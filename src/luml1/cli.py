@@ -11,6 +11,8 @@ import os
 import sys
 
 from .bench import (
+    _fmt_sigma,
+    _fmt_val,
     denoise_file,
     load_plan,
     parse_config,
@@ -36,6 +38,13 @@ class _Parser(argparse.ArgumentParser):
     # usage errors are invalid input (exit 1), not argparse's default exit 2
     def error(self, message):
         raise InvalidInputError(message)
+
+
+def _out_path(path: str) -> str:
+    """Argument type of an output file; argparse passes on the OSError of a missing directory (exit 3)."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(f"directory of output file {path!r} does not exist")
+    return path
 
 
 def cmd_gen(args) -> int:
@@ -92,7 +101,7 @@ def cmd_eval(args) -> int:
     for si, sigma in enumerate(sigmas):
         noisy = noisy_set(clean, sigma, eval_seed(args.seed), si)
         scores = mean_scores(net, noisy, clean) + mean_scores(None, noisy, clean)
-        lines.append(f"{sigma:g}," + ",".join(f"{v:.4f}" for v in scores))
+        lines.append(",".join([_fmt_sigma(sigma)] + [_fmt_val(v) for v in scores]))
     text = "\n".join(lines) + "\n"
     write_atomic(args.csv, text)
     print(text, end="")
@@ -165,8 +174,8 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--sigma-max", dest="sigma_max", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--log", help="write the training log CSV here")
-    p.add_argument("--out", required=True, help="checkpoint path")
+    p.add_argument("--log", type=_out_path, help="write the training log CSV here")
+    p.add_argument("--out", type=_out_path, required=True, help="checkpoint path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint over a clean-image directory")
@@ -174,12 +183,12 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--sigmas", default="5,10,15,20,25,30,35,40,45,50,55,60,65,70,75")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--csv", required=True)
+    p.add_argument("--csv", type=_out_path, required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="run a full benchmark plan")
     p.add_argument("--plan", required=True)
-    p.add_argument("--csv", required=True)
+    p.add_argument("--csv", type=_out_path, required=True)
     p.add_argument("--ckpt-dir", dest="ckpt_dir", help="also save per-cell checkpoints here")
     p.set_defaults(func=cmd_bench)
 

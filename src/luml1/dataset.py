@@ -53,8 +53,8 @@ class BlindTrainSpec:
     seed: int
 
     def __post_init__(self):
-        if not (self.sigma_max_255 >= 0.0):
-            raise InvalidInputError(f"sigma_max must be nonnegative, got {self.sigma_max_255}")
+        if not (np.isfinite(self.sigma_max_255) and self.sigma_max_255 >= 0.0):
+            raise InvalidInputError(f"sigma_max must be finite and nonnegative, got {self.sigma_max_255}")
         if self.patch_size < 1:
             raise InvalidInputError(f"patch_size must be positive, got {self.patch_size}")
         if self.count < 0:

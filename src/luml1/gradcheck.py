@@ -99,7 +99,7 @@ def check_loss_gradient(
         pred, target = _random_pair(rng)
         out = loss(pred, target)
         fd = fd_gradient(lambda x: loss(Image(x), target).value, pred.data.copy())
-        err = rel_error(out.grad.data, fd)
+        err = rel_error(out.grad, fd)
         kink = np.zeros(pred.shape, dtype=bool)
         if pixel_l1:
             kink |= np.abs(pred.data - target.data) < KINK_DISTANCE

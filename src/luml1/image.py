@@ -90,16 +90,15 @@ def to_grayscale(img: Image, weights: LuminanceWeights = DEFAULT_WEIGHTS) -> Ima
     return Image(g[:, :, None])
 
 
-def grayscale_backward(grad_out: Image, weights: LuminanceWeights = DEFAULT_WEIGHTS) -> Image:
-    """Adjoint of :func:`to_grayscale`.
+def grayscale_backward(grad_out: np.ndarray, weights: LuminanceWeights = DEFAULT_WEIGHTS) -> np.ndarray:
+    """Adjoint of :func:`to_grayscale`, on gradient arrays.
 
-    Spreads a single-channel gradient back across RGB: channel c of the
+    Spreads an (H, W, 1) gradient back across RGB: channel c of the (H, W, 3)
     result is grad * w_c at every pixel.
     """
-    if grad_out.channels != 1:
-        raise InvalidInputError(f"grayscale_backward needs a 1-channel image, got {grad_out.channels} channels")
-    g = grad_out.data[:, :, 0]
-    return Image(g[:, :, None] * weights.as_array()[None, None, :])
+    if grad_out.ndim != 3 or grad_out.shape[2] != 1:
+        raise InvalidInputError(f"grayscale_backward needs an (H, W, 1) gradient, got shape {grad_out.shape}")
+    return grad_out * weights.as_array()
 
 
 def clamp01(img: Image) -> Image:

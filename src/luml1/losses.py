@@ -39,7 +39,7 @@ class LossOutput:
     """Scalar loss value plus d(value)/d(prediction), shaped like the prediction."""
 
     value: float
-    grad: Image
+    grad: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ class LossSpec:
             raise InvalidInputError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
         if self.pixel_base not in PIXEL_BASES:
             raise InvalidInputError(f"unknown pixel base {self.pixel_base!r}, expected one of {PIXEL_BASES}")
-        if not (self.lam >= 0.0):
-            raise InvalidInputError(f"lam must be nonnegative, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam >= 0.0):
+            raise InvalidInputError(f"lam must be finite and nonnegative, got {self.lam}")
 
     def label(self) -> str:
         """Short name used in CSV column headers and CLI output."""
@@ -93,8 +93,7 @@ def l1_loss(pred: Image, target: Image) -> LossOutput:
     require_same_shape(pred, target, "compare")
     d = pred.data - target.data
     value = float(np.mean(np.abs(d)))
-    grad = np.sign(d) / d.size
-    return LossOutput(value, Image(grad))
+    return LossOutput(value, np.sign(d) / d.size)
 
 
 def l2_loss(pred: Image, target: Image) -> LossOutput:
@@ -102,8 +101,7 @@ def l2_loss(pred: Image, target: Image) -> LossOutput:
     require_same_shape(pred, target, "compare")
     d = pred.data - target.data
     value = float(np.mean(d * d))
-    grad = 2.0 * d / d.size
-    return LossOutput(value, Image(grad))
+    return LossOutput(value, 2.0 * d / d.size)
 
 
 def luminance_term(pred: Image, target: Image, weights: LuminanceWeights = DEFAULT_WEIGHTS) -> LossOutput:
@@ -119,8 +117,7 @@ def luminance_term(pred: Image, target: Image, weights: LuminanceWeights = DEFAU
     d = to_grayscale(pred, weights).data - to_grayscale(target, weights).data
     m = d.size  # H*W: one luminance sample per pixel
     value = float(np.mean(np.abs(d)))
-    grad1 = Image(np.sign(d) / m)
-    return LossOutput(value, grayscale_backward(grad1, weights))
+    return LossOutput(value, grayscale_backward(np.sign(d) / m, weights))
 
 
 def luminance_l1_loss(pred: Image, target: Image, spec: LossSpec) -> LossOutput:
@@ -132,9 +129,7 @@ def luminance_l1_loss(pred: Image, target: Image, spec: LossSpec) -> LossOutput:
     if spec.lam == 0.0:
         return base  # contract: lam == 0 is bit-identical to the pixel base
     lum = luminance_term(pred, target, spec.weights)
-    value = base.value + spec.lam * lum.value
-    grad = base.grad.data + spec.lam * lum.grad.data
-    return LossOutput(value, Image(grad))
+    return LossOutput(base.value + spec.lam * lum.value, base.grad + spec.lam * lum.grad)
 
 
 def eval_loss(spec: LossSpec, pred: Image, target: Image) -> LossOutput:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalError
 from .image import Image
 from .rng import DOMAIN_INIT, normal, stream
 
@@ -164,6 +164,7 @@ def net_forward(net: TinyNet, noisy: Image) -> tuple[Image, list[tuple[ConvCache
     pre-activation for every layer but the last). In residual mode the stack
     output is treated as a noise estimate and subtracted from the input;
     otherwise the stack output is returned directly. No clamping happens here.
+    A non-finite output raises NumericalError naming the first non-finite layer.
     """
     if noisy.channels != 3:
         raise InvalidInputError(f"network input must have 3 channels, got {noisy.channels}")
@@ -175,21 +176,24 @@ def net_forward(net: TinyNet, noisy: Image) -> tuple[Image, list[tuple[ConvCache
         cache.append((conv, pre))
         t = relu_forward(pre)[0] if i < len(net.layers) - 1 else pre
     out = x - t if net.residual_mode else t
+    if not np.all(np.isfinite(out)):
+        bad = (f"layer{i}" for i, (_, pre) in enumerate(cache) if not np.all(np.isfinite(pre)))
+        raise NumericalError(f"network output is not finite, first at {next(bad, 'the residual subtraction')}")
     return Image(out.transpose(1, 2, 0)), cache
 
 
-def net_backward(net: TinyNet, cache: list, grad_out: Image) -> list[np.ndarray]:
+def net_backward(net: TinyNet, cache: list, grad_out: np.ndarray) -> list[np.ndarray]:
     """Exact parameter gradients of the forward map, in TinyNet.parameters() order.
 
-    ``cache`` must come from net_forward on this net's own layers.
+    ``grad_out`` is shaped like the output's data; ``cache`` must come from net_forward on this net.
     """
     layers = [conv.layer for conv, _ in cache]
     if len(layers) != len(net.layers) or any(a is not b for a, b in zip(layers, net.layers)):
         raise RuntimeError("forward cache does not match this network")
-    g = grad_out.data.transpose(2, 0, 1)
-    hw = cache[0][0].x_shape[1:]
-    if g.shape[1:] != hw:
-        raise RuntimeError(f"gradient spatial shape {g.shape[1:]} does not match cache {hw}")
+    shape = (*cache[0][0].x_shape[1:], net.layers[-1].out_ch)
+    if grad_out.shape != shape:
+        raise RuntimeError(f"gradient shape {grad_out.shape} does not match the output shape {shape}")
+    g = grad_out.transpose(2, 0, 1)
     # residual mode: output = input - stack(input), so the stack sees -g
     s = -g if net.residual_mode else g
     grads: list[np.ndarray] = []

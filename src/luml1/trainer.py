@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import BlindTrainSpec, gen_clean, make_blind_batches, noisy_set
 from .errors import InvalidInputError, NumericalError
-from .image import Image, clamp01
+from .image import Image, clamp01, require_same_shape
 from .losses import LossSpec, eval_loss
 from .metrics import psnr, ssim
 from .net import TinyNet, net_backward, net_forward
@@ -47,10 +47,11 @@ class TrainConfig:
             raise InvalidInputError("steps must be >= 0 and batch_size >= 1")
         if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
             raise InvalidInputError("Adam betas must lie strictly between 0 and 1")
-        if self.adam_eps <= 0 or self.lr <= 0:
-            raise InvalidInputError("lr and adam_eps must be positive")
+        if not all(np.isfinite(x) and x > 0 for x in (self.lr, self.adam_eps)):
+            raise InvalidInputError("lr and adam_eps must be finite and positive")
         if self.corpus_count < 1 or self.patch_size > min(self.corpus_h, self.corpus_w):
             raise InvalidInputError("corpus_count must be >= 1 and patch_size must fit the corpus images")
+        self.blind_spec()  # the patch stream's own checks: sigma_max finite and >= 0, patch_size >= 1
 
     def blind_spec(self) -> BlindTrainSpec:
         return BlindTrainSpec(
@@ -154,12 +155,12 @@ def train(net: TinyNet, cfg: TrainConfig, ckpt_path=None) -> tuple[TinyNet, Trai
     names = net.parameter_names()
     state = AdamState.for_params(params)
     val_clean = val_noisy = None
-    for step in range(1, cfg.steps + 1):
-        t0 = time.perf_counter()
-        accum = [np.zeros_like(p) for p in params]
-        total = 0.0
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked explicitly
+        for step in range(1, cfg.steps + 1):
+            try:
+                t0 = time.perf_counter()
+                accum = [np.zeros_like(p) for p in params]
+                total = 0.0
                 for _ in range(cfg.batch_size):
                     noisy, target = next(batches)
                     out, cache = net_forward(net, noisy)
@@ -167,29 +168,24 @@ def train(net: TinyNet, cfg: TrainConfig, ckpt_path=None) -> tuple[TinyNet, Trai
                     for acc, g in zip(accum, net_backward(net, cache, result.grad)):
                         acc += g
                     total += result.value
-        except InvalidInputError as exc:
-            # non-finite activations surface as construction errors mid-forward
-            raise NumericalError(f"aborted at step {step}: {exc}") from exc
-        loss_value = total / cfg.batch_size
-        if not np.isfinite(loss_value):
-            raise NumericalError(f"aborted at step {step}: loss is not finite")
-        for acc in accum:
-            acc /= cfg.batch_size
-        adam_step(params, accum, state, cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, names)
-        for name, p in zip(names, params):
-            if not np.all(np.isfinite(p)) or np.abs(p).max() > _PARAM_LIMIT:
-                raise NumericalError(f"aborted at step {step}: runaway values in {name}")
-        log.steps.append((step, loss_value, (time.perf_counter() - t0) * 1e3))
-        if cfg.checkpoint_every > 0 and step % cfg.checkpoint_every == 0:
-            if ckpt_path is not None:
-                save_checkpoint(net, ckpt_path)
-            if val_clean is None:
-                val_clean = gen_clean(eval_seed(cfg.seed), 4, cfg.corpus_h, cfg.corpus_w)
-                val_noisy = noisy_set(val_clean, cfg.sigma_max_255 / 2.0, eval_seed(cfg.seed))
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
+                loss_value = total / cfg.batch_size
+                if not np.isfinite(loss_value):
+                    raise NumericalError("loss is not finite")
+                for acc in accum:
+                    acc /= cfg.batch_size
+                adam_step(params, accum, state, cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, names)
+                for name, p in zip(names, params):
+                    if not np.all(np.isfinite(p)) or np.abs(p).max() > _PARAM_LIMIT:
+                        raise NumericalError(f"runaway values in {name}")
+                log.steps.append((step, loss_value, (time.perf_counter() - t0) * 1e3))
+                if cfg.checkpoint_every > 0 and step % cfg.checkpoint_every == 0:
+                    if ckpt_path is not None:
+                        save_checkpoint(net, ckpt_path)
+                    if val_clean is None:
+                        val_clean = gen_clean(eval_seed(cfg.seed), 4, cfg.corpus_h, cfg.corpus_w)
+                        val_noisy = noisy_set(val_clean, cfg.sigma_max_255 / 2.0, eval_seed(cfg.seed))
                     log.validations.append((step, *mean_scores(net, val_noisy, val_clean)))
-            except InvalidInputError as exc:
+            except NumericalError as exc:
                 raise NumericalError(f"aborted at step {step}: {exc}") from exc
     if ckpt_path is not None:
         save_checkpoint(net, ckpt_path)
@@ -202,11 +198,9 @@ def optimize_pixels(init: Image, target: Image, loss: LossSpec, steps: int, lr: 
     Isolates the behavior of a loss gradient from any network: the only
     moving parts are the pixels themselves.
     """
-    from .image import require_same_shape
-
     require_same_shape(init, target, "optimize")
     x = init.data.copy()
     for _ in range(steps):
         out = eval_loss(loss, Image(x), target)
-        x = x - lr * out.grad.data
+        x = x - lr * out.grad
     return Image(x)

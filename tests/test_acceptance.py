@@ -121,7 +121,7 @@ def test_criterion_4_loss_algebra():
     # lambda = 0 bit-equivalence
     zero = luminance_l1_loss(pred, target, LossSpec("luml1", lam=0.0))
     base = l1_loss(pred, target)
-    if zero.value != base.value or not np.array_equal(zero.grad.data, base.grad.data):
+    if zero.value != base.value or not np.array_equal(zero.grad, base.grad):
         failures.append("lam=0 bit-equivalence")
 
     # metamer null space

@@ -1,10 +1,12 @@
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from luml1.checkpoint import save_checkpoint
+from luml1.checkpoint import load_checkpoint, save_checkpoint
+import luml1.cli as cli
 from luml1.cli import main
 from luml1.net import ConvLayer, TinyNet
 from luml1.pnm import load_image, save_image
@@ -17,6 +19,21 @@ def zero_ckpt(tmp_path):
     path = tmp_path / "zero.ckpt"
     save_checkpoint(net, path)
     return path
+
+
+def overflow_ckpt(tmp_path):
+    """A valid checkpoint whose forward pass overflows: nine layers, every kernel 3e38."""
+    dims = [3] + [4] * 8 + [3]
+    net = TinyNet([ConvLayer(np.full((o, i, 3, 3), 3e38), np.zeros(o)) for i, o in zip(dims, dims[1:])])
+    path = tmp_path / "overflow.ckpt"
+    save_checkpoint(net, path)
+    assert len(load_checkpoint(path).layers) == 9
+    return path
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the command's inputs were checked")
+
 
 class TestGen:
     def test_writes_corpus_and_manifest(self, tmp_path):
@@ -125,6 +142,27 @@ class TestTrainCli:
         rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "line,flags",
+        [
+            ("", ["--sigma-max", "inf"]),
+            ("lr=nan", []),
+            ("lr=inf", []),
+            ("adam_eps=nan", []),
+            ("adam_eps=inf", []),
+            ("", ["--loss", "luml1", "--lambda", "inf"]),
+        ],
+    )
+    def test_non_finite_number_exits_1_before_training(self, tmp_path, capsys, monkeypatch, line, flags):
+        monkeypatch.setattr(cli, "train", _must_not_run)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps=2\n" + line + "\n")
+        ckpt = tmp_path / "x.ckpt"
+        rc = main(["train", "--config", str(cfg), "--out", str(ckpt), *flags])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not ckpt.exists()
+
     def test_patch_larger_than_corpus_exits_1_before_training(self, tmp_path, capsys):
         cfg = tmp_path / "big_patch.cfg"
         cfg.write_text("steps=2\npatch_size=64\n")
@@ -150,11 +188,17 @@ class TestBenchCli:
             "hidden_channels=0",
             "eval_sigmas=-5,15",
             "sigma_max=12.3456781,12.3456789",
+            "sigma_max=inf",
+            "eval_sigmas=5,inf",
+            "lr=nan",
         ],
     )
     def test_invalid_plan_exits_1_and_writes_no_csv(self, tmp_path, capsys, line):
+        # the line replaces the plan's own line for its key: a plan may set a key once
+        key = line.split("=", 1)[0]
+        kept = [ln for ln in self.PLAN.splitlines() if ln.split("=", 1)[0] != key]
         plan = tmp_path / "bad.plan"
-        plan.write_text(self.PLAN + line + "\n")
+        plan.write_text("\n".join(kept + [line]) + "\n")
         csv = tmp_path / "table.csv"
         rc = main(["bench", "--plan", str(plan), "--csv", str(csv)])
         assert rc == 1
@@ -199,6 +243,62 @@ class TestEvalCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not csv.exists()
+
+
+class TestNonFiniteNetworkOutput:
+    def test_denoise_exits_2_naming_a_layer(self, tmp_path, capsys):
+        noisy = tmp_path / "noisy.lumf"
+        save_image(rand_image(30, 12, 12), noisy)
+        out = tmp_path / "out.ppm"
+        rc = main(["denoise", "--ckpt", str(overflow_ckpt(tmp_path)), "--in", str(noisy), "--out", str(out)])
+        assert rc == 2
+        assert re.search(r"layer\d", capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_eval_exits_2_naming_a_layer(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        save_image(rand_image(31, 16, 16), data / "img.lumf")
+        csv = tmp_path / "eval.csv"
+        rc = main([
+            "eval", "--ckpt", str(overflow_ckpt(tmp_path)), "--data", str(data),
+            "--sigmas", "10", "--csv", str(csv),
+        ])
+        assert rc == 2
+        assert re.search(r"layer\d", capsys.readouterr().err)
+        assert not csv.exists()
+
+
+class TestOutputLocations:
+    @pytest.mark.parametrize("command", ["train --out", "train --log", "eval --csv", "bench --csv"])
+    def test_missing_output_directory_exits_3_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        for name in ("run_bench", "train", "mean_scores"):
+            monkeypatch.setattr(cli, name, _must_not_run)
+        missing = str(tmp_path / "missing" / "out")
+        ok = str(tmp_path / "out")
+        plan = tmp_path / "ok.plan"
+        plan.write_text(TestBenchCli.PLAN)
+        data = tmp_path / "data"
+        data.mkdir()
+        save_image(rand_image(32, 16, 16), data / "img.lumf")
+        argv = {
+            "train --out": ["train", "--out", missing],
+            "train --log": ["train", "--out", ok, "--log", missing],
+            "eval --csv": ["eval", "--ckpt", str(zero_ckpt(tmp_path)), "--data", str(data), "--csv", missing],
+            "bench --csv": ["bench", "--plan", str(plan), "--csv", missing],
+        }[command]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_existing_non_regular_output_path_is_accepted(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        save_image(rand_image(33, 16, 16), data / "img.lumf")
+        rc = main([
+            "eval", "--ckpt", str(zero_ckpt(tmp_path)), "--data", str(data), "--sigmas", "10", "--csv", "/dev/null",
+        ])
+        assert rc == 0
 
 
 class TestExitCodes:

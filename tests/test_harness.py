@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -169,6 +170,14 @@ class TestPlanFiles:
         with pytest.raises(InvalidInputError):
             parse_plan("bogus=1\n")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"line 3: key 'steps'"):
+            parse_plan("steps=10\n# a comment\nsteps=20\n")
+        with pytest.raises(InvalidInputError, match="'lr'"):
+            parse_config("lr=0.001\nlr = 0.002\n", "train")
+        # a flag override is merged after parsing, so it still wins over the file
+        assert parse_config("steps=10\n", "train", {"steps": "20"}).steps == 20
+
     def test_non_increasing_sigmas_rejected(self):
         with pytest.raises(InvalidInputError):
             micro_plan(eval_sigmas=(10.0, 10.0))
@@ -236,6 +245,8 @@ class TestPlanFiles:
             dict(sigma_max_list=(12.3456781, 12.3456789)),
             dict(eval_sigmas=(12.3456781, 12.3456789)),
             dict(sigma_max_list=(25.0, 25.0)),
+            dict(sigma_max_list=(math.inf,)),
+            dict(eval_sigmas=(5.0, math.inf)),
         ],
     )
     def test_plan_rejects_what_it_cannot_run_or_write(self, overrides):
@@ -327,6 +338,9 @@ class TestReportCsv:
 
     def test_no_signed_zero(self):
         assert [_fmt_val(v) for v in (-4e-5, -0.0, 0.0, 4e-5, -6e-5)] == ["0.0000"] * 4 + ["-0.0001"]
+
+    def test_non_finite_values_keep_their_sign(self):
+        assert [_fmt_val(v) for v in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
 
     def test_comment_mentions_ssim_extension(self, micro_report):
         assert "ssim columns extend" in report_to_csv(micro_report).splitlines()[0]

@@ -26,12 +26,12 @@ class TestL1:
         a, _ = rand_pair(1)
         out = l1_loss(a, a)
         assert out.value == 0.0
-        assert np.all(out.grad.data == 0.0)
+        assert np.all(out.grad == 0.0)
 
     def test_single_element(self):
         out = l1_loss(Image(np.array([[[0.5]]])), Image(np.array([[[0.2]]])))
         assert abs(out.value - 0.3) < 1e-15
-        assert out.grad.data[0, 0, 0] == 1.0
+        assert out.grad[0, 0, 0] == 1.0
 
     def test_gradient_matches_finite_differences(self):
         result = check_loss_gradient(LossSpec("l1"), seed=5, pairs=3)
@@ -47,12 +47,12 @@ class TestL2:
     def test_single_element(self):
         out = l2_loss(Image(np.array([[[0.5]]])), Image(np.array([[[0.2]]])))
         assert abs(out.value - 0.09) < 1e-15
-        assert abs(out.grad.data[0, 0, 0] - 0.6) < 1e-15
+        assert abs(out.grad[0, 0, 0] - 0.6) < 1e-15
 
     def test_identical_inputs(self):
         a, _ = rand_pair(2)
         out = l2_loss(a, a)
-        assert out.value == 0.0 and np.all(out.grad.data == 0.0)
+        assert out.value == 0.0 and np.all(out.grad == 0.0)
 
     def test_gradient_matches_finite_differences(self):
         result = check_loss_gradient(LossSpec("l2"), seed=5, pairs=3, tolerance=1e-6)
@@ -70,7 +70,7 @@ class TestLuminanceTerm:
         target = one_pixel(0.2, 0.4, 0.1)  # differs only in the zero-weight channel
         out = luminance_term(pred, target, w)
         assert out.value == 0.0
-        assert np.all(out.grad.data == 0.0)
+        assert np.all(out.grad == 0.0)
 
     def test_metamer_perturbation_changes_value_negligibly(self):
         # perturb inside the projection's null space; float rounding only
@@ -102,7 +102,7 @@ class TestCombinedLoss:
         combined = luminance_l1_loss(pred, target, LossSpec("luml1", lam=0.0))
         base = l1_loss(pred, target)
         assert combined.value == base.value
-        assert np.array_equal(combined.grad.data, base.grad.data)
+        assert np.array_equal(combined.grad, base.grad)
 
     def test_hand_value_single_pixel(self):
         out = luminance_l1_loss(one_pixel(1, 0, 0), one_pixel(0, 0, 0), LossSpec("luml1", lam=1.0))
@@ -111,7 +111,7 @@ class TestCombinedLoss:
     def test_identical_inputs(self):
         a, _ = rand_pair(5)
         out = luminance_l1_loss(a, a, LossSpec("luml1"))
-        assert out.value == 0.0 and np.all(out.grad.data == 0.0)
+        assert out.value == 0.0 and np.all(out.grad == 0.0)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
     def test_additivity(self, lam):
@@ -183,3 +183,6 @@ class TestEvalLossDispatch:
     def test_negative_lambda_rejected(self):
         with pytest.raises(InvalidInputError):
             LossSpec("luml1", lam=-1.0)
+        for lam in (float("inf"), float("nan")):
+            with pytest.raises(InvalidInputError):
+                LossSpec("luml1", lam=lam)

@@ -3,7 +3,6 @@ import pytest
 
 from luml1.errors import InvalidInputError
 from luml1.gradcheck import adjoint_error, check_conv_gradients, check_net_gradients
-from luml1.image import Image
 from luml1.losses import l2_loss
 from luml1.net import (
     ConvLayer,
@@ -170,7 +169,7 @@ class TestNetBackward:
         net = build_tinynet(38, hidden_channels=4, hidden_depth=0)
         img = rand_image(6, 6, 6)
         out, cache = net_forward(net, img)
-        grads = net_backward(net, cache, Image(np.zeros_like(out.data)))
+        grads = net_backward(net, cache, np.zeros_like(out.data))
         assert len(grads) == len(net.parameters())
         for g in grads:
             assert np.all(g == 0.0)
@@ -189,26 +188,26 @@ class TestNetBackward:
         img = rand_image(8, 6, 6)
         out, cache = net_forward(net_a, img)
         with pytest.raises(RuntimeError):
-            net_backward(net_b, cache, out)
+            net_backward(net_b, cache, out.data)
 
     def test_cache_of_another_net_with_the_same_shapes_rejected(self):
         net_a = build_tinynet(42, hidden_channels=4, hidden_depth=0)
         net_b = build_tinynet(43, hidden_channels=4, hidden_depth=0)
         out, cache = net_forward(net_a, rand_image(10, 6, 6))
         with pytest.raises(RuntimeError):
-            net_backward(net_b, cache, out)
+            net_backward(net_b, cache, out.data)
 
     def test_gradient_of_another_size_rejected(self):
         net = build_tinynet(44, hidden_channels=4, hidden_depth=0)
         _, cache = net_forward(net, rand_image(11, 6, 6))
         with pytest.raises(RuntimeError):
-            net_backward(net, cache, rand_image(12, 5, 6))
+            net_backward(net, cache, rand_image(12, 5, 6).data)
 
     def test_tape_shapes_mirror_parameters(self):
         net = build_tinynet(41, hidden_channels=4, hidden_depth=1)
         img = rand_image(9, 6, 6)
         out, cache = net_forward(net, img)
-        grads = net_backward(net, cache, out)
+        grads = net_backward(net, cache, out.data)
         assert len(grads) == len(net.parameters())
         for g, p in zip(grads, net.parameters()):
             assert g.shape == p.shape

@@ -131,6 +131,25 @@ class TestTrainLoop:
         assert path.exists()
         load_checkpoint(path)
 
+    def test_overflowing_forward_pass_aborts_at_step_1_naming_a_layer(self):
+        # every parameter is finite, but nine layers of 3e38 kernels overflow float64
+        net = build_tinynet(61, hidden_channels=4, hidden_depth=7)
+        for layer in net.layers:
+            layer.kernels[...] = 3e38
+        with pytest.raises(NumericalError, match=r"step 1: .*layer\d"):
+            train(net, small_config(steps=2))
+
+    def test_invalid_input_inside_the_step_loop_stays_invalid_input(self, monkeypatch):
+        import luml1.trainer as train_mod
+
+        def rejecting(spec, pred, target):
+            raise InvalidInputError("rejected by the loss")
+
+        monkeypatch.setattr(train_mod, "eval_loss", rejecting)
+        net = build_tinynet(62, hidden_channels=4, hidden_depth=0)
+        with pytest.raises(InvalidInputError, match="rejected by the loss"):
+            train(net, small_config(steps=2))
+
     def test_log_csv_shape(self):
         cfg = small_config(steps=10, checkpoint_every=5)
         net = build_tinynet(train_seed(cfg.seed), hidden_channels=4, hidden_depth=0)
@@ -149,6 +168,12 @@ class TestTrainLoop:
             small_config(patch_size=25)
         with pytest.raises(InvalidInputError):
             small_config(corpus_count=0)
+        for bad in (float("nan"), float("inf")):
+            for name in ("lr", "adam_eps", "sigma_max_255"):
+                with pytest.raises(InvalidInputError):
+                    small_config(**{name: bad})
+        with pytest.raises(InvalidInputError):
+            small_config(sigma_max_255=-1.0)
 
 
 class TestOptimizePixels:
