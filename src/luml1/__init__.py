@@ -15,17 +15,13 @@ from .bench import (
     BenchPlan,
     BenchReport,
     denoise_file,
-    fast_plan,
-    format_plan,
-    full_plan,
     load_plan,
-    parse_plan,
     parse_report_csv,
     report_to_csv,
     run_bench,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dataset import BlindTrainSpec, NoiseSpec, add_noise, gen_clean, make_blind_batches
+from .dataset import BlindTrainSpec, gen_clean, make_blind_batches, noisy_set
 from .errors import (
     CorruptCheckpointError,
     FormatError,
@@ -33,13 +29,7 @@ from .errors import (
     LumL1Error,
     NumericalError,
 )
-from .image import (
-    DEFAULT_WEIGHTS,
-    Image,
-    LuminanceWeights,
-    clamp01,
-    to_grayscale,
-)
+from .image import LUMA_WEIGHTS, Image, clamp01, to_grayscale
 from .losses import (
     LossOutput,
     LossSpec,
@@ -58,7 +48,7 @@ from .net import (
     net_forward,
 )
 from .pnm import load_image, save_image
-from .trainer import AdamState, TrainConfig, TrainLog, adam_step, optimize_pixels, train
+from .trainer import AdamState, TrainConfig, TrainLog, adam_step, train
 
 __version__ = "0.1.0"
 
@@ -69,29 +59,23 @@ __all__ = [
     "BlindTrainSpec",
     "ConvLayer",
     "CorruptCheckpointError",
-    "DEFAULT_WEIGHTS",
     "FormatError",
     "Image",
     "InvalidInputError",
     "LossOutput",
     "LossSpec",
+    "LUMA_WEIGHTS",
     "LumL1Error",
-    "LuminanceWeights",
-    "NoiseSpec",
     "NumericalError",
     "SsimParams",
     "TinyNet",
     "TrainConfig",
     "TrainLog",
     "adam_step",
-    "add_noise",
     "build_tinynet",
     "clamp01",
     "denoise_file",
     "eval_loss",
-    "fast_plan",
-    "format_plan",
-    "full_plan",
     "gen_clean",
     "l1_loss",
     "l2_loss",
@@ -104,8 +88,7 @@ __all__ = [
     "mse",
     "net_backward",
     "net_forward",
-    "optimize_pixels",
-    "parse_plan",
+    "noisy_set",
     "parse_report_csv",
     "psnr",
     "report_to_csv",

@@ -88,17 +88,6 @@ class BenchPlan:
             raise InvalidInputError("hidden_depth must be >= 0 and hidden_channels >= 1")
 
 
-def fast_plan() -> BenchPlan:
-    """Desk-scale preset: one sigma_max, a couple of minutes on one core."""
-    return BenchPlan(sigma_max_list=(25.0,))
-
-
-def full_plan() -> BenchPlan:
-    """The two training noise ceilings of the reference table layout."""
-    plan = BenchPlan(sigma_max_list=(55.0, 75.0))
-    return replace(plan, train=replace(plan.train, steps=1500))
-
-
 @dataclass
 class BenchReport:
     plan: BenchPlan
@@ -156,7 +145,7 @@ def run_bench(plan: BenchPlan, ckpt_dir=None) -> BenchReport:
         ssim_cells=ssim_cells,
         noisy_psnr=noisy_psnr,
         noisy_ssim=noisy_ssim,
-        config_hash=fnv1a64(format_plan(plan).encode()),
+        config_hash=fnv1a64(format_config(plan).encode()),
         wall_clock_s=time.perf_counter() - t_start,
     )
 
@@ -401,15 +390,6 @@ def format_config(obj: BenchPlan | TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_plan(plan: BenchPlan) -> str:
-    """Canonical key=value serialization (also the config-hash input)."""
-    return format_config(plan)
-
-
-def parse_plan(text: str) -> BenchPlan:
-    return parse_config(text, "plan")
-
-
 def parse_kv(text: str) -> dict[str, str]:
     """Parse key=value lines; '#' starts a comment, blank lines are ignored, a key may appear once."""
     out = {}
@@ -436,4 +416,4 @@ def parse_size(token: str) -> tuple[int, int]:
 
 def load_plan(path) -> BenchPlan:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_plan(fh.read())
+        return parse_config(fh.read(), "plan")

@@ -3,7 +3,7 @@
 Layout:
 
 * magic line ``LUMNET1\\n``
-* ASCII line ``<n_layers> <residual_flag>\\n``
+* ASCII line ``<n_layers> 1\\n``; the 1 flags the residual network, the only kind
 * one ASCII line ``<out_ch> <in_ch> <k>\\n`` per layer
 * payload: per layer, kernels then bias, little-endian float32, C order
 * trailer: 8-byte little-endian FNV-1a-64 checksum of the payload
@@ -27,7 +27,7 @@ MAGIC = b"LUMNET1\n"
 
 
 def checkpoint_bytes(net: TinyNet) -> bytes:
-    header = MAGIC + f"{len(net.layers)} {int(net.residual_mode)}\n".encode("ascii")
+    header = MAGIC + f"{len(net.layers)} 1\n".encode("ascii")
     for layer in net.layers:
         header += f"{layer.out_ch} {layer.in_ch} {layer.k}\n".encode("ascii")
     payload = b"".join(
@@ -63,9 +63,9 @@ def load_checkpoint(path) -> TinyNet:
             raise FormatError(f"{name}: non-integer {what} at byte {start}") from None
 
     head, start = read_line("layer-count")
-    if len(head) != 2 or head[0] < 1 or head[1] not in (0, 1):
-        raise FormatError(f"{name}: bad layer-count line at byte {start}")
-    n_layers, residual = head
+    if len(head) != 2 or head[0] < 1 or head[1] != 1:
+        raise FormatError(f"{name}: bad layer-count line at byte {start} (expected <n_layers> 1)")
+    n_layers = head[0]
     shapes = []
     for _ in range(n_layers):
         dims, start = read_line("layer-shape")
@@ -95,7 +95,7 @@ def load_checkpoint(path) -> TinyNet:
         off += 4 * count
         kern = vals[: o * i * k * k].reshape(o, i, k, k)
         layers.append(ConvLayer(kern, vals[o * i * k * k :]))
-    return TinyNet(layers, residual_mode=bool(residual))
+    return TinyNet(layers)
 
 
 def stored_checksum(path) -> int:

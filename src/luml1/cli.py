@@ -13,6 +13,7 @@ import sys
 from .bench import (
     _fmt_sigma,
     _fmt_val,
+    check_sigmas,
     denoise_file,
     load_plan,
     parse_config,
@@ -22,16 +23,16 @@ from .bench import (
     run_bench,
 )
 from .checkpoint import load_checkpoint
-from .dataset import NoiseSpec, add_noise, gen_clean, noisy_set
+from .dataset import gen_clean, noisy_set
 from .errors import FormatError, InvalidInputError, NumericalError
 from .gradcheck import run_gradcheck
 from .image import clamp01
-from .losses import LossSpec, eval_loss, luminance_l1_loss, parse_loss
+from .losses import LossSpec, luminance_l1_loss
 from .metrics import psnr, ssim
 from .net import build_tinynet
 from .pnm import load_image, save_image, write_atomic
 from .rng import eval_seed, train_seed
-from .trainer import mean_scores, optimize_pixels, train
+from .trainer import mean_scores, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,17 +50,17 @@ def _out_path(path: str) -> str:
 
 def cmd_gen(args) -> int:
     h, w = parse_size(args.size)
-    os.makedirs(args.out, exist_ok=True)
+    check_sigmas("sigma", (args.sigma,))
     images = gen_clean(args.seed, args.count, h, w)
+    os.makedirs(args.out, exist_ok=True)
     manifest = []
-    for i, img in enumerate(images):
+    for i, (img, noisy) in enumerate(zip(images, noisy_set(images, args.sigma, args.seed))):
         paths = {
             "clean_ppm": os.path.join(args.out, f"clean_{i:04d}.ppm"),
             "clean_lumf": os.path.join(args.out, f"clean_{i:04d}.lumf"),
             "noisy_ppm": os.path.join(args.out, f"noisy_{i:04d}.ppm"),
             "noisy_lumf": os.path.join(args.out, f"noisy_{i:04d}.lumf"),
         }
-        noisy = add_noise(img, NoiseSpec(args.sigma, args.seed + i))
         save_image(img, paths["clean_ppm"])
         save_image(img, paths["clean_lumf"])
         save_image(clamp01(noisy), paths["noisy_ppm"])
@@ -145,17 +146,6 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 2
 
 
-def cmd_pixopt(args) -> int:
-    init = load_image(args.init)
-    target = load_image(args.target)
-    spec = parse_loss(args.loss, args.lam if args.lam is not None else 1.0, args.pixel_base)
-    result = optimize_pixels(init, target, spec, args.steps, args.lr)
-    save_image(result, args.out)
-    final = eval_loss(spec, result, target).value
-    print(f"pixel optimization done: final {spec.label()} loss {final:.8f}")
-    return 0
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="luml1", description="Luminance-aware L1 loss and blind-denoising benchmark")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -210,17 +200,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="run the finite-difference gradient suite")
     p.add_argument("--seed", type=int, default=9)
     p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("pixopt", help="gradient-descend pixels of an image toward a target")
-    p.add_argument("--init", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--loss", choices=["l1", "l2", "luml1"], default="l2")
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--pixel-base", dest="pixel_base", choices=["l1", "l2"], default="l1")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--lr", type=float, default=1.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pixopt)
 
     return parser
 

@@ -19,24 +19,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .image import Image
-from .rng import DOMAIN_BATCH, DOMAIN_CLEAN, DOMAIN_EVAL_NOISE, DOMAIN_NOISE, normal, stream
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Additive Gaussian noise: std dev on the 0-255 scale, plus a seed."""
-
-    sigma_255: float
-    seed: int
-
-    def __post_init__(self):
-        if not (self.sigma_255 >= 0.0):
-            raise InvalidInputError(f"noise sigma must be nonnegative, got {self.sigma_255}")
-
-    @property
-    def sigma(self) -> float:
-        """Std dev in the float [0, 1] pixel domain."""
-        return self.sigma_255 / 255.0
+from .rng import DOMAIN_BATCH, DOMAIN_CLEAN, DOMAIN_EVAL_NOISE, normal, stream
 
 
 @dataclass(frozen=True)
@@ -106,16 +89,8 @@ def _gen_one(rng: np.random.Generator, h: int, w: int) -> Image:
     return Image(np.clip(img, 0.0, 1.0))
 
 
-def add_noise(img: Image, spec: NoiseSpec) -> Image:
-    """Add i.i.d. Gaussian noise. The result is intentionally not clamped."""
-    if spec.sigma_255 == 0.0:
-        return img
-    g = normal(stream(spec.seed, DOMAIN_NOISE), img.shape, spec.sigma)
-    return Image(img.data + g)
-
-
 def noisy_set(clean: list[Image], sigma_255: float, seed: int, level: int = 0) -> list[Image]:
-    """Unclamped noisy copies of ``clean`` for evaluation at one noise level.
+    """Unclamped noisy copies of ``clean`` at one noise level; ``sigma_255`` is not checked here.
 
     Image j draws its noise from the (seed, DOMAIN_EVAL_NOISE, level, j)
     stream, where ``level`` is the noise level's index in the evaluation's

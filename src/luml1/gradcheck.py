@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .image import DEFAULT_WEIGHTS, Image, to_grayscale
+from .image import Image, to_grayscale
 from .losses import LossSpec, eval_loss, luminance_term
 from .net import ConvLayer, build_tinynet, conv_backward, conv_forward, net_backward, net_forward
 from .rng import stream
@@ -85,12 +85,12 @@ def check_loss_gradient(
     Elements within KINK_DISTANCE of an L1 kink are excluded.
     """
     if spec is None:
-        name, rng, loss, weights = "luminance_term", stream(seed, 11), luminance_term, DEFAULT_WEIGHTS
+        name, rng, loss = "luminance_term", stream(seed, 11), luminance_term
         pixel_l1, lum_l1 = False, True
     else:
         name = spec.label() if spec.kind != "luml1" else f"luml1(lam={spec.lam:g})"
         rng = stream(seed, 10, _KIND_IDS[spec.kind], int(spec.lam * 16))
-        loss, weights = partial(eval_loss, spec), spec.weights
+        loss = partial(eval_loss, spec)
         pixel_l1 = spec.kind == "l1" or (spec.kind == "luml1" and spec.pixel_base == "l1")
         lum_l1 = spec.kind == "luml1" and spec.lam > 0
     worst = 0.0
@@ -104,7 +104,7 @@ def check_loss_gradient(
         if pixel_l1:
             kink |= np.abs(pred.data - target.data) < KINK_DISTANCE
         if lum_l1:
-            lum = np.abs(to_grayscale(pred, weights).data - to_grayscale(target, weights).data)
+            lum = np.abs(to_grayscale(pred).data - to_grayscale(target).data)
             kink |= np.broadcast_to(lum < KINK_DISTANCE, pred.shape)
         keep = ~kink
         checked += int(keep.sum())
@@ -150,7 +150,7 @@ def check_conv_gradients(seed: int, tolerance: float = 1e-5) -> CheckResult:
     return CheckResult("conv_forward/backward", worst, tolerance, n, 0)
 
 
-def _kink_margins(cache: list, pred: Image, target: Image, spec: LossSpec) -> float:
+def _kink_margins(cache: list, pred: Image, target: Image) -> float:
     """Smallest distance of any piecewise-linear break point from zero.
 
     Covers the ReLU pre-activations in net_forward's cache plus the pixel and
@@ -160,7 +160,7 @@ def _kink_margins(cache: list, pred: Image, target: Image, spec: LossSpec) -> fl
     """
     margin = min((float(np.abs(pre).min()) for _, pre in cache[:-1]), default=np.inf)
     margin = min(margin, float(np.abs(pred.data - target.data).min()))
-    lum = to_grayscale(pred, spec.weights).data - to_grayscale(target, spec.weights).data
+    lum = to_grayscale(pred).data - to_grayscale(target).data
     return min(margin, float(np.abs(lum).min()))
 
 
@@ -180,7 +180,7 @@ def check_net_gradients(seed: int, tolerance: float = 1e-4) -> CheckResult:
 
     out, cache = net_forward(net, noisy)
     analytic = net_backward(net, cache, eval_loss(spec, out, target).grad)
-    kinked = _kink_margins(cache, out, target, spec) < KINK_DISTANCE
+    kinked = _kink_margins(cache, out, target) < KINK_DISTANCE
 
     def run(_: np.ndarray) -> float:
         # fd_gradient perturbs the parameter array in place; the net holds

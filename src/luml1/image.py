@@ -15,27 +15,10 @@ import numpy as np
 from .errors import InvalidInputError
 
 
-@dataclass(frozen=True)
-class LuminanceWeights:
-    """Grayscale projection coefficients for (R, G, B).
-
-    Defaults are the ITU-R BT.601 luma weights. Note they sum to 0.9999,
-    not 1; the projection is used unnormalized.
-    """
-
-    r: float = 0.2989
-    g: float = 0.5870
-    b: float = 0.1140
-
-    def __post_init__(self):
-        if self.r < 0 or self.g < 0 or self.b < 0:
-            raise InvalidInputError("luminance weights must be nonnegative")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r, self.g, self.b])
-
-
-DEFAULT_WEIGHTS = LuminanceWeights()
+# Grayscale projection coefficients for (R, G, B): the ITU-R BT.601 luma
+# weights. They sum to 0.9999, not 1; the projection is used unnormalized.
+LUMA_WEIGHTS = np.array([0.2989, 0.5870, 0.1140])
+LUMA_WEIGHTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -78,19 +61,19 @@ def require_same_shape(a: Image, b: Image, op: str) -> None:
         raise InvalidInputError(f"cannot {op} images of shapes {a.shape} and {b.shape}")
 
 
-def to_grayscale(img: Image, weights: LuminanceWeights = DEFAULT_WEIGHTS) -> Image:
+def to_grayscale(img: Image) -> Image:
     """Project an RGB image onto its luminance channel.
 
     out[y, x] = w_r*R + w_g*G + w_b*B. The result is not renormalized: the
-    default weights sum to 0.9999, so [0, 1] inputs map into [0, 0.9999].
+    weights sum to 0.9999, so [0, 1] inputs map into [0, 0.9999].
     """
     if img.channels != 3:
         raise InvalidInputError(f"to_grayscale needs a 3-channel image, got {img.channels} channels")
-    g = img.data @ weights.as_array()
+    g = img.data @ LUMA_WEIGHTS
     return Image(g[:, :, None])
 
 
-def grayscale_backward(grad_out: np.ndarray, weights: LuminanceWeights = DEFAULT_WEIGHTS) -> np.ndarray:
+def grayscale_backward(grad_out: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`to_grayscale`, on gradient arrays.
 
     Spreads an (H, W, 1) gradient back across RGB: channel c of the (H, W, 3)
@@ -98,7 +81,7 @@ def grayscale_backward(grad_out: np.ndarray, weights: LuminanceWeights = DEFAULT
     """
     if grad_out.ndim != 3 or grad_out.shape[2] != 1:
         raise InvalidInputError(f"grayscale_backward needs an (H, W, 1) gradient, got shape {grad_out.shape}")
-    return grad_out * weights.as_array()
+    return grad_out * LUMA_WEIGHTS
 
 
 def clamp01(img: Image) -> Image:

@@ -16,19 +16,12 @@ resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .image import (
-    DEFAULT_WEIGHTS,
-    Image,
-    LuminanceWeights,
-    grayscale_backward,
-    require_same_shape,
-    to_grayscale,
-)
+from .image import Image, grayscale_backward, require_same_shape, to_grayscale
 
 LOSS_KINDS = ("l1", "l2", "luml1")
 PIXEL_BASES = ("l1", "l2")
@@ -54,7 +47,6 @@ class LossSpec:
     kind: str = "l1"
     lam: float = 1.0
     pixel_base: str = "l1"
-    weights: LuminanceWeights = field(default_factory=LuminanceWeights)
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
@@ -104,7 +96,7 @@ def l2_loss(pred: Image, target: Image) -> LossOutput:
     return LossOutput(value, 2.0 * d / d.size)
 
 
-def luminance_term(pred: Image, target: Image, weights: LuminanceWeights = DEFAULT_WEIGHTS) -> LossOutput:
+def luminance_term(pred: Image, target: Image) -> LossOutput:
     """L1 distance between the luminance projections, mean over pixels.
 
     The gradient is back-projected through the transpose of the projection,
@@ -114,10 +106,10 @@ def luminance_term(pred: Image, target: Image, weights: LuminanceWeights = DEFAU
     require_same_shape(pred, target, "compare")
     if pred.channels != 3:
         raise InvalidInputError(f"luminance term needs 3-channel images, got {pred.channels} channels")
-    d = to_grayscale(pred, weights).data - to_grayscale(target, weights).data
+    d = to_grayscale(pred).data - to_grayscale(target).data
     m = d.size  # H*W: one luminance sample per pixel
     value = float(np.mean(np.abs(d)))
-    return LossOutput(value, grayscale_backward(np.sign(d) / m, weights))
+    return LossOutput(value, grayscale_backward(np.sign(d) / m))
 
 
 def luminance_l1_loss(pred: Image, target: Image, spec: LossSpec) -> LossOutput:
@@ -128,7 +120,7 @@ def luminance_l1_loss(pred: Image, target: Image, spec: LossSpec) -> LossOutput:
     base = base_fn(pred, target)
     if spec.lam == 0.0:
         return base  # contract: lam == 0 is bit-identical to the pixel base
-    lum = luminance_term(pred, target, spec.weights)
+    lum = luminance_term(pred, target)
     return LossOutput(base.value + spec.lam * lum.value, base.grad + spec.lam * lum.grad)
 
 

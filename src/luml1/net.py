@@ -1,8 +1,8 @@
 """Small residual convolutional denoiser with hand-written backprop.
 
-The network is a plain conv/ReLU stack that estimates the noise field; in
-residual mode the denoised output is input minus that estimate, so a
-zero-initialized network is exactly the identity map.
+The network is a plain conv/ReLU stack that estimates the noise field; the
+denoised output is input minus that estimate, so a zero-initialized network
+is exactly the identity map.
 
 Layout conventions: feature tensors are (channels, height, width) float64,
 kernels are (out_ch, in_ch, k, k). Convolution is cross-correlation with
@@ -56,10 +56,9 @@ class ConvLayer:
 
 @dataclass
 class TinyNet:
-    """Conv/ReLU stack (ReLU after every layer but the last), 3 channels in and out."""
+    """Residual conv/ReLU stack (ReLU after every layer but the last), 3 channels in and out."""
 
     layers: list[ConvLayer]
-    residual_mode: bool = True
 
     def __post_init__(self):
         if not self.layers:
@@ -78,14 +77,8 @@ class TinyNet:
         return [f"layer{i}.{n}" for i in range(len(self.layers)) for n in ("kernels", "bias")]
 
 
-def build_tinynet(
-    seed: int,
-    hidden_channels: int = 16,
-    hidden_depth: int = 3,
-    kernel_size: int = 3,
-    residual_mode: bool = True,
-) -> TinyNet:
-    """Seeded network: 3 -> hidden (x hidden_depth) -> 3, He-initialized.
+def build_tinynet(seed: int, hidden_channels: int = 16, hidden_depth: int = 3) -> TinyNet:
+    """Seeded network of 3x3 convolutions: 3 -> hidden (x hidden_depth) -> 3, He-initialized.
 
     The final layer starts near zero (scale 1e-3) so the residual network
     begins close to the identity map, which stabilizes early training.
@@ -94,13 +87,9 @@ def build_tinynet(
     dims = [3] + [hidden_channels] * (hidden_depth + 1) + [3]
     layers = []
     for i, (cin, cout) in enumerate(zip(dims, dims[1:])):
-        shape = (cout, cin, kernel_size, kernel_size)
-        if i == len(dims) - 2:
-            scale = 1e-3
-        else:
-            scale = np.sqrt(2.0 / (cin * kernel_size * kernel_size))
-        layers.append(ConvLayer(normal(rng, shape, scale), np.zeros(cout)))
-    return TinyNet(layers, residual_mode=residual_mode)
+        scale = 1e-3 if i == len(dims) - 2 else np.sqrt(2.0 / (cin * 3 * 3))
+        layers.append(ConvLayer(normal(rng, (cout, cin, 3, 3), scale), np.zeros(cout)))
+    return TinyNet(layers)
 
 
 @dataclass
@@ -146,36 +135,25 @@ def conv_backward(grad_out: np.ndarray, cache: ConvCache) -> tuple[np.ndarray, n
     return gxp[:, p : p + h, p : p + w], grad_kernels, grad_bias
 
 
-def relu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise max(0, x); the cache is the positive mask."""
-    mask = x > 0
-    return np.where(mask, x, 0.0), mask
-
-
-def relu_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Mask the gradient; the gradient at exactly 0 is 0."""
-    return grad_out * mask
-
-
 def net_forward(net: TinyNet, noisy: Image) -> tuple[Image, list[tuple[ConvCache, np.ndarray]]]:
     """Denoise one image; returns the output and the cache for backward.
 
     The cache holds, per layer, its ConvCache and its conv output (the ReLU
-    pre-activation for every layer but the last). In residual mode the stack
-    output is treated as a noise estimate and subtracted from the input;
-    otherwise the stack output is returned directly. No clamping happens here.
-    A non-finite output raises NumericalError naming the first non-finite layer.
+    pre-activation for every layer but the last). The stack output is a noise
+    estimate, subtracted from the input; no clamping happens here. A
+    non-finite output raises NumericalError naming the first non-finite layer.
     """
     if noisy.channels != 3:
         raise InvalidInputError(f"network input must have 3 channels, got {noisy.channels}")
     x = noisy.data.transpose(2, 0, 1)
     cache = []
     t = x
-    for i, layer in enumerate(net.layers):
-        pre, conv = conv_forward(t, layer)
-        cache.append((conv, pre))
-        t = relu_forward(pre)[0] if i < len(net.layers) - 1 else pre
-    out = x - t if net.residual_mode else t
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked below
+        for i, layer in enumerate(net.layers):
+            pre, conv = conv_forward(t, layer)
+            cache.append((conv, pre))
+            t = np.where(pre > 0, pre, 0.0) if i < len(net.layers) - 1 else pre  # ReLU
+        out = x - t
     if not np.all(np.isfinite(out)):
         bad = (f"layer{i}" for i, (_, pre) in enumerate(cache) if not np.all(np.isfinite(pre)))
         raise NumericalError(f"network output is not finite, first at {next(bad, 'the residual subtraction')}")
@@ -194,13 +172,12 @@ def net_backward(net: TinyNet, cache: list, grad_out: np.ndarray) -> list[np.nda
     if grad_out.shape != shape:
         raise RuntimeError(f"gradient shape {grad_out.shape} does not match the output shape {shape}")
     g = grad_out.transpose(2, 0, 1)
-    # residual mode: output = input - stack(input), so the stack sees -g
-    s = -g if net.residual_mode else g
+    s = -g  # output = input - stack(input), so the stack sees -g
     grads: list[np.ndarray] = []
     for i in range(len(net.layers) - 1, -1, -1):
         conv, pre = cache[i]
         if i < len(net.layers) - 1:
-            s = relu_backward(s, pre > 0)
+            s = s * (pre > 0)  # ReLU: the gradient at exactly 0 is 0
         s, gk, gb = conv_backward(s, conv)
         grads += [gb, gk]
     return grads[::-1]

@@ -25,7 +25,6 @@ from .fnv import MASK64, fnv1a64
 # generator and the noise sampler never consume the same counter sequence
 # even when handed the same user-facing seed.
 DOMAIN_CLEAN = 1
-DOMAIN_NOISE = 2
 DOMAIN_BATCH = 3
 DOMAIN_INIT = 4
 DOMAIN_EVAL_NOISE = 5

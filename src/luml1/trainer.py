@@ -1,5 +1,4 @@
-"""Deterministic training: Adam, the blind training loop, and direct pixel
-optimization.
+"""Deterministic training: Adam and the blind training loop.
 
 A run is fully determined by its config: the seed fixes the clean corpus,
 the patch/noise stream, and (by convention, via build_tinynet) the network
@@ -17,7 +16,7 @@ import numpy as np
 
 from .dataset import BlindTrainSpec, gen_clean, make_blind_batches, noisy_set
 from .errors import InvalidInputError, NumericalError
-from .image import Image, clamp01, require_same_shape
+from .image import Image, clamp01
 from .losses import LossSpec, eval_loss
 from .metrics import psnr, ssim
 from .net import TinyNet, net_backward, net_forward
@@ -190,17 +189,3 @@ def train(net: TinyNet, cfg: TrainConfig, ckpt_path=None) -> tuple[TinyNet, Trai
     if ckpt_path is not None:
         save_checkpoint(net, ckpt_path)
     return net, log
-
-
-def optimize_pixels(init: Image, target: Image, loss: LossSpec, steps: int, lr: float) -> Image:
-    """Plain gradient descent on a copy of ``init``'s pixels against ``target``.
-
-    Isolates the behavior of a loss gradient from any network: the only
-    moving parts are the pixels themselves.
-    """
-    require_same_shape(init, target, "optimize")
-    x = init.data.copy()
-    for _ in range(steps):
-        out = eval_loss(loss, Image(x), target)
-        x = x - lr * out.grad
-    return Image(x)

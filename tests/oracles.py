@@ -38,7 +38,7 @@ def straight_line_net(net, img_data: np.ndarray) -> np.ndarray:
         t = loop_conv2d(t, layer.kernels, layer.bias)
         if i < n - 1:
             t = np.maximum(t, 0.0)
-    out = x - t if net.residual_mode else t
+    out = x - t
     return out.transpose(1, 2, 0)
 
 

@@ -7,11 +7,12 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from luml1.bench import fast_plan, format_plan, parse_report_csv
+from luml1.bench import parse_report_csv
 from luml1.checkpoint import stored_checksum
 from luml1.cli import main
 from luml1.gradcheck import check_net_gradients, loss_gradient_suite
@@ -24,6 +25,7 @@ from conftest import rand_pair
 from oracles import ssim_bruteforce
 
 SEED = 9
+FAST_PLAN = Path(__file__).resolve().parents[1] / "plans" / "fast.plan"
 
 
 def criterion(number: int, name: str, ok: bool, detail: str = ""):
@@ -37,13 +39,11 @@ def bench_runs(tmp_path_factory):
     runs = []
     for tag in ("one", "two"):
         work = tmp_path_factory.mktemp(f"bench_{tag}")
-        plan_path = work / "fast.plan"
-        plan_path.write_text(format_plan(fast_plan()))
         csv_path = work / "table.csv"
         ckpt_dir = work / "ckpts"
         t0 = time.perf_counter()
         rc = main([
-            "bench", "--plan", str(plan_path), "--csv", str(csv_path),
+            "bench", "--plan", str(FAST_PLAN), "--csv", str(csv_path),
             "--ckpt-dir", str(ckpt_dir),
         ])
         elapsed = time.perf_counter() - t0

@@ -9,10 +9,11 @@ from luml1.checkpoint import (
     save_checkpoint,
     stored_checksum,
 )
+from luml1.cli import main
 from luml1.errors import CorruptCheckpointError, FormatError
 from luml1.fnv import fnv1a64
 from luml1.net import build_tinynet, net_forward
-from luml1.pnm import write_atomic
+from luml1.pnm import save_image, write_atomic
 
 from conftest import rand_image
 
@@ -31,7 +32,6 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path)
         loaded = load_checkpoint(path)
-        assert loaded.residual_mode == net.residual_mode
         assert len(loaded.layers) == len(net.layers)
         for a, b in zip(loaded.layers, net.layers):
             assert np.array_equal(a.kernels, b.kernels.astype("<f4").astype(np.float64))
@@ -42,11 +42,19 @@ class TestCheckpointRoundTrip:
         b = build_tinynet(51)
         assert checkpoint_bytes(a) == checkpoint_bytes(b)
 
-    def test_non_residual_flag_round_trips(self, tmp_path):
-        net = build_tinynet(52, hidden_channels=4, hidden_depth=0, residual_mode=False)
+    def test_non_residual_flag_rejected(self, tmp_path, capsys):
+        net = build_tinynet(52, hidden_channels=4, hidden_depth=0)
+        blob = checkpoint_bytes(net)
+        assert blob.startswith(b"LUMNET1\n2 1\n")  # the writer flags every net residual
         path = tmp_path / "net.ckpt"
-        save_checkpoint(net, path)
-        assert load_checkpoint(path).residual_mode is False
+        path.write_bytes(blob.replace(b"LUMNET1\n2 1\n", b"LUMNET1\n2 0\n", 1))
+        with pytest.raises(FormatError, match="layer-count line"):
+            load_checkpoint(path)
+        src = tmp_path / "in.lumf"
+        save_image(rand_image(2, 8, 8), src)
+        out = tmp_path / "out.ppm"
+        assert main(["denoise", "--ckpt", str(path), "--in", str(src), "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_loaded_net_runs(self, tmp_path):
         net = build_tinynet(53, hidden_channels=4, hidden_depth=0)

@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from luml1.checkpoint import load_checkpoint, save_checkpoint
 import luml1.cli as cli
 from luml1.cli import main
+from luml1.dataset import gen_clean, noisy_set
 from luml1.net import ConvLayer, TinyNet
 from luml1.pnm import load_image, save_image
 
@@ -57,6 +59,21 @@ class TestGen:
         assert (a / "clean_0000.ppm").read_bytes() == (b / "clean_0000.ppm").read_bytes()
         assert (a / "noisy_0000.lumf").read_bytes() == (b / "noisy_0000.lumf").read_bytes()
 
+    def test_noisy_file_is_clean_plus_noisy_set_noise(self, tmp_path):
+        out = tmp_path / "corpus"
+        main(["gen", "--seed", "4", "--count", "2", "--size", "16x16", "--sigma", "30", "--out", str(out)])
+        clean = gen_clean(4, 2, 16, 16)
+        expected = noisy_set(clean, 30.0, 4)[0].data.astype("<f4").astype(np.float64)
+        assert np.array_equal(load_image(out / "noisy_0000.lumf").data, expected)
+
+    @pytest.mark.parametrize("flag,value", [("--sigma", "inf"), ("--sigma", "-1"), ("--size", "8x8")])
+    def test_bad_input_exits_1_and_creates_no_directory(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "corpus"
+        args = {"--count": "1", "--size": "16x16", "--out": str(out), flag: value}
+        assert main(["gen"] + [t for kv in args.items() for t in kv]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestMetric:
     def test_default_prints_psnr_and_ssim(self, tmp_path, capsys):
@@ -100,22 +117,6 @@ class TestDenoise:
         rc = main(["denoise", "--ckpt", str(ckpt), "--in", str(src), "--out", str(tmp_path / "o.ppm")])
         assert rc == 3
         assert "checksum" in capsys.readouterr().err
-
-
-class TestPixopt:
-    def test_l2_pixopt_converges(self, tmp_path, capsys):
-        init, target = rand_image(7, 8, 8), rand_image(8, 8, 8)
-        pi, pt, po = tmp_path / "i.lumf", tmp_path / "t.lumf", tmp_path / "o.lumf"
-        save_image(init, pi)
-        save_image(target, pt)
-        n = 8 * 8 * 3
-        rc = main([
-            "pixopt", "--init", str(pi), "--target", str(pt), "--loss", "l2",
-            "--steps", "40", "--lr", str(0.4 * n), "--out", str(po),
-        ])
-        assert rc == 0
-        out = load_image(po)
-        assert np.max(np.abs(out.data - target.data.astype("<f4").astype(np.float64))) < 2e-3
 
 
 class TestTrainCli:
@@ -268,6 +269,16 @@ class TestNonFiniteNetworkOutput:
         assert re.search(r"layer\d", capsys.readouterr().err)
         assert not csv.exists()
 
+    def test_inference_overflow_raises_no_numpy_warning(self, tmp_path, capsys):
+        ckpt = str(overflow_ckpt(tmp_path))
+        data = tmp_path / "data"
+        data.mkdir()
+        save_image(rand_image(34, 16, 16), data / "img.lumf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["denoise", "--ckpt", ckpt, "--in", str(data / "img.lumf"), "--out", str(tmp_path / "o.ppm")]) == 2
+            assert main(["eval", "--ckpt", ckpt, "--data", str(data), "--sigmas", "10", "--csv", str(tmp_path / "e.csv")]) == 2
+
 
 class TestOutputLocations:
     @pytest.mark.parametrize("command", ["train --out", "train --log", "eval --csv", "bench --csv"])
@@ -304,6 +315,7 @@ class TestOutputLocations:
 class TestExitCodes:
     def test_unknown_subcommand_is_invalid_input(self, capsys):
         assert main(["frobnicate"]) == 1
+        assert main(["pixopt"]) == 1
 
     def test_missing_required_flag_is_invalid_input(self, capsys):
         assert main(["denoise", "--ckpt", "x"]) == 1

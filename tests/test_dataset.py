@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from luml1.bench import check_sigmas
 from luml1.dataset import (
     BlindTrainSpec,
-    NoiseSpec,
     _draw_patch_params,
-    add_noise,
     gen_clean,
     make_blind_batches,
+    noisy_set,
 )
 from luml1.errors import InvalidInputError
 from luml1.rng import DOMAIN_BATCH, eval_seed, normal, stream, train_seed
@@ -47,37 +47,46 @@ class TestGenClean:
 
 
 class TestAddNoise:
+    """noisy_set, the package's one path that adds Gaussian noise to images."""
+
     def test_zero_sigma_is_identity(self):
         img = rand_image(1, 16, 16)
-        out = add_noise(img, NoiseSpec(0.0, 123))
+        (out,) = noisy_set([img], 0.0, 123)
         assert np.array_equal(out.data, img.data)
 
     def test_same_seed_same_noise(self):
         img = rand_image(2, 16, 16)
-        a = add_noise(img, NoiseSpec(25.0, 9))
-        b = add_noise(img, NoiseSpec(25.0, 9))
+        (a,) = noisy_set([img], 25.0, 9)
+        (b,) = noisy_set([img], 25.0, 9)
         assert np.array_equal(a.data, b.data)
+
+    def test_each_level_and_image_draws_its_own_noise(self):
+        img = rand_image(3, 16, 16)
+        draws = [noisy_set([img, img], 25.0, 9, level) for level in (0, 1)]
+        noise = [(n.data - img.data).tobytes() for pair in draws for n in pair]
+        assert len(set(noise)) == 4
 
     def test_sample_std_matches_sigma(self):
         # law of large numbers on 200*200*3 = 120k elements
         img = gen_clean(5, 1, 200, 200)[0]
-        noisy = add_noise(img, NoiseSpec(25.0, 77))
+        (noisy,) = noisy_set([img], 25.0, 77)
         measured = (noisy.data - img.data).std()
         target = 25.0 / 255.0
         assert abs(measured - target) / target < 0.05
 
     def test_noise_mean_near_zero(self):
         img = gen_clean(6, 1, 128, 128)[0]
-        noisy = add_noise(img, NoiseSpec(50.0, 3))
+        (noisy,) = noisy_set([img], 50.0, 3)
         assert abs((noisy.data - img.data).mean()) < 3 * (50 / 255) / np.sqrt(img.data.size)
 
     def test_negative_sigma_rejected(self):
+        # noisy_set does not check sigma; every caller (gen, eval, bench) runs this check first
         with pytest.raises(InvalidInputError):
-            NoiseSpec(-1.0, 0)
+            check_sigmas("sigma", (-1.0,))
 
     def test_output_not_clamped(self):
         img = gen_clean(8, 1, 32, 32)[0]
-        noisy = add_noise(img, NoiseSpec(75.0, 4))
+        (noisy,) = noisy_set([img], 75.0, 4)
         assert noisy.data.min() < 0.0 or noisy.data.max() > 1.0
 
 

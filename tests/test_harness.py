@@ -9,13 +9,9 @@ from hypothesis import given, settings, strategies as st
 from luml1.bench import (
     BenchPlan,
     _fmt_val,
-    fast_plan,
     format_config,
-    format_plan,
-    full_plan,
     load_plan,
     parse_config,
-    parse_plan,
     parse_report_csv,
     report_to_csv,
     run_bench,
@@ -24,7 +20,7 @@ from luml1.bench import (
 from luml1.checkpoint import save_checkpoint
 from luml1.errors import InvalidInputError
 from luml1.fnv import fnv1a64
-from luml1.image import LuminanceWeights, clamp01
+from luml1.image import clamp01
 from luml1.losses import LossSpec
 from luml1.metrics import psnr
 from luml1.net import ConvLayer, TinyNet
@@ -35,6 +31,7 @@ from luml1.trainer import TrainConfig
 from conftest import rand_image
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+FAST_PLAN, FULL_PLAN = (REPO_ROOT / "plans" / f"{name}.plan" for name in ("fast", "full"))
 
 
 def micro_plan(**overrides) -> BenchPlan:
@@ -151,14 +148,16 @@ def trained_cell(tmp_path_factory):
 
 class TestPlanFiles:
     def test_round_trip(self):
-        for plan in (fast_plan(), full_plan(), micro_plan()):
-            assert parse_plan(format_plan(plan)) == plan
+        for plan in (load_plan(FAST_PLAN), load_plan(FULL_PLAN), micro_plan()):
+            assert parse_config(format_config(plan), "plan") == plan
 
     def test_shipped_fast_plan_matches_preset(self):
-        assert load_plan(REPO_ROOT / "plans" / "fast.plan") == fast_plan()
+        # the desk-scale preset: one sigma_max, every other value a BenchPlan default
+        assert load_plan(FAST_PLAN) == BenchPlan(sigma_max_list=(25.0,))
 
     def test_shipped_full_plan_matches_preset(self):
-        assert load_plan(REPO_ROOT / "plans" / "full.plan") == full_plan()
+        # the two training noise ceilings of the reference table layout, with more steps
+        assert load_plan(FULL_PLAN) == BenchPlan(train=replace(BenchPlan().train, steps=1500))
 
     def test_default_structure_mirrors_reference_table(self):
         plan = BenchPlan()
@@ -168,11 +167,11 @@ class TestPlanFiles:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidInputError):
-            parse_plan("bogus=1\n")
+            parse_config("bogus=1\n", "plan")
 
     def test_repeated_key_rejected(self):
         with pytest.raises(InvalidInputError, match=r"line 3: key 'steps'"):
-            parse_plan("steps=10\n# a comment\nsteps=20\n")
+            parse_config("steps=10\n# a comment\nsteps=20\n", "plan")
         with pytest.raises(InvalidInputError, match="'lr'"):
             parse_config("lr=0.001\nlr = 0.002\n", "train")
         # a flag override is merged after parsing, so it still wins over the file
@@ -183,36 +182,36 @@ class TestPlanFiles:
             micro_plan(eval_sigmas=(10.0, 10.0))
 
     def test_lambda_sweep_tokens(self):
-        plan = parse_plan("losses=l1,luml1:0.5,luml1:2\nsigma_max=25\n")
+        plan = parse_config("losses=l1,luml1:0.5,luml1:2\nsigma_max=25\n", "plan")
         assert [s.label() for s in plan.losses] == ["l1", "luml1-0.5", "luml1-2"]
-        assert parse_plan(format_plan(plan)) == plan
+        assert parse_config(format_config(plan), "plan") == plan
 
     def test_luml1_tokens_carry_their_own_pixel_base(self):
-        plan = parse_plan("losses=luml1,luml1:0.5:l2\npixel_base=l1\n")
+        plan = parse_config("losses=luml1,luml1:0.5:l2\npixel_base=l1\n", "plan")
         assert [(s.lam, s.pixel_base) for s in plan.losses] == [(1.0, "l1"), (0.5, "l2")]
-        assert parse_plan(format_plan(plan)) == plan
+        assert parse_config(format_config(plan), "plan") == plan
 
     @pytest.mark.parametrize("token", ["l1:0.5", "luml1:1:l1:x", "luml1:abc", "luml1:1:l3"])
     def test_bad_loss_token_rejected(self, token):
         with pytest.raises(InvalidInputError):
-            parse_plan(f"losses={token}\n")
+            parse_config(f"losses={token}\n", "plan")
 
     def test_shipped_plans_keep_their_config_hash(self):
         for name, digest in (("fast", 0x6F9EA8CBE7AA4EEF), ("full", 0x67D5BCA62BFCEB1D)):
             text = (REPO_ROOT / "plans" / f"{name}.plan").read_text()
-            assert format_plan(parse_plan(text)) == text
+            assert format_config(parse_config(text, "plan")) == text
             assert fnv1a64(text.encode()) == digest
 
     def test_nearby_learning_rates_hash_differently(self):
-        base = fast_plan()
+        base = load_plan(FAST_PLAN)
         a, b = (replace(base, train=replace(base.train, lr=lr)) for lr in (1.2345678e-4, 1.23457e-4))
-        assert fnv1a64(format_plan(a).encode()) != fnv1a64(format_plan(b).encode())
-        assert parse_plan(format_plan(a)) == a
+        assert fnv1a64(format_config(a).encode()) != fnv1a64(format_config(b).encode())
+        assert parse_config(format_config(a), "plan") == a
 
     @settings(max_examples=200, deadline=None)
     @given(plans())
     def test_plan_round_trip_property(self, plan):
-        assert parse_plan(format_plan(plan)) == plan
+        assert parse_config(format_config(plan), "plan") == plan
 
     @settings(max_examples=200, deadline=None)
     @given(train_configs())
@@ -222,7 +221,7 @@ class TestPlanFiles:
     def test_shipped_input_files_parse(self):
         for path in sorted((REPO_ROOT / "plans").glob("*.plan")):
             assert isinstance(load_plan(path), BenchPlan)
-        eval_plan = parse_plan((REPO_ROOT / "perfbench" / "eval.plan").read_text() + "seed=4\n")
+        eval_plan = parse_config((REPO_ROOT / "perfbench" / "eval.plan").read_text() + "seed=4\n", "plan")
         assert eval_plan.train.seed == 4 and [s.label() for s in eval_plan.losses] == ["luml1"]
         train_cfg = (REPO_ROOT / "perfbench" / "train.cfg").read_text()
         cfg = parse_config(train_cfg, "train", {"loss": "luml1", "seed": "3"})
@@ -237,7 +236,7 @@ class TestPlanFiles:
             dict(eval_h=10),
             dict(hidden_depth=-1),
             dict(hidden_channels=0),
-            dict(losses=(LossSpec("luml1", weights=LuminanceWeights(1.0, 0.0, 0.0)),)),
+            dict(losses=(LossSpec("l2", pixel_base="l2"),)),
             dict(losses=(LossSpec("l1", lam=0.5),)),
             dict(checkpoint_every=5),
             dict(adam_beta1=0.8),

@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from luml1.errors import InvalidInputError
-from luml1.image import (
-    DEFAULT_WEIGHTS,
-    Image,
-    LuminanceWeights,
-    clamp01,
-    grayscale_backward,
-    to_grayscale,
-)
+from luml1.image import LUMA_WEIGHTS, Image, clamp01, grayscale_backward, to_grayscale
 
 from conftest import rand_image
 
@@ -43,11 +36,11 @@ class TestImageType:
 
 class TestLuminanceWeights:
     def test_defaults_are_the_standard_constants(self):
-        assert DEFAULT_WEIGHTS.as_array().tolist() == [0.2989, 0.5870, 0.1140]
+        assert LUMA_WEIGHTS.tolist() == [0.2989, 0.5870, 0.1140]
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidInputError):
-            LuminanceWeights(-0.1, 0.5, 0.5)
+    def test_weights_are_read_only(self):
+        with pytest.raises(ValueError):
+            LUMA_WEIGHTS[0] = 0.5
 
 
 class TestToGrayscale:

@@ -3,7 +3,7 @@ import pytest
 
 from luml1.errors import InvalidInputError
 from luml1.gradcheck import check_loss_gradient
-from luml1.image import Image, LuminanceWeights
+from luml1.image import Image
 from luml1.losses import (
     LossSpec,
     eval_loss,
@@ -64,11 +64,11 @@ class TestLuminanceTerm:
         out = luminance_term(one_pixel(0.5, 0.3, 0.1), one_pixel(0.1, 0.3, 0.5))
         assert abs(out.value - 0.07396) < 1e-12
 
-    def test_metamer_with_zero_weight_channel_is_exactly_null(self):
-        w = LuminanceWeights(0.5, 0.5, 0.0)
-        pred = one_pixel(0.2, 0.4, 0.9)
-        target = one_pixel(0.2, 0.4, 0.1)  # differs only in the zero-weight channel
-        out = luminance_term(pred, target, w)
+    def test_metamer_with_bit_identical_luminance_is_exactly_null(self):
+        # pure red and pure green whose single weighted products round to the same double
+        pred = one_pixel(0.5 * 0.5870 / 0.2989, 0.0, 0.0)
+        target = one_pixel(0.0, 0.5, 0.0)
+        out = luminance_term(pred, target)
         assert out.value == 0.0
         assert np.all(out.grad == 0.0)
 

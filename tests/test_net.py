@@ -3,6 +3,7 @@ import pytest
 
 from luml1.errors import InvalidInputError
 from luml1.gradcheck import adjoint_error, check_conv_gradients, check_net_gradients
+from luml1.image import Image
 from luml1.losses import l2_loss
 from luml1.net import (
     ConvLayer,
@@ -12,8 +13,6 @@ from luml1.net import (
     conv_forward,
     net_backward,
     net_forward,
-    relu_backward,
-    relu_forward,
 )
 from luml1.rng import stream
 
@@ -85,28 +84,42 @@ class TestConvBackward:
             conv_backward(np.zeros((2, 5, 5)), cache)
 
 
+ZERO_PIXEL = Image(np.zeros((1, 1, 3)))
+
+
+def relu_probe(bias):
+    """A two-layer net that maps ZERO_PIXEL to -relu(bias).
+
+    Both layers are identity convolutions, so layer 0's bias is the ReLU
+    pre-activation and the output is the input minus relu of it.
+    """
+    eye = np.zeros((3, 3, 3, 3))
+    eye[range(3), range(3), 1, 1] = 1.0
+    return TinyNet([ConvLayer(eye, np.asarray(bias, dtype=float)), ConvLayer(eye, np.zeros(3))])
+
+
 class TestRelu:
     def test_forward_values(self):
-        out, _ = relu_forward(np.array([-1.0, 0.0, 2.0]))
-        assert out.tolist() == [0.0, 0.0, 2.0]
+        out, _ = net_forward(relu_probe([-1.0, 0.0, 2.0]), ZERO_PIXEL)
+        assert (-out.data)[0, 0].tolist() == [0.0, 0.0, 2.0]
 
     def test_backward_masks_negatives_and_zero(self):
-        x = np.array([-1.0, 0.0, 2.0])
-        _, mask = relu_forward(x)
-        grad = relu_backward(np.ones_like(x), mask)
-        assert grad.tolist() == [0.0, 0.0, 1.0]
+        net = relu_probe([-1.0, 0.0, 2.0])
+        out, cache = net_forward(net, ZERO_PIXEL)
+        grad_bias0 = net_backward(net, cache, np.ones_like(out.data))[1]
+        assert grad_bias0.tolist() == [0.0, 0.0, -1.0]  # d(-relu(pre)) / d pre
 
     def test_finite_difference_away_from_zero(self):
-        x = np.array([-0.5, 0.8, 1.2])
-        _, mask = relu_forward(x)
+        bias = np.array([-0.5, 0.8, 1.2])
+        net = relu_probe(bias)
+        out, cache = net_forward(net, ZERO_PIXEL)
+        grad_bias0 = net_backward(net, cache, np.ones_like(out.data))[1]
+        h = 1e-5
         for i in range(3):
-            h = 1e-5
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            fd = (relu_forward(xp)[0].sum() - relu_forward(xm)[0].sum()) / (2 * h)
-            analytic = relu_backward(np.ones_like(x), mask)[i]
-            assert abs(fd - analytic) < 1e-9
+            step = np.eye(3)[i] * h
+            fp = net_forward(relu_probe(bias + step), ZERO_PIXEL)[0].data.sum()
+            fm = net_forward(relu_probe(bias - step), ZERO_PIXEL)[0].data.sum()
+            assert abs((fp - fm) / (2 * h) - grad_bias0[i]) < 1e-9
 
 
 class TestTinyNet:
@@ -115,11 +128,6 @@ class TestTinyNet:
         img = rand_image(1, 9, 7)
         out, _ = net_forward(net, img)
         assert np.array_equal(out.data, img.data)
-
-    def test_zero_net_without_residual_is_zero(self):
-        net = TinyNet([ConvLayer(np.zeros((3, 3, 3, 3)), np.zeros(3))], residual_mode=False)
-        out, _ = net_forward(net, rand_image(2, 6, 6))
-        assert np.all(out.data == 0.0)
 
     def test_matches_straight_line_reimplementation(self):
         net = build_tinynet(33, hidden_channels=6, hidden_depth=1)

@@ -1,7 +1,12 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import luml1
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -10,8 +15,20 @@ def test_every_exported_name_resolves():
     assert len(set(luml1.__all__)) == len(luml1.__all__)
 
 
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/trace_spans.py wraps luml1 functions by name; a deleted name fails install()
+    result = subprocess.run(
+        [sys.executable, "-c", "from trace_spans import Tracer; Tracer().install()"],
+        cwd=REPO_ROOT / "perfbench",
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_readme_library_snippet_imports_only_exported_names():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(r"from luml1 import \((.*?)\)", readme, re.S)
     assert block is not None
     names = [n.strip() for n in block.group(1).split(",") if n.strip()]

@@ -3,12 +3,10 @@ import pytest
 
 from luml1.checkpoint import checkpoint_bytes, load_checkpoint
 from luml1.errors import InvalidInputError, NumericalError
-from luml1.losses import LossSpec, eval_loss, l2_loss
+from luml1.losses import LossSpec
 from luml1.net import build_tinynet
 from luml1.rng import stream, train_seed
-from luml1.trainer import AdamState, TrainConfig, adam_step, optimize_pixels, train
-
-from conftest import rand_image, rand_pair
+from luml1.trainer import AdamState, TrainConfig, adam_step, train
 
 
 def small_config(**overrides) -> TrainConfig:
@@ -174,38 +172,3 @@ class TestTrainLoop:
                     small_config(**{name: bad})
         with pytest.raises(InvalidInputError):
             small_config(sigma_max_255=-1.0)
-
-
-class TestOptimizePixels:
-    def test_init_equals_target_is_fixed_point(self):
-        img = rand_image(70)
-        out = optimize_pixels(img, img, LossSpec("l2"), steps=5, lr=10.0)
-        assert np.array_equal(out.data, img.data)
-
-    def test_l2_converges(self):
-        init, target = rand_pair(71, 16, 16)
-        n = init.data.size
-        out = optimize_pixels(init, target, LossSpec("l2"), steps=30, lr=0.4 * n)
-        assert np.max(np.abs(out.data - target.data)) < 1e-3
-
-    def test_l2_loss_decreases_every_step(self):
-        init, target = rand_pair(72, 8, 8)
-        n = init.data.size
-        spec = LossSpec("l2")
-        x = init
-        prev = l2_loss(x, target).value
-        for _ in range(10):
-            x = optimize_pixels(x, target, spec, steps=1, lr=0.3 * n)
-            cur = l2_loss(x, target).value
-            assert cur < prev
-            prev = cur
-
-    def test_lambda_zero_trajectory_matches_pure_l1_bitwise(self):
-        init, target = rand_pair(73, 8, 8)
-        a = optimize_pixels(init, target, LossSpec("l1"), steps=7, lr=5.0)
-        b = optimize_pixels(init, target, LossSpec("luml1", lam=0.0), steps=7, lr=5.0)
-        assert np.array_equal(a.data, b.data)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            optimize_pixels(rand_image(1, 4, 4), rand_image(1, 5, 5), LossSpec("l1"), 1, 1.0)
