@@ -39,7 +39,7 @@ from .losses import (
     luminance_l1_loss,
     luminance_term,
 )
-from .metrics import SsimParams, mse, psnr, ssim
+from .metrics import mse, psnr, ssim
 from .net import (
     ConvLayer,
     TinyNet,
@@ -67,7 +67,6 @@ __all__ = [
     "LUMA_WEIGHTS",
     "LumL1Error",
     "NumericalError",
-    "SsimParams",
     "TinyNet",
     "TrainConfig",
     "TrainLog",

@@ -30,12 +30,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dataset import gen_clean, noisy_set
+from .dataset import MIN_IMAGE_SIZE, gen_clean, noisy_set
 from .errors import InvalidInputError
 from .fnv import fnv1a64
-from .image import clamp01
+from .image import Image, clamp01
 from .losses import LossSpec, parse_loss
-from .metrics import SsimParams
 from .net import TinyNet, build_tinynet, net_forward
 from .pnm import load_image, save_image
 from .rng import eval_seed, train_seed
@@ -82,8 +81,8 @@ class BenchPlan:
         for _, files, _, name in CONFIG_KEYS:
             if files == "train" and getattr(self.train, name) != getattr(unset, name):
                 raise InvalidInputError(f"a plan cannot set the training knob {name!r}")
-        if self.eval_count < 1 or min(self.eval_h, self.eval_w) < SsimParams().window_size:
-            raise InvalidInputError("eval_count must be >= 1 and eval_size must hold the SSIM window")
+        if self.eval_count < 1 or min(self.eval_h, self.eval_w) < MIN_IMAGE_SIZE:
+            raise InvalidInputError(f"eval_count must be >= 1 and eval_size at least {MIN_IMAGE_SIZE}x{MIN_IMAGE_SIZE}")
         if self.hidden_depth < 0 or self.hidden_channels < 1:
             raise InvalidInputError("hidden_depth must be >= 0 and hidden_channels >= 1")
 
@@ -260,8 +259,8 @@ def denoise_file(ckpt_path, in_path, out_path) -> None:
     """Run a checkpointed model over one image file and save the clamped result."""
     net = load_checkpoint(ckpt_path)
     img = load_image(in_path)
-    out, _ = net_forward(net, img)
-    save_image(clamp01(out), out_path)
+    out, _ = net_forward(net, img.data)
+    save_image(clamp01(Image(out)), out_path)
 
 
 # ---------------------------------------------------------------------------

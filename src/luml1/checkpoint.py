@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .errors import CorruptCheckpointError, FormatError
+from .errors import CorruptCheckpointError, FormatError, InvalidInputError
 from .fnv import fnv1a64
 from .net import ConvLayer, TinyNet
 from .pnm import write_atomic
@@ -90,12 +90,14 @@ def load_checkpoint(path) -> TinyNet:
         )
     layers = []
     off = 0
-    for (o, i, k), count in zip(shapes, counts):
-        vals = np.frombuffer(payload, dtype="<f4", count=count, offset=off).astype(np.float64)
-        off += 4 * count
-        kern = vals[: o * i * k * k].reshape(o, i, k, k)
-        layers.append(ConvLayer(kern, vals[o * i * k * k :]))
-    return TinyNet(layers)
+    try:  # a file with a valid checksum can still hold a net that cannot exist
+        for (o, i, k), count in zip(shapes, counts):
+            vals = np.frombuffer(payload, dtype="<f4", count=count, offset=off).astype(np.float64)
+            off += 4 * count
+            layers.append(ConvLayer(vals[: o * i * k * k].reshape(o, i, k, k), vals[o * i * k * k :]))
+        return TinyNet(layers)
+    except InvalidInputError as exc:
+        raise FormatError(f"{name}: {exc}") from None
 
 
 def stored_checksum(path) -> int:

@@ -126,8 +126,8 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    a = load_image(args.a)
-    b = load_image(args.b)
+    a = load_image(args.a).data
+    b = load_image(args.b).data
     want_any = args.psnr or args.ssim or args.luml1
     if args.psnr or not want_any:
         print(f"psnr {psnr(a, b):.6f}")

@@ -21,6 +21,11 @@ from .errors import InvalidInputError
 from .image import Image
 from .rng import DOMAIN_BATCH, DOMAIN_CLEAN, DOMAIN_EVAL_NOISE, normal, stream
 
+# The smallest height and width of a generated image; it holds the 11x11 SSIM
+# window. Corpus and eval sizes are checked against it when a train config or
+# plan is built, so a size that is too small fails before any work starts.
+MIN_IMAGE_SIZE = 16
+
 
 @dataclass(frozen=True)
 class BlindTrainSpec:
@@ -53,8 +58,8 @@ def gen_clean(seed: int, count: int, h: int, w: int) -> list[Image]:
     """
     if count < 0:
         raise InvalidInputError(f"count must be nonnegative, got {count}")
-    if count > 0 and (h < 16 or w < 16):
-        raise InvalidInputError(f"clean images must be at least 16x16, got {h}x{w}")
+    if count > 0 and min(h, w) < MIN_IMAGE_SIZE:
+        raise InvalidInputError(f"clean images must be at least {MIN_IMAGE_SIZE}x{MIN_IMAGE_SIZE}, got {h}x{w}")
     return [_gen_one(stream(seed, DOMAIN_CLEAN, i), h, w) for i in range(count)]
 
 
@@ -117,12 +122,13 @@ def _draw_patch_params(
     return idx, y0, x0, sigma
 
 
-def make_blind_batches(clean: list[Image], spec: BlindTrainSpec) -> Iterator[tuple[Image, Image]]:
-    """Yield ``spec.count`` (noisy_patch, clean_patch) pairs.
+def make_blind_batches(clean: list[Image], spec: BlindTrainSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``spec.count`` (noisy_patch, clean_patch) pairs of (P, P, 3) arrays.
 
     Crops and noise levels come from a single stream keyed by ``spec.seed``,
     so the full sequence is reproducible. The per-patch noise level is not
-    part of the yielded values.
+    part of the yielded values. The clean patch is a read-only view into the
+    corpus; the noisy patch is a fresh array.
     """
     if not clean:
         raise InvalidInputError("need at least one clean image")
@@ -137,4 +143,4 @@ def make_blind_batches(clean: list[Image], spec: BlindTrainSpec) -> Iterator[tup
         idx, y0, x0, sigma = _draw_patch_params(rng, dims, p, spec.sigma_max_255)
         patch = clean[idx].data[y0 : y0 + p, x0 : x0 + p]
         noise = normal(rng, patch.shape, sigma / 255.0)
-        yield Image(patch + noise), Image(patch)
+        yield patch + noise, patch

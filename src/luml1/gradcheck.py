@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .image import Image, to_grayscale
+from .image import to_grayscale
 from .losses import LossSpec, eval_loss, luminance_term
 from .net import ConvLayer, build_tinynet, conv_backward, conv_forward, net_backward, net_forward
 from .rng import stream
@@ -69,8 +69,8 @@ def fd_gradient(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     return g
 
 
-def _random_pair(rng, h=8, w=8) -> tuple[Image, Image]:
-    return Image(rng.random((h, w, 3))), Image(rng.random((h, w, 3)))
+def _random_pair(rng, h=8, w=8) -> tuple[np.ndarray, np.ndarray]:
+    return rng.random((h, w, 3)), rng.random((h, w, 3))
 
 
 _KIND_IDS = {"l1": 1, "l2": 2, "luml1": 3}
@@ -98,13 +98,13 @@ def check_loss_gradient(
     for _ in range(pairs):
         pred, target = _random_pair(rng)
         out = loss(pred, target)
-        fd = fd_gradient(lambda x: loss(Image(x), target).value, pred.data.copy())
+        fd = fd_gradient(lambda x: loss(x, target).value, pred.copy())
         err = rel_error(out.grad, fd)
         kink = np.zeros(pred.shape, dtype=bool)
         if pixel_l1:
-            kink |= np.abs(pred.data - target.data) < KINK_DISTANCE
+            kink |= np.abs(pred - target) < KINK_DISTANCE
         if lum_l1:
-            lum = np.abs(to_grayscale(pred).data - to_grayscale(target).data)
+            lum = np.abs(to_grayscale(pred) - to_grayscale(target))
             kink |= np.broadcast_to(lum < KINK_DISTANCE, pred.shape)
         keep = ~kink
         checked += int(keep.sum())
@@ -150,7 +150,7 @@ def check_conv_gradients(seed: int, tolerance: float = 1e-5) -> CheckResult:
     return CheckResult("conv_forward/backward", worst, tolerance, n, 0)
 
 
-def _kink_margins(cache: list, pred: Image, target: Image) -> float:
+def _kink_margins(cache: list, pred: np.ndarray, target: np.ndarray) -> float:
     """Smallest distance of any piecewise-linear break point from zero.
 
     Covers the ReLU pre-activations in net_forward's cache plus the pixel and
@@ -159,8 +159,8 @@ def _kink_margins(cache: list, pred: Image, target: Image) -> float:
     step crosses a kink.
     """
     margin = min((float(np.abs(pre).min()) for _, pre in cache[:-1]), default=np.inf)
-    margin = min(margin, float(np.abs(pred.data - target.data).min()))
-    lum = to_grayscale(pred).data - to_grayscale(target).data
+    margin = min(margin, float(np.abs(pred - target).min()))
+    lum = to_grayscale(pred) - to_grayscale(target)
     return min(margin, float(np.abs(lum).min()))
 
 
@@ -174,8 +174,8 @@ def check_net_gradients(seed: int, tolerance: float = 1e-4) -> CheckResult:
     """
     rng = stream(seed, 13)
     net = build_tinynet(seed, hidden_channels=8, hidden_depth=0)
-    noisy = Image(rng.random((8, 8, 3)))
-    target = Image(rng.random((8, 8, 3)))
+    noisy = rng.random((8, 8, 3))
+    target = rng.random((8, 8, 3))
     spec = LossSpec("luml1", lam=1.0)
 
     out, cache = net_forward(net, noisy)

@@ -1,9 +1,11 @@
 """Pixel container, luminance projection, and clamping.
 
-Images are (height, width, channels) float64 arrays in nominal range
-[0, 1], stored C-contiguous (row-major, channel-interleaved) and marked
-read-only, so values can be shared freely across threads. All operations
-here are pure functions.
+An ``Image`` is a whole image the program holds, loads or saves: a
+(height, width, channels) float64 array in nominal range [0, 1], checked
+once when it is built, stored C-contiguous (row-major, channel-interleaved)
+and marked read-only, so values can be shared freely across threads. The
+math (network, losses, metrics) takes and returns plain (H, W, C) float64
+arrays; callers pass ``Image.data``. All operations here are pure functions.
 """
 
 from __future__ import annotations
@@ -56,25 +58,24 @@ class Image:
         return self.data.shape
 
 
-def require_same_shape(a: Image, b: Image, op: str) -> None:
+def require_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
     if a.shape != b.shape:
         raise InvalidInputError(f"cannot {op} images of shapes {a.shape} and {b.shape}")
 
 
-def to_grayscale(img: Image) -> Image:
-    """Project an RGB image onto its luminance channel.
+def to_grayscale(x: np.ndarray) -> np.ndarray:
+    """Project an (H, W, 3) array onto its (H, W, 1) luminance channel.
 
     out[y, x] = w_r*R + w_g*G + w_b*B. The result is not renormalized: the
     weights sum to 0.9999, so [0, 1] inputs map into [0, 0.9999].
     """
-    if img.channels != 3:
-        raise InvalidInputError(f"to_grayscale needs a 3-channel image, got {img.channels} channels")
-    g = img.data @ LUMA_WEIGHTS
-    return Image(g[:, :, None])
+    if x.ndim != 3 or x.shape[2] != 3:
+        raise InvalidInputError(f"to_grayscale needs an (H, W, 3) array, got shape {x.shape}")
+    return (x @ LUMA_WEIGHTS)[:, :, None]
 
 
 def grayscale_backward(grad_out: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`to_grayscale`, on gradient arrays.
+    """Adjoint of :func:`to_grayscale`.
 
     Spreads an (H, W, 1) gradient back across RGB: channel c of the (H, W, 3)
     result is grad * w_c at every pixel.

@@ -8,10 +8,10 @@ Four losses are provided:
 * ``luminance_l1_loss`` -- a pixel loss (L1 by default, L2 selectable)
   plus ``lam`` times the luminance term.
 
-All gradients are with respect to the prediction. Both mean normalizations
-use the term's own element count (3*H*W for pixel terms, H*W for the
-luminance term), which keeps the meaning of ``lam`` independent of image
-resolution.
+Predictions and targets are (H, W, C) float64 arrays, and all gradients
+are with respect to the prediction. Both mean normalizations use the
+term's own element count (3*H*W for pixel terms, H*W for the luminance
+term), which keeps the meaning of ``lam`` independent of image resolution.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .image import Image, grayscale_backward, require_same_shape, to_grayscale
+from .image import grayscale_backward, require_same_shape, to_grayscale
 
 LOSS_KINDS = ("l1", "l2", "luml1")
 PIXEL_BASES = ("l1", "l2")
@@ -57,10 +57,15 @@ class LossSpec:
             raise InvalidInputError(f"lam must be finite and nonnegative, got {self.lam}")
 
     def label(self) -> str:
-        """Short name used in CSV column headers and CLI output."""
-        if self.kind == "luml1" and self.lam != 1.0:
-            return f"luml1-{self.lam:g}"
-        return self.kind
+        """Short name used in CSV column headers, checkpoint names and CLI output.
+
+        A luml1 label names a lam other than 1 and a pixel base other than l1:
+        ``luml1``, ``luml1-0.5``, ``luml1-l2``, ``luml1-0.5-l2``.
+        """
+        if self.kind != "luml1":
+            return self.kind
+        label = "luml1" if self.lam == 1.0 else f"luml1-{self.lam:g}"
+        return label if self.pixel_base == "l1" else f"{label}-{self.pixel_base}"
 
 
 def parse_loss(token: str, lam: float = 1.0, pixel_base: str = "l1") -> LossSpec:
@@ -80,23 +85,23 @@ def parse_loss(token: str, lam: float = 1.0, pixel_base: str = "l1") -> LossSpec
     return LossSpec("luml1", lam=lam, pixel_base=suffix[1] if len(suffix) > 1 else pixel_base)
 
 
-def l1_loss(pred: Image, target: Image) -> LossOutput:
+def l1_loss(pred: np.ndarray, target: np.ndarray) -> LossOutput:
     """Mean absolute error; subgradient sign(0) = 0."""
     require_same_shape(pred, target, "compare")
-    d = pred.data - target.data
+    d = pred - target
     value = float(np.mean(np.abs(d)))
     return LossOutput(value, np.sign(d) / d.size)
 
 
-def l2_loss(pred: Image, target: Image) -> LossOutput:
+def l2_loss(pred: np.ndarray, target: np.ndarray) -> LossOutput:
     """Mean squared error with gradient 2*(pred - target)/N."""
     require_same_shape(pred, target, "compare")
-    d = pred.data - target.data
+    d = pred - target
     value = float(np.mean(d * d))
     return LossOutput(value, 2.0 * d / d.size)
 
 
-def luminance_term(pred: Image, target: Image) -> LossOutput:
+def luminance_term(pred: np.ndarray, target: np.ndarray) -> LossOutput:
     """L1 distance between the luminance projections, mean over pixels.
 
     The gradient is back-projected through the transpose of the projection,
@@ -104,15 +109,13 @@ def luminance_term(pred: Image, target: Image) -> LossOutput:
     weighted sum) leave both value and gradient at zero.
     """
     require_same_shape(pred, target, "compare")
-    if pred.channels != 3:
-        raise InvalidInputError(f"luminance term needs 3-channel images, got {pred.channels} channels")
-    d = to_grayscale(pred).data - to_grayscale(target).data
+    d = to_grayscale(pred) - to_grayscale(target)
     m = d.size  # H*W: one luminance sample per pixel
     value = float(np.mean(np.abs(d)))
     return LossOutput(value, grayscale_backward(np.sign(d) / m))
 
 
-def luminance_l1_loss(pred: Image, target: Image, spec: LossSpec) -> LossOutput:
+def luminance_l1_loss(pred: np.ndarray, target: np.ndarray, spec: LossSpec) -> LossOutput:
     """Pixel loss plus ``spec.lam`` times the luminance term."""
     if spec.kind != "luml1":
         raise InvalidInputError(f"luminance_l1_loss needs a 'luml1' spec, got {spec.kind!r}")
@@ -124,7 +127,7 @@ def luminance_l1_loss(pred: Image, target: Image, spec: LossSpec) -> LossOutput:
     return LossOutput(base.value + spec.lam * lum.value, base.grad + spec.lam * lum.grad)
 
 
-def eval_loss(spec: LossSpec, pred: Image, target: Image) -> LossOutput:
+def eval_loss(spec: LossSpec, pred: np.ndarray, target: np.ndarray) -> LossOutput:
     """Dispatch to the loss selected by ``spec.kind``."""
     if spec.kind == "l1":
         return l1_loss(pred, target)

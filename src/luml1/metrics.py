@@ -9,49 +9,29 @@ projected to luminance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
-from .image import Image, require_same_shape, to_grayscale
+from .image import require_same_shape, to_grayscale
+
+# SSIM window and stabilization constants (Wang et al. 2004): an 11x11
+# Gaussian window of sigma 1.5, C1 = (0.01 L)^2 and C2 = (0.03 L)^2 for the
+# dynamic range L = 1.
+SSIM_WINDOW = 11
+SSIM_SIGMA = 1.5
+SSIM_C1 = 0.01**2
+SSIM_C2 = 0.03**2
 
 
-@dataclass(frozen=True)
-class SsimParams:
-    """Window shape and stabilization constants for SSIM."""
-
-    window_size: int = 11
-    gaussian_sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
-    dynamic_range: float = 1.0
-
-    def __post_init__(self):
-        if self.window_size < 3 or self.window_size % 2 == 0:
-            raise InvalidInputError(f"window_size must be odd and >= 3, got {self.window_size}")
-        if self.gaussian_sigma <= 0:
-            raise InvalidInputError("gaussian_sigma must be positive")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise InvalidInputError("stabilization constants C1, C2 must be strictly positive")
-
-    @property
-    def c1(self) -> float:
-        return (self.k1 * self.dynamic_range) ** 2
-
-    @property
-    def c2(self) -> float:
-        return (self.k2 * self.dynamic_range) ** 2
-
-
-def mse(a: Image, b: Image) -> float:
+def mse(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared error over all elements."""
     require_same_shape(a, b, "compare")
-    return float(np.mean((a.data - b.data) ** 2))
+    return float(np.mean((a - b) ** 2))
 
 
-def psnr(a: Image, b: Image, max_val: float = 1.0) -> float:
+def psnr(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
     """Peak signal-to-noise ratio in dB: 10*log10(max_val^2 / mse).
 
     Identical images return positive infinity rather than raising, so
@@ -70,25 +50,27 @@ def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     return win / win.sum()
 
 
-def ssim(a: Image, b: Image, params: SsimParams = SsimParams()) -> float:
-    """Structural similarity index, averaged over all valid window centers.
+_WINDOW = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
+
+
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
+    """Structural similarity index of two (H, W, C) arrays, averaged over all valid window centers.
 
     Local means, variances, and covariance are Gaussian-weighted. Only
     windows fully inside the image contribute (valid region, no padding).
     """
     require_same_shape(a, b, "compare")
-    if a.channels == 3:
+    if a.shape[2] == 3:
         a = to_grayscale(a)
         b = to_grayscale(b)
-    x = a.data[:, :, 0]
-    y = b.data[:, :, 0]
-    n = params.window_size
+    x = a[:, :, 0]
+    y = b[:, :, 0]
+    n = SSIM_WINDOW
     if x.shape[0] < n or x.shape[1] < n:
         raise InvalidInputError(f"image {x.shape} smaller than the {n}x{n} SSIM window")
-    win = _gaussian_window(n, params.gaussian_sigma)
 
     def local_mean(img2d):
-        return np.tensordot(sliding_window_view(img2d, (n, n)), win, axes=2)
+        return np.tensordot(sliding_window_view(img2d, (n, n)), _WINDOW, axes=2)
 
     mu_x = local_mean(x)
     mu_y = local_mean(y)
@@ -98,7 +80,7 @@ def ssim(a: Image, b: Image, params: SsimParams = SsimParams()) -> float:
     var_x = e_xx - mu_x * mu_x
     var_y = e_yy - mu_y * mu_y
     cov = e_xy - mu_x * mu_y
-    c1, c2 = params.c1, params.c2
+    c1, c2 = SSIM_C1, SSIM_C2
     score = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
         (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     )

@@ -18,7 +18,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError, NumericalError
-from .image import Image
 from .rng import DOMAIN_INIT, normal, stream
 
 
@@ -135,17 +134,17 @@ def conv_backward(grad_out: np.ndarray, cache: ConvCache) -> tuple[np.ndarray, n
     return gxp[:, p : p + h, p : p + w], grad_kernels, grad_bias
 
 
-def net_forward(net: TinyNet, noisy: Image) -> tuple[Image, list[tuple[ConvCache, np.ndarray]]]:
-    """Denoise one image; returns the output and the cache for backward.
+def net_forward(net: TinyNet, noisy: np.ndarray) -> tuple[np.ndarray, list[tuple[ConvCache, np.ndarray]]]:
+    """Denoise one (H, W, 3) array; returns the (H, W, 3) output and the cache for backward.
 
     The cache holds, per layer, its ConvCache and its conv output (the ReLU
     pre-activation for every layer but the last). The stack output is a noise
     estimate, subtracted from the input; no clamping happens here. A
     non-finite output raises NumericalError naming the first non-finite layer.
     """
-    if noisy.channels != 3:
-        raise InvalidInputError(f"network input must have 3 channels, got {noisy.channels}")
-    x = noisy.data.transpose(2, 0, 1)
+    if noisy.ndim != 3 or noisy.shape[2] != 3:
+        raise InvalidInputError(f"network input must be (H, W, 3), got shape {noisy.shape}")
+    x = noisy.transpose(2, 0, 1)
     cache = []
     t = x
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked below
@@ -157,13 +156,15 @@ def net_forward(net: TinyNet, noisy: Image) -> tuple[Image, list[tuple[ConvCache
     if not np.all(np.isfinite(out)):
         bad = (f"layer{i}" for i, (_, pre) in enumerate(cache) if not np.all(np.isfinite(pre)))
         raise NumericalError(f"network output is not finite, first at {next(bad, 'the residual subtraction')}")
-    return Image(out.transpose(1, 2, 0)), cache
+    # Row-major, like every image: the matmul in to_grayscale sums the channels
+    # of a transposed view in another order, so its last bits would differ.
+    return np.ascontiguousarray(out.transpose(1, 2, 0)), cache
 
 
 def net_backward(net: TinyNet, cache: list, grad_out: np.ndarray) -> list[np.ndarray]:
     """Exact parameter gradients of the forward map, in TinyNet.parameters() order.
 
-    ``grad_out`` is shaped like the output's data; ``cache`` must come from net_forward on this net.
+    ``grad_out`` is shaped like the output; ``cache`` must come from net_forward on this net.
     """
     layers = [conv.layer for conv, _ in cache]
     if len(layers) != len(net.layers) or any(a is not b for a, b in zip(layers, net.layers)):

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import BlindTrainSpec, gen_clean, make_blind_batches, noisy_set
+from .dataset import MIN_IMAGE_SIZE, BlindTrainSpec, gen_clean, make_blind_batches, noisy_set
 from .errors import InvalidInputError, NumericalError
-from .image import Image, clamp01
+from .image import Image
 from .losses import LossSpec, eval_loss
 from .metrics import psnr, ssim
 from .net import TinyNet, net_backward, net_forward
@@ -42,14 +42,16 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0: only the final checkpoint is written
 
     def __post_init__(self):
-        if self.steps < 0 or self.batch_size < 1:
-            raise InvalidInputError("steps must be >= 0 and batch_size >= 1")
+        if self.steps < 0 or self.batch_size < 1 or self.checkpoint_every < 0:
+            raise InvalidInputError("steps and checkpoint_every must be >= 0 and batch_size >= 1")
         if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
             raise InvalidInputError("Adam betas must lie strictly between 0 and 1")
         if not all(np.isfinite(x) and x > 0 for x in (self.lr, self.adam_eps)):
             raise InvalidInputError("lr and adam_eps must be finite and positive")
-        if self.corpus_count < 1 or self.patch_size > min(self.corpus_h, self.corpus_w):
-            raise InvalidInputError("corpus_count must be >= 1 and patch_size must fit the corpus images")
+        if self.corpus_count < 1 or min(self.corpus_h, self.corpus_w) < MIN_IMAGE_SIZE:
+            raise InvalidInputError(f"corpus_count must be >= 1 and corpus_size at least {MIN_IMAGE_SIZE}x{MIN_IMAGE_SIZE}")
+        if self.patch_size > min(self.corpus_h, self.corpus_w):
+            raise InvalidInputError("patch_size must fit the corpus images")
         self.blind_spec()  # the patch stream's own checks: sigma_max finite and >= 0, patch_size >= 1
 
     def blind_spec(self) -> BlindTrainSpec:
@@ -127,9 +129,9 @@ def mean_scores(net: TinyNet | None, noisy: list[Image], clean: list[Image]) -> 
     """
     ps, ss = [], []
     for n, c in zip(noisy, clean):
-        out = clamp01(n if net is None else net_forward(net, n)[0])
-        ps.append(psnr(out, c))
-        ss.append(ssim(out, c))
+        out = np.clip(n.data if net is None else net_forward(net, n.data)[0], 0.0, 1.0)
+        ps.append(psnr(out, c.data))
+        ss.append(ssim(out, c.data))
     return float(np.mean(ps)), float(np.mean(ss))
 
 

@@ -1,13 +1,19 @@
+import numpy as np
 
 from luml1.image import Image
 from luml1.rng import stream
 
 
+def rand_array(seed: int, h: int = 8, w: int = 8, c: int = 3, tag: int = 99) -> np.ndarray:
+    """Deterministic random (H, W, C) array in [0, 1) for tests."""
+    return stream(seed, tag).random((h, w, c))
+
+
 def rand_image(seed: int, h: int = 8, w: int = 8, c: int = 3, tag: int = 99) -> Image:
-    """Deterministic random image in [0, 1) for tests."""
-    return Image(stream(seed, tag).random((h, w, c)))
+    """The same values as rand_array, as an Image for the file and CLI tests."""
+    return Image(rand_array(seed, h, w, c, tag))
 
 
 def rand_pair(seed: int, h: int = 8, w: int = 8, c: int = 3):
     rng = stream(seed, 98)
-    return Image(rng.random((h, w, c))), Image(rng.random((h, w, c)))
+    return rng.random((h, w, c)), rng.random((h, w, c))

@@ -6,6 +6,8 @@ loops, no vectorization) so it shares no code path with the package.
 
 import numpy as np
 
+from luml1.metrics import SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW
+
 
 def loop_conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Zero same-padded cross-correlation via explicit nested loops."""
@@ -42,15 +44,18 @@ def straight_line_net(net, img_data: np.ndarray) -> np.ndarray:
     return out.transpose(1, 2, 0)
 
 
-def ssim_bruteforce(x: np.ndarray, y: np.ndarray, params) -> float:
-    """Windowed SSIM with explicit per-window loops and textbook statistics."""
-    n = params.window_size
+def ssim_bruteforce(x: np.ndarray, y: np.ndarray) -> float:
+    """Windowed SSIM of two 2-D arrays with explicit per-window loops and textbook statistics.
+
+    Only the package's SSIM constants are shared; the window and the
+    statistics are computed here.
+    """
+    n = SSIM_WINDOW
     offs = np.arange(n) - (n - 1) / 2.0
-    g = np.exp(-(offs**2) / (2.0 * params.gaussian_sigma**2))
+    g = np.exp(-(offs**2) / (2.0 * SSIM_SIGMA**2))
     win = np.outer(g, g)
     win = win / win.sum()
-    c1 = (params.k1 * params.dynamic_range) ** 2
-    c2 = (params.k2 * params.dynamic_range) ** 2
+    c1, c2 = SSIM_C1, SSIM_C2
     h, w = x.shape
     scores = []
     for i in range(h - n + 1):

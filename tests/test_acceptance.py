@@ -16,9 +16,9 @@ from luml1.bench import parse_report_csv
 from luml1.checkpoint import stored_checksum
 from luml1.cli import main
 from luml1.gradcheck import check_net_gradients, loss_gradient_suite
-from luml1.image import Image, to_grayscale
+from luml1.image import to_grayscale
 from luml1.losses import LossSpec, l1_loss, l2_loss, luminance_l1_loss, luminance_term
-from luml1.metrics import SsimParams, psnr, ssim
+from luml1.metrics import psnr, ssim
 from luml1.rng import stream
 
 from conftest import rand_pair
@@ -79,22 +79,20 @@ def test_criterion_2_network_gradient_suite():
 
 
 def test_criterion_3_metric_oracles():
-    a = Image(np.zeros((8, 8, 3)))
-    b = Image(np.full((8, 8, 3), 0.1))
+    a = np.zeros((8, 8, 3))
+    b = np.full((8, 8, 3), 0.1)
     psnr_err = abs(psnr(a, b) - 20.0)
 
     rng = stream(SEED, 60)
-    img = Image(rng.random((16, 16, 3)))
+    img = rng.random((16, 16, 3))
     self_err = abs(ssim(img, img) - 1.0)
 
     worst_bruteforce = 0.0
     for k in range(5):
         pair_rng = stream(SEED, 61, k)
-        x = Image(pair_rng.random((16, 16, 3)))
-        y = Image(pair_rng.random((16, 16, 3)))
-        expected = ssim_bruteforce(
-            to_grayscale(x).data[:, :, 0], to_grayscale(y).data[:, :, 0], SsimParams()
-        )
+        x = pair_rng.random((16, 16, 3))
+        y = pair_rng.random((16, 16, 3))
+        expected = ssim_bruteforce(to_grayscale(x)[:, :, 0], to_grayscale(y)[:, :, 0])
         worst_bruteforce = max(worst_bruteforce, abs(ssim(x, y) - expected))
 
     ok = psnr_err < 1e-9 and self_err < 1e-12 and worst_bruteforce < 1e-9
@@ -126,12 +124,12 @@ def test_criterion_4_loss_algebra():
 
     # metamer null space
     rng = stream(SEED, 62)
-    img = Image(rng.random((6, 6, 3)))
+    img = rng.random((6, 6, 3))
     w = np.array([0.2989, 0.5870, 0.1140])
     bump = rng.uniform(-0.1, 0.1, size=(6, 6, 1)) * np.array([w[1], -w[0], 0.0]) + rng.uniform(
         -0.1, 0.1, size=(6, 6, 1)
     ) * np.array([0.0, w[2], -w[1]])
-    if luminance_term(Image(img.data + bump), img).value >= 1e-12:
+    if luminance_term(img + bump, img).value >= 1e-12:
         failures.append("metamer null space")
 
     # symmetry and homogeneity on 100 random pairs each
@@ -145,10 +143,10 @@ def test_criterion_4_loss_algebra():
         if luminance_l1_loss(p, t, spec).value != luminance_l1_loss(t, p, spec).value:
             failures.append(f"luml1 symmetry seed={seed}")
         k = 0.5 + (seed % 5)
-        if abs(l1_loss(Image(k * p.data), Image(k * t.data)).value - k * l1_loss(p, t).value) > 1e-12 * k:
+        if abs(l1_loss(k * p, k * t).value - k * l1_loss(p, t).value) > 1e-12 * k:
             failures.append(f"l1 homogeneity seed={seed}")
         if (
-            abs(l2_loss(Image(k * p.data), Image(k * t.data)).value - k * k * l2_loss(p, t).value)
+            abs(l2_loss(k * p, k * t).value - k * k * l2_loss(p, t).value)
             > 1e-12 * k * k
         ):
             failures.append(f"l2 homogeneity seed={seed}")

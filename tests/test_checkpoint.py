@@ -1,9 +1,11 @@
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from luml1.checkpoint import (
+    MAGIC,
     checkpoint_bytes,
     load_checkpoint,
     save_checkpoint,
@@ -60,7 +62,7 @@ class TestCheckpointRoundTrip:
         net = build_tinynet(53, hidden_channels=4, hidden_depth=0)
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path)
-        out, _ = net_forward(load_checkpoint(path), rand_image(1, 8, 8))
+        out, _ = net_forward(load_checkpoint(path), rand_image(1, 8, 8).data)
         assert out.shape == (8, 8, 3)
 
 
@@ -89,6 +91,33 @@ class TestCheckpointCorruption:
         path.write_bytes(b"NOTANET\n1 1\n3 3 3\n" + bytes(100))
         with pytest.raises(FormatError, match="magic"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "shapes,fill,message",
+        [
+            ([(16, 3, 3), (3, 8, 3)], 0.0, "16 -> 8"),
+            ([(3, 3, 2)], 0.0, "kernel size must be odd"),
+            ([(3, 3, 3)], np.inf, "finite"),
+        ],
+        ids=["unchained", "even-kernel", "inf-parameter"],
+    )
+    def test_impossible_net_with_valid_checksum_exits_3_naming_the_file(
+        self, tmp_path, capsys, shapes, fill, message
+    ):
+        lines = [f"{len(shapes)} 1"] + [f"{o} {i} {k}" for o, i, k in shapes]
+        header = MAGIC + "".join(f"{line}\n" for line in lines).encode()
+        payload = np.full(sum(o * i * k * k + o for o, i, k in shapes), fill, dtype="<f4").tobytes()
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(header + payload + struct.pack("<Q", fnv1a64(payload)))
+        with pytest.raises(FormatError, match=message) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
+        src = tmp_path / "in.lumf"
+        save_image(rand_image(3, 8, 8), src)
+        out = tmp_path / "out.ppm"
+        assert main(["denoise", "--ckpt", str(path), "--in", str(src), "--out", str(out)]) == 3
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stored_checksum_matches_recomputation(self, tmp_path):
         net = build_tinynet(56, hidden_channels=4, hidden_depth=0)

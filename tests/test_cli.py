@@ -205,6 +205,19 @@ class TestBenchCli:
         assert rc == 1
         assert not csv.exists()
 
+    def test_corpus_below_the_size_floor_exits_1_before_scoring(self, tmp_path, capsys, monkeypatch):
+        # patch_size 8 fits a 12x12 corpus, so only the image-size floor rejects it
+        import luml1.bench as bench
+
+        monkeypatch.setattr(bench, "mean_scores", _must_not_run)
+        kept = [ln for ln in self.PLAN.splitlines() if not ln.startswith(("corpus_size=", "patch_size="))]
+        plan = tmp_path / "small.plan"
+        plan.write_text("\n".join(kept + ["corpus_size=12x12", "patch_size=8"]) + "\n")
+        csv = tmp_path / "table.csv"
+        assert main(["bench", "--plan", str(plan), "--csv", str(csv)]) == 1
+        assert "corpus_size at least 16x16" in capsys.readouterr().err
+        assert not csv.exists()
+
     def test_valid_plan_writes_csv(self, tmp_path, capsys):
         plan = tmp_path / "ok.plan"
         plan.write_text(self.PLAN)

@@ -111,7 +111,7 @@ class TestBlindBatches:
         clean = gen_clean(2, 2, 20, 20)
         for _, target in make_blind_batches(clean, self.spec(count=8)):
             found = any(
-                np.array_equal(img.data[y : y + 12, x : x + 12], target.data)
+                np.array_equal(img.data[y : y + 12, x : x + 12], target)
                 for img in clean
                 for y in range(9)
                 for x in range(9)
@@ -123,8 +123,8 @@ class TestBlindBatches:
         a = list(make_blind_batches(clean, self.spec(count=6)))
         b = list(make_blind_batches(clean, self.spec(count=6)))
         for (na, ca), (nb, cb) in zip(a, b):
-            assert np.array_equal(na.data, nb.data)
-            assert np.array_equal(ca.data, cb.data)
+            assert np.array_equal(na, nb)
+            assert np.array_equal(ca, cb)
 
     def test_patch_larger_than_image_rejected(self):
         clean = gen_clean(1, 1, 16, 16)
@@ -148,9 +148,9 @@ class TestBlindBatches:
         rng = stream(8, DOMAIN_BATCH)
         idx, y0, x0, sigma = _draw_patch_params(rng, [(20, 20), (20, 20)], 12, 50.0)
         expected_clean = clean[idx].data[y0 : y0 + 12, x0 : x0 + 12]
-        assert np.array_equal(target.data, expected_clean)
+        assert np.array_equal(target, expected_clean)
         noise = normal(rng, (12, 12, 3), sigma / 255.0)
-        assert np.array_equal(noisy.data, expected_clean + noise)
+        assert np.array_equal(noisy, expected_clean + noise)
 
 
 class TestSeedDomains:

@@ -18,6 +18,7 @@ from luml1.bench import (
     denoise_file,
 )
 from luml1.checkpoint import save_checkpoint
+from luml1.dataset import MIN_IMAGE_SIZE
 from luml1.errors import InvalidInputError
 from luml1.fnv import fnv1a64
 from luml1.image import clamp01
@@ -78,7 +79,7 @@ def losses(draw):
 
 @st.composite
 def train_configs(draw, plan=False):
-    h, w = draw(st.integers(16, 64)), draw(st.integers(16, 64))
+    h, w = draw(st.integers(MIN_IMAGE_SIZE, 64)), draw(st.integers(MIN_IMAGE_SIZE, 64))
     cfg = TrainConfig(
         steps=draw(st.integers(0, 10**6)),
         batch_size=draw(st.integers(1, 64)),
@@ -110,8 +111,8 @@ def plans(draw):
         losses=draw(losses()),
         train=draw(train_configs(plan=True)),
         eval_count=draw(st.integers(1, 500)),
-        eval_h=draw(st.integers(11, 64)),
-        eval_w=draw(st.integers(11, 64)),
+        eval_h=draw(st.integers(MIN_IMAGE_SIZE, 64)),
+        eval_w=draw(st.integers(MIN_IMAGE_SIZE, 64)),
         hidden_channels=draw(st.integers(1, 64)),
         hidden_depth=draw(st.integers(0, 8)),
     )
@@ -190,6 +191,14 @@ class TestPlanFiles:
         plan = parse_config("losses=luml1,luml1:0.5:l2\npixel_base=l1\n", "plan")
         assert [(s.lam, s.pixel_base) for s in plan.losses] == [(1.0, "l1"), (0.5, "l2")]
         assert parse_config(format_config(plan), "plan") == plan
+
+    def test_labels_name_a_non_default_pixel_base(self):
+        plan = parse_config("losses=l2,luml1,luml1:1:l2,luml1:0.5:l2,luml1:0.5\n", "plan")
+        assert [s.label() for s in plan.losses] == ["l2", "luml1", "luml1-l2", "luml1-0.5-l2", "luml1-0.5"]
+        assert parse_config(format_config(plan), "plan") == plan
+        both = replace(micro_plan(steps=1, eval_sigmas=(10.0,)), losses=plan.losses[1:3])
+        csv = report_to_csv(run_bench(both))
+        assert "luml1_25_psnr" in csv and "delta-luml1-l2_25_psnr" in csv
 
     @pytest.mark.parametrize("token", ["l1:0.5", "luml1:1:l1:x", "luml1:abc", "luml1:1:l3"])
     def test_bad_loss_token_rejected(self, token):
@@ -352,7 +361,7 @@ class TestTrainedModelSanity:
 
         net, clean = trained_cell["net"], trained_cell["clean"]
         report, plan = trained_cell["report"], trained_cell["plan"]
-        score = np.mean([psnr(clamp01(net_forward(net, c)[0]), c) for c in clean])
+        score = np.mean([psnr(np.clip(net_forward(net, c.data)[0], 0.0, 1.0), c.data) for c in clean])
         easiest = report.psnr_cells[("l1", plan.sigma_max_list[0], plan.eval_sigmas[0])]
         assert score > easiest
 

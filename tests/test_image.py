@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 from luml1.errors import InvalidInputError
 from luml1.image import LUMA_WEIGHTS, Image, clamp01, grayscale_backward, to_grayscale
 
-from conftest import rand_image
+from conftest import rand_array, rand_image
 
 
 def one_pixel(r, g, b):
-    return Image(np.array([[[r, g, b]]], dtype=float))
+    return np.array([[[r, g, b]]], dtype=float)
 
 
 class TestImageType:
@@ -46,27 +46,27 @@ class TestLuminanceWeights:
 class TestToGrayscale:
     def test_white_pixel_sums_weights(self):
         out = to_grayscale(one_pixel(1.0, 1.0, 1.0))
-        assert abs(out.data[0, 0, 0] - 0.9999) < 1e-12
+        assert abs(out[0, 0, 0] - 0.9999) < 1e-12
 
     def test_black_pixel(self):
-        assert to_grayscale(one_pixel(0.0, 0.0, 0.0)).data[0, 0, 0] == 0.0
+        assert to_grayscale(one_pixel(0.0, 0.0, 0.0))[0, 0, 0] == 0.0
 
     def test_pure_green_gives_green_weight(self):
         out = to_grayscale(one_pixel(0.0, 1.0, 0.0))
-        assert abs(out.data[0, 0, 0] - 0.5870) < 1e-12
+        assert abs(out[0, 0, 0] - 0.5870) < 1e-12
 
     def test_grayscale_input_rejected(self):
         with pytest.raises(InvalidInputError):
-            to_grayscale(rand_image(3, c=1))
+            to_grayscale(rand_array(3, c=1))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
     def test_linearity(self, seed, a, b):
-        x = rand_image(seed, 6, 6, tag=1)
-        y = rand_image(seed, 6, 6, tag=2)
-        mixed = to_grayscale(Image(a * x.data + b * y.data))
-        separate = a * to_grayscale(x).data + b * to_grayscale(y).data
-        assert np.max(np.abs(mixed.data - separate)) < 1e-12
+        x = rand_array(seed, 6, 6, tag=1)
+        y = rand_array(seed, 6, 6, tag=2)
+        mixed = to_grayscale(a * x + b * y)
+        separate = a * to_grayscale(x) + b * to_grayscale(y)
+        assert np.max(np.abs(mixed - separate)) < 1e-12
 
 
 class TestGrayscaleBackward:
@@ -85,17 +85,17 @@ class TestGrayscaleBackward:
 
     def test_three_channel_input_rejected(self):
         with pytest.raises(InvalidInputError):
-            grayscale_backward(rand_image(5).data)
+            grayscale_backward(rand_array(5))
         with pytest.raises(InvalidInputError):
             grayscale_backward(np.ones((4, 4)))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31))
     def test_is_exact_adjoint(self, seed):
-        x = rand_image(seed, 7, 5, tag=3)
-        u = rand_image(seed, 7, 5, c=1, tag=4)
-        lhs = float(np.sum(to_grayscale(x).data * u.data))
-        rhs = float(np.sum(x.data * grayscale_backward(u.data)))
+        x = rand_array(seed, 7, 5, tag=3)
+        u = rand_array(seed, 7, 5, c=1, tag=4)
+        lhs = float(np.sum(to_grayscale(x) * u))
+        rhs = float(np.sum(x * grayscale_backward(u)))
         assert abs(lhs - rhs) < 1e-9
 
 

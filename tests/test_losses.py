@@ -3,7 +3,6 @@ import pytest
 
 from luml1.errors import InvalidInputError
 from luml1.gradcheck import check_loss_gradient
-from luml1.image import Image
 from luml1.losses import (
     LossSpec,
     eval_loss,
@@ -18,7 +17,7 @@ from conftest import rand_pair
 
 
 def one_pixel(r, g, b):
-    return Image(np.array([[[r, g, b]]], dtype=float))
+    return np.array([[[r, g, b]]], dtype=float)
 
 
 class TestL1:
@@ -29,7 +28,7 @@ class TestL1:
         assert np.all(out.grad == 0.0)
 
     def test_single_element(self):
-        out = l1_loss(Image(np.array([[[0.5]]])), Image(np.array([[[0.2]]])))
+        out = l1_loss(np.array([[[0.5]]]), np.array([[[0.2]]]))
         assert abs(out.value - 0.3) < 1e-15
         assert out.grad[0, 0, 0] == 1.0
 
@@ -40,12 +39,12 @@ class TestL1:
     def test_shape_mismatch(self):
         a, _ = rand_pair(1)
         with pytest.raises(InvalidInputError):
-            l1_loss(a, Image(np.zeros((2, 2, 3))))
+            l1_loss(a, np.zeros((2, 2, 3)))
 
 
 class TestL2:
     def test_single_element(self):
-        out = l2_loss(Image(np.array([[[0.5]]])), Image(np.array([[[0.2]]])))
+        out = l2_loss(np.array([[[0.5]]]), np.array([[[0.2]]]))
         assert abs(out.value - 0.09) < 1e-15
         assert abs(out.grad[0, 0, 0] - 0.6) < 1e-15
 
@@ -75,7 +74,7 @@ class TestLuminanceTerm:
     def test_metamer_perturbation_changes_value_negligibly(self):
         # perturb inside the projection's null space; float rounding only
         rng = stream(3, 77)
-        pred = Image(rng.random((6, 6, 3)))
+        pred = rng.random((6, 6, 3))
         w = np.array([0.2989, 0.5870, 0.1140])
         n1 = np.array([w[1], -w[0], 0.0])
         n2 = np.array([0.0, w[2], -w[1]])
@@ -83,7 +82,7 @@ class TestLuminanceTerm:
             rng.uniform(-0.1, 0.1, size=(6, 6, 1)) * n1
             + rng.uniform(-0.1, 0.1, size=(6, 6, 1)) * n2
         )
-        out = luminance_term(Image(pred.data + bump), pred)
+        out = luminance_term(pred + bump, pred)
         assert out.value < 1e-12
 
     def test_gradient_matches_finite_differences(self):
@@ -91,7 +90,7 @@ class TestLuminanceTerm:
         assert result.ok, result.line()
 
     def test_single_channel_rejected(self):
-        g = Image(np.zeros((4, 4, 1)))
+        g = np.zeros((4, 4, 1))
         with pytest.raises(InvalidInputError):
             luminance_term(g, g)
 
@@ -152,14 +151,14 @@ class TestLossProperties:
         for seed in range(100):
             pred, target = rand_pair(seed, 4, 4)
             k = 0.25 + (seed % 7)
-            scaled = l1_loss(Image(k * pred.data), Image(k * target.data)).value
+            scaled = l1_loss(k * pred, k * target).value
             assert abs(scaled - k * l1_loss(pred, target).value) < 1e-12 * max(1.0, k)
 
     def test_l2_scales_quadratically(self):
         for seed in range(100):
             pred, target = rand_pair(seed, 4, 4)
             k = 0.25 + (seed % 7)
-            scaled = l2_loss(Image(k * pred.data), Image(k * target.data)).value
+            scaled = l2_loss(k * pred, k * target).value
             assert abs(scaled - k * k * l2_loss(pred, target).value) < 1e-12 * max(1.0, k * k)
 
     def test_values_nonnegative(self):

@@ -3,7 +3,6 @@ import pytest
 
 from luml1.errors import InvalidInputError
 from luml1.gradcheck import adjoint_error, check_conv_gradients, check_net_gradients
-from luml1.image import Image
 from luml1.losses import l2_loss
 from luml1.net import (
     ConvLayer,
@@ -16,7 +15,7 @@ from luml1.net import (
 )
 from luml1.rng import stream
 
-from conftest import rand_image
+from conftest import rand_array
 from oracles import loop_conv2d, straight_line_net
 
 
@@ -84,7 +83,7 @@ class TestConvBackward:
             conv_backward(np.zeros((2, 5, 5)), cache)
 
 
-ZERO_PIXEL = Image(np.zeros((1, 1, 3)))
+ZERO_PIXEL = np.zeros((1, 1, 3))
 
 
 def relu_probe(bias):
@@ -101,46 +100,51 @@ def relu_probe(bias):
 class TestRelu:
     def test_forward_values(self):
         out, _ = net_forward(relu_probe([-1.0, 0.0, 2.0]), ZERO_PIXEL)
-        assert (-out.data)[0, 0].tolist() == [0.0, 0.0, 2.0]
+        assert (-out)[0, 0].tolist() == [0.0, 0.0, 2.0]
 
     def test_backward_masks_negatives_and_zero(self):
         net = relu_probe([-1.0, 0.0, 2.0])
         out, cache = net_forward(net, ZERO_PIXEL)
-        grad_bias0 = net_backward(net, cache, np.ones_like(out.data))[1]
+        grad_bias0 = net_backward(net, cache, np.ones_like(out))[1]
         assert grad_bias0.tolist() == [0.0, 0.0, -1.0]  # d(-relu(pre)) / d pre
 
     def test_finite_difference_away_from_zero(self):
         bias = np.array([-0.5, 0.8, 1.2])
         net = relu_probe(bias)
         out, cache = net_forward(net, ZERO_PIXEL)
-        grad_bias0 = net_backward(net, cache, np.ones_like(out.data))[1]
+        grad_bias0 = net_backward(net, cache, np.ones_like(out))[1]
         h = 1e-5
         for i in range(3):
             step = np.eye(3)[i] * h
-            fp = net_forward(relu_probe(bias + step), ZERO_PIXEL)[0].data.sum()
-            fm = net_forward(relu_probe(bias - step), ZERO_PIXEL)[0].data.sum()
+            fp = net_forward(relu_probe(bias + step), ZERO_PIXEL)[0].sum()
+            fm = net_forward(relu_probe(bias - step), ZERO_PIXEL)[0].sum()
             assert abs((fp - fm) / (2 * h) - grad_bias0[i]) < 1e-9
 
 
 class TestTinyNet:
     def test_zero_net_is_identity_in_residual_mode(self):
         net = TinyNet([ConvLayer(np.zeros((3, 3, 3, 3)), np.zeros(3))])
-        img = rand_image(1, 9, 7)
+        img = rand_array(1, 9, 7)
         out, _ = net_forward(net, img)
-        assert np.array_equal(out.data, img.data)
+        assert np.array_equal(out, img)
 
     def test_matches_straight_line_reimplementation(self):
         net = build_tinynet(33, hidden_channels=6, hidden_depth=1)
-        img = rand_image(3, 8, 8)
+        img = rand_array(3, 8, 8)
         out, _ = net_forward(net, img)
-        assert np.max(np.abs(out.data - straight_line_net(net, img.data))) < 1e-10
+        assert np.max(np.abs(out - straight_line_net(net, img))) < 1e-10
+
+    def test_output_is_a_row_major_array(self):
+        net = build_tinynet(32, hidden_channels=4, hidden_depth=0)
+        out, _ = net_forward(net, rand_array(2, 8, 8))
+        assert type(out) is np.ndarray and out.flags.c_contiguous
 
     def test_forward_is_deterministic(self):
         net = build_tinynet(34)
-        img = rand_image(4, 12, 12)
+        img = rand_array(4, 12, 12)
         a, _ = net_forward(net, img)
         b, _ = net_forward(net, img)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_default_depth_and_width(self):
         net = build_tinynet(35)
@@ -165,7 +169,7 @@ class TestTinyNet:
     def test_grayscale_input_rejected(self):
         net = build_tinynet(37)
         with pytest.raises(InvalidInputError):
-            net_forward(net, rand_image(5, c=1))
+            net_forward(net, rand_array(5, c=1))
 
 
 class TestNetBackward:
@@ -175,16 +179,16 @@ class TestNetBackward:
 
     def test_zero_upstream_gradient_gives_zero_tape(self):
         net = build_tinynet(38, hidden_channels=4, hidden_depth=0)
-        img = rand_image(6, 6, 6)
+        img = rand_array(6, 6, 6)
         out, cache = net_forward(net, img)
-        grads = net_backward(net, cache, np.zeros_like(out.data))
+        grads = net_backward(net, cache, np.zeros_like(out))
         assert len(grads) == len(net.parameters())
         for g in grads:
             assert np.all(g == 0.0)
 
     def test_l2_at_minimum_gives_zero_tape(self):
         net = build_tinynet(39, hidden_channels=4, hidden_depth=0)
-        img = rand_image(7, 6, 6)
+        img = rand_array(7, 6, 6)
         out, cache = net_forward(net, img)
         grad = l2_loss(out, out).grad  # pred == target -> zero gradient
         for g in net_backward(net, cache, grad):
@@ -193,29 +197,29 @@ class TestNetBackward:
     def test_stale_cache_rejected(self):
         net_a = build_tinynet(40, hidden_channels=4, hidden_depth=0)
         net_b = build_tinynet(40, hidden_channels=4, hidden_depth=1)
-        img = rand_image(8, 6, 6)
+        img = rand_array(8, 6, 6)
         out, cache = net_forward(net_a, img)
         with pytest.raises(RuntimeError):
-            net_backward(net_b, cache, out.data)
+            net_backward(net_b, cache, out)
 
     def test_cache_of_another_net_with_the_same_shapes_rejected(self):
         net_a = build_tinynet(42, hidden_channels=4, hidden_depth=0)
         net_b = build_tinynet(43, hidden_channels=4, hidden_depth=0)
-        out, cache = net_forward(net_a, rand_image(10, 6, 6))
+        out, cache = net_forward(net_a, rand_array(10, 6, 6))
         with pytest.raises(RuntimeError):
-            net_backward(net_b, cache, out.data)
+            net_backward(net_b, cache, out)
 
     def test_gradient_of_another_size_rejected(self):
         net = build_tinynet(44, hidden_channels=4, hidden_depth=0)
-        _, cache = net_forward(net, rand_image(11, 6, 6))
+        _, cache = net_forward(net, rand_array(11, 6, 6))
         with pytest.raises(RuntimeError):
-            net_backward(net, cache, rand_image(12, 5, 6).data)
+            net_backward(net, cache, rand_array(12, 5, 6))
 
     def test_tape_shapes_mirror_parameters(self):
         net = build_tinynet(41, hidden_channels=4, hidden_depth=1)
-        img = rand_image(9, 6, 6)
+        img = rand_array(9, 6, 6)
         out, cache = net_forward(net, img)
-        grads = net_backward(net, cache, out.data)
+        grads = net_backward(net, cache, out)
         assert len(grads) == len(net.parameters())
         for g, p in zip(grads, net.parameters()):
             assert g.shape == p.shape

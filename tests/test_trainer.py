@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from luml1.checkpoint import checkpoint_bytes, load_checkpoint
+from luml1.dataset import gen_clean, noisy_set
 from luml1.errors import InvalidInputError, NumericalError
+from luml1.image import Image
 from luml1.losses import LossSpec
 from luml1.net import build_tinynet
 from luml1.rng import stream, train_seed
-from luml1.trainer import AdamState, TrainConfig, adam_step, train
+from luml1.trainer import AdamState, TrainConfig, adam_step, mean_scores, train
 
 
 def small_config(**overrides) -> TrainConfig:
@@ -166,9 +168,46 @@ class TestTrainLoop:
             small_config(patch_size=25)
         with pytest.raises(InvalidInputError):
             small_config(corpus_count=0)
+        with pytest.raises(InvalidInputError):
+            small_config(checkpoint_every=-3)
+        with pytest.raises(InvalidInputError):
+            small_config(corpus_h=12, corpus_w=12, patch_size=8)
         for bad in (float("nan"), float("inf")):
             for name in ("lr", "adam_eps", "sigma_max_255"):
                 with pytest.raises(InvalidInputError):
                     small_config(**{name: bad})
         with pytest.raises(InvalidInputError):
             small_config(sigma_max_255=-1.0)
+
+
+class TestTypeBoundary:
+    """Whole images are Images; training patches and scored outputs are plain arrays."""
+
+    @staticmethod
+    def count_images(monkeypatch) -> list:
+        built = []
+        init = Image.__post_init__
+
+        def counting(img):
+            built.append(1)
+            init(img)
+
+        monkeypatch.setattr(Image, "__post_init__", counting)
+        return built
+
+    def test_train_builds_only_the_corpus(self, monkeypatch):
+        cfg = small_config(loss=LossSpec("luml1"), steps=5, batch_size=2)
+        net = build_tinynet(train_seed(cfg.seed), hidden_channels=4, hidden_depth=0)
+        built = self.count_images(monkeypatch)
+        train(net, cfg)
+        assert len(built) == cfg.corpus_count
+
+    @pytest.mark.parametrize("with_net", [True, False], ids=["net", "noisy-baseline"])
+    def test_mean_scores_builds_none(self, monkeypatch, with_net):
+        clean = gen_clean(5, 3, 16, 16)
+        noisy = noisy_set(clean, 25.0, 5)
+        net = build_tinynet(7, hidden_channels=4, hidden_depth=0) if with_net else None
+        built = self.count_images(monkeypatch)
+        psnr_mean, ssim_mean = mean_scores(net, noisy, clean)
+        assert built == []
+        assert np.isfinite(psnr_mean) and np.isfinite(ssim_mean)
