@@ -20,7 +20,7 @@ import numpy as np
 
 from .image import to_grayscale
 from .losses import LossSpec, eval_loss, luminance_term
-from .net import ConvLayer, build_tinynet, conv_backward, conv_forward, net_backward, net_forward
+from .net import ConvLayer, Workspace, build_tinynet, conv_backward, conv_forward, net_backward, net_forward
 from .rng import stream
 
 FD_STEP = 1e-5
@@ -150,7 +150,7 @@ def check_conv_gradients(seed: int, tolerance: float = 1e-5) -> CheckResult:
     return CheckResult("conv_forward/backward", worst, tolerance, n, 0)
 
 
-def _kink_margins(cache: list, pred: np.ndarray, target: np.ndarray) -> float:
+def _kink_margins(cache: Workspace, pred: np.ndarray, target: np.ndarray) -> float:
     """Smallest distance of any piecewise-linear break point from zero.
 
     Covers the ReLU pre-activations in net_forward's cache plus the pixel and
@@ -158,7 +158,7 @@ def _kink_margins(cache: list, pred: np.ndarray, target: np.ndarray) -> float:
     these by well under KINK_DISTANCE, so a margin above it guarantees no FD
     step crosses a kink.
     """
-    margin = min((float(np.abs(pre).min()) for _, pre in cache[:-1]), default=np.inf)
+    margin = min((float(np.abs(work.pre).min()) for work in cache.layers[:-1]), default=np.inf)
     margin = min(margin, float(np.abs(pred - target).min()))
     lum = to_grayscale(pred) - to_grayscale(target)
     return min(margin, float(np.abs(lum).min()))

@@ -91,40 +91,63 @@ def build_tinynet(seed: int, hidden_channels: int = 16, hidden_depth: int = 3) -
     return TinyNet(layers)
 
 
-@dataclass
-class ConvCache:
-    cols: np.ndarray  # (in_ch*k*k, H*W) im2col matrix of the padded input
-    x_shape: tuple
-    layer: ConvLayer
+class ConvWork:
+    """One layer's buffers at one input size, refilled by every pass: ``xp`` the input inside
+    a zero border no pass writes, ``cols`` its im2col matrix, ``pre`` the conv output, ``act`` its ReLU."""
+
+    def __init__(self, layer: ConvLayer, h: int, w: int):
+        c, k = layer.in_ch, layer.k
+        self.layer = layer
+        self.xp = np.zeros((c, h + k - 1, w + k - 1))
+        self.cols = np.empty((c, k, k, h, w))
+        self.pre = np.empty((layer.out_ch, h, w))
+        self.act = np.empty((layer.out_ch, h, w))
 
 
-def conv_forward(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, ConvCache]:
-    """Same-padded cross-correlation of (C, H, W) input with the layer."""
+class Workspace:
+    """One ConvWork per layer of ``net`` at (h, w): the forward pass's buffers and the backward pass's cache."""
+
+    def __init__(self, net: TinyNet, h: int, w: int):
+        self.net = net
+        self.shape = (h, w)
+        self.layers = [ConvWork(layer, h, w) for layer in net.layers]
+
+
+def conv_forward(x: np.ndarray, layer: ConvLayer, work: ConvWork | None = None) -> tuple[np.ndarray, ConvWork]:
+    """Same-padded cross-correlation of (C, H, W) input with the layer, into ``work`` (fresh if None).
+
+    The output is ``work.pre``, which the next pass through ``work`` overwrites.
+    """
     if x.ndim != 3 or x.shape[0] != layer.in_ch:
         raise InvalidInputError(f"input shape {x.shape} does not match layer in_ch {layer.in_ch}")
     _, h, w = x.shape
-    k = layer.k
-    p = k // 2
-    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
-    wins = sliding_window_view(xp, (k, k), axis=(1, 2))  # (C, H, W, k, k)
-    cols = wins.transpose(0, 3, 4, 1, 2).reshape(layer.in_ch * k * k, h * w)
-    out = (layer.kernels.reshape(layer.out_ch, -1) @ cols + layer.bias[:, None]).reshape(
-        layer.out_ch, h, w
-    )
-    return out, ConvCache(cols, x.shape, layer)
+    work = ConvWork(layer, h, w) if work is None else work
+    if work.layer is not layer or work.pre.shape[1:] != (h, w):
+        raise InvalidInputError(f"workspace was not built for this layer at {h}x{w}")
+    k, p = layer.k, layer.k // 2
+    np.copyto(work.xp[:, p : p + h, p : p + w], x)
+    np.copyto(work.cols, sliding_window_view(work.xp, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2))
+    pre = work.pre.reshape(layer.out_ch, h * w)
+    np.matmul(layer.kernels.reshape(layer.out_ch, -1), work.cols.reshape(-1, h * w), out=pre)
+    pre += layer.bias[:, None]
+    return work.pre, work
 
 
-def conv_backward(grad_out: np.ndarray, cache: ConvCache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv_forward: (d/d input, d/d kernels, d/d bias)."""
+def conv_backward(
+    grad_out: np.ndarray, cache: ConvWork, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients of conv_forward: (d/d input or None without ``input_grad``, d/d kernels, d/d bias)."""
     layer = cache.layer
-    c, h, w = cache.x_shape
+    c, h, w = layer.in_ch, *cache.pre.shape[1:]
     k = layer.k
     p = k // 2
     if grad_out.shape != (layer.out_ch, h, w):
         raise InvalidInputError(f"grad shape {grad_out.shape} != output shape {(layer.out_ch, h, w)}")
     gmat = grad_out.reshape(layer.out_ch, h * w)
     grad_bias = grad_out.sum(axis=(1, 2))
-    grad_kernels = (gmat @ cache.cols.T).reshape(layer.kernels.shape)
+    grad_kernels = (gmat @ cache.cols.reshape(-1, h * w).T).reshape(layer.kernels.shape)
+    if not input_grad:
+        return None, grad_kernels, grad_bias
     gcols = (layer.kernels.reshape(layer.out_ch, -1).T @ gmat).reshape(c, k, k, h, w)
     # col2im: scatter each (dy, dx) tap back onto the padded input
     gxp = np.zeros((c, h + 2 * p, w + 2 * p))
@@ -134,51 +157,55 @@ def conv_backward(grad_out: np.ndarray, cache: ConvCache) -> tuple[np.ndarray, n
     return gxp[:, p : p + h, p : p + w], grad_kernels, grad_bias
 
 
-def net_forward(net: TinyNet, noisy: np.ndarray) -> tuple[np.ndarray, list[tuple[ConvCache, np.ndarray]]]:
-    """Denoise one (H, W, 3) array; returns the (H, W, 3) output and the cache for backward.
+def net_forward(net: TinyNet, noisy: np.ndarray, ws: Workspace | None = None) -> tuple[np.ndarray, Workspace]:
+    """Denoise one (H, W, 3) array; returns the (H, W, 3) output and the workspace it ran in.
 
-    The cache holds, per layer, its ConvCache and its conv output (the ReLU
-    pre-activation for every layer but the last). The stack output is a noise
-    estimate, subtracted from the input; no clamping happens here. A
-    non-finite output raises NumericalError naming the first non-finite layer.
+    ``ws`` is used if it was built for this net at this size, else a fresh one
+    is: pass the returned one back in to allocate no conv buffers. It is the
+    cache net_backward reads until the next pass through it. The stack output
+    is a noise estimate, subtracted from the input; no clamping happens here.
+    A non-finite output raises NumericalError naming the first non-finite layer.
     """
     if noisy.ndim != 3 or noisy.shape[2] != 3:
         raise InvalidInputError(f"network input must be (H, W, 3), got shape {noisy.shape}")
     x = noisy.transpose(2, 0, 1)
-    cache = []
+    if ws is None or ws.net is not net or ws.shape != x.shape[1:]:
+        ws = Workspace(net, *x.shape[1:])
     t = x
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked below
-        for i, layer in enumerate(net.layers):
-            pre, conv = conv_forward(t, layer)
-            cache.append((conv, pre))
-            t = np.where(pre > 0, pre, 0.0) if i < len(net.layers) - 1 else pre  # ReLU
+        for i, (layer, work) in enumerate(zip(net.layers, ws.layers)):
+            t, _ = conv_forward(t, layer, work)
+            if i < len(net.layers) - 1:  # ReLU, equal to np.where(pre > 0, pre, 0.0): a NaN becomes 0
+                work.act.fill(0.0)
+                np.copyto(work.act, t, where=t > 0)
+                t = work.act
         out = x - t
     if not np.all(np.isfinite(out)):
-        bad = (f"layer{i}" for i, (_, pre) in enumerate(cache) if not np.all(np.isfinite(pre)))
+        bad = (f"layer{i}" for i, work in enumerate(ws.layers) if not np.all(np.isfinite(work.pre)))
         raise NumericalError(f"network output is not finite, first at {next(bad, 'the residual subtraction')}")
     # Row-major, like every image: the matmul in to_grayscale sums the channels
     # of a transposed view in another order, so its last bits would differ.
-    return np.ascontiguousarray(out.transpose(1, 2, 0)), cache
+    return np.ascontiguousarray(out.transpose(1, 2, 0)), ws
 
 
-def net_backward(net: TinyNet, cache: list, grad_out: np.ndarray) -> list[np.ndarray]:
+def net_backward(net: TinyNet, cache: Workspace, grad_out: np.ndarray) -> list[np.ndarray]:
     """Exact parameter gradients of the forward map, in TinyNet.parameters() order.
 
-    ``grad_out`` is shaped like the output; ``cache`` must come from net_forward on this net.
+    ``grad_out`` is shaped like the output; ``cache`` is the workspace of net_forward's last pass on this net.
     """
-    layers = [conv.layer for conv, _ in cache]
+    layers = [work.layer for work in cache.layers]
     if len(layers) != len(net.layers) or any(a is not b for a, b in zip(layers, net.layers)):
         raise RuntimeError("forward cache does not match this network")
-    shape = (*cache[0][0].x_shape[1:], net.layers[-1].out_ch)
+    shape = (*cache.shape, net.layers[-1].out_ch)
     if grad_out.shape != shape:
         raise RuntimeError(f"gradient shape {grad_out.shape} does not match the output shape {shape}")
     g = grad_out.transpose(2, 0, 1)
     s = -g  # output = input - stack(input), so the stack sees -g
     grads: list[np.ndarray] = []
     for i in range(len(net.layers) - 1, -1, -1):
-        conv, pre = cache[i]
+        work = cache.layers[i]
         if i < len(net.layers) - 1:
-            s = s * (pre > 0)  # ReLU: the gradient at exactly 0 is 0
-        s, gk, gb = conv_backward(s, conv)
+            s = s * (work.pre > 0)  # ReLU: the gradient at exactly 0 is 0
+        s, gk, gb = conv_backward(s, work, input_grad=i > 0)  # nothing reads the input's gradient
         grads += [gb, gk]
     return grads[::-1]

@@ -128,8 +128,10 @@ def mean_scores(net: TinyNet | None, noisy: list[Image], clean: list[Image]) -> 
     is the noisy-input baseline.
     """
     ps, ss = [], []
+    ws = None  # one workspace for the set; net_forward builds another only for a new image size
     for n, c in zip(noisy, clean):
-        out = np.clip(n.data if net is None else net_forward(net, n.data)[0], 0.0, 1.0)
+        out, ws = (n.data, None) if net is None else net_forward(net, n.data, ws)
+        out = np.clip(out, 0.0, 1.0)
         ps.append(psnr(out, c.data))
         ss.append(ssim(out, c.data))
     return float(np.mean(ps)), float(np.mean(ss))
@@ -155,7 +157,7 @@ def train(net: TinyNet, cfg: TrainConfig, ckpt_path=None) -> tuple[TinyNet, Trai
     params = net.parameters()
     names = net.parameter_names()
     state = AdamState.for_params(params)
-    val_clean = val_noisy = None
+    val_clean = val_noisy = ws = None  # ws: the one workspace of every training forward pass
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked explicitly
         for step in range(1, cfg.steps + 1):
             try:
@@ -164,9 +166,9 @@ def train(net: TinyNet, cfg: TrainConfig, ckpt_path=None) -> tuple[TinyNet, Trai
                 total = 0.0
                 for _ in range(cfg.batch_size):
                     noisy, target = next(batches)
-                    out, cache = net_forward(net, noisy)
+                    out, ws = net_forward(net, noisy, ws)
                     result = eval_loss(cfg.loss, out, target)
-                    for acc, g in zip(accum, net_backward(net, cache, result.grad)):
+                    for acc, g in zip(accum, net_backward(net, ws, result.grad)):
                         acc += g
                     total += result.value
                 loss_value = total / cfg.batch_size

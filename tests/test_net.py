@@ -223,3 +223,33 @@ class TestNetBackward:
         assert len(grads) == len(net.parameters())
         for g, p in zip(grads, net.parameters()):
             assert g.shape == p.shape
+
+
+class TestWorkspace:
+    def test_reused_workspace_matches_a_fresh_one_and_the_oracle(self):
+        net = build_tinynet(45, hidden_channels=6, hidden_depth=1)
+        img = rand_array(13, 8, 8)
+        _, ws = net_forward(net, 40.0 * rand_array(14, 8, 8))  # leaves other values in every buffer
+        reused, same_ws = net_forward(net, img, ws)
+        fresh, _ = net_forward(net, img)
+        assert same_ws is ws
+        assert np.array_equal(reused, fresh)
+        assert np.max(np.abs(reused - straight_line_net(net, img))) < 1e-10
+
+    def test_workspace_of_another_size_or_net_is_not_used(self):
+        net = build_tinynet(46, hidden_channels=4, hidden_depth=0)
+        _, ws = net_forward(net, rand_array(15, 8, 8))
+        _, other_size = net_forward(net, rand_array(16, 6, 9), ws)
+        _, other_net = net_forward(build_tinynet(47, hidden_channels=4, hidden_depth=0), rand_array(17, 8, 8), ws)
+        assert other_size is not ws and other_size.shape == (6, 9)
+        assert other_net is not ws
+
+    def test_layer_input_gradient_can_be_skipped(self):
+        rng = stream(48, 22)
+        layer = ConvLayer(rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2))
+        _, cache = conv_forward(rng.random((3, 5, 5)), layer)
+        grad = rng.random((2, 5, 5))
+        gx, gk, gb = conv_backward(grad, cache)
+        skipped, gk2, gb2 = conv_backward(grad, cache, input_grad=False)
+        assert gx.shape == (3, 5, 5) and skipped is None
+        assert np.array_equal(gk, gk2) and np.array_equal(gb, gb2)

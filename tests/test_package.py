@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -33,3 +34,31 @@ def test_readme_library_snippet_imports_only_exported_names():
     assert block is not None
     names = [n.strip() for n in block.group(1).split(",") if n.strip()]
     assert names and set(names) <= set(luml1.__all__)
+
+
+TRACED_TRAIN = """
+import json
+from trace_spans import Tracer
+tracer = Tracer()
+tracer.install()
+import luml1.net, luml1.trainer
+cfg = luml1.trainer.TrainConfig(steps=2, batch_size=2, patch_size=8, corpus_count=4, corpus_h=16, corpus_w=16)
+luml1.trainer.train(luml1.net.build_tinynet(0), cfg)
+print(json.dumps(tracer.metrics()))
+"""
+
+
+def test_benchmark_tracer_times_every_conv_layer_of_a_training_run():
+    # a refactor that changes how the program calls conv_forward/conv_backward must not zero these
+    result = subprocess.run(
+        [sys.executable, "-c", TRACED_TRAIN],
+        cwd=REPO_ROOT / "perfbench",
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    metrics = json.loads(result.stdout.splitlines()[-1])
+    for i in range(5):
+        assert metrics[f"net.conv_forward_ms.l{i}"] > 0 and metrics[f"net.conv_backward_ms.l{i}"] > 0, i
+    assert metrics["net.conv_backward_calls"] == 2 * 2 * 5  # steps x batch x layers

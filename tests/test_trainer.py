@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import luml1.trainer
+
 from luml1.checkpoint import checkpoint_bytes, load_checkpoint
 from luml1.dataset import gen_clean, noisy_set
 from luml1.errors import InvalidInputError, NumericalError
 from luml1.image import Image
 from luml1.losses import LossSpec
+from luml1.metrics import psnr, ssim
 from luml1.net import build_tinynet
 from luml1.rng import stream, train_seed
 from luml1.trainer import AdamState, TrainConfig, adam_step, mean_scores, train
@@ -211,3 +214,33 @@ class TestTypeBoundary:
         psnr_mean, ssim_mean = mean_scores(net, noisy, clean)
         assert built == []
         assert np.isfinite(psnr_mean) and np.isfinite(ssim_mean)
+
+
+def recording(fn, into: list):
+    def wrapper(a, b):
+        into.append(fn(a, b))
+        return into[-1]
+
+    return wrapper
+
+
+class TestScoringWorkspace:
+    @staticmethod
+    def pair_scores(monkeypatch, net, noisy, clean) -> list[tuple[float, float]]:
+        """(PSNR, SSIM) of every pair, in the order mean_scores scores them."""
+        ps, ss = [], []
+        monkeypatch.setattr(luml1.trainer, "psnr", recording(psnr, ps))
+        monkeypatch.setattr(luml1.trainer, "ssim", recording(ssim, ss))
+        mean_scores(net, noisy, clean)
+        return list(zip(ps, ss))
+
+    def test_order_and_fresh_workspaces_give_identical_pair_scores(self, monkeypatch):
+        net = build_tinynet(23)
+        net.layers[-1].kernels *= 300.0  # a large noise estimate, so stale buffer values would show
+        clean = gen_clean(24, 4, 24, 24) + gen_clean(25, 2, 16, 20)  # a second size: a second workspace
+        noisy = noisy_set(clean[:3], 15.0, 24) + noisy_set(clean[3:], 60.0, 24, level=1)
+        forward = self.pair_scores(monkeypatch, net, noisy, clean)
+        backward = self.pair_scores(monkeypatch, net, noisy[::-1], clean[::-1])
+        alone = [self.pair_scores(monkeypatch, net, [n], [c])[0] for n, c in zip(noisy, clean)]
+        assert len(forward) == 6
+        assert forward == backward[::-1] == alone
