@@ -43,14 +43,13 @@ def psnr(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
     return 10.0 * math.log10(max_val * max_val / m)
 
 
-def _gaussian_window(size: int, sigma: float) -> np.ndarray:
+def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
     offsets = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
-    win = np.outer(g, g)
-    return win / win.sum()
+    return g / g.sum()
 
 
-_WINDOW = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
+_TAPS = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)  # the 2-D window is np.outer(_TAPS, _TAPS)
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -69,14 +68,9 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     if x.shape[0] < n or x.shape[1] < n:
         raise InvalidInputError(f"image {x.shape} smaller than the {n}x{n} SSIM window")
 
-    def local_mean(img2d):
-        return np.tensordot(sliding_window_view(img2d, (n, n)), _WINDOW, axes=2)
-
-    mu_x = local_mean(x)
-    mu_y = local_mean(y)
-    e_xx = local_mean(x * x)
-    e_yy = local_mean(y * y)
-    e_xy = local_mean(x * y)
+    # each local mean is the separable window: 11 taps along the rows, then 11 down the columns
+    rows = sliding_window_view(np.stack([x, y, x * x, y * y, x * y]), n, axis=2) @ _TAPS
+    mu_x, mu_y, e_xx, e_yy, e_xy = sliding_window_view(rows, n, axis=1) @ _TAPS
     var_x = e_xx - mu_x * mu_x
     var_y = e_yy - mu_y * mu_y
     cov = e_xy - mu_x * mu_y

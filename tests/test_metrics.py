@@ -85,6 +85,12 @@ class TestSsim:
             expected = ssim_bruteforce(to_grayscale(a)[:, :, 0], to_grayscale(b)[:, :, 0])
             assert abs(ssim(a, b) - expected) < 1e-9
 
+    @pytest.mark.parametrize("h, w, c", [(11, 11, 1), (17, 23, 1), (19, 14, 3)], ids=["one-window", "17x23", "color"])
+    def test_separable_window_matches_bruteforce(self, h, w, c):
+        a, b = rand_pair(h + w, h, w, c)
+        ga, gb = (to_grayscale(a), to_grayscale(b)) if c == 3 else (a, b)
+        assert abs(ssim(a, b) - ssim_bruteforce(ga[:, :, 0], gb[:, :, 0])) < 1e-12
+
     def test_symmetry_exact(self):
         a, b = rand_pair(6, 14, 14)
         assert ssim(a, b) == ssim(b, a)

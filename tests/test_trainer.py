@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -244,3 +246,24 @@ class TestScoringWorkspace:
         alone = [self.pair_scores(monkeypatch, net, [n], [c])[0] for n, c in zip(noisy, clean)]
         assert len(forward) == 6
         assert forward == backward[::-1] == alone
+
+    def test_scoring_one_more_pair_allocates_no_im2col_sized_array(self, monkeypatch):
+        net = build_tinynet(26)
+        clean = gen_clean(27, 3, 40, 40)
+        noisy = noisy_set(clean, 25.0, 27)
+        rises = []
+
+        def psnr_marking(a, b):
+            current, peak = tracemalloc.get_traced_memory()
+            rises.append(peak - current)  # the largest transient since the previous pair's psnr
+            tracemalloc.reset_peak()
+            return psnr(a, b)
+
+        monkeypatch.setattr(luml1.trainer, "psnr", psnr_marking)
+        tracemalloc.start()
+        try:
+            mean_scores(net, noisy, clean)
+        finally:
+            tracemalloc.stop()
+        im2col = 3 * 3 * 3 * 40 * 40 * 8  # layer 0's (27, H*W) matrix, the smallest of the five
+        assert len(rises) == 3 and max(rises[1:]) < im2col, rises
