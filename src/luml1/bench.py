@@ -34,7 +34,7 @@ from .dataset import MIN_IMAGE_SIZE, gen_clean, noisy_set
 from .errors import InvalidInputError
 from .fnv import fnv1a64
 from .image import Image, clamp01
-from .losses import LossSpec, parse_loss
+from .losses import LossSpec, fmt_float, parse_loss
 from .net import TinyNet, build_tinynet, net_forward
 from .pnm import load_image, save_image
 from .rng import eval_seed, train_seed
@@ -301,12 +301,6 @@ def _keys(kind: str) -> list[tuple]:
     return [row for row in CONFIG_KEYS if kind in row[1].split()]
 
 
-def _fmt_float(x: float) -> str:
-    """``:g`` text when it reads back exactly, else ``repr``."""
-    text = f"{x:g}"
-    return text if float(text) == x else repr(x)
-
-
 def _parse_value(vtype: str, text: str, lam: float, pixel_base: str):
     if vtype == "int":
         return int(text)
@@ -323,9 +317,9 @@ def _parse_value(vtype: str, text: str, lam: float, pixel_base: str):
 
 def _format_value(vtype: str, value, lam: float, pixel_base: str) -> str:
     if vtype == "float":
-        return _fmt_float(value)
+        return fmt_float(value)
     if vtype == "floats":
-        return ",".join(_fmt_float(v) for v in value)
+        return ",".join(fmt_float(v) for v in value)
     if vtype == "size":
         return f"{value[0]}x{value[1]}"
     if vtype == "loss":
@@ -338,7 +332,7 @@ def _format_value(vtype: str, value, lam: float, pixel_base: str) -> str:
 def _loss_token(spec: LossSpec, lam: float, pixel_base: str) -> str:
     if spec.kind != "luml1" or (spec.lam, spec.pixel_base) == (lam, pixel_base):
         return spec.kind
-    token = f"luml1:{_fmt_float(spec.lam)}"
+    token = f"luml1:{fmt_float(spec.lam)}"
     return token if spec.pixel_base == pixel_base else f"{token}:{spec.pixel_base}"
 
 

@@ -35,6 +35,12 @@ class LossOutput:
     grad: np.ndarray
 
 
+def fmt_float(x: float) -> str:
+    """``:g`` text when it reads back exactly, else ``repr``: the text of a float in labels and config files."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """Which loss to evaluate and with what weighting.
@@ -64,7 +70,7 @@ class LossSpec:
         """
         if self.kind != "luml1":
             return self.kind
-        label = "luml1" if self.lam == 1.0 else f"luml1-{self.lam:g}"
+        label = "luml1" if self.lam == 1.0 else f"luml1-{fmt_float(self.lam)}"
         return label if self.pixel_base == "l1" else f"{label}-{self.pixel_base}"
 
 

@@ -22,7 +22,7 @@ from luml1.dataset import MIN_IMAGE_SIZE
 from luml1.errors import InvalidInputError
 from luml1.fnv import fnv1a64
 from luml1.image import clamp01
-from luml1.losses import LossSpec
+from luml1.losses import LossSpec, parse_loss
 from luml1.metrics import psnr
 from luml1.net import ConvLayer, TinyNet
 from luml1.pnm import load_image, save_image
@@ -199,6 +199,11 @@ class TestPlanFiles:
         both = replace(micro_plan(steps=1, eval_sigmas=(10.0,)), losses=plan.losses[1:3])
         csv = report_to_csv(run_bench(both))
         assert "luml1_25_psnr" in csv and "delta-luml1-l2_25_psnr" in csv
+
+    def test_labels_name_the_exact_lam(self):
+        assert parse_loss("luml1:1.0000001").label() == "luml1-1.0000001"
+        plan = parse_config("losses=luml1:1.0000001,luml1:1.0000002\n", "plan")
+        assert [s.label() for s in plan.losses] == ["luml1-1.0000001", "luml1-1.0000002"]
 
     @pytest.mark.parametrize("token", ["l1:0.5", "luml1:1:l1:x", "luml1:abc", "luml1:1:l3"])
     def test_bad_loss_token_rejected(self, token):
