@@ -7,7 +7,8 @@ is exactly the identity map.
 Layout conventions: feature tensors are (channels, height, width) float64,
 kernels are (out_ch, in_ch, k, k). Convolution is cross-correlation with
 zero same-padding, implemented as an im2col matrix product; the backward
-pass is the exact transpose of the same linear map.
+pass is the exact transpose of the same linear map, and its input gradient
+is again such a product.
 """
 
 from __future__ import annotations
@@ -91,26 +92,55 @@ def build_tinynet(seed: int, hidden_channels: int = 16, hidden_depth: int = 3) -
     return TinyNet(layers)
 
 
-class ConvWork:
-    """One layer's buffers at one input size, refilled by every pass: ``xp`` the input inside
-    a zero border no pass writes, ``cols`` its im2col matrix, ``pre`` the conv output, ``act`` its ReLU."""
+class _Im2col:
+    """A (C, H, W) map inside a zero border no pass writes, a window view of it and its im2col matrix."""
 
-    def __init__(self, layer: ConvLayer, h: int, w: int):
-        c, k = layer.in_ch, layer.k
-        self.layer = layer
+    def __init__(self, c: int, k: int, h: int, w: int):
         self.xp = np.zeros((c, h + k - 1, w + k - 1))
+        self.windows = sliding_window_view(self.xp, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
         self.cols = np.empty((c, k, k, h, w))
+
+    def correlate(self, x: np.ndarray, kmat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``kmat`` (rows, C*k*k) times the im2col matrix of ``x`` zero-padded to same size: (rows, H*W)."""
+        _, k, _, h, w = self.cols.shape
+        p = k // 2
+        np.copyto(self.xp[:, p : p + h, p : p + w], x)
+        np.copyto(self.cols, self.windows)
+        return np.matmul(kmat, self.cols.reshape(-1, h * w), out=out)
+
+
+class ConvWork:
+    """One layer's buffers at one input size, refilled by every pass: ``input`` pads and unfolds the
+    layer's input, ``pre`` is the conv output, ``act`` its ReLU, and ``grad_out`` pads and unfolds the
+    output gradient. ``grad_out`` is made on first use and kept in ``grad_buffers`` under (out_ch, k),
+    so layers given one dict share it, and scoring, which never runs backward, never allocates it."""
+
+    def __init__(self, layer: ConvLayer, h: int, w: int, grad_buffers: dict | None = None):
+        self.layer = layer
+        self.input = _Im2col(layer.in_ch, layer.k, h, w)
         self.pre = np.empty((layer.out_ch, h, w))
         self.act = np.empty((layer.out_ch, h, w))
+        self.grad_buffers = {} if grad_buffers is None else grad_buffers
+
+    @property
+    def grad_out(self) -> _Im2col:
+        key = (self.layer.out_ch, self.layer.k)
+        if key not in self.grad_buffers:
+            self.grad_buffers[key] = _Im2col(*key, *self.pre.shape[1:])
+        return self.grad_buffers[key]
 
 
 class Workspace:
-    """One ConvWork per layer of ``net`` at (h, w): the forward pass's buffers and the backward pass's cache."""
+    """One ConvWork per layer of ``net`` at (h, w): the forward pass's buffers and the backward pass's cache.
+
+    The backward pass works on one layer at a time, so all layers share one dict of gradient buffers.
+    """
 
     def __init__(self, net: TinyNet, h: int, w: int):
         self.net = net
         self.shape = (h, w)
-        self.layers = [ConvWork(layer, h, w) for layer in net.layers]
+        grad_buffers: dict = {}
+        self.layers = [ConvWork(layer, h, w, grad_buffers) for layer in net.layers]
 
 
 def conv_forward(x: np.ndarray, layer: ConvLayer, work: ConvWork | None = None) -> tuple[np.ndarray, ConvWork]:
@@ -124,11 +154,8 @@ def conv_forward(x: np.ndarray, layer: ConvLayer, work: ConvWork | None = None) 
     work = ConvWork(layer, h, w) if work is None else work
     if work.layer is not layer or work.pre.shape[1:] != (h, w):
         raise InvalidInputError(f"workspace was not built for this layer at {h}x{w}")
-    k, p = layer.k, layer.k // 2
-    np.copyto(work.xp[:, p : p + h, p : p + w], x)
-    np.copyto(work.cols, sliding_window_view(work.xp, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2))
     pre = work.pre.reshape(layer.out_ch, h * w)
-    np.matmul(layer.kernels.reshape(layer.out_ch, -1), work.cols.reshape(-1, h * w), out=pre)
+    work.input.correlate(x, layer.kernels.reshape(layer.out_ch, -1), out=pre)
     pre += layer.bias[:, None]
     return work.pre, work
 
@@ -136,25 +163,22 @@ def conv_forward(x: np.ndarray, layer: ConvLayer, work: ConvWork | None = None) 
 def conv_backward(
     grad_out: np.ndarray, cache: ConvWork, input_grad: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients of conv_forward: (d/d input or None without ``input_grad``, d/d kernels, d/d bias)."""
+    """Gradients of conv_forward: (d/d input or None without ``input_grad``, d/d kernels, d/d bias).
+
+    The input gradient is the same-padded cross-correlation of ``grad_out`` with the kernels
+    flipped in both spatial axes and with in and out channels swapped.
+    """
     layer = cache.layer
     c, h, w = layer.in_ch, *cache.pre.shape[1:]
-    k = layer.k
-    p = k // 2
     if grad_out.shape != (layer.out_ch, h, w):
         raise InvalidInputError(f"grad shape {grad_out.shape} != output shape {(layer.out_ch, h, w)}")
     gmat = grad_out.reshape(layer.out_ch, h * w)
     grad_bias = grad_out.sum(axis=(1, 2))
-    grad_kernels = (gmat @ cache.cols.reshape(-1, h * w).T).reshape(layer.kernels.shape)
+    grad_kernels = (gmat @ cache.input.cols.reshape(-1, h * w).T).reshape(layer.kernels.shape)
     if not input_grad:
         return None, grad_kernels, grad_bias
-    gcols = (layer.kernels.reshape(layer.out_ch, -1).T @ gmat).reshape(c, k, k, h, w)
-    # col2im: scatter each (dy, dx) tap back onto the padded input
-    gxp = np.zeros((c, h + 2 * p, w + 2 * p))
-    for dy in range(k):
-        for dx in range(k):
-            gxp[:, dy : dy + h, dx : dx + w] += gcols[:, dy, dx]
-    return gxp[:, p : p + h, p : p + w], grad_kernels, grad_bias
+    flipped = layer.kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+    return cache.grad_out.correlate(grad_out, flipped).reshape(c, h, w), grad_kernels, grad_bias
 
 
 def net_forward(net: TinyNet, noisy: np.ndarray, ws: Workspace | None = None) -> tuple[np.ndarray, Workspace]:

@@ -31,6 +31,27 @@ def loop_conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndar
     return out
 
 
+def loop_conv2d_input_grad(grad_out: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Gradient of loop_conv2d's output with respect to its input: each output
+    gradient scattered back through every tap that read an input pixel."""
+    cout, h, w = grad_out.shape
+    cout2, cin, k, _ = kernels.shape
+    assert cout == cout2
+    p = k // 2
+    gx = np.zeros((cin, h, w))
+    for o in range(cout):
+        for y in range(h):
+            for xx in range(w):
+                for i in range(cin):
+                    for dy in range(k):
+                        for dx in range(k):
+                            yy = y + dy - p
+                            xw = xx + dx - p
+                            if 0 <= yy < h and 0 <= xw < w:
+                                gx[i, yy, xw] += kernels[o, i, dy, dx] * grad_out[o, y, xx]
+    return gx
+
+
 def straight_line_net(net, img_data: np.ndarray) -> np.ndarray:
     """Re-implementation of the denoiser stack on top of loop_conv2d."""
     x = img_data.transpose(2, 0, 1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from luml1.net import (
 from luml1.rng import stream
 
 from conftest import rand_array
-from oracles import loop_conv2d, straight_line_net
+from oracles import loop_conv2d, loop_conv2d_input_grad, straight_line_net
 
 
 class TestConvForward:
@@ -74,6 +76,15 @@ class TestConvBackward:
 
     def test_adjoint_identity(self):
         assert adjoint_error(seed=7) < 1e-9
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_input_gradient_matches_loop_oracle(self, k):
+        rng = stream(49, 22)
+        layer = ConvLayer(rng.normal(size=(4, 3, k, k)), rng.normal(size=4))
+        _, cache = conv_forward(rng.random((3, 7, 5)), layer)
+        grad = rng.normal(size=(4, 7, 5))
+        gx, _, _ = conv_backward(grad, cache)
+        assert np.max(np.abs(gx - loop_conv2d_input_grad(grad, layer.kernels))) < 1e-12
 
     def test_shape_mismatch_rejected(self):
         rng = stream(8, 22)
@@ -253,3 +264,35 @@ class TestWorkspace:
         skipped, gk2, gb2 = conv_backward(grad, cache, input_grad=False)
         assert gx.shape == (3, 5, 5) and skipped is None
         assert np.array_equal(gk, gk2) and np.array_equal(gb, gb2)
+
+    def test_backward_leaves_forward_buffers_and_repeats_exactly(self):
+        net = build_tinynet(50, hidden_channels=6, hidden_depth=2)
+        img, grad = rand_array(18, 9, 7), rand_array(19, 9, 7)
+        _, ws = net_forward(net, 40.0 * rand_array(20, 9, 7))
+        net_backward(net, ws, rand_array(21, 9, 7))  # leaves other values in the gradient buffers
+        net_forward(net, img, ws)
+        written = [(work.input.cols.copy(), work.pre.copy()) for work in ws.layers]
+        first = net_backward(net, ws, grad)
+        second = net_backward(net, ws, grad)
+        _, fresh_ws = net_forward(net, img)
+        assert not fresh_ws.layers[0].grad_buffers  # made by the first backward pass, never by scoring
+        fresh = net_backward(net, fresh_ws, grad)
+        assert ws.layers[1].grad_out is ws.layers[2].grad_out  # the hidden layers share one set
+        for work, (cols, pre) in zip(ws.layers, written):
+            assert np.array_equal(work.input.cols, cols) and np.array_equal(work.pre, pre)
+        for a, b, c in zip(first, second, fresh):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    def test_second_backward_allocates_no_im2col_sized_array(self):
+        net = build_tinynet(51)
+        img, grad = rand_array(22, 32, 32), rand_array(23, 32, 32)
+        _, ws = net_forward(net, img)
+        net_backward(net, ws, grad)
+        tracemalloc.start()
+        try:
+            net_backward(net, ws, grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        im2col = 16 * 3 * 3 * 32 * 32 * 8  # a hidden layer's (144, H*W) matrix
+        assert peak < im2col, peak
