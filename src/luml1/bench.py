@@ -8,16 +8,16 @@ Fairness and reproducibility rules:
   -- the loss is the only varying factor;
 * evaluation images and noise come from the evaluation seed domain (low
   bit set), disjoint from all training streams (low bit cleared);
-* trained parameters are rounded through checkpoint (float32) precision
-  before evaluation, so a saved checkpoint reproduces the reported numbers
-  exactly;
+* each cell is scored from its checkpoint bytes (float32 parameters), so
+  a saved checkpoint reproduces the reported numbers exactly;
 * the CSV contains no timestamps, so identical plans give byte-identical
   files. Wall-clock lives only on the in-memory report.
 
 CSV layout: comment lines (config hash, seed, per-sigma noisy-input
 baselines), a header ``sigma,<loss>_<sigmamax>_psnr,<loss>_<sigmamax>_ssim,
 ...`` followed by per-loss delta columns, one row per noise level with
-fixed 4-decimal formatting, and a final ``mean`` row. Delta columns are
+fixed 4-decimal formatting, and a final ``mean`` row. Sigmas are written
+as their exact ``fmt_float`` text. Delta columns are
 always recomputed from the table's own cells, never stored. The ssim
 columns are an extension beyond plain PSNR tables.
 """
@@ -29,13 +29,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import checkpoint_bytes, load_checkpoint, parse_checkpoint, save_checkpoint
 from .dataset import MIN_IMAGE_SIZE, gen_clean, noisy_set
 from .errors import InvalidInputError
 from .fnv import fnv1a64
 from .image import Image, clamp01
 from .losses import LossSpec, fmt_float, parse_loss
-from .net import TinyNet, build_tinynet, net_forward
+from .net import build_tinynet, net_forward
 from .pnm import load_image, save_image
 from .rng import eval_seed, train_seed
 from .trainer import TrainConfig, mean_scores, train
@@ -74,9 +74,6 @@ class BenchPlan:
         labels = [s.label() for s in self.losses]
         if len(set(labels)) != len(labels):
             raise InvalidInputError(f"loss labels collide: {labels}")
-        for spec in self.losses:
-            if spec != parse_loss(spec.kind, spec.lam, spec.pixel_base):
-                raise InvalidInputError(f"a plan file cannot express the loss {spec}")
         unset = TrainConfig()
         for _, files, _, name in CONFIG_KEYS:
             if files == "train" and getattr(self.train, name) != getattr(unset, name):
@@ -90,26 +87,9 @@ class BenchPlan:
 @dataclass
 class BenchReport:
     plan: BenchPlan
-    columns: list[tuple[str, float]]  # (loss label, sigma_max), plan order
-    psnr_cells: dict  # (label, sigma_max, sigma) -> mean PSNR
-    ssim_cells: dict
-    noisy_psnr: dict  # sigma -> mean PSNR of the clamped noisy input
-    noisy_ssim: dict
-    config_hash: int = 0
+    cells: dict  # (loss label, sigma_max, sigma) -> (mean PSNR, mean SSIM)
+    noisy: dict  # sigma -> (mean PSNR, mean SSIM) of the clamped noisy input
     wall_clock_s: float = 0.0  # not serialized: reports must be byte-stable
-
-    def delta(self, label: str, sigma_max: float, sigma: float, table: str = "psnr") -> float:
-        """Cell minus the base (first) loss at the same sigma_max and sigma."""
-        cells = self.psnr_cells if table == "psnr" else self.ssim_cells
-        base = self.plan.losses[0].label()
-        return cells[(label, sigma_max, sigma)] - cells[(base, sigma_max, sigma)]
-
-
-def _round_through_checkpoint(net: TinyNet) -> None:
-    """Snap parameters to float32 checkpoint precision, in place."""
-    for layer in net.layers:
-        layer.kernels = layer.kernels.astype("<f4").astype(np.float64)
-        layer.bias = layer.bias.astype("<f4").astype(np.float64)
 
 
 def run_bench(plan: BenchPlan, ckpt_dir=None) -> BenchReport:
@@ -118,11 +98,8 @@ def run_bench(plan: BenchPlan, ckpt_dir=None) -> BenchReport:
     es = eval_seed(plan.train.seed)
     clean = gen_clean(es, plan.eval_count, plan.eval_h, plan.eval_w)
     noisy_sets = [noisy_set(clean, sigma, es, si) for si, sigma in enumerate(plan.eval_sigmas)]
-    noisy_psnr, noisy_ssim = {}, {}
-    for sigma, noisy in zip(plan.eval_sigmas, noisy_sets):
-        noisy_psnr[sigma], noisy_ssim[sigma] = mean_scores(None, noisy, clean)
-    columns = [(loss.label(), sm) for sm in plan.sigma_max_list for loss in plan.losses]
-    psnr_cells, ssim_cells = {}, {}
+    noisy = {sigma: mean_scores(None, ns, clean) for sigma, ns in zip(plan.eval_sigmas, noisy_sets)}
+    cells = {}
     for sigma_max in plan.sigma_max_list:
         for loss in plan.losses:
             net = build_tinynet(
@@ -131,35 +108,20 @@ def run_bench(plan: BenchPlan, ckpt_dir=None) -> BenchReport:
                 hidden_depth=plan.hidden_depth,
             )
             train(net, replace(plan.train, loss=loss, sigma_max_255=sigma_max))
-            _round_through_checkpoint(net)
+            net = parse_checkpoint(checkpoint_bytes(net), "trained net")  # score what a checkpoint holds
             if ckpt_dir is not None:
-                save_checkpoint(net, f"{ckpt_dir}/{loss.label()}_{_fmt_sigma(sigma_max)}.ckpt")
-            for sigma, noisy in zip(plan.eval_sigmas, noisy_sets):
-                cell = (loss.label(), sigma_max, sigma)
-                psnr_cells[cell], ssim_cells[cell] = mean_scores(net, noisy, clean)
-    return BenchReport(
-        plan=plan,
-        columns=columns,
-        psnr_cells=psnr_cells,
-        ssim_cells=ssim_cells,
-        noisy_psnr=noisy_psnr,
-        noisy_ssim=noisy_ssim,
-        config_hash=fnv1a64(format_config(plan).encode()),
-        wall_clock_s=time.perf_counter() - t_start,
-    )
-
-
-def _fmt_sigma(s: float) -> str:
-    return f"{s:g}"
+                save_checkpoint(net, f"{ckpt_dir}/{loss.label()}_{fmt_float(sigma_max)}.ckpt")
+            for sigma, ns in zip(plan.eval_sigmas, noisy_sets):
+                cells[(loss.label(), sigma_max, sigma)] = mean_scores(net, ns, clean)
+    return BenchReport(plan, cells, noisy, wall_clock_s=time.perf_counter() - t_start)
 
 
 def check_sigmas(what: str, sigmas: tuple[float, ...]) -> None:
-    """Reject negative or non-finite sigmas, and sigmas whose labels (CSV and checkpoint names) collide."""
+    """Reject negative, non-finite or repeated sigmas: a sigma's label names a CSV column or row and a checkpoint."""
     if not all(np.isfinite(s) and s >= 0.0 for s in sigmas):
         raise InvalidInputError(f"{what} must be finite and nonnegative")
-    labels = [_fmt_sigma(s) for s in sigmas]
-    if len(set(labels)) != len(labels):
-        raise InvalidInputError(f"{what} labels collide: {labels}")
+    if len(set(sigmas)) != len(sigmas):
+        raise InvalidInputError(f"{what} repeats a value: {[fmt_float(s) for s in sigmas]}")
 
 
 def parse_sigmas(text: str) -> tuple[float, ...]:
@@ -172,7 +134,8 @@ def parse_sigmas(text: str) -> tuple[float, ...]:
     return sigmas
 
 
-def _fmt_val(v: float) -> str:
+def fmt_val(v: float) -> str:
+    """Fixed 4-decimal text of a score in a CSV table."""
     text = f"{v:.4f}"
     return "0.0000" if text == "-0.0000" else text  # a signed zero would read as a result
 
@@ -180,46 +143,32 @@ def _fmt_val(v: float) -> str:
 def report_to_csv(report: BenchReport) -> str:
     """Serialize the report; identical reports give identical bytes."""
     plan = report.plan
-    base = plan.losses[0].label()
+    labels = [s.label() for s in plan.losses]
     lines = [
         "# mean reconstruction quality per noise level (std dev, 0-255 scale); "
         "ssim columns extend the plain psnr table; delta columns are computed "
-        f"as each loss minus the base loss '{base}' at the same sigma_max",
-        f"# seed={plan.train.seed} config=fnv64:{report.config_hash:016x}",
+        f"as each loss minus the base loss '{labels[0]}' at the same sigma_max",
+        f"# seed={plan.train.seed} config=fnv64:{fnv1a64(format_config(plan).encode()):016x}",
     ]
     for sigma in plan.eval_sigmas:
-        lines.append(
-            f"# noisy_baseline sigma={_fmt_sigma(sigma)} "
-            f"psnr={_fmt_val(report.noisy_psnr[sigma])} ssim={_fmt_val(report.noisy_ssim[sigma])}"
-        )
-    header = ["sigma"]
-    for label, sm in report.columns:
-        header += [f"{label}_{_fmt_sigma(sm)}_psnr", f"{label}_{_fmt_sigma(sm)}_ssim"]
-    delta_cols = [
-        (label, sm)
-        for sm in plan.sigma_max_list
-        for label in [s.label() for s in plan.losses[1:]]
-    ]
-    for label, sm in delta_cols:
-        header += [f"delta-{label}_{_fmt_sigma(sm)}_psnr", f"delta-{label}_{_fmt_sigma(sm)}_ssim"]
+        psnr, ssim = report.noisy[sigma]
+        lines.append(f"# noisy_baseline sigma={fmt_float(sigma)} psnr={fmt_val(psnr)} ssim={fmt_val(ssim)}")
+    cols = [(label, sm) for sm in plan.sigma_max_list for label in labels]
+    deltas = [(label, sm) for sm in plan.sigma_max_list for label in labels[1:]]
+    header = ["sigma"] + [f"{label}_{fmt_float(sm)}_{t}" for label, sm in cols for t in ("psnr", "ssim")]
+    header += [f"delta-{label}_{fmt_float(sm)}_{t}" for label, sm in deltas for t in ("psnr", "ssim")]
     lines.append(",".join(header))
-
-    def row_values(sigma: float) -> list[float]:
-        vals = []
-        for label, sm in report.columns:
-            vals += [report.psnr_cells[(label, sm, sigma)], report.ssim_cells[(label, sm, sigma)]]
-        for label, sm in delta_cols:
-            vals += [
-                report.delta(label, sm, sigma, "psnr"),
-                report.delta(label, sm, sigma, "ssim"),
-            ]
-        return vals
-
-    rows = [row_values(sigma) for sigma in plan.eval_sigmas]
-    for sigma, vals in zip(plan.eval_sigmas, rows):
-        lines.append(",".join([_fmt_sigma(sigma)] + [_fmt_val(v) for v in vals]))
+    rows = []
+    for sigma in plan.eval_sigmas:
+        vals = [v for label, sm in cols for v in report.cells[(label, sm, sigma)]]
+        for label, sm in deltas:
+            psnr, ssim = report.cells[(label, sm, sigma)]
+            base_psnr, base_ssim = report.cells[(labels[0], sm, sigma)]
+            vals += [psnr - base_psnr, ssim - base_ssim]
+        rows.append(vals)
+        lines.append(",".join([fmt_float(sigma)] + [fmt_val(v) for v in vals]))
     means = [float(np.mean(col)) for col in zip(*rows)]
-    lines.append(",".join(["mean"] + [_fmt_val(v) for v in means]))
+    lines.append(",".join(["mean"] + [fmt_val(v) for v in means]))
     return "\n".join(lines) + "\n"
 
 

@@ -43,8 +43,11 @@ def save_checkpoint(net: TinyNet, path) -> None:
 
 def load_checkpoint(path) -> TinyNet:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    name = str(path)
+        return parse_checkpoint(fh.read(), str(path))
+
+
+def parse_checkpoint(buf: bytes, name: str) -> TinyNet:
+    """The net that checkpoint bytes hold; ``name`` starts each error message."""
     if not buf.startswith(MAGIC):
         raise FormatError(f"{name}: bad magic at byte 0 (expected LUMNET1)")
     pos = len(MAGIC)

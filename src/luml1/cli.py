@@ -11,10 +11,9 @@ import os
 import sys
 
 from .bench import (
-    _fmt_sigma,
-    _fmt_val,
     check_sigmas,
     denoise_file,
+    fmt_val,
     load_plan,
     parse_config,
     parse_sigmas,
@@ -27,7 +26,7 @@ from .dataset import gen_clean, noisy_set
 from .errors import FormatError, InvalidInputError, NumericalError
 from .gradcheck import run_gradcheck
 from .image import clamp01
-from .losses import LossSpec, luminance_l1_loss
+from .losses import LossSpec, fmt_float, luminance_l1_loss
 from .metrics import psnr, ssim
 from .net import build_tinynet
 from .pnm import load_image, save_image, write_atomic
@@ -65,7 +64,7 @@ def cmd_gen(args) -> int:
         save_image(img, paths["clean_lumf"])
         save_image(clamp01(noisy), paths["noisy_ppm"])
         save_image(noisy, paths["noisy_lumf"])
-        manifest.append(f"{i} {args.sigma:g} " + " ".join(paths.values()))
+        manifest.append(f"{i} {fmt_float(args.sigma)} " + " ".join(paths.values()))
     write_atomic(os.path.join(args.out, "manifest.txt"), "\n".join(manifest) + "\n")
     print(f"wrote {len(images)} clean/noisy pairs to {args.out}")
     return 0
@@ -102,7 +101,7 @@ def cmd_eval(args) -> int:
     for si, sigma in enumerate(sigmas):
         noisy = noisy_set(clean, sigma, eval_seed(args.seed), si)
         scores = mean_scores(net, noisy, clean) + mean_scores(None, noisy, clean)
-        lines.append(",".join([_fmt_sigma(sigma)] + [_fmt_val(v) for v in scores]))
+        lines.append(",".join([fmt_float(sigma)] + [fmt_val(v) for v in scores]))
     text = "\n".join(lines) + "\n"
     write_atomic(args.csv, text)
     print(text, end="")
@@ -185,7 +184,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("denoise", help="denoise one image with a checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
+    p.add_argument("--out", dest="outfile", type=_out_path, required=True)
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("metric", help="compare two images")

@@ -45,7 +45,8 @@ def fmt_float(x: float) -> str:
 class LossSpec:
     """Which loss to evaluate and with what weighting.
 
-    ``lam`` and ``pixel_base`` only matter for kind ``luml1``: the combined
+    ``lam`` and ``pixel_base`` belong to kind ``luml1``, and the other kinds
+    keep their defaults, so that one label names one spec. The combined
     value is pixel_base + lam * luminance_term. With ``lam == 0`` the
     combined loss behaves exactly (bit-for-bit) like its pixel base.
     """
@@ -61,6 +62,8 @@ class LossSpec:
             raise InvalidInputError(f"unknown pixel base {self.pixel_base!r}, expected one of {PIXEL_BASES}")
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise InvalidInputError(f"lam must be finite and nonnegative, got {self.lam}")
+        if self.kind != "luml1" and (self.lam, self.pixel_base) != (1.0, "l1"):
+            raise InvalidInputError(f"loss {self.kind!r} takes no lam or pixel_base")
 
     def label(self) -> str:
         """Short name used in CSV column headers, checkpoint names and CLI output.

@@ -150,8 +150,6 @@ def train(net: TinyNet, cfg: TrainConfig, ckpt_path=None) -> tuple[TinyNet, Trai
     aborts with NumericalError; the last periodic checkpoint stays on disk.
     """
     log = TrainLog()
-    if cfg.steps == 0:
-        return net, log
     clean = gen_clean(train_seed(cfg.seed), cfg.corpus_count, cfg.corpus_h, cfg.corpus_w)
     batches = make_blind_batches(clean, cfg.blind_spec())
     params = net.parameters()

@@ -10,8 +10,9 @@ from luml1.checkpoint import load_checkpoint, save_checkpoint
 import luml1.cli as cli
 from luml1.cli import main
 from luml1.dataset import gen_clean, noisy_set
-from luml1.net import ConvLayer, TinyNet
+from luml1.net import ConvLayer, TinyNet, build_tinynet
 from luml1.pnm import load_image, save_image
+from luml1.rng import train_seed
 
 from conftest import rand_image
 
@@ -173,6 +174,16 @@ class TestTrainCli:
         assert "patch_size" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_zero_steps_writes_the_init_net(self, tmp_path, capsys):
+        cfg = tmp_path / "none.cfg"
+        cfg.write_text("steps=0\nseed=5\n")
+        ckpt = tmp_path / "init.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+        init = build_tinynet(train_seed(5))
+        for layer, want in zip(load_checkpoint(ckpt).layers, init.layers, strict=True):
+            assert np.array_equal(layer.kernels, want.kernels.astype("<f4"))
+            assert np.array_equal(layer.bias, want.bias.astype("<f4"))
+
 
 class TestBenchCli:
     PLAN = (
@@ -188,7 +199,7 @@ class TestBenchCli:
             "hidden_depth=-1",
             "hidden_channels=0",
             "eval_sigmas=-5,15",
-            "sigma_max=12.3456781,12.3456789",
+            "sigma_max=25,25",
             "sigma_max=inf",
             "eval_sigmas=5,inf",
             "lr=nan",
@@ -246,7 +257,20 @@ class TestEvalCli:
             _, p, _, np_, _ = line.split(",")
             assert p == np_
 
-    @pytest.mark.parametrize("sigmas", ["5,abc", "-5,5", "5,nan", "", "12.3456781,12.3456789"])
+    def test_sigmas_equal_to_six_digits_are_two_rows(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        save_image(rand_image(22, 16, 16), data / "img.lumf")
+        csv = tmp_path / "eval.csv"
+        rc = main([
+            "eval", "--ckpt", str(zero_ckpt(tmp_path)), "--data", str(data),
+            "--sigmas", "12.3456781,12.3456789", "--csv", str(csv),
+        ])
+        assert rc == 0
+        rows = csv.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["12.3456781", "12.3456789"]
+
+    @pytest.mark.parametrize("sigmas", ["5,abc", "-5,5", "5,nan", "", "25,25"])
     def test_bad_sigmas_exit_1_before_any_work(self, tmp_path, capsys, sigmas):
         # the checkpoint and data paths do not exist: the sigma list must fail first
         csv = tmp_path / "eval.csv"
@@ -294,9 +318,9 @@ class TestNonFiniteNetworkOutput:
 
 
 class TestOutputLocations:
-    @pytest.mark.parametrize("command", ["train --out", "train --log", "eval --csv", "bench --csv"])
+    @pytest.mark.parametrize("command", ["train --out", "train --log", "eval --csv", "bench --csv", "denoise --out"])
     def test_missing_output_directory_exits_3_before_any_work(self, tmp_path, capsys, monkeypatch, command):
-        for name in ("run_bench", "train", "mean_scores"):
+        for name in ("run_bench", "train", "mean_scores", "denoise_file"):
             monkeypatch.setattr(cli, name, _must_not_run)
         missing = str(tmp_path / "missing" / "out")
         ok = str(tmp_path / "out")
@@ -310,9 +334,11 @@ class TestOutputLocations:
             "train --log": ["train", "--out", ok, "--log", missing],
             "eval --csv": ["eval", "--ckpt", str(zero_ckpt(tmp_path)), "--data", str(data), "--csv", missing],
             "bench --csv": ["bench", "--plan", str(plan), "--csv", missing],
+            "denoise --out": ["denoise", "--ckpt", str(zero_ckpt(tmp_path)), "--in", str(data / "img.lumf"), "--out", missing],
         }[command]
         assert main(argv) == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "directory of output file" in err
         assert not (tmp_path / "out").exists()
 
     def test_existing_non_regular_output_path_is_accepted(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from luml1.bench import (
     BenchPlan,
-    _fmt_val,
+    fmt_val,
     format_config,
     load_plan,
     parse_config,
@@ -17,8 +17,8 @@ from luml1.bench import (
     run_bench,
     denoise_file,
 )
-from luml1.checkpoint import save_checkpoint
-from luml1.dataset import MIN_IMAGE_SIZE
+from luml1.checkpoint import load_checkpoint, save_checkpoint
+from luml1.dataset import MIN_IMAGE_SIZE, noisy_set
 from luml1.errors import InvalidInputError
 from luml1.fnv import fnv1a64
 from luml1.image import clamp01
@@ -27,7 +27,7 @@ from luml1.metrics import psnr
 from luml1.net import ConvLayer, TinyNet
 from luml1.pnm import load_image, save_image
 from luml1.rng import eval_seed, train_seed
-from luml1.trainer import TrainConfig
+from luml1.trainer import TrainConfig, mean_scores
 
 from conftest import rand_image
 
@@ -60,10 +60,6 @@ def micro_plan(**overrides) -> BenchPlan:
 
 
 _sigmas = st.floats(0.0, 100.0, allow_nan=False)
-
-
-def _label(sigma: float) -> str:
-    return f"{sigma:g}"  # a plan's sigmas must have distinct labels
 
 
 @st.composite
@@ -106,8 +102,8 @@ def train_configs(draw, plan=False):
 @st.composite
 def plans(draw):
     return BenchPlan(
-        sigma_max_list=tuple(draw(st.lists(_sigmas, min_size=1, max_size=3, unique_by=_label))),
-        eval_sigmas=tuple(sorted(draw(st.lists(_sigmas, min_size=1, max_size=5, unique_by=_label)))),
+        sigma_max_list=tuple(draw(st.lists(_sigmas, min_size=1, max_size=3, unique=True))),
+        eval_sigmas=tuple(sorted(draw(st.lists(_sigmas, min_size=1, max_size=5, unique=True)))),
         losses=draw(losses()),
         train=draw(train_configs(plan=True)),
         eval_count=draw(st.integers(1, 500)),
@@ -125,11 +121,8 @@ def micro_report():
 
 @pytest.fixture(scope="module")
 def trained_cell(tmp_path_factory):
-    """One modestly trained cell plus its evaluation context."""
-    from luml1.bench import _round_through_checkpoint
+    """One modestly trained cell, loaded from the checkpoint its benchmark run saved, plus its evaluation context."""
     from luml1.dataset import gen_clean
-    from luml1.net import build_tinynet
-    from luml1.trainer import train
 
     plan = micro_plan(
         steps=150,
@@ -139,10 +132,9 @@ def trained_cell(tmp_path_factory):
         losses=(LossSpec("l1"),),
         eval_sigmas=(5.0, 15.0, 30.0),
     )
-    report = run_bench(plan)
-    net = build_tinynet(train_seed(plan.train.seed), hidden_channels=8, hidden_depth=1)
-    train(net, replace(plan.train, loss=plan.losses[0], sigma_max_255=plan.sigma_max_list[0]))
-    _round_through_checkpoint(net)
+    ckpt_dir = tmp_path_factory.mktemp("trained_cell")
+    report = run_bench(plan, ckpt_dir=ckpt_dir)
+    net = load_checkpoint(ckpt_dir / "l1_25.ckpt")
     clean = gen_clean(eval_seed(plan.train.seed), plan.eval_count, plan.eval_h, plan.eval_w)
     return {"plan": plan, "report": report, "net": net, "clean": clean}
 
@@ -250,16 +242,16 @@ class TestPlanFiles:
             dict(eval_h=10),
             dict(hidden_depth=-1),
             dict(hidden_channels=0),
-            dict(losses=(LossSpec("l2", pixel_base="l2"),)),
-            dict(losses=(LossSpec("l1", lam=0.5),)),
             dict(checkpoint_every=5),
             dict(adam_beta1=0.8),
-            # sigmas whose :g labels collide would share a CSV column or row and a checkpoint name
-            dict(sigma_max_list=(12.3456781, 12.3456789)),
-            dict(eval_sigmas=(12.3456781, 12.3456789)),
+            # a repeated sigma or loss would share a CSV column or row and a checkpoint name
+            dict(sigma_max_list=(25.0, 10.0, 25.0)),
+            dict(eval_sigmas=(25.0, 25.0)),
             dict(sigma_max_list=(25.0, 25.0)),
             dict(sigma_max_list=(math.inf,)),
             dict(eval_sigmas=(5.0, math.inf)),
+            dict(losses=(LossSpec("l1"), LossSpec("l1"))),
+            dict(losses=()),
         ],
     )
     def test_plan_rejects_what_it_cannot_run_or_write(self, overrides):
@@ -273,8 +265,16 @@ class TestRunBench:
         for sm in plan.sigma_max_list:
             for loss in plan.losses:
                 for sigma in plan.eval_sigmas:
-                    assert (loss.label(), sm, sigma) in micro_report.psnr_cells
-                    assert np.isfinite(micro_report.psnr_cells[(loss.label(), sm, sigma)])
+                    assert np.all(np.isfinite(micro_report.cells[(loss.label(), sm, sigma)]))
+
+    def test_sigmas_equal_to_six_digits_keep_their_own_labels(self, tmp_path):
+        # :g would write both as 12.3457: one checkpoint name, one column name, one row
+        near = (12.3456781, 12.3456789)
+        plan = micro_plan(sigma_max_list=near, eval_sigmas=near, losses=(LossSpec("l1"),), steps=1)
+        parsed = parse_report_csv(report_to_csv(run_bench(plan, ckpt_dir=tmp_path)))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l1_12.3456781.ckpt", "l1_12.3456789.ckpt"]
+        assert parsed["columns"] == [f"l1_{sm}_{t}" for sm in near for t in ("psnr", "ssim")]
+        assert list(parsed["rows"]) == list(near) and list(parsed["noisy"]) == list(near)
 
     def test_single_loss_plan_has_no_delta_columns(self):
         report = run_bench(micro_plan(losses=(LossSpec("l1"),), steps=4))
@@ -297,8 +297,7 @@ class TestRunBench:
 
     def test_noisy_baseline_present_per_sigma(self, micro_report):
         for sigma in micro_report.plan.eval_sigmas:
-            assert sigma in micro_report.noisy_psnr
-            assert 0 < micro_report.noisy_psnr[sigma] < 100
+            assert 0 < micro_report.noisy[sigma][0] < 100
 
 
 class TestReportCsv:
@@ -350,10 +349,10 @@ class TestReportCsv:
         assert again_lines == original_data
 
     def test_no_signed_zero(self):
-        assert [_fmt_val(v) for v in (-4e-5, -0.0, 0.0, 4e-5, -6e-5)] == ["0.0000"] * 4 + ["-0.0001"]
+        assert [fmt_val(v) for v in (-4e-5, -0.0, 0.0, 4e-5, -6e-5)] == ["0.0000"] * 4 + ["-0.0001"]
 
     def test_non_finite_values_keep_their_sign(self):
-        assert [_fmt_val(v) for v in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
+        assert [fmt_val(v) for v in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
 
     def test_comment_mentions_ssim_extension(self, micro_report):
         assert "ssim columns extend" in report_to_csv(micro_report).splitlines()[0]
@@ -367,14 +366,21 @@ class TestTrainedModelSanity:
         net, clean = trained_cell["net"], trained_cell["clean"]
         report, plan = trained_cell["report"], trained_cell["plan"]
         score = np.mean([psnr(np.clip(net_forward(net, c.data)[0], 0.0, 1.0), c.data) for c in clean])
-        easiest = report.psnr_cells[("l1", plan.sigma_max_list[0], plan.eval_sigmas[0])]
+        easiest = report.cells[("l1", plan.sigma_max_list[0], plan.eval_sigmas[0])][0]
         assert score > easiest
 
     def test_never_degrades_more_than_1db_vs_identity(self, trained_cell):
         report, plan = trained_cell["report"], trained_cell["plan"]
         for sigma in plan.eval_sigmas:
-            cell = report.psnr_cells[("l1", plan.sigma_max_list[0], sigma)]
-            assert cell >= report.noisy_psnr[sigma] - 1.0
+            cell = report.cells[("l1", plan.sigma_max_list[0], sigma)][0]
+            assert cell >= report.noisy[sigma][0] - 1.0
+
+    def test_saved_checkpoint_reproduces_the_reported_numbers(self, trained_cell):
+        net, clean = trained_cell["net"], trained_cell["clean"]
+        report, plan = trained_cell["report"], trained_cell["plan"]
+        for si, sigma in enumerate(plan.eval_sigmas):
+            noisy = noisy_set(clean, sigma, eval_seed(plan.train.seed), si)
+            assert mean_scores(net, noisy, clean) == report.cells[("l1", plan.sigma_max_list[0], sigma)]
 
 
 class TestDenoiseFile:

@@ -185,3 +185,9 @@ class TestEvalLossDispatch:
         for lam in (float("inf"), float("nan")):
             with pytest.raises(InvalidInputError):
                 LossSpec("luml1", lam=lam)
+
+    @pytest.mark.parametrize("kwargs", [dict(kind="l2", pixel_base="l2"), dict(kind="l1", lam=0.5)])
+    def test_plain_loss_rejects_a_lam_or_pixel_base(self, kwargs):
+        # an l1 or l2 spec with either would share its label with the default spec
+        with pytest.raises(InvalidInputError, match="takes no lam or pixel_base"):
+            LossSpec(**kwargs)

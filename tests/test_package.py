@@ -62,3 +62,37 @@ def test_benchmark_tracer_times_every_conv_layer_of_a_training_run():
     for i in range(5):
         assert metrics[f"net.conv_forward_ms.l{i}"] > 0 and metrics[f"net.conv_backward_ms.l{i}"] > 0, i
     assert metrics["net.conv_backward_calls"] == 2 * 2 * 5  # steps x batch x layers
+
+
+TRACED_BENCH = """
+import json, sys
+from trace_spans import Tracer
+tracer = Tracer()
+tracer.install()
+import luml1.bench
+from luml1.losses import LossSpec
+from luml1.trainer import TrainConfig
+train = TrainConfig(steps=0, patch_size=8, corpus_count=2, corpus_h=16, corpus_w=16)
+plan = luml1.bench.BenchPlan(
+    sigma_max_list=(25.0,), eval_sigmas=(10.0,), losses=(LossSpec("l1"),), train=train,
+    eval_count=2, eval_h=16, eval_w=16, hidden_channels=4, hidden_depth=3,
+)
+luml1.bench.run_bench(plan, ckpt_dir=sys.argv[1])
+print(json.dumps(tracer.metrics()))
+"""
+
+
+def test_benchmark_tracer_times_a_bench_cell_scored_from_its_checkpoint(tmp_path):
+    # steps=0 leaves every forward pass to scoring, so the layer times come from the net parsed back from its checkpoint bytes
+    result = subprocess.run(
+        [sys.executable, "-c", TRACED_BENCH, str(tmp_path)],
+        cwd=REPO_ROOT / "perfbench",
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    metrics = json.loads(result.stdout.splitlines()[-1])
+    assert metrics["checkpoint.bytes"] > 0 and metrics["bench.cell_eval_s"] > 0
+    for i in range(5):
+        assert metrics[f"net.conv_forward_ms.l{i}"] > 0, i
