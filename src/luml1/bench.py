@@ -34,7 +34,7 @@ from .dataset import MIN_IMAGE_SIZE, gen_clean, noisy_set
 from .errors import InvalidInputError
 from .fnv import fnv1a64
 from .image import Image, clamp01
-from .losses import LossSpec, fmt_float, parse_loss
+from .losses import LossSpec, fmt_float, loss_token, parse_loss
 from .net import build_tinynet, net_forward
 from .pnm import load_image, save_image
 from .rng import eval_seed, train_seed
@@ -127,7 +127,7 @@ def check_sigmas(what: str, sigmas: tuple[float, ...]) -> None:
 def parse_sigmas(text: str) -> tuple[float, ...]:
     """A comma-separated sigma list in the plan-file codec, checked by check_sigmas."""
     try:
-        sigmas = _parse_value("floats", text, 1.0, "l1")
+        sigmas = _floats(text)
     except ValueError as exc:
         raise InvalidInputError(f"bad sigma list {text!r}: {exc}") from None
     check_sigmas("sigmas", sigmas)
@@ -218,8 +218,8 @@ def denoise_file(ckpt_path, in_path, out_path) -> None:
 # The one key table of both file kinds: (key, file kinds, value type, field).
 # A key that train config files accept sets a TrainConfig field (in a plan,
 # one of BenchPlan.train); a plan-only key sets a BenchPlan field. lambda and
-# pixel_base set no field: they are the lam and pixel_base that bare luml1
-# loss tokens take. Rows are in canonical order.
+# pixel_base set no field: they make the LossSpec that a bare luml1 loss token
+# means, so both are checked whatever the losses are. Rows are in canonical order.
 CONFIG_KEYS = (
     ("sigma_max", "plan", "floats", "sigma_max_list"),
     ("eval_sigmas", "plan", "floats", "eval_sigmas"),
@@ -250,39 +250,24 @@ def _keys(kind: str) -> list[tuple]:
     return [row for row in CONFIG_KEYS if kind in row[1].split()]
 
 
-def _parse_value(vtype: str, text: str, lam: float, pixel_base: str):
-    if vtype == "int":
-        return int(text)
-    if vtype == "float":
-        return float(text)
-    if vtype == "floats":
-        return tuple(float(s) for s in text.split(","))
-    if vtype == "size":
-        return parse_size(text)
-    if vtype == "loss":
-        return parse_loss(text, lam, pixel_base)
-    return tuple(parse_loss(t, lam, pixel_base) for t in text.split(","))
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(s) for s in text.split(","))
 
 
-def _format_value(vtype: str, value, lam: float, pixel_base: str) -> str:
-    if vtype == "float":
-        return fmt_float(value)
-    if vtype == "floats":
-        return ",".join(fmt_float(v) for v in value)
-    if vtype == "size":
-        return f"{value[0]}x{value[1]}"
-    if vtype == "loss":
-        return _loss_token(value, lam, pixel_base)
-    if vtype == "losses":
-        return ",".join(_loss_token(s, lam, pixel_base) for s in value)
-    return str(value)
-
-
-def _loss_token(spec: LossSpec, lam: float, pixel_base: str) -> str:
-    if spec.kind != "luml1" or (spec.lam, spec.pixel_base) == (lam, pixel_base):
-        return spec.kind
-    token = f"luml1:{fmt_float(spec.lam)}"
-    return token if spec.pixel_base == pixel_base else f"{token}:{spec.pixel_base}"
+def _codec(default: LossSpec) -> dict:
+    """Value type -> (parse text, format value); ``default`` is the spec a bare luml1 token means."""
+    return {
+        "int": (int, str),
+        "float": (float, fmt_float),
+        "str": (str, str),
+        "floats": (_floats, lambda v: ",".join(fmt_float(x) for x in v)),
+        "size": (parse_size, lambda v: f"{v[0]}x{v[1]}"),
+        "loss": (lambda t: parse_loss(t, default), lambda v: loss_token(v, default)),
+        "losses": (
+            lambda t: tuple(parse_loss(x, default) for x in t.split(",")),
+            lambda v: ",".join(loss_token(x, default) for x in v),
+        ),
+    }
 
 
 def parse_config(text: str, kind: str, overrides: dict[str, str] | None = None) -> BenchPlan | TrainConfig:
@@ -299,10 +284,10 @@ def parse_config(text: str, kind: str, overrides: dict[str, str] | None = None) 
             raise InvalidInputError(f"unknown {'config' if kind == 'train' else kind} key {key!r}")
     train_fields, plan_fields = {}, {}
     try:
-        lam, pixel_base = float(kv.get("lambda", "1")), kv.get("pixel_base", "l1")
+        codec = _codec(LossSpec("luml1", float(kv.get("lambda", "1")), kv.get("pixel_base", "l1")))
         for key, files, vtype, name in rows:
             if name is not None and key in kv:
-                value = _parse_value(vtype, kv[key], lam, pixel_base)
+                value = codec[vtype][0](kv[key])
                 names = name.split()
                 target = train_fields if "train" in files else plan_fields
                 target.update(zip(names, value) if len(names) > 1 else [(name, value)])
@@ -318,17 +303,17 @@ def format_config(obj: BenchPlan | TrainConfig) -> str:
     kind = "plan" if isinstance(obj, BenchPlan) else "train"
     train_cfg = obj.train if kind == "plan" else obj
     losses = obj.losses if kind == "plan" else (obj.loss,)
-    lum = [s for s in losses if s.kind == "luml1"]
-    lam, pixel_base = (lum[0].lam, lum[0].pixel_base) if lum else (1.0, "l1")
+    default = next((s for s in losses if s.kind == "luml1"), LossSpec("luml1"))
+    codec = _codec(default)
     lines = []
     for key, files, vtype, name in _keys(kind):
         if name is None:
-            value = lam if key == "lambda" else pixel_base
+            value = default.lam if key == "lambda" else default.pixel_base
         else:
             src = train_cfg if "train" in files else obj
             value = tuple(getattr(src, n) for n in name.split())
             value = value[0] if len(value) == 1 else value
-        lines.append(f"{key}={_format_value(vtype, value, lam, pixel_base)}")
+        lines.append(f"{key}={codec[vtype][1](value)}")
     return "\n".join(lines) + "\n"
 
 

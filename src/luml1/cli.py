@@ -76,7 +76,7 @@ def cmd_train(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
     flags = {"loss": args.loss, "lambda": args.lam, "sigma_max": args.sigma_max, "seed": args.seed}
-    cfg = parse_config(text, "train", {k: str(v) for k, v in flags.items() if v is not None})
+    cfg = parse_config(text, "train", {k: v for k, v in flags.items() if v is not None})
     net = build_tinynet(train_seed(cfg.seed))
     net, log = train(net, cfg, ckpt_path=args.out)
     if log.steps:
@@ -125,6 +125,7 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_metric(args) -> int:
+    spec = LossSpec("luml1", lam=args.lam)  # checks --lambda before any output
     a = load_image(args.a).data
     b = load_image(args.b).data
     want_any = args.psnr or args.ssim or args.luml1
@@ -133,7 +134,6 @@ def cmd_metric(args) -> int:
     if args.ssim or not want_any:
         print(f"ssim {ssim(a, b):.6f}")
     if args.luml1:
-        spec = LossSpec("luml1", lam=args.lam if args.lam is not None else 1.0)
         print(f"luml1 {luminance_l1_loss(a, b, spec).value:.6f}")
     return 0
 
@@ -159,10 +159,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a denoiser")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--loss", choices=["l1", "l2", "luml1"])
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--sigma-max", dest="sigma_max", type=float)
-    p.add_argument("--seed", type=int)
+    # these four override config keys, so the config codec parses and checks them
+    p.add_argument("--loss", help="loss token: l1, l2 or luml1[:lam[:pixel_base]]")
+    p.add_argument("--lambda", dest="lam")
+    p.add_argument("--sigma-max", dest="sigma_max")
+    p.add_argument("--seed")
     p.add_argument("--log", type=_out_path, help="write the training log CSV here")
     p.add_argument("--out", type=_out_path, required=True, help="checkpoint path")
     p.set_defaults(func=cmd_train)
@@ -193,7 +194,7 @@ def build_parser() -> _Parser:
     p.add_argument("--psnr", action="store_true")
     p.add_argument("--ssim", action="store_true")
     p.add_argument("--luml1", action="store_true")
-    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.set_defaults(func=cmd_metric)
 
     p = sub.add_parser("gradcheck", help="run the finite-difference gradient suite")

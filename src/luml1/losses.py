@@ -77,11 +77,11 @@ class LossSpec:
         return label if self.pixel_base == "l1" else f"{label}-{self.pixel_base}"
 
 
-def parse_loss(token: str, lam: float = 1.0, pixel_base: str = "l1") -> LossSpec:
+def parse_loss(token: str, default: LossSpec = LossSpec("luml1")) -> LossSpec:
     """Build a spec from a loss token ``kind``, or ``luml1:lam[:pixel_base]``.
 
-    ``lam`` and ``pixel_base`` are the defaults a bare ``luml1`` token takes.
-    A lam that is not a number raises ValueError.
+    ``default`` is the spec a bare ``luml1`` token means; a suffix replaces
+    its lam, then its pixel base. A lam that is not a number raises ValueError.
     """
     kind, *suffix = token.split(":")
     if kind != "luml1":
@@ -90,8 +90,16 @@ def parse_loss(token: str, lam: float = 1.0, pixel_base: str = "l1") -> LossSpec
         return LossSpec(kind)
     if len(suffix) > 2:
         raise InvalidInputError(f"expected luml1[:lam[:pixel_base]], got {token!r}")
-    lam = float(suffix[0]) if suffix else lam
-    return LossSpec("luml1", lam=lam, pixel_base=suffix[1] if len(suffix) > 1 else pixel_base)
+    lam = float(suffix[0]) if suffix else default.lam
+    return LossSpec("luml1", lam=lam, pixel_base=suffix[1] if len(suffix) > 1 else default.pixel_base)
+
+
+def loss_token(spec: LossSpec, default: LossSpec = LossSpec("luml1")) -> str:
+    """The shortest token that ``parse_loss(token, default)`` reads back as ``spec``."""
+    if spec.kind != "luml1" or spec == default:
+        return spec.kind
+    token = f"luml1:{fmt_float(spec.lam)}"
+    return token if spec.pixel_base == default.pixel_base else f"{token}:{spec.pixel_base}"
 
 
 def l1_loss(pred: np.ndarray, target: np.ndarray) -> LossOutput:

@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -96,6 +97,14 @@ class TestMetric:
         assert rc == 0
         assert "luml1 " in capsys.readouterr().out
 
+    def test_bad_lambda_exits_1_before_any_output(self, tmp_path, capsys):
+        pa = tmp_path / "a.lumf"
+        save_image(rand_image(3, 12, 12), pa)
+        rc = main(["metric", "--a", str(pa), "--b", str(pa), "--lambda", "nan"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == "" and err.startswith("error: ")
+
 
 class TestDenoise:
     def test_roundtrip_with_zero_checkpoint(self, tmp_path):
@@ -153,6 +162,8 @@ class TestTrainCli:
             ("adam_eps=nan", []),
             ("adam_eps=inf", []),
             ("", ["--loss", "luml1", "--lambda", "inf"]),
+            ("", ["--lambda", "inf"]),
+            ("pixel_base=l3", []),
         ],
     )
     def test_non_finite_number_exits_1_before_training(self, tmp_path, capsys, monkeypatch, line, flags):
@@ -164,6 +175,17 @@ class TestTrainCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not ckpt.exists()
+
+    def test_loss_flag_takes_a_loss_token(self, tmp_path, capsys):
+        base = "steps=3\nbatch_size=2\npatch_size=16\ncorpus_count=2\ncorpus_size=16x16\n"
+        cfg, flag_cfg = tmp_path / "token.cfg", tmp_path / "base.cfg"
+        cfg.write_text(base + "loss=luml1:0.5:l2\n")
+        flag_cfg.write_text(base)
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main(["train", "--config", str(flag_cfg), "--loss", "luml1:0.5:l2", "--out", str(b)]) == 0
+        assert "luml1-0.5-l2" in capsys.readouterr().out
+        assert a.read_bytes() == b.read_bytes()
 
     def test_patch_larger_than_corpus_exits_1_before_training(self, tmp_path, capsys):
         cfg = tmp_path / "big_patch.cfg"
@@ -215,6 +237,30 @@ class TestBenchCli:
         rc = main(["bench", "--plan", str(plan), "--csv", str(csv)])
         assert rc == 1
         assert not csv.exists()
+
+    def test_same_bytes_for_any_blas_thread_count(self, tmp_path):
+        # 16 channels over 32x32 images make every hidden conv matmul large enough for OpenBLAS to split
+        plan = tmp_path / "threads.plan"
+        plan.write_text(
+            "sigma_max=25\neval_sigmas=15\nlosses=l1,luml1\nsteps=4\nbatch_size=2\npatch_size=32\ncorpus_count=2\n"
+            "corpus_size=32x32\neval_count=2\neval_size=32x32\nhidden_channels=16\nhidden_depth=1\n"
+        )
+        outputs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            result = subprocess.run(
+                [sys.executable, "-m", "luml1.cli", "bench", "--plan", str(plan),
+                 "--csv", str(out / "table.csv"), "--ckpt-dir", str(out)],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outputs[0]) == ["l1_25.ckpt", "luml1_25.ckpt", "table.csv"]
+        assert outputs[0] == outputs[1]
 
     def test_corpus_below_the_size_floor_exits_1_before_scoring(self, tmp_path, capsys, monkeypatch):
         # patch_size 8 fits a 12x12 corpus, so only the image-size floor rejects it

@@ -202,6 +202,12 @@ class TestPlanFiles:
         with pytest.raises(InvalidInputError):
             parse_config(f"losses={token}\n", "plan")
 
+    @pytest.mark.parametrize("line", ["lambda=nan", "lambda=inf", "lambda=-1", "pixel_base=foo"])
+    def test_bad_default_loss_rejected_without_a_luml1_token(self, line):
+        # lambda and pixel_base are checked even when no bare luml1 token reads them
+        with pytest.raises(InvalidInputError):
+            parse_config(f"losses=l1\n{line}\n", "plan")
+
     def test_shipped_plans_keep_their_config_hash(self):
         for name, digest in (("fast", 0x6F9EA8CBE7AA4EEF), ("full", 0x67D5BCA62BFCEB1D)):
             text = (REPO_ROOT / "plans" / f"{name}.plan").read_text()

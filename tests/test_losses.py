@@ -8,8 +8,10 @@ from luml1.losses import (
     eval_loss,
     l1_loss,
     l2_loss,
+    loss_token,
     luminance_l1_loss,
     luminance_term,
+    parse_loss,
 )
 from luml1.rng import stream
 
@@ -191,3 +193,20 @@ class TestEvalLossDispatch:
         # an l1 or l2 spec with either would share its label with the default spec
         with pytest.raises(InvalidInputError, match="takes no lam or pixel_base"):
             LossSpec(**kwargs)
+
+
+class TestLossTokens:
+    SPECS = [LossSpec("l1"), LossSpec("l2"), LossSpec("luml1"), LossSpec("luml1", 0.5),
+             LossSpec("luml1", pixel_base="l2"), LossSpec("luml1", 1.0000001, "l2")]
+
+    @pytest.mark.parametrize("default", [LossSpec("luml1"), LossSpec("luml1", 0.5, "l2")])
+    def test_token_reads_back_as_its_spec(self, default):
+        for spec in self.SPECS:
+            assert parse_loss(loss_token(spec, default), default) == spec
+
+    def test_shortest_token(self):
+        default = LossSpec("luml1", 0.5, "l2")
+        assert loss_token(LossSpec("l2"), default) == "l2"
+        assert loss_token(default, default) == "luml1"
+        assert loss_token(LossSpec("luml1", 2.0, "l2"), default) == "luml1:2"
+        assert loss_token(LossSpec("luml1"), default) == "luml1:1:l1"
