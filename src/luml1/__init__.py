@@ -12,8 +12,8 @@ The package provides:
 """
 
 from .bench import (
-    BenchPlan,
     BenchReport,
+    Config,
     denoise_file,
     load_plan,
     parse_report_csv,
@@ -48,15 +48,15 @@ from .net import (
     net_forward,
 )
 from .pnm import load_image, save_image
-from .trainer import AdamState, TrainConfig, TrainLog, adam_step, train
+from .trainer import AdamState, TrainLog, adam_step, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdamState",
-    "BenchPlan",
     "BenchReport",
     "BlindTrainSpec",
+    "Config",
     "ConvLayer",
     "CorruptCheckpointError",
     "FormatError",
@@ -68,7 +68,6 @@ __all__ = [
     "LumL1Error",
     "NumericalError",
     "TinyNet",
-    "TrainConfig",
     "TrainLog",
     "adam_step",
     "build_tinynet",

@@ -25,7 +25,7 @@ columns are an extension beyond plain PSNR tables.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -37,25 +37,34 @@ from .image import Image, clamp01
 from .losses import LossSpec, fmt_float, loss_token, parse_loss
 from .net import build_tinynet, net_forward
 from .pnm import load_image, save_image
-from .rng import eval_seed, train_seed
-from .trainer import TrainConfig, mean_scores, train
-
-DEFAULT_EVAL_SIGMAS = tuple(float(s) for s in range(5, 80, 5))
+from .rng import check_seed, eval_seed, train_seed
+from .trainer import mean_scores, train
 
 
 @dataclass(frozen=True)
-class BenchPlan:
-    """Everything a benchmark run depends on.
+class Config:
+    """Everything a training run or a benchmark run depends on.
 
-    ``train`` holds the training knobs of every cell; a cell replaces its
-    loss and sigma_max_255. Knobs a plan file cannot carry must keep their
-    TrainConfig defaults, so that the config hash names exactly one plan.
+    A plan trains one cell per (loss, sigma_max) pair, and a cell is the
+    plan with exactly one of each: a train config is a one-cell plan. The
+    defaults are those of a train config file; KIND_DEFAULTS holds a plan's.
     """
 
-    sigma_max_list: tuple[float, ...] = (55.0, 75.0)
-    eval_sigmas: tuple[float, ...] = DEFAULT_EVAL_SIGMAS
-    losses: tuple[LossSpec, ...] = (LossSpec("l1"), LossSpec("luml1", lam=1.0))
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(seed=909))
+    sigma_max: tuple[float, ...] = (25.0,)
+    eval_sigmas: tuple[float, ...] = tuple(float(s) for s in range(5, 80, 5))
+    losses: tuple[LossSpec, ...] = (LossSpec("l1"),)
+    steps: int = 500
+    batch_size: int = 8
+    lr: float = 1e-3
+    adam_beta1: float = 0.9
+    adam_beta2: float = 0.999
+    adam_eps: float = 1e-8
+    seed: int = 0
+    patch_size: int = 32
+    corpus_count: int = 64
+    corpus_h: int = 40
+    corpus_w: int = 40
+    checkpoint_every: int = 0  # 0: only the final checkpoint is written
     eval_count: int = 64
     eval_h: int = 40
     eval_w: int = 40
@@ -63,21 +72,26 @@ class BenchPlan:
     hidden_depth: int = 3
 
     def __post_init__(self):
-        if not self.eval_sigmas:
-            raise InvalidInputError("eval_sigmas must not be empty")
+        check_seed(self.seed)
+        if self.steps < 0 or self.batch_size < 1 or self.checkpoint_every < 0 or self.patch_size < 1:
+            raise InvalidInputError("steps and checkpoint_every must be >= 0 and batch_size and patch_size >= 1")
+        if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
+            raise InvalidInputError("Adam betas must lie strictly between 0 and 1")
+        if not all(np.isfinite(x) and x > 0 for x in (self.lr, self.adam_eps)):
+            raise InvalidInputError("lr and adam_eps must be finite and positive")
+        if self.corpus_count < 1 or min(self.corpus_h, self.corpus_w) < MIN_IMAGE_SIZE:
+            raise InvalidInputError(f"corpus_count must be >= 1 and corpus_size at least {MIN_IMAGE_SIZE}x{MIN_IMAGE_SIZE}")
+        if self.patch_size > min(self.corpus_h, self.corpus_w):
+            raise InvalidInputError("patch_size must fit the corpus images")
+        if not self.losses or not self.sigma_max or not self.eval_sigmas:
+            raise InvalidInputError("need at least one loss, one sigma_max and one eval sigma")
         if any(b <= a for a, b in zip(self.eval_sigmas, self.eval_sigmas[1:])):
             raise InvalidInputError("eval_sigmas must be strictly increasing")
-        if not self.losses or not self.sigma_max_list:
-            raise InvalidInputError("need at least one loss and one sigma_max")
-        check_sigmas("sigma_max", self.sigma_max_list)
+        check_sigmas("sigma_max", self.sigma_max)
         check_sigmas("eval_sigmas", self.eval_sigmas)
         labels = [s.label() for s in self.losses]
         if len(set(labels)) != len(labels):
             raise InvalidInputError(f"loss labels collide: {labels}")
-        unset = TrainConfig()
-        for _, files, _, name in CONFIG_KEYS:
-            if files == "train" and getattr(self.train, name) != getattr(unset, name):
-                raise InvalidInputError(f"a plan cannot set the training knob {name!r}")
         if self.eval_count < 1 or min(self.eval_h, self.eval_w) < MIN_IMAGE_SIZE:
             raise InvalidInputError(f"eval_count must be >= 1 and eval_size at least {MIN_IMAGE_SIZE}x{MIN_IMAGE_SIZE}")
         if self.hidden_depth < 0 or self.hidden_channels < 1:
@@ -86,28 +100,29 @@ class BenchPlan:
 
 @dataclass
 class BenchReport:
-    plan: BenchPlan
+    plan: Config
     cells: dict  # (loss label, sigma_max, sigma) -> (mean PSNR, mean SSIM)
     noisy: dict  # sigma -> (mean PSNR, mean SSIM) of the clamped noisy input
     wall_clock_s: float = 0.0  # not serialized: reports must be byte-stable
 
 
-def run_bench(plan: BenchPlan, ckpt_dir=None) -> BenchReport:
+def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
     """Train and evaluate every (loss, sigma_max) cell of the plan."""
+    format_config(plan, "plan")  # rejects a knob that a plan file cannot carry, so the config hash names the run
     t_start = time.perf_counter()
-    es = eval_seed(plan.train.seed)
+    es = eval_seed(plan.seed)
     clean = gen_clean(es, plan.eval_count, plan.eval_h, plan.eval_w)
     noisy_sets = [noisy_set(clean, sigma, es, si) for si, sigma in enumerate(plan.eval_sigmas)]
     noisy = {sigma: mean_scores(None, ns, clean) for sigma, ns in zip(plan.eval_sigmas, noisy_sets)}
     cells = {}
-    for sigma_max in plan.sigma_max_list:
+    for sigma_max in plan.sigma_max:
         for loss in plan.losses:
             net = build_tinynet(
-                train_seed(plan.train.seed),
+                train_seed(plan.seed),
                 hidden_channels=plan.hidden_channels,
                 hidden_depth=plan.hidden_depth,
             )
-            train(net, replace(plan.train, loss=loss, sigma_max_255=sigma_max))
+            train(net, replace(plan, losses=(loss,), sigma_max=(sigma_max,)))
             net = parse_checkpoint(checkpoint_bytes(net), "trained net")  # score what a checkpoint holds
             if ckpt_dir is not None:
                 save_checkpoint(net, f"{ckpt_dir}/{loss.label()}_{fmt_float(sigma_max)}.ckpt")
@@ -148,13 +163,13 @@ def report_to_csv(report: BenchReport) -> str:
         "# mean reconstruction quality per noise level (std dev, 0-255 scale); "
         "ssim columns extend the plain psnr table; delta columns are computed "
         f"as each loss minus the base loss '{labels[0]}' at the same sigma_max",
-        f"# seed={plan.train.seed} config=fnv64:{fnv1a64(format_config(plan).encode()):016x}",
+        f"# seed={plan.seed} config=fnv64:{fnv1a64(format_config(plan, 'plan').encode()):016x}",
     ]
     for sigma in plan.eval_sigmas:
         psnr, ssim = report.noisy[sigma]
         lines.append(f"# noisy_baseline sigma={fmt_float(sigma)} psnr={fmt_val(psnr)} ssim={fmt_val(ssim)}")
-    cols = [(label, sm) for sm in plan.sigma_max_list for label in labels]
-    deltas = [(label, sm) for sm in plan.sigma_max_list for label in labels[1:]]
+    cols = [(label, sm) for sm in plan.sigma_max for label in labels]
+    deltas = [(label, sm) for sm in plan.sigma_max for label in labels[1:]]
     header = ["sigma"] + [f"{label}_{fmt_float(sm)}_{t}" for label, sm in cols for t in ("psnr", "ssim")]
     header += [f"delta-{label}_{fmt_float(sm)}_{t}" for label, sm in deltas for t in ("psnr", "ssim")]
     lines.append(",".join(header))
@@ -216,15 +231,15 @@ def denoise_file(ckpt_path, in_path, out_path) -> None:
 # plan and train config files: plain key=value lines
 
 # The one key table of both file kinds: (key, file kinds, value type, field).
-# A key that train config files accept sets a TrainConfig field (in a plan,
-# one of BenchPlan.train); a plan-only key sets a BenchPlan field. lambda and
-# pixel_base set no field: they make the LossSpec that a bare luml1 loss token
-# means, so both are checked whatever the losses are. Rows are in canonical order.
+# Each key sets the Config field it names; loss (train) and losses (plan) set
+# the same field. lambda and pixel_base set no field: they make the LossSpec
+# that a bare luml1 loss token means, so both are checked whatever the losses
+# are. Rows are in canonical order.
 CONFIG_KEYS = (
-    ("sigma_max", "plan", "floats", "sigma_max_list"),
+    ("sigma_max", "plan train", "floats", "sigma_max"),
     ("eval_sigmas", "plan", "floats", "eval_sigmas"),
     ("losses", "plan", "losses", "losses"),
-    ("loss", "train", "loss", "loss"),
+    ("loss", "train", "losses", "losses"),
     ("lambda", "plan train", "float", None),
     ("pixel_base", "plan train", "str", None),
     ("steps", "plan train", "int", "steps"),
@@ -233,7 +248,6 @@ CONFIG_KEYS = (
     ("adam_beta1", "train", "float", "adam_beta1"),
     ("adam_beta2", "train", "float", "adam_beta2"),
     ("adam_eps", "train", "float", "adam_eps"),
-    ("sigma_max", "train", "float", "sigma_max_255"),
     ("patch_size", "plan train", "int", "patch_size"),
     ("corpus_count", "plan train", "int", "corpus_count"),
     ("corpus_size", "plan train", "size", "corpus_h corpus_w"),
@@ -244,6 +258,12 @@ CONFIG_KEYS = (
     ("hidden_depth", "plan", "int", "hidden_depth"),
     ("seed", "plan train", "int", "seed"),
 )
+
+# What a file with no keys means. Only sigma_max, losses and seed differ by kind.
+KIND_DEFAULTS = {
+    "plan": Config(sigma_max=(55.0, 75.0), losses=(LossSpec("l1"), LossSpec("luml1")), seed=909),
+    "train": Config(),
+}
 
 
 def _keys(kind: str) -> list[tuple]:
@@ -262,7 +282,6 @@ def _codec(default: LossSpec) -> dict:
         "str": (str, str),
         "floats": (_floats, lambda v: ",".join(fmt_float(x) for x in v)),
         "size": (parse_size, lambda v: f"{v[0]}x{v[1]}"),
-        "loss": (lambda t: parse_loss(t, default), lambda v: loss_token(v, default)),
         "losses": (
             lambda t: tuple(parse_loss(x, default) for x in t.split(",")),
             lambda v: ",".join(loss_token(x, default) for x in v),
@@ -270,11 +289,11 @@ def _codec(default: LossSpec) -> dict:
     }
 
 
-def parse_config(text: str, kind: str, overrides: dict[str, str] | None = None) -> BenchPlan | TrainConfig:
+def parse_config(text: str, kind: str, overrides: dict[str, str] | None = None) -> Config:
     """Parse a ``kind`` ("plan" or "train") file; ``overrides`` (key -> text) win over its lines.
 
-    Returns a BenchPlan or a TrainConfig. Keys the file kind does not accept
-    and values that do not parse raise InvalidInputError.
+    Keys the file kind does not accept and values that do not parse raise
+    InvalidInputError; a key the file leaves out keeps its KIND_DEFAULTS value.
     """
     kv = {**parse_kv(text), **(overrides or {})}
     rows = _keys(kind)
@@ -282,36 +301,38 @@ def parse_config(text: str, kind: str, overrides: dict[str, str] | None = None) 
     for key in kv:
         if key not in known:
             raise InvalidInputError(f"unknown {'config' if kind == 'train' else kind} key {key!r}")
-    train_fields, plan_fields = {}, {}
+    values = {}
     try:
         codec = _codec(LossSpec("luml1", float(kv.get("lambda", "1")), kv.get("pixel_base", "l1")))
-        for key, files, vtype, name in rows:
+        for key, _, vtype, name in rows:
             if name is not None and key in kv:
                 value = codec[vtype][0](kv[key])
                 names = name.split()
-                target = train_fields if "train" in files else plan_fields
-                target.update(zip(names, value) if len(names) > 1 else [(name, value)])
+                values.update(zip(names, value) if len(names) > 1 else [(name, value)])
     except ValueError as exc:
         raise InvalidInputError(f"bad {kind} value: {exc}") from None
-    if kind == "train":
-        return TrainConfig(**train_fields)
-    return BenchPlan(train=replace(BenchPlan().train, **train_fields), **plan_fields)
+    return replace(KIND_DEFAULTS[kind], **values)
 
 
-def format_config(obj: BenchPlan | TrainConfig) -> str:
-    """Canonical key=value text of a plan or train config; parse_config reads it back exactly."""
-    kind = "plan" if isinstance(obj, BenchPlan) else "train"
-    train_cfg = obj.train if kind == "plan" else obj
-    losses = obj.losses if kind == "plan" else (obj.loss,)
-    default = next((s for s in losses if s.kind == "luml1"), LossSpec("luml1"))
+def format_config(cfg: Config, kind: str) -> str:
+    """Canonical key=value text of ``cfg`` as a ``kind`` file; parse_config reads it back exactly.
+
+    A field that no key of the file kind sets must keep its KIND_DEFAULTS
+    value, else InvalidInputError: the text would name another config.
+    """
+    rows, base = _keys(kind), KIND_DEFAULTS[kind]
+    named = {n for row in rows if row[3] is not None for n in row[3].split()}
+    for f in fields(Config):
+        if f.name not in named and getattr(cfg, f.name) != getattr(base, f.name):
+            raise InvalidInputError(f"a {kind} file cannot set {f.name!r}")
+    default = next((s for s in cfg.losses if s.kind == "luml1"), LossSpec("luml1"))
     codec = _codec(default)
     lines = []
-    for key, files, vtype, name in _keys(kind):
+    for key, _, vtype, name in rows:
         if name is None:
             value = default.lam if key == "lambda" else default.pixel_base
         else:
-            src = train_cfg if "train" in files else obj
-            value = tuple(getattr(src, n) for n in name.split())
+            value = tuple(getattr(cfg, n) for n in name.split())
             value = value[0] if len(value) == 1 else value
         lines.append(f"{key}={codec[vtype][1](value)}")
     return "\n".join(lines) + "\n"
@@ -341,6 +362,6 @@ def parse_size(token: str) -> tuple[int, int]:
         raise InvalidInputError(f"expected HxW size, got {token!r}") from None
 
 
-def load_plan(path) -> BenchPlan:
+def load_plan(path) -> Config:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read(), "plan")

@@ -25,12 +25,11 @@ from .checkpoint import load_checkpoint
 from .dataset import gen_clean, noisy_set
 from .errors import FormatError, InvalidInputError, NumericalError
 from .gradcheck import run_gradcheck
-from .image import clamp01
 from .losses import LossSpec, fmt_float, luminance_l1_loss
 from .metrics import psnr, ssim
 from .net import build_tinynet
 from .pnm import load_image, save_image, write_atomic
-from .rng import eval_seed, train_seed
+from .rng import check_seed, eval_seed, train_seed
 from .trainer import mean_scores, train
 
 
@@ -50,7 +49,7 @@ def _out_path(path: str) -> str:
 def cmd_gen(args) -> int:
     h, w = parse_size(args.size)
     check_sigmas("sigma", (args.sigma,))
-    images = gen_clean(args.seed, args.count, h, w)
+    images = gen_clean(check_seed(args.seed), args.count, h, w)
     os.makedirs(args.out, exist_ok=True)
     manifest = []
     for i, (img, noisy) in enumerate(zip(images, noisy_set(images, args.sigma, args.seed))):
@@ -62,7 +61,7 @@ def cmd_gen(args) -> int:
         }
         save_image(img, paths["clean_ppm"])
         save_image(img, paths["clean_lumf"])
-        save_image(clamp01(noisy), paths["noisy_ppm"])
+        save_image(noisy, paths["noisy_ppm"])
         save_image(noisy, paths["noisy_lumf"])
         manifest.append(f"{i} {fmt_float(args.sigma)} " + " ".join(paths.values()))
     write_atomic(os.path.join(args.out, "manifest.txt"), "\n".join(manifest) + "\n")
@@ -77,11 +76,11 @@ def cmd_train(args) -> int:
             text = fh.read()
     flags = {"loss": args.loss, "lambda": args.lam, "sigma_max": args.sigma_max, "seed": args.seed}
     cfg = parse_config(text, "train", {k: v for k, v in flags.items() if v is not None})
-    net = build_tinynet(train_seed(cfg.seed))
+    net = build_tinynet(train_seed(cfg.seed), hidden_channels=cfg.hidden_channels, hidden_depth=cfg.hidden_depth)
     net, log = train(net, cfg, ckpt_path=args.out)
     if log.steps:
         first, last = log.steps[0][1], log.steps[-1][1]
-        print(f"trained {cfg.steps} steps ({cfg.loss.label()}): loss {first:.6f} -> {last:.6f}")
+        print(f"trained {cfg.steps} steps ({cfg.losses[0].label()}): loss {first:.6f} -> {last:.6f}")
     if args.log:
         write_atomic(args.log, log.to_csv())
     print(f"checkpoint written to {args.out}")
@@ -90,6 +89,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     sigmas = parse_sigmas(args.sigmas)
+    check_seed(args.seed)
     net = load_checkpoint(args.ckpt)
     names = sorted(
         n for n in os.listdir(args.data) if n.endswith(".ppm") or n.endswith(".lumf")

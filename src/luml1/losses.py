@@ -37,6 +37,7 @@ class LossOutput:
 
 def fmt_float(x: float) -> str:
     """``:g`` text when it reads back exactly, else ``repr``: the text of a float in labels and config files."""
+    x = x + 0.0  # -0.0 + 0.0 is 0.0: negative zero equals zero, so it shares zero's text
     text = f"{x:g}"
     return text if float(text) == x else repr(x)
 

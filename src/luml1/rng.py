@@ -19,6 +19,7 @@ import struct
 
 import numpy as np
 
+from .errors import InvalidInputError
 from .fnv import MASK64, fnv1a64
 
 # Domain tags. Keeping these distinct guarantees that e.g. the clean-image
@@ -55,6 +56,13 @@ def normal(rng: np.random.Generator, shape, sigma: float = 1.0) -> np.ndarray:
     if sigma != 1.0:
         z = sigma * z
     return z.reshape(shape)
+
+
+def check_seed(seed: int) -> int:
+    """Return ``seed`` if it lies in [0, 2^64): train_seed and eval_seed would fold any other onto one of those."""
+    if not 0 <= seed <= MASK64:
+        raise InvalidInputError(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def train_seed(seed: int) -> int:

@@ -11,56 +11,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import MIN_IMAGE_SIZE, BlindTrainSpec, gen_clean, make_blind_batches, noisy_set
+from .dataset import BlindTrainSpec, gen_clean, make_blind_batches, noisy_set
 from .errors import InvalidInputError, NumericalError
 from .image import Image
-from .losses import LossSpec, eval_loss
+from .losses import eval_loss
 from .metrics import psnr, ssim
 from .net import TinyNet, net_backward, net_forward
 from .checkpoint import save_checkpoint
 from .rng import eval_seed, train_seed
 
-
-@dataclass(frozen=True)
-class TrainConfig:
-    loss: LossSpec = field(default_factory=LossSpec)
-    steps: int = 500
-    batch_size: int = 8
-    lr: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    seed: int = 0
-    sigma_max_255: float = 25.0
-    patch_size: int = 32
-    corpus_count: int = 64
-    corpus_h: int = 40
-    corpus_w: int = 40
-    checkpoint_every: int = 0  # 0: only the final checkpoint is written
-
-    def __post_init__(self):
-        if self.steps < 0 or self.batch_size < 1 or self.checkpoint_every < 0:
-            raise InvalidInputError("steps and checkpoint_every must be >= 0 and batch_size >= 1")
-        if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
-            raise InvalidInputError("Adam betas must lie strictly between 0 and 1")
-        if not all(np.isfinite(x) and x > 0 for x in (self.lr, self.adam_eps)):
-            raise InvalidInputError("lr and adam_eps must be finite and positive")
-        if self.corpus_count < 1 or min(self.corpus_h, self.corpus_w) < MIN_IMAGE_SIZE:
-            raise InvalidInputError(f"corpus_count must be >= 1 and corpus_size at least {MIN_IMAGE_SIZE}x{MIN_IMAGE_SIZE}")
-        if self.patch_size > min(self.corpus_h, self.corpus_w):
-            raise InvalidInputError("patch_size must fit the corpus images")
-        self.blind_spec()  # the patch stream's own checks: sigma_max finite and >= 0, patch_size >= 1
-
-    def blind_spec(self) -> BlindTrainSpec:
-        return BlindTrainSpec(
-            sigma_max_255=self.sigma_max_255,
-            patch_size=self.patch_size,
-            count=self.steps * self.batch_size,
-            seed=train_seed(self.seed),
-        )
+if TYPE_CHECKING:
+    from .bench import Config
 
 
 @dataclass
@@ -141,17 +106,21 @@ def mean_scores(net: TinyNet | None, noisy: list[Image], clean: list[Image]) -> 
 _PARAM_LIMIT = float(np.finfo(np.float32).max)
 
 
-def train(net: TinyNet, cfg: TrainConfig, ckpt_path=None) -> tuple[TinyNet, TrainLog]:
-    """Run the blind training loop, mutating ``net`` in place.
+def train(net: TinyNet, cfg: Config, ckpt_path=None) -> tuple[TinyNet, TrainLog]:
+    """Run the blind training loop of a one-cell config, mutating ``net`` in place.
 
     Each step draws ``batch_size`` (noisy, clean) patch pairs, accumulates
-    gradients of ``cfg.loss`` between network output and clean patch in item
+    gradients of the one loss between network output and clean patch in item
     order, and applies one Adam update. A NaN or runaway value anywhere
     aborts with NumericalError; the last periodic checkpoint stays on disk.
     """
+    if len(cfg.losses) != 1 or len(cfg.sigma_max) != 1:
+        raise InvalidInputError("a training run needs exactly one loss and one sigma_max")
+    (loss,), (sigma_max,) = cfg.losses, cfg.sigma_max
     log = TrainLog()
     clean = gen_clean(train_seed(cfg.seed), cfg.corpus_count, cfg.corpus_h, cfg.corpus_w)
-    batches = make_blind_batches(clean, cfg.blind_spec())
+    spec = BlindTrainSpec(sigma_max, cfg.patch_size, cfg.steps * cfg.batch_size, train_seed(cfg.seed))
+    batches = make_blind_batches(clean, spec)
     params = net.parameters()
     names = net.parameter_names()
     state = AdamState.for_params(params)
@@ -165,7 +134,7 @@ def train(net: TinyNet, cfg: TrainConfig, ckpt_path=None) -> tuple[TinyNet, Trai
                 for _ in range(cfg.batch_size):
                     noisy, target = next(batches)
                     out, ws = net_forward(net, noisy, ws)
-                    result = eval_loss(cfg.loss, out, target)
+                    result = eval_loss(loss, out, target)
                     for acc, g in zip(accum, net_backward(net, ws, result.grad)):
                         acc += g
                     total += result.value
@@ -184,7 +153,7 @@ def train(net: TinyNet, cfg: TrainConfig, ckpt_path=None) -> tuple[TinyNet, Trai
                         save_checkpoint(net, ckpt_path)
                     if val_clean is None:
                         val_clean = gen_clean(eval_seed(cfg.seed), 4, cfg.corpus_h, cfg.corpus_w)
-                        val_noisy = noisy_set(val_clean, cfg.sigma_max_255 / 2.0, eval_seed(cfg.seed))
+                        val_noisy = noisy_set(val_clean, sigma_max / 2.0, eval_seed(cfg.seed))
                     log.validations.append((step, *mean_scores(net, val_noisy, val_clean)))
             except NumericalError as exc:
                 raise NumericalError(f"aborted at step {step}: {exc}") from exc

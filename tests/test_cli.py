@@ -68,7 +68,10 @@ class TestGen:
         expected = noisy_set(clean, 30.0, 4)[0].data.astype("<f4").astype(np.float64)
         assert np.array_equal(load_image(out / "noisy_0000.lumf").data, expected)
 
-    @pytest.mark.parametrize("flag,value", [("--sigma", "inf"), ("--sigma", "-1"), ("--size", "8x8")])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--sigma", "inf"), ("--sigma", "-1"), ("--size", "8x8"), ("--seed", "-1"), ("--seed", str(2**64))],
+    )
     def test_bad_input_exits_1_and_creates_no_directory(self, tmp_path, capsys, flag, value):
         out = tmp_path / "corpus"
         args = {"--count": "1", "--size": "16x16", "--out": str(out), flag: value}
@@ -186,6 +189,44 @@ class TestTrainCli:
         assert main(["train", "--config", str(flag_cfg), "--loss", "luml1:0.5:l2", "--out", str(b)]) == 0
         assert "luml1-0.5-l2" in capsys.readouterr().out
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "line,flags",
+        [
+            ("loss=l1,luml1", []),
+            ("sigma_max=25,50", []),
+            ("", ["--sigma-max", "25,50"]),
+            ("", ["--loss", "l1,l2"]),
+            ("", ["--seed", "-1"]),
+            ("seed=18446744073709551616", []),
+        ],
+    )
+    def test_more_than_one_cell_or_a_bad_seed_exits_1_before_training(
+        self, tmp_path, capsys, monkeypatch, line, flags
+    ):
+        import luml1.trainer
+
+        monkeypatch.setattr(luml1.trainer, "gen_clean", _must_not_run)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps=2\n" + line + "\n")
+        ckpt = tmp_path / "x.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt), *flags]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not ckpt.exists()
+
+    def test_train_config_is_a_one_cell_plan(self, tmp_path, capsys):
+        # the plan-only keys keep their defaults, so luml1 train builds the plan's 16x3 net
+        keys = (
+            "sigma_max=20\nsteps=6\nbatch_size=2\nlr=0.002\npatch_size=16\n"
+            "corpus_count=2\ncorpus_size=16x16\nseed=5\n"
+        )
+        cfg, plan = tmp_path / "cell.cfg", tmp_path / "cell.plan"
+        cfg.write_text(keys + "loss=luml1:0.5:l2\n")
+        plan.write_text(keys + "losses=luml1:0.5:l2\neval_sigmas=15\neval_count=1\neval_size=16x16\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "train.ckpt")]) == 0
+        bench_dir = tmp_path / "bench"
+        assert main(["bench", "--plan", str(plan), "--csv", str(tmp_path / "t.csv"), "--ckpt-dir", str(bench_dir)]) == 0
+        assert (tmp_path / "train.ckpt").read_bytes() == (bench_dir / "luml1-0.5-l2_20.ckpt").read_bytes()
 
     def test_patch_larger_than_corpus_exits_1_before_training(self, tmp_path, capsys):
         cfg = tmp_path / "big_patch.cfg"
@@ -326,6 +367,17 @@ class TestEvalCli:
         ])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_1_before_any_work(self, tmp_path, capsys, seed):
+        csv = tmp_path / "eval.csv"
+        rc = main([
+            "eval", "--ckpt", str(tmp_path / "none.ckpt"), "--data", str(tmp_path / "none"),
+            f"--seed={seed}", "--csv", str(csv),
+        ])
+        assert rc == 1
+        assert "seed" in capsys.readouterr().err
         assert not csv.exists()
 
 

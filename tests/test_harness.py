@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import luml1.bench
+import luml1.trainer
 from luml1.bench import (
-    BenchPlan,
+    CONFIG_KEYS,
+    Config,
     fmt_val,
     format_config,
     load_plan,
@@ -24,10 +27,10 @@ from luml1.fnv import fnv1a64
 from luml1.image import clamp01
 from luml1.losses import LossSpec, parse_loss
 from luml1.metrics import psnr
-from luml1.net import ConvLayer, TinyNet
+from luml1.net import ConvLayer, TinyNet, build_tinynet
 from luml1.pnm import load_image, save_image
 from luml1.rng import eval_seed, train_seed
-from luml1.trainer import TrainConfig, mean_scores
+from luml1.trainer import mean_scores, train
 
 from conftest import rand_image
 
@@ -35,9 +38,13 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 FAST_PLAN, FULL_PLAN = (REPO_ROOT / "plans" / f"{name}.plan" for name in ("fast", "full"))
 
 
-def micro_plan(**overrides) -> BenchPlan:
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the config was checked")
+
+
+def micro_plan(**overrides) -> Config:
     base = dict(
-        sigma_max_list=(25.0,),
+        sigma_max=(25.0,),
         eval_sigmas=(10.0, 30.0),
         losses=(LossSpec("l1"), LossSpec("luml1", lam=1.0)),
         steps=25,
@@ -54,9 +61,7 @@ def micro_plan(**overrides) -> BenchPlan:
         seed=11,
     )
     base.update(overrides)
-    knobs = {f.name for f in fields(TrainConfig)}
-    train = TrainConfig(**{k: v for k, v in base.items() if k in knobs})
-    return BenchPlan(train=train, **{k: v for k, v in base.items() if k not in knobs})
+    return Config(**base)
 
 
 _sigmas = st.floats(0.0, 100.0, allow_nan=False)
@@ -74,43 +79,46 @@ def losses(draw):
 
 
 @st.composite
-def train_configs(draw, plan=False):
+def shared_knobs(draw) -> dict:
+    """Values of the fields that both file kinds set, sigma_max and losses aside."""
     h, w = draw(st.integers(MIN_IMAGE_SIZE, 64)), draw(st.integers(MIN_IMAGE_SIZE, 64))
-    cfg = TrainConfig(
+    return dict(
         steps=draw(st.integers(0, 10**6)),
         batch_size=draw(st.integers(1, 64)),
         lr=draw(st.floats(1e-9, 1.0)),
-        seed=draw(st.integers(0, 2**64)),
+        seed=draw(st.integers(0, 2**64 - 1)),
         patch_size=draw(st.integers(1, min(h, w))),
         corpus_count=draw(st.integers(1, 1000)),
         corpus_h=h,
         corpus_w=w,
     )
-    if plan:
-        return cfg
-    return replace(
-        cfg,
-        loss=draw(losses())[0],
+
+
+@st.composite
+def train_configs(draw):
+    return Config(
+        sigma_max=(draw(_sigmas),),
+        losses=draw(losses())[:1],
         adam_beta1=draw(st.floats(0.01, 0.99)),
         adam_beta2=draw(st.floats(0.01, 0.99)),
         adam_eps=draw(st.floats(1e-12, 1e-3)),
-        sigma_max_255=draw(_sigmas),
         checkpoint_every=draw(st.integers(0, 1000)),
+        **draw(shared_knobs()),
     )
 
 
 @st.composite
 def plans(draw):
-    return BenchPlan(
-        sigma_max_list=tuple(draw(st.lists(_sigmas, min_size=1, max_size=3, unique=True))),
+    return Config(
+        sigma_max=tuple(draw(st.lists(_sigmas, min_size=1, max_size=3, unique=True))),
         eval_sigmas=tuple(sorted(draw(st.lists(_sigmas, min_size=1, max_size=5, unique=True)))),
         losses=draw(losses()),
-        train=draw(train_configs(plan=True)),
         eval_count=draw(st.integers(1, 500)),
         eval_h=draw(st.integers(MIN_IMAGE_SIZE, 64)),
         eval_w=draw(st.integers(MIN_IMAGE_SIZE, 64)),
         hidden_channels=draw(st.integers(1, 64)),
         hidden_depth=draw(st.integers(0, 8)),
+        **draw(shared_knobs()),
     )
 
 
@@ -135,28 +143,61 @@ def trained_cell(tmp_path_factory):
     ckpt_dir = tmp_path_factory.mktemp("trained_cell")
     report = run_bench(plan, ckpt_dir=ckpt_dir)
     net = load_checkpoint(ckpt_dir / "l1_25.ckpt")
-    clean = gen_clean(eval_seed(plan.train.seed), plan.eval_count, plan.eval_h, plan.eval_w)
+    clean = gen_clean(eval_seed(plan.seed), plan.eval_count, plan.eval_h, plan.eval_w)
     return {"plan": plan, "report": report, "net": net, "clean": clean}
 
 
 class TestPlanFiles:
     def test_round_trip(self):
         for plan in (load_plan(FAST_PLAN), load_plan(FULL_PLAN), micro_plan()):
-            assert parse_config(format_config(plan), "plan") == plan
+            assert parse_config(format_config(plan, "plan"), "plan") == plan
 
     def test_shipped_fast_plan_matches_preset(self):
-        # the desk-scale preset: one sigma_max, every other value a BenchPlan default
-        assert load_plan(FAST_PLAN) == BenchPlan(sigma_max_list=(25.0,))
+        # the desk-scale preset: one sigma_max, every other value a plan default
+        assert load_plan(FAST_PLAN) == replace(parse_config("", "plan"), sigma_max=(25.0,))
 
     def test_shipped_full_plan_matches_preset(self):
         # the two training noise ceilings of the reference table layout, with more steps
-        assert load_plan(FULL_PLAN) == BenchPlan(train=replace(BenchPlan().train, steps=1500))
+        assert load_plan(FULL_PLAN) == replace(parse_config("", "plan"), steps=1500)
 
     def test_default_structure_mirrors_reference_table(self):
-        plan = BenchPlan()
-        assert plan.sigma_max_list == (55.0, 75.0)
+        plan = parse_config("", "plan")
+        assert (plan.sigma_max, plan.seed) == ((55.0, 75.0), 909)
         assert plan.eval_sigmas == tuple(float(s) for s in range(5, 80, 5))
         assert [s.label() for s in plan.losses] == ["l1", "luml1"]
+
+    def test_kinds_differ_only_in_sigma_max_losses_and_seed(self):
+        plan, cfg = parse_config("", "plan"), parse_config("", "train")
+        assert cfg == Config() and (cfg.sigma_max, cfg.losses, cfg.seed) == ((25.0,), (LossSpec("l1"),), 0)
+        assert replace(plan, sigma_max=cfg.sigma_max, losses=cfg.losses, seed=cfg.seed) == cfg
+
+    def test_every_field_has_a_key_and_every_key_a_field(self):
+        named = [n for row in CONFIG_KEYS if row[3] is not None for n in row[3].split()]
+        assert set(named) == {f.name for f in fields(Config)}
+        # the two keys without a field make the spec that a bare luml1 token means
+        assert [row[0] for row in CONFIG_KEYS if row[3] is None] == ["lambda", "pixel_base"]
+        assert [row[0] for row in CONFIG_KEYS].count("sigma_max") == 1
+        for kind in ("plan", "train"):
+            kind_named = [n for row in CONFIG_KEYS if kind in row[1].split() and row[3] for n in row[3].split()]
+            assert len(kind_named) == len(set(kind_named)), kind  # one key per field in a file
+
+    def test_negative_zero_is_written_as_zero(self):
+        assert parse_loss("luml1:-0").label() == "luml1-0"
+        assert parse_config("losses=luml1\nlambda=-0\n", "plan").losses[0].label() == "luml1-0"
+        a, b = (parse_config(f"sigma_max={v}\neval_sigmas={v},5\nlosses=luml1:{v}\n", "plan") for v in ("-0", "0"))
+        assert format_config(a, "plan") == format_config(b, "plan")
+
+    @pytest.mark.parametrize("kind", ["plan", "train"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 909)])
+    def test_seed_outside_64_bits_rejected(self, kind, seed):
+        # train_seed and eval_seed reduce a seed modulo 2^64: such a seed would rerun another seed's streams
+        with pytest.raises(InvalidInputError, match="seed"):
+            parse_config(f"seed={seed}\n", kind)
+
+    def test_largest_seed_round_trips(self):
+        for kind in ("plan", "train"):
+            cfg = parse_config(f"seed={2**64 - 1}\n", kind)
+            assert parse_config(format_config(cfg, kind), kind) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -177,17 +218,17 @@ class TestPlanFiles:
     def test_lambda_sweep_tokens(self):
         plan = parse_config("losses=l1,luml1:0.5,luml1:2\nsigma_max=25\n", "plan")
         assert [s.label() for s in plan.losses] == ["l1", "luml1-0.5", "luml1-2"]
-        assert parse_config(format_config(plan), "plan") == plan
+        assert parse_config(format_config(plan, "plan"), "plan") == plan
 
     def test_luml1_tokens_carry_their_own_pixel_base(self):
         plan = parse_config("losses=luml1,luml1:0.5:l2\npixel_base=l1\n", "plan")
         assert [(s.lam, s.pixel_base) for s in plan.losses] == [(1.0, "l1"), (0.5, "l2")]
-        assert parse_config(format_config(plan), "plan") == plan
+        assert parse_config(format_config(plan, "plan"), "plan") == plan
 
     def test_labels_name_a_non_default_pixel_base(self):
         plan = parse_config("losses=l2,luml1,luml1:1:l2,luml1:0.5:l2,luml1:0.5\n", "plan")
         assert [s.label() for s in plan.losses] == ["l2", "luml1", "luml1-l2", "luml1-0.5-l2", "luml1-0.5"]
-        assert parse_config(format_config(plan), "plan") == plan
+        assert parse_config(format_config(plan, "plan"), "plan") == plan
         both = replace(micro_plan(steps=1, eval_sigmas=(10.0,)), losses=plan.losses[1:3])
         csv = report_to_csv(run_bench(both))
         assert "luml1_25_psnr" in csv and "delta-luml1-l2_25_psnr" in csv
@@ -211,64 +252,65 @@ class TestPlanFiles:
     def test_shipped_plans_keep_their_config_hash(self):
         for name, digest in (("fast", 0x6F9EA8CBE7AA4EEF), ("full", 0x67D5BCA62BFCEB1D)):
             text = (REPO_ROOT / "plans" / f"{name}.plan").read_text()
-            assert format_config(parse_config(text, "plan")) == text
+            assert format_config(parse_config(text, "plan"), "plan") == text
             assert fnv1a64(text.encode()) == digest
 
     def test_nearby_learning_rates_hash_differently(self):
         base = load_plan(FAST_PLAN)
-        a, b = (replace(base, train=replace(base.train, lr=lr)) for lr in (1.2345678e-4, 1.23457e-4))
-        assert fnv1a64(format_config(a).encode()) != fnv1a64(format_config(b).encode())
-        assert parse_config(format_config(a), "plan") == a
+        a, b = (replace(base, lr=lr) for lr in (1.2345678e-4, 1.23457e-4))
+        assert fnv1a64(format_config(a, "plan").encode()) != fnv1a64(format_config(b, "plan").encode())
+        assert parse_config(format_config(a, "plan"), "plan") == a
 
     @settings(max_examples=200, deadline=None)
     @given(plans())
     def test_plan_round_trip_property(self, plan):
-        assert parse_config(format_config(plan), "plan") == plan
+        assert parse_config(format_config(plan, "plan"), "plan") == plan
 
     @settings(max_examples=200, deadline=None)
     @given(train_configs())
     def test_train_config_round_trip_property(self, cfg):
-        assert parse_config(format_config(cfg), "train") == cfg
+        assert parse_config(format_config(cfg, "train"), "train") == cfg
 
     def test_shipped_input_files_parse(self):
         for path in sorted((REPO_ROOT / "plans").glob("*.plan")):
-            assert isinstance(load_plan(path), BenchPlan)
+            assert isinstance(load_plan(path), Config)
         eval_plan = parse_config((REPO_ROOT / "perfbench" / "eval.plan").read_text() + "seed=4\n", "plan")
-        assert eval_plan.train.seed == 4 and [s.label() for s in eval_plan.losses] == ["luml1"]
+        assert eval_plan.seed == 4 and [s.label() for s in eval_plan.losses] == ["luml1"]
         train_cfg = (REPO_ROOT / "perfbench" / "train.cfg").read_text()
         cfg = parse_config(train_cfg, "train", {"loss": "luml1", "seed": "3"})
-        assert (cfg.loss, cfg.steps, cfg.seed) == (LossSpec("luml1"), 250, 3)
+        assert (cfg.losses, cfg.steps, cfg.seed) == ((LossSpec("luml1"),), 250, 3)
 
     @pytest.mark.parametrize(
         "overrides",
         [
             dict(eval_count=0),
             dict(eval_sigmas=(-5.0, 5.0)),
-            dict(sigma_max_list=(25.0, float("nan"))),
+            dict(sigma_max=(25.0, float("nan"))),
             dict(eval_h=10),
             dict(hidden_depth=-1),
             dict(hidden_channels=0),
             dict(checkpoint_every=5),
             dict(adam_beta1=0.8),
             # a repeated sigma or loss would share a CSV column or row and a checkpoint name
-            dict(sigma_max_list=(25.0, 10.0, 25.0)),
+            dict(sigma_max=(25.0, 10.0, 25.0)),
             dict(eval_sigmas=(25.0, 25.0)),
-            dict(sigma_max_list=(25.0, 25.0)),
-            dict(sigma_max_list=(math.inf,)),
+            dict(sigma_max=(25.0, 25.0)),
+            dict(sigma_max=(math.inf,)),
             dict(eval_sigmas=(5.0, math.inf)),
             dict(losses=(LossSpec("l1"), LossSpec("l1"))),
             dict(losses=()),
         ],
     )
     def test_plan_rejects_what_it_cannot_run_or_write(self, overrides):
+        # a train-only knob makes a valid Config that no plan file can write
         with pytest.raises(InvalidInputError):
-            micro_plan(**overrides)
+            format_config(micro_plan(**overrides), "plan")
 
 
 class TestRunBench:
     def test_cells_cover_the_grid(self, micro_report):
         plan = micro_report.plan
-        for sm in plan.sigma_max_list:
+        for sm in plan.sigma_max:
             for loss in plan.losses:
                 for sigma in plan.eval_sigmas:
                     assert np.all(np.isfinite(micro_report.cells[(loss.label(), sm, sigma)]))
@@ -276,7 +318,7 @@ class TestRunBench:
     def test_sigmas_equal_to_six_digits_keep_their_own_labels(self, tmp_path):
         # :g would write both as 12.3457: one checkpoint name, one column name, one row
         near = (12.3456781, 12.3456789)
-        plan = micro_plan(sigma_max_list=near, eval_sigmas=near, losses=(LossSpec("l1"),), steps=1)
+        plan = micro_plan(sigma_max=near, eval_sigmas=near, losses=(LossSpec("l1"),), steps=1)
         parsed = parse_report_csv(report_to_csv(run_bench(plan, ckpt_dir=tmp_path)))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["l1_12.3456781.ckpt", "l1_12.3456789.ckpt"]
         assert parsed["columns"] == [f"l1_{sm}_{t}" for sm in near for t in ("psnr", "ssim")]
@@ -294,12 +336,26 @@ class TestRunBench:
         b = report_to_csv(run_bench(plan))
         assert a == b
 
-    def test_training_uses_train_domain_and_eval_uses_eval_domain(self, micro_report):
+    def test_training_uses_train_domain_and_eval_uses_eval_domain(self, micro_report, monkeypatch):
         plan = micro_report.plan
-        cfg = replace(plan.train, loss=plan.losses[0], sigma_max_255=plan.sigma_max_list[0])
-        assert cfg.blind_spec().seed & 1 == 0
-        assert train_seed(plan.train.seed) & 1 == 0
-        assert eval_seed(plan.train.seed) & 1 == 1
+        specs = []
+        monkeypatch.setattr(luml1.trainer, "make_blind_batches", lambda clean, spec: specs.append(spec) or iter(()))
+        train(build_tinynet(0), replace(plan, losses=plan.losses[:1], steps=0))
+        assert specs[0].seed == train_seed(plan.seed) and specs[0].seed & 1 == 0
+        assert eval_seed(plan.seed) & 1 == 1
+
+    @pytest.mark.parametrize("knob", [dict(checkpoint_every=5), dict(adam_beta1=0.8), dict(adam_eps=1e-6)])
+    def test_train_only_knob_rejected_before_any_work(self, monkeypatch, knob):
+        monkeypatch.setattr(luml1.bench, "gen_clean", _must_not_run)
+        monkeypatch.setattr(luml1.bench, "train", _must_not_run)
+        with pytest.raises(InvalidInputError, match=next(iter(knob))):
+            run_bench(micro_plan(**knob))
+
+    @pytest.mark.parametrize("cell", [dict(sigma_max=(25.0, 50.0)), dict(losses=(LossSpec("l1"), LossSpec("l2")))])
+    def test_train_takes_one_cell_only(self, monkeypatch, cell):
+        monkeypatch.setattr(luml1.trainer, "gen_clean", _must_not_run)
+        with pytest.raises(InvalidInputError, match="exactly one loss and one sigma_max"):
+            train(build_tinynet(0), replace(micro_plan(), **cell))
 
     def test_noisy_baseline_present_per_sigma(self, micro_report):
         for sigma in micro_report.plan.eval_sigmas:
@@ -372,21 +428,21 @@ class TestTrainedModelSanity:
         net, clean = trained_cell["net"], trained_cell["clean"]
         report, plan = trained_cell["report"], trained_cell["plan"]
         score = np.mean([psnr(np.clip(net_forward(net, c.data)[0], 0.0, 1.0), c.data) for c in clean])
-        easiest = report.cells[("l1", plan.sigma_max_list[0], plan.eval_sigmas[0])][0]
+        easiest = report.cells[("l1", plan.sigma_max[0], plan.eval_sigmas[0])][0]
         assert score > easiest
 
     def test_never_degrades_more_than_1db_vs_identity(self, trained_cell):
         report, plan = trained_cell["report"], trained_cell["plan"]
         for sigma in plan.eval_sigmas:
-            cell = report.cells[("l1", plan.sigma_max_list[0], sigma)][0]
+            cell = report.cells[("l1", plan.sigma_max[0], sigma)][0]
             assert cell >= report.noisy[sigma][0] - 1.0
 
     def test_saved_checkpoint_reproduces_the_reported_numbers(self, trained_cell):
         net, clean = trained_cell["net"], trained_cell["clean"]
         report, plan = trained_cell["report"], trained_cell["plan"]
         for si, sigma in enumerate(plan.eval_sigmas):
-            noisy = noisy_set(clean, sigma, eval_seed(plan.train.seed), si)
-            assert mean_scores(net, noisy, clean) == report.cells[("l1", plan.sigma_max_list[0], sigma)]
+            noisy = noisy_set(clean, sigma, eval_seed(plan.seed), si)
+            assert mean_scores(net, noisy, clean) == report.cells[("l1", plan.sigma_max[0], sigma)]
 
 
 class TestDenoiseFile:

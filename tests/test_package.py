@@ -41,8 +41,8 @@ import json
 from trace_spans import Tracer
 tracer = Tracer()
 tracer.install()
-import luml1.net, luml1.trainer
-cfg = luml1.trainer.TrainConfig(steps=2, batch_size=2, patch_size=8, corpus_count=4, corpus_h=16, corpus_w=16)
+import luml1.bench, luml1.net, luml1.trainer
+cfg = luml1.bench.Config(steps=2, batch_size=2, patch_size=8, corpus_count=4, corpus_h=16, corpus_w=16)
 luml1.trainer.train(luml1.net.build_tinynet(0), cfg)
 print(json.dumps(tracer.metrics()))
 """
@@ -71,10 +71,9 @@ tracer = Tracer()
 tracer.install()
 import luml1.bench
 from luml1.losses import LossSpec
-from luml1.trainer import TrainConfig
-train = TrainConfig(steps=0, patch_size=8, corpus_count=2, corpus_h=16, corpus_w=16)
-plan = luml1.bench.BenchPlan(
-    sigma_max_list=(25.0,), eval_sigmas=(10.0,), losses=(LossSpec("l1"),), train=train,
+plan = luml1.bench.Config(
+    sigma_max=(25.0,), eval_sigmas=(10.0,), losses=(LossSpec("l1"),),
+    steps=0, patch_size=8, corpus_count=2, corpus_h=16, corpus_w=16,
     eval_count=2, eval_h=16, eval_w=16, hidden_channels=4, hidden_depth=3,
 )
 luml1.bench.run_bench(plan, ckpt_dir=sys.argv[1])

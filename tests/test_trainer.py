@@ -13,23 +13,24 @@ from luml1.losses import LossSpec
 from luml1.metrics import psnr, ssim
 from luml1.net import build_tinynet
 from luml1.rng import stream, train_seed
-from luml1.trainer import AdamState, TrainConfig, adam_step, mean_scores, train
+from luml1.bench import Config
+from luml1.trainer import AdamState, adam_step, mean_scores, train
 
 
-def small_config(**overrides) -> TrainConfig:
+def small_config(loss=LossSpec("l1"), sigma_max=25.0, **overrides) -> Config:
     base = dict(
-        loss=LossSpec("l1"),
+        losses=(loss,),
+        sigma_max=(sigma_max,),
         steps=40,
         batch_size=4,
         seed=21,
-        sigma_max_255=25.0,
         patch_size=16,
         corpus_count=6,
         corpus_h=24,
         corpus_w=24,
     )
     base.update(overrides)
-    return TrainConfig(**base)
+    return Config(**base)
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
@@ -178,11 +179,11 @@ class TestTrainLoop:
         with pytest.raises(InvalidInputError):
             small_config(corpus_h=12, corpus_w=12, patch_size=8)
         for bad in (float("nan"), float("inf")):
-            for name in ("lr", "adam_eps", "sigma_max_255"):
+            for name in ("lr", "adam_eps", "sigma_max"):
                 with pytest.raises(InvalidInputError):
                     small_config(**{name: bad})
         with pytest.raises(InvalidInputError):
-            small_config(sigma_max_255=-1.0)
+            small_config(sigma_max=-1.0)
 
 
 class TestTypeBoundary:
