@@ -139,7 +139,7 @@ def cmd_metric(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    ok, lines = run_gradcheck(args.seed)
+    ok, lines = run_gradcheck(check_seed(args.seed))
     for line in lines:
         print(line)
     return 0 if ok else 2

@@ -13,6 +13,7 @@ little-endian float32 values in row-major, channel-interleaved order.
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 
@@ -60,7 +61,7 @@ def write_atomic(path, data: bytes | str) -> None:
         with open(name, "wb") as fh:
             fh.write(data)
         return
-    tmp = f"{name}.tmp{os.getpid()}"
+    tmp = f"{name}.tmp{os.getpid()}.{threading.get_ident()}"  # threads of one process share the pid
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)

@@ -1,7 +1,9 @@
-import numpy as np
-
+# luml1 before numpy: importing it sets one BLAS thread before numpy loads its
+# BLAS, so the in-process benchmark runs below do not oversubscribe the cores
 from luml1.image import Image
 from luml1.rng import stream
+
+import numpy as np
 
 
 def rand_array(seed: int, h: int = 8, w: int = 8, c: int = 3, tag: int = 99) -> np.ndarray:

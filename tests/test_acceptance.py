@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line. The benchmark-based criteria share two full runs of the
-fast preset (the second run exists to check determinism).
+fast preset, on 1 and on 2 worker threads (the second run exists to check
+determinism for any worker count).
 
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import luml1.bench
 from luml1.bench import parse_report_csv
 from luml1.checkpoint import stored_checksum
 from luml1.cli import main
@@ -35,17 +37,19 @@ def criterion(number: int, name: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def bench_runs(tmp_path_factory):
-    """Two CLI executions of the fast preset; returns paths and wall times."""
+    """Two CLI executions of the fast preset, on 1 and on 2 worker threads; returns paths and wall times."""
     runs = []
-    for tag in ("one", "two"):
+    for tag, workers in (("one", 1), ("two", 2)):
         work = tmp_path_factory.mktemp(f"bench_{tag}")
         csv_path = work / "table.csv"
         ckpt_dir = work / "ckpts"
         t0 = time.perf_counter()
-        rc = main([
-            "bench", "--plan", str(FAST_PLAN), "--csv", str(csv_path),
-            "--ckpt-dir", str(ckpt_dir),
-        ])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(luml1.bench, "usable_cpus", lambda: workers)
+            rc = main([
+                "bench", "--plan", str(FAST_PLAN), "--csv", str(csv_path),
+                "--ckpt-dir", str(ckpt_dir),
+            ])
         elapsed = time.perf_counter() - t0
         assert rc == 0
         runs.append({"csv": csv_path, "ckpt_dir": ckpt_dir, "seconds": elapsed})
@@ -168,7 +172,7 @@ def test_criterion_5_determinism(bench_runs):
         5,
         "benchmark determinism",
         csv_equal and sums_equal and bytes_equal,
-        f"csv identical: {csv_equal}; {len(names)} checkpoint checksums match: {sums_equal}",
+        f"1 vs 2 workers: csv identical: {csv_equal}; {len(names)} checkpoint checksums match: {sums_equal}",
     )
 
 

@@ -1,5 +1,6 @@
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -169,6 +170,35 @@ class TestAtomicWrites:
         write_atomic(path, b"old contents that are longer")
         write_atomic(path, "step,\u03bb\n")
         assert path.read_bytes() == "step,\u03bb\n".encode("utf-8")
+
+    def test_threads_writing_one_path_use_their_own_temporary_files(self, tmp_path, monkeypatch):
+        # both temporary files are written before either is renamed, the interleaving a shared name breaks
+        path = tmp_path / "table.csv"
+        payloads = [bytes([65 + i]) * (1 << 20) for i in range(2)]
+        both_written = threading.Barrier(2, timeout=10)
+        sources, errors = [], []
+        replace = os.replace
+
+        def replace_after_both(src, dst):
+            sources.append(src)
+            both_written.wait()
+            replace(src, dst)
+
+        def write(payload):
+            try:
+                write_atomic(path, payload)
+            except BaseException as exc:
+                errors.append(exc)
+
+        monkeypatch.setattr(os, "replace", replace_after_both)
+        threads = [threading.Thread(target=write, args=(p,)) for p in payloads]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == [] and len(set(sources)) == 2
+        assert path.read_bytes() in payloads
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
     def test_non_regular_file_is_written_in_place(self):
         write_atomic(os.devnull, b"discarded")

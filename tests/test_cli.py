@@ -470,6 +470,12 @@ class TestExitCodes:
     def test_gradcheck_exits_zero(self, capsys):
         assert main(["gradcheck"]) == 0
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_gradcheck_seed_outside_64_bits_exits_1(self, seed, capsys):
+        # rng.stream would fold the seed onto one in [0, 2^64) and run its cases under another name
+        assert main(["gradcheck", "--seed", seed]) == 1
+        assert "seed must lie in [0, 2^64)" in capsys.readouterr().err
+
     def test_module_entrypoint_runs_in_subprocess(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "luml1.cli", "gen", "--seed", "1", "--count", "1",

@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from luml1.bench import (
 )
 from luml1.checkpoint import load_checkpoint, save_checkpoint
 from luml1.dataset import MIN_IMAGE_SIZE, noisy_set
-from luml1.errors import InvalidInputError
+from luml1.errors import InvalidInputError, NumericalError
 from luml1.fnv import fnv1a64
 from luml1.image import clamp01
 from luml1.losses import LossSpec, parse_loss
@@ -233,6 +234,14 @@ class TestPlanFiles:
         csv = report_to_csv(run_bench(both))
         assert "luml1_25_psnr" in csv and "delta-luml1-l2_25_psnr" in csv
 
+    def test_lambda_and_pixel_base_apply_to_the_kind_default_losses(self):
+        # a plan without a losses key reads its default losses as tokens, so lambda and pixel_base reach luml1
+        plan = parse_config("lambda=0.5\npixel_base=l2\n", "plan")
+        assert plan.losses == (LossSpec("l1"), LossSpec("luml1", lam=0.5, pixel_base="l2"))
+        text = format_config(plan, "plan")
+        assert "lambda=0.5\n" in text and "pixel_base=l2\n" in text
+        assert parse_config(text, "plan") == plan
+
     def test_labels_name_the_exact_lam(self):
         assert parse_loss("luml1:1.0000001").label() == "luml1-1.0000001"
         plan = parse_config("losses=luml1:1.0000001,luml1:1.0000002\n", "plan")
@@ -335,6 +344,49 @@ class TestRunBench:
         a = report_to_csv(run_bench(plan))
         b = report_to_csv(run_bench(plan))
         assert a == b
+
+    def test_same_bytes_for_any_worker_count(self, tmp_path):
+        outputs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"workers{workers}"
+            out.mkdir()
+            csv = report_to_csv(run_bench(micro_plan(steps=8), ckpt_dir=out, workers=workers))
+            outputs.append((csv, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert sorted(outputs[0][1]) == ["l1_25.ckpt", "luml1_25.ckpt"]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_diverging_plan_raises_the_same_error_for_any_worker_count(self):
+        texts = []
+        for workers in (1, 2):
+            with pytest.raises(NumericalError) as info:
+                run_bench(micro_plan(lr=1e300, steps=3), workers=workers)
+            texts.append(str(info.value))
+        assert texts[0] == texts[1] and "aborted at step 1" in texts[0]
+
+    def test_first_failing_cell_in_plan_order_is_raised(self, monkeypatch):
+        # the second cell fails first in time; the error raised is still the first cell's
+        second_failed = threading.Event()
+
+        def failing_train(net, cfg):
+            label = cfg.losses[0].label()
+            if label == "l1":
+                assert second_failed.wait(10)
+            else:
+                second_failed.set()
+            raise NumericalError(f"cell {label} diverged")
+
+        monkeypatch.setattr(luml1.bench, "train", failing_train)
+        with pytest.raises(NumericalError, match="cell l1 diverged"):
+            run_bench(micro_plan(), workers=2)
+
+    def test_noisy_sets_are_made_per_sigma_after_training(self, monkeypatch):
+        made = []
+        noisy_set = luml1.bench.noisy_set
+        train = luml1.bench.train
+        monkeypatch.setattr(luml1.bench, "noisy_set", lambda *a: made.append(a[3]) or noisy_set(*a))
+        monkeypatch.setattr(luml1.bench, "train", lambda net, cfg: made.append("train") or train(net, cfg))
+        run_bench(micro_plan(steps=1), workers=2)
+        assert made[:2] == ["train", "train"] and sorted(made[2:]) == [0, 1]
 
     def test_training_uses_train_domain_and_eval_uses_eval_domain(self, micro_report, monkeypatch):
         plan = micro_report.plan

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import luml1
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -26,6 +28,34 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+NUMPY_IMPORT_SPY = """
+import os, sys
+
+class Spy:
+    # prints the BLAS thread variables at the moment numpy is first imported, when its BLAS reads them
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, Spy())
+import luml1
+"""
+
+
+@pytest.mark.parametrize("preset, seen", [({}, "1 1"), ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2"}, "3 2")])
+def test_one_blas_thread_unless_the_user_sets_a_count(preset, seen):
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_IMPORT_SPY],
+        env={**env, **preset, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [seen]
 
 
 def test_readme_library_snippet_imports_only_exported_names():
