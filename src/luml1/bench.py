@@ -334,7 +334,8 @@ def parse_config(text: str, kind: str, overrides: dict[str, str] | None = None) 
         if key not in known:
             raise InvalidInputError(f"unknown {'config' if kind == 'train' else kind} key {key!r}")
     # the kind's default losses are read as tokens too, so that lambda and pixel_base apply to them
-    kv.setdefault("losses" if kind == "plan" else "loss", ",".join(loss_token(s) for s in KIND_DEFAULTS[kind].losses))
+    losses_key = next(key for key, _, _, name in rows if name == "losses")
+    kv.setdefault(losses_key, ",".join(loss_token(s) for s in KIND_DEFAULTS[kind].losses))
     values = {}
     try:
         codec = _codec(LossSpec("luml1", float(kv.get("lambda", "1")), kv.get("pixel_base", "l1")))
