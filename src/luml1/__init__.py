@@ -15,9 +15,11 @@ import os
 
 # One BLAS thread unless the user sets another count: `luml1 bench` runs one
 # worker thread per usable CPU, and BLAS threads on top of those oversubscribe
-# the cores. numpy reads these when it loads its BLAS, so they go first.
+# the cores (README "Performance"). numpy reads these when it loads its BLAS,
+# so they go first; they have no effect if numpy was imported before luml1.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from .bench import (
     BenchReport,

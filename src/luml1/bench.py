@@ -118,15 +118,17 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_bench(plan: Config, ckpt_dir=None, *, workers: int | None = None) -> BenchReport:
-    """Train and evaluate every (loss, sigma_max) cell of the plan on a pool of ``workers`` threads.
+def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
+    """Train and evaluate every (loss, sigma_max) cell of the plan on a pool of usable_cpus() threads.
 
     Every cell trains as one task, then every eval sigma is scored as one
     task: its noisy set is made, and the noisy input and each cell's net are
     scored on it, so a noisy set lives only while it is scored. Each cell
     and each sigma owns its random streams, so the report is the same for
-    any worker count (default: usable_cpus()). If cells fail, the error of
-    the first failing cell in plan order is raised.
+    any worker count. Checkpoints are saved in plan order as the cells
+    finish; if cells fail, the error of the first failing cell in plan order
+    is raised once the running cells have finished, and no later cell's
+    checkpoint is saved.
     """
     # imported here: `luml1 train` loads this module but starts no pool, and the
     # import (logging with it) would add 0.6 MB to its peak RSS
@@ -142,18 +144,19 @@ def run_bench(plan: Config, ckpt_dir=None, *, workers: int | None = None) -> Ben
         loss, sigma_max = cell
         net = build_tinynet(train_seed(plan.seed), hidden_channels=plan.hidden_channels, hidden_depth=plan.hidden_depth)
         train(net, replace(plan, losses=(loss,), sigma_max=(sigma_max,)))
-        net = parse_checkpoint(checkpoint_bytes(net), "trained net")  # score what a checkpoint holds
-        if ckpt_dir is not None:
-            save_checkpoint(net, f"{ckpt_dir}/{loss.label()}_{fmt_float(sigma_max)}.ckpt")
-        return net
+        return parse_checkpoint(checkpoint_bytes(net), "trained net")  # score what a checkpoint holds
 
     def score_sigma(si: int) -> list[tuple[float, float]]:
         """Scores of the noisy input, then of each cell, at the si-th eval sigma."""
         ns = noisy_set(clean, plan.eval_sigmas[si], es, si)
         return [mean_scores(net, ns, clean) for net in (None, *nets)]
 
-    with ThreadPoolExecutor(usable_cpus() if workers is None else workers) as pool:
-        nets = list(pool.map(train_cell, grid))  # map yields in order, so the first failure in plan order is raised
+    with ThreadPoolExecutor(usable_cpus()) as pool:
+        nets = []
+        for (loss, sigma_max), net in zip(grid, pool.map(train_cell, grid)):  # in plan order: a failure stops the saving
+            if ckpt_dir is not None:
+                save_checkpoint(net, f"{ckpt_dir}/{loss.label()}_{fmt_float(sigma_max)}.ckpt")
+            nets.append(net)
         rows = list(pool.map(score_sigma, range(len(plan.eval_sigmas))))
     noisy, cells = {}, {}
     for sigma, (baseline, *cell_scores) in zip(plan.eval_sigmas, rows):

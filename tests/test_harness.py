@@ -345,21 +345,23 @@ class TestRunBench:
         b = report_to_csv(run_bench(plan))
         assert a == b
 
-    def test_same_bytes_for_any_worker_count(self, tmp_path):
+    def test_same_bytes_for_any_worker_count(self, tmp_path, monkeypatch):
         outputs = []
         for workers in (1, 2, 3):
             out = tmp_path / f"workers{workers}"
             out.mkdir()
-            csv = report_to_csv(run_bench(micro_plan(steps=8), ckpt_dir=out, workers=workers))
+            monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: workers)
+            csv = report_to_csv(run_bench(micro_plan(steps=8), ckpt_dir=out))
             outputs.append((csv, {p.name: p.read_bytes() for p in out.iterdir()}))
         assert sorted(outputs[0][1]) == ["l1_25.ckpt", "luml1_25.ckpt"]
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_diverging_plan_raises_the_same_error_for_any_worker_count(self):
+    def test_diverging_plan_raises_the_same_error_for_any_worker_count(self, monkeypatch):
         texts = []
         for workers in (1, 2):
+            monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: workers)
             with pytest.raises(NumericalError) as info:
-                run_bench(micro_plan(lr=1e300, steps=3), workers=workers)
+                run_bench(micro_plan(lr=1e300, steps=3))
             texts.append(str(info.value))
         assert texts[0] == texts[1] and "aborted at step 1" in texts[0]
 
@@ -376,8 +378,27 @@ class TestRunBench:
             raise NumericalError(f"cell {label} diverged")
 
         monkeypatch.setattr(luml1.bench, "train", failing_train)
+        monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
         with pytest.raises(NumericalError, match="cell l1 diverged"):
-            run_bench(micro_plan(), workers=2)
+            run_bench(micro_plan())
+
+    def test_failing_cell_leaves_no_checkpoint_of_a_later_cell(self, tmp_path, monkeypatch):
+        # the second cell finishes training while the first is still running, and then the first fails
+        second_trained = threading.Event()
+        train = luml1.bench.train
+
+        def first_fails(net, cfg):
+            if cfg.losses[0].label() == "l1":
+                assert second_trained.wait(10)
+                raise NumericalError("cell l1 diverged")
+            train(net, cfg)
+            second_trained.set()
+
+        monkeypatch.setattr(luml1.bench, "train", first_fails)
+        monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
+        with pytest.raises(NumericalError, match="cell l1 diverged"):
+            run_bench(micro_plan(steps=1), ckpt_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_noisy_sets_are_made_per_sigma_after_training(self, monkeypatch):
         made = []
@@ -385,7 +406,8 @@ class TestRunBench:
         train = luml1.bench.train
         monkeypatch.setattr(luml1.bench, "noisy_set", lambda *a: made.append(a[3]) or noisy_set(*a))
         monkeypatch.setattr(luml1.bench, "train", lambda net, cfg: made.append("train") or train(net, cfg))
-        run_bench(micro_plan(steps=1), workers=2)
+        monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
+        run_bench(micro_plan(steps=1))
         assert made[:2] == ["train", "train"] and sorted(made[2:]) == [0, 1]
 
     def test_training_uses_train_domain_and_eval_uses_eval_domain(self, micro_report, monkeypatch):

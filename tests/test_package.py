@@ -37,7 +37,7 @@ class Spy:
     # prints the BLAS thread variables at the moment numpy is first imported, when its BLAS reads them
     def find_spec(self, name, path=None, target=None):
         if name == "numpy":
-            print(os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS"))
+            print(*(os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")))
         return None
 
 sys.meta_path.insert(0, Spy())
@@ -45,9 +45,12 @@ import luml1
 """
 
 
-@pytest.mark.parametrize("preset, seen", [({}, "1 1"), ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2"}, "3 2")])
+@pytest.mark.parametrize("preset, seen", [
+    ({}, "1 1 1"),
+    ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "4"}, "3 2 4"),
+])
 def test_one_blas_thread_unless_the_user_sets_a_count(preset, seen):
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     result = subprocess.run(
         [sys.executable, "-c", NUMPY_IMPORT_SPY],
         env={**env, **preset, "PYTHONPATH": str(REPO_ROOT / "src")},
