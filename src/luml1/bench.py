@@ -126,13 +126,13 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
     scored on it, so a noisy set lives only while it is scored. Each cell
     and each sigma owns its random streams, so the report is the same for
     any worker count. Checkpoints are saved in plan order as the cells
-    finish; if cells fail, the error of the first failing cell in plan order
-    is raised once the running cells have finished, and no later cell's
-    checkpoint is saved.
+    finish. If cells fail, the error of the first failing cell in plan order is
+    raised, no later cell's checkpoint is saved, and the cells after it stop at
+    their next step (on Ctrl-C, every cell does).
     """
     # imported here: `luml1 train` loads this module but starts no pool, and the
     # import (logging with it) would add 0.6 MB to its peak RSS
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import CancelledError, ThreadPoolExecutor
 
     format_config(plan, "plan")  # rejects a knob that a plan file cannot carry, so the config hash names the run
     t_start = time.perf_counter()
@@ -140,10 +140,20 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
     clean = gen_clean(es, plan.eval_count, plan.eval_h, plan.eval_w)
     grid = [(loss, sigma_max) for sigma_max in plan.sigma_max for loss in plan.losses]
 
-    def train_cell(cell: tuple[LossSpec, float]) -> TinyNet:
-        loss, sigma_max = cell
+    abandoned = [False] * len(grid)  # abandoned[i]: cell i failed, or the loop below stopped waiting for it
+
+    def train_cell(i: int) -> TinyNet:
+        def stop():  # called before every step: a failed cell abandons the cells after it
+            if any(abandoned[: i + 1]):
+                raise CancelledError
+
+        loss, sigma_max = grid[i]
         net = build_tinynet(train_seed(plan.seed), hidden_channels=plan.hidden_channels, hidden_depth=plan.hidden_depth)
-        train(net, replace(plan, losses=(loss,), sigma_max=(sigma_max,)))
+        try:
+            train(net, replace(plan, losses=(loss,), sigma_max=(sigma_max,)), stop=stop)
+        except BaseException:
+            abandoned[i] = True
+            raise
         return parse_checkpoint(checkpoint_bytes(net), "trained net")  # score what a checkpoint holds
 
     def score_sigma(si: int) -> list[tuple[float, float]]:
@@ -153,16 +163,18 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
 
     with ThreadPoolExecutor(usable_cpus()) as pool:
         nets = []
-        for (loss, sigma_max), net in zip(grid, pool.map(train_cell, grid)):  # in plan order: a failure stops the saving
-            if ckpt_dir is not None:
-                save_checkpoint(net, f"{ckpt_dir}/{loss.label()}_{fmt_float(sigma_max)}.ckpt")
-            nets.append(net)
+        try:
+            for (loss, sigma_max), net in zip(grid, pool.map(train_cell, range(len(grid)))):  # in plan order
+                if ckpt_dir is not None:
+                    save_checkpoint(net, f"{ckpt_dir}/{loss.label()}_{fmt_float(sigma_max)}.ckpt")
+                nets.append(net)
+        finally:  # after a failed cell, Ctrl-C or a failed save, the cells still training stop at their next step
+            abandoned[:] = [True] * len(grid)
         rows = list(pool.map(score_sigma, range(len(plan.eval_sigmas))))
     noisy, cells = {}, {}
     for sigma, (baseline, *cell_scores) in zip(plan.eval_sigmas, rows):
         noisy[sigma] = baseline
-        for (loss, sigma_max), score in zip(grid, cell_scores):
-            cells[(loss.label(), sigma_max, sigma)] = score
+        cells.update({(loss.label(), sm, sigma): score for (loss, sm), score in zip(grid, cell_scores)})
     return BenchReport(plan, cells, noisy, wall_clock_s=time.perf_counter() - t_start)
 
 
@@ -229,10 +241,7 @@ def parse_report_csv(text: str) -> dict:
     mapping sigma -> list of floats, ``mean`` (list of floats), and
     ``noisy`` mapping sigma -> (psnr, ssim) from the baseline comments.
     """
-    noisy = {}
-    header = None
-    rows = {}
-    mean = None
+    noisy, rows, header, mean = {}, {}, None, None
     for line in text.splitlines():
         if line.startswith("#"):
             if "noisy_baseline" in line:
@@ -327,8 +336,8 @@ def _codec(default: LossSpec) -> dict:
 def parse_config(text: str, kind: str, overrides: dict[str, str] | None = None) -> Config:
     """Parse a ``kind`` ("plan" or "train") file; ``overrides`` (key -> text) win over its lines.
 
-    Keys the file kind does not accept and values that do not parse raise
-    InvalidInputError; a key the file leaves out keeps its KIND_DEFAULTS value.
+    Keys the file kind does not accept, values that do not parse, and a non-default lambda or
+    pixel_base without a luml1 loss raise InvalidInputError; a left-out key keeps its KIND_DEFAULTS value.
     """
     kv = {**parse_kv(text), **(overrides or {})}
     rows = _keys(kind)
@@ -341,7 +350,8 @@ def parse_config(text: str, kind: str, overrides: dict[str, str] | None = None) 
     kv.setdefault(losses_key, ",".join(loss_token(s) for s in KIND_DEFAULTS[kind].losses))
     values = {}
     try:
-        codec = _codec(LossSpec("luml1", float(kv.get("lambda", "1")), kv.get("pixel_base", "l1")))
+        bare = LossSpec("luml1", float(kv.get("lambda", "1")), kv.get("pixel_base", "l1"))  # a bare luml1 token
+        codec = _codec(bare)
         for key, _, vtype, name in rows:
             if name is not None and key in kv:
                 value = codec[vtype][0](kv[key])
@@ -349,6 +359,8 @@ def parse_config(text: str, kind: str, overrides: dict[str, str] | None = None) 
                 values.update(zip(names, value) if len(names) > 1 else [(name, value)])
     except ValueError as exc:
         raise InvalidInputError(f"bad {kind} value: {exc}") from None
+    if bare != LossSpec("luml1") and all(s.kind != "luml1" for s in values["losses"]):
+        raise InvalidInputError("lambda and pixel_base set a luml1 loss, and no loss is luml1")
     return replace(KIND_DEFAULTS[kind], **values)
 
 

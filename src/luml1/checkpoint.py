@@ -68,9 +68,8 @@ def parse_checkpoint(buf: bytes, name: str) -> TinyNet:
     head, start = read_line("layer-count")
     if len(head) != 2 or head[0] < 1 or head[1] != 1:
         raise FormatError(f"{name}: bad layer-count line at byte {start} (expected <n_layers> 1)")
-    n_layers = head[0]
     shapes = []
-    for _ in range(n_layers):
+    for _ in range(head[0]):
         dims, start = read_line("layer-shape")
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise FormatError(f"{name}: bad layer-shape line at byte {start}")

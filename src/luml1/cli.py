@@ -91,9 +91,7 @@ def cmd_eval(args) -> int:
     sigmas = parse_sigmas(args.sigmas)
     check_seed(args.seed)
     net = load_checkpoint(args.ckpt)
-    names = sorted(
-        n for n in os.listdir(args.data) if n.endswith(".ppm") or n.endswith(".lumf")
-    )
+    names = sorted(n for n in os.listdir(args.data) if n.endswith((".ppm", ".lumf")))
     if not names:
         raise InvalidInputError(f"no .ppm or .lumf images in {args.data}")
     clean = [load_image(os.path.join(args.data, n)) for n in names]

@@ -134,9 +134,7 @@ def make_blind_batches(clean: list[Image], spec: BlindTrainSpec) -> Iterator[tup
         raise InvalidInputError("need at least one clean image")
     dims = [(im.height, im.width) for im in clean]
     if any(spec.patch_size > min(h, w) for h, w in dims):
-        raise InvalidInputError(
-            f"patch_size {spec.patch_size} exceeds the smallest image dimension"
-        )
+        raise InvalidInputError(f"patch_size {spec.patch_size} exceeds the smallest image dimension")
     rng = stream(spec.seed, DOMAIN_BATCH)
     p = spec.patch_size
     for _ in range(spec.count):

@@ -60,10 +60,8 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """
     require_same_shape(a, b, "compare")
     if a.shape[2] == 3:
-        a = to_grayscale(a)
-        b = to_grayscale(b)
-    x = a[:, :, 0]
-    y = b[:, :, 0]
+        a, b = to_grayscale(a), to_grayscale(b)
+    x, y = a[:, :, 0], b[:, :, 0]
     n = SSIM_WINDOW
     if x.shape[0] < n or x.shape[1] < n:
         raise InvalidInputError(f"image {x.shape} smaller than the {n}x{n} SSIM window")

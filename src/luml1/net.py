@@ -4,11 +4,11 @@ The network is a plain conv/ReLU stack that estimates the noise field; the
 denoised output is input minus that estimate, so a zero-initialized network
 is exactly the identity map.
 
-Layout conventions: feature tensors are (channels, height, width) float64,
-kernels are (out_ch, in_ch, k, k). Convolution is cross-correlation with
-zero same-padding, implemented as an im2col matrix product; the backward
-pass is the exact transpose of the same linear map, and its input gradient
-is again such a product.
+Feature tensors are (channels, height, width) float64, kernels (out_ch,
+in_ch, k, k). Convolution is zero same-padded cross-correlation as an im2col
+matrix product; the backward pass is its exact transpose, whose input
+gradient is again such a product. Passes run in a Workspace: each ReLU lands
+in the next layer's zero-bordered input, and gradients are masked in place.
 """
 
 from __future__ import annotations
@@ -92,41 +92,53 @@ def build_tinynet(seed: int, hidden_channels: int = 16, hidden_depth: int = 3) -
     return TinyNet(layers)
 
 
+def relu(pre: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` = np.where(pre > 0, pre, 0.0) bit for bit; ``pre`` keeps its values, its -0.0 becomes +0.0."""
+    np.add(pre, 0.0, out=pre)  # fmax drops a NaN, but numpy's scalar tail would keep a -0.0
+    return np.fmax(pre, 0.0, out=out)
+
+
 class _Im2col:
-    """A (C, H, W) map inside a zero border no pass writes, a window view of it and its im2col matrix."""
+    """A (C, H, W) map ``x`` inside a zero border no pass writes, a window view of it and its im2col matrix."""
 
     def __init__(self, c: int, k: int, h: int, w: int):
-        self.xp = np.zeros((c, h + k - 1, w + k - 1))
-        self.windows = sliding_window_view(self.xp, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
-        self.cols = np.empty((c, k, k, h, w))
-
-    def correlate(self, x: np.ndarray, kmat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``kmat`` (rows, C*k*k) times the im2col matrix of ``x`` zero-padded to same size: (rows, H*W)."""
-        _, k, _, h, w = self.cols.shape
         p = k // 2
-        np.copyto(self.xp[:, p : p + h, p : p + w], x)
-        np.copyto(self.cols, self.windows)
-        return np.matmul(kmat, self.cols.reshape(-1, h * w), out=out)
+        self.xp = np.zeros((c, h + k - 1, w + k - 1))
+        self.x = self.xp[:, p : p + h, p : p + w]
+        self.windows = sliding_window_view(self.xp, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
+        self.cols = np.empty((c * k * k, h * w))
+
+    def correlate(self, x: np.ndarray, kmat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``kmat`` (rows, C*k*k) times the im2col matrix of ``x``, zero-padded to same size, into ``out``."""
+        if x is not self.x:  # a pass that wrote x straight into self.x has nothing to copy
+            np.copyto(self.x, x)
+        np.copyto(self.cols.reshape(self.windows.shape), self.windows)
+        return np.matmul(kmat, self.cols, out=out)
 
 
 class ConvWork:
-    """One layer's buffers at one input size, refilled by every pass: ``input`` pads and unfolds the
-    layer's input, ``pre`` is the conv output, ``act`` its ReLU, and ``grad_out`` pads and unfolds the
-    output gradient. ``grad_out`` is made on first use and kept in ``grad_buffers`` under (out_ch, k),
-    so layers given one dict share it, and scoring, which never runs backward, never allocates it."""
+    """One layer's buffers at one input size, refilled by every pass: ``input`` pads and unfolds the layer's
+    input (net_forward writes the previous layer's ReLU straight into ``input.x``), ``pre`` is the conv output,
+    ``grad_out`` pads and unfolds the output gradient, and ``grad_in`` holds the input gradient. Both are made on
+    first use and kept in ``grad_buffers``: layers given one dict share them, and scoring never allocates them."""
 
     def __init__(self, layer: ConvLayer, h: int, w: int, grad_buffers: dict | None = None):
         self.layer = layer
         self.input = _Im2col(layer.in_ch, layer.k, h, w)
         self.pre = np.empty((layer.out_ch, h, w))
-        self.act = np.empty((layer.out_ch, h, w))
         self.grad_buffers = {} if grad_buffers is None else grad_buffers
 
     @property
     def grad_out(self) -> _Im2col:
-        key = (self.layer.out_ch, self.layer.k)
+        return self._grad_buffer((self.layer.out_ch, self.layer.k), lambda key: _Im2col(*key, *self.pre.shape[1:]))
+
+    @property
+    def grad_in(self) -> np.ndarray:
+        return self._grad_buffer(self.layer.in_ch, lambda key: np.empty((key, *self.pre.shape[1:])))
+
+    def _grad_buffer(self, key, make):
         if key not in self.grad_buffers:
-            self.grad_buffers[key] = _Im2col(*key, *self.pre.shape[1:])
+            self.grad_buffers[key] = make(key)
         return self.grad_buffers[key]
 
 
@@ -165,8 +177,8 @@ def conv_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of conv_forward: (d/d input or None without ``input_grad``, d/d kernels, d/d bias).
 
-    The input gradient is the same-padded cross-correlation of ``grad_out`` with the kernels
-    flipped in both spatial axes and with in and out channels swapped.
+    The input gradient, ``cache.grad_in`` until the next backward pass overwrites it, is the same-padded
+    cross-correlation of ``grad_out`` with the kernels flipped in both spatial axes and in and out channels swapped.
     """
     layer = cache.layer
     c, h, w = layer.in_ch, *cache.pre.shape[1:]
@@ -174,11 +186,12 @@ def conv_backward(
         raise InvalidInputError(f"grad shape {grad_out.shape} != output shape {(layer.out_ch, h, w)}")
     gmat = grad_out.reshape(layer.out_ch, h * w)
     grad_bias = grad_out.sum(axis=(1, 2))
-    grad_kernels = (gmat @ cache.input.cols.reshape(-1, h * w).T).reshape(layer.kernels.shape)
+    grad_kernels = (cache.input.cols @ gmat.T).T.reshape(layer.kernels.shape)
     if not input_grad:
         return None, grad_kernels, grad_bias
     flipped = layer.kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-    return cache.grad_out.correlate(grad_out, flipped).reshape(c, h, w), grad_kernels, grad_bias
+    cache.grad_out.correlate(grad_out, flipped, out=cache.grad_in.reshape(c, h * w))
+    return cache.grad_in, grad_kernels, grad_bias
 
 
 def net_forward(net: TinyNet, noisy: np.ndarray, ws: Workspace | None = None) -> tuple[np.ndarray, Workspace]:
@@ -192,24 +205,20 @@ def net_forward(net: TinyNet, noisy: np.ndarray, ws: Workspace | None = None) ->
     """
     if noisy.ndim != 3 or noisy.shape[2] != 3:
         raise InvalidInputError(f"network input must be (H, W, 3), got shape {noisy.shape}")
-    x = noisy.transpose(2, 0, 1)
-    if ws is None or ws.net is not net or ws.shape != x.shape[1:]:
-        ws = Workspace(net, *x.shape[1:])
-    t = x
+    if ws is None or ws.net is not net or ws.shape != noisy.shape[:2]:
+        ws = Workspace(net, *noisy.shape[:2])
+    t = noisy.transpose(2, 0, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked below
         for i, (layer, work) in enumerate(zip(net.layers, ws.layers)):
             t, _ = conv_forward(t, layer, work)
-            if i < len(net.layers) - 1:  # ReLU, equal to np.where(pre > 0, pre, 0.0): a NaN becomes 0
-                work.act.fill(0.0)
-                np.copyto(work.act, t, where=t > 0)
-                t = work.act
-        out = x - t
+            if i < len(net.layers) - 1:  # the ReLU lands in the next layer's padded input
+                t = relu(t, ws.layers[i + 1].input.x)
+        # row-major like every image: to_grayscale's matmul would sum a transposed view in another order
+        out = np.subtract(noisy, t.transpose(1, 2, 0), out=np.empty(noisy.shape))
     if not np.all(np.isfinite(out)):
         bad = (f"layer{i}" for i, work in enumerate(ws.layers) if not np.all(np.isfinite(work.pre)))
         raise NumericalError(f"network output is not finite, first at {next(bad, 'the residual subtraction')}")
-    # Row-major, like every image: the matmul in to_grayscale sums the channels
-    # of a transposed view in another order, so its last bits would differ.
-    return np.ascontiguousarray(out.transpose(1, 2, 0)), ws
+    return out, ws
 
 
 def net_backward(net: TinyNet, cache: Workspace, grad_out: np.ndarray) -> list[np.ndarray]:
@@ -223,13 +232,12 @@ def net_backward(net: TinyNet, cache: Workspace, grad_out: np.ndarray) -> list[n
     shape = (*cache.shape, net.layers[-1].out_ch)
     if grad_out.shape != shape:
         raise RuntimeError(f"gradient shape {grad_out.shape} does not match the output shape {shape}")
-    g = grad_out.transpose(2, 0, 1)
-    s = -g  # output = input - stack(input), so the stack sees -g
+    s = -grad_out.transpose(2, 0, 1)  # output = input - stack(input), so the stack sees -grad_out
     grads: list[np.ndarray] = []
     for i in range(len(net.layers) - 1, -1, -1):
         work = cache.layers[i]
-        if i < len(net.layers) - 1:
-            s = s * (work.pre > 0)  # ReLU: the gradient at exactly 0 is 0
+        if i < len(net.layers) - 1:  # ReLU: the gradient at exactly 0 is 0; s is the workspace's grad_in
+            np.multiply(s, work.pre > 0, out=s)
         s, gk, gb = conv_backward(s, work, input_grad=i > 0)  # nothing reads the input's gradient
         grads += [gb, gk]
     return grads[::-1]

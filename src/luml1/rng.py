@@ -15,6 +15,7 @@ not be shared.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -45,17 +46,12 @@ def stream(seed: int, *ids: int) -> np.random.Generator:
 def normal(rng: np.random.Generator, shape, sigma: float = 1.0) -> np.ndarray:
     """Gaussian deviates via Box-Muller on the stream's uniforms."""
     shape = tuple(np.atleast_1d(shape)) if not isinstance(shape, tuple) else shape
-    n = 1
-    for s in shape:
-        n *= int(s)
+    n = math.prod(shape)
     m = (n + 1) // 2
-    u1 = 1.0 - rng.random(m)  # (0, 1], keeps log finite
-    u2 = rng.random(m)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
-    if sigma != 1.0:
-        z = sigma * z
-    return z.reshape(shape)
+    r = np.sqrt(-2.0 * np.log(1.0 - rng.random(m)))  # 1 - u lies in (0, 1], so the log is finite
+    theta = 2.0 * np.pi * rng.random(m)
+    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+    return (sigma * z).reshape(shape)  # sigma 1 changes no bit
 
 
 def check_seed(seed: int) -> int:

@@ -106,13 +106,14 @@ def mean_scores(net: TinyNet | None, noisy: list[Image], clean: list[Image]) -> 
 _PARAM_LIMIT = float(np.finfo(np.float32).max)
 
 
-def train(net: TinyNet, cfg: Config, ckpt_path=None) -> tuple[TinyNet, TrainLog]:
+def train(net: TinyNet, cfg: Config, ckpt_path=None, stop=lambda: None) -> tuple[TinyNet, TrainLog]:
     """Run the blind training loop of a one-cell config, mutating ``net`` in place.
 
     Each step draws ``batch_size`` (noisy, clean) patch pairs, accumulates
     gradients of the one loss between network output and clean patch in item
     order, and applies one Adam update. A NaN or runaway value anywhere
     aborts with NumericalError; the last periodic checkpoint stays on disk.
+    ``stop`` is called before every step and may raise to end the run there.
     """
     if len(cfg.losses) != 1 or len(cfg.sigma_max) != 1:
         raise InvalidInputError("a training run needs exactly one loss and one sigma_max")
@@ -127,6 +128,7 @@ def train(net: TinyNet, cfg: Config, ckpt_path=None) -> tuple[TinyNet, TrainLog]
     val_clean = val_noisy = ws = None  # ws: the one workspace of every training forward pass
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked explicitly
         for step in range(1, cfg.steps + 1):
+            stop()
             try:
                 t0 = time.perf_counter()
                 accum = [np.zeros_like(p) for p in params]

@@ -179,6 +179,15 @@ class TestTrainCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("flags", [["--lambda", "0.5"], ["--loss", "l2", "--lambda", "0.5"]])
+    def test_lambda_without_a_luml1_loss_exits_1_before_training(self, tmp_path, capsys, monkeypatch, flags):
+        # no loss reads the value: the run would train plain l1 or l2 and its config would read lambda=1
+        monkeypatch.setattr(cli, "train", _must_not_run)
+        ckpt = tmp_path / "x.ckpt"
+        assert main(["train", "--out", str(ckpt), *flags]) == 1
+        assert "no loss is luml1" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_loss_flag_takes_a_loss_token(self, tmp_path, capsys):
         base = "steps=3\nbatch_size=2\npatch_size=16\ncorpus_count=2\ncorpus_size=16x16\n"
         cfg, flag_cfg = tmp_path / "token.cfg", tmp_path / "base.cfg"
@@ -314,6 +323,18 @@ class TestBenchCli:
         csv = tmp_path / "table.csv"
         assert main(["bench", "--plan", str(plan), "--csv", str(csv)]) == 1
         assert "corpus_size at least 16x16" in capsys.readouterr().err
+        assert not csv.exists()
+
+    def test_plan_lambda_without_a_luml1_loss_exits_1_before_training(self, tmp_path, capsys, monkeypatch):
+        import luml1.bench as bench
+
+        monkeypatch.setattr(bench, "train", _must_not_run)
+        kept = [ln for ln in self.PLAN.splitlines() if not ln.startswith(("losses=", "lambda="))]
+        plan = tmp_path / "lam.plan"
+        plan.write_text("\n".join(kept + ["losses=l1,l2", "lambda=0.5"]) + "\n")
+        csv = tmp_path / "table.csv"
+        assert main(["bench", "--plan", str(plan), "--csv", str(csv)]) == 1
+        assert "no loss is luml1" in capsys.readouterr().err
         assert not csv.exists()
 
     def test_valid_plan_writes_csv(self, tmp_path, capsys):

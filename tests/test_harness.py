@@ -1,5 +1,8 @@
 import math
+import signal
+import sys
 import threading
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -242,6 +245,16 @@ class TestPlanFiles:
         assert "lambda=0.5\n" in text and "pixel_base=l2\n" in text
         assert parse_config(text, "plan") == plan
 
+    @pytest.mark.parametrize(
+        "text,kind", [("lambda=0.5\n", "train"), ("pixel_base=l2\n", "train"), ("losses=l1,l2\nlambda=0.5\n", "plan")]
+    )
+    def test_lambda_or_pixel_base_without_a_luml1_loss_rejected(self, text, kind):
+        # no loss would read the value, and the canonical text would name lambda=1 or pixel_base=l1
+        with pytest.raises(InvalidInputError, match="no loss is luml1"):
+            parse_config(text, kind)
+        defaults = parse_config("lambda=1\npixel_base=l1\n", kind)  # format_config writes these into every file
+        assert defaults == parse_config("", kind)
+
     def test_labels_name_the_exact_lam(self):
         assert parse_loss("luml1:1.0000001").label() == "luml1-1.0000001"
         plan = parse_config("losses=luml1:1.0000001,luml1:1.0000002\n", "plan")
@@ -369,7 +382,7 @@ class TestRunBench:
         # the second cell fails first in time; the error raised is still the first cell's
         second_failed = threading.Event()
 
-        def failing_train(net, cfg):
+        def failing_train(net, cfg, **kwargs):
             label = cfg.losses[0].label()
             if label == "l1":
                 assert second_failed.wait(10)
@@ -387,11 +400,11 @@ class TestRunBench:
         second_trained = threading.Event()
         train = luml1.bench.train
 
-        def first_fails(net, cfg):
+        def first_fails(net, cfg, **kwargs):
             if cfg.losses[0].label() == "l1":
                 assert second_trained.wait(10)
                 raise NumericalError("cell l1 diverged")
-            train(net, cfg)
+            train(net, cfg, **kwargs)
             second_trained.set()
 
         monkeypatch.setattr(luml1.bench, "train", first_fails)
@@ -400,12 +413,76 @@ class TestRunBench:
             run_bench(micro_plan(steps=1), ckpt_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_cells_beside_a_failed_cell_stop_at_their_next_step(self, monkeypatch):
+        # the l1 cell diverges at step 1; the luml1 cell beside it would train for minutes
+        def l1_diverges(net, cfg, **kwargs):
+            return train(net, replace(cfg, lr=1e300) if cfg.losses[0].kind == "l1" else cfg, **kwargs)
+
+        monkeypatch.setattr(luml1.bench, "train", l1_diverges)
+        monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
+        t0 = time.perf_counter()
+        with pytest.raises(NumericalError, match="aborted at step 1"):
+            run_bench(micro_plan(steps=10_000))
+        assert time.perf_counter() - t0 < 5.0
+
+    def test_cells_stop_at_their_next_step_on_ctrl_c(self, tmp_path, monkeypatch):
+        steps = []
+
+        def interrupted(net, cfg, stop):
+            def stop_after_a_step():
+                steps.append(cfg.losses[0].label())
+                if steps.count("l1") == 3 and cfg.losses[0].label() == "l1":  # once, while training: Ctrl-C
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                return stop()
+
+            return train(net, cfg, stop=stop_after_a_step)
+
+        monkeypatch.setattr(luml1.bench, "train", interrupted)
+        monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_bench(micro_plan(steps=10_000), ckpt_dir=tmp_path)
+        assert time.perf_counter() - t0 < 5.0
+        assert len(steps) < 100 and list(tmp_path.iterdir()) == []
+
+    def test_only_the_cells_after_a_failed_cell_stop(self, tmp_path, monkeypatch):
+        # 4 cells on 4 workers (more than cores), threads switching often: cell 1 fails at its first
+        # step; cells 2 and 3 must stop then, while cell 0 still trains, and cell 0 must finish and be saved
+        ended = {}
+
+        def second_fails(net, cfg, **kwargs):
+            cell = (cfg.losses[0].label(), cfg.sigma_max[0])
+            steps = 300 if cell == ("l1", 25.0) else cfg.steps
+            lr = 1e300 if cell == ("luml1", 25.0) else cfg.lr
+            try:
+                train(net, replace(cfg, steps=steps, lr=lr), **kwargs)
+            except BaseException as exc:
+                ended[cell] = type(exc).__name__
+                raise
+            ended[cell] = "finished"
+
+        monkeypatch.setattr(luml1.bench, "train", second_fails)
+        monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(NumericalError, match="aborted at step 1"):
+                run_bench(micro_plan(sigma_max=(25.0, 30.0), steps=10_000), ckpt_dir=tmp_path)
+            assert time.perf_counter() - t0 < 30.0
+        finally:
+            sys.setswitchinterval(interval)
+        assert ended == {("l1", 25.0): "finished", ("luml1", 25.0): "NumericalError",
+                         ("l1", 30.0): "CancelledError", ("luml1", 30.0): "CancelledError"}
+        assert list(ended)[-1] == ("l1", 25.0)  # the later cells stopped before cell 0 finished
+        assert [p.name for p in tmp_path.iterdir()] == ["l1_25.ckpt"]
+
     def test_noisy_sets_are_made_per_sigma_after_training(self, monkeypatch):
         made = []
         noisy_set = luml1.bench.noisy_set
         train = luml1.bench.train
         monkeypatch.setattr(luml1.bench, "noisy_set", lambda *a: made.append(a[3]) or noisy_set(*a))
-        monkeypatch.setattr(luml1.bench, "train", lambda net, cfg: made.append("train") or train(net, cfg))
+        monkeypatch.setattr(luml1.bench, "train", lambda net, cfg, **kw: made.append("train") or train(net, cfg, **kw))
         monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
         run_bench(micro_plan(steps=1))
         assert made[:2] == ["train", "train"] and sorted(made[2:]) == [0, 1]

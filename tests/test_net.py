@@ -14,6 +14,7 @@ from luml1.net import (
     conv_forward,
     net_backward,
     net_forward,
+    relu,
 )
 from luml1.rng import stream
 
@@ -118,6 +119,19 @@ class TestRelu:
         out, cache = net_forward(net, ZERO_PIXEL)
         grad_bias0 = net_backward(net, cache, np.ones_like(out))[1]
         assert grad_bias0.tolist() == [0.0, 0.0, -1.0]  # d(-relu(pre)) / d pre
+
+    @pytest.mark.parametrize("shape", [(1,), (9,), (17,), (16, 32, 32)])
+    def test_relu_is_bit_equal_to_where(self, shape):
+        # numpy's fmax keeps -0.0 in its scalar tail (lengths 1, 9, 17), so only fmax plus +0.0 passes
+        specials = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, -1.5, 2.5, -5e-324, 5e-324])
+        pre = stream(52, 23).normal(size=shape).ravel()
+        pre[:: max(1, pre.size // 40)] = -0.0
+        pre[: min(pre.size, specials.size)] = specials[: pre.size]
+        pre[-1] = -0.0
+        pre = pre.reshape(shape)
+        expected = np.where(pre > 0, pre, 0.0)
+        out = relu(pre, np.full(shape, 7.0))
+        assert out.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
 
     def test_finite_difference_away_from_zero(self):
         bias = np.array([-0.5, 0.8, 1.2])
@@ -296,3 +310,17 @@ class TestWorkspace:
             tracemalloc.stop()
         im2col = 16 * 3 * 3 * 32 * 32 * 8  # a hidden layer's (144, H*W) matrix
         assert peak < im2col, peak
+
+    def test_second_backward_allocates_no_activation_sized_array_per_layer(self):
+        # the ReLU mask multiplies in place and the input gradient lands in the workspace
+        net = build_tinynet(53)
+        img, grad = rand_array(24, 32, 32), rand_array(25, 32, 32)
+        _, ws = net_forward(net, img)
+        net_backward(net, ws, grad)
+        tracemalloc.start()
+        try:
+            net_backward(net, ws, grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 16 * 32 * 32 * 8, peak  # two (16, 32, 32) float64 arrays
