@@ -31,7 +31,7 @@ from .bench import (
     run_bench,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dataset import BlindTrainSpec, gen_clean, make_blind_batches, noisy_set
+from .dataset import gen_clean, make_blind_batches, noisy_set
 from .errors import (
     CorruptCheckpointError,
     FormatError,
@@ -65,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState",
     "BenchReport",
-    "BlindTrainSpec",
     "Config",
     "ConvLayer",
     "CorruptCheckpointError",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,8 +50,9 @@ class Config:
     """Everything a training run or a benchmark run depends on.
 
     A plan trains one cell per (loss, sigma_max) pair, and a cell is the
-    plan with exactly one of each: a train config is a one-cell plan. The
-    defaults are those of a train config file; KIND_DEFAULTS holds a plan's.
+    plan with exactly one of each: a train config is a one-cell plan. Every
+    field is set by a plan key, so any Config has a plan text. The defaults
+    are those of a train config file; KIND_DEFAULTS holds a plan's.
     """
 
     sigma_max: tuple[float, ...] = (25.0,)
@@ -60,15 +61,11 @@ class Config:
     steps: int = 500
     batch_size: int = 8
     lr: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     patch_size: int = 32
     corpus_count: int = 64
     corpus_h: int = 40
     corpus_w: int = 40
-    checkpoint_every: int = 0  # 0: only the final checkpoint is written
     eval_count: int = 64
     eval_h: int = 40
     eval_w: int = 40
@@ -77,12 +74,10 @@ class Config:
 
     def __post_init__(self):
         check_seed(self.seed)
-        if self.steps < 0 or self.batch_size < 1 or self.checkpoint_every < 0 or self.patch_size < 1:
-            raise InvalidInputError("steps and checkpoint_every must be >= 0 and batch_size and patch_size >= 1")
-        if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
-            raise InvalidInputError("Adam betas must lie strictly between 0 and 1")
-        if not all(np.isfinite(x) and x > 0 for x in (self.lr, self.adam_eps)):
-            raise InvalidInputError("lr and adam_eps must be finite and positive")
+        if self.steps < 0 or self.batch_size < 1 or self.patch_size < 1:
+            raise InvalidInputError("steps must be >= 0 and batch_size and patch_size >= 1")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise InvalidInputError("lr must be finite and positive")
         if self.corpus_count < 1 or min(self.corpus_h, self.corpus_w) < MIN_IMAGE_SIZE:
             raise InvalidInputError(f"corpus_count must be >= 1 and corpus_size at least {MIN_IMAGE_SIZE}x{MIN_IMAGE_SIZE}")
         if self.patch_size > min(self.corpus_h, self.corpus_w):
@@ -134,7 +129,6 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
     # import (logging with it) would add 0.6 MB to its peak RSS
     from concurrent.futures import CancelledError, ThreadPoolExecutor
 
-    format_config(plan, "plan")  # rejects a knob that a plan file cannot carry, so the config hash names the run
     t_start = time.perf_counter()
     es = eval_seed(plan.seed)
     clean = gen_clean(es, plan.eval_count, plan.eval_h, plan.eval_w)
@@ -210,7 +204,7 @@ def report_to_csv(report: BenchReport) -> str:
         "# mean reconstruction quality per noise level (std dev, 0-255 scale); "
         "ssim columns extend the plain psnr table; delta columns are computed "
         f"as each loss minus the base loss '{labels[0]}' at the same sigma_max",
-        f"# seed={plan.seed} config=fnv64:{fnv1a64(format_config(plan, 'plan').encode()):016x}",
+        f"# seed={plan.seed} config=fnv64:{fnv1a64(format_config(plan).encode()):016x}",
     ]
     for sigma in plan.eval_sigmas:
         psnr, ssim = report.noisy[sigma]
@@ -275,10 +269,10 @@ def denoise_file(ckpt_path, in_path, out_path) -> None:
 # plan and train config files: plain key=value lines
 
 # The one key table of both file kinds: (key, file kinds, value type, field).
-# Each key sets the Config field it names; loss (train) and losses (plan) set
-# the same field. lambda and pixel_base set no field: they make the LossSpec
-# that a bare luml1 loss token means, so both are checked whatever the losses
-# are. Rows are in canonical order.
+# Each key sets the Config field it names, and every field has a plan key;
+# loss (train) and losses (plan) set the same field. lambda and pixel_base set
+# no field: they make the LossSpec that a bare luml1 loss token means, so both
+# are checked whatever the losses are. Rows are in canonical order.
 CONFIG_KEYS = (
     ("sigma_max", "plan train", "floats", "sigma_max"),
     ("eval_sigmas", "plan", "floats", "eval_sigmas"),
@@ -289,13 +283,9 @@ CONFIG_KEYS = (
     ("steps", "plan train", "int", "steps"),
     ("batch_size", "plan train", "int", "batch_size"),
     ("lr", "plan train", "float", "lr"),
-    ("adam_beta1", "train", "float", "adam_beta1"),
-    ("adam_beta2", "train", "float", "adam_beta2"),
-    ("adam_eps", "train", "float", "adam_eps"),
     ("patch_size", "plan train", "int", "patch_size"),
     ("corpus_count", "plan train", "int", "corpus_count"),
     ("corpus_size", "plan train", "size", "corpus_h corpus_w"),
-    ("checkpoint_every", "train", "int", "checkpoint_every"),
     ("eval_count", "plan", "int", "eval_count"),
     ("eval_size", "plan", "size", "eval_h eval_w"),
     ("hidden_channels", "plan", "int", "hidden_channels"),
@@ -337,7 +327,7 @@ def parse_config(text: str, kind: str, overrides: dict[str, str] | None = None) 
     """Parse a ``kind`` ("plan" or "train") file; ``overrides`` (key -> text) win over its lines.
 
     Keys the file kind does not accept, values that do not parse, and a non-default lambda or
-    pixel_base without a luml1 loss raise InvalidInputError; a left-out key keeps its KIND_DEFAULTS value.
+    pixel_base that no loss token reads raise InvalidInputError; a left-out key keeps its KIND_DEFAULTS value.
     """
     kv = {**parse_kv(text), **(overrides or {})}
     rows = _keys(kind)
@@ -359,26 +349,24 @@ def parse_config(text: str, kind: str, overrides: dict[str, str] | None = None) 
                 values.update(zip(names, value) if len(names) > 1 else [(name, value)])
     except ValueError as exc:
         raise InvalidInputError(f"bad {kind} value: {exc}") from None
-    if bare != LossSpec("luml1") and all(s.kind != "luml1" for s in values["losses"]):
-        raise InvalidInputError("lambda and pixel_base set a luml1 loss, and no loss is luml1")
+    # lambda is read by a bare luml1 token, pixel_base by a luml1 token without a pixel-base suffix
+    tokens = [t.split(":") for t in kv[losses_key].split(",")]
+    if bare.lam != 1.0 and ["luml1"] not in tokens:
+        raise InvalidInputError("lambda sets the lam of a bare luml1 loss, and no loss is luml1 without its own lam")
+    if bare.pixel_base != "l1" and not any(t[0] == "luml1" and len(t) < 3 for t in tokens):
+        raise InvalidInputError("pixel_base sets a luml1 loss's pixel base, and no loss is luml1 without its own")
     return replace(KIND_DEFAULTS[kind], **values)
 
 
-def format_config(cfg: Config, kind: str) -> str:
-    """Canonical key=value text of ``cfg`` as a ``kind`` file; parse_config reads it back exactly.
+def format_config(cfg: Config) -> str:
+    """Canonical plan text of ``cfg``, which ``parse_config(text, "plan")`` reads back exactly.
 
-    A field that no key of the file kind sets must keep its KIND_DEFAULTS
-    value, else InvalidInputError: the text would name another config.
+    A train config is written as the one-cell plan it is.
     """
-    rows, base = _keys(kind), KIND_DEFAULTS[kind]
-    named = {n for row in rows if row[3] is not None for n in row[3].split()}
-    for f in fields(Config):
-        if f.name not in named and getattr(cfg, f.name) != getattr(base, f.name):
-            raise InvalidInputError(f"a {kind} file cannot set {f.name!r}")
     default = next((s for s in cfg.losses if s.kind == "luml1"), LossSpec("luml1"))
     codec = _codec(default)
     lines = []
-    for key, _, vtype, name in rows:
+    for key, _, vtype, name in _keys("plan"):
         if name is None:
             value = default.lam if key == "lambda" else default.pixel_base
         else:

@@ -100,12 +100,3 @@ def parse_checkpoint(buf: bytes, name: str) -> TinyNet:
         return TinyNet(layers)
     except InvalidInputError as exc:
         raise FormatError(f"{name}: {exc}") from None
-
-
-def stored_checksum(path) -> int:
-    """Read the trailing checksum without validating the payload."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 8:
-        raise FormatError(f"{path}: too short to hold a checksum")
-    return struct.unpack("<Q", buf[-8:])[0]

@@ -77,7 +77,7 @@ def cmd_train(args) -> int:
     flags = {"loss": args.loss, "lambda": args.lam, "sigma_max": args.sigma_max, "seed": args.seed}
     cfg = parse_config(text, "train", {k: v for k, v in flags.items() if v is not None})
     net = build_tinynet(train_seed(cfg.seed), hidden_channels=cfg.hidden_channels, hidden_depth=cfg.hidden_depth)
-    net, log = train(net, cfg, ckpt_path=args.out)
+    net, log = train(net, cfg, ckpt_path=args.out, checkpoint_every=args.checkpoint_every)
     if log.steps:
         first, last = log.steps[0][1], log.steps[-1][1]
         print(f"trained {cfg.steps} steps ({cfg.losses[0].label()}): loss {first:.6f} -> {last:.6f}")
@@ -163,6 +163,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma-max", dest="sigma_max")
     p.add_argument("--seed")
     p.add_argument("--log", type=_out_path, help="write the training log CSV here")
+    p.add_argument("--checkpoint-every", type=int, default=0, metavar="N", help="also save and validate every N steps")
     p.add_argument("--out", type=_out_path, required=True, help="checkpoint path")
     p.set_defaults(func=cmd_train)
 

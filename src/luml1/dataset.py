@@ -12,7 +12,6 @@ uniformly from [0, sigma_max] but never exposes it -- consumers only see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -25,28 +24,6 @@ from .rng import DOMAIN_BATCH, DOMAIN_CLEAN, DOMAIN_EVAL_NOISE, normal, stream
 # window. Corpus and eval sizes are checked against it when a train config or
 # plan is built, so a size that is too small fails before any work starts.
 MIN_IMAGE_SIZE = 16
-
-
-@dataclass(frozen=True)
-class BlindTrainSpec:
-    """Patch stream configuration for blind training.
-
-    Each emitted patch carries noise with a std dev drawn uniformly from
-    [0, sigma_max_255]; the draw is internal and never exposed.
-    """
-
-    sigma_max_255: float
-    patch_size: int
-    count: int
-    seed: int
-
-    def __post_init__(self):
-        if not (np.isfinite(self.sigma_max_255) and self.sigma_max_255 >= 0.0):
-            raise InvalidInputError(f"sigma_max must be finite and nonnegative, got {self.sigma_max_255}")
-        if self.patch_size < 1:
-            raise InvalidInputError(f"patch_size must be positive, got {self.patch_size}")
-        if self.count < 0:
-            raise InvalidInputError(f"count must be nonnegative, got {self.count}")
 
 
 def gen_clean(seed: int, count: int, h: int, w: int) -> list[Image]:
@@ -122,23 +99,33 @@ def _draw_patch_params(
     return idx, y0, x0, sigma
 
 
-def make_blind_batches(clean: list[Image], spec: BlindTrainSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``spec.count`` (noisy_patch, clean_patch) pairs of (P, P, 3) arrays.
+def make_blind_batches(
+    clean: list[Image], sigma_max_255: float, patch_size: int, count: int, seed: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``count`` (noisy_patch, clean_patch) pairs of (P, P, 3) arrays, P = ``patch_size``.
 
-    Crops and noise levels come from a single stream keyed by ``spec.seed``,
-    so the full sequence is reproducible. The per-patch noise level is not
-    part of the yielded values. The clean patch is a read-only view into the
-    corpus; the noisy patch is a fresh array.
+    Each noisy patch carries noise with a std dev drawn uniformly from
+    [0, sigma_max_255]; the draw is internal and not part of the yielded
+    values. Crops and noise levels come from a single stream keyed by
+    ``seed``, so the full sequence is reproducible. The clean patch is a
+    read-only view into the corpus; the noisy patch is a fresh array. Bad
+    arguments raise InvalidInputError at the first draw.
     """
+    if not (np.isfinite(sigma_max_255) and sigma_max_255 >= 0.0):
+        raise InvalidInputError(f"sigma_max must be finite and nonnegative, got {sigma_max_255}")
+    if patch_size < 1:
+        raise InvalidInputError(f"patch_size must be positive, got {patch_size}")
+    if count < 0:
+        raise InvalidInputError(f"count must be nonnegative, got {count}")
     if not clean:
         raise InvalidInputError("need at least one clean image")
     dims = [(im.height, im.width) for im in clean]
-    if any(spec.patch_size > min(h, w) for h, w in dims):
-        raise InvalidInputError(f"patch_size {spec.patch_size} exceeds the smallest image dimension")
-    rng = stream(spec.seed, DOMAIN_BATCH)
-    p = spec.patch_size
-    for _ in range(spec.count):
-        idx, y0, x0, sigma = _draw_patch_params(rng, dims, p, spec.sigma_max_255)
+    if any(patch_size > min(h, w) for h, w in dims):
+        raise InvalidInputError(f"patch_size {patch_size} exceeds the smallest image dimension")
+    rng = stream(seed, DOMAIN_BATCH)
+    p = patch_size
+    for _ in range(count):
+        idx, y0, x0, sigma = _draw_patch_params(rng, dims, p, sigma_max_255)
         patch = clean[idx].data[y0 : y0 + p, x0 : x0 + p]
         noise = normal(rng, patch.shape, sigma / 255.0)
         yield patch + noise, patch

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import BlindTrainSpec, gen_clean, make_blind_batches, noisy_set
+from .dataset import gen_clean, make_blind_batches, noisy_set
 from .errors import InvalidInputError, NumericalError
 from .image import Image
 from .losses import eval_loss
@@ -106,22 +106,26 @@ def mean_scores(net: TinyNet | None, noisy: list[Image], clean: list[Image]) -> 
 _PARAM_LIMIT = float(np.finfo(np.float32).max)
 
 
-def train(net: TinyNet, cfg: Config, ckpt_path=None, stop=lambda: None) -> tuple[TinyNet, TrainLog]:
+def train(net: TinyNet, cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: None) -> tuple[TinyNet, TrainLog]:
     """Run the blind training loop of a one-cell config, mutating ``net`` in place.
 
     Each step draws ``batch_size`` (noisy, clean) patch pairs, accumulates
     gradients of the one loss between network output and clean patch in item
-    order, and applies one Adam update. A NaN or runaway value anywhere
-    aborts with NumericalError; the last periodic checkpoint stays on disk.
-    ``stop`` is called before every step and may raise to end the run there.
+    order, and applies one Adam update with adam_step's default settings.
+    Every ``checkpoint_every`` steps (0: never) the net is saved to
+    ``ckpt_path`` and scored on four validation images; the final net is
+    always saved. A NaN or runaway value anywhere aborts with NumericalError;
+    the last periodic checkpoint stays on disk. ``stop`` is called before
+    every step and may raise to end the run there.
     """
     if len(cfg.losses) != 1 or len(cfg.sigma_max) != 1:
         raise InvalidInputError("a training run needs exactly one loss and one sigma_max")
+    if checkpoint_every < 0:
+        raise InvalidInputError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     (loss,), (sigma_max,) = cfg.losses, cfg.sigma_max
     log = TrainLog()
     clean = gen_clean(train_seed(cfg.seed), cfg.corpus_count, cfg.corpus_h, cfg.corpus_w)
-    spec = BlindTrainSpec(sigma_max, cfg.patch_size, cfg.steps * cfg.batch_size, train_seed(cfg.seed))
-    batches = make_blind_batches(clean, spec)
+    batches = make_blind_batches(clean, sigma_max, cfg.patch_size, cfg.steps * cfg.batch_size, train_seed(cfg.seed))
     params = net.parameters()
     names = net.parameter_names()
     state = AdamState.for_params(params)
@@ -145,12 +149,12 @@ def train(net: TinyNet, cfg: Config, ckpt_path=None, stop=lambda: None) -> tuple
                     raise NumericalError("loss is not finite")
                 for acc in accum:
                     acc /= cfg.batch_size
-                adam_step(params, accum, state, cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, names)
+                adam_step(params, accum, state, cfg.lr, names=names)
                 for name, p in zip(names, params):
                     if not np.all(np.isfinite(p)) or np.abs(p).max() > _PARAM_LIMIT:
                         raise NumericalError(f"runaway values in {name}")
                 log.steps.append((step, loss_value, (time.perf_counter() - t0) * 1e3))
-                if cfg.checkpoint_every > 0 and step % cfg.checkpoint_every == 0:
+                if checkpoint_every > 0 and step % checkpoint_every == 0:
                     if ckpt_path is not None:
                         save_checkpoint(net, ckpt_path)
                     if val_clean is None:

@@ -15,7 +15,6 @@ import pytest
 
 import luml1.bench
 from luml1.bench import parse_report_csv
-from luml1.checkpoint import stored_checksum
 from luml1.cli import main
 from luml1.gradcheck import check_net_gradients, loss_gradient_suite
 from luml1.image import to_grayscale
@@ -162,17 +161,14 @@ def test_criterion_5_determinism(bench_runs):
     a, b = bench_runs
     csv_equal = a["csv"].read_bytes() == b["csv"].read_bytes()
     names = sorted(p.name for p in a["ckpt_dir"].iterdir())
-    sums_equal = all(
-        stored_checksum(a["ckpt_dir"] / n) == stored_checksum(b["ckpt_dir"] / n) for n in names
-    )
     bytes_equal = all(
         (a["ckpt_dir"] / n).read_bytes() == (b["ckpt_dir"] / n).read_bytes() for n in names
     )
     criterion(
         5,
         "benchmark determinism",
-        csv_equal and sums_equal and bytes_equal,
-        f"1 vs 2 workers: csv identical: {csv_equal}; {len(names)} checkpoint checksums match: {sums_equal}",
+        csv_equal and bytes_equal,
+        f"1 vs 2 workers: csv identical: {csv_equal}; {len(names)} checkpoints identical: {bytes_equal}",
     )
 
 

@@ -10,7 +10,6 @@ from luml1.checkpoint import (
     checkpoint_bytes,
     load_checkpoint,
     save_checkpoint,
-    stored_checksum,
 )
 from luml1.cli import main
 from luml1.errors import CorruptCheckpointError, FormatError
@@ -127,7 +126,8 @@ class TestCheckpointCorruption:
         load_checkpoint(path)  # must not raise
         blob = path.read_bytes()
         payload = blob[_payload_start(blob) : -8]
-        assert stored_checksum(path) == fnv1a64(payload)
+        (stored,) = struct.unpack("<Q", blob[-8:])  # the trailer: little-endian FNV-1a-64 of the payload
+        assert stored == fnv1a64(payload)
 
 
 def _payload_start(blob: bytes) -> int:

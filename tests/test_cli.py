@@ -162,8 +162,8 @@ class TestTrainCli:
             ("", ["--sigma-max", "inf"]),
             ("lr=nan", []),
             ("lr=inf", []),
-            ("adam_eps=nan", []),
-            ("adam_eps=inf", []),
+            ("sigma_max=nan", []),
+            ("loss=luml1:inf", []),
             ("", ["--loss", "luml1", "--lambda", "inf"]),
             ("", ["--lambda", "inf"]),
             ("pixel_base=l3", []),
@@ -178,6 +178,37 @@ class TestTrainCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("line", ["adam_beta1=0.8", "adam_eps=1e-6", "checkpoint_every=5"])
+    def test_removed_config_key_exits_1_before_training(self, tmp_path, capsys, monkeypatch, line):
+        # Adam runs with its published defaults; the checkpoint cadence is the --checkpoint-every flag
+        monkeypatch.setattr(cli, "train", _must_not_run)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps=2\n" + line + "\n")
+        ckpt = tmp_path / "x.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt)]) == 1
+        assert "unknown config key" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("value,message", [("-1", "checkpoint_every must be >= 0"), ("2.5", "invalid int value")])
+    def test_bad_checkpoint_every_exits_1_before_training(self, tmp_path, capsys, monkeypatch, value, message):
+        import luml1.trainer
+
+        monkeypatch.setattr(luml1.trainer, "gen_clean", _must_not_run)
+        ckpt = tmp_path / "x.ckpt"
+        assert main(["train", "--checkpoint-every", value, "--out", str(ckpt)]) == 1
+        assert message in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_checkpoint_every_writes_the_same_final_checkpoint(self, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps=10\nbatch_size=2\npatch_size=16\ncorpus_count=2\ncorpus_size=16x16\nseed=4\n")
+        a, b, log = tmp_path / "a.ckpt", tmp_path / "b.ckpt", tmp_path / "log.csv"
+        assert main(["train", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main(["train", "--config", str(cfg), "--checkpoint-every", "5", "--out", str(b), "--log", str(log)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        validated = [line.split(",")[0] for line in log.read_text().splitlines()[1:] if not line.endswith(",,")]
+        assert validated == ["5", "10"]
 
     @pytest.mark.parametrize("flags", [["--lambda", "0.5"], ["--loss", "l2", "--lambda", "0.5"]])
     def test_lambda_without_a_luml1_loss_exits_1_before_training(self, tmp_path, capsys, monkeypatch, flags):

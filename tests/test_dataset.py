@@ -3,7 +3,6 @@ import pytest
 
 from luml1.bench import check_sigmas
 from luml1.dataset import (
-    BlindTrainSpec,
     _draw_patch_params,
     gen_clean,
     make_blind_batches,
@@ -91,17 +90,18 @@ class TestAddNoise:
 
 
 class TestBlindBatches:
-    def spec(self, count=10, seed=5):
-        return BlindTrainSpec(sigma_max_255=50.0, patch_size=12, count=count, seed=seed)
+    @staticmethod
+    def batches(clean, count=10, seed=5):
+        return make_blind_batches(clean, 50.0, 12, count, seed)
 
     def test_exact_count(self):
         clean = gen_clean(1, 3, 20, 20)
-        pairs = list(make_blind_batches(clean, self.spec(count=17)))
+        pairs = list(self.batches(clean, count=17))
         assert len(pairs) == 17
 
     def test_patch_shapes_and_blindness(self):
         clean = gen_clean(1, 3, 20, 20)
-        for noisy, target in make_blind_batches(clean, self.spec(count=5)):
+        for noisy, target in self.batches(clean, count=5):
             assert noisy.shape == (12, 12, 3)
             assert target.shape == (12, 12, 3)
             # the pair carries no noise-level information beyond the pixels
@@ -109,7 +109,7 @@ class TestBlindBatches:
 
     def test_clean_patch_is_a_crop(self):
         clean = gen_clean(2, 2, 20, 20)
-        for _, target in make_blind_batches(clean, self.spec(count=8)):
+        for _, target in self.batches(clean, count=8):
             found = any(
                 np.array_equal(img.data[y : y + 12, x : x + 12], target)
                 for img in clean
@@ -120,17 +120,21 @@ class TestBlindBatches:
 
     def test_same_seed_identical_sequence(self):
         clean = gen_clean(3, 2, 20, 20)
-        a = list(make_blind_batches(clean, self.spec(count=6)))
-        b = list(make_blind_batches(clean, self.spec(count=6)))
+        a = list(self.batches(clean, count=6))
+        b = list(self.batches(clean, count=6))
         for (na, ca), (nb, cb) in zip(a, b):
             assert np.array_equal(na, nb)
             assert np.array_equal(ca, cb)
 
     def test_patch_larger_than_image_rejected(self):
         clean = gen_clean(1, 1, 16, 16)
-        spec = BlindTrainSpec(sigma_max_255=10.0, patch_size=17, count=1, seed=0)
         with pytest.raises(InvalidInputError):
-            list(make_blind_batches(clean, spec))
+            list(make_blind_batches(clean, 10.0, 17, 1, 0))
+
+    @pytest.mark.parametrize("sigma_max,patch_size,count", [(float("nan"), 12, 1), (-1.0, 12, 1), (10.0, 0, 1), (10.0, 12, -1)])
+    def test_bad_stream_arguments_rejected(self, sigma_max, patch_size, count):
+        with pytest.raises(InvalidInputError):
+            list(make_blind_batches(gen_clean(1, 1, 16, 16), sigma_max, patch_size, count, 0))
 
     def test_sigma_draws_uniform_ks(self):
         # white-box: the same draw helper the batch stream consumes
@@ -143,8 +147,7 @@ class TestBlindBatches:
     def test_draw_helper_drives_the_stream(self):
         # reconstructing the first patch from the helper's draws must match
         clean = gen_clean(3, 2, 20, 20)
-        spec = self.spec(count=1, seed=8)
-        noisy, target = next(make_blind_batches(clean, spec))
+        noisy, target = next(self.batches(clean, count=1, seed=8))
         rng = stream(8, DOMAIN_BATCH)
         idx, y0, x0, sigma = _draw_patch_params(rng, [(20, 20), (20, 20)], 12, 50.0)
         expected_clean = clean[idx].data[y0 : y0 + 12, x0 : x0 + 12]

@@ -103,10 +103,6 @@ def train_configs(draw):
     return Config(
         sigma_max=(draw(_sigmas),),
         losses=draw(losses())[:1],
-        adam_beta1=draw(st.floats(0.01, 0.99)),
-        adam_beta2=draw(st.floats(0.01, 0.99)),
-        adam_eps=draw(st.floats(1e-12, 1e-3)),
-        checkpoint_every=draw(st.integers(0, 1000)),
         **draw(shared_knobs()),
     )
 
@@ -154,7 +150,7 @@ def trained_cell(tmp_path_factory):
 class TestPlanFiles:
     def test_round_trip(self):
         for plan in (load_plan(FAST_PLAN), load_plan(FULL_PLAN), micro_plan()):
-            assert parse_config(format_config(plan, "plan"), "plan") == plan
+            assert parse_config(format_config(plan), "plan") == plan
 
     def test_shipped_fast_plan_matches_preset(self):
         # the desk-scale preset: one sigma_max, every other value a plan default
@@ -178,6 +174,9 @@ class TestPlanFiles:
     def test_every_field_has_a_key_and_every_key_a_field(self):
         named = [n for row in CONFIG_KEYS if row[3] is not None for n in row[3].split()]
         assert set(named) == {f.name for f in fields(Config)}
+        # every field is a plan key, so any Config, a train config included, has a plan text that names it
+        plan_named = {n for key, kinds, _, name in CONFIG_KEYS if "plan" in kinds and name for n in name.split()}
+        assert plan_named == {f.name for f in fields(Config)}
         # the two keys without a field make the spec that a bare luml1 token means
         assert [row[0] for row in CONFIG_KEYS if row[3] is None] == ["lambda", "pixel_base"]
         assert [row[0] for row in CONFIG_KEYS].count("sigma_max") == 1
@@ -189,7 +188,7 @@ class TestPlanFiles:
         assert parse_loss("luml1:-0").label() == "luml1-0"
         assert parse_config("losses=luml1\nlambda=-0\n", "plan").losses[0].label() == "luml1-0"
         a, b = (parse_config(f"sigma_max={v}\neval_sigmas={v},5\nlosses=luml1:{v}\n", "plan") for v in ("-0", "0"))
-        assert format_config(a, "plan") == format_config(b, "plan")
+        assert format_config(a) == format_config(b)
 
     @pytest.mark.parametrize("kind", ["plan", "train"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 909)])
@@ -199,9 +198,8 @@ class TestPlanFiles:
             parse_config(f"seed={seed}\n", kind)
 
     def test_largest_seed_round_trips(self):
-        for kind in ("plan", "train"):
-            cfg = parse_config(f"seed={2**64 - 1}\n", kind)
-            assert parse_config(format_config(cfg, kind), kind) == cfg
+        plan = parse_config(f"seed={2**64 - 1}\n", "plan")
+        assert parse_config(format_config(plan), "plan") == plan
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -222,17 +220,17 @@ class TestPlanFiles:
     def test_lambda_sweep_tokens(self):
         plan = parse_config("losses=l1,luml1:0.5,luml1:2\nsigma_max=25\n", "plan")
         assert [s.label() for s in plan.losses] == ["l1", "luml1-0.5", "luml1-2"]
-        assert parse_config(format_config(plan, "plan"), "plan") == plan
+        assert parse_config(format_config(plan), "plan") == plan
 
     def test_luml1_tokens_carry_their_own_pixel_base(self):
         plan = parse_config("losses=luml1,luml1:0.5:l2\npixel_base=l1\n", "plan")
         assert [(s.lam, s.pixel_base) for s in plan.losses] == [(1.0, "l1"), (0.5, "l2")]
-        assert parse_config(format_config(plan, "plan"), "plan") == plan
+        assert parse_config(format_config(plan), "plan") == plan
 
     def test_labels_name_a_non_default_pixel_base(self):
         plan = parse_config("losses=l2,luml1,luml1:1:l2,luml1:0.5:l2,luml1:0.5\n", "plan")
         assert [s.label() for s in plan.losses] == ["l2", "luml1", "luml1-l2", "luml1-0.5-l2", "luml1-0.5"]
-        assert parse_config(format_config(plan, "plan"), "plan") == plan
+        assert parse_config(format_config(plan), "plan") == plan
         both = replace(micro_plan(steps=1, eval_sigmas=(10.0,)), losses=plan.losses[1:3])
         csv = report_to_csv(run_bench(both))
         assert "luml1_25_psnr" in csv and "delta-luml1-l2_25_psnr" in csv
@@ -241,7 +239,7 @@ class TestPlanFiles:
         # a plan without a losses key reads its default losses as tokens, so lambda and pixel_base reach luml1
         plan = parse_config("lambda=0.5\npixel_base=l2\n", "plan")
         assert plan.losses == (LossSpec("l1"), LossSpec("luml1", lam=0.5, pixel_base="l2"))
-        text = format_config(plan, "plan")
+        text = format_config(plan)
         assert "lambda=0.5\n" in text and "pixel_base=l2\n" in text
         assert parse_config(text, "plan") == plan
 
@@ -254,6 +252,16 @@ class TestPlanFiles:
             parse_config(text, kind)
         defaults = parse_config("lambda=1\npixel_base=l1\n", kind)  # format_config writes these into every file
         assert defaults == parse_config("", kind)
+
+    @pytest.mark.parametrize(
+        "text", ["losses=luml1:0.5,l1\nlambda=0.7\n", "losses=luml1:0.5:l2\npixel_base=l2\n", "lambda=0.5\nlosses=luml1:1\n"]
+    )
+    def test_lambda_or_pixel_base_that_no_loss_token_reads_rejected(self, text):
+        # every luml1 token names its own lam or pixel base: the run and its canonical text would ignore the key
+        with pytest.raises(InvalidInputError, match="no loss is luml1 without its own"):
+            parse_config(text, "plan")
+        # a token that reads the key keeps it
+        assert parse_config(text.replace("losses=", "losses=luml1,"), "plan").losses[0].kind == "luml1"
 
     def test_labels_name_the_exact_lam(self):
         assert parse_loss("luml1:1.0000001").label() == "luml1-1.0000001"
@@ -274,24 +282,25 @@ class TestPlanFiles:
     def test_shipped_plans_keep_their_config_hash(self):
         for name, digest in (("fast", 0x6F9EA8CBE7AA4EEF), ("full", 0x67D5BCA62BFCEB1D)):
             text = (REPO_ROOT / "plans" / f"{name}.plan").read_text()
-            assert format_config(parse_config(text, "plan"), "plan") == text
+            assert format_config(parse_config(text, "plan")) == text
             assert fnv1a64(text.encode()) == digest
 
     def test_nearby_learning_rates_hash_differently(self):
         base = load_plan(FAST_PLAN)
         a, b = (replace(base, lr=lr) for lr in (1.2345678e-4, 1.23457e-4))
-        assert fnv1a64(format_config(a, "plan").encode()) != fnv1a64(format_config(b, "plan").encode())
-        assert parse_config(format_config(a, "plan"), "plan") == a
+        assert fnv1a64(format_config(a).encode()) != fnv1a64(format_config(b).encode())
+        assert parse_config(format_config(a), "plan") == a
 
     @settings(max_examples=200, deadline=None)
     @given(plans())
     def test_plan_round_trip_property(self, plan):
-        assert parse_config(format_config(plan, "plan"), "plan") == plan
+        assert parse_config(format_config(plan), "plan") == plan
 
     @settings(max_examples=200, deadline=None)
     @given(train_configs())
     def test_train_config_round_trip_property(self, cfg):
-        assert parse_config(format_config(cfg, "train"), "train") == cfg
+        # a train config is a one-cell plan, and its canonical text is that plan's
+        assert parse_config(format_config(cfg), "plan") == cfg
 
     def test_shipped_input_files_parse(self):
         for path in sorted((REPO_ROOT / "plans").glob("*.plan")):
@@ -311,8 +320,8 @@ class TestPlanFiles:
             dict(eval_h=10),
             dict(hidden_depth=-1),
             dict(hidden_channels=0),
-            dict(checkpoint_every=5),
-            dict(adam_beta1=0.8),
+            dict(sigma_max=()),
+            dict(eval_sigmas=()),
             # a repeated sigma or loss would share a CSV column or row and a checkpoint name
             dict(sigma_max=(25.0, 10.0, 25.0)),
             dict(eval_sigmas=(25.0, 25.0)),
@@ -324,9 +333,8 @@ class TestPlanFiles:
         ],
     )
     def test_plan_rejects_what_it_cannot_run_or_write(self, overrides):
-        # a train-only knob makes a valid Config that no plan file can write
         with pytest.raises(InvalidInputError):
-            format_config(micro_plan(**overrides), "plan")
+            micro_plan(**overrides)
 
 
 class TestRunBench:
@@ -489,18 +497,11 @@ class TestRunBench:
 
     def test_training_uses_train_domain_and_eval_uses_eval_domain(self, micro_report, monkeypatch):
         plan = micro_report.plan
-        specs = []
-        monkeypatch.setattr(luml1.trainer, "make_blind_batches", lambda clean, spec: specs.append(spec) or iter(()))
+        seeds = []
+        monkeypatch.setattr(luml1.trainer, "make_blind_batches", lambda clean, *args: seeds.append(args[-1]) or iter(()))
         train(build_tinynet(0), replace(plan, losses=plan.losses[:1], steps=0))
-        assert specs[0].seed == train_seed(plan.seed) and specs[0].seed & 1 == 0
+        assert seeds[0] == train_seed(plan.seed) and seeds[0] & 1 == 0
         assert eval_seed(plan.seed) & 1 == 1
-
-    @pytest.mark.parametrize("knob", [dict(checkpoint_every=5), dict(adam_beta1=0.8), dict(adam_eps=1e-6)])
-    def test_train_only_knob_rejected_before_any_work(self, monkeypatch, knob):
-        monkeypatch.setattr(luml1.bench, "gen_clean", _must_not_run)
-        monkeypatch.setattr(luml1.bench, "train", _must_not_run)
-        with pytest.raises(InvalidInputError, match=next(iter(knob))):
-            run_bench(micro_plan(**knob))
 
     @pytest.mark.parametrize("cell", [dict(sigma_max=(25.0, 50.0)), dict(losses=(LossSpec("l1"), LossSpec("l2")))])
     def test_train_takes_one_cell_only(self, monkeypatch, cell):

@@ -129,11 +129,11 @@ class TestTrainLoop:
             return out
 
         monkeypatch.setattr(train_mod, "eval_loss", poisoned)
-        cfg = small_config(steps=50, checkpoint_every=1)
+        cfg = small_config(steps=50)
         net = build_tinynet(train_seed(cfg.seed), hidden_channels=4, hidden_depth=0)
         path = tmp_path / "last.ckpt"
         with pytest.raises(NumericalError, match="not finite"):
-            train(net, cfg, ckpt_path=path)
+            train(net, cfg, ckpt_path=path, checkpoint_every=1)
         assert path.exists()
         load_checkpoint(path)
 
@@ -157,9 +157,9 @@ class TestTrainLoop:
             train(net, small_config(steps=2))
 
     def test_log_csv_shape(self):
-        cfg = small_config(steps=10, checkpoint_every=5)
+        cfg = small_config(steps=10)
         net = build_tinynet(train_seed(cfg.seed), hidden_channels=4, hidden_depth=0)
-        _, log = train(net, cfg)
+        _, log = train(net, cfg, checkpoint_every=5)
         lines = log.to_csv().strip().splitlines()
         assert lines[0] == "step,loss,ms,val_psnr,val_ssim"
         assert len(lines) == 11
@@ -169,17 +169,15 @@ class TestTrainLoop:
         with pytest.raises(InvalidInputError):
             small_config(batch_size=0)
         with pytest.raises(InvalidInputError):
-            small_config(adam_beta1=1.0)
-        with pytest.raises(InvalidInputError):
             small_config(patch_size=25)
         with pytest.raises(InvalidInputError):
             small_config(corpus_count=0)
-        with pytest.raises(InvalidInputError):
-            small_config(checkpoint_every=-3)
+        with pytest.raises(InvalidInputError, match="checkpoint_every"):
+            train(build_tinynet(0, hidden_channels=4, hidden_depth=0), small_config(), checkpoint_every=-3)
         with pytest.raises(InvalidInputError):
             small_config(corpus_h=12, corpus_w=12, patch_size=8)
         for bad in (float("nan"), float("inf")):
-            for name in ("lr", "adam_eps", "sigma_max"):
+            for name in ("lr", "sigma_max"):
                 with pytest.raises(InvalidInputError):
                     small_config(**{name: bad})
         with pytest.raises(InvalidInputError):
