@@ -51,8 +51,8 @@ class Config:
 
     A plan trains one cell per (loss, sigma_max) pair, and a cell is the
     plan with exactly one of each: a train config is a one-cell plan. Every
-    field is set by a plan key, so any Config has a plan text. The defaults
-    are those of a train config file; KIND_DEFAULTS holds a plan's.
+    field is set by the plan key of its name, so any Config has a plan text,
+    and a key a plan file leaves out keeps the default here.
     """
 
     sigma_max: tuple[float, ...] = (25.0,)
@@ -64,11 +64,9 @@ class Config:
     seed: int = 0
     patch_size: int = 32
     corpus_count: int = 64
-    corpus_h: int = 40
-    corpus_w: int = 40
+    corpus_size: tuple[int, int] = (40, 40)  # (h, w)
     eval_count: int = 64
-    eval_h: int = 40
-    eval_w: int = 40
+    eval_size: tuple[int, int] = (40, 40)  # (h, w)
     hidden_channels: int = 16
     hidden_depth: int = 3
 
@@ -78,9 +76,9 @@ class Config:
             raise InvalidInputError("steps must be >= 0 and batch_size and patch_size >= 1")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise InvalidInputError("lr must be finite and positive")
-        if self.corpus_count < 1 or min(self.corpus_h, self.corpus_w) < MIN_IMAGE_SIZE:
+        if self.corpus_count < 1 or min(self.corpus_size) < MIN_IMAGE_SIZE:
             raise InvalidInputError(f"corpus_count must be >= 1 and corpus_size at least {MIN_IMAGE_SIZE}x{MIN_IMAGE_SIZE}")
-        if self.patch_size > min(self.corpus_h, self.corpus_w):
+        if self.patch_size > min(self.corpus_size):
             raise InvalidInputError("patch_size must fit the corpus images")
         if not self.losses or not self.sigma_max or not self.eval_sigmas:
             raise InvalidInputError("need at least one loss, one sigma_max and one eval sigma")
@@ -91,7 +89,7 @@ class Config:
         labels = [s.label() for s in self.losses]
         if len(set(labels)) != len(labels):
             raise InvalidInputError(f"loss labels collide: {labels}")
-        if self.eval_count < 1 or min(self.eval_h, self.eval_w) < MIN_IMAGE_SIZE:
+        if self.eval_count < 1 or min(self.eval_size) < MIN_IMAGE_SIZE:
             raise InvalidInputError(f"eval_count must be >= 1 and eval_size at least {MIN_IMAGE_SIZE}x{MIN_IMAGE_SIZE}")
         if self.hidden_depth < 0 or self.hidden_channels < 1:
             raise InvalidInputError("hidden_depth must be >= 0 and hidden_channels >= 1")
@@ -131,7 +129,7 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
 
     t_start = time.perf_counter()
     es = eval_seed(plan.seed)
-    clean = gen_clean(es, plan.eval_count, plan.eval_h, plan.eval_w)
+    clean = gen_clean(es, plan.eval_count, *plan.eval_size)
     grid = [(loss, sigma_max) for sigma_max in plan.sigma_max for loss in plan.losses]
 
     abandoned = [False] * len(grid)  # abandoned[i]: cell i failed, or the loop below stopped waiting for it
@@ -266,42 +264,30 @@ def denoise_file(ckpt_path, in_path, out_path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# plan and train config files: plain key=value lines
+# plan files, a train config being a one-cell plan: plain key=value lines
 
-# The one key table of both file kinds: (key, file kinds, value type, field).
-# Each key sets the Config field it names, and every field has a plan key;
-# loss (train) and losses (plan) set the same field. lambda and pixel_base set
+# The one key table: (key, value type), in canonical order. Each key sets the
+# Config field it names, and every field has a key. lambda and pixel_base set
 # no field: they make the LossSpec that a bare luml1 loss token means, so both
-# are checked whatever the losses are. Rows are in canonical order.
+# are checked whatever the losses are.
 CONFIG_KEYS = (
-    ("sigma_max", "plan train", "floats", "sigma_max"),
-    ("eval_sigmas", "plan", "floats", "eval_sigmas"),
-    ("losses", "plan", "losses", "losses"),
-    ("loss", "train", "losses", "losses"),
-    ("lambda", "plan train", "float", None),
-    ("pixel_base", "plan train", "str", None),
-    ("steps", "plan train", "int", "steps"),
-    ("batch_size", "plan train", "int", "batch_size"),
-    ("lr", "plan train", "float", "lr"),
-    ("patch_size", "plan train", "int", "patch_size"),
-    ("corpus_count", "plan train", "int", "corpus_count"),
-    ("corpus_size", "plan train", "size", "corpus_h corpus_w"),
-    ("eval_count", "plan", "int", "eval_count"),
-    ("eval_size", "plan", "size", "eval_h eval_w"),
-    ("hidden_channels", "plan", "int", "hidden_channels"),
-    ("hidden_depth", "plan", "int", "hidden_depth"),
-    ("seed", "plan train", "int", "seed"),
+    ("sigma_max", "floats"),
+    ("eval_sigmas", "floats"),
+    ("losses", "losses"),
+    ("lambda", "float"),
+    ("pixel_base", "str"),
+    ("steps", "int"),
+    ("batch_size", "int"),
+    ("lr", "float"),
+    ("patch_size", "int"),
+    ("corpus_count", "int"),
+    ("corpus_size", "size"),
+    ("eval_count", "int"),
+    ("eval_size", "size"),
+    ("hidden_channels", "int"),
+    ("hidden_depth", "int"),
+    ("seed", "int"),
 )
-
-# What a file with no keys means. Only sigma_max, losses and seed differ by kind.
-KIND_DEFAULTS = {
-    "plan": Config(sigma_max=(55.0, 75.0), losses=(LossSpec("l1"), LossSpec("luml1")), seed=909),
-    "train": Config(),
-}
-
-
-def _keys(kind: str) -> list[tuple]:
-    return [row for row in CONFIG_KEYS if kind in row[1].split()]
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -323,55 +309,47 @@ def _codec(default: LossSpec) -> dict:
     }
 
 
-def parse_config(text: str, kind: str, overrides: dict[str, str] | None = None) -> Config:
-    """Parse a ``kind`` ("plan" or "train") file; ``overrides`` (key -> text) win over its lines.
+def parse_config(text: str, overrides: dict[str, str] | None = None) -> Config:
+    """Parse a plan file; ``overrides`` (key -> text) win over its lines.
 
-    Keys the file kind does not accept, values that do not parse, and a non-default lambda or
-    pixel_base that no loss token reads raise InvalidInputError; a left-out key keeps its KIND_DEFAULTS value.
+    Unknown keys, values that do not parse, and a non-default lambda or pixel_base
+    that no loss token reads raise InvalidInputError; a left-out key keeps its Config() value.
     """
     kv = {**parse_kv(text), **(overrides or {})}
-    rows = _keys(kind)
-    known = {row[0] for row in rows}
+    keys = dict(CONFIG_KEYS)
     for key in kv:
-        if key not in known:
-            raise InvalidInputError(f"unknown {'config' if kind == 'train' else kind} key {key!r}")
-    # the kind's default losses are read as tokens too, so that lambda and pixel_base apply to them
-    losses_key = next(key for key, _, _, name in rows if name == "losses")
-    kv.setdefault(losses_key, ",".join(loss_token(s) for s in KIND_DEFAULTS[kind].losses))
+        if key not in keys:
+            raise InvalidInputError(f"unknown config key {key!r}")
     values = {}
     try:
         bare = LossSpec("luml1", float(kv.get("lambda", "1")), kv.get("pixel_base", "l1"))  # a bare luml1 token
         codec = _codec(bare)
-        for key, _, vtype, name in rows:
-            if name is not None and key in kv:
-                value = codec[vtype][0](kv[key])
-                names = name.split()
-                values.update(zip(names, value) if len(names) > 1 else [(name, value)])
+        for key, value in kv.items():
+            if key not in ("lambda", "pixel_base"):
+                values[key] = codec[keys[key]][0](value)
     except ValueError as exc:
-        raise InvalidInputError(f"bad {kind} value: {exc}") from None
-    # lambda is read by a bare luml1 token, pixel_base by a luml1 token without a pixel-base suffix
-    tokens = [t.split(":") for t in kv[losses_key].split(",")]
+        raise InvalidInputError(f"bad config value: {exc}") from None
+    # lambda is read by a bare luml1 token, pixel_base by a luml1 token without a pixel-base suffix;
+    # a file without a losses key has no token, so its default losses read neither
+    tokens = [t.split(":") for t in kv.get("losses", "").split(",")]
     if bare.lam != 1.0 and ["luml1"] not in tokens:
         raise InvalidInputError("lambda sets the lam of a bare luml1 loss, and no loss is luml1 without its own lam")
     if bare.pixel_base != "l1" and not any(t[0] == "luml1" and len(t) < 3 for t in tokens):
         raise InvalidInputError("pixel_base sets a luml1 loss's pixel base, and no loss is luml1 without its own")
-    return replace(KIND_DEFAULTS[kind], **values)
+    return Config(**values)
 
 
 def format_config(cfg: Config) -> str:
-    """Canonical plan text of ``cfg``, which ``parse_config(text, "plan")`` reads back exactly.
+    """Canonical plan text of ``cfg``, which ``parse_config`` reads back exactly.
 
     A train config is written as the one-cell plan it is.
     """
     default = next((s for s in cfg.losses if s.kind == "luml1"), LossSpec("luml1"))
     codec = _codec(default)
+    bare = {"lambda": default.lam, "pixel_base": default.pixel_base}
     lines = []
-    for key, _, vtype, name in _keys("plan"):
-        if name is None:
-            value = default.lam if key == "lambda" else default.pixel_base
-        else:
-            value = tuple(getattr(cfg, n) for n in name.split())
-            value = value[0] if len(value) == 1 else value
+    for key, vtype in CONFIG_KEYS:
+        value = bare[key] if key in bare else getattr(cfg, key)
         lines.append(f"{key}={codec[vtype][1](value)}")
     return "\n".join(lines) + "\n"
 
@@ -400,6 +378,7 @@ def parse_size(token: str) -> tuple[int, int]:
         raise InvalidInputError(f"expected HxW size, got {token!r}") from None
 
 
-def load_plan(path) -> Config:
+def load_plan(path, overrides: dict[str, str] | None = None) -> Config:
+    """``parse_config`` of the plan file at ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), "plan")
+        return parse_config(fh.read(), overrides)

@@ -11,6 +11,7 @@ import os
 import sys
 
 from .bench import (
+    Config,
     check_sigmas,
     denoise_file,
     fmt_val,
@@ -70,12 +71,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    text = ""
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    flags = {"loss": args.loss, "lambda": args.lam, "sigma_max": args.sigma_max, "seed": args.seed}
-    cfg = parse_config(text, "train", {k: v for k, v in flags.items() if v is not None})
+    flags = {"losses": args.loss, "lambda": args.lam, "sigma_max": args.sigma_max, "seed": args.seed}
+    overrides = {k: v for k, v in flags.items() if v is not None}
+    cfg = load_plan(args.config, overrides) if args.config else parse_config("", overrides)
     net = build_tinynet(train_seed(cfg.seed), hidden_channels=cfg.hidden_channels, hidden_depth=cfg.hidden_depth)
     net, log = train(net, cfg, ckpt_path=args.out, checkpoint_every=args.checkpoint_every)
     if log.steps:
@@ -156,7 +154,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train a denoiser")
-    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--config", help="plan file with one loss and one sigma_max")
     # these four override config keys, so the config codec parses and checks them
     p.add_argument("--loss", help="loss token: l1, l2 or luml1[:lam[:pixel_base]]")
     p.add_argument("--lambda", dest="lam")
@@ -170,7 +168,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint over a clean-image directory")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--sigmas", default="5,10,15,20,25,30,35,40,45,50,55,60,65,70,75")
+    sigmas = ",".join(fmt_float(s) for s in Config().eval_sigmas)
+    p.add_argument("--sigmas", default=sigmas, help="comma-separated noise levels (default 5,10,...,75)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--csv", type=_out_path, required=True)
     p.set_defaults(func=cmd_eval)

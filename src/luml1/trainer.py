@@ -124,7 +124,7 @@ def train(net: TinyNet, cfg: Config, ckpt_path=None, checkpoint_every: int = 0, 
         raise InvalidInputError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     (loss,), (sigma_max,) = cfg.losses, cfg.sigma_max
     log = TrainLog()
-    clean = gen_clean(train_seed(cfg.seed), cfg.corpus_count, cfg.corpus_h, cfg.corpus_w)
+    clean = gen_clean(train_seed(cfg.seed), cfg.corpus_count, *cfg.corpus_size)
     batches = make_blind_batches(clean, sigma_max, cfg.patch_size, cfg.steps * cfg.batch_size, train_seed(cfg.seed))
     params = net.parameters()
     names = net.parameter_names()
@@ -158,7 +158,7 @@ def train(net: TinyNet, cfg: Config, ckpt_path=None, checkpoint_every: int = 0, 
                     if ckpt_path is not None:
                         save_checkpoint(net, ckpt_path)
                     if val_clean is None:
-                        val_clean = gen_clean(eval_seed(cfg.seed), 4, cfg.corpus_h, cfg.corpus_w)
+                        val_clean = gen_clean(eval_seed(cfg.seed), 4, *cfg.corpus_size)
                         val_noisy = noisy_set(val_clean, sigma_max / 2.0, eval_seed(cfg.seed))
                     log.validations.append((step, *mean_scores(net, val_noisy, val_clean)))
             except NumericalError as exc:

@@ -136,7 +136,7 @@ class TestTrainCli:
     def test_train_with_config_file_and_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(
-            "loss=l1\nsteps=5\nbatch_size=2\nsigma_max=25\npatch_size=16\n"
+            "losses=l1\nsteps=5\nbatch_size=2\nsigma_max=25\npatch_size=16\n"
             "corpus_count=4\ncorpus_size=20x20\nseed=3\n"
         )
         ckpt = tmp_path / "net.ckpt"
@@ -163,7 +163,7 @@ class TestTrainCli:
             ("lr=nan", []),
             ("lr=inf", []),
             ("sigma_max=nan", []),
-            ("loss=luml1:inf", []),
+            ("losses=luml1:inf", []),
             ("", ["--loss", "luml1", "--lambda", "inf"]),
             ("", ["--lambda", "inf"]),
             ("pixel_base=l3", []),
@@ -179,9 +179,10 @@ class TestTrainCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not ckpt.exists()
 
-    @pytest.mark.parametrize("line", ["adam_beta1=0.8", "adam_eps=1e-6", "checkpoint_every=5"])
+    @pytest.mark.parametrize("line", ["adam_beta1=0.8", "adam_eps=1e-6", "checkpoint_every=5", "loss=l1"])
     def test_removed_config_key_exits_1_before_training(self, tmp_path, capsys, monkeypatch, line):
-        # Adam runs with its published defaults; the checkpoint cadence is the --checkpoint-every flag
+        # Adam runs with its published defaults; the checkpoint cadence is the --checkpoint-every flag;
+        # a train config names its loss with losses=, like any plan
         monkeypatch.setattr(cli, "train", _must_not_run)
         cfg = tmp_path / "train.cfg"
         cfg.write_text("steps=2\n" + line + "\n")
@@ -222,7 +223,7 @@ class TestTrainCli:
     def test_loss_flag_takes_a_loss_token(self, tmp_path, capsys):
         base = "steps=3\nbatch_size=2\npatch_size=16\ncorpus_count=2\ncorpus_size=16x16\n"
         cfg, flag_cfg = tmp_path / "token.cfg", tmp_path / "base.cfg"
-        cfg.write_text(base + "loss=luml1:0.5:l2\n")
+        cfg.write_text(base + "losses=luml1:0.5:l2\n")
         flag_cfg.write_text(base)
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         assert main(["train", "--config", str(cfg), "--out", str(a)]) == 0
@@ -233,7 +234,7 @@ class TestTrainCli:
     @pytest.mark.parametrize(
         "line,flags",
         [
-            ("loss=l1,luml1", []),
+            ("losses=l1,luml1", []),
             ("sigma_max=25,50", []),
             ("", ["--sigma-max", "25,50"]),
             ("", ["--loss", "l1,l2"]),
@@ -255,18 +256,24 @@ class TestTrainCli:
         assert not ckpt.exists()
 
     def test_train_config_is_a_one_cell_plan(self, tmp_path, capsys):
-        # the plan-only keys keep their defaults, so luml1 train builds the plan's 16x3 net
-        keys = (
-            "sigma_max=20\nsteps=6\nbatch_size=2\nlr=0.002\npatch_size=16\n"
-            "corpus_count=2\ncorpus_size=16x16\nseed=5\n"
+        # one file for both commands: luml1 train writes the checkpoint of the bench cell
+        plan = tmp_path / "cell.plan"
+        plan.write_text(
+            "sigma_max=20\nlosses=luml1:0.5:l2\nsteps=6\nbatch_size=2\nlr=0.002\npatch_size=16\ncorpus_count=2\n"
+            "corpus_size=16x16\neval_sigmas=15\neval_count=1\neval_size=16x16\nhidden_channels=4\nseed=5\n"
         )
-        cfg, plan = tmp_path / "cell.cfg", tmp_path / "cell.plan"
-        cfg.write_text(keys + "loss=luml1:0.5:l2\n")
-        plan.write_text(keys + "losses=luml1:0.5:l2\neval_sigmas=15\neval_count=1\neval_size=16x16\n")
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "train.ckpt")]) == 0
+        assert main(["train", "--config", str(plan), "--out", str(tmp_path / "train.ckpt")]) == 0
         bench_dir = tmp_path / "bench"
         assert main(["bench", "--plan", str(plan), "--csv", str(tmp_path / "t.csv"), "--ckpt-dir", str(bench_dir)]) == 0
         assert (tmp_path / "train.ckpt").read_bytes() == (bench_dir / "luml1-0.5-l2_20.ckpt").read_bytes()
+
+    def test_hidden_keys_size_the_trained_net(self, tmp_path, capsys):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("steps=1\nbatch_size=1\npatch_size=16\ncorpus_count=1\nhidden_channels=8\nhidden_depth=1\n")
+        ckpt = tmp_path / "small.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+        layers = load_checkpoint(ckpt).layers
+        assert [layer.kernels.shape[:2] for layer in layers] == [(8, 3), (8, 8), (3, 8)]
 
     def test_patch_larger_than_corpus_exits_1_before_training(self, tmp_path, capsys):
         cfg = tmp_path / "big_patch.cfg"

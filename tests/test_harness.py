@@ -19,6 +19,7 @@ from luml1.bench import (
     format_config,
     load_plan,
     parse_config,
+    parse_kv,
     parse_report_csv,
     report_to_csv,
     run_bench,
@@ -46,6 +47,11 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("work started before the config was checked")
 
 
+def parse_from(source: str, text: str) -> Config:
+    """The keys of ``text`` as lines of a plan file ("plan") or as the overrides of luml1 train's flags ("train")."""
+    return parse_config(text) if source == "plan" else parse_config("", parse_kv(text))
+
+
 def micro_plan(**overrides) -> Config:
     base = dict(
         sigma_max=(25.0,),
@@ -55,11 +61,9 @@ def micro_plan(**overrides) -> Config:
         batch_size=4,
         patch_size=16,
         corpus_count=6,
-        corpus_h=24,
-        corpus_w=24,
+        corpus_size=(24, 24),
         eval_count=4,
-        eval_h=24,
-        eval_w=24,
+        eval_size=(24, 24),
         hidden_channels=6,
         hidden_depth=0,
         seed=11,
@@ -84,7 +88,7 @@ def losses(draw):
 
 @st.composite
 def shared_knobs(draw) -> dict:
-    """Values of the fields that both file kinds set, sigma_max and losses aside."""
+    """Values of the fields that a training run reads, sigma_max and losses aside."""
     h, w = draw(st.integers(MIN_IMAGE_SIZE, 64)), draw(st.integers(MIN_IMAGE_SIZE, 64))
     return dict(
         steps=draw(st.integers(0, 10**6)),
@@ -93,8 +97,7 @@ def shared_knobs(draw) -> dict:
         seed=draw(st.integers(0, 2**64 - 1)),
         patch_size=draw(st.integers(1, min(h, w))),
         corpus_count=draw(st.integers(1, 1000)),
-        corpus_h=h,
-        corpus_w=w,
+        corpus_size=(h, w),
     )
 
 
@@ -114,8 +117,7 @@ def plans(draw):
         eval_sigmas=tuple(sorted(draw(st.lists(_sigmas, min_size=1, max_size=5, unique=True)))),
         losses=draw(losses()),
         eval_count=draw(st.integers(1, 500)),
-        eval_h=draw(st.integers(MIN_IMAGE_SIZE, 64)),
-        eval_w=draw(st.integers(MIN_IMAGE_SIZE, 64)),
+        eval_size=(draw(st.integers(MIN_IMAGE_SIZE, 64)), draw(st.integers(MIN_IMAGE_SIZE, 64))),
         hidden_channels=draw(st.integers(1, 64)),
         hidden_depth=draw(st.integers(0, 8)),
         **draw(shared_knobs()),
@@ -143,115 +145,100 @@ def trained_cell(tmp_path_factory):
     ckpt_dir = tmp_path_factory.mktemp("trained_cell")
     report = run_bench(plan, ckpt_dir=ckpt_dir)
     net = load_checkpoint(ckpt_dir / "l1_25.ckpt")
-    clean = gen_clean(eval_seed(plan.seed), plan.eval_count, plan.eval_h, plan.eval_w)
+    clean = gen_clean(eval_seed(plan.seed), plan.eval_count, *plan.eval_size)
     return {"plan": plan, "report": report, "net": net, "clean": clean}
 
 
 class TestPlanFiles:
     def test_round_trip(self):
         for plan in (load_plan(FAST_PLAN), load_plan(FULL_PLAN), micro_plan()):
-            assert parse_config(format_config(plan), "plan") == plan
+            assert parse_config(format_config(plan)) == plan
 
     def test_shipped_fast_plan_matches_preset(self):
-        # the desk-scale preset: one sigma_max, every other value a plan default
-        assert load_plan(FAST_PLAN) == replace(parse_config("", "plan"), sigma_max=(25.0,))
+        # the desk-scale preset: l1 against luml1 under the benchmark seed, every other value a default
+        assert load_plan(FAST_PLAN) == Config(losses=(LossSpec("l1"), LossSpec("luml1")), seed=909)
 
     def test_shipped_full_plan_matches_preset(self):
         # the two training noise ceilings of the reference table layout, with more steps
-        assert load_plan(FULL_PLAN) == replace(parse_config("", "plan"), steps=1500)
+        assert load_plan(FULL_PLAN) == replace(load_plan(FAST_PLAN), sigma_max=(55.0, 75.0), steps=1500)
 
     def test_default_structure_mirrors_reference_table(self):
-        plan = parse_config("", "plan")
+        plan = load_plan(FULL_PLAN)
         assert (plan.sigma_max, plan.seed) == ((55.0, 75.0), 909)
-        assert plan.eval_sigmas == tuple(float(s) for s in range(5, 80, 5))
+        assert plan.eval_sigmas == Config().eval_sigmas == tuple(float(s) for s in range(5, 80, 5))
         assert [s.label() for s in plan.losses] == ["l1", "luml1"]
 
-    def test_kinds_differ_only_in_sigma_max_losses_and_seed(self):
-        plan, cfg = parse_config("", "plan"), parse_config("", "train")
+    def test_empty_file_is_the_default_config(self):
+        cfg = parse_config("")
         assert cfg == Config() and (cfg.sigma_max, cfg.losses, cfg.seed) == ((25.0,), (LossSpec("l1"),), 0)
-        assert replace(plan, sigma_max=cfg.sigma_max, losses=cfg.losses, seed=cfg.seed) == cfg
 
     def test_every_field_has_a_key_and_every_key_a_field(self):
-        named = [n for row in CONFIG_KEYS if row[3] is not None for n in row[3].split()]
-        assert set(named) == {f.name for f in fields(Config)}
-        # every field is a plan key, so any Config, a train config included, has a plan text that names it
-        plan_named = {n for key, kinds, _, name in CONFIG_KEYS if "plan" in kinds and name for n in name.split()}
-        assert plan_named == {f.name for f in fields(Config)}
+        # every field is a key, so any Config, a train config included, has a plan text that names it;
         # the two keys without a field make the spec that a bare luml1 token means
-        assert [row[0] for row in CONFIG_KEYS if row[3] is None] == ["lambda", "pixel_base"]
-        assert [row[0] for row in CONFIG_KEYS].count("sigma_max") == 1
-        for kind in ("plan", "train"):
-            kind_named = [n for row in CONFIG_KEYS if kind in row[1].split() and row[3] for n in row[3].split()]
-            assert len(kind_named) == len(set(kind_named)), kind  # one key per field in a file
+        keys = sorted(key for key, _ in CONFIG_KEYS)
+        assert keys == sorted([f.name for f in fields(Config)] + ["lambda", "pixel_base"])
 
     def test_negative_zero_is_written_as_zero(self):
         assert parse_loss("luml1:-0").label() == "luml1-0"
-        assert parse_config("losses=luml1\nlambda=-0\n", "plan").losses[0].label() == "luml1-0"
-        a, b = (parse_config(f"sigma_max={v}\neval_sigmas={v},5\nlosses=luml1:{v}\n", "plan") for v in ("-0", "0"))
+        assert parse_config("losses=luml1\nlambda=-0\n").losses[0].label() == "luml1-0"
+        a, b = (parse_config(f"sigma_max={v}\neval_sigmas={v},5\nlosses=luml1:{v}\n") for v in ("-0", "0"))
         assert format_config(a) == format_config(b)
 
-    @pytest.mark.parametrize("kind", ["plan", "train"])
+    @pytest.mark.parametrize("source", ["plan", "train"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 909)])
-    def test_seed_outside_64_bits_rejected(self, kind, seed):
+    def test_seed_outside_64_bits_rejected(self, source, seed):
         # train_seed and eval_seed reduce a seed modulo 2^64: such a seed would rerun another seed's streams
         with pytest.raises(InvalidInputError, match="seed"):
-            parse_config(f"seed={seed}\n", kind)
+            parse_from(source, f"seed={seed}\n")
 
     def test_largest_seed_round_trips(self):
-        plan = parse_config(f"seed={2**64 - 1}\n", "plan")
-        assert parse_config(format_config(plan), "plan") == plan
+        plan = parse_config(f"seed={2**64 - 1}\n")
+        assert parse_config(format_config(plan)) == plan
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidInputError):
-            parse_config("bogus=1\n", "plan")
+            parse_config("bogus=1\n")
 
     def test_repeated_key_rejected(self):
         with pytest.raises(InvalidInputError, match=r"line 3: key 'steps'"):
-            parse_config("steps=10\n# a comment\nsteps=20\n", "plan")
+            parse_config("steps=10\n# a comment\nsteps=20\n")
         with pytest.raises(InvalidInputError, match="'lr'"):
-            parse_config("lr=0.001\nlr = 0.002\n", "train")
+            parse_config("lr=0.001\nlr = 0.002\n")
         # a flag override is merged after parsing, so it still wins over the file
-        assert parse_config("steps=10\n", "train", {"steps": "20"}).steps == 20
+        assert parse_config("steps=10\n", {"steps": "20"}).steps == 20
 
     def test_non_increasing_sigmas_rejected(self):
         with pytest.raises(InvalidInputError):
             micro_plan(eval_sigmas=(10.0, 10.0))
 
     def test_lambda_sweep_tokens(self):
-        plan = parse_config("losses=l1,luml1:0.5,luml1:2\nsigma_max=25\n", "plan")
+        plan = parse_config("losses=l1,luml1:0.5,luml1:2\nsigma_max=25\n")
         assert [s.label() for s in plan.losses] == ["l1", "luml1-0.5", "luml1-2"]
-        assert parse_config(format_config(plan), "plan") == plan
+        assert parse_config(format_config(plan)) == plan
 
     def test_luml1_tokens_carry_their_own_pixel_base(self):
-        plan = parse_config("losses=luml1,luml1:0.5:l2\npixel_base=l1\n", "plan")
+        plan = parse_config("losses=luml1,luml1:0.5:l2\npixel_base=l1\n")
         assert [(s.lam, s.pixel_base) for s in plan.losses] == [(1.0, "l1"), (0.5, "l2")]
-        assert parse_config(format_config(plan), "plan") == plan
+        assert parse_config(format_config(plan)) == plan
 
     def test_labels_name_a_non_default_pixel_base(self):
-        plan = parse_config("losses=l2,luml1,luml1:1:l2,luml1:0.5:l2,luml1:0.5\n", "plan")
+        plan = parse_config("losses=l2,luml1,luml1:1:l2,luml1:0.5:l2,luml1:0.5\n")
         assert [s.label() for s in plan.losses] == ["l2", "luml1", "luml1-l2", "luml1-0.5-l2", "luml1-0.5"]
-        assert parse_config(format_config(plan), "plan") == plan
+        assert parse_config(format_config(plan)) == plan
         both = replace(micro_plan(steps=1, eval_sigmas=(10.0,)), losses=plan.losses[1:3])
         csv = report_to_csv(run_bench(both))
         assert "luml1_25_psnr" in csv and "delta-luml1-l2_25_psnr" in csv
 
-    def test_lambda_and_pixel_base_apply_to_the_kind_default_losses(self):
-        # a plan without a losses key reads its default losses as tokens, so lambda and pixel_base reach luml1
-        plan = parse_config("lambda=0.5\npixel_base=l2\n", "plan")
-        assert plan.losses == (LossSpec("l1"), LossSpec("luml1", lam=0.5, pixel_base="l2"))
-        text = format_config(plan)
-        assert "lambda=0.5\n" in text and "pixel_base=l2\n" in text
-        assert parse_config(text, "plan") == plan
-
     @pytest.mark.parametrize(
-        "text,kind", [("lambda=0.5\n", "train"), ("pixel_base=l2\n", "train"), ("losses=l1,l2\nlambda=0.5\n", "plan")]
+        "text,source", [("lambda=0.5\n", "train"), ("pixel_base=l2\n", "train"), ("losses=l1,l2\nlambda=0.5\n", "plan")]
     )
-    def test_lambda_or_pixel_base_without_a_luml1_loss_rejected(self, text, kind):
-        # no loss would read the value, and the canonical text would name lambda=1 or pixel_base=l1
+    def test_lambda_or_pixel_base_without_a_luml1_loss_rejected(self, text, source):
+        # no loss would read the value (the default losses are l1), and the canonical text would name lambda=1
+        # or pixel_base=l1
         with pytest.raises(InvalidInputError, match="no loss is luml1"):
-            parse_config(text, kind)
-        defaults = parse_config("lambda=1\npixel_base=l1\n", kind)  # format_config writes these into every file
-        assert defaults == parse_config("", kind)
+            parse_from(source, text)
+        defaults = parse_from(source, "lambda=1\npixel_base=l1\n")  # format_config writes these into every file
+        assert defaults == parse_config("")
 
     @pytest.mark.parametrize(
         "text", ["losses=luml1:0.5,l1\nlambda=0.7\n", "losses=luml1:0.5:l2\npixel_base=l2\n", "lambda=0.5\nlosses=luml1:1\n"]
@@ -259,57 +246,66 @@ class TestPlanFiles:
     def test_lambda_or_pixel_base_that_no_loss_token_reads_rejected(self, text):
         # every luml1 token names its own lam or pixel base: the run and its canonical text would ignore the key
         with pytest.raises(InvalidInputError, match="no loss is luml1 without its own"):
-            parse_config(text, "plan")
+            parse_config(text)
         # a token that reads the key keeps it
-        assert parse_config(text.replace("losses=", "losses=luml1,"), "plan").losses[0].kind == "luml1"
+        assert parse_config(text.replace("losses=", "losses=luml1,")).losses[0].kind == "luml1"
 
     def test_labels_name_the_exact_lam(self):
         assert parse_loss("luml1:1.0000001").label() == "luml1-1.0000001"
-        plan = parse_config("losses=luml1:1.0000001,luml1:1.0000002\n", "plan")
+        plan = parse_config("losses=luml1:1.0000001,luml1:1.0000002\n")
         assert [s.label() for s in plan.losses] == ["luml1-1.0000001", "luml1-1.0000002"]
 
     @pytest.mark.parametrize("token", ["l1:0.5", "luml1:1:l1:x", "luml1:abc", "luml1:1:l3"])
     def test_bad_loss_token_rejected(self, token):
         with pytest.raises(InvalidInputError):
-            parse_config(f"losses={token}\n", "plan")
+            parse_config(f"losses={token}\n")
 
     @pytest.mark.parametrize("line", ["lambda=nan", "lambda=inf", "lambda=-1", "pixel_base=foo"])
     def test_bad_default_loss_rejected_without_a_luml1_token(self, line):
         # lambda and pixel_base are checked even when no bare luml1 token reads them
         with pytest.raises(InvalidInputError):
-            parse_config(f"losses=l1\n{line}\n", "plan")
+            parse_config(f"losses=l1\n{line}\n")
 
     def test_shipped_plans_keep_their_config_hash(self):
         for name, digest in (("fast", 0x6F9EA8CBE7AA4EEF), ("full", 0x67D5BCA62BFCEB1D)):
             text = (REPO_ROOT / "plans" / f"{name}.plan").read_text()
-            assert format_config(parse_config(text, "plan")) == text
+            assert format_config(parse_config(text)) == text
             assert fnv1a64(text.encode()) == digest
 
     def test_nearby_learning_rates_hash_differently(self):
         base = load_plan(FAST_PLAN)
         a, b = (replace(base, lr=lr) for lr in (1.2345678e-4, 1.23457e-4))
         assert fnv1a64(format_config(a).encode()) != fnv1a64(format_config(b).encode())
-        assert parse_config(format_config(a), "plan") == a
+        assert parse_config(format_config(a)) == a
 
     @settings(max_examples=200, deadline=None)
     @given(plans())
     def test_plan_round_trip_property(self, plan):
-        assert parse_config(format_config(plan), "plan") == plan
+        assert parse_config(format_config(plan)) == plan
 
     @settings(max_examples=200, deadline=None)
     @given(train_configs())
     def test_train_config_round_trip_property(self, cfg):
         # a train config is a one-cell plan, and its canonical text is that plan's
-        assert parse_config(format_config(cfg), "plan") == cfg
+        assert parse_config(format_config(cfg)) == cfg
 
     def test_shipped_input_files_parse(self):
         for path in sorted((REPO_ROOT / "plans").glob("*.plan")):
             assert isinstance(load_plan(path), Config)
-        eval_plan = parse_config((REPO_ROOT / "perfbench" / "eval.plan").read_text() + "seed=4\n", "plan")
-        assert eval_plan.seed == 4 and [s.label() for s in eval_plan.losses] == ["luml1"]
-        train_cfg = (REPO_ROOT / "perfbench" / "train.cfg").read_text()
-        cfg = parse_config(train_cfg, "train", {"loss": "luml1", "seed": "3"})
-        assert (cfg.losses, cfg.steps, cfg.seed) == ((LossSpec("luml1"),), 250, 3)
+
+    def test_benchmark_inputs_are_pinned(self):
+        # perfbench/run.py runs luml1 train on train.cfg with --loss luml1 --seed <n>, and luml1 bench
+        # on eval.plan with seed=<n> appended: a codec change must not move what either run computes
+        perfbench = REPO_ROOT / "perfbench"
+        cfg = load_plan(perfbench / "train.cfg", {"losses": "luml1", "seed": "6"})
+        assert cfg == Config(sigma_max=(25.0,), losses=(LossSpec("luml1"),), steps=250, batch_size=8, lr=0.001,
+                             seed=6, patch_size=32, corpus_count=64, corpus_size=(40, 40))
+        plan = parse_config((perfbench / "eval.plan").read_text() + "seed=8\n")
+        assert plan == Config(
+            sigma_max=(25.0,), eval_sigmas=tuple(float(s) for s in range(5, 80, 5)), losses=(LossSpec("luml1"),),
+            steps=200, batch_size=8, lr=0.001, seed=8, patch_size=16, corpus_count=64, corpus_size=(40, 40),
+            eval_count=48, eval_size=(40, 40), hidden_channels=16, hidden_depth=3,
+        )
 
     @pytest.mark.parametrize(
         "overrides",
@@ -317,7 +313,7 @@ class TestPlanFiles:
             dict(eval_count=0),
             dict(eval_sigmas=(-5.0, 5.0)),
             dict(sigma_max=(25.0, float("nan"))),
-            dict(eval_h=10),
+            dict(eval_size=(10, 40)),
             dict(hidden_depth=-1),
             dict(hidden_channels=0),
             dict(sigma_max=()),

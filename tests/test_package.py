@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import luml1
+import luml1.bench
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,13 +70,21 @@ def test_readme_library_snippet_imports_only_exported_names():
     assert names and set(names) <= set(luml1.__all__)
 
 
+def test_readme_key_table_lists_exactly_the_config_keys():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    table = re.search(r"\n\| key \| value \|\n\|---\|---\|\n(.*?)\n\n", readme, re.S)
+    assert table is not None
+    keys = [key for row in table.group(1).splitlines() for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(key for key, _ in luml1.bench.CONFIG_KEYS)
+
+
 TRACED_TRAIN = """
 import json
 from trace_spans import Tracer
 tracer = Tracer()
 tracer.install()
 import luml1.bench, luml1.net, luml1.trainer
-cfg = luml1.bench.Config(steps=2, batch_size=2, patch_size=8, corpus_count=4, corpus_h=16, corpus_w=16)
+cfg = luml1.bench.Config(steps=2, batch_size=2, patch_size=8, corpus_count=4, corpus_size=(16, 16))
 luml1.trainer.train(luml1.net.build_tinynet(0), cfg)
 print(json.dumps(tracer.metrics()))
 """
@@ -106,8 +115,8 @@ import luml1.bench
 from luml1.losses import LossSpec
 plan = luml1.bench.Config(
     sigma_max=(25.0,), eval_sigmas=(10.0,), losses=(LossSpec("l1"),),
-    steps=0, patch_size=8, corpus_count=2, corpus_h=16, corpus_w=16,
-    eval_count=2, eval_h=16, eval_w=16, hidden_channels=4, hidden_depth=3,
+    steps=0, patch_size=8, corpus_count=2, corpus_size=(16, 16),
+    eval_count=2, eval_size=(16, 16), hidden_channels=4, hidden_depth=3,
 )
 luml1.bench.run_bench(plan, ckpt_dir=sys.argv[1])
 print(json.dumps(tracer.metrics()))

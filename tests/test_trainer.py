@@ -26,8 +26,7 @@ def small_config(loss=LossSpec("l1"), sigma_max=25.0, **overrides) -> Config:
         seed=21,
         patch_size=16,
         corpus_count=6,
-        corpus_h=24,
-        corpus_w=24,
+        corpus_size=(24, 24),
     )
     base.update(overrides)
     return Config(**base)
@@ -175,7 +174,7 @@ class TestTrainLoop:
         with pytest.raises(InvalidInputError, match="checkpoint_every"):
             train(build_tinynet(0, hidden_channels=4, hidden_depth=0), small_config(), checkpoint_every=-3)
         with pytest.raises(InvalidInputError):
-            small_config(corpus_h=12, corpus_w=12, patch_size=8)
+            small_config(corpus_size=(12, 12), patch_size=8)
         for bad in (float("nan"), float("inf")):
             for name in ("lr", "sigma_max"):
                 with pytest.raises(InvalidInputError):
