@@ -259,8 +259,8 @@ def denoise_file(ckpt_path, in_path, out_path) -> None:
     """Run a checkpointed model over one image file and save the clamped result."""
     net = load_checkpoint(ckpt_path)
     img = load_image(in_path)
-    out, _ = net_forward(net, img.data)
-    save_image(clamp01(Image(out)), out_path)
+    out, _ = net_forward(net, img.data[None])
+    save_image(clamp01(Image(out[0])), out_path)
 
 
 # ---------------------------------------------------------------------------

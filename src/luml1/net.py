@@ -4,11 +4,14 @@ The network is a plain conv/ReLU stack that estimates the noise field; the
 denoised output is input minus that estimate, so a zero-initialized network
 is exactly the identity map.
 
-Feature tensors are (channels, height, width) float64, kernels (out_ch,
-in_ch, k, k). Convolution is zero same-padded cross-correlation as an im2col
-matrix product; the backward pass is its exact transpose, whose input
-gradient is again such a product. Passes run in a Workspace: each ReLU lands
-in the next layer's zero-bordered input, and gradients are masked in place.
+Passes run on a batch, layer by layer: feature maps are (batch, channels,
+height, width) float64, kernels (out_ch, in_ch, k, k). Convolution is zero
+same-padded cross-correlation as one im2col matrix product per item; the
+backward pass is its exact transpose, whose input gradient is again such a
+product and whose kernel gradient is one stacked product for the batch.
+Passes run in a Workspace: each conv writes straight into the next layer's
+zero-bordered input, where its ReLU runs in place, and gradients are masked
+in place.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidInputError, NumericalError
 from .rng import DOMAIN_INIT, normal, stream
@@ -98,146 +101,176 @@ def relu(pre: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.fmax(pre, 0.0, out=out)
 
 
-class _Im2col:
-    """A (C, H, W) map ``x`` inside a zero border no pass writes, a window view of it and its im2col matrix."""
-
-    def __init__(self, c: int, k: int, h: int, w: int):
-        p = k // 2
-        self.xp = np.zeros((c, h + k - 1, w + k - 1))
-        self.x = self.xp[:, p : p + h, p : p + w]
-        self.windows = sliding_window_view(self.xp, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
-        self.cols = np.empty((c * k * k, h * w))
-
-    def correlate(self, x: np.ndarray, kmat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``kmat`` (rows, C*k*k) times the im2col matrix of ``x``, zero-padded to same size, into ``out``."""
-        if x is not self.x:  # a pass that wrote x straight into self.x has nothing to copy
-            np.copyto(self.x, x)
-        np.copyto(self.cols.reshape(self.windows.shape), self.windows)
-        return np.matmul(kmat, self.cols, out=out)
-
-
-class ConvWork:
-    """One layer's buffers at one input size, refilled by every pass: ``input`` pads and unfolds the layer's
-    input (net_forward writes the previous layer's ReLU straight into ``input.x``), ``pre`` is the conv output,
-    ``grad_out`` pads and unfolds the output gradient, and ``grad_in`` holds the input gradient. Both are made on
-    first use and kept in ``grad_buffers``: layers given one dict share them, and scoring never allocates them."""
-
-    def __init__(self, layer: ConvLayer, h: int, w: int, grad_buffers: dict | None = None):
-        self.layer = layer
-        self.input = _Im2col(layer.in_ch, layer.k, h, w)
-        self.pre = np.empty((layer.out_ch, h, w))
-        self.grad_buffers = {} if grad_buffers is None else grad_buffers
-
-    @property
-    def grad_out(self) -> _Im2col:
-        return self._grad_buffer((self.layer.out_ch, self.layer.k), lambda key: _Im2col(*key, *self.pre.shape[1:]))
-
-    @property
-    def grad_in(self) -> np.ndarray:
-        return self._grad_buffer(self.layer.in_ch, lambda key: np.empty((key, *self.pre.shape[1:])))
-
-    def _grad_buffer(self, key, make):
-        if key not in self.grad_buffers:
-            self.grad_buffers[key] = make(key)
-        return self.grad_buffers[key]
-
-
 class Workspace:
-    """One ConvWork per layer of ``net`` at (h, w): the forward pass's buffers and the backward pass's cache.
+    """The buffers for running ``layers`` on (B, C, H, W) batches, refilled by every pass.
 
-    The backward pass works on one layer at a time, so all layers share one dict of gradient buffers.
+    Map j, the input of layer j (map n is the output), is one zero-bordered (B, C, size) buffer whose rows of W
+    pixels and a 2p border follow each other at stride s = W + 2p; ``views[j]`` is its (B, C, H, W) interior. So
+    row (c, dy, dx) of an item's im2col matrix is one run of H*s values of the map, and a product with it fills the
+    interior's run (``span``) but for 2p junk values per row, which land on the border and are zeroed. All layers
+    and items share one im2col matrix. The gradients of all maps share one more map, made by the first backward
+    pass: each item's input gradient overwrites its output gradient once that item is unfolded.
     """
 
-    def __init__(self, net: TinyNet, h: int, w: int):
-        self.net = net
-        self.shape = (h, w)
-        grad_buffers: dict = {}
-        self.layers = [ConvWork(layer, h, w, grad_buffers) for layer in net.layers]
+    def __init__(self, layers: list[ConvLayer], b: int, h: int, w: int):
+        self.shape = (b, h, w)
+        self.pad = max(layer.k // 2 for layer in layers)
+        self.stride = w + 2 * self.pad
+        self.channels = [layers[0].in_ch] + [layer.out_ch for layer in layers]
+        self.size = (h + 2 * self.pad) * self.stride + 2 * self.pad  # of a map's channel: the windows fit inside
+        self.maps = [np.zeros((b, c, self.size)) for c in self.channels]
+        self.views = [self.interior(m) for m in self.maps]
+        self.cols = np.empty((max(max(lay.in_ch, lay.out_ch) * lay.k**2 for lay in layers), h * self.stride))
+        self.layers = list(layers)
+        self.grads: list[tuple[np.ndarray, np.ndarray]] = []  # grad_maps(), once made
+
+    def span(self, m: np.ndarray) -> np.ndarray:
+        """(B, C, H*s) view of a map from its first interior pixel: the interior rows, each followed by 2p junk."""
+        start = self.pad * (self.stride + 1)
+        return m[:, :, start : start + self.shape[1] * self.stride]
+
+    def interior(self, m: np.ndarray, junk: bool = False) -> np.ndarray:
+        """(B, C, H, W) view of a map's interior, or with ``junk`` the (B, C, H, 2p) junk after each row."""
+        rows = self.span(m).reshape(*m.shape[:2], self.shape[1], self.stride)
+        return rows[..., self.shape[2] :] if junk else rows[..., : self.shape[2]]
+
+    def grad_maps(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(map, interior view) per map's gradient, in one buffer made on first use: scoring never makes it."""
+        if not self.grads:
+            buf = np.zeros((self.shape[0], max(self.channels), self.size))
+            self.grads = [(buf[:, :c], self.interior(buf[:, :c])) for c in self.channels]
+        return self.grads
+
+    def windows(self, m: np.ndarray, k: int) -> np.ndarray:
+        """(B, C, k, k, H*s) view of a map: [b] is item b's im2col matrix for a k x k kernel, rows (c, dy, dx)."""
+        s, e, start = self.stride, m.itemsize, (self.pad - k // 2) * (self.stride + 1)
+        return as_strided(m[:, :, start:], (*m.shape[:2], k, k, self.shape[1] * s), (*m.strides[:2], s * e, e, e))
+
+    def correlate(self, src: np.ndarray, kmat: np.ndarray, k: int, dst: np.ndarray) -> np.ndarray:
+        """Item by item, ``kmat`` (rows, C*k*k) times map ``src``'s im2col matrix, into map ``dst``'s span, which
+        it returns: the caller zeroes the junk once done with it."""
+        cols = self.cols[: kmat.shape[1]]
+        out = self.span(dst)
+        for item, window in zip(out, self.windows(src, k)):
+            np.copyto(cols.reshape(window.shape), window)
+            np.matmul(kmat, cols, out=item)
+        return out
+
+    def fits(self, layers: list[ConvLayer], shape: tuple[int, ...]) -> bool:
+        return self.shape == shape and list(map(id, self.layers)) == list(map(id, layers))  # these very layers
+
+    def work(self, i: int) -> ConvWork:
+        return ConvWork(self, i, self.layers[i])
+
+
+@dataclass
+class ConvWork:
+    """Layer ``i`` of a Workspace: it reads map i and writes map i + 1. Made per call, so no cycle holds buffers."""
+
+    ws: Workspace
+    i: int
+    layer: ConvLayer
 
 
 def conv_forward(x: np.ndarray, layer: ConvLayer, work: ConvWork | None = None) -> tuple[np.ndarray, ConvWork]:
-    """Same-padded cross-correlation of (C, H, W) input with the layer, into ``work`` (fresh if None).
+    """Same-padded cross-correlation of a (B, C, H, W) batch with the layer, in ``work`` (fresh if None).
 
-    The output is ``work.pre``, which the next pass through ``work`` overwrites.
+    The output is a view of the next map, which the next pass through ``work`` overwrites.
     """
-    if x.ndim != 3 or x.shape[0] != layer.in_ch:
-        raise InvalidInputError(f"input shape {x.shape} does not match layer in_ch {layer.in_ch}")
-    _, h, w = x.shape
-    work = ConvWork(layer, h, w) if work is None else work
-    if work.layer is not layer or work.pre.shape[1:] != (h, w):
-        raise InvalidInputError(f"workspace was not built for this layer at {h}x{w}")
-    pre = work.pre.reshape(layer.out_ch, h * w)
-    work.input.correlate(x, layer.kernels.reshape(layer.out_ch, -1), out=pre)
-    pre += layer.bias[:, None]
-    return work.pre, work
+    if x.ndim != 4 or x.shape[1] != layer.in_ch:
+        raise InvalidInputError(f"input shape {x.shape} does not match layer in_ch {layer.in_ch} (B, C, H, W)")
+    shape = (x.shape[0], *x.shape[2:])
+    work = Workspace([layer], *shape).work(0) if work is None else work
+    if work.layer is not layer or work.ws.shape != shape:
+        raise InvalidInputError(f"workspace was not built for this layer at {shape}")
+    ws, i = work.ws, work.i
+    if x is not ws.views[i]:  # net_forward hands each layer after the first its input in place
+        np.copyto(ws.views[i], x)
+    out = ws.correlate(ws.maps[i], layer.kernels.reshape(layer.out_ch, -1), layer.k, ws.maps[i + 1])
+    out += layer.bias[:, None]  # on the span: an in-place add on the interior view would copy it
+    ws.interior(ws.maps[i + 1], junk=True)[...] = 0.0  # the border is zero again
+    return ws.views[i + 1], work
 
 
 def conv_backward(
     grad_out: np.ndarray, cache: ConvWork, input_grad: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients of conv_forward: (d/d input or None without ``input_grad``, d/d kernels, d/d bias).
+    """Gradients of conv_forward summed over the batch: (d/d input or None without ``input_grad``, d/d kernels,
+    d/d bias).
 
-    The input gradient, ``cache.grad_in`` until the next backward pass overwrites it, is the same-padded
-    cross-correlation of ``grad_out`` with the kernels flipped in both spatial axes and in and out channels swapped.
+    The kernel gradient is one stacked product of the output gradient with the k*k shifted runs of the padded
+    input, summed over items in item order. The input gradient is the same-padded cross-correlation of
+    ``grad_out`` with the kernels flipped in both spatial axes and in and out channels swapped; it lands in the
+    workspace's gradient buffer over the output gradient, until the next backward pass overwrites it.
     """
-    layer = cache.layer
-    c, h, w = layer.in_ch, *cache.pre.shape[1:]
-    if grad_out.shape != (layer.out_ch, h, w):
-        raise InvalidInputError(f"grad shape {grad_out.shape} != output shape {(layer.out_ch, h, w)}")
-    gmat = grad_out.reshape(layer.out_ch, h * w)
-    grad_bias = grad_out.sum(axis=(1, 2))
-    grad_kernels = (cache.input.cols @ gmat.T).T.reshape(layer.kernels.shape)
+    ws, i, layer = cache.ws, cache.i, cache.layer
+    shape = (ws.shape[0], layer.out_ch, *ws.shape[1:])
+    if grad_out.shape != shape:
+        raise InvalidInputError(f"grad shape {grad_out.shape} != output shape {shape}")
+    grads = ws.grad_maps()
+    (gmap, gview), k = grads[i + 1], layer.k
+    if grad_out is not gview:  # net_backward hands each layer its output gradient in place
+        np.copyto(gview, grad_out)
+    g = ws.span(gmap)
+    grad_bias = g.sum(axis=(0, 2))
+    shifted = ws.windows(ws.maps[i], k).transpose(0, 2, 3, 4, 1)  # [b, dy, dx] is (H*s, C)
+    grad_kernels = np.matmul(g[:, None, None], shifted).sum(axis=0).transpose(2, 3, 0, 1).copy()
     if not input_grad:
         return None, grad_kernels, grad_bias
-    flipped = layer.kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-    cache.grad_out.correlate(grad_out, flipped, out=cache.grad_in.reshape(c, h * w))
-    return cache.grad_in, grad_kernels, grad_bias
+    ws.correlate(gmap, layer.kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(layer.in_ch, -1), k, grads[i][0])
+    ws.interior(grads[i][0], junk=True)[...] = 0.0
+    return grads[i][1], grad_kernels, grad_bias
+
+
+def layer_outputs(ws: Workspace, noisy: np.ndarray):
+    """Run ``ws``'s layers on a (B, H, W, 3) batch, yielding each conv output before its ReLU runs in place."""
+    t = noisy.transpose(0, 3, 1, 2)
+    for i, layer in enumerate(ws.layers):
+        t, _ = conv_forward(t, layer, ws.work(i))
+        yield t
+        if i < len(ws.layers) - 1:
+            relu(ws.maps[i + 1], ws.maps[i + 1])  # the whole map, contiguous: its zero border stays zero
 
 
 def net_forward(net: TinyNet, noisy: np.ndarray, ws: Workspace | None = None) -> tuple[np.ndarray, Workspace]:
-    """Denoise one (H, W, 3) array; returns the (H, W, 3) output and the workspace it ran in.
+    """Denoise a (B, H, W, 3) batch; returns the (B, H, W, 3) output and the workspace it ran in.
 
-    ``ws`` is used if it was built for this net at this size, else a fresh one
-    is: pass the returned one back in to allocate no conv buffers. It is the
-    cache net_backward reads until the next pass through it. The stack output
-    is a noise estimate, subtracted from the input; no clamping happens here.
-    A non-finite output raises NumericalError naming the first non-finite layer.
+    A single image is a batch of one, and each item's output is the same bit for bit in any batch. ``ws`` is used
+    if it was built for this net at this shape, else a fresh one is: pass the returned one back in to allocate no
+    conv buffers. It is the cache net_backward reads until the next pass through it. The stack output is a noise
+    estimate, subtracted from the input; no clamping happens here. A non-finite output raises NumericalError
+    naming the first layer whose conv output is not finite, found by running the batch again.
     """
-    if noisy.ndim != 3 or noisy.shape[2] != 3:
-        raise InvalidInputError(f"network input must be (H, W, 3), got shape {noisy.shape}")
-    if ws is None or ws.net is not net or ws.shape != noisy.shape[:2]:
-        ws = Workspace(net, *noisy.shape[:2])
-    t = noisy.transpose(2, 0, 1)
+    if noisy.ndim != 4 or noisy.shape[3] != 3:
+        raise InvalidInputError(f"network input must be (B, H, W, 3), got shape {noisy.shape}")
+    if ws is None or not ws.fits(net.layers, noisy.shape[:3]):
+        ws = Workspace(net.layers, *noisy.shape[:3])
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked below
-        for i, (layer, work) in enumerate(zip(net.layers, ws.layers)):
-            t, _ = conv_forward(t, layer, work)
-            if i < len(net.layers) - 1:  # the ReLU lands in the next layer's padded input
-                t = relu(t, ws.layers[i + 1].input.x)
+        *_, t = layer_outputs(ws, noisy)
         # row-major like every image: to_grayscale's matmul would sum a transposed view in another order
-        out = np.subtract(noisy, t.transpose(1, 2, 0), out=np.empty(noisy.shape))
-    if not np.all(np.isfinite(out)):
-        bad = (f"layer{i}" for i, work in enumerate(ws.layers) if not np.all(np.isfinite(work.pre)))
-        raise NumericalError(f"network output is not finite, first at {next(bad, 'the residual subtraction')}")
+        out = np.subtract(noisy, t.transpose(0, 2, 3, 1), out=np.empty(noisy.shape))
+        if not np.all(np.isfinite(out)):
+            bad = (f"layer{i}" for i, t in enumerate(layer_outputs(ws, noisy)) if not np.all(np.isfinite(t)))
+            raise NumericalError(f"network output is not finite, first at {next(bad, 'the residual subtraction')}")
     return out, ws
 
 
 def net_backward(net: TinyNet, cache: Workspace, grad_out: np.ndarray) -> list[np.ndarray]:
-    """Exact parameter gradients of the forward map, in TinyNet.parameters() order.
+    """Exact parameter gradients of the forward map, summed over the batch, in TinyNet.parameters() order.
 
     ``grad_out`` is shaped like the output; ``cache`` is the workspace of net_forward's last pass on this net.
     """
-    layers = [work.layer for work in cache.layers]
-    if len(layers) != len(net.layers) or any(a is not b for a, b in zip(layers, net.layers)):
+    if not cache.fits(net.layers, cache.shape):
         raise RuntimeError("forward cache does not match this network")
     shape = (*cache.shape, net.layers[-1].out_ch)
     if grad_out.shape != shape:
         raise RuntimeError(f"gradient shape {grad_out.shape} does not match the output shape {shape}")
-    s = -grad_out.transpose(2, 0, 1)  # output = input - stack(input), so the stack sees -grad_out
+    s = np.negative(grad_out.transpose(0, 3, 1, 2), out=cache.grad_maps()[-1][1])  # output = input - stack(input)
     grads: list[np.ndarray] = []
     for i in range(len(net.layers) - 1, -1, -1):
-        work = cache.layers[i]
-        if i < len(net.layers) - 1:  # ReLU: the gradient at exactly 0 is 0; s is the workspace's grad_in
-            np.multiply(s, work.pre > 0, out=s)
-        s, gk, gb = conv_backward(s, work, input_grad=i > 0)  # nothing reads the input's gradient
+        s, gk, gb = conv_backward(s, cache.work(i), input_grad=i > 0)  # nothing reads the input's gradient
+        if s is not None:  # ReLU: the gradient at exactly 0 is 0; map i holds relu(pre), and zero in its border
+            g = cache.grad_maps()[i][0]
+            np.multiply(g, cache.maps[i] > 0, out=g)
         grads += [gb, gk]
     return grads[::-1]

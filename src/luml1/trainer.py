@@ -95,8 +95,8 @@ def mean_scores(net: TinyNet | None, noisy: list[Image], clean: list[Image]) -> 
     ps, ss = [], []
     ws = None  # one workspace for the set; net_forward builds another only for a new image size
     for n, c in zip(noisy, clean):
-        out, ws = (n.data, None) if net is None else net_forward(net, n.data, ws)
-        out = np.clip(out, 0.0, 1.0)
+        out, ws = (n.data[None], None) if net is None else net_forward(net, n.data[None], ws)
+        out = np.clip(out[0], 0.0, 1.0)
         ps.append(psnr(out, c.data))
         ss.append(ssim(out, c.data))
     return float(np.mean(ps)), float(np.mean(ss))
@@ -109,9 +109,10 @@ _PARAM_LIMIT = float(np.finfo(np.float32).max)
 def train(net: TinyNet, cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: None) -> tuple[TinyNet, TrainLog]:
     """Run the blind training loop of a one-cell config, mutating ``net`` in place.
 
-    Each step draws ``batch_size`` (noisy, clean) patch pairs, accumulates
-    gradients of the one loss between network output and clean patch in item
-    order, and applies one Adam update with adam_step's default settings.
+    Each step draws ``batch_size`` (noisy, clean) patch pairs into one batch,
+    runs it forward and back once for the gradients of the one loss between
+    network output and clean patch, summed over the batch, and applies one
+    Adam update of their mean with adam_step's default settings.
     Every ``checkpoint_every`` steps (0: never) the net is saved to
     ``ckpt_path`` and scored on four validation images; the final net is
     always saved. A NaN or runaway value anywhere aborts with NumericalError;
@@ -129,27 +130,25 @@ def train(net: TinyNet, cfg: Config, ckpt_path=None, checkpoint_every: int = 0, 
     params = net.parameters()
     names = net.parameter_names()
     state = AdamState.for_params(params)
+    noisy, target, grad = (np.empty((cfg.batch_size, cfg.patch_size, cfg.patch_size, 3)) for _ in range(3))
     val_clean = val_noisy = ws = None  # ws: the one workspace of every training forward pass
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked explicitly
         for step in range(1, cfg.steps + 1):
             stop()
             try:
                 t0 = time.perf_counter()
-                accum = [np.zeros_like(p) for p in params]
+                for item in range(cfg.batch_size):
+                    noisy[item], target[item] = next(batches)
+                out, ws = net_forward(net, noisy, ws)
                 total = 0.0
-                for _ in range(cfg.batch_size):
-                    noisy, target = next(batches)
-                    out, ws = net_forward(net, noisy, ws)
-                    result = eval_loss(loss, out, target)
-                    for acc, g in zip(accum, net_backward(net, ws, result.grad)):
-                        acc += g
+                for item in range(cfg.batch_size):
+                    result = eval_loss(loss, out[item], target[item])
+                    grad[item] = result.grad
                     total += result.value
                 loss_value = total / cfg.batch_size
                 if not np.isfinite(loss_value):
                     raise NumericalError("loss is not finite")
-                for acc in accum:
-                    acc /= cfg.batch_size
-                adam_step(params, accum, state, cfg.lr, names=names)
+                adam_step(params, [g / cfg.batch_size for g in net_backward(net, ws, grad)], state, cfg.lr, names=names)
                 for name, p in zip(names, params):
                     if not np.all(np.isfinite(p)) or np.abs(p).max() > _PARAM_LIMIT:
                         raise NumericalError(f"runaway values in {name}")

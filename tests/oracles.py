@@ -52,6 +52,47 @@ def loop_conv2d_input_grad(grad_out: np.ndarray, kernels: np.ndarray) -> np.ndar
     return gx
 
 
+def loop_conv2d_kernel_grad(x: np.ndarray, grad_out: np.ndarray, k: int) -> np.ndarray:
+    """Gradient of loop_conv2d's output with respect to its kernels: each tap's
+    input pixel times the output gradient it fed, summed over the output."""
+    cin, h, w = x.shape
+    cout = grad_out.shape[0]
+    p = k // 2
+    gk = np.zeros((cout, cin, k, k))
+    for o in range(cout):
+        for i in range(cin):
+            for dy in range(k):
+                for dx in range(k):
+                    for y in range(h):
+                        for xx in range(w):
+                            yy = y + dy - p
+                            xw = xx + dx - p
+                            if 0 <= yy < h and 0 <= xw < w:
+                                gk[o, i, dy, dx] += x[i, yy, xw] * grad_out[o, y, xx]
+    return gk
+
+
+def straight_line_net_grads(net, img_data: np.ndarray, grad_out: np.ndarray) -> list:
+    """Parameter gradients of straight_line_net for one (H, W, 3) image, in
+    TinyNet.parameters() order, by backpropagation through the loop convs."""
+    inputs, pres = [], []
+    t = img_data.transpose(2, 0, 1)
+    for layer in net.layers:
+        inputs.append(t)
+        pres.append(loop_conv2d(t, layer.kernels, layer.bias))
+        t = np.maximum(pres[-1], 0.0)
+    g = -grad_out.transpose(2, 0, 1)
+    grads = []
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        if i < len(net.layers) - 1:
+            g = np.where(pres[i] > 0, g, 0.0)
+        gb = np.array([sum(float(v) for v in g[o].ravel()) for o in range(layer.out_ch)])
+        grads = [loop_conv2d_kernel_grad(inputs[i], g, layer.k), gb] + grads
+        g = loop_conv2d_input_grad(g, layer.kernels)
+    return grads
+
+
 def straight_line_net(net, img_data: np.ndarray) -> np.ndarray:
     """Re-implementation of the denoiser stack on top of loop_conv2d."""
     x = img_data.transpose(2, 0, 1)

@@ -62,8 +62,8 @@ class TestCheckpointRoundTrip:
         net = build_tinynet(53, hidden_channels=4, hidden_depth=0)
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path)
-        out, _ = net_forward(load_checkpoint(path), rand_image(1, 8, 8).data)
-        assert out.shape == (8, 8, 3)
+        out, _ = net_forward(load_checkpoint(path), rand_image(1, 8, 8).data[None])
+        assert out.shape == (1, 8, 8, 3)
 
 
 class TestCheckpointCorruption:

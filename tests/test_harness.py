@@ -575,7 +575,7 @@ class TestTrainedModelSanity:
 
         net, clean = trained_cell["net"], trained_cell["clean"]
         report, plan = trained_cell["report"], trained_cell["plan"]
-        score = np.mean([psnr(np.clip(net_forward(net, c.data)[0], 0.0, 1.0), c.data) for c in clean])
+        score = np.mean([psnr(np.clip(net_forward(net, c.data[None])[0][0], 0.0, 1.0), c.data) for c in clean])
         easiest = report.cells[("l1", plan.sigma_max[0], plan.eval_sigmas[0])][0]
         assert score > easiest
 

@@ -19,7 +19,7 @@ from luml1.net import (
 from luml1.rng import stream
 
 from conftest import rand_array
-from oracles import loop_conv2d, loop_conv2d_input_grad, straight_line_net
+from oracles import loop_conv2d, loop_conv2d_input_grad, straight_line_net, straight_line_net_grads
 
 
 class TestConvForward:
@@ -28,34 +28,35 @@ class TestConvForward:
         kernels[0, 0, 1, 1] = 1.0
         kernels[1, 1, 1, 1] = 1.0
         layer = ConvLayer(kernels, np.zeros(2))
-        x = stream(1, 20).random((2, 6, 6))
+        x = stream(1, 20).random((2, 2, 6, 6))
         out, _ = conv_forward(x, layer)
         assert np.array_equal(out, x)
 
     def test_zero_kernels_give_constant_bias(self):
         layer = ConvLayer(np.zeros((2, 1, 3, 3)), np.array([0.5, -1.0]))
-        out, _ = conv_forward(stream(2, 20).random((1, 4, 4)), layer)
-        assert np.all(out[0] == 0.5)
-        assert np.all(out[1] == -1.0)
+        out, _ = conv_forward(stream(2, 20).random((1, 1, 4, 4)), layer)
+        assert np.all(out[:, 0] == 0.5)
+        assert np.all(out[:, 1] == -1.0)
 
     def test_matches_loop_oracle(self):
         rng = stream(3, 21)
         layer = ConvLayer(rng.normal(size=(1, 1, 3, 3)), rng.normal(size=1))
-        x = rng.random((1, 5, 5))
+        x = rng.random((1, 1, 5, 5))
         out, _ = conv_forward(x, layer)
-        assert np.max(np.abs(out - loop_conv2d(x, layer.kernels, layer.bias))) < 1e-12
+        assert np.max(np.abs(out[0] - loop_conv2d(x[0], layer.kernels, layer.bias))) < 1e-12
 
     def test_matches_loop_oracle_multichannel(self):
         rng = stream(4, 21)
         layer = ConvLayer(rng.normal(size=(4, 3, 5, 5)), rng.normal(size=4))
-        x = rng.random((3, 7, 6))
+        x = rng.random((2, 3, 7, 6))
         out, _ = conv_forward(x, layer)
-        assert np.max(np.abs(out - loop_conv2d(x, layer.kernels, layer.bias))) < 1e-12
+        for item in range(2):
+            assert np.max(np.abs(out[item] - loop_conv2d(x[item], layer.kernels, layer.bias))) < 1e-12
 
     def test_channel_mismatch_rejected(self):
         layer = ConvLayer(np.zeros((1, 2, 3, 3)), np.zeros(1))
         with pytest.raises(InvalidInputError):
-            conv_forward(np.zeros((3, 4, 4)), layer)
+            conv_forward(np.zeros((1, 3, 4, 4)), layer)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -66,7 +67,7 @@ class TestConvBackward:
     def test_zero_gradient_gives_zero(self):
         rng = stream(5, 22)
         layer = ConvLayer(rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2))
-        x = rng.random((3, 5, 5))
+        x = rng.random((2, 3, 5, 5))
         out, cache = conv_forward(x, layer)
         gx, gk, gb = conv_backward(np.zeros_like(out), cache)
         assert np.all(gx == 0.0) and np.all(gk == 0.0) and np.all(gb == 0.0)
@@ -82,20 +83,21 @@ class TestConvBackward:
     def test_input_gradient_matches_loop_oracle(self, k):
         rng = stream(49, 22)
         layer = ConvLayer(rng.normal(size=(4, 3, k, k)), rng.normal(size=4))
-        _, cache = conv_forward(rng.random((3, 7, 5)), layer)
-        grad = rng.normal(size=(4, 7, 5))
+        _, cache = conv_forward(rng.random((2, 3, 7, 5)), layer)
+        grad = rng.normal(size=(2, 4, 7, 5))
         gx, _, _ = conv_backward(grad, cache)
-        assert np.max(np.abs(gx - loop_conv2d_input_grad(grad, layer.kernels))) < 1e-12
+        for item in range(2):
+            assert np.max(np.abs(gx[item] - loop_conv2d_input_grad(grad[item], layer.kernels))) < 1e-12
 
     def test_shape_mismatch_rejected(self):
         rng = stream(8, 22)
         layer = ConvLayer(rng.normal(size=(2, 1, 3, 3)), np.zeros(2))
-        _, cache = conv_forward(rng.random((1, 4, 4)), layer)
+        _, cache = conv_forward(rng.random((1, 1, 4, 4)), layer)
         with pytest.raises(InvalidInputError):
-            conv_backward(np.zeros((2, 5, 5)), cache)
+            conv_backward(np.zeros((1, 2, 5, 5)), cache)
 
 
-ZERO_PIXEL = np.zeros((1, 1, 3))
+ZERO_PIXEL = np.zeros((1, 1, 1, 3))
 
 
 def relu_probe(bias):
@@ -112,7 +114,7 @@ def relu_probe(bias):
 class TestRelu:
     def test_forward_values(self):
         out, _ = net_forward(relu_probe([-1.0, 0.0, 2.0]), ZERO_PIXEL)
-        assert (-out)[0, 0].tolist() == [0.0, 0.0, 2.0]
+        assert (-out)[0, 0, 0].tolist() == [0.0, 0.0, 2.0]
 
     def test_backward_masks_negatives_and_zero(self):
         net = relu_probe([-1.0, 0.0, 2.0])
@@ -149,24 +151,24 @@ class TestRelu:
 class TestTinyNet:
     def test_zero_net_is_identity_in_residual_mode(self):
         net = TinyNet([ConvLayer(np.zeros((3, 3, 3, 3)), np.zeros(3))])
-        img = rand_array(1, 9, 7)
+        img = rand_array(1, 9, 7)[None]
         out, _ = net_forward(net, img)
         assert np.array_equal(out, img)
 
     def test_matches_straight_line_reimplementation(self):
         net = build_tinynet(33, hidden_channels=6, hidden_depth=1)
-        img = rand_array(3, 8, 8)
+        img = rand_array(3, 8, 8)[None]
         out, _ = net_forward(net, img)
-        assert np.max(np.abs(out - straight_line_net(net, img))) < 1e-10
+        assert np.max(np.abs(out[0] - straight_line_net(net, img[0]))) < 1e-10
 
     def test_output_is_a_row_major_array(self):
         net = build_tinynet(32, hidden_channels=4, hidden_depth=0)
-        out, _ = net_forward(net, rand_array(2, 8, 8))
+        out, _ = net_forward(net, rand_array(2, 8, 8)[None])
         assert type(out) is np.ndarray and out.flags.c_contiguous
 
     def test_forward_is_deterministic(self):
         net = build_tinynet(34)
-        img = rand_array(4, 12, 12)
+        img = rand_array(4, 12, 12)[None]
         a, _ = net_forward(net, img)
         b, _ = net_forward(net, img)
         assert np.array_equal(a, b)
@@ -194,7 +196,7 @@ class TestTinyNet:
     def test_grayscale_input_rejected(self):
         net = build_tinynet(37)
         with pytest.raises(InvalidInputError):
-            net_forward(net, rand_array(5, c=1))
+            net_forward(net, rand_array(5, c=1)[None])
 
 
 class TestNetBackward:
@@ -204,7 +206,7 @@ class TestNetBackward:
 
     def test_zero_upstream_gradient_gives_zero_tape(self):
         net = build_tinynet(38, hidden_channels=4, hidden_depth=0)
-        img = rand_array(6, 6, 6)
+        img = rand_array(6, 6, 6)[None]
         out, cache = net_forward(net, img)
         grads = net_backward(net, cache, np.zeros_like(out))
         assert len(grads) == len(net.parameters())
@@ -213,7 +215,7 @@ class TestNetBackward:
 
     def test_l2_at_minimum_gives_zero_tape(self):
         net = build_tinynet(39, hidden_channels=4, hidden_depth=0)
-        img = rand_array(7, 6, 6)
+        img = rand_array(7, 6, 6)[None]
         out, cache = net_forward(net, img)
         grad = l2_loss(out, out).grad  # pred == target -> zero gradient
         for g in net_backward(net, cache, grad):
@@ -222,7 +224,7 @@ class TestNetBackward:
     def test_stale_cache_rejected(self):
         net_a = build_tinynet(40, hidden_channels=4, hidden_depth=0)
         net_b = build_tinynet(40, hidden_channels=4, hidden_depth=1)
-        img = rand_array(8, 6, 6)
+        img = rand_array(8, 6, 6)[None]
         out, cache = net_forward(net_a, img)
         with pytest.raises(RuntimeError):
             net_backward(net_b, cache, out)
@@ -230,19 +232,19 @@ class TestNetBackward:
     def test_cache_of_another_net_with_the_same_shapes_rejected(self):
         net_a = build_tinynet(42, hidden_channels=4, hidden_depth=0)
         net_b = build_tinynet(43, hidden_channels=4, hidden_depth=0)
-        out, cache = net_forward(net_a, rand_array(10, 6, 6))
+        out, cache = net_forward(net_a, rand_array(10, 6, 6)[None])
         with pytest.raises(RuntimeError):
             net_backward(net_b, cache, out)
 
     def test_gradient_of_another_size_rejected(self):
         net = build_tinynet(44, hidden_channels=4, hidden_depth=0)
-        _, cache = net_forward(net, rand_array(11, 6, 6))
+        _, cache = net_forward(net, rand_array(11, 6, 6)[None])
         with pytest.raises(RuntimeError):
-            net_backward(net, cache, rand_array(12, 5, 6))
+            net_backward(net, cache, rand_array(12, 5, 6)[None])
 
     def test_tape_shapes_mirror_parameters(self):
         net = build_tinynet(41, hidden_channels=4, hidden_depth=1)
-        img = rand_array(9, 6, 6)
+        img = rand_array(9, 6, 6)[None]
         out, cache = net_forward(net, img)
         grads = net_backward(net, cache, out)
         assert len(grads) == len(net.parameters())
@@ -250,56 +252,78 @@ class TestNetBackward:
             assert g.shape == p.shape
 
 
+class TestBatch:
+    def test_batch_gradients_are_the_item_order_sum_of_loop_oracle_gradients(self):
+        net = build_tinynet(54, hidden_channels=4, hidden_depth=1)
+        imgs = np.stack([rand_array(30 + item, 6, 7) for item in range(3)])
+        grad = np.stack([rand_array(40 + item, 6, 7) for item in range(3)])
+        out, ws = net_forward(net, imgs)
+        per_item = [straight_line_net_grads(net, imgs[item], grad[item]) for item in range(3)]
+        for got, (g0, g1, g2) in zip(net_backward(net, ws, grad), zip(*per_item)):
+            assert np.max(np.abs(got - ((g0 + g1) + g2))) < 1e-12
+
+    def test_batch_forward_equals_each_item_alone_bit_for_bit(self):
+        net = build_tinynet(55)
+        net.layers[-1].kernels *= 300.0  # a large noise estimate, so any mixing of items would show
+        imgs = np.stack([rand_array(50 + item, 9, 11) for item in range(3)])
+        out, _ = net_forward(net, imgs)
+        for item in range(3):
+            alone, _ = net_forward(net, imgs[item : item + 1])
+            assert alone[0].tobytes() == out[item].tobytes()
+
+
 class TestWorkspace:
     def test_reused_workspace_matches_a_fresh_one_and_the_oracle(self):
         net = build_tinynet(45, hidden_channels=6, hidden_depth=1)
-        img = rand_array(13, 8, 8)
-        _, ws = net_forward(net, 40.0 * rand_array(14, 8, 8))  # leaves other values in every buffer
+        img = rand_array(13, 8, 8)[None]
+        _, ws = net_forward(net, 40.0 * rand_array(14, 8, 8)[None])  # leaves other values in every buffer
         reused, same_ws = net_forward(net, img, ws)
         fresh, _ = net_forward(net, img)
         assert same_ws is ws
         assert np.array_equal(reused, fresh)
-        assert np.max(np.abs(reused - straight_line_net(net, img))) < 1e-10
+        assert np.max(np.abs(reused[0] - straight_line_net(net, img[0]))) < 1e-10
 
     def test_workspace_of_another_size_or_net_is_not_used(self):
         net = build_tinynet(46, hidden_channels=4, hidden_depth=0)
-        _, ws = net_forward(net, rand_array(15, 8, 8))
-        _, other_size = net_forward(net, rand_array(16, 6, 9), ws)
-        _, other_net = net_forward(build_tinynet(47, hidden_channels=4, hidden_depth=0), rand_array(17, 8, 8), ws)
-        assert other_size is not ws and other_size.shape == (6, 9)
+        _, ws = net_forward(net, rand_array(15, 8, 8)[None])
+        _, other_size = net_forward(net, rand_array(16, 6, 9)[None], ws)
+        _, other_batch = net_forward(net, np.stack([rand_array(18, 8, 8)] * 2), ws)
+        _, other_net = net_forward(build_tinynet(47, hidden_channels=4, hidden_depth=0), rand_array(17, 8, 8)[None], ws)
+        assert other_size is not ws and other_size.shape == (1, 6, 9)
+        assert other_batch is not ws and other_batch.shape == (2, 8, 8)
         assert other_net is not ws
 
     def test_layer_input_gradient_can_be_skipped(self):
         rng = stream(48, 22)
         layer = ConvLayer(rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2))
-        _, cache = conv_forward(rng.random((3, 5, 5)), layer)
-        grad = rng.random((2, 5, 5))
+        _, cache = conv_forward(rng.random((2, 3, 5, 5)), layer)
+        grad = rng.random((2, 2, 5, 5))
         gx, gk, gb = conv_backward(grad, cache)
         skipped, gk2, gb2 = conv_backward(grad, cache, input_grad=False)
-        assert gx.shape == (3, 5, 5) and skipped is None
+        assert gx.shape == (2, 3, 5, 5) and skipped is None
         assert np.array_equal(gk, gk2) and np.array_equal(gb, gb2)
 
     def test_backward_leaves_forward_buffers_and_repeats_exactly(self):
         net = build_tinynet(50, hidden_channels=6, hidden_depth=2)
-        img, grad = rand_array(18, 9, 7), rand_array(19, 9, 7)
-        _, ws = net_forward(net, 40.0 * rand_array(20, 9, 7))
-        net_backward(net, ws, rand_array(21, 9, 7))  # leaves other values in the gradient buffers
-        net_forward(net, img, ws)
-        written = [(work.input.cols.copy(), work.pre.copy()) for work in ws.layers]
+        imgs, grad = np.stack([rand_array(18, 9, 7), rand_array(26, 9, 7)]), np.stack([rand_array(19, 9, 7), rand_array(27, 9, 7)])
+        _, ws = net_forward(net, 40.0 * imgs[::-1])
+        net_backward(net, ws, 3.0 * grad)  # leaves other values in the gradient buffers
+        net_forward(net, imgs, ws)
+        written = [m.copy() for m in ws.maps]
         first = net_backward(net, ws, grad)
         second = net_backward(net, ws, grad)
-        _, fresh_ws = net_forward(net, img)
-        assert not fresh_ws.layers[0].grad_buffers  # made by the first backward pass, never by scoring
+        _, fresh_ws = net_forward(net, imgs)
+        assert not fresh_ws.grads  # made by the first backward pass, never by scoring
         fresh = net_backward(net, fresh_ws, grad)
-        assert ws.layers[1].grad_out is ws.layers[2].grad_out  # the hidden layers share one set
-        for work, (cols, pre) in zip(ws.layers, written):
-            assert np.array_equal(work.input.cols, cols) and np.array_equal(work.pre, pre)
+        assert len({id(g.base) for g, _ in ws.grad_maps()}) == 1  # every layer's gradients share one buffer
+        for m, before in zip(ws.maps, written):
+            assert np.array_equal(m, before)
         for a, b, c in zip(first, second, fresh):
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
     def test_second_backward_allocates_no_im2col_sized_array(self):
         net = build_tinynet(51)
-        img, grad = rand_array(22, 32, 32), rand_array(23, 32, 32)
+        img, grad = rand_array(22, 32, 32)[None], rand_array(23, 32, 32)[None]
         _, ws = net_forward(net, img)
         net_backward(net, ws, grad)
         tracemalloc.start()
@@ -314,7 +338,7 @@ class TestWorkspace:
     def test_second_backward_allocates_no_activation_sized_array_per_layer(self):
         # the ReLU mask multiplies in place and the input gradient lands in the workspace
         net = build_tinynet(53)
-        img, grad = rand_array(24, 32, 32), rand_array(25, 32, 32)
+        img, grad = rand_array(24, 32, 32)[None], rand_array(25, 32, 32)[None]
         _, ws = net_forward(net, img)
         net_backward(net, ws, grad)
         tracemalloc.start()
