@@ -128,8 +128,7 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
     from concurrent.futures import CancelledError, ThreadPoolExecutor
 
     t_start = time.perf_counter()
-    es = eval_seed(plan.seed)
-    clean = gen_clean(es, plan.eval_count, *plan.eval_size)
+    clean = gen_clean(eval_seed(plan.seed), plan.eval_count, *plan.eval_size)
     grid = [(loss, sigma_max) for sigma_max in plan.sigma_max for loss in plan.losses]
 
     abandoned = [False] * len(grid)  # abandoned[i]: cell i failed, or the loop below stopped waiting for it
@@ -148,11 +147,6 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
             raise
         return parse_checkpoint(checkpoint_bytes(net), "trained net")  # score what a checkpoint holds
 
-    def score_sigma(si: int) -> list[tuple[float, float]]:
-        """Scores of the noisy input, then of each cell, at the si-th eval sigma."""
-        ns = noisy_set(clean, plan.eval_sigmas[si], es, si)
-        return [mean_scores(net, ns, clean) for net in (None, *nets)]
-
     with ThreadPoolExecutor(usable_cpus()) as pool:
         nets = []
         try:
@@ -162,12 +156,18 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
                 nets.append(net)
         finally:  # after a failed cell, Ctrl-C or a failed save, the cells still training stop at their next step
             abandoned[:] = [True] * len(grid)
-        rows = list(pool.map(score_sigma, range(len(plan.eval_sigmas))))
+        rows = list(pool.map(lambda si: score_sigma(nets, clean, plan.eval_sigmas, plan.seed, si), range(len(plan.eval_sigmas))))
     noisy, cells = {}, {}
     for sigma, (baseline, *cell_scores) in zip(plan.eval_sigmas, rows):
         noisy[sigma] = baseline
         cells.update({(loss.label(), sm, sigma): score for (loss, sm), score in zip(grid, cell_scores)})
     return BenchReport(plan, cells, noisy, wall_clock_s=time.perf_counter() - t_start)
+
+
+def score_sigma(nets: list[TinyNet], clean: list[Image], sigmas: tuple[float, ...], seed: int, si: int) -> list[tuple[float, float]]:
+    """Mean (PSNR, SSIM) of the noisy input, then of each net, at ``sigmas[si]``, noised from run seed ``seed``."""
+    noisy = noisy_set(clean, sigmas[si], eval_seed(seed), si)
+    return [mean_scores(net, noisy, clean) for net in (None, *nets)]
 
 
 def check_sigmas(what: str, sigmas: tuple[float, ...]) -> None:

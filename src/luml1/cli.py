@@ -21,6 +21,7 @@ from .bench import (
     parse_size,
     report_to_csv,
     run_bench,
+    score_sigma,
 )
 from .checkpoint import load_checkpoint
 from .dataset import gen_clean, noisy_set
@@ -29,9 +30,9 @@ from .gradcheck import run_gradcheck
 from .losses import LossSpec, fmt_float, luminance_l1_loss
 from .metrics import psnr, ssim
 from .net import build_tinynet
-from .pnm import load_image, save_image, write_atomic
-from .rng import check_seed, eval_seed, train_seed
-from .trainer import mean_scores, train
+from .pnm import load_image, save_image, save_lumf_bytes, write_atomic
+from .rng import check_seed, train_seed
+from .trainer import train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,10 +51,14 @@ def _out_path(path: str) -> str:
 def cmd_gen(args) -> int:
     h, w = parse_size(args.size)
     check_sigmas("sigma", (args.sigma,))
+    if args.count < 1:
+        raise InvalidInputError(f"count must be >= 1, got {args.count}")
     images = gen_clean(check_seed(args.seed), args.count, h, w)
+    noisy_images = noisy_set(images, args.sigma, args.seed)
+    noisy_lumf = [save_lumf_bytes(img) for img in noisy_images]  # noise beyond float32 range raises here
     os.makedirs(args.out, exist_ok=True)
     manifest = []
-    for i, (img, noisy) in enumerate(zip(images, noisy_set(images, args.sigma, args.seed))):
+    for i, (img, noisy, lumf) in enumerate(zip(images, noisy_images, noisy_lumf)):
         paths = {
             "clean_ppm": os.path.join(args.out, f"clean_{i:04d}.ppm"),
             "clean_lumf": os.path.join(args.out, f"clean_{i:04d}.lumf"),
@@ -63,7 +68,7 @@ def cmd_gen(args) -> int:
         save_image(img, paths["clean_ppm"])
         save_image(img, paths["clean_lumf"])
         save_image(noisy, paths["noisy_ppm"])
-        save_image(noisy, paths["noisy_lumf"])
+        write_atomic(paths["noisy_lumf"], lumf)
         manifest.append(f"{i} {fmt_float(args.sigma)} " + " ".join(paths.values()))
     write_atomic(os.path.join(args.out, "manifest.txt"), "\n".join(manifest) + "\n")
     print(f"wrote {len(images)} clean/noisy pairs to {args.out}")
@@ -95,9 +100,8 @@ def cmd_eval(args) -> int:
     clean = [load_image(os.path.join(args.data, n)) for n in names]
     lines = ["sigma,psnr,ssim,noisy_psnr,noisy_ssim"]
     for si, sigma in enumerate(sigmas):
-        noisy = noisy_set(clean, sigma, eval_seed(args.seed), si)
-        scores = mean_scores(net, noisy, clean) + mean_scores(None, noisy, clean)
-        lines.append(",".join([fmt_float(sigma)] + [fmt_val(v) for v in scores]))
+        baseline, scores = score_sigma([net], clean, sigmas, args.seed, si)
+        lines.append(",".join([fmt_float(sigma)] + [fmt_val(v) for v in scores + baseline]))
     text = "\n".join(lines) + "\n"
     write_atomic(args.csv, text)
     print(text, end="")
@@ -125,12 +129,14 @@ def cmd_metric(args) -> int:
     a = load_image(args.a).data
     b = load_image(args.b).data
     want_any = args.psnr or args.ssim or args.luml1
+    lines = []  # every value is computed before any is printed: a failing one prints nothing
     if args.psnr or not want_any:
-        print(f"psnr {psnr(a, b):.6f}")
+        lines.append(f"psnr {psnr(a, b):.6f}")
     if args.ssim or not want_any:
-        print(f"ssim {ssim(a, b):.6f}")
+        lines.append(f"ssim {ssim(a, b):.6f}")
     if args.luml1:
-        print(f"luml1 {luminance_l1_loss(a, b, spec).value:.6f}")
+        lines.append(f"luml1 {luminance_l1_loss(a, b, spec).value:.6f}")
+    print("\n".join(lines))
     return 0
 
 

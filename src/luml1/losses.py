@@ -8,10 +8,11 @@ Four losses are provided:
 * ``luminance_l1_loss`` -- a pixel loss (L1 by default, L2 selectable)
   plus ``lam`` times the luminance term.
 
-Predictions and targets are (H, W, C) float64 arrays, and all gradients
-are with respect to the prediction. Both mean normalizations use the
-term's own element count (3*H*W for pixel terms, H*W for the luminance
-term), which keeps the meaning of ``lam`` independent of image resolution.
+Predictions and targets are (..., H, W, C) float64 arrays (an image or a
+batch of them); gradients are with respect to the prediction. Each term is
+a mean over its own elements (3*H*W per image for pixel terms, H*W for the
+luminance term), so a batch's loss is the mean of its images' losses and
+``lam`` means the same at any image and batch size.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def l2_loss(pred: np.ndarray, target: np.ndarray) -> LossOutput:
 
 
 def luminance_term(pred: np.ndarray, target: np.ndarray) -> LossOutput:
-    """L1 distance between the luminance projections, mean over pixels.
+    """L1 distance between the luminance projections, mean over all pixels of all images.
 
     The gradient is back-projected through the transpose of the projection,
     so perturbations inside its null space (color changes that preserve the
@@ -128,7 +129,7 @@ def luminance_term(pred: np.ndarray, target: np.ndarray) -> LossOutput:
     """
     require_same_shape(pred, target, "compare")
     d = to_grayscale(pred) - to_grayscale(target)
-    m = d.size  # H*W: one luminance sample per pixel
+    m = d.size  # one luminance sample per pixel
     value = float(np.abs(d).sum() / m)
     return LossOutput(value, grayscale_backward(np.sign(d) / m))
 

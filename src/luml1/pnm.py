@@ -82,6 +82,9 @@ def save_ppm_bytes(img: Image) -> bytes:
 
 
 def save_lumf_bytes(img: Image) -> bytes:
+    """Encode as LUMF1; a value beyond float32 range would be stored as an infinity, so it raises instead."""
+    if np.abs(img.data).max() > np.finfo(np.float32).max:
+        raise InvalidInputError("a pixel value is beyond the float32 range of LUMF1")
     header = LUMF_MAGIC + f"{img.height} {img.width} {img.channels}\n".encode("ascii")
     return header + img.data.astype("<f4").tobytes()
 

@@ -110,9 +110,9 @@ def train(net: TinyNet, cfg: Config, ckpt_path=None, checkpoint_every: int = 0, 
     """Run the blind training loop of a one-cell config, mutating ``net`` in place.
 
     Each step draws ``batch_size`` (noisy, clean) patch pairs into one batch,
-    runs it forward and back once for the gradients of the one loss between
-    network output and clean patch, summed over the batch, and applies one
-    Adam update of their mean with adam_step's default settings.
+    runs it forward, makes one loss call on the whole batch (the mean of its
+    patches' losses), runs it back once for that loss's gradients, and
+    applies one Adam update with adam_step's default settings.
     Every ``checkpoint_every`` steps (0: never) the net is saved to
     ``ckpt_path`` and scored on four validation images; the final net is
     always saved. A NaN or runaway value anywhere aborts with NumericalError;
@@ -130,7 +130,7 @@ def train(net: TinyNet, cfg: Config, ckpt_path=None, checkpoint_every: int = 0, 
     params = net.parameters()
     names = net.parameter_names()
     state = AdamState.for_params(params)
-    noisy, target, grad = (np.empty((cfg.batch_size, cfg.patch_size, cfg.patch_size, 3)) for _ in range(3))
+    noisy, target = (np.empty((cfg.batch_size, cfg.patch_size, cfg.patch_size, 3)) for _ in range(2))
     val_clean = val_noisy = ws = None  # ws: the one workspace of every training forward pass
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked explicitly
         for step in range(1, cfg.steps + 1):
@@ -140,19 +140,14 @@ def train(net: TinyNet, cfg: Config, ckpt_path=None, checkpoint_every: int = 0, 
                 for item in range(cfg.batch_size):
                     noisy[item], target[item] = next(batches)
                 out, ws = net_forward(net, noisy, ws)
-                total = 0.0
-                for item in range(cfg.batch_size):
-                    result = eval_loss(loss, out[item], target[item])
-                    grad[item] = result.grad
-                    total += result.value
-                loss_value = total / cfg.batch_size
-                if not np.isfinite(loss_value):
+                result = eval_loss(loss, out, target)
+                if not np.isfinite(result.value):
                     raise NumericalError("loss is not finite")
-                adam_step(params, [g / cfg.batch_size for g in net_backward(net, ws, grad)], state, cfg.lr, names=names)
+                adam_step(params, net_backward(net, ws, result.grad), state, cfg.lr, names=names)
                 for name, p in zip(names, params):
                     if not np.all(np.isfinite(p)) or np.abs(p).max() > _PARAM_LIMIT:
                         raise NumericalError(f"runaway values in {name}")
-                log.steps.append((step, loss_value, (time.perf_counter() - t0) * 1e3))
+                log.steps.append((step, result.value, (time.perf_counter() - t0) * 1e3))
                 if checkpoint_every > 0 and step % checkpoint_every == 0:
                     if ckpt_path is not None:
                         save_checkpoint(net, ckpt_path)

@@ -70,7 +70,8 @@ class TestGen:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--sigma", "inf"), ("--sigma", "-1"), ("--size", "8x8"), ("--seed", "-1"), ("--seed", str(2**64))],
+        [("--sigma", "inf"), ("--sigma", "-1"), ("--sigma", "1e42"), ("--size", "8x8"), ("--count", "0"),
+         ("--seed", "-1"), ("--seed", str(2**64))],
     )
     def test_bad_input_exits_1_and_creates_no_directory(self, tmp_path, capsys, flag, value):
         out = tmp_path / "corpus"
@@ -107,6 +108,15 @@ class TestMetric:
         out, err = capsys.readouterr()
         assert rc == 1
         assert out == "" and err.startswith("error: ")
+
+    def test_failing_metric_prints_no_value(self, tmp_path, capsys):
+        # identical 8x8 images: psnr is inf, then the SSIM window does not fit
+        pa = tmp_path / "a.lumf"
+        save_image(rand_image(3, 8, 8), pa)
+        rc = main(["metric", "--a", str(pa), "--b", str(pa)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == "" and "SSIM window" in err
 
 
 class TestDenoise:
@@ -477,7 +487,7 @@ class TestNonFiniteNetworkOutput:
 class TestOutputLocations:
     @pytest.mark.parametrize("command", ["train --out", "train --log", "eval --csv", "bench --csv", "denoise --out"])
     def test_missing_output_directory_exits_3_before_any_work(self, tmp_path, capsys, monkeypatch, command):
-        for name in ("run_bench", "train", "mean_scores", "denoise_file"):
+        for name in ("run_bench", "train", "score_sigma", "denoise_file"):
             monkeypatch.setattr(cli, name, _must_not_run)
         missing = str(tmp_path / "missing" / "out")
         ok = str(tmp_path / "out")

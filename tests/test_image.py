@@ -58,6 +58,16 @@ class TestToGrayscale:
     def test_grayscale_input_rejected(self):
         with pytest.raises(InvalidInputError):
             to_grayscale(rand_array(3, c=1))
+        for shape in [(2, 8, 8, 1), (7, 3), (3,)]:  # a grayscale batch, a row of pixels, one pixel
+            with pytest.raises(InvalidInputError):
+                to_grayscale(np.zeros(shape))
+
+    def test_batch_equals_each_item(self):
+        x = np.stack([rand_array(seed, 9, 7) for seed in range(4)])
+        out = to_grayscale(x)
+        assert out.shape == (4, 9, 7, 1)
+        for item in range(4):
+            assert np.array_equal(out[item], to_grayscale(x[item]))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
@@ -88,6 +98,16 @@ class TestGrayscaleBackward:
             grayscale_backward(rand_array(5))
         with pytest.raises(InvalidInputError):
             grayscale_backward(np.ones((4, 4)))
+        for shape in [(2, 8, 8, 3), (7, 1)]:  # a three-channel batch, a row of pixels
+            with pytest.raises(InvalidInputError):
+                grayscale_backward(np.ones(shape))
+
+    def test_batch_equals_each_item(self):
+        u = np.stack([rand_array(seed, 9, 7, c=1) for seed in range(4)])
+        out = grayscale_backward(u)
+        assert out.shape == (4, 9, 7, 3)
+        for item in range(4):
+            assert np.array_equal(out[item], grayscale_backward(u[item]))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31))

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,25 @@ class TestLossProperties:
         for spec in self.KINDS:
             pred, target = rand_pair(200, 4, 4)
             assert eval_loss(spec, pred, target).value >= 0.0
+
+
+class TestBatch:
+    """A (B, H, W, 3) batch's loss is the mean of its items' losses, and its gradient is theirs divided by B."""
+
+    SPECS = [LossSpec("l1"), LossSpec("l2"), LossSpec("luml1", 0.0), LossSpec("luml1", 0.5), LossSpec("luml1", 2.0),
+             LossSpec("luml1", 0.5, "l2")]
+    LOSSES = [pytest.param(partial(eval_loss, spec), id=spec.label()) for spec in SPECS]
+    LOSSES += [pytest.param(luminance_term, id="luminance_term")]
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_batch_loss_is_the_mean_of_item_losses(self, loss):
+        rng = stream(12, 97)
+        pred, target = rng.random((4, 9, 7, 3)), rng.random((4, 9, 7, 3))
+        batch = loss(pred, target)
+        items = [loss(p, t) for p, t in zip(pred, target)]
+        mean = sum(r.value for r in items) / 4
+        assert abs(batch.value - mean) <= 1e-12 * mean
+        assert np.array_equal(batch.grad, np.stack([r.grad for r in items]) / 4)
 
 
 class TestEvalLossDispatch:

@@ -101,6 +101,14 @@ class TestLumf:
         save_image(img, path)
         assert np.allclose(load_image(path).data, img.data)
 
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_value_beyond_float32_range_rejected(self, value):
+        # cast to float32 it would be an infinity, which no LUMF1 reader accepts
+        with pytest.raises(InvalidInputError, match="float32 range"):
+            save_lumf_bytes(Image(np.array([[[0.5, value, 0.5]]])))
+        f32_max = float(np.finfo(np.float32).max)
+        save_lumf_bytes(Image(np.array([[[0.5, f32_max, -f32_max]]])))  # the range's own ends are stored
+
     def test_truncated_payload(self, tmp_path):
         good = save_lumf_bytes(rand_image(19, 4, 4))
         with pytest.raises(FormatError, match="truncated float payload"):
