@@ -39,9 +39,9 @@ from .errors import InvalidInputError
 from .fnv import fnv1a64
 from .image import Image, clamp01
 from .losses import LossSpec, fmt_float, loss_token, parse_loss
-from .net import TinyNet, build_tinynet, net_forward
+from .net import TinyNet, net_forward
 from .pnm import load_image, save_image
-from .rng import check_seed, eval_seed, train_seed
+from .rng import check_seed, eval_seed
 from .trainer import mean_scores, train
 
 
@@ -139,9 +139,8 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
                 raise CancelledError
 
         loss, sigma_max = grid[i]
-        net = build_tinynet(train_seed(plan.seed), hidden_channels=plan.hidden_channels, hidden_depth=plan.hidden_depth)
         try:
-            train(net, replace(plan, losses=(loss,), sigma_max=(sigma_max,)), stop=stop)
+            net, _ = train(replace(plan, losses=(loss,), sigma_max=(sigma_max,)), stop=stop)
         except BaseException:
             abandoned[i] = True
             raise

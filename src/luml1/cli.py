@@ -29,9 +29,8 @@ from .errors import FormatError, InvalidInputError, NumericalError
 from .gradcheck import run_gradcheck
 from .losses import LossSpec, fmt_float, luminance_l1_loss
 from .metrics import psnr, ssim
-from .net import build_tinynet
 from .pnm import load_image, save_image, save_lumf_bytes, write_atomic
-from .rng import check_seed, train_seed
+from .rng import check_seed
 from .trainer import train
 
 
@@ -76,11 +75,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    flags = {"losses": args.loss, "lambda": args.lam, "sigma_max": args.sigma_max, "seed": args.seed}
+    flags = {"losses": args.loss, "sigma_max": args.sigma_max, "seed": args.seed}
     overrides = {k: v for k, v in flags.items() if v is not None}
     cfg = load_plan(args.config, overrides) if args.config else parse_config("", overrides)
-    net = build_tinynet(train_seed(cfg.seed), hidden_channels=cfg.hidden_channels, hidden_depth=cfg.hidden_depth)
-    net, log = train(net, cfg, ckpt_path=args.out, checkpoint_every=args.checkpoint_every)
+    _, log = train(cfg, ckpt_path=args.out, checkpoint_every=args.checkpoint_every)
     if log.steps:
         first, last = log.steps[0][1], log.steps[-1][1]
         print(f"trained {cfg.steps} steps ({cfg.losses[0].label()}): loss {first:.6f} -> {last:.6f}")
@@ -161,9 +159,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a denoiser")
     p.add_argument("--config", help="plan file with one loss and one sigma_max")
-    # these four override config keys, so the config codec parses and checks them
+    # these three override config keys, so the config codec parses and checks them
     p.add_argument("--loss", help="loss token: l1, l2 or luml1[:lam[:pixel_base]]")
-    p.add_argument("--lambda", dest="lam")
     p.add_argument("--sigma-max", dest="sigma_max")
     p.add_argument("--seed")
     p.add_argument("--log", type=_out_path, help="write the training log CSV here")

@@ -79,7 +79,7 @@ def noisy_set(clean: list[Image], sigma_255: float, seed: int, level: int = 0) -
     sigma list, so every (level, image) pair has its own realization.
     """
     return [
-        Image(im.data + normal(stream(seed, DOMAIN_EVAL_NOISE, level, j), im.shape, sigma_255 / 255.0))
+        Image(im.data + normal(stream(seed, DOMAIN_EVAL_NOISE, level, j), im.data.shape, sigma_255 / 255.0))
         for j, im in enumerate(clean)
     ]
 
@@ -119,7 +119,7 @@ def make_blind_batches(
         raise InvalidInputError(f"count must be nonnegative, got {count}")
     if not clean:
         raise InvalidInputError("need at least one clean image")
-    dims = [(im.height, im.width) for im in clean]
+    dims = [im.data.shape[:2] for im in clean]
     if any(patch_size > min(h, w) for h, w in dims):
         raise InvalidInputError(f"patch_size {patch_size} exceeds the smallest image dimension")
     rng = stream(seed, DOMAIN_BATCH)

@@ -41,22 +41,6 @@ class Image:
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.data.shape
-
 
 def require_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
     if a.shape != b.shape:

@@ -25,9 +25,16 @@ SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
 
 
-def mse(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean squared error over all elements."""
+def _check_pair(a: np.ndarray, b: np.ndarray) -> None:
+    """Reject two arrays unless they are (H, W, C) images of one shape: a batch is not one image."""
     require_same_shape(a, b, "compare")
+    if a.ndim != 3:
+        raise InvalidInputError(f"metrics compare (H, W, C) images, got shape {a.shape}")
+
+
+def mse(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean squared error over all elements of two (H, W, C) images."""
+    _check_pair(a, b)
     return float(np.mean((a - b) ** 2))
 
 
@@ -58,7 +65,7 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     Local means, variances, and covariance are Gaussian-weighted. Only
     windows fully inside the image contribute (valid region, no padding).
     """
-    require_same_shape(a, b, "compare")
+    _check_pair(a, b)
     if a.shape[2] == 3:
         a, b = to_grayscale(a), to_grayscale(b)
     x, y = a[:, :, 0], b[:, :, 0]

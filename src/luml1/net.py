@@ -80,7 +80,7 @@ class TinyNet:
         return [f"layer{i}.{n}" for i in range(len(self.layers)) for n in ("kernels", "bias")]
 
 
-def build_tinynet(seed: int, hidden_channels: int = 16, hidden_depth: int = 3) -> TinyNet:
+def build_tinynet(seed: int, hidden_channels: int, hidden_depth: int) -> TinyNet:
     """Seeded network of 3x3 convolutions: 3 -> hidden (x hidden_depth) -> 3, He-initialized.
 
     The final layer starts near zero (scale 1e-3) so the residual network

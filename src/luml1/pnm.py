@@ -74,9 +74,10 @@ def write_atomic(path, data: bytes | str) -> None:
 
 def save_ppm_bytes(img: Image) -> bytes:
     """Encode a 3-channel image as binary PPM, clamping to [0, 1] first."""
-    if img.channels != 3:
-        raise InvalidInputError(f"PPM requires 3 channels, image has {img.channels}")
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
+    h, w, c = img.data.shape
+    if c != 3:
+        raise InvalidInputError(f"PPM requires 3 channels, image has {c}")
+    header = f"P6\n{w} {h}\n255\n".encode("ascii")
     quantized = np.rint(clamp01(img).data * 255.0).astype(np.uint8)
     return header + quantized.tobytes()
 
@@ -85,7 +86,7 @@ def save_lumf_bytes(img: Image) -> bytes:
     """Encode as LUMF1; a value beyond float32 range would be stored as an infinity, so it raises instead."""
     if np.abs(img.data).max() > np.finfo(np.float32).max:
         raise InvalidInputError("a pixel value is beyond the float32 range of LUMF1")
-    header = LUMF_MAGIC + f"{img.height} {img.width} {img.channels}\n".encode("ascii")
+    header = LUMF_MAGIC + b"%d %d %d\n" % img.data.shape
     return header + img.data.astype("<f4").tobytes()
 
 

@@ -1,10 +1,10 @@
 """Deterministic training: Adam and the blind training loop.
 
 A run is fully determined by its config: the seed fixes the clean corpus,
-the patch/noise stream, and (by convention, via build_tinynet) the network
-initialization, so identical configs produce bit-identical parameters. The
-corpus comes from the training seed domain; periodic validation images come
-from the evaluation domain and never overlap it.
+the patch/noise stream and the network initialization, hidden_channels and
+hidden_depth the network's size, so identical configs produce bit-identical
+parameters. The corpus comes from the training seed domain; periodic
+validation images come from the evaluation domain and never overlap it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import InvalidInputError, NumericalError
 from .image import Image
 from .losses import eval_loss
 from .metrics import psnr, ssim
-from .net import TinyNet, net_backward, net_forward
+from .net import TinyNet, build_tinynet, net_backward, net_forward
 from .checkpoint import save_checkpoint
 from .rng import eval_seed, train_seed
 
@@ -106,10 +106,12 @@ def mean_scores(net: TinyNet | None, noisy: list[Image], clean: list[Image]) -> 
 _PARAM_LIMIT = float(np.finfo(np.float32).max)
 
 
-def train(net: TinyNet, cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: None) -> tuple[TinyNet, TrainLog]:
-    """Run the blind training loop of a one-cell config, mutating ``net`` in place.
+def train(cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: None) -> tuple[TinyNet, TrainLog]:
+    """Build the net of a one-cell config and run its blind training loop.
 
-    Each step draws ``batch_size`` (noisy, clean) patch pairs into one batch,
+    The net is build_tinynet of the training seed, hidden_channels and
+    hidden_depth, so every cell of a plan starts from the same net. Each
+    step draws ``batch_size`` (noisy, clean) patch pairs into one batch,
     runs it forward, makes one loss call on the whole batch (the mean of its
     patches' losses), runs it back once for that loss's gradients, and
     applies one Adam update with adam_step's default settings.
@@ -124,9 +126,11 @@ def train(net: TinyNet, cfg: Config, ckpt_path=None, checkpoint_every: int = 0, 
     if checkpoint_every < 0:
         raise InvalidInputError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     (loss,), (sigma_max,) = cfg.losses, cfg.sigma_max
+    seed = train_seed(cfg.seed)
+    net = build_tinynet(seed, cfg.hidden_channels, cfg.hidden_depth)
     log = TrainLog()
-    clean = gen_clean(train_seed(cfg.seed), cfg.corpus_count, *cfg.corpus_size)
-    batches = make_blind_batches(clean, sigma_max, cfg.patch_size, cfg.steps * cfg.batch_size, train_seed(cfg.seed))
+    clean = gen_clean(seed, cfg.corpus_count, *cfg.corpus_size)
+    batches = make_blind_batches(clean, sigma_max, cfg.patch_size, cfg.steps * cfg.batch_size, seed)
     params = net.parameters()
     names = net.parameter_names()
     state = AdamState.for_params(params)

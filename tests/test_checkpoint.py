@@ -40,8 +40,8 @@ class TestCheckpointRoundTrip:
             assert np.array_equal(a.bias, b.bias.astype("<f4").astype(np.float64))
 
     def test_same_net_same_bytes(self):
-        a = build_tinynet(51)
-        b = build_tinynet(51)
+        a = build_tinynet(51, 16, 3)
+        b = build_tinynet(51, 16, 3)
         assert checkpoint_bytes(a) == checkpoint_bytes(b)
 
     def test_non_residual_flag_rejected(self, tmp_path, capsys):

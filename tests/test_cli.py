@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from luml1.bench import Config
 from luml1.checkpoint import load_checkpoint, save_checkpoint
 import luml1.cli as cli
 from luml1.cli import main
@@ -152,7 +153,7 @@ class TestTrainCli:
         ckpt = tmp_path / "net.ckpt"
         log = tmp_path / "log.csv"
         rc = main([
-            "train", "--config", str(cfg), "--loss", "luml1", "--lambda", "0.5",
+            "train", "--config", str(cfg), "--loss", "luml1:0.5",
             "--out", str(ckpt), "--log", str(log),
         ])
         assert rc == 0
@@ -174,8 +175,8 @@ class TestTrainCli:
             ("lr=inf", []),
             ("sigma_max=nan", []),
             ("losses=luml1:inf", []),
-            ("", ["--loss", "luml1", "--lambda", "inf"]),
-            ("", ["--lambda", "inf"]),
+            ("", ["--loss", "luml1:inf"]),
+            ("", ["--loss", "luml1:nan"]),
             ("pixel_base=l3", []),
         ],
     )
@@ -221,13 +222,13 @@ class TestTrainCli:
         validated = [line.split(",")[0] for line in log.read_text().splitlines()[1:] if not line.endswith(",,")]
         assert validated == ["5", "10"]
 
-    @pytest.mark.parametrize("flags", [["--lambda", "0.5"], ["--loss", "l2", "--lambda", "0.5"]])
-    def test_lambda_without_a_luml1_loss_exits_1_before_training(self, tmp_path, capsys, monkeypatch, flags):
-        # no loss reads the value: the run would train plain l1 or l2 and its config would read lambda=1
+    @pytest.mark.parametrize("flags", [["--lambda", "0.5"], ["--loss", "luml1", "--lambda", "0.5"]])
+    def test_lambda_flag_exits_1_before_training(self, tmp_path, capsys, monkeypatch, flags):
+        # a luml1 loss's lambda is set by its token, --loss luml1:0.5; there is no second way to set it
         monkeypatch.setattr(cli, "train", _must_not_run)
         ckpt = tmp_path / "x.ckpt"
         assert main(["train", "--out", str(ckpt), *flags]) == 1
-        assert "no loss is luml1" in capsys.readouterr().err
+        assert "unrecognized arguments: --lambda 0.5" in capsys.readouterr().err
         assert not ckpt.exists()
 
     def test_loss_flag_takes_a_loss_token(self, tmp_path, capsys):
@@ -299,7 +300,8 @@ class TestTrainCli:
         cfg.write_text("steps=0\nseed=5\n")
         ckpt = tmp_path / "init.ckpt"
         assert main(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
-        init = build_tinynet(train_seed(5))
+        default = Config()  # the config keys leave the net's size at its default
+        init = build_tinynet(train_seed(5), default.hidden_channels, default.hidden_depth)
         for layer, want in zip(load_checkpoint(ckpt).layers, init.layers, strict=True):
             assert np.array_equal(layer.kernels, want.kernels.astype("<f4"))
             assert np.array_equal(layer.bias, want.bias.astype("<f4"))

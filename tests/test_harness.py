@@ -32,7 +32,7 @@ from luml1.fnv import fnv1a64
 from luml1.image import clamp01
 from luml1.losses import LossSpec, parse_loss
 from luml1.metrics import psnr
-from luml1.net import ConvLayer, TinyNet, build_tinynet
+from luml1.net import ConvLayer, TinyNet
 from luml1.pnm import load_image, save_image
 from luml1.rng import eval_seed, train_seed
 from luml1.trainer import mean_scores, train
@@ -386,7 +386,7 @@ class TestRunBench:
         # the second cell fails first in time; the error raised is still the first cell's
         second_failed = threading.Event()
 
-        def failing_train(net, cfg, **kwargs):
+        def failing_train(cfg, **kwargs):
             label = cfg.losses[0].label()
             if label == "l1":
                 assert second_failed.wait(10)
@@ -404,12 +404,13 @@ class TestRunBench:
         second_trained = threading.Event()
         train = luml1.bench.train
 
-        def first_fails(net, cfg, **kwargs):
+        def first_fails(cfg, **kwargs):
             if cfg.losses[0].label() == "l1":
                 assert second_trained.wait(10)
                 raise NumericalError("cell l1 diverged")
-            train(net, cfg, **kwargs)
+            trained = train(cfg, **kwargs)
             second_trained.set()
+            return trained
 
         monkeypatch.setattr(luml1.bench, "train", first_fails)
         monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
@@ -419,8 +420,8 @@ class TestRunBench:
 
     def test_cells_beside_a_failed_cell_stop_at_their_next_step(self, monkeypatch):
         # the l1 cell diverges at step 1; the luml1 cell beside it would train for minutes
-        def l1_diverges(net, cfg, **kwargs):
-            return train(net, replace(cfg, lr=1e300) if cfg.losses[0].kind == "l1" else cfg, **kwargs)
+        def l1_diverges(cfg, **kwargs):
+            return train(replace(cfg, lr=1e300) if cfg.losses[0].kind == "l1" else cfg, **kwargs)
 
         monkeypatch.setattr(luml1.bench, "train", l1_diverges)
         monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
@@ -432,14 +433,14 @@ class TestRunBench:
     def test_cells_stop_at_their_next_step_on_ctrl_c(self, tmp_path, monkeypatch):
         steps = []
 
-        def interrupted(net, cfg, stop):
+        def interrupted(cfg, stop):
             def stop_after_a_step():
                 steps.append(cfg.losses[0].label())
                 if steps.count("l1") == 3 and cfg.losses[0].label() == "l1":  # once, while training: Ctrl-C
                     signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
                 return stop()
 
-            return train(net, cfg, stop=stop_after_a_step)
+            return train(cfg, stop=stop_after_a_step)
 
         monkeypatch.setattr(luml1.bench, "train", interrupted)
         monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
@@ -454,16 +455,17 @@ class TestRunBench:
         # step; cells 2 and 3 must stop then, while cell 0 still trains, and cell 0 must finish and be saved
         ended = {}
 
-        def second_fails(net, cfg, **kwargs):
+        def second_fails(cfg, **kwargs):
             cell = (cfg.losses[0].label(), cfg.sigma_max[0])
             steps = 300 if cell == ("l1", 25.0) else cfg.steps
             lr = 1e300 if cell == ("luml1", 25.0) else cfg.lr
             try:
-                train(net, replace(cfg, steps=steps, lr=lr), **kwargs)
+                trained = train(replace(cfg, steps=steps, lr=lr), **kwargs)
             except BaseException as exc:
                 ended[cell] = type(exc).__name__
                 raise
             ended[cell] = "finished"
+            return trained
 
         monkeypatch.setattr(luml1.bench, "train", second_fails)
         monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 4)
@@ -486,7 +488,7 @@ class TestRunBench:
         noisy_set = luml1.bench.noisy_set
         train = luml1.bench.train
         monkeypatch.setattr(luml1.bench, "noisy_set", lambda *a: made.append(a[3]) or noisy_set(*a))
-        monkeypatch.setattr(luml1.bench, "train", lambda net, cfg, **kw: made.append("train") or train(net, cfg, **kw))
+        monkeypatch.setattr(luml1.bench, "train", lambda cfg, **kw: made.append("train") or train(cfg, **kw))
         monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
         run_bench(micro_plan(steps=1))
         assert made[:2] == ["train", "train"] and sorted(made[2:]) == [0, 1]
@@ -495,7 +497,7 @@ class TestRunBench:
         plan = micro_report.plan
         seeds = []
         monkeypatch.setattr(luml1.trainer, "make_blind_batches", lambda clean, *args: seeds.append(args[-1]) or iter(()))
-        train(build_tinynet(0), replace(plan, losses=plan.losses[:1], steps=0))
+        train(replace(plan, losses=plan.losses[:1], steps=0))
         assert seeds[0] == train_seed(plan.seed) and seeds[0] & 1 == 0
         assert eval_seed(plan.seed) & 1 == 1
 
@@ -503,7 +505,7 @@ class TestRunBench:
     def test_train_takes_one_cell_only(self, monkeypatch, cell):
         monkeypatch.setattr(luml1.trainer, "gen_clean", _must_not_run)
         with pytest.raises(InvalidInputError, match="exactly one loss and one sigma_max"):
-            train(build_tinynet(0), replace(micro_plan(), **cell))
+            train(replace(micro_plan(), **cell))
 
     def test_noisy_baseline_present_per_sigma(self, micro_report):
         for sigma in micro_report.plan.eval_sigmas:

@@ -35,6 +35,13 @@ class TestMse:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             mse(rand_array(1, 4, 4), rand_array(1, 5, 5))
+        # a batch or a 2-D array is not one (H, W, C) image: psnr would score the pooled MSE
+        rng = stream(7, 71)
+        for shape in ((16, 16, 16, 3), (16, 16)):
+            a, b = rng.random(shape), rng.random(shape)
+            for metric in (mse, psnr):
+                with pytest.raises(InvalidInputError, match=r"\(H, W, C\)"):
+                    metric(a, b)
 
 
 class TestPsnr:
@@ -104,3 +111,8 @@ class TestSsim:
     def test_image_smaller_than_window_rejected(self):
         with pytest.raises(InvalidInputError):
             ssim(rand_array(1, 8, 8), rand_array(1, 8, 8))
+        # a batch or a 2-D array is not one (H, W, C) image: a batch would be sliced as if it were one
+        rng = stream(7, 72)
+        for shape in ((16, 16, 16, 3), (16, 16)):
+            with pytest.raises(InvalidInputError, match=r"\(H, W, C\)"):
+                ssim(rng.random(shape), rng.random(shape))

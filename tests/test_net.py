@@ -167,20 +167,20 @@ class TestTinyNet:
         assert type(out) is np.ndarray and out.flags.c_contiguous
 
     def test_forward_is_deterministic(self):
-        net = build_tinynet(34)
+        net = build_tinynet(34, 16, 3)
         img = rand_array(4, 12, 12)[None]
         a, _ = net_forward(net, img)
         b, _ = net_forward(net, img)
         assert np.array_equal(a, b)
 
     def test_default_depth_and_width(self):
-        net = build_tinynet(35)
+        net = build_tinynet(35, 16, 3)
         assert len(net.layers) == 5
         assert net.layers[0].in_ch == 3 and net.layers[0].out_ch == 16
         assert net.layers[-1].in_ch == 16 and net.layers[-1].out_ch == 3
 
     def test_final_layer_starts_near_zero(self):
-        net = build_tinynet(36)
+        net = build_tinynet(36, 16, 3)
         assert np.abs(net.layers[-1].kernels).max() < 0.01
         assert np.abs(net.layers[0].kernels).max() > 0.01
 
@@ -194,7 +194,7 @@ class TestTinyNet:
             )
 
     def test_grayscale_input_rejected(self):
-        net = build_tinynet(37)
+        net = build_tinynet(37, 16, 3)
         with pytest.raises(InvalidInputError):
             net_forward(net, rand_array(5, c=1)[None])
 
@@ -263,7 +263,7 @@ class TestBatch:
             assert np.max(np.abs(got - ((g0 + g1) + g2))) < 1e-12
 
     def test_batch_forward_equals_each_item_alone_bit_for_bit(self):
-        net = build_tinynet(55)
+        net = build_tinynet(55, 16, 3)
         net.layers[-1].kernels *= 300.0  # a large noise estimate, so any mixing of items would show
         imgs = np.stack([rand_array(50 + item, 9, 11) for item in range(3)])
         out, _ = net_forward(net, imgs)
@@ -322,7 +322,7 @@ class TestWorkspace:
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
     def test_second_backward_allocates_no_im2col_sized_array(self):
-        net = build_tinynet(51)
+        net = build_tinynet(51, 16, 3)
         img, grad = rand_array(22, 32, 32)[None], rand_array(23, 32, 32)[None]
         _, ws = net_forward(net, img)
         net_backward(net, ws, grad)
@@ -337,7 +337,7 @@ class TestWorkspace:
 
     def test_second_backward_allocates_no_activation_sized_array_per_layer(self):
         # the ReLU mask multiplies in place and the input gradient lands in the workspace
-        net = build_tinynet(53)
+        net = build_tinynet(53, 16, 3)
         img, grad = rand_array(24, 32, 32)[None], rand_array(25, 32, 32)[None]
         _, ws = net_forward(net, img)
         net_backward(net, ws, grad)

@@ -83,9 +83,9 @@ import json
 from trace_spans import Tracer
 tracer = Tracer()
 tracer.install()
-import luml1.bench, luml1.net, luml1.trainer
+import luml1.bench, luml1.trainer
 cfg = luml1.bench.Config(steps=2, batch_size=2, patch_size=8, corpus_count=4, corpus_size=(16, 16))
-luml1.trainer.train(luml1.net.build_tinynet(0), cfg)
+luml1.trainer.train(cfg)
 print(json.dumps(tracer.metrics()))
 """
 

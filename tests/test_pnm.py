@@ -31,7 +31,7 @@ class TestPpmLoad:
     def test_header_comments_and_whitespace(self, tmp_path):
         raw = b"P6 # a comment\n# another\n 2\t1 \n255\n" + bytes(6)
         img = load_image(write(tmp_path, "a.ppm", raw))
-        assert img.shape == (1, 2, 3)
+        assert img.data.shape == (1, 2, 3)
 
     def test_bad_magic_names_offset(self, tmp_path):
         with pytest.raises(FormatError, match="byte 0"):

@@ -27,6 +27,8 @@ def small_config(loss=LossSpec("l1"), sigma_max=25.0, **overrides) -> Config:
         patch_size=16,
         corpus_count=6,
         corpus_size=(24, 24),
+        hidden_channels=4,
+        hidden_depth=0,
     )
     base.update(overrides)
     return Config(**base)
@@ -70,48 +72,49 @@ class TestAdam:
 
 class TestTrainLoop:
     def test_zero_steps_leaves_net_unchanged(self):
-        net = build_tinynet(60, hidden_channels=4, hidden_depth=0)
-        before = [p.copy() for p in net.parameters()]
-        net, log = train(net, small_config(steps=0))
+        cfg = small_config(steps=0)
+        net, log = train(cfg)
         assert log.steps == []
-        for p, q in zip(net.parameters(), before):
+        for p, q in zip(net.parameters(), build_tinynet(train_seed(cfg.seed), 4, 0).parameters(), strict=True):
             assert np.array_equal(p, q)
 
     def test_determinism_bit_identical_checkpoints(self):
-        cfg = small_config()
+        cfg = small_config(hidden_channels=8)
         runs = []
         for _ in range(2):
-            net = build_tinynet(train_seed(cfg.seed), hidden_channels=8, hidden_depth=0)
-            net, _ = train(net, cfg)
+            net, _ = train(cfg)
             runs.append(checkpoint_bytes(net))
         assert runs[0] == runs[1]
 
     def test_loss_decreases_over_training(self):
-        cfg = small_config(steps=250, batch_size=4)
-        net = build_tinynet(train_seed(cfg.seed), hidden_channels=8, hidden_depth=1)
-        net, log = train(net, cfg)
+        cfg = small_config(steps=250, batch_size=4, hidden_channels=8, hidden_depth=1)
+        net, log = train(cfg)
         losses = [v for _, v, _ in log.steps]
         leading = np.mean(losses[:100])
         trailing = np.mean(losses[-100:])
         assert trailing < leading
 
-    def test_loss_is_only_varying_factor(self):
-        # identical seeds: both runs see the same data; parameters differ
-        cfg_a = small_config(loss=LossSpec("l1"))
-        cfg_b = small_config(loss=LossSpec("luml1", lam=1.0))
-        net_a = build_tinynet(train_seed(cfg_a.seed), hidden_channels=4, hidden_depth=0)
-        net_b = build_tinynet(train_seed(cfg_b.seed), hidden_channels=4, hidden_depth=0)
-        assert checkpoint_bytes(net_a) == checkpoint_bytes(net_b)  # same init
-        train(net_a, cfg_a)
-        train(net_b, cfg_b)
+    def test_loss_is_only_varying_factor(self, monkeypatch):
+        # identical seeds: both runs start from the same net and see the same data; parameters differ
+        inits = []
+        build = luml1.trainer.build_tinynet
+
+        def recording_build(*args):
+            net = build(*args)
+            inits.append(checkpoint_bytes(net))
+            return net
+
+        monkeypatch.setattr(luml1.trainer, "build_tinynet", recording_build)
+        net_a, _ = train(small_config(loss=LossSpec("l1")))
+        net_b, _ = train(small_config(loss=LossSpec("luml1", lam=1.0)))
+        assert len(inits) == 2 and inits[0] == inits[1]  # same init
         assert checkpoint_bytes(net_a) != checkpoint_bytes(net_b)
 
     def test_runaway_parameters_abort(self):
         # an absurd lr pushes parameters past checkpointable range immediately
         cfg = small_config(loss=LossSpec("l2"), steps=50, lr=1e160)
-        net = build_tinynet(train_seed(cfg.seed), hidden_channels=4, hidden_depth=0)
         with pytest.raises(NumericalError, match="runaway|not finite|NaN or Inf"):
-            train(net, cfg)
+            train(cfg)
 
     def test_nan_loss_aborts_and_preserves_checkpoint(self, tmp_path, monkeypatch):
         import luml1.trainer as train_mod
@@ -129,20 +132,25 @@ class TestTrainLoop:
 
         monkeypatch.setattr(train_mod, "eval_loss", poisoned)
         cfg = small_config(steps=50)
-        net = build_tinynet(train_seed(cfg.seed), hidden_channels=4, hidden_depth=0)
         path = tmp_path / "last.ckpt"
         with pytest.raises(NumericalError, match="not finite"):
-            train(net, cfg, ckpt_path=path, checkpoint_every=1)
+            train(cfg, ckpt_path=path, checkpoint_every=1)
         assert path.exists()
         load_checkpoint(path)
 
-    def test_overflowing_forward_pass_aborts_at_step_1_naming_a_layer(self):
+    def test_overflowing_forward_pass_aborts_at_step_1_naming_a_layer(self, monkeypatch):
         # every parameter is finite, but nine layers of 3e38 kernels overflow float64
-        net = build_tinynet(61, hidden_channels=4, hidden_depth=7)
-        for layer in net.layers:
-            layer.kernels[...] = 3e38
+        build = luml1.trainer.build_tinynet
+
+        def overflowing_build(*args):
+            net = build(*args)
+            for layer in net.layers:
+                layer.kernels[...] = 3e38
+            return net
+
+        monkeypatch.setattr(luml1.trainer, "build_tinynet", overflowing_build)
         with pytest.raises(NumericalError, match=r"step 1: .*layer\d"):
-            train(net, small_config(steps=2))
+            train(small_config(steps=2, hidden_depth=7))
 
     def test_invalid_input_inside_the_step_loop_stays_invalid_input(self, monkeypatch):
         import luml1.trainer as train_mod
@@ -151,14 +159,11 @@ class TestTrainLoop:
             raise InvalidInputError("rejected by the loss")
 
         monkeypatch.setattr(train_mod, "eval_loss", rejecting)
-        net = build_tinynet(62, hidden_channels=4, hidden_depth=0)
         with pytest.raises(InvalidInputError, match="rejected by the loss"):
-            train(net, small_config(steps=2))
+            train(small_config(steps=2))
 
     def test_log_csv_shape(self):
-        cfg = small_config(steps=10)
-        net = build_tinynet(train_seed(cfg.seed), hidden_channels=4, hidden_depth=0)
-        _, log = train(net, cfg, checkpoint_every=5)
+        _, log = train(small_config(steps=10), checkpoint_every=5)
         lines = log.to_csv().strip().splitlines()
         assert lines[0] == "step,loss,ms,val_psnr,val_ssim"
         assert len(lines) == 11
@@ -172,7 +177,7 @@ class TestTrainLoop:
         with pytest.raises(InvalidInputError):
             small_config(corpus_count=0)
         with pytest.raises(InvalidInputError, match="checkpoint_every"):
-            train(build_tinynet(0, hidden_channels=4, hidden_depth=0), small_config(), checkpoint_every=-3)
+            train(small_config(), checkpoint_every=-3)
         with pytest.raises(InvalidInputError):
             small_config(corpus_size=(12, 12), patch_size=8)
         for bad in (float("nan"), float("inf")):
@@ -200,16 +205,15 @@ class TestTypeBoundary:
 
     def test_train_builds_only_the_corpus(self, monkeypatch):
         cfg = small_config(loss=LossSpec("luml1"), steps=5, batch_size=2)
-        net = build_tinynet(train_seed(cfg.seed), hidden_channels=4, hidden_depth=0)
         built = self.count_images(monkeypatch)
-        train(net, cfg)
+        train(cfg)
         assert len(built) == cfg.corpus_count
 
     @pytest.mark.parametrize("with_net", [True, False], ids=["net", "noisy-baseline"])
     def test_mean_scores_builds_none(self, monkeypatch, with_net):
         clean = gen_clean(5, 3, 16, 16)
         noisy = noisy_set(clean, 25.0, 5)
-        net = build_tinynet(7, hidden_channels=4, hidden_depth=0) if with_net else None
+        net = build_tinynet(7, 4, 0) if with_net else None
         built = self.count_images(monkeypatch)
         psnr_mean, ssim_mean = mean_scores(net, noisy, clean)
         assert built == []
@@ -235,7 +239,7 @@ class TestScoringWorkspace:
         return list(zip(ps, ss))
 
     def test_order_and_fresh_workspaces_give_identical_pair_scores(self, monkeypatch):
-        net = build_tinynet(23)
+        net = build_tinynet(23, 16, 3)
         net.layers[-1].kernels *= 300.0  # a large noise estimate, so stale buffer values would show
         clean = gen_clean(24, 4, 24, 24) + gen_clean(25, 2, 16, 20)  # a second size: a second workspace
         noisy = noisy_set(clean[:3], 15.0, 24) + noisy_set(clean[3:], 60.0, 24, level=1)
@@ -246,7 +250,7 @@ class TestScoringWorkspace:
         assert forward == backward[::-1] == alone
 
     def test_scoring_one_more_pair_allocates_no_im2col_sized_array(self, monkeypatch):
-        net = build_tinynet(26)
+        net = build_tinynet(26, 16, 3)
         clean = gen_clean(27, 3, 40, 40)
         noisy = noisy_set(clean, 25.0, 27)
         rises = []
