@@ -26,10 +26,10 @@ from .rng import DOMAIN_BATCH, DOMAIN_CLEAN, DOMAIN_EVAL_NOISE, normal, stream
 MIN_IMAGE_SIZE = 16
 
 
-def gen_clean(seed: int, count: int, h: int, w: int) -> list[Image]:
+def gen_clean(seed: int, count: int, h: int, w: int, domain: int = DOMAIN_CLEAN) -> list[Image]:
     """Generate ``count`` deterministic 3-channel clean images in [0, 1].
 
-    Image i is drawn from its own sub-stream (seed, i), so the corpus is
+    Image i is drawn from its own sub-stream (seed, domain, i), so the corpus is
     reproducible and generation could be partitioned across workers without
     sharing a stream.
     """
@@ -37,7 +37,7 @@ def gen_clean(seed: int, count: int, h: int, w: int) -> list[Image]:
         raise InvalidInputError(f"count must be nonnegative, got {count}")
     if count > 0 and min(h, w) < MIN_IMAGE_SIZE:
         raise InvalidInputError(f"clean images must be at least {MIN_IMAGE_SIZE}x{MIN_IMAGE_SIZE}, got {h}x{w}")
-    return [_gen_one(stream(seed, DOMAIN_CLEAN, i), h, w) for i in range(count)]
+    return [_gen_one(stream(seed, domain, i), h, w) for i in range(count)]
 
 
 def _gen_one(rng: np.random.Generator, h: int, w: int) -> Image:
@@ -71,15 +71,17 @@ def _gen_one(rng: np.random.Generator, h: int, w: int) -> Image:
     return Image(np.clip(img, 0.0, 1.0))
 
 
-def noisy_set(clean: list[Image], sigma_255: float, seed: int, level: int = 0) -> list[Image]:
+def noisy_set(
+    clean: list[Image], sigma_255: float, seed: int, level: int = 0, domain: int = DOMAIN_EVAL_NOISE
+) -> list[Image]:
     """Unclamped noisy copies of ``clean`` at one noise level; ``sigma_255`` is not checked here.
 
-    Image j draws its noise from the (seed, DOMAIN_EVAL_NOISE, level, j)
-    stream, where ``level`` is the noise level's index in the evaluation's
-    sigma list, so every (level, image) pair has its own realization.
+    Image j draws its noise from the (seed, domain, level, j) stream, where
+    ``level`` is the noise level's index in the evaluation's sigma list, so
+    every (level, image) pair has its own realization.
     """
     return [
-        Image(im.data + normal(stream(seed, DOMAIN_EVAL_NOISE, level, j), im.data.shape, sigma_255 / 255.0))
+        Image(im.data + normal(stream(seed, domain, level, j), im.data.shape, sigma_255 / 255.0))
         for j, im in enumerate(clean)
     ]
 

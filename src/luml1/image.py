@@ -4,8 +4,9 @@ An ``Image`` is a whole image the program holds, loads or saves: a
 (height, width, channels) float64 array in nominal range [0, 1], checked
 once when it is built, stored C-contiguous (row-major, channel-interleaved)
 and marked read-only, so values can be shared freely across threads. The
-math (network, losses, metrics) takes and returns plain (H, W, C) float64
-arrays; callers pass ``Image.data``. All operations here are pure functions.
+math (network, losses, metrics) takes and returns plain (H, W, C) arrays,
+float64 but for training's float32; callers pass ``Image.data``. All
+operations here are pure functions.
 """
 
 from __future__ import annotations

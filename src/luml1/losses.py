@@ -8,11 +8,11 @@ Four losses are provided:
 * ``luminance_l1_loss`` -- a pixel loss (L1 by default, L2 selectable)
   plus ``lam`` times the luminance term.
 
-Predictions and targets are (..., H, W, C) float64 arrays (an image or a
-batch of them); gradients are with respect to the prediction. Each term is
-a mean over its own elements (3*H*W per image for pixel terms, H*W for the
-luminance term), so a batch's loss is the mean of its images' losses and
-``lam`` means the same at any image and batch size.
+Predictions and targets are (..., H, W, C) float arrays (an image or a
+batch of them; float32 in training); gradients are with respect to the
+prediction. Each term is a mean over its own elements (3*H*W per image for
+pixel terms, H*W for the luminance term), so a batch's loss is the mean of
+its images' losses and ``lam`` means the same at any image and batch size.
 """
 
 from __future__ import annotations

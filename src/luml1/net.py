@@ -5,10 +5,13 @@ denoised output is input minus that estimate, so a zero-initialized network
 is exactly the identity map.
 
 Passes run on a batch, layer by layer: feature maps are (batch, channels,
-height, width) float64, kernels (out_ch, in_ch, k, k). Convolution is zero
-same-padded cross-correlation as one im2col matrix product per item; the
-backward pass is its exact transpose, whose input gradient is again such a
-product and whose kernel gradient is one stacked product for the batch.
+height, width), kernels (out_ch, in_ch, k, k), all in the parameters' dtype:
+float32 for a net whose parameters are all float32 (the net train trains),
+else float64 (build_tinynet's, and every net a checkpoint loads, so scoring
+runs in float64). Convolution is zero same-padded cross-correlation as one
+im2col matrix product per item; the backward pass is its exact transpose,
+whose input gradient is again such a product and whose kernel gradient is
+one stacked product for the batch.
 Passes run in a Workspace: each conv writes straight into the next layer's
 zero-bordered input, where its ReLU runs in place, and gradients are masked
 in place.
@@ -33,8 +36,9 @@ class ConvLayer:
     bias: np.ndarray
 
     def __post_init__(self):
-        self.kernels = np.asarray(self.kernels, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        f32 = np.asarray(self.kernels).dtype == np.asarray(self.bias).dtype == np.float32
+        self.kernels = np.asarray(self.kernels, dtype=np.float32 if f32 else np.float64)
+        self.bias = np.asarray(self.bias, dtype=self.kernels.dtype)
         if self.kernels.ndim != 4 or self.kernels.shape[2] != self.kernels.shape[3]:
             raise InvalidInputError(f"kernels must be (out, in, k, k), got {self.kernels.shape}")
         if self.k % 2 == 0:
@@ -71,6 +75,8 @@ class TinyNet:
         for a, b in zip(self.layers, self.layers[1:]):
             if a.out_ch != b.in_ch:
                 raise InvalidInputError(f"channel mismatch between layers: {a.out_ch} -> {b.in_ch}")
+            if a.kernels.dtype != b.kernels.dtype:
+                raise InvalidInputError(f"layers must share one dtype, got {a.kernels.dtype} and {b.kernels.dtype}")
 
     def parameters(self) -> list[np.ndarray]:
         """Flat parameter list [kernels0, bias0, kernels1, bias1, ...]."""
@@ -118,9 +124,11 @@ class Workspace:
         self.stride = w + 2 * self.pad
         self.channels = [layers[0].in_ch] + [layer.out_ch for layer in layers]
         self.size = (h + 2 * self.pad) * self.stride + 2 * self.pad  # of a map's channel: the windows fit inside
-        self.maps = [np.zeros((b, c, self.size)) for c in self.channels]
+        self.dtype = layers[0].kernels.dtype
+        self.maps = [np.zeros((b, c, self.size), self.dtype) for c in self.channels]
         self.views = [self.interior(m) for m in self.maps]
-        self.cols = np.empty((max(max(lay.in_ch, lay.out_ch) * lay.k**2 for lay in layers), h * self.stride))
+        rows = max(max(lay.in_ch, lay.out_ch) * lay.k**2 for lay in layers)
+        self.cols = np.empty((rows, h * self.stride), self.dtype)
         self.layers = list(layers)
         self.grads: list[tuple[np.ndarray, np.ndarray]] = []  # grad_maps(), once made
 
@@ -137,7 +145,7 @@ class Workspace:
     def grad_maps(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(map, interior view) per map's gradient, in one buffer made on first use: scoring never makes it."""
         if not self.grads:
-            buf = np.zeros((self.shape[0], max(self.channels), self.size))
+            buf = np.zeros((self.shape[0], max(self.channels), self.size), self.dtype)
             self.grads = [(buf[:, :c], self.interior(buf[:, :c])) for c in self.channels]
         return self.grads
 
@@ -248,7 +256,7 @@ def net_forward(net: TinyNet, noisy: np.ndarray, ws: Workspace | None = None) ->
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked below
         *_, t = layer_outputs(ws, noisy)
         # row-major like every image: to_grayscale's matmul would sum a transposed view in another order
-        out = np.subtract(noisy, t.transpose(0, 2, 3, 1), out=np.empty(noisy.shape))
+        out = np.subtract(noisy, t.transpose(0, 2, 3, 1), out=np.empty(noisy.shape, np.result_type(noisy, t)))
         if not np.all(np.isfinite(out)):
             bad = (f"layer{i}" for i, t in enumerate(layer_outputs(ws, noisy)) if not np.all(np.isfinite(t)))
             raise NumericalError(f"network output is not finite, first at {next(bad, 'the residual subtraction')}")

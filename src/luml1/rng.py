@@ -30,6 +30,8 @@ DOMAIN_CLEAN = 1
 DOMAIN_BATCH = 3
 DOMAIN_INIT = 4
 DOMAIN_EVAL_NOISE = 5
+DOMAIN_VAL_CLEAN = 6  # the trainer's validation images and their noise, apart from the test set's
+DOMAIN_VAL_NOISE = 7
 
 
 def stream(seed: int, *ids: int) -> np.random.Generator:

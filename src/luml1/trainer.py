@@ -3,8 +3,10 @@
 A run is fully determined by its config: the seed fixes the clean corpus,
 the patch/noise stream and the network initialization, hidden_channels and
 hidden_depth the network's size, so identical configs produce bit-identical
-parameters. The corpus comes from the training seed domain; periodic
-validation images come from the evaluation domain and never overlap it.
+parameters. Training computes in float32, the precision a checkpoint keeps.
+The corpus comes from the training seed domain; periodic validation images
+and their noise come from stream domains of their own, so they are neither
+training images nor the test images that run_bench scores.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from .errors import InvalidInputError, NumericalError
 from .image import Image
 from .losses import eval_loss
 from .metrics import psnr, ssim
-from .net import TinyNet, build_tinynet, net_backward, net_forward
+from .net import ConvLayer, TinyNet, build_tinynet, net_backward, net_forward
 from .checkpoint import save_checkpoint
-from .rng import eval_seed, train_seed
+from .rng import DOMAIN_VAL_CLEAN, DOMAIN_VAL_NOISE, eval_seed, train_seed
 
 if TYPE_CHECKING:
     from .bench import Config
@@ -102,15 +104,12 @@ def mean_scores(net: TinyNet | None, noisy: list[Image], clean: list[Image]) -> 
     return float(np.mean(ps)), float(np.mean(ss))
 
 
-# parameters beyond float32 range cannot be checkpointed; treat as divergence
-_PARAM_LIMIT = float(np.finfo(np.float32).max)
-
-
 def train(cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: None) -> tuple[TinyNet, TrainLog]:
     """Build the net of a one-cell config and run its blind training loop.
 
     The net is build_tinynet of the training seed, hidden_channels and
-    hidden_depth, so every cell of a plan starts from the same net. Each
+    hidden_depth, cast to float32, so every cell of a plan starts from the
+    same net; its Adam moments and patch batches are float32 too. Each
     step draws ``batch_size`` (noisy, clean) patch pairs into one batch,
     runs it forward, makes one loss call on the whole batch (the mean of its
     patches' losses), runs it back once for that loss's gradients, and
@@ -128,13 +127,14 @@ def train(cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: N
     (loss,), (sigma_max,) = cfg.losses, cfg.sigma_max
     seed = train_seed(cfg.seed)
     net = build_tinynet(seed, cfg.hidden_channels, cfg.hidden_depth)
+    net = TinyNet([ConvLayer(lay.kernels.astype(np.float32), lay.bias.astype(np.float32)) for lay in net.layers])
     log = TrainLog()
     clean = gen_clean(seed, cfg.corpus_count, *cfg.corpus_size)
     batches = make_blind_batches(clean, sigma_max, cfg.patch_size, cfg.steps * cfg.batch_size, seed)
     params = net.parameters()
     names = net.parameter_names()
     state = AdamState.for_params(params)
-    noisy, target = (np.empty((cfg.batch_size, cfg.patch_size, cfg.patch_size, 3)) for _ in range(2))
+    noisy, target = (np.empty((cfg.batch_size, cfg.patch_size, cfg.patch_size, 3), np.float32) for _ in range(2))
     val_clean = val_noisy = ws = None  # ws: the one workspace of every training forward pass
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked explicitly
         for step in range(1, cfg.steps + 1):
@@ -149,15 +149,15 @@ def train(cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: N
                     raise NumericalError("loss is not finite")
                 adam_step(params, net_backward(net, ws, result.grad), state, cfg.lr, names=names)
                 for name, p in zip(names, params):
-                    if not np.all(np.isfinite(p)) or np.abs(p).max() > _PARAM_LIMIT:
+                    if not np.all(np.isfinite(p)):  # beyond float32 range is inf
                         raise NumericalError(f"runaway values in {name}")
                 log.steps.append((step, result.value, (time.perf_counter() - t0) * 1e3))
                 if checkpoint_every > 0 and step % checkpoint_every == 0:
                     if ckpt_path is not None:
                         save_checkpoint(net, ckpt_path)
                     if val_clean is None:
-                        val_clean = gen_clean(eval_seed(cfg.seed), 4, *cfg.corpus_size)
-                        val_noisy = noisy_set(val_clean, sigma_max / 2.0, eval_seed(cfg.seed))
+                        val_clean = gen_clean(eval_seed(cfg.seed), 4, *cfg.corpus_size, DOMAIN_VAL_CLEAN)
+                        val_noisy = noisy_set(val_clean, sigma_max / 2.0, eval_seed(cfg.seed), 0, DOMAIN_VAL_NOISE)
                     log.validations.append((step, *mean_scores(net, val_noisy, val_clean)))
             except NumericalError as exc:
                 raise NumericalError(f"aborted at step {step}: {exc}") from exc

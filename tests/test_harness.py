@@ -272,6 +272,12 @@ class TestPlanFiles:
             assert format_config(parse_config(text)) == text
             assert fnv1a64(text.encode()) == digest
 
+    def test_shipped_plans_are_canonical(self):
+        # plans/paper-dncnn.plan included: its text is the plan it names, so its hash is that plan's
+        for path in sorted((REPO_ROOT / "plans").glob("*.plan")):
+            text = path.read_text()
+            assert format_config(parse_config(text)) == text, path.name
+
     def test_nearby_learning_rates_hash_differently(self):
         base = load_plan(FAST_PLAN)
         a, b = (replace(base, lr=lr) for lr in (1.2345678e-4, 1.23457e-4))

@@ -272,6 +272,59 @@ class TestBatch:
             assert alone[0].tobytes() == out[item].tobytes()
 
 
+def float32_net(net: TinyNet) -> TinyNet:
+    return TinyNet([ConvLayer(lay.kernels.astype(np.float32), lay.bias.astype(np.float32)) for lay in net.layers])
+
+
+class TestDtype:
+    """A net computes in its parameters' dtype: float32 if they all are, else float64."""
+
+    @staticmethod
+    def buffers(ws) -> set:
+        return {a.dtype for a in [*ws.maps, ws.cols, *(g for g, _ in ws.grad_maps())]}
+
+    def test_float64_net_runs_a_float64_workspace(self):
+        net = build_tinynet(56, hidden_channels=4, hidden_depth=0)
+        out, ws = net_forward(net, rand_array(60, 8, 8)[None].astype(np.float32))
+        grads = net_backward(net, ws, np.ones_like(out))
+        assert self.buffers(ws) == {np.dtype(np.float64)}
+        assert out.dtype == np.float64 and {g.dtype for g in grads} == {np.dtype(np.float64)}
+
+    def test_float32_net_runs_a_float32_workspace_and_keeps_a_float64_input(self):
+        net = float32_net(build_tinynet(57, hidden_channels=4, hidden_depth=0))
+        img = rand_array(61, 8, 8)[None]
+        out, ws = net_forward(net, img)
+        grads = net_backward(net, ws, np.ones_like(out))
+        assert self.buffers(ws) == {np.dtype(np.float32)}
+        assert out.dtype == np.float64  # np.result_type(input, net)
+        assert {g.dtype for g in grads} == {np.dtype(np.float32)}
+        out32, _ = net_forward(net, img.astype(np.float32))
+        assert out32.dtype == np.float32
+        assert np.max(np.abs(out32 - straight_line_net(net, img[0]))) < 1e-5
+
+    def test_a_layer_is_float32_only_if_all_its_parameters_are(self):
+        k32, b32 = np.zeros((3, 3, 3, 3), np.float32), np.zeros(3, np.float32)
+        narrow = ConvLayer(k32, b32)
+        assert narrow.kernels.dtype == narrow.bias.dtype == np.float32
+        for layer in (ConvLayer(k32, np.zeros(3)), ConvLayer(np.zeros((3, 3, 3, 3), int), b32)):
+            assert layer.kernels.dtype == layer.bias.dtype == np.float64
+
+    def test_mixed_dtypes_rejected(self):
+        wide = ConvLayer(np.zeros((4, 3, 3, 3)), np.zeros(4))
+        narrow = ConvLayer(np.zeros((3, 4, 3, 3), np.float32), np.zeros(3, np.float32))
+        with pytest.raises(InvalidInputError, match="dtype"):
+            TinyNet([wide, narrow])
+
+    def test_float32_batch_forward_equals_each_item_alone_bit_for_bit(self):
+        net = float32_net(build_tinynet(58, 16, 3))
+        net.layers[-1].kernels *= 300.0
+        imgs = np.stack([rand_array(70 + item, 9, 11) for item in range(3)]).astype(np.float32)
+        out, _ = net_forward(net, imgs)
+        for item in range(3):
+            alone, _ = net_forward(net, imgs[item : item + 1])
+            assert alone[0].tobytes() == out[item].tobytes()
+
+
 class TestWorkspace:
     def test_reused_workspace_matches_a_fresh_one_and_the_oracle(self):
         net = build_tinynet(45, hidden_channels=6, hidden_depth=1)

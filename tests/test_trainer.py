@@ -5,14 +5,14 @@ import pytest
 
 import luml1.trainer
 
-from luml1.checkpoint import checkpoint_bytes, load_checkpoint
+from luml1.checkpoint import checkpoint_bytes, load_checkpoint, parse_checkpoint
 from luml1.dataset import gen_clean, noisy_set
 from luml1.errors import InvalidInputError, NumericalError
 from luml1.image import Image
 from luml1.losses import LossSpec
 from luml1.metrics import psnr, ssim
 from luml1.net import build_tinynet
-from luml1.rng import stream, train_seed
+from luml1.rng import DOMAIN_EVAL_NOISE, eval_seed, normal, stream, train_seed
 from luml1.bench import Config
 from luml1.trainer import AdamState, adam_step, mean_scores, train
 
@@ -76,7 +76,40 @@ class TestTrainLoop:
         net, log = train(cfg)
         assert log.steps == []
         for p, q in zip(net.parameters(), build_tinynet(train_seed(cfg.seed), 4, 0).parameters(), strict=True):
-            assert np.array_equal(p, q)
+            assert p.dtype == np.float32 and np.array_equal(p, q.astype(np.float32))
+
+    def test_trains_in_float32(self, monkeypatch):
+        states = []
+
+        def recording_adam(params, grads, state, lr, **kw):
+            states.append(state)
+            adam_step(params, grads, state, lr, **kw)
+
+        monkeypatch.setattr(luml1.trainer, "adam_step", recording_adam)
+        net, _ = train(small_config(loss=LossSpec("luml1"), steps=3))
+        assert len(states) == 3 and states[0].t == 3
+        for arr in [*net.parameters(), *states[0].m, *states[0].v]:
+            assert arr.dtype == np.float32
+
+    def test_checkpoint_holds_the_trained_parameters_bit_for_bit(self):
+        net, _ = train(small_config(steps=5))
+        parsed = parse_checkpoint(checkpoint_bytes(net), "trained net")
+        for p, q in zip(net.parameters(), parsed.parameters(), strict=True):
+            assert q.dtype == np.float64 and np.array_equal(p, q)  # scoring stays in float64
+
+    def test_validation_images_and_noise_are_not_test_images_or_noise(self, monkeypatch):
+        cfg = small_config(steps=2, corpus_size=(40, 40))  # run_bench scores eval_size images: 40x40 here
+        seen = []
+        monkeypatch.setattr(luml1.trainer, "mean_scores", lambda net, n, c: seen.append((n, c)) or (0.0, 0.0))
+        train(cfg, checkpoint_every=1)
+        val_noisy, val_clean = seen[0]
+        es = eval_seed(cfg.seed)
+        test_clean = gen_clean(es, cfg.eval_count, *cfg.eval_size)
+        for j, (n, c) in enumerate(zip(val_noisy, val_clean)):
+            assert not any(np.array_equal(c.data, t.data) for t in test_clean)
+            unit = (n.data - c.data) / (cfg.sigma_max[0] / 2.0 / 255.0)  # the deviates, whatever the sigma
+            for level in range(len(cfg.eval_sigmas)):
+                assert not np.allclose(unit, normal(stream(es, DOMAIN_EVAL_NOISE, level, j), c.data.shape))
 
     def test_determinism_bit_identical_checkpoints(self):
         cfg = small_config(hidden_channels=8)
