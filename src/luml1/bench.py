@@ -6,8 +6,11 @@ Fairness and reproducibility rules:
 * every cell trains from the same run seed, so initialization, clean
   corpus, patch crops, and noise realizations are identical across losses
   -- the loss is the only varying factor;
-* evaluation images and noise come from the evaluation seed domain (low
-  bit set), disjoint from all training streams (low bit cleared);
+* training streams (corpus, patches, initialization, validation) are keyed
+  by the run seed, evaluation images and noise by ``eval_seed`` (the run
+  seed with its low bit set), each stream in a domain of its own, so no
+  training stream is a test stream; seeds 2k and 2k+1 train different
+  nets and score them on one test set;
 * each cell is scored from its checkpoint bytes (float32 parameters), so
   a saved checkpoint reproduces the reported numbers exactly;
 * cells train, and eval sigmas are scored, as tasks on a pool of worker
@@ -266,15 +269,11 @@ def denoise_file(ckpt_path, in_path, out_path) -> None:
 # plan files, a train config being a one-cell plan: plain key=value lines
 
 # The one key table: (key, value type), in canonical order. Each key sets the
-# Config field it names, and every field has a key. lambda and pixel_base set
-# no field: they make the LossSpec that a bare luml1 loss token means, so both
-# are checked whatever the losses are.
+# Config field it names, and every field has a key.
 CONFIG_KEYS = (
     ("sigma_max", "floats"),
     ("eval_sigmas", "floats"),
     ("losses", "losses"),
-    ("lambda", "float"),
-    ("pixel_base", "str"),
     ("steps", "int"),
     ("batch_size", "int"),
     ("lr", "float"),
@@ -288,53 +287,50 @@ CONFIG_KEYS = (
     ("seed", "int"),
 )
 
+# The lines of two retired keys that perfbench/eval.plan still holds: a loss token
+# sets lam and pixel base, so these default values are read as no-ops.
+_RETIRED_KEYS = {"lambda": "1", "pixel_base": "l1"}
+
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(s) for s in text.split(","))
 
 
-def _codec(default: LossSpec) -> dict:
-    """Value type -> (parse text, format value); ``default`` is the spec a bare luml1 token means."""
-    return {
-        "int": (int, str),
-        "float": (float, fmt_float),
-        "str": (str, str),
-        "floats": (_floats, lambda v: ",".join(fmt_float(x) for x in v)),
-        "size": (parse_size, lambda v: f"{v[0]}x{v[1]}"),
-        "losses": (
-            lambda t: tuple(parse_loss(x, default) for x in t.split(",")),
-            lambda v: ",".join(loss_token(x, default) for x in v),
-        ),
-    }
+def parse_size(token: str) -> tuple[int, int]:
+    try:
+        h, w = token.lower().split("x")
+        return int(h), int(w)
+    except ValueError:
+        raise InvalidInputError(f"expected HxW size, got {token!r}") from None
+
+
+# value type -> (parse text, format value)
+_CODEC = {
+    "int": (int, str),
+    "float": (float, fmt_float),
+    "floats": (_floats, lambda v: ",".join(fmt_float(x) for x in v)),
+    "size": (parse_size, lambda v: f"{v[0]}x{v[1]}"),
+    "losses": (lambda t: tuple(parse_loss(x) for x in t.split(",")), lambda v: ",".join(loss_token(x) for x in v)),
+}
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> Config:
     """Parse a plan file; ``overrides`` (key -> text) win over its lines.
 
-    Unknown keys, values that do not parse, and a non-default lambda or pixel_base
-    that no loss token reads raise InvalidInputError; a left-out key keeps its Config() value.
+    Unknown keys, a retired key with a value other than its no-op one, and values
+    that do not parse raise InvalidInputError; a left-out key keeps its Config() value.
     """
     kv = {**parse_kv(text), **(overrides or {})}
     keys = dict(CONFIG_KEYS)
-    for key in kv:
-        if key not in keys:
+    for key, value in kv.items():
+        if key in _RETIRED_KEYS and value != _RETIRED_KEYS[key]:
+            raise InvalidInputError(f"{key} is no longer a plan key: a loss token luml1:lam:pixel_base sets it, as in losses=luml1:0.5:l2")
+        if key not in keys and key not in _RETIRED_KEYS:
             raise InvalidInputError(f"unknown config key {key!r}")
-    values = {}
     try:
-        bare = LossSpec("luml1", float(kv.get("lambda", "1")), kv.get("pixel_base", "l1"))  # a bare luml1 token
-        codec = _codec(bare)
-        for key, value in kv.items():
-            if key not in ("lambda", "pixel_base"):
-                values[key] = codec[keys[key]][0](value)
+        values = {key: _CODEC[keys[key]][0](value) for key, value in kv.items() if key in keys}
     except ValueError as exc:
         raise InvalidInputError(f"bad config value: {exc}") from None
-    # lambda is read by a bare luml1 token, pixel_base by a luml1 token without a pixel-base suffix;
-    # a file without a losses key has no token, so its default losses read neither
-    tokens = [t.split(":") for t in kv.get("losses", "").split(",")]
-    if bare.lam != 1.0 and ["luml1"] not in tokens:
-        raise InvalidInputError("lambda sets the lam of a bare luml1 loss, and no loss is luml1 without its own lam")
-    if bare.pixel_base != "l1" and not any(t[0] == "luml1" and len(t) < 3 for t in tokens):
-        raise InvalidInputError("pixel_base sets a luml1 loss's pixel base, and no loss is luml1 without its own")
     return Config(**values)
 
 
@@ -343,14 +339,7 @@ def format_config(cfg: Config) -> str:
 
     A train config is written as the one-cell plan it is.
     """
-    default = next((s for s in cfg.losses if s.kind == "luml1"), LossSpec("luml1"))
-    codec = _codec(default)
-    bare = {"lambda": default.lam, "pixel_base": default.pixel_base}
-    lines = []
-    for key, vtype in CONFIG_KEYS:
-        value = bare[key] if key in bare else getattr(cfg, key)
-        lines.append(f"{key}={codec[vtype][1](value)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}={_CODEC[vtype][1](getattr(cfg, key))}\n" for key, vtype in CONFIG_KEYS)
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -367,14 +356,6 @@ def parse_kv(text: str) -> dict[str, str]:
             raise InvalidInputError(f"line {ln}: key {key!r} is already set")
         out[key] = value
     return out
-
-
-def parse_size(token: str) -> tuple[int, int]:
-    try:
-        h, w = token.lower().split("x")
-        return int(h), int(w)
-    except ValueError:
-        raise InvalidInputError(f"expected HxW size, got {token!r}") from None
 
 
 def load_plan(path, overrides: dict[str, str] | None = None) -> Config:

@@ -51,23 +51,29 @@ def require_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
 def to_grayscale(x: np.ndarray) -> np.ndarray:
     """Project an (..., H, W, 3) array onto its (..., H, W, 1) luminance channel.
 
-    out[..., y, x] = w_r*R + w_g*G + w_b*B. The result is not renormalized:
-    the weights sum to 0.9999, so [0, 1] inputs map into [0, 0.9999].
+    out[..., y, x] = w_r*R + w_g*G + w_b*B, computed in the input's float
+    dtype. The result is not renormalized: the weights sum to 0.9999, so
+    [0, 1] inputs map into [0, 0.9999].
     """
     if x.ndim < 3 or x.shape[-1] != 3:
         raise InvalidInputError(f"to_grayscale needs an (..., H, W, 3) array, got shape {x.shape}")
-    return (x @ LUMA_WEIGHTS)[..., None]
+    return (x @ _luma_weights(x))[..., None]
 
 
 def grayscale_backward(grad_out: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`to_grayscale`.
 
     Spreads an (..., H, W, 1) gradient back across RGB: channel c of the
-    (..., H, W, 3) result is grad * w_c at every pixel.
+    (..., H, W, 3) result is grad * w_c at every pixel, in the gradient's float dtype.
     """
     if grad_out.ndim < 3 or grad_out.shape[-1] != 1:
         raise InvalidInputError(f"grayscale_backward needs an (..., H, W, 1) gradient, got shape {grad_out.shape}")
-    return grad_out * LUMA_WEIGHTS
+    return grad_out * _luma_weights(grad_out)
+
+
+def _luma_weights(x: np.ndarray) -> np.ndarray:
+    """LUMA_WEIGHTS in the float dtype that ``x`` computes in: a float32 batch stays float32."""
+    return LUMA_WEIGHTS.astype(np.result_type(x.dtype, np.float32), copy=False)
 
 
 def clamp01(img: Image) -> Image:

@@ -26,12 +26,13 @@ from .fnv import MASK64, fnv1a64
 # Domain tags. Keeping these distinct guarantees that e.g. the clean-image
 # generator and the noise sampler never consume the same counter sequence
 # even when handed the same user-facing seed.
-DOMAIN_CLEAN = 1
+DOMAIN_CLEAN = 1  # gen_clean's default: the test images and `luml1 gen` corpora
 DOMAIN_BATCH = 3
 DOMAIN_INIT = 4
 DOMAIN_EVAL_NOISE = 5
 DOMAIN_VAL_CLEAN = 6  # the trainer's validation images and their noise, apart from the test set's
 DOMAIN_VAL_NOISE = 7
+DOMAIN_TRAIN_CLEAN = 8  # the training corpus, apart from the test images of an odd seed, its own eval_seed
 
 
 def stream(seed: int, *ids: int) -> np.random.Generator:
@@ -57,17 +58,16 @@ def normal(rng: np.random.Generator, shape, sigma: float = 1.0) -> np.ndarray:
 
 
 def check_seed(seed: int) -> int:
-    """Return ``seed`` if it lies in [0, 2^64): train_seed and eval_seed would fold any other onto one of those."""
+    """Return ``seed`` if it lies in [0, 2^64): stream and eval_seed would fold any other onto one of those."""
     if not 0 <= seed <= MASK64:
         raise InvalidInputError(f"seed must lie in [0, 2^64), got {seed}")
     return seed
 
 
-def train_seed(seed: int) -> int:
-    """Map a run seed into the training seed domain (low bit cleared)."""
-    return (seed & MASK64) & ~1
-
-
 def eval_seed(seed: int) -> int:
-    """Map a run seed into the evaluation seed domain (low bit set)."""
+    """The seed of a run's test images and noise: the run seed with its low bit set.
+
+    Training streams take the run seed itself, so seeds 2k and 2k+1 train
+    different nets and score them on one test set.
+    """
     return (seed & MASK64) | 1

@@ -4,9 +4,10 @@ A run is fully determined by its config: the seed fixes the clean corpus,
 the patch/noise stream and the network initialization, hidden_channels and
 hidden_depth the network's size, so identical configs produce bit-identical
 parameters. Training computes in float32, the precision a checkpoint keeps.
-The corpus comes from the training seed domain; periodic validation images
-and their noise come from stream domains of their own, so they are neither
-training images nor the test images that run_bench scores.
+Every training stream is keyed by the run seed: the corpus, the patches, the
+initialization and the periodic validation images and their noise each come
+from a stream domain of their own, so validation images are neither training
+images nor the test images that run_bench scores.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .losses import eval_loss
 from .metrics import psnr, ssim
 from .net import ConvLayer, TinyNet, build_tinynet, net_backward, net_forward
 from .checkpoint import save_checkpoint
-from .rng import DOMAIN_VAL_CLEAN, DOMAIN_VAL_NOISE, eval_seed, train_seed
+from .rng import DOMAIN_TRAIN_CLEAN, DOMAIN_VAL_CLEAN, DOMAIN_VAL_NOISE
 
 if TYPE_CHECKING:
     from .bench import Config
@@ -107,7 +108,7 @@ def mean_scores(net: TinyNet | None, noisy: list[Image], clean: list[Image]) -> 
 def train(cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: None) -> tuple[TinyNet, TrainLog]:
     """Build the net of a one-cell config and run its blind training loop.
 
-    The net is build_tinynet of the training seed, hidden_channels and
+    The net is build_tinynet of the run seed, hidden_channels and
     hidden_depth, cast to float32, so every cell of a plan starts from the
     same net; its Adam moments and patch batches are float32 too. Each
     step draws ``batch_size`` (noisy, clean) patch pairs into one batch,
@@ -125,12 +126,11 @@ def train(cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: N
     if checkpoint_every < 0:
         raise InvalidInputError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     (loss,), (sigma_max,) = cfg.losses, cfg.sigma_max
-    seed = train_seed(cfg.seed)
-    net = build_tinynet(seed, cfg.hidden_channels, cfg.hidden_depth)
+    net = build_tinynet(cfg.seed, cfg.hidden_channels, cfg.hidden_depth)
     net = TinyNet([ConvLayer(lay.kernels.astype(np.float32), lay.bias.astype(np.float32)) for lay in net.layers])
     log = TrainLog()
-    clean = gen_clean(seed, cfg.corpus_count, *cfg.corpus_size)
-    batches = make_blind_batches(clean, sigma_max, cfg.patch_size, cfg.steps * cfg.batch_size, seed)
+    clean = gen_clean(cfg.seed, cfg.corpus_count, *cfg.corpus_size, DOMAIN_TRAIN_CLEAN)
+    batches = make_blind_batches(clean, sigma_max, cfg.patch_size, cfg.steps * cfg.batch_size, cfg.seed)
     params = net.parameters()
     names = net.parameter_names()
     state = AdamState.for_params(params)
@@ -156,8 +156,8 @@ def train(cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: N
                     if ckpt_path is not None:
                         save_checkpoint(net, ckpt_path)
                     if val_clean is None:
-                        val_clean = gen_clean(eval_seed(cfg.seed), 4, *cfg.corpus_size, DOMAIN_VAL_CLEAN)
-                        val_noisy = noisy_set(val_clean, sigma_max / 2.0, eval_seed(cfg.seed), 0, DOMAIN_VAL_NOISE)
+                        val_clean = gen_clean(cfg.seed, 4, *cfg.corpus_size, DOMAIN_VAL_CLEAN)
+                        val_noisy = noisy_set(val_clean, sigma_max / 2.0, cfg.seed, 0, DOMAIN_VAL_NOISE)
                     log.validations.append((step, *mean_scores(net, val_noisy, val_clean)))
             except NumericalError as exc:
                 raise NumericalError(f"aborted at step {step}: {exc}") from exc

@@ -3,20 +3,24 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from luml1.bench import Config
+from luml1.bench import Config, parse_config
 from luml1.checkpoint import load_checkpoint, save_checkpoint
 import luml1.cli as cli
 from luml1.cli import main
 from luml1.dataset import gen_clean, noisy_set
 from luml1.net import ConvLayer, TinyNet, build_tinynet
 from luml1.pnm import load_image, save_image
-from luml1.rng import train_seed
 
 from conftest import rand_image
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+# a child python finds the package only through PYTHONPATH
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
 
 
 def zero_ckpt(tmp_path):
@@ -301,7 +305,7 @@ class TestTrainCli:
         ckpt = tmp_path / "init.ckpt"
         assert main(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
         default = Config()  # the config keys leave the net's size at its default
-        init = build_tinynet(train_seed(5), default.hidden_channels, default.hidden_depth)
+        init = build_tinynet(5, default.hidden_channels, default.hidden_depth)
         for layer, want in zip(load_checkpoint(ckpt).layers, init.layers, strict=True):
             assert np.array_equal(layer.kernels, want.kernels.astype("<f4"))
             assert np.array_equal(layer.bias, want.bias.astype("<f4"))
@@ -349,7 +353,7 @@ class TestBenchCli:
         for threads in ("1", "3"):
             out = tmp_path / f"threads{threads}"
             out.mkdir()
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            env = {**CHILD_ENV, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
             result = subprocess.run(
                 [sys.executable, "-m", "luml1.cli", "bench", "--plan", str(plan),
                  "--csv", str(out / "table.csv"), "--ckpt-dir", str(out)],
@@ -384,8 +388,28 @@ class TestBenchCli:
         plan.write_text("\n".join(kept + ["losses=l1,l2", "lambda=0.5"]) + "\n")
         csv = tmp_path / "table.csv"
         assert main(["bench", "--plan", str(plan), "--csv", str(csv)]) == 1
-        assert "no loss is luml1" in capsys.readouterr().err
+        assert "a loss token luml1:lam:pixel_base sets it" in capsys.readouterr().err
         assert not csv.exists()
+
+    def test_retired_lambda_and_pixel_base_lines_are_no_ops_and_other_values_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a loss token sets lam and pixel base; perfbench/eval.plan still holds the two keys' default lines
+        eval_plan = (REPO_ROOT / "perfbench" / "eval.plan").read_text()
+        assert "\nlambda=1\n" in eval_plan and "\npixel_base=l1\n" in eval_plan
+        without = eval_plan.replace("\nlambda=1\n", "\n").replace("\npixel_base=l1\n", "\n")
+        assert parse_config(eval_plan) == parse_config(without)
+        assert parse_config(self.PLAN + "lambda=1\npixel_base=l1\n") == parse_config(self.PLAN)
+        import luml1.bench as bench
+
+        monkeypatch.setattr(bench, "train", _must_not_run)
+        monkeypatch.setattr(cli, "train", _must_not_run)
+        for line in ("lambda=0.5", "lambda=1.0", "lambda=0", "pixel_base=l2", "pixel_base=L1"):
+            plan = tmp_path / "retired.plan"
+            plan.write_text(self.PLAN.replace("losses=l1", "losses=luml1") + line + "\n")
+            csv = tmp_path / "table.csv"
+            assert main(["bench", "--plan", str(plan), "--csv", str(csv)]) == 1, line
+            assert main(["train", "--config", str(plan), "--out", str(tmp_path / "x.ckpt")]) == 1, line
+            assert "luml1:lam:pixel_base" in capsys.readouterr().err
+            assert not csv.exists() and not (tmp_path / "x.ckpt").exists()
 
     def test_valid_plan_writes_csv(self, tmp_path, capsys):
         plan = tmp_path / "ok.plan"
@@ -551,6 +575,7 @@ class TestExitCodes:
         result = subprocess.run(
             [sys.executable, "-m", "luml1.cli", "gen", "--seed", "1", "--count", "1",
              "--size", "16x16", "--out", str(tmp_path / "c")],
+            env=CHILD_ENV,
             capture_output=True,
             text=True,
         )

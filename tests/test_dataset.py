@@ -9,7 +9,7 @@ from luml1.dataset import (
     noisy_set,
 )
 from luml1.errors import InvalidInputError
-from luml1.rng import DOMAIN_BATCH, eval_seed, normal, stream, train_seed
+from luml1.rng import DOMAIN_BATCH, DOMAIN_TRAIN_CLEAN, eval_seed, normal, stream
 
 from conftest import rand_image
 from oracles import ks_statistic_uniform
@@ -158,10 +158,13 @@ class TestBlindBatches:
 
 class TestSeedDomains:
     def test_train_and_eval_seeds_disjoint(self):
+        # training streams take the run seed, test images eval_seed's in another domain, so an odd
+        # seed, its own eval_seed, still trains on images that are not its test images
         for seed in (0, 1, 2, 3, 12345, 2**40 + 7):
-            assert train_seed(seed) & 1 == 0
-            assert eval_seed(seed) & 1 == 1
-            assert train_seed(seed) != eval_seed(seed)
+            assert eval_seed(seed) & 1 == 1 and eval_seed(seed) - seed in (0, 1)
+            corpus = gen_clean(seed, 2, 16, 16, DOMAIN_TRAIN_CLEAN)
+            test_images = gen_clean(eval_seed(seed), 2, 16, 16)
+            assert not any(np.array_equal(c.data, t.data) for c in corpus for t in test_images)
 
     def test_streams_with_different_ids_differ(self):
         a = stream(7, 1, 0).random(8)

@@ -26,7 +26,7 @@ from luml1.bench import (
     denoise_file,
 )
 from luml1.checkpoint import load_checkpoint, save_checkpoint
-from luml1.dataset import MIN_IMAGE_SIZE, noisy_set
+from luml1.dataset import MIN_IMAGE_SIZE, gen_clean, noisy_set
 from luml1.errors import InvalidInputError, NumericalError
 from luml1.fnv import fnv1a64
 from luml1.image import clamp01
@@ -34,7 +34,7 @@ from luml1.losses import LossSpec, parse_loss
 from luml1.metrics import psnr
 from luml1.net import ConvLayer, TinyNet
 from luml1.pnm import load_image, save_image
-from luml1.rng import eval_seed, train_seed
+from luml1.rng import eval_seed
 from luml1.trainer import mean_scores, train
 
 from conftest import rand_image
@@ -132,8 +132,6 @@ def micro_report():
 @pytest.fixture(scope="module")
 def trained_cell(tmp_path_factory):
     """One modestly trained cell, loaded from the checkpoint its benchmark run saved, plus its evaluation context."""
-    from luml1.dataset import gen_clean
-
     plan = micro_plan(
         steps=150,
         hidden_channels=8,
@@ -173,21 +171,18 @@ class TestPlanFiles:
         assert cfg == Config() and (cfg.sigma_max, cfg.losses, cfg.seed) == ((25.0,), (LossSpec("l1"),), 0)
 
     def test_every_field_has_a_key_and_every_key_a_field(self):
-        # every field is a key, so any Config, a train config included, has a plan text that names it;
-        # the two keys without a field make the spec that a bare luml1 token means
-        keys = sorted(key for key, _ in CONFIG_KEYS)
-        assert keys == sorted([f.name for f in fields(Config)] + ["lambda", "pixel_base"])
+        # every field is a key, so any Config, a train config included, has a plan text that names it
+        assert sorted(key for key, _ in CONFIG_KEYS) == sorted(f.name for f in fields(Config))
 
     def test_negative_zero_is_written_as_zero(self):
         assert parse_loss("luml1:-0").label() == "luml1-0"
-        assert parse_config("losses=luml1\nlambda=-0\n").losses[0].label() == "luml1-0"
         a, b = (parse_config(f"sigma_max={v}\neval_sigmas={v},5\nlosses=luml1:{v}\n") for v in ("-0", "0"))
         assert format_config(a) == format_config(b)
 
     @pytest.mark.parametrize("source", ["plan", "train"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 909)])
     def test_seed_outside_64_bits_rejected(self, source, seed):
-        # train_seed and eval_seed reduce a seed modulo 2^64: such a seed would rerun another seed's streams
+        # stream and eval_seed reduce a seed modulo 2^64: such a seed would rerun another seed's streams
         with pytest.raises(InvalidInputError, match="seed"):
             parse_from(source, f"seed={seed}\n")
 
@@ -217,7 +212,7 @@ class TestPlanFiles:
         assert parse_config(format_config(plan)) == plan
 
     def test_luml1_tokens_carry_their_own_pixel_base(self):
-        plan = parse_config("losses=luml1,luml1:0.5:l2\npixel_base=l1\n")
+        plan = parse_config("losses=luml1,luml1:0.5:l2\n")
         assert [(s.lam, s.pixel_base) for s in plan.losses] == [(1.0, "l1"), (0.5, "l2")]
         assert parse_config(format_config(plan)) == plan
 
@@ -233,22 +228,19 @@ class TestPlanFiles:
         "text,source", [("lambda=0.5\n", "train"), ("pixel_base=l2\n", "train"), ("losses=l1,l2\nlambda=0.5\n", "plan")]
     )
     def test_lambda_or_pixel_base_without_a_luml1_loss_rejected(self, text, source):
-        # no loss would read the value (the default losses are l1), and the canonical text would name lambda=1
-        # or pixel_base=l1
-        with pytest.raises(InvalidInputError, match="no loss is luml1"):
+        # a loss token sets lam and pixel base; the retired keys read only their defaults, as no-ops
+        with pytest.raises(InvalidInputError, match="a loss token luml1:lam:pixel_base sets it"):
             parse_from(source, text)
-        defaults = parse_from(source, "lambda=1\npixel_base=l1\n")  # format_config writes these into every file
-        assert defaults == parse_config("")
+        assert parse_from(source, "lambda=1\npixel_base=l1\n") == parse_config("")
 
     @pytest.mark.parametrize(
         "text", ["losses=luml1:0.5,l1\nlambda=0.7\n", "losses=luml1:0.5:l2\npixel_base=l2\n", "lambda=0.5\nlosses=luml1:1\n"]
     )
     def test_lambda_or_pixel_base_that_no_loss_token_reads_rejected(self, text):
-        # every luml1 token names its own lam or pixel base: the run and its canonical text would ignore the key
-        with pytest.raises(InvalidInputError, match="no loss is luml1 without its own"):
-            parse_config(text)
-        # a token that reads the key keeps it
-        assert parse_config(text.replace("losses=", "losses=luml1,")).losses[0].kind == "luml1"
+        # a bare luml1 token reads neither key either: it is lam 1 on an L1 base
+        for losses in ("losses=", "losses=luml1,"):
+            with pytest.raises(InvalidInputError, match="a loss token luml1:lam:pixel_base sets it"):
+                parse_config(text.replace("losses=", losses))
 
     def test_labels_name_the_exact_lam(self):
         assert parse_loss("luml1:1.0000001").label() == "luml1-1.0000001"
@@ -262,12 +254,12 @@ class TestPlanFiles:
 
     @pytest.mark.parametrize("line", ["lambda=nan", "lambda=inf", "lambda=-1", "pixel_base=foo"])
     def test_bad_default_loss_rejected_without_a_luml1_token(self, line):
-        # lambda and pixel_base are checked even when no bare luml1 token reads them
+        # a retired key's value other than its default is rejected, whatever the losses
         with pytest.raises(InvalidInputError):
             parse_config(f"losses=l1\n{line}\n")
 
     def test_shipped_plans_keep_their_config_hash(self):
-        for name, digest in (("fast", 0x6F9EA8CBE7AA4EEF), ("full", 0x67D5BCA62BFCEB1D)):
+        for name, digest in (("fast", 0xD11D14D0F2B98A60), ("full", 0x16499789BA017E16)):
             text = (REPO_ROOT / "plans" / f"{name}.plan").read_text()
             assert format_config(parse_config(text)) == text
             assert fnv1a64(text.encode()) == digest
@@ -501,11 +493,23 @@ class TestRunBench:
 
     def test_training_uses_train_domain_and_eval_uses_eval_domain(self, micro_report, monkeypatch):
         plan = micro_report.plan
-        seeds = []
-        monkeypatch.setattr(luml1.trainer, "make_blind_batches", lambda clean, *args: seeds.append(args[-1]) or iter(()))
+        assert plan.seed & 1 and plan.corpus_size == plan.eval_size  # an odd seed is its own eval_seed
+        drawn = []
+        monkeypatch.setattr(luml1.trainer, "make_blind_batches", lambda clean, *args: drawn.append((clean, args[-1])) or iter(()))
         train(replace(plan, losses=plan.losses[:1], steps=0))
-        assert seeds[0] == train_seed(plan.seed) and seeds[0] & 1 == 0
-        assert eval_seed(plan.seed) & 1 == 1
+        corpus, seed = drawn[0]
+        assert seed == plan.seed  # the run seed itself: seeds 2k and 2k+1 train different nets
+        test_images = gen_clean(eval_seed(plan.seed), plan.eval_count, *plan.eval_size)
+        assert not any(np.array_equal(c.data, t.data) for c in corpus for t in test_images)
+
+    def test_seeds_that_differ_in_the_low_bit_train_different_nets(self):
+        # one-cell plans at seeds 2 and 3 share their test set (eval_seed sets the low bit) but not their training
+        bodies = []
+        for seed in (2, 3):
+            csv = report_to_csv(run_bench(micro_plan(seed=seed, losses=(LossSpec("l1"),), steps=5)))
+            bodies.append([ln for ln in csv.splitlines() if not ln.startswith("# seed=")])
+        noisy = [[ln for ln in body if ln.startswith("# noisy_baseline")] for body in bodies]
+        assert noisy[0] == noisy[1] and bodies[0] != bodies[1]
 
     @pytest.mark.parametrize("cell", [dict(sigma_max=(25.0, 50.0)), dict(losses=(LossSpec("l1"), LossSpec("l2")))])
     def test_train_takes_one_cell_only(self, monkeypatch, cell):

@@ -216,18 +216,32 @@ class TestEvalLossDispatch:
             LossSpec(**kwargs)
 
 
+class TestFloat32:
+    def test_float32_batch_gets_a_float32_loss_and_gradient(self):
+        a, b = (x.astype(np.float32) for x in rand_pair(41, 8, 8))
+        for spec in (LossSpec("l1"), LossSpec("l2"), LossSpec("luml1"), LossSpec("luml1", 0.5, "l2")):
+            assert eval_loss(spec, a, b).grad.dtype == np.float32, spec.label()
+
+    def test_float32_luminance_term_is_close_to_float64(self):
+        a, b = rand_pair(42, 8, 8)
+        lo = luminance_term(a.astype(np.float32), b.astype(np.float32))
+        hi = luminance_term(a, b)
+        assert abs(lo.value - hi.value) < 1e-6 and np.allclose(lo.grad, hi.grad, rtol=0, atol=1e-9)
+
+
 class TestLossTokens:
     SPECS = [LossSpec("l1"), LossSpec("l2"), LossSpec("luml1"), LossSpec("luml1", 0.5),
              LossSpec("luml1", pixel_base="l2"), LossSpec("luml1", 1.0000001, "l2")]
 
-    @pytest.mark.parametrize("default", [LossSpec("luml1"), LossSpec("luml1", 0.5, "l2")])
-    def test_token_reads_back_as_its_spec(self, default):
+    def test_token_reads_back_as_its_spec(self):
         for spec in self.SPECS:
-            assert parse_loss(loss_token(spec, default), default) == spec
+            assert parse_loss(loss_token(spec)) == spec
 
     def test_shortest_token(self):
-        default = LossSpec("luml1", 0.5, "l2")
-        assert loss_token(LossSpec("l2"), default) == "l2"
-        assert loss_token(default, default) == "luml1"
-        assert loss_token(LossSpec("luml1", 2.0, "l2"), default) == "luml1:2"
-        assert loss_token(LossSpec("luml1"), default) == "luml1:1:l1"
+        # a bare luml1 is lam 1 on an L1 base
+        assert parse_loss("luml1") == LossSpec("luml1")
+        assert loss_token(LossSpec("l2")) == "l2"
+        assert loss_token(LossSpec("luml1")) == "luml1"
+        assert loss_token(LossSpec("luml1", 0.5)) == "luml1:0.5"
+        assert loss_token(LossSpec("luml1", 1.0, "l2")) == "luml1:1:l2"
+        assert loss_token(LossSpec("luml1", 0.5, "l2")) == "luml1:0.5:l2"

@@ -1,0 +1,50 @@
+"""FNV-64 digests of outputs whose bytes are promised, pinned so that a change that moves them fails here.
+
+Corpora, patch streams and noisy sets involve no BLAS call, so they hold on
+any IEEE-754 machine. Of the trained outputs only the micro bench's CSV is
+pinned: it was identical under the SkylakeX, Haswell, Sandybridge and
+Katmai kernels of OpenBLAS, while its checkpoints differed between them.
+A change that moves these bytes on purpose updates the digests and says so.
+"""
+
+import numpy as np
+
+from luml1.cli import main
+from luml1.dataset import gen_clean, make_blind_batches, noisy_set
+from luml1.fnv import fnv1a64
+from luml1.rng import DOMAIN_TRAIN_CLEAN, eval_seed
+
+MICRO_PLAN = (
+    "sigma_max=25\neval_sigmas=10,30\nlosses=l1,luml1\nsteps=40\nbatch_size=4\npatch_size=16\ncorpus_count=6\n"
+    "corpus_size=24x24\neval_count=4\neval_size=24x24\nhidden_channels=6\nhidden_depth=1\nseed=11\n"
+)
+
+
+def digest(arrays) -> str:
+    return f"{fnv1a64(b''.join(np.ascontiguousarray(a, '<f8').tobytes() for a in arrays)):016x}"
+
+
+def test_gen_corpus_bytes(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["gen", "--seed", "3", "--count", "2", "--size", "16x20", "--sigma", "25", "--out", str(out)]) == 0
+    files = sorted(p for p in out.iterdir() if p.name != "manifest.txt")  # the manifest names the directory
+    assert len(files) == 8
+    assert f"{fnv1a64(b''.join(p.read_bytes() for p in files)):016x}" == "607440757ef91d16"
+
+
+def test_first_patches_of_the_blind_stream():
+    corpus = gen_clean(5, 3, 24, 24, DOMAIN_TRAIN_CLEAN)
+    pairs = list(make_blind_batches(corpus, 25.0, 16, 4, 5))
+    assert digest(a for pair in pairs for a in pair) == "ce82b4d91f91a3e9"
+
+
+def test_eval_noisy_set():
+    clean = gen_clean(eval_seed(909), 3, 24, 24)
+    assert digest(im.data for im in noisy_set(clean, 15.0, eval_seed(909), 2)) == "34e51be02aa3cc50"
+
+
+def test_micro_bench_csv(tmp_path, capsys):
+    plan = tmp_path / "micro.plan"
+    plan.write_text(MICRO_PLAN)
+    assert main(["bench", "--plan", str(plan), "--csv", str(tmp_path / "table.csv")]) == 0
+    assert f"{fnv1a64((tmp_path / 'table.csv').read_bytes()):016x}" == "37e65baf7ad7936a"

@@ -12,7 +12,7 @@ from luml1.image import Image
 from luml1.losses import LossSpec
 from luml1.metrics import psnr, ssim
 from luml1.net import build_tinynet
-from luml1.rng import DOMAIN_EVAL_NOISE, eval_seed, normal, stream, train_seed
+from luml1.rng import DOMAIN_EVAL_NOISE, eval_seed, normal, stream
 from luml1.bench import Config
 from luml1.trainer import AdamState, adam_step, mean_scores, train
 
@@ -75,7 +75,7 @@ class TestTrainLoop:
         cfg = small_config(steps=0)
         net, log = train(cfg)
         assert log.steps == []
-        for p, q in zip(net.parameters(), build_tinynet(train_seed(cfg.seed), 4, 0).parameters(), strict=True):
+        for p, q in zip(net.parameters(), build_tinynet(cfg.seed, 4, 0).parameters(), strict=True):
             assert p.dtype == np.float32 and np.array_equal(p, q.astype(np.float32))
 
     def test_trains_in_float32(self, monkeypatch):
