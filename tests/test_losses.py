@@ -233,9 +233,12 @@ class TestLossTokens:
     SPECS = [LossSpec("l1"), LossSpec("l2"), LossSpec("luml1"), LossSpec("luml1", 0.5),
              LossSpec("luml1", pixel_base="l2"), LossSpec("luml1", 1.0000001, "l2")]
 
-    def test_token_reads_back_as_its_spec(self):
-        for spec in self.SPECS:
+    # the two specs a bare luml1 token could once mean; now it means LossSpec("luml1") alone
+    @pytest.mark.parametrize("default", [LossSpec("luml1"), LossSpec("luml1", 0.5, "l2")])
+    def test_token_reads_back_as_its_spec(self, default):
+        for spec in self.SPECS + [default]:
             assert parse_loss(loss_token(spec)) == spec
+        assert (loss_token(default) == "luml1") == (default == LossSpec("luml1"))
 
     def test_shortest_token(self):
         # a bare luml1 is lam 1 on an L1 base
