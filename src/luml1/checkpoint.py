@@ -5,7 +5,8 @@ Layout:
 * magic line ``LUMNET1\\n``
 * ASCII line ``<n_layers> 1\\n``; the 1 flags the residual network, the only kind
 * one ASCII line ``<out_ch> <in_ch> <k>\\n`` per layer
-* payload: per layer, kernels then bias, little-endian float32, C order
+* payload: the net's parameter vector ``theta`` (per layer, kernels then
+  bias, C order) as little-endian float32
 * trailer: 8-byte little-endian FNV-1a-64 checksum of the payload
 
 The checksum guards against corrupted or truncated parameter data; loading
@@ -30,10 +31,7 @@ def checkpoint_bytes(net: TinyNet) -> bytes:
     header = MAGIC + f"{len(net.layers)} 1\n".encode("ascii")
     for layer in net.layers:
         header += f"{layer.out_ch} {layer.in_ch} {layer.k}\n".encode("ascii")
-    payload = b"".join(
-        layer.kernels.astype("<f4").tobytes() + layer.bias.astype("<f4").tobytes()
-        for layer in net.layers
-    )
+    payload = net.theta.astype("<f4").tobytes()
     return header + payload + struct.pack("<Q", fnv1a64(payload))
 
 
@@ -90,12 +88,11 @@ def parse_checkpoint(buf: bytes, name: str) -> TinyNet:
         raise CorruptCheckpointError(
             f"{name}: checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
         )
-    layers = []
-    off = 0
+    theta = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    layers, off = [], 0
     try:  # a file with a valid checksum can still hold a net that cannot exist
         for (o, i, k), count in zip(shapes, counts):
-            vals = np.frombuffer(payload, dtype="<f4", count=count, offset=off).astype(np.float64)
-            off += 4 * count
+            vals, off = theta[off : off + count], off + count
             layers.append(ConvLayer(vals[: o * i * k * k].reshape(o, i, k, k), vals[o * i * k * k :]))
         return TinyNet(layers)
     except InvalidInputError as exc:

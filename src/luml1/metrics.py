@@ -3,15 +3,17 @@
 These are metrics, not losses: none of them provide gradients. SSIM uses
 Gaussian-weighted local statistics over every fully-contained window (no
 padding) and averages the per-window scores; 3-channel inputs are first
-projected to luminance.
+projected to luminance. The window is separable, so each of the five local
+means is two matrix products with read-only band matrices of the 11 taps,
+one per image side, built once per side length.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
 from .image import require_same_shape, to_grayscale
@@ -50,13 +52,15 @@ def psnr(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
     return 10.0 * math.log10(max_val * max_val / m)
 
 
-def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
-    offsets = np.arange(size) - (size - 1) / 2.0
-    g = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
-    return g / g.sum()
-
-
-_TAPS = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)  # the 2-D window is np.outer(_TAPS, _TAPS)
+@lru_cache
+def _band(n: int) -> np.ndarray:
+    """Read-only (n, n - 10) matrix whose column j holds the 11 Gaussian taps in rows j .. j + 10: ``v @ _band(n)``
+    weighs every full window along a side of length n. The 2-D window is the outer product of the taps."""
+    offsets = np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0
+    taps = np.exp(-(offsets**2) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
+    band = sum(tap * np.eye(n, n - SSIM_WINDOW + 1, -k) for k, tap in enumerate(taps / taps.sum()))
+    band.flags.writeable = False
+    return band
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -73,14 +77,16 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     if x.shape[0] < n or x.shape[1] < n:
         raise InvalidInputError(f"image {x.shape} smaller than the {n}x{n} SSIM window")
 
-    # each local mean is the separable window: 11 taps along the rows, then 11 down the columns
-    rows = sliding_window_view(np.stack([x, y, x * x, y * y, x * y]), n, axis=2) @ _TAPS
-    mu_x, mu_y, e_xx, e_yy, e_xy = sliding_window_view(rows, n, axis=1) @ _TAPS
-    var_x = e_xx - mu_x * mu_x
-    var_y = e_yy - mu_y * mu_y
-    cov = e_xy - mu_x * mu_y
+    # each local mean is the separable window, Bh.T @ (S @ Bw), with the five maps of S side by side in every row
+    h, w = x.shape
+    maps = np.empty((h, 5, w), np.result_type(x, y))  # x, y, x*x, y*y, x*y
+    maps[:, 0], maps[:, 1], maps[:, 4] = x, y, x * y
+    np.multiply(maps[:, :2], maps[:, :2], out=maps[:, 2:4])
+    rows = maps.reshape(5 * h, w) @ _band(w)
+    means = np.empty((5, h - n + 1, w - n + 1))  # mu_x, mu_y, E[xx], E[yy], E[xy], each contiguous
+    np.copyto(means.transpose(1, 0, 2), (_band(h).T @ rows.reshape(h, -1)).reshape(h - n + 1, 5, w - n + 1))
+    sq, mu_xy = means[:2] * means[:2], means[0] * means[1]
+    var, cov = means[2:4] - sq, means[4] - mu_xy
     c1, c2 = SSIM_C1, SSIM_C2
-    score = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
-        (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    )
-    return float(np.mean(score))
+    score = ((2.0 * mu_xy + c1) * (2.0 * cov + c2)) / ((sq[0] + sq[1] + c1) * (var[0] + var[1] + c2))
+    return float(score.sum() / score.size)  # the mean

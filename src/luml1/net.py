@@ -14,12 +14,15 @@ whose input gradient is again such a product and whose kernel gradient is
 one stacked product for the batch.
 Passes run in a Workspace: each conv writes straight into the next layer's
 zero-bordered input, where its ReLU runs in place, and gradients are masked
-in place.
+in place; the workspace builds each view of a buffer that passes use with
+the buffer. A net's parameters are one vector, ``theta``, of which each
+layer's kernels and bias are views; net_backward returns a vector like it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -66,6 +69,8 @@ class TinyNet:
     """Residual conv/ReLU stack (ReLU after every layer but the last), 3 channels in and out."""
 
     layers: list[ConvLayer]
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -77,13 +82,24 @@ class TinyNet:
                 raise InvalidInputError(f"channel mismatch between layers: {a.out_ch} -> {b.in_ch}")
             if a.kernels.dtype != b.kernels.dtype:
                 raise InvalidInputError(f"layers must share one dtype, got {a.kernels.dtype} and {b.kernels.dtype}")
+        # theta is [kernels0, bias0, kernels1, ...], each C order: the checkpoint payload's order; ends[j] is where
+        # array j ends in it. The layers become views of it, so a layer belongs to the last net made from it.
+        arrays = [a for layer in self.layers for a in (layer.kernels, layer.bias)]
+        self.theta, self.ends = np.concatenate([a.ravel() for a in arrays]), np.cumsum([a.size for a in arrays])
+        for layer, (kernels, bias) in zip(self.layers, self.split(self.theta)):
+            layer.kernels, layer.bias = kernels, bias
 
-    def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list [kernels0, bias0, kernels1, bias1, ...]."""
-        return [arr for layer in self.layers for arr in (layer.kernels, layer.bias)]
+    def split(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per layer, the (kernels, bias) views of a vector laid out like ``theta``."""
+        parts = np.split(vec, self.ends[:-1])
+        return [(k.reshape(layer.kernels.shape), b) for layer, k, b in zip(self.layers, parts[::2], parts[1::2])]
 
-    def parameter_names(self) -> list[str]:
-        return [f"layer{i}.{n}" for i in range(len(self.layers)) for n in ("kernels", "bias")]
+    def require_finite(self, vec: np.ndarray, what: str) -> None:
+        """Raise NumericalError naming the first parameter at which ``vec``, laid out like ``theta``, is not finite."""
+        finite = np.isfinite(vec)
+        if not finite.all():
+            j = int(np.searchsorted(self.ends, np.argmin(finite), side="right"))
+            raise NumericalError(f"{what} layer{j // 2}.{('kernels', 'bias')[j % 2]}")
 
 
 def build_tinynet(seed: int, hidden_channels: int, hidden_depth: int) -> TinyNet:
@@ -107,15 +123,29 @@ def relu(pre: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.fmax(pre, 0.0, out=out)
 
 
+class Map(NamedTuple):
+    """A zero-bordered (B, C, size) buffer and the views of it that passes use, all built with it."""
+
+    buf: np.ndarray
+    span: np.ndarray  # (B, C, H*s) from the first interior pixel: the interior rows, each followed by 2p junk
+    inner: np.ndarray  # (B, C, H, W) interior
+    junk: np.ndarray  # (B, C, H, 2p) junk after each row
+    # of a map that a k x k kernel reads: the (B, C, k, k, H*s) view whose [b] is item b's im2col matrix, rows
+    # (c, dy, dx); the (C*k*k, H*s) rows of the shared im2col matrix that [b] fills; those rows shaped like [b]
+    windows: np.ndarray | None = None
+    cols: np.ndarray | None = None
+    unfolded: np.ndarray | None = None
+
+
 class Workspace:
     """The buffers for running ``layers`` on (B, C, H, W) batches, refilled by every pass.
 
     Map j, the input of layer j (map n is the output), is one zero-bordered (B, C, size) buffer whose rows of W
-    pixels and a 2p border follow each other at stride s = W + 2p; ``views[j]`` is its (B, C, H, W) interior. So
-    row (c, dy, dx) of an item's im2col matrix is one run of H*s values of the map, and a product with it fills the
-    interior's run (``span``) but for 2p junk values per row, which land on the border and are zeroed. All layers
-    and items share one im2col matrix. The gradients of all maps share one more map, made by the first backward
-    pass: each item's input gradient overwrites its output gradient once that item is unfolded.
+    pixels and a 2p border follow each other at stride s = W + 2p. So row (c, dy, dx) of an item's im2col matrix
+    is one run of H*s values of the map, and a product with it fills the interior's run (the span) but for 2p
+    junk values per row, which land on the border and are zeroed. All layers and items share one im2col matrix.
+    The gradients of all maps share one more buffer, made by the first backward pass: each item's input gradient
+    overwrites its output gradient once that item is unfolded. Each buffer's views are built with it (Map).
     """
 
     def __init__(self, layers: list[ConvLayer], b: int, h: int, w: int):
@@ -125,50 +155,48 @@ class Workspace:
         self.channels = [layers[0].in_ch] + [layer.out_ch for layer in layers]
         self.size = (h + 2 * self.pad) * self.stride + 2 * self.pad  # of a map's channel: the windows fit inside
         self.dtype = layers[0].kernels.dtype
-        self.maps = [np.zeros((b, c, self.size), self.dtype) for c in self.channels]
-        self.views = [self.interior(m) for m in self.maps]
         rows = max(max(lay.in_ch, lay.out_ch) * lay.k**2 for lay in layers)
         self.cols = np.empty((rows, h * self.stride), self.dtype)
         self.layers = list(layers)
-        self.grads: list[tuple[np.ndarray, np.ndarray]] = []  # grad_maps(), once made
+        ks = [layer.k for layer in layers]
+        self.maps = [self.views(np.zeros((b, c, self.size), self.dtype), k) for c, k in zip(self.channels, [*ks, None])]
+        self.grads: list[Map] = []  # grad_maps(), once made
 
-    def span(self, m: np.ndarray) -> np.ndarray:
-        """(B, C, H*s) view of a map from its first interior pixel: the interior rows, each followed by 2p junk."""
-        start = self.pad * (self.stride + 1)
-        return m[:, :, start : start + self.shape[1] * self.stride]
+    def views(self, buf: np.ndarray, k: int | None) -> Map:
+        """The Map of a (B, C, size) buffer, with the windows of a k x k kernel unless ``k`` is None."""
+        (b, c), (h, w), s = buf.shape[:2], self.shape[1:], self.stride
+        start = self.pad * (s + 1)
+        span = buf[:, :, start : start + h * s]
+        rows = span.reshape(b, c, h, s)
+        if k is None:
+            return Map(buf, span, rows[..., :w], rows[..., w:])
+        e, first = buf.itemsize, (self.pad - k // 2) * (s + 1)
+        windows = as_strided(buf[:, :, first:], (b, c, k, k, h * s), (*buf.strides[:2], s * e, e, e))
+        cols = self.cols[: c * k * k]
+        return Map(buf, span, rows[..., :w], rows[..., w:], windows, cols, cols.reshape(windows.shape[1:]))
 
-    def interior(self, m: np.ndarray, junk: bool = False) -> np.ndarray:
-        """(B, C, H, W) view of a map's interior, or with ``junk`` the (B, C, H, 2p) junk after each row."""
-        rows = self.span(m).reshape(*m.shape[:2], self.shape[1], self.stride)
-        return rows[..., self.shape[2] :] if junk else rows[..., : self.shape[2]]
-
-    def grad_maps(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(map, interior view) per map's gradient, in one buffer made on first use: scoring never makes it."""
+    def grad_maps(self) -> list[Map]:
+        """The Map of each map's gradient, in one buffer made on first use: scoring never makes it."""
         if not self.grads:
             buf = np.zeros((self.shape[0], max(self.channels), self.size), self.dtype)
-            self.grads = [(buf[:, :c], self.interior(buf[:, :c])) for c in self.channels]
+            ks = [None] + [layer.k for layer in self.layers]  # gradient j + 1 is read by layer j's kernel
+            self.grads = [self.views(buf[:, :c], k) for c, k in zip(self.channels, ks)]
         return self.grads
-
-    def windows(self, m: np.ndarray, k: int) -> np.ndarray:
-        """(B, C, k, k, H*s) view of a map: [b] is item b's im2col matrix for a k x k kernel, rows (c, dy, dx)."""
-        s, e, start = self.stride, m.itemsize, (self.pad - k // 2) * (self.stride + 1)
-        return as_strided(m[:, :, start:], (*m.shape[:2], k, k, self.shape[1] * s), (*m.strides[:2], s * e, e, e))
-
-    def correlate(self, src: np.ndarray, kmat: np.ndarray, k: int, dst: np.ndarray) -> np.ndarray:
-        """Item by item, ``kmat`` (rows, C*k*k) times map ``src``'s im2col matrix, into map ``dst``'s span, which
-        it returns: the caller zeroes the junk once done with it."""
-        cols = self.cols[: kmat.shape[1]]
-        out = self.span(dst)
-        for item, window in zip(out, self.windows(src, k)):
-            np.copyto(cols.reshape(window.shape), window)
-            np.matmul(kmat, cols, out=item)
-        return out
 
     def fits(self, layers: list[ConvLayer], shape: tuple[int, ...]) -> bool:
         return self.shape == shape and list(map(id, self.layers)) == list(map(id, layers))  # these very layers
 
     def work(self, i: int) -> ConvWork:
         return ConvWork(self, i, self.layers[i])
+
+
+def correlate(src: Map, kmat: np.ndarray, dst: Map) -> np.ndarray:
+    """Item by item, ``kmat`` (rows, C*k*k) times map ``src``'s im2col matrix, into map ``dst``'s span, which it
+    returns: the caller zeroes the junk once done with it."""
+    for item, window in zip(dst.span, src.windows):
+        np.copyto(src.unfolded, window)
+        np.matmul(kmat, src.cols, out=item)
+    return dst.span
 
 
 @dataclass
@@ -191,13 +219,13 @@ def conv_forward(x: np.ndarray, layer: ConvLayer, work: ConvWork | None = None) 
     work = Workspace([layer], *shape).work(0) if work is None else work
     if work.layer is not layer or work.ws.shape != shape:
         raise InvalidInputError(f"workspace was not built for this layer at {shape}")
-    ws, i = work.ws, work.i
-    if x is not ws.views[i]:  # net_forward hands each layer after the first its input in place
-        np.copyto(ws.views[i], x)
-    out = ws.correlate(ws.maps[i], layer.kernels.reshape(layer.out_ch, -1), layer.k, ws.maps[i + 1])
+    src, dst = work.ws.maps[work.i], work.ws.maps[work.i + 1]
+    if x is not src.inner:  # net_forward hands each layer after the first its input in place
+        np.copyto(src.inner, x)
+    out = correlate(src, layer.kernels.reshape(layer.out_ch, -1), dst)
     out += layer.bias[:, None]  # on the span: an in-place add on the interior view would copy it
-    ws.interior(ws.maps[i + 1], junk=True)[...] = 0.0  # the border is zero again
-    return ws.views[i + 1], work
+    dst.junk[...] = 0.0  # the border is zero again
+    return dst.inner, work
 
 
 def conv_backward(
@@ -216,18 +244,18 @@ def conv_backward(
     if grad_out.shape != shape:
         raise InvalidInputError(f"grad shape {grad_out.shape} != output shape {shape}")
     grads = ws.grad_maps()
-    (gmap, gview), k = grads[i + 1], layer.k
-    if grad_out is not gview:  # net_backward hands each layer its output gradient in place
-        np.copyto(gview, grad_out)
-    g = ws.span(gmap)
+    gout, gin = grads[i + 1], grads[i]
+    if grad_out is not gout.inner:  # net_backward hands each layer its output gradient in place
+        np.copyto(gout.inner, grad_out)
+    g = gout.span
     grad_bias = g.sum(axis=(0, 2))
-    shifted = ws.windows(ws.maps[i], k).transpose(0, 2, 3, 4, 1)  # [b, dy, dx] is (H*s, C)
-    grad_kernels = np.matmul(g[:, None, None], shifted).sum(axis=0).transpose(2, 3, 0, 1).copy()
+    shifted = ws.maps[i].windows.transpose(0, 2, 3, 4, 1)  # [b, dy, dx] is (H*s, C)
+    grad_kernels = np.matmul(g[:, None, None], shifted).sum(axis=0).transpose(2, 3, 0, 1)
     if not input_grad:
         return None, grad_kernels, grad_bias
-    ws.correlate(gmap, layer.kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(layer.in_ch, -1), k, grads[i][0])
-    ws.interior(grads[i][0], junk=True)[...] = 0.0
-    return grads[i][1], grad_kernels, grad_bias
+    correlate(gout, layer.kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(layer.in_ch, -1), gin)
+    gin.junk[...] = 0.0
+    return gin.inner, grad_kernels, grad_bias
 
 
 def layer_outputs(ws: Workspace, noisy: np.ndarray):
@@ -237,7 +265,7 @@ def layer_outputs(ws: Workspace, noisy: np.ndarray):
         t, _ = conv_forward(t, layer, ws.work(i))
         yield t
         if i < len(ws.layers) - 1:
-            relu(ws.maps[i + 1], ws.maps[i + 1])  # the whole map, contiguous: its zero border stays zero
+            relu(ws.maps[i + 1].buf, ws.maps[i + 1].buf)  # the whole map, contiguous: its zero border stays zero
 
 
 def net_forward(net: TinyNet, noisy: np.ndarray, ws: Workspace | None = None) -> tuple[np.ndarray, Workspace]:
@@ -263,8 +291,8 @@ def net_forward(net: TinyNet, noisy: np.ndarray, ws: Workspace | None = None) ->
     return out, ws
 
 
-def net_backward(net: TinyNet, cache: Workspace, grad_out: np.ndarray) -> list[np.ndarray]:
-    """Exact parameter gradients of the forward map, summed over the batch, in TinyNet.parameters() order.
+def net_backward(net: TinyNet, cache: Workspace, grad_out: np.ndarray) -> np.ndarray:
+    """Exact parameter gradient of the forward map, summed over the batch: a fresh vector laid out like ``theta``.
 
     ``grad_out`` is shaped like the output; ``cache`` is the workspace of net_forward's last pass on this net.
     """
@@ -273,12 +301,13 @@ def net_backward(net: TinyNet, cache: Workspace, grad_out: np.ndarray) -> list[n
     shape = (*cache.shape, net.layers[-1].out_ch)
     if grad_out.shape != shape:
         raise RuntimeError(f"gradient shape {grad_out.shape} does not match the output shape {shape}")
-    s = np.negative(grad_out.transpose(0, 3, 1, 2), out=cache.grad_maps()[-1][1])  # output = input - stack(input)
-    grads: list[np.ndarray] = []
+    s = np.negative(grad_out.transpose(0, 3, 1, 2), out=cache.grad_maps()[-1].inner)  # output = input - stack(input)
+    grad = np.empty_like(net.theta)
+    views = net.split(grad)
     for i in range(len(net.layers) - 1, -1, -1):
         s, gk, gb = conv_backward(s, cache.work(i), input_grad=i > 0)  # nothing reads the input's gradient
+        views[i][0][...], views[i][1][...] = gk, gb
         if s is not None:  # ReLU: the gradient at exactly 0 is 0; map i holds relu(pre), and zero in its border
-            g = cache.grad_maps()[i][0]
-            np.multiply(g, cache.maps[i] > 0, out=g)
-        grads += [gb, gk]
-    return grads[::-1]
+            g = cache.grads[i].buf
+            np.multiply(g, cache.maps[i].buf > 0, out=g)
+    return grad

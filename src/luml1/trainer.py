@@ -50,43 +50,30 @@ class TrainLog:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """Adam's first and second moments, each a vector shaped like the parameter vector, and the step count."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
+    def for_params(cls, theta: np.ndarray) -> "AdamState":
+        return cls(np.zeros_like(theta), np.zeros_like(theta))
 
 
-def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    names: list[str] | None = None,
-) -> None:
-    """One in-place Adam update with bias-corrected moments."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise InvalidInputError("params, grads, and state must have matching lengths")
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One in-place Adam update with bias-corrected moments of a parameter vector."""
+    if not theta.shape == grad.shape == state.m.shape:
+        raise InvalidInputError(f"gradient {grad.shape} and moments {state.m.shape} must match theta {theta.shape}")
     state.t += 1
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.shape:
-            raise InvalidInputError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
-            label = names[i] if names else f"parameter {i}"
-            raise NumericalError(f"non-finite gradient for {label}")
-        m, v = state.m[i], state.v[i]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def mean_scores(net: TinyNet | None, noisy: list[Image], clean: list[Image]) -> tuple[float, float]:
@@ -131,9 +118,7 @@ def train(cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: N
     log = TrainLog()
     clean = gen_clean(cfg.seed, cfg.corpus_count, *cfg.corpus_size, DOMAIN_TRAIN_CLEAN)
     batches = make_blind_batches(clean, sigma_max, cfg.patch_size, cfg.steps * cfg.batch_size, cfg.seed)
-    params = net.parameters()
-    names = net.parameter_names()
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(net.theta)
     noisy, target = (np.empty((cfg.batch_size, cfg.patch_size, cfg.patch_size, 3), np.float32) for _ in range(2))
     val_clean = val_noisy = ws = None  # ws: the one workspace of every training forward pass
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked explicitly
@@ -147,10 +132,10 @@ def train(cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: N
                 result = eval_loss(loss, out, target)
                 if not np.isfinite(result.value):
                     raise NumericalError("loss is not finite")
-                adam_step(params, net_backward(net, ws, result.grad), state, cfg.lr, names=names)
-                for name, p in zip(names, params):
-                    if not np.all(np.isfinite(p)):  # beyond float32 range is inf
-                        raise NumericalError(f"runaway values in {name}")
+                grad = net_backward(net, ws, result.grad)
+                net.require_finite(grad, "non-finite gradient for")
+                adam_step(net.theta, grad, state, cfg.lr)
+                net.require_finite(net.theta, "runaway values in")  # beyond float32 range is inf
                 log.steps.append((step, result.value, (time.perf_counter() - t0) * 1e3))
                 if checkpoint_every > 0 and step % checkpoint_every == 0:
                     if ckpt_path is not None:

@@ -39,6 +39,13 @@ class TestCheckpointRoundTrip:
             assert np.array_equal(a.kernels, b.kernels.astype("<f4").astype(np.float64))
             assert np.array_equal(a.bias, b.bias.astype("<f4").astype(np.float64))
 
+    def test_payload_is_theta_in_little_endian_float32(self):
+        net = build_tinynet(56, hidden_channels=5, hidden_depth=1)
+        blob = checkpoint_bytes(net)
+        payload = net.theta.astype("<f4").tobytes()
+        assert blob.endswith(payload + struct.pack("<Q", fnv1a64(payload)))
+        assert blob[: -len(payload) - 8] == MAGIC + b"3 1\n5 3 3\n5 5 3\n3 5 3\n"
+
     def test_same_net_same_bytes(self):
         a = build_tinynet(51, 16, 3)
         b = build_tinynet(51, 16, 3)

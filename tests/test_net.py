@@ -3,7 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from luml1.errors import InvalidInputError
+import luml1.net
+
+from luml1.checkpoint import checkpoint_bytes, parse_checkpoint
+from luml1.errors import InvalidInputError, NumericalError
 from luml1.gradcheck import adjoint_error, check_conv_gradients, check_net_gradients
 from luml1.losses import l2_loss
 from luml1.net import (
@@ -119,7 +122,7 @@ class TestRelu:
     def test_backward_masks_negatives_and_zero(self):
         net = relu_probe([-1.0, 0.0, 2.0])
         out, cache = net_forward(net, ZERO_PIXEL)
-        grad_bias0 = net_backward(net, cache, np.ones_like(out))[1]
+        (_, grad_bias0), _ = net.split(net_backward(net, cache, np.ones_like(out)))
         assert grad_bias0.tolist() == [0.0, 0.0, -1.0]  # d(-relu(pre)) / d pre
 
     @pytest.mark.parametrize("shape", [(1,), (9,), (17,), (16, 32, 32)])
@@ -139,7 +142,7 @@ class TestRelu:
         bias = np.array([-0.5, 0.8, 1.2])
         net = relu_probe(bias)
         out, cache = net_forward(net, ZERO_PIXEL)
-        grad_bias0 = net_backward(net, cache, np.ones_like(out))[1]
+        (_, grad_bias0), _ = net.split(net_backward(net, cache, np.ones_like(out)))
         h = 1e-5
         for i in range(3):
             step = np.eye(3)[i] * h
@@ -208,10 +211,8 @@ class TestNetBackward:
         net = build_tinynet(38, hidden_channels=4, hidden_depth=0)
         img = rand_array(6, 6, 6)[None]
         out, cache = net_forward(net, img)
-        grads = net_backward(net, cache, np.zeros_like(out))
-        assert len(grads) == len(net.parameters())
-        for g in grads:
-            assert np.all(g == 0.0)
+        grad = net_backward(net, cache, np.zeros_like(out))
+        assert grad.shape == net.theta.shape and np.all(grad == 0.0)
 
     def test_l2_at_minimum_gives_zero_tape(self):
         net = build_tinynet(39, hidden_channels=4, hidden_depth=0)
@@ -246,10 +247,10 @@ class TestNetBackward:
         net = build_tinynet(41, hidden_channels=4, hidden_depth=1)
         img = rand_array(9, 6, 6)[None]
         out, cache = net_forward(net, img)
-        grads = net_backward(net, cache, out)
-        assert len(grads) == len(net.parameters())
-        for g, p in zip(grads, net.parameters()):
-            assert g.shape == p.shape
+        grad = net_backward(net, cache, out)
+        assert grad.shape == net.theta.shape and grad.dtype == net.theta.dtype
+        for (gk, gb), layer in zip(net.split(grad), net.layers, strict=True):
+            assert gk.shape == layer.kernels.shape and gb.shape == layer.bias.shape
 
 
 class TestBatch:
@@ -259,8 +260,8 @@ class TestBatch:
         grad = np.stack([rand_array(40 + item, 6, 7) for item in range(3)])
         out, ws = net_forward(net, imgs)
         per_item = [straight_line_net_grads(net, imgs[item], grad[item]) for item in range(3)]
-        for got, (g0, g1, g2) in zip(net_backward(net, ws, grad), zip(*per_item)):
-            assert np.max(np.abs(got - ((g0 + g1) + g2))) < 1e-12
+        want = np.concatenate([((g0 + g1) + g2).ravel() for g0, g1, g2 in zip(*per_item)])
+        assert np.max(np.abs(net_backward(net, ws, grad) - want)) < 1e-12
 
     def test_batch_forward_equals_each_item_alone_bit_for_bit(self):
         net = build_tinynet(55, 16, 3)
@@ -281,23 +282,23 @@ class TestDtype:
 
     @staticmethod
     def buffers(ws) -> set:
-        return {a.dtype for a in [*ws.maps, ws.cols, *(g for g, _ in ws.grad_maps())]}
+        return {a.dtype for a in [*(m.buf for m in ws.maps), ws.cols, *(g.buf for g in ws.grad_maps())]}
 
     def test_float64_net_runs_a_float64_workspace(self):
         net = build_tinynet(56, hidden_channels=4, hidden_depth=0)
         out, ws = net_forward(net, rand_array(60, 8, 8)[None].astype(np.float32))
-        grads = net_backward(net, ws, np.ones_like(out))
+        grad = net_backward(net, ws, np.ones_like(out))
         assert self.buffers(ws) == {np.dtype(np.float64)}
-        assert out.dtype == np.float64 and {g.dtype for g in grads} == {np.dtype(np.float64)}
+        assert out.dtype == grad.dtype == np.float64
 
     def test_float32_net_runs_a_float32_workspace_and_keeps_a_float64_input(self):
         net = float32_net(build_tinynet(57, hidden_channels=4, hidden_depth=0))
         img = rand_array(61, 8, 8)[None]
         out, ws = net_forward(net, img)
-        grads = net_backward(net, ws, np.ones_like(out))
+        grad = net_backward(net, ws, np.ones_like(out))
         assert self.buffers(ws) == {np.dtype(np.float32)}
         assert out.dtype == np.float64  # np.result_type(input, net)
-        assert {g.dtype for g in grads} == {np.dtype(np.float32)}
+        assert grad.dtype == np.float32
         out32, _ = net_forward(net, img.astype(np.float32))
         assert out32.dtype == np.float32
         assert np.max(np.abs(out32 - straight_line_net(net, img[0]))) < 1e-5
@@ -362,17 +363,16 @@ class TestWorkspace:
         _, ws = net_forward(net, 40.0 * imgs[::-1])
         net_backward(net, ws, 3.0 * grad)  # leaves other values in the gradient buffers
         net_forward(net, imgs, ws)
-        written = [m.copy() for m in ws.maps]
+        written = [m.buf.copy() for m in ws.maps]
         first = net_backward(net, ws, grad)
         second = net_backward(net, ws, grad)
         _, fresh_ws = net_forward(net, imgs)
         assert not fresh_ws.grads  # made by the first backward pass, never by scoring
         fresh = net_backward(net, fresh_ws, grad)
-        assert len({id(g.base) for g, _ in ws.grad_maps()}) == 1  # every layer's gradients share one buffer
+        assert len({id(g.buf.base) for g in ws.grad_maps()}) == 1  # every layer's gradients share one buffer
         for m, before in zip(ws.maps, written):
-            assert np.array_equal(m, before)
-        for a, b, c in zip(first, second, fresh):
-            assert np.array_equal(a, b) and np.array_equal(a, c)
+            assert np.array_equal(m.buf, before)
+        assert np.array_equal(first, second) and np.array_equal(first, fresh)
 
     def test_second_backward_allocates_no_im2col_sized_array(self):
         net = build_tinynet(51, 16, 3)
@@ -401,3 +401,49 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 16 * 32 * 32 * 8, peak  # two (16, 32, 32) float64 arrays
+
+    def test_second_pass_builds_no_strided_view(self, monkeypatch):
+        made = []
+        as_strided = luml1.net.as_strided
+        monkeypatch.setattr(luml1.net, "as_strided", lambda *a, **kw: made.append(1) or as_strided(*a, **kw))
+        net = build_tinynet(59, hidden_channels=4, hidden_depth=1)
+        img, grad = rand_array(28, 6, 7)[None], rand_array(29, 6, 7)[None]
+        ws, counts = None, []
+        for _ in range(2):
+            _, ws = net_forward(net, img, ws)
+            net_backward(net, ws, grad)
+            counts.append(len(made))
+        assert counts[0] > 0 and counts[1] == counts[0], counts
+
+
+class TestParameterVector:
+    """A net's parameters are one vector, theta, in checkpoint-payload order; its layers' arrays are views of it."""
+
+    @staticmethod
+    def assert_views_of_theta(net: TinyNet):
+        for layer in net.layers:
+            assert np.shares_memory(layer.kernels, net.theta) and np.shares_memory(layer.bias, net.theta)
+        flat = [a.ravel() for lay in net.layers for a in (lay.kernels, lay.bias)]
+        assert np.array_equal(np.concatenate(flat), net.theta)
+
+    def test_layers_are_views_of_theta(self):
+        net = build_tinynet(60, hidden_channels=4, hidden_depth=1)
+        self.assert_views_of_theta(net)
+        net.theta[:] = 0.5
+        assert all(np.all(lay.kernels == 0.5) and np.all(lay.bias == 0.5) for lay in net.layers)
+
+    def test_layers_of_a_parsed_checkpoint_are_views_of_theta(self):
+        net = build_tinynet(61, hidden_channels=4, hidden_depth=1)
+        parsed = parse_checkpoint(checkpoint_bytes(net), "net")
+        self.assert_views_of_theta(parsed)
+        assert parsed.theta.dtype == np.float64 and np.array_equal(parsed.theta, net.theta.astype(np.float32))
+
+    def test_a_non_finite_value_is_named_by_its_parameter(self):
+        net = build_tinynet(62, hidden_channels=4, hidden_depth=0)  # kernels 108 + bias 4, kernels 108 + bias 3
+        want = ["layer0.kernels"] * 108 + ["layer0.bias"] * 4 + ["layer1.kernels"] * 108 + ["layer1.bias"] * 3
+        net.require_finite(net.theta, "no error")
+        for offset, name in enumerate(want):
+            vec = np.zeros_like(net.theta)
+            vec[offset] = np.nan
+            with pytest.raises(NumericalError, match=f"^bad {name}$"):
+                net.require_finite(vec, "bad")

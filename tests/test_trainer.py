@@ -34,40 +34,40 @@ def small_config(loss=LossSpec("l1"), sigma_max=25.0, **overrides) -> Config:
     return Config(**base)
 
 class TestAdam:
+    """Adam on one parameter vector, as train runs it on net.theta."""
+
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        p = stream(1, 30).random((4, 4))
+        p = stream(1, 30).random(16)
         before = p.copy()
-        state = AdamState.for_params([p])
-        adam_step([p], [np.zeros_like(p)], state, lr=1e-3)
+        state = AdamState.for_params(p)
+        adam_step(p, np.zeros_like(p), state, lr=1e-3)
         assert np.array_equal(p, before)
 
     def test_moments_decay_toward_zero_under_zero_gradient(self):
         p = stream(2, 30).random((4,))
-        state = AdamState.for_params([p])
-        adam_step([p], [np.ones_like(p)], state, lr=1e-3)
-        m_after_grad = np.abs(state.m[0]).max()
+        state = AdamState.for_params(p)
+        adam_step(p, np.ones_like(p), state, lr=1e-3)
+        m_after_grad = np.abs(state.m).max()
         for _ in range(5):
-            adam_step([p], [np.zeros_like(p)], state, lr=1e-3)
-        assert np.abs(state.m[0]).max() < m_after_grad
+            adam_step(p, np.zeros_like(p), state, lr=1e-3)
+        assert np.abs(state.m).max() < m_after_grad
 
     def test_first_step_closed_form(self):
         lr, eps = 1e-3, 1e-8
         p = stream(3, 30).random((8,))
         g = stream(3, 31).normal(size=8)
         before = p.copy()
-        state = AdamState.for_params([p])
-        adam_step([p], [g], state, lr=lr, eps=eps)
+        state = AdamState.for_params(p)
+        adam_step(p, g, state, lr=lr, eps=eps)
         expected = before - lr * g / (np.abs(g) + eps)
         assert np.max(np.abs(p - expected)) < 1e-15
         # magnitude is ~lr in every coordinate
         assert np.allclose(np.abs(p - before), lr, atol=lr * 1e-4)
 
-    def test_non_finite_gradient_aborts_naming_parameter(self):
+    def test_gradient_of_another_length_rejected(self):
         p = np.ones(3)
-        g = np.array([1.0, np.inf, 0.0])
-        state = AdamState.for_params([p])
-        with pytest.raises(NumericalError, match="layer0.bias"):
-            adam_step([p], [g], state, lr=1e-3, names=["layer0.bias"])
+        with pytest.raises(InvalidInputError, match="must match"):
+            adam_step(p, np.ones(4), AdamState.for_params(p), lr=1e-3)
 
 
 class TestTrainLoop:
@@ -75,8 +75,8 @@ class TestTrainLoop:
         cfg = small_config(steps=0)
         net, log = train(cfg)
         assert log.steps == []
-        for p, q in zip(net.parameters(), build_tinynet(cfg.seed, 4, 0).parameters(), strict=True):
-            assert p.dtype == np.float32 and np.array_equal(p, q.astype(np.float32))
+        assert net.theta.dtype == np.float32
+        assert np.array_equal(net.theta, build_tinynet(cfg.seed, 4, 0).theta.astype(np.float32))
 
     def test_trains_in_float32(self, monkeypatch):
         states = []
@@ -88,14 +88,13 @@ class TestTrainLoop:
         monkeypatch.setattr(luml1.trainer, "adam_step", recording_adam)
         net, _ = train(small_config(loss=LossSpec("luml1"), steps=3))
         assert len(states) == 3 and states[0].t == 3
-        for arr in [*net.parameters(), *states[0].m, *states[0].v]:
+        for arr in (net.theta, states[0].m, states[0].v):
             assert arr.dtype == np.float32
 
     def test_checkpoint_holds_the_trained_parameters_bit_for_bit(self):
         net, _ = train(small_config(steps=5))
         parsed = parse_checkpoint(checkpoint_bytes(net), "trained net")
-        for p, q in zip(net.parameters(), parsed.parameters(), strict=True):
-            assert q.dtype == np.float64 and np.array_equal(p, q)  # scoring stays in float64
+        assert parsed.theta.dtype == np.float64 and np.array_equal(net.theta, parsed.theta)  # scoring stays in float64
 
     def test_validation_images_and_noise_are_not_test_images_or_noise(self, monkeypatch):
         cfg = small_config(steps=2, corpus_size=(40, 40))  # run_bench scores eval_size images: 40x40 here
@@ -170,6 +169,19 @@ class TestTrainLoop:
             train(cfg, ckpt_path=path, checkpoint_every=1)
         assert path.exists()
         load_checkpoint(path)
+
+    @pytest.mark.parametrize("offset,name", [(0, "layer0.kernels"), (4 * 27 + 1, "layer0.bias"), (-1, "layer1.bias")])
+    def test_non_finite_gradient_aborts_naming_its_parameter(self, monkeypatch, offset, name):
+        backward = luml1.trainer.net_backward
+
+        def poisoned(net, cache, grad_out):
+            grad = backward(net, cache, grad_out)
+            grad[offset] = np.inf
+            return grad
+
+        monkeypatch.setattr(luml1.trainer, "net_backward", poisoned)
+        with pytest.raises(NumericalError, match=rf"step 1: non-finite gradient for {name}$"):
+            train(small_config(steps=2))
 
     def test_overflowing_forward_pass_aborts_at_step_1_naming_a_layer(self, monkeypatch):
         # every parameter is finite, but nine layers of 3e38 kernels overflow float64
