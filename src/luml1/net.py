@@ -160,7 +160,8 @@ class Workspace:
         self.layers = list(layers)
         ks = [layer.k for layer in layers]
         self.maps = [self.views(np.zeros((b, c, self.size), self.dtype), k) for c, k in zip(self.channels, [*ks, None])]
-        self.grads: list[Map] = []  # grad_maps(), once made
+        self.grads: list[Map] = []  # grad_maps(), once made, and with them the parameter gradient vector
+        self.param_grad: np.ndarray | None = None
 
     def views(self, buf: np.ndarray, k: int | None) -> Map:
         """The Map of a (B, C, size) buffer, with the windows of a k x k kernel unless ``k`` is None."""
@@ -181,6 +182,8 @@ class Workspace:
             buf = np.zeros((self.shape[0], max(self.channels), self.size), self.dtype)
             ks = [None] + [layer.k for layer in self.layers]  # gradient j + 1 is read by layer j's kernel
             self.grads = [self.views(buf[:, :c], k) for c, k in zip(self.channels, ks)]
+            # reused, not made per pass: a fresh vector per training step cost some 30 page faults a step
+            self.param_grad = np.empty(sum(lay.kernels.size + lay.out_ch for lay in self.layers), self.dtype)
         return self.grads
 
     def fits(self, layers: list[ConvLayer], shape: tuple[int, ...]) -> bool:
@@ -292,7 +295,8 @@ def net_forward(net: TinyNet, noisy: np.ndarray, ws: Workspace | None = None) ->
 
 
 def net_backward(net: TinyNet, cache: Workspace, grad_out: np.ndarray) -> np.ndarray:
-    """Exact parameter gradient of the forward map, summed over the batch: a fresh vector laid out like ``theta``.
+    """Exact parameter gradient of the forward map, summed over the batch, as a vector laid out like ``theta``: the
+    workspace's own, which the next backward pass through ``cache`` overwrites.
 
     ``grad_out`` is shaped like the output; ``cache`` is the workspace of net_forward's last pass on this net.
     """
@@ -302,12 +306,11 @@ def net_backward(net: TinyNet, cache: Workspace, grad_out: np.ndarray) -> np.nda
     if grad_out.shape != shape:
         raise RuntimeError(f"gradient shape {grad_out.shape} does not match the output shape {shape}")
     s = np.negative(grad_out.transpose(0, 3, 1, 2), out=cache.grad_maps()[-1].inner)  # output = input - stack(input)
-    grad = np.empty_like(net.theta)
-    views = net.split(grad)
+    views = net.split(cache.param_grad)
     for i in range(len(net.layers) - 1, -1, -1):
         s, gk, gb = conv_backward(s, cache.work(i), input_grad=i > 0)  # nothing reads the input's gradient
         views[i][0][...], views[i][1][...] = gk, gb
         if s is not None:  # ReLU: the gradient at exactly 0 is 0; map i holds relu(pre), and zero in its border
             g = cache.grads[i].buf
             np.multiply(g, cache.maps[i].buf > 0, out=g)
-    return grad
+    return cache.param_grad

@@ -364,7 +364,7 @@ class TestWorkspace:
         net_backward(net, ws, 3.0 * grad)  # leaves other values in the gradient buffers
         net_forward(net, imgs, ws)
         written = [m.buf.copy() for m in ws.maps]
-        first = net_backward(net, ws, grad)
+        first = net_backward(net, ws, grad).copy()
         second = net_backward(net, ws, grad)
         _, fresh_ws = net_forward(net, imgs)
         assert not fresh_ws.grads  # made by the first backward pass, never by scoring
@@ -401,6 +401,13 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 16 * 32 * 32 * 8, peak  # two (16, 32, 32) float64 arrays
+
+    def test_backward_reuses_the_workspace_gradient_vector(self):
+        net = build_tinynet(63, hidden_channels=4, hidden_depth=0)
+        img, grad = rand_array(30, 6, 7)[None], rand_array(31, 6, 7)[None]
+        _, ws = net_forward(net, img)
+        first = net_backward(net, ws, grad)
+        assert net_backward(net, ws, grad) is first and first.shape == net.theta.shape
 
     def test_second_pass_builds_no_strided_view(self, monkeypatch):
         made = []
