@@ -11,8 +11,9 @@ Fairness and reproducibility rules:
   seed with its low bit set), each stream in a domain of its own, so no
   training stream is a test stream; seeds 2k and 2k+1 train different
   nets and score them on one test set;
-* each cell is scored from its checkpoint bytes (float32 parameters), so
-  a saved checkpoint reproduces the reported numbers exactly;
+* each cell is scored with its trained float32 net, which its checkpoint
+  holds bit for bit, so a saved checkpoint reproduces the reported numbers
+  exactly;
 * cells train, and eval sigmas are scored, as tasks on a pool of worker
   threads; each task owns its random streams and the report is assembled
   in plan order, so the worker count changes no output byte;
@@ -36,8 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checkpoint import checkpoint_bytes, load_checkpoint, parse_checkpoint, save_checkpoint
-from .dataset import MIN_IMAGE_SIZE, gen_clean, noisy_set
+from .checkpoint import load_checkpoint, save_checkpoint
+from .dataset import MAX_SIGMA, MIN_IMAGE_SIZE, gen_clean, noisy_set
 from .errors import InvalidInputError
 from .fnv import fnv1a64
 from .image import Image, clamp01
@@ -142,12 +143,11 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
                 raise CancelledError
 
         loss, sigma_max = grid[i]
-        try:
-            net, _ = train(replace(plan, losses=(loss,), sigma_max=(sigma_max,)), stop=stop)
+        try:  # the trained net is what its checkpoint holds, bit for bit: scoring it scores the checkpoint
+            return train(replace(plan, losses=(loss,), sigma_max=(sigma_max,)), stop=stop)[0]
         except BaseException:
             abandoned[i] = True
             raise
-        return parse_checkpoint(checkpoint_bytes(net), "trained net")  # score what a checkpoint holds
 
     with ThreadPoolExecutor(usable_cpus()) as pool:
         nets = []
@@ -173,9 +173,9 @@ def score_sigma(nets: list[TinyNet], clean: list[Image], sigmas: tuple[float, ..
 
 
 def check_sigmas(what: str, sigmas: tuple[float, ...]) -> None:
-    """Reject negative, non-finite or repeated sigmas: a sigma's label names a CSV column or row and a checkpoint."""
-    if not all(np.isfinite(s) and s >= 0.0 for s in sigmas):
-        raise InvalidInputError(f"{what} must be finite and nonnegative")
+    """Reject sigmas outside [0, MAX_SIGMA], NaN or repeated: a sigma's label names a CSV column or row and a checkpoint."""
+    if not all(0.0 <= s <= MAX_SIGMA for s in sigmas):
+        raise InvalidInputError(f"{what} must lie in [0, {MAX_SIGMA:,.0f}]")
     if len(set(sigmas)) != len(sigmas):
         raise InvalidInputError(f"{what} repeats a value: {[fmt_float(s) for s in sigmas]}")
 

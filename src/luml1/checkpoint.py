@@ -88,7 +88,7 @@ def parse_checkpoint(buf: bytes, name: str) -> TinyNet:
         raise CorruptCheckpointError(
             f"{name}: checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
         )
-    theta = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    theta = np.frombuffer(payload, dtype="<f4").astype(np.float32)  # the net a checkpoint holds: float32, as trained
     layers, off = [], 0
     try:  # a file with a valid checksum can still hold a net that cannot exist
         for (o, i, k), count in zip(shapes, counts):

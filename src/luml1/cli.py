@@ -29,7 +29,7 @@ from .errors import FormatError, InvalidInputError, NumericalError
 from .gradcheck import run_gradcheck
 from .losses import LossSpec, fmt_float, luminance_l1_loss
 from .metrics import psnr, ssim
-from .pnm import load_image, save_image, save_lumf_bytes, write_atomic
+from .pnm import load_image, save_image, write_atomic
 from .rng import check_seed
 from .trainer import train
 
@@ -53,22 +53,15 @@ def cmd_gen(args) -> int:
     if args.count < 1:
         raise InvalidInputError(f"count must be >= 1, got {args.count}")
     images = gen_clean(check_seed(args.seed), args.count, h, w)
-    noisy_images = noisy_set(images, args.sigma, args.seed)
-    noisy_lumf = [save_lumf_bytes(img) for img in noisy_images]  # noise beyond float32 range raises here
     os.makedirs(args.out, exist_ok=True)
     manifest = []
-    for i, (img, noisy, lumf) in enumerate(zip(images, noisy_images, noisy_lumf)):
-        paths = {
-            "clean_ppm": os.path.join(args.out, f"clean_{i:04d}.ppm"),
-            "clean_lumf": os.path.join(args.out, f"clean_{i:04d}.lumf"),
-            "noisy_ppm": os.path.join(args.out, f"noisy_{i:04d}.ppm"),
-            "noisy_lumf": os.path.join(args.out, f"noisy_{i:04d}.lumf"),
-        }
-        save_image(img, paths["clean_ppm"])
-        save_image(img, paths["clean_lumf"])
-        save_image(noisy, paths["noisy_ppm"])
-        write_atomic(paths["noisy_lumf"], lumf)
-        manifest.append(f"{i} {fmt_float(args.sigma)} " + " ".join(paths.values()))
+    for i, (img, noisy) in enumerate(zip(images, noisy_set(images, args.sigma, args.seed))):
+        paths = []
+        for kind, im in (("clean", img), ("noisy", noisy)):
+            for ext in ("ppm", "lumf"):
+                paths.append(os.path.join(args.out, f"{kind}_{i:04d}.{ext}"))
+                save_image(im, paths[-1])
+        manifest.append(f"{i} {fmt_float(args.sigma)} " + " ".join(paths))
     write_atomic(os.path.join(args.out, "manifest.txt"), "\n".join(manifest) + "\n")
     print(f"wrote {len(images)} clean/noisy pairs to {args.out}")
     return 0

@@ -25,6 +25,11 @@ from .rng import DOMAIN_BATCH, DOMAIN_CLEAN, DOMAIN_EVAL_NOISE, normal, stream
 # plan is built, so a size that is too small fails before any work starts.
 MIN_IMAGE_SIZE = 16
 
+# The largest noise level, checked before any work: Box-Muller's largest
+# deviate is about 8.57, so noise stays under 3.4e4 (on the 0-1 scale) and its
+# square far inside float32, the precision nets train and score in.
+MAX_SIGMA = 1e6
+
 
 def gen_clean(seed: int, count: int, h: int, w: int, domain: int = DOMAIN_CLEAN) -> list[Image]:
     """Generate ``count`` deterministic 3-channel clean images in [0, 1].
@@ -113,8 +118,8 @@ def make_blind_batches(
     read-only view into the corpus; the noisy patch is a fresh array. Bad
     arguments raise InvalidInputError at the first draw.
     """
-    if not (np.isfinite(sigma_max_255) and sigma_max_255 >= 0.0):
-        raise InvalidInputError(f"sigma_max must be finite and nonnegative, got {sigma_max_255}")
+    if not 0.0 <= sigma_max_255 <= MAX_SIGMA:
+        raise InvalidInputError(f"sigma_max must lie in [0, {MAX_SIGMA:,.0f}], got {sigma_max_255}")
     if patch_size < 1:
         raise InvalidInputError(f"patch_size must be positive, got {patch_size}")
     if count < 0:

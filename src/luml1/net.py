@@ -6,10 +6,12 @@ is exactly the identity map.
 
 Passes run on a batch, layer by layer: feature maps are (batch, channels,
 height, width), kernels (out_ch, in_ch, k, k), all in the parameters' dtype:
-float32 for a net whose parameters are all float32 (the net train trains),
-else float64 (build_tinynet's, and every net a checkpoint loads, so scoring
-runs in float64). Convolution is zero same-padded cross-correlation as one
-im2col matrix product per item; the backward pass is its exact transpose,
+float32 for a net whose parameters are all float32 (the net train trains,
+and every net a checkpoint loads, so training and scoring both run in
+float32), else float64 (build_tinynet's). The residual subtraction runs in
+np.result_type of the input and the net, so a float64 image is denoised to
+float64. Convolution is zero same-padded cross-correlation as one im2col
+matrix product per item; the backward pass is its exact transpose,
 whose input gradient is again such a product and whose kernel gradient is
 one stacked product for the batch.
 Passes run in a Workspace: each conv writes straight into the next layer's

@@ -194,6 +194,17 @@ class TestTrainCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("sigma_max", ["1e20", "1e41", "1000000.5"])
+    def test_sigma_max_beyond_the_bound_exits_1_before_training(self, tmp_path, capsys, monkeypatch, sigma_max):
+        # noise this large overflows float32, the precision nets train in: the run would fail at step 1
+        monkeypatch.setattr(cli, "train", _must_not_run)
+        ckpt = tmp_path / "x.ckpt"
+        cfg = REPO_ROOT / "perfbench" / "train.cfg"
+        rc = main(["train", "--config", str(cfg), "--loss", "l2", "--sigma-max", sigma_max, "--out", str(ckpt)])
+        assert rc == 1
+        assert "sigma_max must lie in [0, 1,000,000]" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("line", ["adam_beta1=0.8", "adam_eps=1e-6", "checkpoint_every=5", "loss=l1"])
     def test_removed_config_key_exits_1_before_training(self, tmp_path, capsys, monkeypatch, line):
         # Adam runs with its published defaults; the checkpoint cadence is the --checkpoint-every flag;
@@ -410,6 +421,18 @@ class TestBenchCli:
             assert main(["train", "--config", str(plan), "--out", str(tmp_path / "x.ckpt")]) == 1, line
             assert "luml1:lam:pixel_base" in capsys.readouterr().err
             assert not csv.exists() and not (tmp_path / "x.ckpt").exists()
+
+    def test_eval_sigma_beyond_the_bound_exits_1_before_training(self, tmp_path, capsys, monkeypatch):
+        import luml1.bench as bench
+
+        assert parse_config(self.PLAN.replace("eval_sigmas=15", "eval_sigmas=15,1e6")).eval_sigmas == (15.0, 1e6)
+        monkeypatch.setattr(bench, "train", _must_not_run)
+        plan = tmp_path / "big.plan"
+        plan.write_text(self.PLAN.replace("eval_sigmas=15", "eval_sigmas=15,1e41"))
+        csv = tmp_path / "table.csv"
+        assert main(["bench", "--plan", str(plan), "--csv", str(csv)]) == 1
+        assert "eval_sigmas must lie in [0, 1,000,000]" in capsys.readouterr().err
+        assert not csv.exists()
 
     def test_valid_plan_writes_csv(self, tmp_path, capsys):
         plan = tmp_path / "ok.plan"

@@ -23,6 +23,7 @@ from luml1.bench import (
     parse_report_csv,
     report_to_csv,
     run_bench,
+    score_sigma,
     denoise_file,
 )
 from luml1.checkpoint import load_checkpoint, save_checkpoint
@@ -603,6 +604,17 @@ class TestTrainedModelSanity:
         for si, sigma in enumerate(plan.eval_sigmas):
             noisy = noisy_set(clean, sigma, eval_seed(plan.seed), si)
             assert mean_scores(net, noisy, clean) == report.cells[("l1", plan.sigma_max[0], sigma)]
+
+
+class TestFloat32Scoring:
+    def test_a_checkpoint_scores_as_its_float64_copy_does(self, trained_cell):
+        # a checkpoint's net is float32, as trained; widening it would change the means by less than this
+        net, clean, plan = trained_cell["net"], trained_cell["clean"], trained_cell["plan"]
+        wide = TinyNet([ConvLayer(k.astype(np.float64), b.astype(np.float64)) for k, b in net.split(net.theta)])
+        assert net.theta.dtype == np.float32 and np.array_equal(wide.theta, net.theta)
+        for si in range(len(plan.eval_sigmas)):
+            _, (psnr32, ssim32), (psnr64, ssim64) = score_sigma([net, wide], clean, plan.eval_sigmas, plan.seed, si)
+            assert abs(psnr32 - psnr64) < 1e-6 and abs(ssim32 - ssim64) < 1e-7
 
 
 class TestDenoiseFile:

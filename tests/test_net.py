@@ -443,7 +443,7 @@ class TestParameterVector:
         net = build_tinynet(61, hidden_channels=4, hidden_depth=1)
         parsed = parse_checkpoint(checkpoint_bytes(net), "net")
         self.assert_views_of_theta(parsed)
-        assert parsed.theta.dtype == np.float64 and np.array_equal(parsed.theta, net.theta.astype(np.float32))
+        assert parsed.theta.dtype == np.float32 and np.array_equal(parsed.theta, net.theta.astype(np.float32))
 
     def test_a_non_finite_value_is_named_by_its_parameter(self):
         net = build_tinynet(62, hidden_channels=4, hidden_depth=0)  # kernels 108 + bias 4, kernels 108 + bias 3

@@ -94,7 +94,8 @@ class TestTrainLoop:
     def test_checkpoint_holds_the_trained_parameters_bit_for_bit(self):
         net, _ = train(small_config(steps=5))
         parsed = parse_checkpoint(checkpoint_bytes(net), "trained net")
-        assert parsed.theta.dtype == np.float64 and np.array_equal(net.theta, parsed.theta)  # scoring stays in float64
+        assert parsed.theta.dtype == net.theta.dtype == np.float32
+        assert parsed.theta.tobytes() == net.theta.tobytes()  # so run_bench scores the trained net as its checkpoint
 
     def test_validation_images_and_noise_are_not_test_images_or_noise(self, monkeypatch):
         cfg = small_config(steps=2, corpus_size=(40, 40))  # run_bench scores eval_size images: 40x40 here
