@@ -26,7 +26,6 @@ from .bench import (
     Config,
     denoise_file,
     load_plan,
-    parse_report_csv,
     report_to_csv,
     run_bench,
 )
@@ -39,7 +38,7 @@ from .errors import (
     LumL1Error,
     NumericalError,
 )
-from .image import LUMA_WEIGHTS, Image, clamp01, to_grayscale
+from .image import LUMA_WEIGHTS, Image, to_grayscale
 from .losses import (
     LossOutput,
     LossSpec,
@@ -80,7 +79,6 @@ __all__ = [
     "TrainLog",
     "adam_step",
     "build_tinynet",
-    "clamp01",
     "denoise_file",
     "eval_loss",
     "gen_clean",
@@ -96,7 +94,6 @@ __all__ = [
     "net_backward",
     "net_forward",
     "noisy_set",
-    "parse_report_csv",
     "psnr",
     "report_to_csv",
     "run_bench",

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import MAX_SIGMA, MIN_IMAGE_SIZE, gen_clean, noisy_set
 from .errors import InvalidInputError
 from .fnv import fnv1a64
-from .image import Image, clamp01
+from .image import Image
 from .losses import LossSpec, fmt_float, loss_token, parse_loss
 from .net import TinyNet, net_forward
 from .pnm import load_image, save_image
@@ -65,7 +65,6 @@ class Config:
     steps: int = 500
     batch_size: int = 8
     lr: float = 1e-3
-    seed: int = 0
     patch_size: int = 32
     corpus_count: int = 64
     corpus_size: tuple[int, int] = (40, 40)  # (h, w)
@@ -73,6 +72,7 @@ class Config:
     eval_size: tuple[int, int] = (40, 40)  # (h, w)
     hidden_channels: int = 16
     hidden_depth: int = 3
+    seed: int = 0  # last, so the canonical plan text keeps the key order every shipped config hash was made with
 
     def __post_init__(self):
         check_seed(self.seed)
@@ -228,64 +228,26 @@ def report_to_csv(report: BenchReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_report_csv(text: str) -> dict:
-    """Parse a report CSV back into its values.
-
-    Returns a dict with ``columns`` (header names after ``sigma``), ``rows``
-    mapping sigma -> list of floats, ``mean`` (list of floats), and
-    ``noisy`` mapping sigma -> (psnr, ssim) from the baseline comments.
-    """
-    noisy, rows, header, mean = {}, {}, None, None
-    for line in text.splitlines():
-        if line.startswith("#"):
-            if "noisy_baseline" in line:
-                parts = dict(p.split("=") for p in line.split() if "=" in p)
-                noisy[float(parts["sigma"])] = (float(parts["psnr"]), float(parts["ssim"]))
-            continue
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if header is None:
-            header = cells
-            continue
-        if cells[0] == "mean":
-            mean = [float(c) for c in cells[1:]]
-        else:
-            rows[float(cells[0])] = [float(c) for c in cells[1:]]
-    if header is None:
-        raise InvalidInputError("CSV has no header row")
-    return {"columns": header[1:], "rows": rows, "mean": mean, "noisy": noisy}
+def load_rgb(path, min_side: int) -> Image:
+    """``load_image``; an image that is not RGB (the net's input) or has a side below ``min_side`` raises, naming the file."""
+    img = load_image(path)
+    if img.data.shape[2] != 3 or min(img.data.shape[:2]) < min_side:
+        raise InvalidInputError(f"{os.fspath(path)}: need an RGB image at least {min_side}x{min_side}, got shape {img.data.shape}")
+    return img
 
 
 def denoise_file(ckpt_path, in_path, out_path) -> None:
     """Run a checkpointed model over one image file and save the clamped result."""
-    net = load_checkpoint(ckpt_path)
-    img = load_image(in_path)
-    out, _ = net_forward(net, img.data[None])
-    save_image(clamp01(Image(out[0])), out_path)
+    out, _ = net_forward(load_checkpoint(ckpt_path), load_rgb(in_path, min_side=1).data[None])
+    save_image(Image(np.clip(out[0], 0.0, 1.0)), out_path)
 
 
 # ---------------------------------------------------------------------------
 # plan files, a train config being a one-cell plan: plain key=value lines
 
-# The one key table: (key, value type), in canonical order. Each key sets the
-# Config field it names, and every field has a key.
-CONFIG_KEYS = (
-    ("sigma_max", "floats"),
-    ("eval_sigmas", "floats"),
-    ("losses", "losses"),
-    ("steps", "int"),
-    ("batch_size", "int"),
-    ("lr", "float"),
-    ("patch_size", "int"),
-    ("corpus_count", "int"),
-    ("corpus_size", "size"),
-    ("eval_count", "int"),
-    ("eval_size", "size"),
-    ("hidden_channels", "int"),
-    ("hidden_depth", "int"),
-    ("seed", "int"),
-)
+# The plan keys, in canonical order: each Config field is the key of its name, and
+# its annotation, text under `from __future__ import annotations`, picks its codec.
+CONFIG_KEYS = tuple((f.name, f.type) for f in fields(Config))
 
 # The lines of two retired keys that perfbench/eval.plan still holds: a loss token
 # sets lam and pixel base, so these default values are read as no-ops.
@@ -304,13 +266,13 @@ def parse_size(token: str) -> tuple[int, int]:
         raise InvalidInputError(f"expected HxW size, got {token!r}") from None
 
 
-# value type -> (parse text, format value)
+# Config field annotation -> (parse text, format value)
 _CODEC = {
     "int": (int, str),
     "float": (float, fmt_float),
-    "floats": (_floats, lambda v: ",".join(fmt_float(x) for x in v)),
-    "size": (parse_size, lambda v: f"{v[0]}x{v[1]}"),
-    "losses": (lambda t: tuple(parse_loss(x) for x in t.split(",")), lambda v: ",".join(loss_token(x) for x in v)),
+    "tuple[float, ...]": (_floats, lambda v: ",".join(fmt_float(x) for x in v)),
+    "tuple[int, int]": (parse_size, lambda v: f"{v[0]}x{v[1]}"),
+    "tuple[LossSpec, ...]": (lambda t: tuple(parse_loss(x) for x in t.split(",")), lambda v: ",".join(loss_token(x) for x in v)),
 }
 
 

@@ -16,6 +16,7 @@ from .bench import (
     denoise_file,
     fmt_val,
     load_plan,
+    load_rgb,
     parse_config,
     parse_sigmas,
     parse_size,
@@ -28,7 +29,7 @@ from .dataset import gen_clean, noisy_set
 from .errors import FormatError, InvalidInputError, NumericalError
 from .gradcheck import run_gradcheck
 from .losses import LossSpec, fmt_float, luminance_l1_loss
-from .metrics import psnr, ssim
+from .metrics import SSIM_WINDOW, psnr, ssim
 from .pnm import load_image, save_image, write_atomic
 from .rng import check_seed
 from .trainer import train
@@ -88,7 +89,7 @@ def cmd_eval(args) -> int:
     names = sorted(n for n in os.listdir(args.data) if n.endswith((".ppm", ".lumf")))
     if not names:
         raise InvalidInputError(f"no .ppm or .lumf images in {args.data}")
-    clean = [load_image(os.path.join(args.data, n)) for n in names]
+    clean = [load_rgb(os.path.join(args.data, n), SSIM_WINDOW) for n in names]  # every file checked before any scoring
     lines = ["sigma,psnr,ssim,noisy_psnr,noisy_ssim"]
     for si, sigma in enumerate(sigmas):
         baseline, scores = score_sigma([net], clean, sigmas, args.seed, si)

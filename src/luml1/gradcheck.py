@@ -53,19 +53,19 @@ def rel_error(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
     return np.abs(analytic - fd) / denom
 
 
-def fd_gradient(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def fd_gradient(f, x: np.ndarray) -> np.ndarray:
     """Central finite differences of a scalar function, one element at a time."""
     g = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = g.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         fp = f(x)
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         fm = f(x)
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
+        gflat[i] = (fp - fm) / (2.0 * FD_STEP)
     return g
 
 
@@ -115,7 +115,7 @@ def loss_gradient_suite(seed: int) -> list[CheckResult]:
     return results + [check_loss_gradient(LossSpec("luml1", lam=lam), seed) for lam in (0.5, 1.0, 2.0)]
 
 
-def check_conv_gradients(seed: int, tolerance: float = 1e-5) -> CheckResult:
+def check_conv_gradients(seed: int) -> CheckResult:
     """FD-check conv kernel/bias/input gradients on one small layer."""
     rng = stream(seed, 12)
     layer = ConvLayer(rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2))
@@ -136,7 +136,7 @@ def check_conv_gradients(seed: int, tolerance: float = 1e-5) -> CheckResult:
     for a, f in ((gk, fd_k), (gb, fd_b), (gx, fd_x)):
         worst = max(worst, float(rel_error(a, f).max()))
     n = gk.size + gb.size + gx.size
-    return CheckResult("conv_forward/backward", worst, tolerance, n, 0)
+    return CheckResult("conv_forward/backward", worst, 1e-5, n, 0)
 
 
 def _kink_margin(net, noisy: np.ndarray, target: np.ndarray) -> float:
@@ -152,7 +152,7 @@ def _kink_margin(net, noisy: np.ndarray, target: np.ndarray) -> float:
     return min([*pre, float(np.abs(out[0] - target).min()), float(np.abs(lum).min())])
 
 
-def check_net_gradients(seed: int, tolerance: float = 1e-4) -> CheckResult:
+def check_net_gradients(seed: int) -> CheckResult:
     """End-to-end FD check: every parameter of a 2-layer net through the
     combined loss of a batch of two 8x8 inputs (the batch mean train uses).
 
@@ -168,7 +168,7 @@ def check_net_gradients(seed: int, tolerance: float = 1e-4) -> CheckResult:
     draws = [(rng.random((8, 8, 3)), rng.random((8, 8, 3))) for _ in range(8)]
     batch = [pair for pair in draws if _kink_margin(net, *pair) >= KINK_DISTANCE][:2]
     if len(batch) < 2:
-        return CheckResult("tinynet end-to-end", 0.0, tolerance, 0, net.theta.size)
+        return CheckResult("tinynet end-to-end", 0.0, 1e-4, 0, net.theta.size)
     noisy, target = (np.stack(items) for items in zip(*batch))
 
     def batch_loss():
@@ -181,7 +181,7 @@ def check_net_gradients(seed: int, tolerance: float = 1e-4) -> CheckResult:
     _, grad, cache = batch_loss()
     analytic = net_backward(net, cache, grad)
     fd = fd_gradient(lambda _: batch_loss()[0], net.theta)
-    return CheckResult("tinynet end-to-end", float(rel_error(analytic, fd).max()), tolerance, net.theta.size, 0)
+    return CheckResult("tinynet end-to-end", float(rel_error(analytic, fd).max()), 1e-4, net.theta.size, 0)
 
 
 def adjoint_error(seed: int) -> float:
@@ -195,7 +195,7 @@ def adjoint_error(seed: int) -> float:
     return abs(float(np.sum(out * u)) - float(np.sum(x * gx)))
 
 
-def run_gradcheck(seed: int = 9) -> tuple[bool, list[str]]:
+def run_gradcheck(seed: int) -> tuple[bool, list[str]]:
     """The full suite the ``gradcheck`` CLI command runs."""
     t0 = time.perf_counter()
     results = loss_gradient_suite(seed)

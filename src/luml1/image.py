@@ -1,4 +1,4 @@
-"""Pixel container, luminance projection, and clamping.
+"""Pixel container and luminance projection.
 
 An ``Image`` is a whole image the program holds, loads or saves: a
 (height, width, channels) float64 array in nominal range [0, 1], checked
@@ -43,9 +43,9 @@ class Image:
         object.__setattr__(self, "data", arr)
 
 
-def require_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
+def require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
-        raise InvalidInputError(f"cannot {op} images of shapes {a.shape} and {b.shape}")
+        raise InvalidInputError(f"cannot compare images of shapes {a.shape} and {b.shape}")
 
 
 def to_grayscale(x: np.ndarray) -> np.ndarray:
@@ -75,7 +75,3 @@ def _luma_weights(x: np.ndarray) -> np.ndarray:
     """LUMA_WEIGHTS in the float dtype that ``x`` computes in: a float32 batch stays float32."""
     return LUMA_WEIGHTS.astype(np.result_type(x.dtype, np.float32), copy=False)
 
-
-def clamp01(img: Image) -> Image:
-    """Clip every element into [0, 1]."""
-    return Image(np.clip(img.data, 0.0, 1.0))

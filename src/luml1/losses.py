@@ -104,7 +104,7 @@ def loss_token(spec: LossSpec) -> str:
 
 def l1_loss(pred: np.ndarray, target: np.ndarray) -> LossOutput:
     """Mean absolute error; subgradient sign(0) = 0."""
-    require_same_shape(pred, target, "compare")
+    require_same_shape(pred, target)
     d = pred - target
     value = float(np.abs(d).sum() / d.size)  # np.mean's value, without its dispatch
     return LossOutput(value, np.sign(d) / d.size)
@@ -112,7 +112,7 @@ def l1_loss(pred: np.ndarray, target: np.ndarray) -> LossOutput:
 
 def l2_loss(pred: np.ndarray, target: np.ndarray) -> LossOutput:
     """Mean squared error with gradient 2*(pred - target)/N."""
-    require_same_shape(pred, target, "compare")
+    require_same_shape(pred, target)
     d = pred - target
     value = float((d * d).sum() / d.size)
     return LossOutput(value, 2.0 * d / d.size)
@@ -125,7 +125,7 @@ def luminance_term(pred: np.ndarray, target: np.ndarray) -> LossOutput:
     so perturbations inside its null space (color changes that preserve the
     weighted sum) leave both value and gradient at zero.
     """
-    require_same_shape(pred, target, "compare")
+    require_same_shape(pred, target)
     d = to_grayscale(pred) - to_grayscale(target)
     m = d.size  # one luminance sample per pixel
     value = float(np.abs(d).sum() / m)

@@ -29,7 +29,7 @@ SSIM_C2 = 0.03**2
 
 def _check_pair(a: np.ndarray, b: np.ndarray) -> None:
     """Reject two arrays unless they are (H, W, C) images of one shape: a batch is not one image."""
-    require_same_shape(a, b, "compare")
+    require_same_shape(a, b)
     if a.ndim != 3:
         raise InvalidInputError(f"metrics compare (H, W, C) images, got shape {a.shape}")
 
@@ -40,8 +40,8 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def psnr(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB: 10*log10(max_val^2 / mse).
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """Peak signal-to-noise ratio in dB of two [0, 1] images: 10*log10(1 / mse).
 
     Identical images return positive infinity rather than raising, so
     callers can rank perfect reconstructions.
@@ -49,7 +49,7 @@ def psnr(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
     m = mse(a, b)
     if m == 0.0:
         return math.inf
-    return 10.0 * math.log10(max_val * max_val / m)
+    return 10.0 * math.log10(1.0 / m)
 
 
 @lru_cache

@@ -18,7 +18,7 @@ import threading
 import numpy as np
 
 from .errors import FormatError, InvalidInputError
-from .image import Image, clamp01
+from .image import Image
 
 _WHITESPACE = b" \t\r\n"
 
@@ -78,7 +78,7 @@ def save_ppm_bytes(img: Image) -> bytes:
     if c != 3:
         raise InvalidInputError(f"PPM requires 3 channels, image has {c}")
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    quantized = np.rint(clamp01(img).data * 255.0).astype(np.uint8)
+    quantized = np.rint(np.clip(img.data, 0.0, 1.0) * 255.0).astype(np.uint8)
     return header + quantized.tobytes()
 
 

@@ -46,9 +46,8 @@ def stream(seed: int, *ids: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def normal(rng: np.random.Generator, shape, sigma: float = 1.0) -> np.ndarray:
+def normal(rng: np.random.Generator, shape: tuple[int, ...], sigma: float = 1.0) -> np.ndarray:
     """Gaussian deviates via Box-Muller on the stream's uniforms."""
-    shape = tuple(np.atleast_1d(shape)) if not isinstance(shape, tuple) else shape
     n = math.prod(shape)
     m = (n + 1) // 2
     r = np.sqrt(-2.0 * np.log(1.0 - rng.random(m)))  # 1 - u lies in (0, 1], so the log is finite

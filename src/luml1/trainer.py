@@ -61,19 +61,22 @@ class AdamState:
         return cls(np.zeros_like(theta), np.zeros_like(theta))
 
 
-def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates and denominator floor: Kingma and Ba's defaults
+
+
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
     """One in-place Adam update with bias-corrected moments of a parameter vector."""
     if not theta.shape == grad.shape == state.m.shape:
         raise InvalidInputError(f"gradient {grad.shape} and moments {state.m.shape} must match theta {theta.shape}")
     state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     m, v = state.m, state.v
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    theta -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def mean_scores(net: TinyNet | None, noisy: list[Image], clean: list[Image]) -> tuple[float, float]:
@@ -101,7 +104,7 @@ def train(cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: N
     step draws ``batch_size`` (noisy, clean) patch pairs into one batch,
     runs it forward, makes one loss call on the whole batch (the mean of its
     patches' losses), runs it back once for that loss's gradients, and
-    applies one Adam update with adam_step's default settings.
+    applies one Adam update.
     Every ``checkpoint_every`` steps (0: never) the net is saved to
     ``ckpt_path`` and scored on four validation images; the final net is
     always saved. A NaN or runaway value anywhere aborts with NumericalError;

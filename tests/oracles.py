@@ -1,7 +1,8 @@
 """Independent reference implementations used only as test oracles.
 
 Everything here is written in the most literal style possible (explicit
-loops, no vectorization) so it shares no code path with the package.
+loops, no vectorization) so it shares no code path with the package. The
+bench CSV reader the tests use lives here too: no program path reads a CSV.
 """
 
 import numpy as np
@@ -142,3 +143,31 @@ def ks_statistic_uniform(samples, hi: float) -> float:
     n = len(u)
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - u, u - (i - 1) / n)))
+
+
+def parse_report_csv(text: str) -> dict:
+    """Parse a bench report CSV back into its values.
+
+    Returns a dict with ``columns`` (header names after ``sigma``), ``rows``
+    mapping sigma -> list of floats, ``mean`` (list of floats), and
+    ``noisy`` mapping sigma -> (psnr, ssim) from the baseline comments.
+    """
+    noisy, rows, header, mean = {}, {}, None, None
+    for line in text.splitlines():
+        if line.startswith("#"):
+            if "noisy_baseline" in line:
+                parts = dict(p.split("=") for p in line.split() if "=" in p)
+                noisy[float(parts["sigma"])] = (float(parts["psnr"]), float(parts["ssim"]))
+            continue
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if header is None:
+            header = cells
+            continue
+        if cells[0] == "mean":
+            mean = [float(c) for c in cells[1:]]
+        else:
+            rows[float(cells[0])] = [float(c) for c in cells[1:]]
+    assert header is not None, "CSV has no header row"
+    return {"columns": header[1:], "rows": rows, "mean": mean, "noisy": noisy}

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import luml1.bench
-from luml1.bench import parse_report_csv
 from luml1.cli import main
 from luml1.gradcheck import check_net_gradients, loss_gradient_suite
 from luml1.image import to_grayscale
@@ -23,7 +22,7 @@ from luml1.metrics import psnr, ssim
 from luml1.rng import stream
 
 from conftest import rand_pair
-from oracles import ssim_bruteforce
+from oracles import parse_report_csv, ssim_bruteforce
 
 SEED = 9
 FAST_PLAN = Path(__file__).resolve().parents[1] / "plans" / "fast.plan"

@@ -146,6 +146,14 @@ class TestDenoise:
         assert rc == 3
         assert "checksum" in capsys.readouterr().err
 
+    def test_image_the_net_cannot_take_exits_1_naming_it(self, tmp_path, capsys):
+        src, out = tmp_path / "gray.lumf", tmp_path / "o.ppm"
+        save_image(rand_image(7, 16, 16, 1), src)
+        rc = main(["denoise", "--ckpt", str(zero_ckpt(tmp_path)), "--in", str(src), "--out", str(out)])
+        assert rc == 1
+        assert "gray.lumf" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainCli:
     def test_train_with_config_file_and_overrides(self, tmp_path, capsys):
@@ -474,6 +482,19 @@ class TestEvalCli:
         assert rc == 0
         rows = csv.read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["12.3456781", "12.3456789"]
+
+    @pytest.mark.parametrize("shape", [(20, 20, 1), (10, 20, 3)])  # not RGB; below the 11x11 SSIM window
+    def test_image_the_net_or_ssim_cannot_take_exits_1_naming_it_before_scoring(self, tmp_path, capsys, monkeypatch, shape):
+        data = tmp_path / "data"
+        data.mkdir()
+        save_image(rand_image(23, 20, 20), data / "a.lumf")  # sorts first: a check made while scoring would follow its scores
+        save_image(rand_image(24, *shape), data / "b.lumf")
+        monkeypatch.setattr(cli, "score_sigma", _must_not_run)
+        csv = tmp_path / "eval.csv"
+        rc = main(["eval", "--ckpt", str(zero_ckpt(tmp_path)), "--data", str(data), "--sigmas", "10", "--csv", str(csv)])
+        assert rc == 1
+        assert "b.lumf" in capsys.readouterr().err
+        assert not csv.exists()
 
     @pytest.mark.parametrize("sigmas", ["5,abc", "-5,5", "5,nan", "", "25,25"])
     def test_bad_sigmas_exit_1_before_any_work(self, tmp_path, capsys, sigmas):

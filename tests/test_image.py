@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from luml1.errors import InvalidInputError
-from luml1.image import LUMA_WEIGHTS, Image, clamp01, grayscale_backward, to_grayscale
+from luml1.image import LUMA_WEIGHTS, Image, grayscale_backward, to_grayscale
 
-from conftest import rand_array, rand_image
+from conftest import rand_array
 
 
 def one_pixel(r, g, b):
@@ -118,13 +118,3 @@ class TestGrayscaleBackward:
         rhs = float(np.sum(x * grayscale_backward(u)))
         assert abs(lhs - rhs) < 1e-9
 
-
-class TestClamp01:
-    @pytest.mark.parametrize("value,expected", [(1.5, 1.0), (-0.2, 0.0), (0.5, 0.5)])
-    def test_examples(self, value, expected):
-        img = Image(np.full((1, 1, 3), value))
-        assert clamp01(img).data[0, 0, 0] == expected
-
-    def test_inside_range_is_identity(self):
-        img = rand_image(11)
-        assert np.array_equal(clamp01(img).data, img.data)

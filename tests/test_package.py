@@ -137,3 +137,38 @@ def test_benchmark_tracer_times_a_bench_cell_scored_from_its_checkpoint(tmp_path
     assert metrics["checkpoint.bytes"] > 0 and metrics["bench.cell_eval_s"] > 0
     for i in range(5):
         assert metrics[f"net.conv_forward_ms.l{i}"] > 0, i
+
+
+PERFBENCH_CHECKS = """
+import sys
+from pathlib import Path
+import luml1.cli
+from run import BenchWorkload, TrainWorkload
+tmp = Path(sys.argv[1])
+for workload in (BenchWorkload("bench", tmp / "micro.plan", seeded=False, margin_db=None),
+                 TrainWorkload("train", tmp / "micro.cfg", margin_db=None)):
+    out = tmp / workload.name
+    out.mkdir()
+    kv, config = workload.prepare(3, out)
+    assert luml1.cli.main(workload.argv(kv, config, out)) == 0
+    workload.check(kv, out)
+"""
+
+MICRO_CORE = "sigma_max=25\nsteps=5\nbatch_size=2\npatch_size=8\ncorpus_count=2\ncorpus_size=16x16\nhidden_channels=4\nhidden_depth=1\n"
+
+
+def test_benchmark_output_checks_pass_on_a_micro_bench_and_train_run(tmp_path):
+    # perfbench/run.py's own checks read the CSV, the checkpoints and the training log: a change to what they read
+    # fails here rather than in a benchmark run. The bench check rescores a cell at sigma 15 apart from the program.
+    (tmp_path / "micro.plan").write_text(
+        MICRO_CORE + "losses=l1,luml1\neval_sigmas=5,15\neval_count=2\neval_size=16x16\nseed=4\n"
+    )
+    (tmp_path / "micro.cfg").write_text(MICRO_CORE)
+    result = subprocess.run(
+        [sys.executable, "-c", PERFBENCH_CHECKS, str(tmp_path)],
+        cwd=REPO_ROOT / "perfbench",
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
