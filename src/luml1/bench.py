@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dataset import MAX_SIGMA, MIN_IMAGE_SIZE, gen_clean, noisy_set
+from .dataset import MIN_IMAGE_SIZE, check_sigmas, gen_clean, noisy_set
 from .errors import InvalidInputError
 from .fnv import fnv1a64
 from .image import Image
@@ -102,8 +102,7 @@ class Config:
 @dataclass
 class BenchReport:
     plan: Config
-    cells: dict  # (loss label, sigma_max, sigma) -> (mean PSNR, mean SSIM)
-    noisy: dict  # sigma -> (mean PSNR, mean SSIM) of the clamped noisy input
+    rows: list  # per eval sigma: (mean PSNR, mean SSIM) of the clamped noisy input, then of each cell in plan order
     wall_clock_s: float = 0.0  # not serialized: reports must be byte-stable
 
 
@@ -159,25 +158,13 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
         finally:  # after a failed cell, Ctrl-C or a failed save, the cells still training stop at their next step
             abandoned[:] = [True] * len(grid)
         rows = list(pool.map(lambda si: score_sigma(nets, clean, plan.eval_sigmas, plan.seed, si), range(len(plan.eval_sigmas))))
-    noisy, cells = {}, {}
-    for sigma, (baseline, *cell_scores) in zip(plan.eval_sigmas, rows):
-        noisy[sigma] = baseline
-        cells.update({(loss.label(), sm, sigma): score for (loss, sm), score in zip(grid, cell_scores)})
-    return BenchReport(plan, cells, noisy, wall_clock_s=time.perf_counter() - t_start)
+    return BenchReport(plan, rows, wall_clock_s=time.perf_counter() - t_start)
 
 
 def score_sigma(nets: list[TinyNet], clean: list[Image], sigmas: tuple[float, ...], seed: int, si: int) -> list[tuple[float, float]]:
     """Mean (PSNR, SSIM) of the noisy input, then of each net, at ``sigmas[si]``, noised from run seed ``seed``."""
     noisy = noisy_set(clean, sigmas[si], eval_seed(seed), si)
     return [mean_scores(net, noisy, clean) for net in (None, *nets)]
-
-
-def check_sigmas(what: str, sigmas: tuple[float, ...]) -> None:
-    """Reject sigmas outside [0, MAX_SIGMA], NaN or repeated: a sigma's label names a CSV column or row and a checkpoint."""
-    if not all(0.0 <= s <= MAX_SIGMA for s in sigmas):
-        raise InvalidInputError(f"{what} must lie in [0, {MAX_SIGMA:,.0f}]")
-    if len(set(sigmas)) != len(sigmas):
-        raise InvalidInputError(f"{what} repeats a value: {[fmt_float(s) for s in sigmas]}")
 
 
 def parse_sigmas(text: str) -> tuple[float, ...]:
@@ -200,30 +187,26 @@ def report_to_csv(report: BenchReport) -> str:
     """Serialize the report; identical reports give identical bytes."""
     plan = report.plan
     labels = [s.label() for s in plan.losses]
+    cols = [f"{label}_{fmt_float(sm)}" for sm in plan.sigma_max for label in labels]  # the cells of a row, in order
+    deltas = [(j, j - j % len(labels)) for j in range(len(cols)) if j % len(labels)]  # (cell, its sigma_max's first loss)
     lines = [
         "# mean reconstruction quality per noise level (std dev, 0-255 scale); "
         "ssim columns extend the plain psnr table; delta columns are computed "
         f"as each loss minus the base loss '{labels[0]}' at the same sigma_max",
         f"# seed={plan.seed} config=fnv64:{fnv1a64(format_config(plan).encode()):016x}",
     ]
-    for sigma in plan.eval_sigmas:
-        psnr, ssim = report.noisy[sigma]
+    for sigma, ((psnr, ssim), *_) in zip(plan.eval_sigmas, report.rows):
         lines.append(f"# noisy_baseline sigma={fmt_float(sigma)} psnr={fmt_val(psnr)} ssim={fmt_val(ssim)}")
-    cols = [(label, sm) for sm in plan.sigma_max for label in labels]
-    deltas = [(label, sm) for sm in plan.sigma_max for label in labels[1:]]
-    header = ["sigma"] + [f"{label}_{fmt_float(sm)}_{t}" for label, sm in cols for t in ("psnr", "ssim")]
-    header += [f"delta-{label}_{fmt_float(sm)}_{t}" for label, sm in deltas for t in ("psnr", "ssim")]
+    header = ["sigma"] + [f"{col}_{t}" for col in cols for t in ("psnr", "ssim")]
+    header += [f"delta-{cols[j]}_{t}" for j, _ in deltas for t in ("psnr", "ssim")]
     lines.append(",".join(header))
-    rows = []
-    for sigma in plan.eval_sigmas:
-        vals = [v for label, sm in cols for v in report.cells[(label, sm, sigma)]]
-        for label, sm in deltas:
-            psnr, ssim = report.cells[(label, sm, sigma)]
-            base_psnr, base_ssim = report.cells[(labels[0], sm, sigma)]
-            vals += [psnr - base_psnr, ssim - base_ssim]
-        rows.append(vals)
+    table = []
+    for sigma, (_, *cells) in zip(plan.eval_sigmas, report.rows):
+        vals = [v for cell in cells for v in cell]
+        vals += [v - base for j, b in deltas for v, base in zip(cells[j], cells[b])]
+        table.append(vals)
         lines.append(",".join([fmt_float(sigma)] + [fmt_val(v) for v in vals]))
-    means = [float(np.mean(col)) for col in zip(*rows)]
+    means = [float(np.mean(col)) for col in zip(*table)]  # per column: an axis-0 mean sums in another order
     lines.append(",".join(["mean"] + [fmt_val(v) for v in means]))
     return "\n".join(lines) + "\n"
 
@@ -321,6 +304,10 @@ def parse_kv(text: str) -> dict[str, str]:
 
 
 def load_plan(path, overrides: dict[str, str] | None = None) -> Config:
-    """``parse_config`` of the plan file at ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), overrides)
+    """``parse_config`` of the plan file at ``path``, which must be UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:  # start is an offset in the file: read() decodes the whole file at once
+        raise InvalidInputError(f"{os.fspath(path)}: not UTF-8 text at byte {exc.start}") from None
+    return parse_config(text, overrides)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CorruptCheckpointError, FormatError, InvalidInputError
 from .fnv import fnv1a64
 from .net import ConvLayer, TinyNet
-from .pnm import write_atomic
+from .pnm import int_line, payload, write_atomic
 
 MAGIC = b"LUMNET1\n"
 
@@ -48,47 +48,25 @@ def parse_checkpoint(buf: bytes, name: str) -> TinyNet:
     """The net that checkpoint bytes hold; ``name`` starts each error message."""
     if not buf.startswith(MAGIC):
         raise FormatError(f"{name}: bad magic at byte 0 (expected LUMNET1)")
-    pos = len(MAGIC)
-
-    def read_line(what):
-        nonlocal pos
-        nl = buf.find(b"\n", pos)
-        if nl < 0:
-            raise FormatError(f"{name}: missing {what} line at byte {pos}")
-        parts = buf[pos:nl].split()
-        start = pos
-        pos = nl + 1
-        try:
-            return [int(p) for p in parts], start
-        except ValueError:
-            raise FormatError(f"{name}: non-integer {what} at byte {start}") from None
-
-    head, start = read_line("layer-count")
+    head, start, pos = int_line(buf, len(MAGIC), name, "layer-count")
     if len(head) != 2 or head[0] < 1 or head[1] != 1:
         raise FormatError(f"{name}: bad layer-count line at byte {start} (expected <n_layers> 1)")
     shapes = []
     for _ in range(head[0]):
-        dims, start = read_line("layer-shape")
+        dims, start, pos = int_line(buf, pos, name, "layer-shape")
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise FormatError(f"{name}: bad layer-shape line at byte {start}")
         shapes.append(tuple(dims))
     counts = [o * i * k * k + o for o, i, k in shapes]
     need = 4 * sum(counts)
-    if len(buf) - pos < need + 8:
-        raise FormatError(
-            f"{name}: truncated at byte {pos}: need {need + 8} payload+checksum bytes, "
-            f"found {len(buf) - pos}"
-        )
-    if len(buf) - pos > need + 8:
-        raise FormatError(f"{name}: unexpected trailing bytes at byte {pos + need + 8}")
-    payload = buf[pos : pos + need]
-    (stored,) = struct.unpack("<Q", buf[pos + need :])
-    computed = fnv1a64(payload)
+    body = payload(buf, pos, need + 8, name, "payload+checksum")
+    (stored,) = struct.unpack("<Q", body[need:])
+    computed = fnv1a64(body[:need])
     if stored != computed:
         raise CorruptCheckpointError(
             f"{name}: checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
         )
-    theta = np.frombuffer(payload, dtype="<f4").astype(np.float32)  # the net a checkpoint holds: float32, as trained
+    theta = np.frombuffer(body[:need], dtype="<f4").astype(np.float32)  # the net a checkpoint holds: float32, as trained
     layers, off = [], 0
     try:  # a file with a valid checksum can still hold a net that cannot exist
         for (o, i, k), count in zip(shapes, counts):

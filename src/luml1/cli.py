@@ -12,7 +12,6 @@ import sys
 
 from .bench import (
     Config,
-    check_sigmas,
     denoise_file,
     fmt_val,
     load_plan,
@@ -25,7 +24,7 @@ from .bench import (
     score_sigma,
 )
 from .checkpoint import load_checkpoint
-from .dataset import gen_clean, noisy_set
+from .dataset import check_sigmas, gen_clean, noisy_set
 from .errors import FormatError, InvalidInputError, NumericalError
 from .gradcheck import run_gradcheck
 from .losses import LossSpec, fmt_float, luminance_l1_loss

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .image import Image
+from .losses import fmt_float
 from .rng import DOMAIN_BATCH, DOMAIN_CLEAN, DOMAIN_EVAL_NOISE, normal, stream
 
 # The smallest height and width of a generated image; it holds the 11x11 SSIM
@@ -29,6 +30,14 @@ MIN_IMAGE_SIZE = 16
 # deviate is about 8.57, so noise stays under 3.4e4 (on the 0-1 scale) and its
 # square far inside float32, the precision nets train and score in.
 MAX_SIGMA = 1e6
+
+
+def check_sigmas(what: str, sigmas: tuple[float, ...]) -> None:
+    """Reject sigmas outside [0, MAX_SIGMA], NaN or repeated: a sigma's label names a CSV column or row and a checkpoint."""
+    if not all(0.0 <= s <= MAX_SIGMA for s in sigmas):
+        raise InvalidInputError(f"{what} must lie in [0, {MAX_SIGMA:,.0f}]")
+    if len(set(sigmas)) != len(sigmas):
+        raise InvalidInputError(f"{what} repeats a value: {[fmt_float(s) for s in sigmas]}")
 
 
 def gen_clean(seed: int, count: int, h: int, w: int, domain: int = DOMAIN_CLEAN) -> list[Image]:
@@ -118,8 +127,7 @@ def make_blind_batches(
     read-only view into the corpus; the noisy patch is a fresh array. Bad
     arguments raise InvalidInputError at the first draw.
     """
-    if not 0.0 <= sigma_max_255 <= MAX_SIGMA:
-        raise InvalidInputError(f"sigma_max must lie in [0, {MAX_SIGMA:,.0f}], got {sigma_max_255}")
+    check_sigmas("sigma_max", (sigma_max_255,))
     if patch_size < 1:
         raise InvalidInputError(f"patch_size must be positive, got {patch_size}")
     if count < 0:

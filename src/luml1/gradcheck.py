@@ -21,11 +21,12 @@ import numpy as np
 from .image import to_grayscale
 from .losses import LossSpec, eval_loss, luminance_term
 from .net import ConvLayer, build_tinynet, conv_backward, conv_forward, layer_outputs, net_backward, net_forward
-from .rng import stream
+from .rng import DOMAIN_GRAD_ADJOINT, DOMAIN_GRAD_CONV, DOMAIN_GRAD_LOSS, DOMAIN_GRAD_LUMINANCE, DOMAIN_GRAD_NET, stream
 
 FD_STEP = 1e-5
 REL_FLOOR = 1e-3
 KINK_DISTANCE = 1e-3
+LOSS_PAIRS = 10  # seeded image pairs per loss check
 
 
 @dataclass
@@ -48,9 +49,17 @@ class CheckResult:
         )
 
 
-def rel_error(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), REL_FLOOR)
-    return np.abs(analytic - fd) / denom
+def compare(name: str, tolerance: float, cases) -> CheckResult:
+    """Worst relative error over ``cases``, (analytic, fd, keep) triples; ``keep`` indexes the checked elements, ``...`` all."""
+    worst, checked, excluded = 0.0, 0, 0
+    for analytic, fd, keep in cases:
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), REL_FLOOR)
+        err = (np.abs(analytic - fd) / denom)[keep]
+        checked += err.size
+        excluded += analytic.size - err.size
+        if err.size:
+            worst = max(worst, float(err.max()))
+    return CheckResult(name, worst, tolerance, checked, excluded)
 
 
 def fd_gradient(f, x: np.ndarray) -> np.ndarray:
@@ -72,40 +81,35 @@ def fd_gradient(f, x: np.ndarray) -> np.ndarray:
 _KIND_IDS = {"l1": 1, "l2": 2, "luml1": 3}
 
 
-def check_loss_gradient(spec: LossSpec | None, seed: int, pairs: int = 10, tolerance: float = 1e-4) -> CheckResult:
-    """FD-check one loss over seeded random 8x8x3 image pairs.
+def check_loss_gradient(spec: LossSpec | None, seed: int, tolerance: float = 1e-4) -> CheckResult:
+    """FD-check one loss over LOSS_PAIRS seeded random 8x8x3 image pairs.
 
     ``spec`` None checks the bare luminance term (no pixel component).
     Elements within KINK_DISTANCE of an L1 kink are excluded.
     """
     if spec is None:
-        name, rng, loss = "luminance_term", stream(seed, 11), luminance_term
+        name, rng, loss = "luminance_term", stream(seed, DOMAIN_GRAD_LUMINANCE), luminance_term
         pixel_l1, lum_l1 = False, True
     else:
         name = spec.label() if spec.kind != "luml1" else f"luml1(lam={spec.lam:g})"
-        rng = stream(seed, 10, _KIND_IDS[spec.kind], int(spec.lam * 16))
+        rng = stream(seed, DOMAIN_GRAD_LOSS, _KIND_IDS[spec.kind], int(spec.lam * 16))
         loss = partial(eval_loss, spec)
         pixel_l1 = spec.kind == "l1" or (spec.kind == "luml1" and spec.pixel_base == "l1")
         lum_l1 = spec.kind == "luml1" and spec.lam > 0
-    worst = 0.0
-    checked = excluded = 0
-    for _ in range(pairs):
+
+    def case():
         pred, target = rng.random((8, 8, 3)), rng.random((8, 8, 3))
         out = loss(pred, target)
         fd = fd_gradient(lambda x: loss(x, target).value, pred.copy())
-        err = rel_error(out.grad, fd)
         kink = np.zeros(pred.shape, dtype=bool)
         if pixel_l1:
             kink |= np.abs(pred - target) < KINK_DISTANCE
         if lum_l1:
             lum = np.abs(to_grayscale(pred) - to_grayscale(target))
             kink |= np.broadcast_to(lum < KINK_DISTANCE, pred.shape)
-        keep = ~kink
-        checked += int(keep.sum())
-        excluded += int((~keep).sum())
-        if keep.any():
-            worst = max(worst, float(err[keep].max()))
-    return CheckResult(name, worst, tolerance, checked, excluded)
+        return out.grad, fd, ~kink
+
+    return compare(name, tolerance, [case() for _ in range(LOSS_PAIRS)])
 
 
 def loss_gradient_suite(seed: int) -> list[CheckResult]:
@@ -117,7 +121,7 @@ def loss_gradient_suite(seed: int) -> list[CheckResult]:
 
 def check_conv_gradients(seed: int) -> CheckResult:
     """FD-check conv kernel/bias/input gradients on one small layer."""
-    rng = stream(seed, 12)
+    rng = stream(seed, DOMAIN_GRAD_CONV)
     layer = ConvLayer(rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2))
     x = rng.random((1, 3, 5, 5))
     target = rng.random((1, 2, 5, 5))
@@ -129,14 +133,10 @@ def check_conv_gradients(seed: int) -> CheckResult:
 
     out, cache = conv_forward(x, layer)
     gx, gk, gb = conv_backward(2.0 * (out - target), cache)
-    worst = 0.0
     fd_k = fd_gradient(lambda k: loss_given(k, layer.bias, x), layer.kernels.copy())
     fd_b = fd_gradient(lambda b: loss_given(layer.kernels, b, x), layer.bias.copy())
     fd_x = fd_gradient(lambda v: loss_given(layer.kernels, layer.bias, v), x.copy())
-    for a, f in ((gk, fd_k), (gb, fd_b), (gx, fd_x)):
-        worst = max(worst, float(rel_error(a, f).max()))
-    n = gk.size + gb.size + gx.size
-    return CheckResult("conv_forward/backward", worst, 1e-5, n, 0)
+    return compare("conv_forward/backward", 1e-5, [(gk, fd_k, ...), (gb, fd_b, ...), (gx, fd_x, ...)])
 
 
 def _kink_margin(net, noisy: np.ndarray, target: np.ndarray) -> float:
@@ -162,7 +162,7 @@ def check_net_gradients(seed: int) -> CheckResult:
     across a kink. With fewer than two, every parameter is excluded (the
     report shows the count).
     """
-    rng = stream(seed, 13)
+    rng = stream(seed, DOMAIN_GRAD_NET)
     net = build_tinynet(seed, hidden_channels=8, hidden_depth=0)
     spec = LossSpec("luml1", lam=1.0)
     draws = [(rng.random((8, 8, 3)), rng.random((8, 8, 3))) for _ in range(8)]
@@ -181,12 +181,12 @@ def check_net_gradients(seed: int) -> CheckResult:
     _, grad, cache = batch_loss()
     analytic = net_backward(net, cache, grad)
     fd = fd_gradient(lambda _: batch_loss()[0], net.theta)
-    return CheckResult("tinynet end-to-end", float(rel_error(analytic, fd).max()), 1e-4, net.theta.size, 0)
+    return compare("tinynet end-to-end", 1e-4, [(analytic, fd, ...)])
 
 
 def adjoint_error(seed: int) -> float:
     """|<conv(x), u> - <x, conv_backward(u)>| for a zero-bias layer."""
-    rng = stream(seed, 14)
+    rng = stream(seed, DOMAIN_GRAD_ADJOINT)
     layer = ConvLayer(rng.normal(size=(3, 2, 3, 3)), np.zeros(3))
     x = rng.random((1, 2, 6, 6))
     u = rng.random((1, 3, 6, 6))
@@ -198,9 +198,7 @@ def adjoint_error(seed: int) -> float:
 def run_gradcheck(seed: int) -> tuple[bool, list[str]]:
     """The full suite the ``gradcheck`` CLI command runs."""
     t0 = time.perf_counter()
-    results = loss_gradient_suite(seed)
-    results.append(check_conv_gradients(seed))
-    results.append(check_net_gradients(seed))
+    results = loss_gradient_suite(seed) + [check_conv_gradients(seed), check_net_gradients(seed)]
     lines = [r.line() for r in results]
     adj = adjoint_error(seed)
     adj_ok = adj < 1e-9

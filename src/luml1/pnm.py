@@ -1,5 +1,5 @@
-"""File I/O: binary PPM (P6, maxval 255), the LUMF1 raw-float format, and
-write_atomic, which every output file of the package goes through.
+"""File I/O: binary PPM (P6, maxval 255), the LUMF1 raw-float format, the
+framing reader that checkpoints share, and write_atomic for every output file.
 
 PPM stores 8-bit RGB; bytes map to floats as b/255 on load, and floats are
 clamped to [0, 1] and rounded to the nearest byte on save, so load/save
@@ -90,6 +90,27 @@ def save_lumf_bytes(img: Image) -> bytes:
     return header + img.data.astype("<f4").tobytes()
 
 
+def int_line(buf: bytes, pos: int, name: str, what: str) -> tuple[list[int], int, int]:
+    """The integers of the ASCII ``what`` line at byte ``pos``: (values, pos, the byte after its newline)."""
+    nl = buf.find(b"\n", pos)
+    if nl < 0:
+        raise FormatError(f"{name}: missing {what} line at byte {pos}")
+    try:
+        return [int(p) for p in buf[pos:nl].split()], pos, nl + 1
+    except ValueError:
+        raise FormatError(f"{name}: non-integer {what} at byte {pos}") from None
+
+
+def payload(buf: bytes, pos: int, need: int, name: str, what: str) -> memoryview:
+    """The ``what`` that fills ``buf`` from byte ``pos`` to its end, which must be exactly ``need`` bytes."""
+    got = len(buf) - pos
+    if got < need:
+        raise FormatError(f"{name}: truncated {what} at byte {pos}: need {need} bytes, found {got}")
+    if got > need:
+        raise FormatError(f"{name}: {got - need} unexpected trailing bytes at byte {pos + need}")
+    return memoryview(buf)[pos:]
+
+
 def _next_token(buf: bytes, pos: int, name: str) -> tuple[bytes, int, int]:
     """Skip whitespace and '#' comments; return (token, end, token_start)."""
     while pos < len(buf):
@@ -134,39 +155,16 @@ def _load_ppm(buf: bytes, name: str) -> Image:
     # exactly one whitespace byte separates the header from the payload
     if pos >= len(buf) or buf[pos] not in _WHITESPACE:
         raise FormatError(f"{name}: expected single whitespace after maxval at byte {pos}")
-    pos += 1
-    need = width * height * 3
-    got = len(buf) - pos
-    if got < need:
-        raise FormatError(f"{name}: truncated pixel data at byte {pos}: need {need} bytes, found {got}")
-    if got > need:
-        raise FormatError(f"{name}: {got - need} unexpected trailing bytes at byte {pos + need}")
-    raw = np.frombuffer(buf, dtype=np.uint8, count=need, offset=pos)
+    raw = np.frombuffer(payload(buf, pos + 1, width * height * 3, name, "pixel data"), dtype=np.uint8)
     return Image(raw.reshape(height, width, 3).astype(np.float64) / 255.0)
 
 
 def _load_lumf(buf: bytes, name: str) -> Image:
-    pos = len(LUMF_MAGIC)
-    nl = buf.find(b"\n", pos)
-    if nl < 0:
-        raise FormatError(f"{name}: missing shape line at byte {pos}")
-    parts = buf[pos:nl].split()
-    if len(parts) != 3:
-        raise FormatError(f"{name}: shape line at byte {pos} must be 'H W C'")
-    try:
-        h, w, c = (int(p) for p in parts)
-    except ValueError:
-        raise FormatError(f"{name}: non-integer shape at byte {pos}") from None
-    if h < 1 or w < 1 or c not in (1, 3):
-        raise FormatError(f"{name}: bad shape {h}x{w}x{c} at byte {pos}")
-    pos = nl + 1
-    need = h * w * c * 4
-    got = len(buf) - pos
-    if got < need:
-        raise FormatError(f"{name}: truncated float payload at byte {pos}: need {need} bytes, found {got}")
-    if got > need:
-        raise FormatError(f"{name}: {got - need} unexpected trailing bytes at byte {pos + need}")
-    arr = np.frombuffer(buf, dtype="<f4", count=h * w * c, offset=pos).astype(np.float64)
+    shape, start, pos = int_line(buf, len(LUMF_MAGIC), name, "shape")
+    if len(shape) != 3 or min(shape) < 1 or shape[2] not in (1, 3):
+        raise FormatError(f"{name}: bad shape line {shape} at byte {start} (expected H W C, C 1 or 3)")
+    h, w, c = shape
+    arr = np.frombuffer(payload(buf, pos, h * w * c * 4, name, "float payload"), dtype="<f4").astype(np.float64)
     if not np.all(np.isfinite(arr)):
         raise FormatError(f"{name}: non-finite pixel values in payload at byte {pos}")
     return Image(arr.reshape(h, w, c))

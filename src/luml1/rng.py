@@ -33,6 +33,8 @@ DOMAIN_EVAL_NOISE = 5
 DOMAIN_VAL_CLEAN = 6  # the trainer's validation images and their noise, apart from the test set's
 DOMAIN_VAL_NOISE = 7
 DOMAIN_TRAIN_CLEAN = 8  # the training corpus, apart from the test images of an odd seed, its own eval_seed
+# the gradient checks' random inputs, one domain per check
+DOMAIN_GRAD_LOSS, DOMAIN_GRAD_LUMINANCE, DOMAIN_GRAD_CONV, DOMAIN_GRAD_NET, DOMAIN_GRAD_ADJOINT = 10, 11, 12, 13, 14
 
 
 def stream(seed: int, *ids: int) -> np.random.Generator:
@@ -46,7 +48,7 @@ def stream(seed: int, *ids: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def normal(rng: np.random.Generator, shape: tuple[int, ...], sigma: float = 1.0) -> np.ndarray:
+def normal(rng: np.random.Generator, shape: tuple[int, ...], sigma: float) -> np.ndarray:
     """Gaussian deviates via Box-Muller on the stream's uniforms."""
     n = math.prod(shape)
     m = (n + 1) // 2

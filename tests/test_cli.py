@@ -442,6 +442,21 @@ class TestBenchCli:
         assert "eval_sigmas must lie in [0, 1,000,000]" in capsys.readouterr().err
         assert not csv.exists()
 
+    def test_plan_that_is_not_utf8_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch):
+        import luml1.bench as bench
+
+        monkeypatch.setattr(bench, "train", _must_not_run)
+        monkeypatch.setattr(cli, "train", _must_not_run)
+        plan = tmp_path / "latin1.plan"
+        plan.write_bytes(self.PLAN.encode() + b"# caf\xe9\n")
+        offset = len(self.PLAN) + len("# caf")
+        csv, ckpt = tmp_path / "table.csv", tmp_path / "x.ckpt"
+        assert main(["bench", "--plan", str(plan), "--csv", str(csv)]) == 1
+        assert main(["train", "--config", str(plan), "--out", str(ckpt)]) == 1
+        message = f"error: {plan}: not UTF-8 text at byte {offset}\n"
+        assert capsys.readouterr().err == message * 2
+        assert not csv.exists() and not ckpt.exists()
+
     def test_valid_plan_writes_csv(self, tmp_path, capsys):
         plan = tmp_path / "ok.plan"
         plan.write_text(self.PLAN)

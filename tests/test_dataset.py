@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import luml1.rng
 from luml1.bench import check_sigmas
 from luml1.dataset import (
     _draw_patch_params,
@@ -172,6 +176,20 @@ class TestSeedDomains:
         c = stream(7, 2, 0).random(8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_domains_are_distinct_and_named_at_every_stream_call(self):
+        # a domain id written as a literal at a call is missing from rng's table, where the next new domain could take it
+        domains = {name: v for name, v in vars(luml1.rng).items() if name.startswith("DOMAIN_")}
+        assert len(set(domains.values())) == len(domains)
+        literal = []
+        for path in sorted(Path(luml1.rng.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                if func == "stream" and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+                    literal.append(f"{path.name}:{node.lineno}")
+        assert literal == []
 
     def test_box_muller_determinism(self):
         a = normal(stream(11, 2), (64,), 2.0)

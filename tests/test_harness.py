@@ -334,10 +334,10 @@ class TestPlanFiles:
 class TestRunBench:
     def test_cells_cover_the_grid(self, micro_report):
         plan = micro_report.plan
-        for sm in plan.sigma_max:
-            for loss in plan.losses:
-                for sigma in plan.eval_sigmas:
-                    assert np.all(np.isfinite(micro_report.cells[(loss.label(), sm, sigma)]))
+        assert len(micro_report.rows) == len(plan.eval_sigmas)
+        for row in micro_report.rows:
+            assert len(row) == 1 + len(plan.sigma_max) * len(plan.losses)
+            assert np.all(np.isfinite(row))
 
     def test_sigmas_equal_to_six_digits_keep_their_own_labels(self, tmp_path):
         # :g would write both as 12.3457: one checkpoint name, one column name, one row
@@ -518,8 +518,8 @@ class TestRunBench:
             train(replace(micro_plan(), **cell))
 
     def test_noisy_baseline_present_per_sigma(self, micro_report):
-        for sigma in micro_report.plan.eval_sigmas:
-            assert 0 < micro_report.noisy[sigma][0] < 100
+        for (baseline_psnr, _), *_ in micro_report.rows:
+            assert 0 < baseline_psnr < 100
 
 
 class TestReportCsv:
@@ -585,24 +585,21 @@ class TestTrainedModelSanity:
         # denoising an already-clean image must beat the easiest noisy cell
         from luml1.net import net_forward
 
-        net, clean = trained_cell["net"], trained_cell["clean"]
-        report, plan = trained_cell["report"], trained_cell["plan"]
+        net, clean, report = trained_cell["net"], trained_cell["clean"], trained_cell["report"]
         score = np.mean([psnr(np.clip(net_forward(net, c.data[None])[0][0], 0.0, 1.0), c.data) for c in clean])
-        easiest = report.cells[("l1", plan.sigma_max[0], plan.eval_sigmas[0])][0]
+        easiest = report.rows[0][1][0]  # the one cell at the first eval sigma
         assert score > easiest
 
     def test_never_degrades_more_than_1db_vs_identity(self, trained_cell):
-        report, plan = trained_cell["report"], trained_cell["plan"]
-        for sigma in plan.eval_sigmas:
-            cell = report.cells[("l1", plan.sigma_max[0], sigma)][0]
-            assert cell >= report.noisy[sigma][0] - 1.0
+        for baseline, cell in trained_cell["report"].rows:
+            assert cell[0] >= baseline[0] - 1.0
 
     def test_saved_checkpoint_reproduces_the_reported_numbers(self, trained_cell):
         net, clean = trained_cell["net"], trained_cell["clean"]
         report, plan = trained_cell["report"], trained_cell["plan"]
         for si, sigma in enumerate(plan.eval_sigmas):
             noisy = noisy_set(clean, sigma, eval_seed(plan.seed), si)
-            assert mean_scores(net, noisy, clean) == report.cells[("l1", plan.sigma_max[0], sigma)]
+            assert mean_scores(net, noisy, clean) == report.rows[si][1]
 
 
 class TestFloat32Scoring:

@@ -37,7 +37,7 @@ class TestL1:
         assert out.grad[0, 0, 0] == 1.0
 
     def test_gradient_matches_finite_differences(self):
-        result = check_loss_gradient(LossSpec("l1"), seed=5, pairs=3)
+        result = check_loss_gradient(LossSpec("l1"), seed=5)
         assert result.ok, result.line()
 
     def test_shape_mismatch(self):
@@ -58,7 +58,7 @@ class TestL2:
         assert out.value == 0.0 and np.all(out.grad == 0.0)
 
     def test_gradient_matches_finite_differences(self):
-        result = check_loss_gradient(LossSpec("l2"), seed=5, pairs=3, tolerance=1e-6)
+        result = check_loss_gradient(LossSpec("l2"), seed=5, tolerance=1e-6)
         assert result.ok, result.line()
 
 
@@ -90,7 +90,7 @@ class TestLuminanceTerm:
         assert out.value < 1e-12
 
     def test_gradient_matches_finite_differences(self):
-        result = check_loss_gradient(None, seed=5, pairs=3)
+        result = check_loss_gradient(None, seed=5)
         assert result.ok, result.line()
 
     def test_single_channel_rejected(self):
@@ -138,7 +138,7 @@ class TestCombinedLoss:
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_gradient_matches_finite_differences(self, lam):
-        result = check_loss_gradient(LossSpec("luml1", lam=lam), seed=5, pairs=3)
+        result = check_loss_gradient(LossSpec("luml1", lam=lam), seed=5)
         assert result.ok, result.line()
 
 

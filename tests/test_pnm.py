@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from luml1.checkpoint import checkpoint_bytes, load_checkpoint
 from luml1.errors import FormatError, InvalidInputError
 from luml1.image import Image
+from luml1.net import build_tinynet
 from luml1.pnm import load_image, save_image, save_lumf_bytes, save_ppm_bytes
 
 from conftest import rand_image
@@ -117,6 +119,36 @@ class TestLumf:
     def test_bad_shape_line(self, tmp_path):
         with pytest.raises(FormatError, match="shape"):
             load_image(write(tmp_path, "x.lumf", b"LUMF1\n4 4\n" + bytes(64)))
+
+
+def _framed(fmt):
+    """(file bytes, byte where the payload starts, loader, suffix) of a valid file of each format."""
+    if fmt == "LUMNET1":
+        net = build_tinynet(3, hidden_channels=4, hidden_depth=0)
+        data = checkpoint_bytes(net)
+        return data, len(data) - 4 * net.theta.size - 8, load_checkpoint, "ckpt"
+    img = rand_image(7, 3, 5)
+    if fmt == "PPM":
+        return save_ppm_bytes(img), len(b"P6\n5 3\n255\n"), load_image, "ppm"
+    return save_lumf_bytes(img), len(b"LUMF1\n3 5 3\n"), load_image, "lumf"
+
+
+class TestFraming:
+    @pytest.mark.parametrize("fmt", ["PPM", "LUMF1", "LUMNET1"])
+    def test_truncated_payload_names_file_and_offset(self, tmp_path, fmt):
+        data, start, load, suffix = _framed(fmt)
+        path = write(tmp_path, f"a.{suffix}", data[:-3])
+        with pytest.raises(FormatError, match=f"truncated .* at byte {start}: need {len(data) - start} bytes") as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("fmt", ["PPM", "LUMF1", "LUMNET1"])
+    def test_trailing_bytes_name_file_and_offset(self, tmp_path, fmt):
+        data, _, load, suffix = _framed(fmt)
+        path = write(tmp_path, f"a.{suffix}", data + b"xy")
+        with pytest.raises(FormatError, match=f"2 unexpected trailing bytes at byte {len(data)}$") as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestDispatch:

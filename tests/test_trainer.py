@@ -109,7 +109,7 @@ class TestTrainLoop:
             assert not any(np.array_equal(c.data, t.data) for t in test_clean)
             unit = (n.data - c.data) / (cfg.sigma_max[0] / 2.0 / 255.0)  # the deviates, whatever the sigma
             for level in range(len(cfg.eval_sigmas)):
-                assert not np.allclose(unit, normal(stream(es, DOMAIN_EVAL_NOISE, level, j), c.data.shape))
+                assert not np.allclose(unit, normal(stream(es, DOMAIN_EVAL_NOISE, level, j), c.data.shape, 1.0))
 
     def test_determinism_bit_identical_checkpoints(self):
         cfg = small_config(hidden_channels=8)
