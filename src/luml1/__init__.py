@@ -45,7 +45,6 @@ from .losses import (
     eval_loss,
     l1_loss,
     l2_loss,
-    luminance_l1_loss,
     luminance_term,
 )
 from .metrics import mse, psnr, ssim
@@ -87,7 +86,6 @@ __all__ = [
     "load_checkpoint",
     "load_image",
     "load_plan",
-    "luminance_l1_loss",
     "luminance_term",
     "make_blind_batches",
     "mse",

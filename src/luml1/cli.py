@@ -27,7 +27,7 @@ from .checkpoint import load_checkpoint
 from .dataset import check_sigmas, gen_clean, noisy_set
 from .errors import FormatError, InvalidInputError, NumericalError
 from .gradcheck import run_gradcheck
-from .losses import LossSpec, fmt_float, luminance_l1_loss
+from .losses import LossSpec, eval_loss, fmt_float
 from .metrics import SSIM_WINDOW, psnr, ssim
 from .pnm import load_image, save_image, write_atomic
 from .rng import check_seed
@@ -116,7 +116,7 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    spec = LossSpec("luml1", lam=args.lam)  # checks --lambda before any output
+    spec = LossSpec(lam=args.lam)  # checks --lambda before any output
     a = load_image(args.a).data
     b = load_image(args.b).data
     want_any = args.psnr or args.ssim or args.luml1
@@ -126,7 +126,7 @@ def cmd_metric(args) -> int:
     if args.ssim or not want_any:
         lines.append(f"ssim {ssim(a, b):.6f}")
     if args.luml1:
-        lines.append(f"luml1 {luminance_l1_loss(a, b, spec).value:.6f}")
+        lines.append(f"luml1 {eval_loss(spec, a, b).value:.6f}")
     print("\n".join(lines))
     return 0
 

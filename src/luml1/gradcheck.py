@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .image import to_grayscale
-from .losses import LossSpec, eval_loss, luminance_term
+from .losses import PIXEL_BASES, LossSpec, eval_loss, luminance_term
 from .net import ConvLayer, build_tinynet, conv_backward, conv_forward, layer_outputs, net_backward, net_forward
 from .rng import DOMAIN_GRAD_ADJOINT, DOMAIN_GRAD_CONV, DOMAIN_GRAD_LOSS, DOMAIN_GRAD_LUMINANCE, DOMAIN_GRAD_NET, stream
 
@@ -78,9 +78,6 @@ def fd_gradient(f, x: np.ndarray) -> np.ndarray:
     return g
 
 
-_KIND_IDS = {"l1": 1, "l2": 2, "luml1": 3}
-
-
 def check_loss_gradient(spec: LossSpec | None, seed: int, tolerance: float = 1e-4) -> CheckResult:
     """FD-check one loss over LOSS_PAIRS seeded random 8x8x3 image pairs.
 
@@ -91,11 +88,11 @@ def check_loss_gradient(spec: LossSpec | None, seed: int, tolerance: float = 1e-
         name, rng, loss = "luminance_term", stream(seed, DOMAIN_GRAD_LUMINANCE), luminance_term
         pixel_l1, lum_l1 = False, True
     else:
-        name = spec.label() if spec.kind != "luml1" else f"luml1(lam={spec.lam:g})"
-        rng = stream(seed, DOMAIN_GRAD_LOSS, _KIND_IDS[spec.kind], int(spec.lam * 16))
-        loss = partial(eval_loss, spec)
-        pixel_l1 = spec.kind == "l1" or (spec.kind == "luml1" and spec.pixel_base == "l1")
-        lum_l1 = spec.kind == "luml1" and spec.lam > 0
+        # stream ids: (1, 16) for l1, (2, 16) for l2, (3, 16 * lam) with a luminance term
+        ids = (3, int(spec.lam * 16)) if spec.lam else (PIXEL_BASES.index(spec.pixel_base) + 1, 16)
+        name = f"luml1(lam={spec.lam:g})" if spec.lam else spec.label()
+        rng, loss = stream(seed, DOMAIN_GRAD_LOSS, *ids), partial(eval_loss, spec)
+        pixel_l1, lum_l1 = spec.pixel_base == "l1", spec.lam > 0
 
     def case():
         pred, target = rng.random((8, 8, 3)), rng.random((8, 8, 3))
@@ -116,7 +113,7 @@ def loss_gradient_suite(seed: int) -> list[CheckResult]:
     """The loss-level FD suite: L1, L2, the luminance term, and the combination."""
     results = [check_loss_gradient(LossSpec("l1"), seed), check_loss_gradient(LossSpec("l2"), seed, tolerance=1e-6)]
     results.append(check_loss_gradient(None, seed))
-    return results + [check_loss_gradient(LossSpec("luml1", lam=lam), seed) for lam in (0.5, 1.0, 2.0)]
+    return results + [check_loss_gradient(LossSpec(lam=lam), seed) for lam in (0.5, 1.0, 2.0)]
 
 
 def check_conv_gradients(seed: int) -> CheckResult:
@@ -164,7 +161,7 @@ def check_net_gradients(seed: int) -> CheckResult:
     """
     rng = stream(seed, DOMAIN_GRAD_NET)
     net = build_tinynet(seed, hidden_channels=8, hidden_depth=0)
-    spec = LossSpec("luml1", lam=1.0)
+    spec = LossSpec(lam=1.0)
     draws = [(rng.random((8, 8, 3)), rng.random((8, 8, 3))) for _ in range(8)]
     batch = [pair for pair in draws if _kink_margin(net, *pair) >= KINK_DISTANCE][:2]
     if len(batch) < 2:

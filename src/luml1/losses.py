@@ -1,12 +1,10 @@
 """Differentiable training losses, each returning value and analytic gradient.
 
-Four losses are provided:
-
 * ``l1_loss`` / ``l2_loss`` -- plain pixel losses, mean over all elements.
 * ``luminance_term`` -- L1 distance between the luminance projections of
   prediction and target, mean over pixels.
-* ``luminance_l1_loss`` -- a pixel loss (L1 by default, L2 selectable)
-  plus ``lam`` times the luminance term.
+* ``eval_loss`` -- the loss a ``LossSpec`` names: its pixel loss plus
+  ``lam`` times the luminance term, so lam 0 is the plain pixel loss.
 
 Predictions and targets are (..., H, W, C) float arrays (an image or a
 batch of them; float32 in training); gradients are with respect to the
@@ -24,7 +22,6 @@ import numpy as np
 from .errors import InvalidInputError
 from .image import grayscale_backward, require_same_shape, to_grayscale
 
-LOSS_KINDS = ("l1", "l2", "luml1")
 PIXEL_BASES = ("l1", "l2")
 
 
@@ -45,59 +42,51 @@ def fmt_float(x: float) -> str:
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Which loss to evaluate and with what weighting.
+    """A pixel loss plus ``lam`` times the luminance term.
 
-    ``lam`` and ``pixel_base`` belong to kind ``luml1``, and the other kinds
-    keep their defaults, so that one label names one spec. The combined
-    value is pixel_base + lam * luminance_term. With ``lam == 0`` the
-    combined loss behaves exactly (bit-for-bit) like its pixel base.
+    lam 0 is the pixel loss itself, bit for bit: ``LossSpec("l1")`` is the
+    L1 loss and ``LossSpec(lam=1.0)`` the paper's luminance L1 loss.
     """
 
-    kind: str = "l1"
-    lam: float = 1.0
     pixel_base: str = "l1"
+    lam: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise InvalidInputError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
         if self.pixel_base not in PIXEL_BASES:
             raise InvalidInputError(f"unknown pixel base {self.pixel_base!r}, expected one of {PIXEL_BASES}")
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise InvalidInputError(f"lam must be finite and nonnegative, got {self.lam}")
-        if self.kind != "luml1" and (self.lam, self.pixel_base) != (1.0, "l1"):
-            raise InvalidInputError(f"loss {self.kind!r} takes no lam or pixel_base")
 
     def label(self) -> str:
         """Short name used in CSV column headers, checkpoint names and CLI output.
 
-        A luml1 label names a lam other than 1 and a pixel base other than l1:
+        lam 0 is named by its pixel base, ``l1`` or ``l2``. Any other label
+        names a lam other than 1 and a pixel base other than l1:
         ``luml1``, ``luml1-0.5``, ``luml1-l2``, ``luml1-0.5-l2``.
         """
-        if self.kind != "luml1":
-            return self.kind
+        if self.lam == 0.0:
+            return self.pixel_base
         label = "luml1" if self.lam == 1.0 else f"luml1-{fmt_float(self.lam)}"
         return label if self.pixel_base == "l1" else f"{label}-{self.pixel_base}"
 
 
 def parse_loss(token: str) -> LossSpec:
-    """Build a spec from a loss token ``kind``, or ``luml1:lam[:pixel_base]``.
+    """Build a spec from a loss token ``l1``, ``l2`` or ``luml1[:lam[:pixel_base]]``.
 
     A bare ``luml1`` is lam 1 on an L1 base. A lam that is not a number raises ValueError.
     """
-    kind, *suffix = token.split(":")
-    if kind != "luml1":
-        if suffix:
-            raise InvalidInputError(f"loss token {token!r}: only luml1 takes a suffix")
-        return LossSpec(kind)
-    if len(suffix) > 2:
-        raise InvalidInputError(f"expected luml1[:lam[:pixel_base]], got {token!r}")
-    return LossSpec("luml1", float(suffix[0]), *suffix[1:]) if suffix else LossSpec("luml1")
+    name, *suffix = token.split(":")
+    if name in PIXEL_BASES and not suffix:
+        return LossSpec(name)
+    if name != "luml1" or len(suffix) > 2:
+        raise InvalidInputError(f"expected l1, l2 or luml1[:lam[:pixel_base]], got {token!r}")
+    return LossSpec(*suffix[1:], lam=float(suffix[0])) if suffix else LossSpec(lam=1.0)
 
 
 def loss_token(spec: LossSpec) -> str:
     """The shortest token that ``parse_loss`` reads back as ``spec``."""
-    if spec.kind != "luml1" or spec == LossSpec("luml1"):
-        return spec.kind
+    if spec.lam == 0.0 or spec == LossSpec(lam=1.0):
+        return spec.label()
     token = f"luml1:{fmt_float(spec.lam)}"
     return token if spec.pixel_base == "l1" else f"{token}:{spec.pixel_base}"
 
@@ -132,22 +121,10 @@ def luminance_term(pred: np.ndarray, target: np.ndarray) -> LossOutput:
     return LossOutput(value, grayscale_backward(np.sign(d) / m))
 
 
-def luminance_l1_loss(pred: np.ndarray, target: np.ndarray, spec: LossSpec) -> LossOutput:
-    """Pixel loss plus ``spec.lam`` times the luminance term."""
-    if spec.kind != "luml1":
-        raise InvalidInputError(f"luminance_l1_loss needs a 'luml1' spec, got {spec.kind!r}")
-    base_fn = l1_loss if spec.pixel_base == "l1" else l2_loss
-    base = base_fn(pred, target)
+def eval_loss(spec: LossSpec, pred: np.ndarray, target: np.ndarray) -> LossOutput:
+    """The pixel loss, plus ``spec.lam`` times the luminance term unless lam is 0."""
+    base = (l1_loss if spec.pixel_base == "l1" else l2_loss)(pred, target)
     if spec.lam == 0.0:
-        return base  # contract: lam == 0 is bit-identical to the pixel base
+        return base
     lum = luminance_term(pred, target)
     return LossOutput(base.value + spec.lam * lum.value, base.grad + spec.lam * lum.grad)
-
-
-def eval_loss(spec: LossSpec, pred: np.ndarray, target: np.ndarray) -> LossOutput:
-    """Dispatch to the loss selected by ``spec.kind``."""
-    if spec.kind == "l1":
-        return l1_loss(pred, target)
-    if spec.kind == "l2":
-        return l2_loss(pred, target)
-    return luminance_l1_loss(pred, target, spec)

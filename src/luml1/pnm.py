@@ -91,14 +91,14 @@ def save_lumf_bytes(img: Image) -> bytes:
 
 
 def int_line(buf: bytes, pos: int, name: str, what: str) -> tuple[list[int], int, int]:
-    """The integers of the ASCII ``what`` line at byte ``pos``: (values, pos, the byte after its newline)."""
+    """The decimal integers of the ASCII ``what`` line at byte ``pos``: (values, pos, the byte after its newline)."""
     nl = buf.find(b"\n", pos)
     if nl < 0:
         raise FormatError(f"{name}: missing {what} line at byte {pos}")
-    try:
-        return [int(p) for p in buf[pos:nl].split()], pos, nl + 1
-    except ValueError:
-        raise FormatError(f"{name}: non-integer {what} at byte {pos}") from None
+    tokens = buf[pos:nl].split()
+    if not all(t.isdigit() for t in tokens):  # ASCII digits only: int() would also take a sign or an underscore
+        raise FormatError(f"{name}: non-integer {what} at byte {pos}")
+    return [int(t) for t in tokens], pos, nl + 1
 
 
 def payload(buf: bytes, pos: int, need: int, name: str, what: str) -> memoryview:
@@ -132,13 +132,9 @@ def _next_token(buf: bytes, pos: int, name: str) -> tuple[bytes, int, int]:
 
 def _int_token(buf: bytes, pos: int, name: str, what: str) -> tuple[int, int]:
     tok, pos, start = _next_token(buf, pos, name)
-    try:
-        value = int(tok)
-    except ValueError:
-        raise FormatError(f"{name}: invalid {what} {tok!r} at byte {start}") from None
-    if value < 0:
-        raise FormatError(f"{name}: negative {what} at byte {start}")
-    return value, pos
+    if not tok.isdigit():  # ASCII digits only, as in int_line
+        raise FormatError(f"{name}: invalid {what} {tok!r} at byte {start}")
+    return int(tok), pos
 
 
 def _load_ppm(buf: bytes, name: str) -> Image:

@@ -13,6 +13,7 @@ from luml1.checkpoint import load_checkpoint, save_checkpoint
 import luml1.cli as cli
 from luml1.cli import main
 from luml1.dataset import gen_clean, noisy_set
+from luml1.gradcheck import run_gradcheck
 from luml1.net import ConvLayer, TinyNet, build_tinynet
 from luml1.pnm import load_image, save_image
 
@@ -410,6 +411,18 @@ class TestBenchCli:
         assert "a loss token luml1:lam:pixel_base sets it" in capsys.readouterr().err
         assert not csv.exists()
 
+    def test_lam_zero_token_beside_its_pixel_loss_exits_1_before_training(self, tmp_path, capsys, monkeypatch):
+        # luml1:0 is the l1 loss itself, so the two cells would share a label
+        import luml1.bench as bench
+
+        monkeypatch.setattr(bench, "train", _must_not_run)
+        plan = tmp_path / "zero.plan"
+        plan.write_text(self.PLAN.replace("losses=l1\n", "losses=l1,luml1:0\n"))
+        csv = tmp_path / "table.csv"
+        assert main(["bench", "--plan", str(plan), "--csv", str(csv)]) == 1
+        assert "loss labels collide: ['l1', 'l1']" in capsys.readouterr().err
+        assert not csv.exists()
+
     def test_retired_lambda_and_pixel_base_lines_are_no_ops_and_other_values_exit_1(self, tmp_path, capsys, monkeypatch):
         # a loss token sets lam and pixel base; perfbench/eval.plan still holds the two keys' default lines
         eval_plan = (REPO_ROOT / "perfbench" / "eval.plan").read_text()
@@ -623,6 +636,23 @@ class TestExitCodes:
 
     def test_gradcheck_exits_zero(self, capsys):
         assert main(["gradcheck"]) == 0
+
+    def test_gradcheck_keeps_its_checks_names_and_element_counts(self):
+        # the counts follow from each check's seeded inputs, so a moved stream id shows here
+        _, lines = run_gradcheck(9)
+        masked = [re.sub(r"\d\.\d{3}e[-+]\d+", "E", re.sub(r" in [\d.]+s$", " in Ts", line)) for line in lines]
+        assert masked == [
+            "ok   l1                           max_rel_err E (tol 0.0001, 1919 checked, 1 excluded)",
+            "ok   l2                           max_rel_err E (tol 1e-06, 1920 checked, 0 excluded)",
+            "ok   luminance_term               max_rel_err E (tol 0.0001, 1914 checked, 6 excluded)",
+            "ok   luml1(lam=0.5)               max_rel_err E (tol 0.0001, 1910 checked, 10 excluded)",
+            "ok   luml1(lam=1)                 max_rel_err E (tol 0.0001, 1911 checked, 9 excluded)",
+            "ok   luml1(lam=2)                 max_rel_err E (tol 0.0001, 1906 checked, 14 excluded)",
+            "ok   conv_forward/backward        max_rel_err E (tol 1e-05, 131 checked, 0 excluded)",
+            "ok   tinynet end-to-end           max_rel_err E (tol 0.0001, 443 checked, 0 excluded)",
+            "ok   conv adjoint identity        |<Ax,u>-<x,A'u>| = E (tol 1e-09)",
+            "all gradient checks passed in Ts",
+        ]
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_gradcheck_seed_outside_64_bits_exits_1(self, seed, capsys):

@@ -56,7 +56,7 @@ def micro_plan(**overrides) -> Config:
     base = dict(
         sigma_max=(25.0,),
         eval_sigmas=(10.0, 30.0),
-        losses=(LossSpec("l1"), LossSpec("luml1", lam=1.0)),
+        losses=(LossSpec("l1"), LossSpec(lam=1.0)),
         steps=25,
         batch_size=4,
         patch_size=16,
@@ -78,7 +78,7 @@ _sigmas = st.floats(0.0, 100.0, allow_nan=False)
 @st.composite
 def losses(draw):
     lum = st.builds(
-        lambda lam, base: LossSpec("luml1", lam=lam, pixel_base=base),
+        lambda lam, base: LossSpec(base, lam),
         st.floats(0.0, 10.0, allow_nan=False),
         st.sampled_from(["l1", "l2"]),
     )
@@ -154,7 +154,7 @@ class TestPlanFiles:
 
     def test_shipped_fast_plan_matches_preset(self):
         # the desk-scale preset: l1 against luml1 under the benchmark seed, every other value a default
-        assert load_plan(FAST_PLAN) == Config(losses=(LossSpec("l1"), LossSpec("luml1")), seed=909)
+        assert load_plan(FAST_PLAN) == Config(losses=(LossSpec("l1"), LossSpec(lam=1.0)), seed=909)
 
     def test_shipped_full_plan_matches_preset(self):
         # the two training noise ceilings of the reference table layout, with more steps
@@ -175,7 +175,7 @@ class TestPlanFiles:
         assert sorted(key for key, _ in CONFIG_KEYS) == sorted(f.name for f in fields(Config))
 
     def test_negative_zero_is_written_as_zero(self):
-        assert parse_loss("luml1:-0").label() == "luml1-0"
+        assert parse_loss("luml1:-0").label() == "l1"  # lam 0 is the pixel loss itself
         a, b = (parse_config(f"sigma_max={v}\neval_sigmas={v},5\nlosses=luml1:{v}\n") for v in ("-0", "0"))
         assert format_config(a) == format_config(b)
 
@@ -270,6 +270,11 @@ class TestPlanFiles:
             text = path.read_text()
             assert format_config(parse_config(text)) == text, path.name
 
+    def test_mixed_loss_plan_keeps_its_config_hash(self):
+        plan = parse_config("losses=l2,l1,luml1,luml1:1:l2,luml1:0.5:l2,luml1:0.5\n")
+        assert [s.label() for s in plan.losses] == ["l2", "l1", "luml1", "luml1-l2", "luml1-0.5-l2", "luml1-0.5"]
+        assert fnv1a64(format_config(plan).encode()) == 0x1E405D666AD5E41C
+
     def test_nearby_learning_rates_hash_differently(self):
         base = load_plan(FAST_PLAN)
         a, b = (replace(base, lr=lr) for lr in (1.2345678e-4, 1.23457e-4))
@@ -296,11 +301,11 @@ class TestPlanFiles:
         # on eval.plan with seed=<n> appended: a codec change must not move what either run computes
         perfbench = REPO_ROOT / "perfbench"
         cfg = load_plan(perfbench / "train.cfg", {"losses": "luml1", "seed": "6"})
-        assert cfg == Config(sigma_max=(25.0,), losses=(LossSpec("luml1"),), steps=250, batch_size=8, lr=0.001,
+        assert cfg == Config(sigma_max=(25.0,), losses=(LossSpec(lam=1.0),), steps=250, batch_size=8, lr=0.001,
                              seed=6, patch_size=32, corpus_count=64, corpus_size=(40, 40))
         plan = parse_config((perfbench / "eval.plan").read_text() + "seed=8\n")
         assert plan == Config(
-            sigma_max=(25.0,), eval_sigmas=tuple(float(s) for s in range(5, 80, 5)), losses=(LossSpec("luml1"),),
+            sigma_max=(25.0,), eval_sigmas=tuple(float(s) for s in range(5, 80, 5)), losses=(LossSpec(lam=1.0),),
             steps=200, batch_size=8, lr=0.001, seed=8, patch_size=16, corpus_count=64, corpus_size=(40, 40),
             eval_count=48, eval_size=(40, 40), hidden_channels=16, hidden_depth=3,
         )
@@ -419,7 +424,7 @@ class TestRunBench:
     def test_cells_beside_a_failed_cell_stop_at_their_next_step(self, monkeypatch):
         # the l1 cell diverges at step 1; the luml1 cell beside it would train for minutes
         def l1_diverges(cfg, **kwargs):
-            return train(replace(cfg, lr=1e300) if cfg.losses[0].kind == "l1" else cfg, **kwargs)
+            return train(replace(cfg, lr=1e300) if cfg.losses[0] == LossSpec("l1") else cfg, **kwargs)
 
         monkeypatch.setattr(luml1.bench, "train", l1_diverges)
         monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)

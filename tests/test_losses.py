@@ -11,7 +11,6 @@ from luml1.losses import (
     l1_loss,
     l2_loss,
     loss_token,
-    luminance_l1_loss,
     luminance_term,
     parse_loss,
 )
@@ -102,48 +101,43 @@ class TestLuminanceTerm:
 class TestCombinedLoss:
     def test_lambda_zero_is_bit_identical_to_pixel_base(self):
         pred, target = rand_pair(4)
-        combined = luminance_l1_loss(pred, target, LossSpec("luml1", lam=0.0))
+        combined = eval_loss(LossSpec(lam=0.0), pred, target)
         base = l1_loss(pred, target)
         assert combined.value == base.value
         assert np.array_equal(combined.grad, base.grad)
 
     def test_hand_value_single_pixel(self):
-        out = luminance_l1_loss(one_pixel(1, 0, 0), one_pixel(0, 0, 0), LossSpec("luml1", lam=1.0))
+        out = eval_loss(LossSpec(lam=1.0), one_pixel(1, 0, 0), one_pixel(0, 0, 0))
         assert abs(out.value - (1.0 / 3.0 + 0.2989)) < 1e-12
 
     def test_identical_inputs(self):
         a, _ = rand_pair(5)
-        out = luminance_l1_loss(a, a, LossSpec("luml1"))
+        out = eval_loss(LossSpec(lam=1.0), a, a)
         assert out.value == 0.0 and np.all(out.grad == 0.0)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
     def test_additivity(self, lam):
         pred, target = rand_pair(6)
-        spec = LossSpec("luml1", lam=lam)
-        combined = luminance_l1_loss(pred, target, spec)
+        spec = LossSpec(lam=lam)
+        combined = eval_loss(spec, pred, target)
         expected = l1_loss(pred, target).value + lam * luminance_term(pred, target).value
         assert abs(combined.value - expected) < 1e-12
 
     def test_l2_pixel_base(self):
         pred, target = rand_pair(7)
-        spec = LossSpec("luml1", lam=0.5, pixel_base="l2")
-        combined = luminance_l1_loss(pred, target, spec)
+        spec = LossSpec("l2", 0.5)
+        combined = eval_loss(spec, pred, target)
         expected = l2_loss(pred, target).value + 0.5 * luminance_term(pred, target).value
         assert abs(combined.value - expected) < 1e-12
 
-    def test_wrong_kind_rejected(self):
-        pred, target = rand_pair(8)
-        with pytest.raises(InvalidInputError):
-            luminance_l1_loss(pred, target, LossSpec("l1"))
-
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_gradient_matches_finite_differences(self, lam):
-        result = check_loss_gradient(LossSpec("luml1", lam=lam), seed=5)
+        result = check_loss_gradient(LossSpec(lam=lam), seed=5)
         assert result.ok, result.line()
 
 
 class TestLossProperties:
-    KINDS = [LossSpec("l1"), LossSpec("l2"), LossSpec("luml1", lam=1.0)]
+    KINDS = [LossSpec("l1"), LossSpec("l2"), LossSpec(lam=1.0)]
 
     @pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.label())
     def test_value_symmetry(self, spec):
@@ -174,9 +168,8 @@ class TestLossProperties:
 class TestBatch:
     """A (B, H, W, 3) batch's loss is the mean of its items' losses, and its gradient is theirs divided by B."""
 
-    SPECS = [LossSpec("l1"), LossSpec("l2"), LossSpec("luml1", 0.0), LossSpec("luml1", 0.5), LossSpec("luml1", 2.0),
-             LossSpec("luml1", 0.5, "l2")]
-    LOSSES = [pytest.param(partial(eval_loss, spec), id=spec.label()) for spec in SPECS]
+    TOKENS = ["l1", "l2", "luml1:0", "luml1:0.5", "luml1:2", "luml1:0.5:l2"]
+    LOSSES = [pytest.param(partial(eval_loss, parse_loss(token)), id=token.replace(":", "-")) for token in TOKENS]
     LOSSES += [pytest.param(luminance_term, id="luminance_term")]
 
     @pytest.mark.parametrize("loss", LOSSES)
@@ -195,8 +188,8 @@ class TestEvalLossDispatch:
         pred, target = rand_pair(9)
         assert eval_loss(LossSpec("l1"), pred, target).value == l1_loss(pred, target).value
         assert eval_loss(LossSpec("l2"), pred, target).value == l2_loss(pred, target).value
-        spec = LossSpec("luml1", lam=1.0)
-        assert eval_loss(spec, pred, target).value == luminance_l1_loss(pred, target, spec).value
+        spec = LossSpec(lam=1.0)
+        assert eval_loss(spec, pred, target).value == l1_loss(pred, target).value + luminance_term(pred, target).value
 
     def test_unknown_kind_rejected_at_spec(self):
         with pytest.raises(InvalidInputError):
@@ -204,22 +197,16 @@ class TestEvalLossDispatch:
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(InvalidInputError):
-            LossSpec("luml1", lam=-1.0)
+            LossSpec(lam=-1.0)
         for lam in (float("inf"), float("nan")):
             with pytest.raises(InvalidInputError):
-                LossSpec("luml1", lam=lam)
-
-    @pytest.mark.parametrize("kwargs", [dict(kind="l2", pixel_base="l2"), dict(kind="l1", lam=0.5)])
-    def test_plain_loss_rejects_a_lam_or_pixel_base(self, kwargs):
-        # an l1 or l2 spec with either would share its label with the default spec
-        with pytest.raises(InvalidInputError, match="takes no lam or pixel_base"):
-            LossSpec(**kwargs)
+                LossSpec(lam=lam)
 
 
 class TestFloat32:
     def test_float32_batch_gets_a_float32_loss_and_gradient(self):
         a, b = (x.astype(np.float32) for x in rand_pair(41, 8, 8))
-        for spec in (LossSpec("l1"), LossSpec("l2"), LossSpec("luml1"), LossSpec("luml1", 0.5, "l2")):
+        for spec in (LossSpec("l1"), LossSpec("l2"), LossSpec(lam=1.0), LossSpec("l2", 0.5)):
             assert eval_loss(spec, a, b).grad.dtype == np.float32, spec.label()
 
     def test_float32_luminance_term_is_close_to_float64(self):
@@ -230,21 +217,26 @@ class TestFloat32:
 
 
 class TestLossTokens:
-    SPECS = [LossSpec("l1"), LossSpec("l2"), LossSpec("luml1"), LossSpec("luml1", 0.5),
-             LossSpec("luml1", pixel_base="l2"), LossSpec("luml1", 1.0000001, "l2")]
+    SPECS = [LossSpec("l1"), LossSpec("l2"), LossSpec(lam=1.0), LossSpec(lam=0.5),
+             LossSpec("l2", 1.0), LossSpec("l2", 1.0000001)]
 
-    # the two specs a bare luml1 token could once mean; now it means LossSpec("luml1") alone
-    @pytest.mark.parametrize("default", [LossSpec("luml1"), LossSpec("luml1", 0.5, "l2")])
+    # the two specs a bare luml1 token could once mean; now it means LossSpec(lam=1.0) alone
+    @pytest.mark.parametrize("default", [LossSpec(lam=1.0), LossSpec("l2", 0.5)])
     def test_token_reads_back_as_its_spec(self, default):
         for spec in self.SPECS + [default]:
             assert parse_loss(loss_token(spec)) == spec
-        assert (loss_token(default) == "luml1") == (default == LossSpec("luml1"))
+        assert (loss_token(default) == "luml1") == (default == LossSpec(lam=1.0))
 
     def test_shortest_token(self):
         # a bare luml1 is lam 1 on an L1 base
-        assert parse_loss("luml1") == LossSpec("luml1")
+        assert parse_loss("luml1") == LossSpec(lam=1.0)
         assert loss_token(LossSpec("l2")) == "l2"
-        assert loss_token(LossSpec("luml1")) == "luml1"
-        assert loss_token(LossSpec("luml1", 0.5)) == "luml1:0.5"
-        assert loss_token(LossSpec("luml1", 1.0, "l2")) == "luml1:1:l2"
-        assert loss_token(LossSpec("luml1", 0.5, "l2")) == "luml1:0.5:l2"
+        assert loss_token(LossSpec(lam=1.0)) == "luml1"
+        assert loss_token(LossSpec(lam=0.5)) == "luml1:0.5"
+        assert loss_token(LossSpec("l2", 1.0)) == "luml1:1:l2"
+        assert loss_token(LossSpec("l2", 0.5)) == "luml1:0.5:l2"
+
+    @pytest.mark.parametrize("token,base", [("luml1:0", "l1"), ("luml1:-0", "l1"), ("luml1:0:l2", "l2")])
+    def test_lam_zero_token_is_its_pixel_loss(self, token, base):
+        spec = parse_loss(token)
+        assert spec == LossSpec(base) and spec.label() == loss_token(spec) == base

@@ -124,7 +124,7 @@ print(json.dumps(tracer.metrics()))
 
 
 def test_benchmark_tracer_times_a_bench_cell_scored_from_its_checkpoint(tmp_path):
-    # steps=0 leaves every forward pass to scoring, so the layer times come from the net parsed back from its checkpoint bytes
+    # steps=0 leaves every forward pass to scoring, so the layer times come from scoring the net its checkpoint holds
     result = subprocess.run(
         [sys.executable, "-c", TRACED_BENCH, str(tmp_path)],
         cwd=REPO_ROOT / "perfbench",

@@ -150,6 +150,17 @@ class TestFraming:
             load(path)
         assert str(info.value).startswith(f"{path}: ")
 
+    # (a header line of each format's valid file, that line with a sign and an underscore, which int() reads)
+    SIGNED = {"PPM": (b"5 3\n", b"+5 0_3\n"), "LUMF1": (b"3 5 3\n", b"0_3 +5 3\n"), "LUMNET1": (b"2 1\n", b"+2 0_1\n")}
+
+    @pytest.mark.parametrize("fmt", ["PPM", "LUMF1", "LUMNET1"])
+    def test_header_integer_with_a_sign_or_underscore_rejected(self, tmp_path, fmt):
+        data, _, load, suffix = _framed(fmt)
+        line, signed = self.SIGNED[fmt]
+        path = write(tmp_path, f"a.{suffix}", data.replace(line, signed, 1))
+        with pytest.raises(FormatError, match=f"at byte {data.index(line)}") as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 class TestDispatch:
     def test_unknown_magic(self, tmp_path):

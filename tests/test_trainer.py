@@ -86,7 +86,7 @@ class TestTrainLoop:
             adam_step(params, grads, state, lr, **kw)
 
         monkeypatch.setattr(luml1.trainer, "adam_step", recording_adam)
-        net, _ = train(small_config(loss=LossSpec("luml1"), steps=3))
+        net, _ = train(small_config(loss=LossSpec(lam=1.0), steps=3))
         assert len(states) == 3 and states[0].t == 3
         for arr in (net.theta, states[0].m, states[0].v):
             assert arr.dtype == np.float32
@@ -139,7 +139,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(luml1.trainer, "build_tinynet", recording_build)
         net_a, _ = train(small_config(loss=LossSpec("l1")))
-        net_b, _ = train(small_config(loss=LossSpec("luml1", lam=1.0)))
+        net_b, _ = train(small_config(loss=LossSpec(lam=1.0)))
         assert len(inits) == 2 and inits[0] == inits[1]  # same init
         assert checkpoint_bytes(net_a) != checkpoint_bytes(net_b)
 
@@ -250,7 +250,7 @@ class TestTypeBoundary:
         return built
 
     def test_train_builds_only_the_corpus(self, monkeypatch):
-        cfg = small_config(loss=LossSpec("luml1"), steps=5, batch_size=2)
+        cfg = small_config(loss=LossSpec(lam=1.0), steps=5, batch_size=2)
         built = self.count_images(monkeypatch)
         train(cfg)
         assert len(built) == cfg.corpus_count
