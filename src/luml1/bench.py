@@ -15,8 +15,8 @@ Fairness and reproducibility rules:
   holds bit for bit, so a saved checkpoint reproduces the reported numbers
   exactly;
 * cells train, and eval sigmas are scored, as tasks on a pool of worker
-  threads; each task owns its random streams and the report is assembled
-  in plan order, so the worker count changes no output byte;
+  threads; each cell and each sigma owns its random streams and the report
+  is assembled in plan order, so the worker count changes no output byte;
 * the CSV contains no timestamps, so identical plans give byte-identical
   files. Wall-clock lives only on the in-memory report.
 
@@ -34,11 +34,12 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dataset import MIN_IMAGE_SIZE, check_sigmas, gen_clean, noisy_set
+from .dataset import MIN_IMAGE_SIZE, check_sigmas, gen_clean, noisy_chunk
 from .errors import InvalidInputError
 from .fnv import fnv1a64
 from .image import Image
@@ -46,7 +47,7 @@ from .losses import LossSpec, fmt_float, loss_token, parse_loss
 from .net import TinyNet, net_forward
 from .pnm import load_image, save_image
 from .rng import check_seed, eval_seed
-from .trainer import mean_scores, train
+from .trainer import score_chunks, train
 
 
 @dataclass(frozen=True)
@@ -117,14 +118,16 @@ def usable_cpus() -> int:
 def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
     """Train and evaluate every (loss, sigma_max) cell of the plan on a pool of usable_cpus() threads.
 
-    Every cell trains as one task, then every eval sigma is scored as one
-    task: its noisy set is made, and the noisy input and each cell's net are
-    scored on it, so a noisy set lives only while it is scored. Each cell
-    and each sigma owns its random streams, so the report is the same for
-    any worker count. Checkpoints are saved in plan order as the cells
-    finish. If cells fail, the error of the first failing cell in plan order is
-    raised, no later cell's checkpoint is saved, and the cells after it stop at
-    their next step (on Ctrl-C, every cell does).
+    Every cell trains as one task, then each worker scores every
+    usable_cpus()-th eval sigma as one task, reusing one workspace per net:
+    a sigma's noisy images are made a chunk at a time, and the noisy input
+    and each cell's net are scored on the chunk, so a noisy chunk lives only
+    while it is scored. Each cell and each sigma owns its random streams, so
+    the report is the same for any worker count. Checkpoints are saved in
+    plan order as the cells finish. If cells fail, the error of the first
+    failing cell in plan order is raised, no later cell's checkpoint is
+    saved, and the cells after it stop at their next step (on Ctrl-C, every
+    cell does).
     """
     # imported here: `luml1 train` loads this module but starts no pool, and the
     # import (logging with it) would add 0.6 MB to its peak RSS
@@ -148,8 +151,13 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
             abandoned[i] = True
             raise
 
-    with ThreadPoolExecutor(usable_cpus()) as pool:
-        nets = []
+    workers, n, nets = usable_cpus(), len(plan.eval_sigmas), []
+
+    def score_sigmas(w: int) -> list:  # sigmas w, w + workers, ...: one set of workspaces for all of them
+        wss = [None] * (len(nets) + 1)
+        return [score_sigma(nets, clean, plan.eval_sigmas, plan.seed, si, wss) for si in range(w, n, workers)]
+
+    with ThreadPoolExecutor(workers) as pool:
         try:
             for (loss, sigma_max), net in zip(grid, pool.map(train_cell, range(len(grid)))):  # in plan order
                 if ckpt_dir is not None:
@@ -157,14 +165,16 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
                 nets.append(net)
         finally:  # after a failed cell, Ctrl-C or a failed save, the cells still training stop at their next step
             abandoned[:] = [True] * len(grid)
-        rows = list(pool.map(lambda si: score_sigma(nets, clean, plan.eval_sigmas, plan.seed, si), range(len(plan.eval_sigmas))))
+        parts = list(pool.map(score_sigmas, range(workers)))
+    rows = [parts[si % workers][si // workers] for si in range(n)]
     return BenchReport(plan, rows, wall_clock_s=time.perf_counter() - t_start)
 
 
-def score_sigma(nets: list[TinyNet], clean: list[Image], sigmas: tuple[float, ...], seed: int, si: int) -> list[tuple[float, float]]:
-    """Mean (PSNR, SSIM) of the noisy input, then of each net, at ``sigmas[si]``, noised from run seed ``seed``."""
-    noisy = noisy_set(clean, sigmas[si], eval_seed(seed), si)
-    return [mean_scores(net, noisy, clean) for net in (None, *nets)]
+def score_sigma(nets: list[TinyNet], clean: list[Image], sigmas: tuple[float, ...], seed: int, si: int, wss=None) -> list:
+    """Mean (PSNR, SSIM) of the noisy input, then of each net, at ``sigmas[si]``, noised from run seed ``seed``, by
+    score_chunks in ``wss``: a workspace list like (None, *nets), kept for the next call (fresh if None)."""
+    noisy_of = partial(noisy_chunk, sigma_255=sigmas[si], seed=eval_seed(seed), level=si)
+    return score_chunks([None, *nets], clean, noisy_of, wss or [None] * (len(nets) + 1))
 
 
 def parse_sigmas(text: str) -> tuple[float, ...]:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .image import Image
 from .losses import fmt_float
-from .rng import DOMAIN_BATCH, DOMAIN_CLEAN, DOMAIN_EVAL_NOISE, normal, stream
+from .rng import DOMAIN_BATCH, DOMAIN_CLEAN, DOMAIN_EVAL_NOISE, box_muller, normal, stream
 
 # The smallest height and width of a generated image; it holds the 11x11 SSIM
 # window. Corpus and eval sizes are checked against it when a train config or
@@ -88,16 +88,27 @@ def _gen_one(rng: np.random.Generator, h: int, w: int) -> Image:
 def noisy_set(
     clean: list[Image], sigma_255: float, seed: int, level: int = 0, domain: int = DOMAIN_EVAL_NOISE
 ) -> list[Image]:
-    """Unclamped noisy copies of ``clean`` at one noise level; ``sigma_255`` is not checked here.
+    """The noisy_chunk of each image of ``clean`` alone, as Images."""
+    return [Image(noisy_chunk(im.data[None], sigma_255, seed, level, j, domain)[0]) for j, im in enumerate(clean)]
 
-    Image j draws its noise from the (seed, domain, level, j) stream, where
-    ``level`` is the noise level's index in the evaluation's sigma list, so
-    every (level, image) pair has its own realization.
+
+def noisy_chunk(
+    clean: np.ndarray, sigma_255: float, seed: int, level: int, first: int = 0, domain: int = DOMAIN_EVAL_NOISE
+) -> np.ndarray:
+    """Unclamped noisy copies of a (k, H, W, C) stack of images at one noise level; ``sigma_255`` is not checked here.
+
+    Image j draws its noise from the (seed, domain, level, first + j) stream, where ``level`` is the noise level's
+    index in the evaluation's sigma list, so every (level, image) pair has its own realization, in any chunking. The
+    streams fill one array of uniforms, which one Box-Muller pass turns into noise.
     """
-    return [
-        Image(im.data + normal(stream(seed, domain, level, j), im.data.shape, sigma_255 / 255.0))
-        for j, im in enumerate(clean)
-    ]
+    k, n = len(clean), clean[0].size
+    u = np.empty((k, 2, (n + 1) // 2))
+    for j in range(k):
+        stream(seed, domain, level, first + j).random(out=u[j])  # as rng.normal draws them
+    noisy = clean + (sigma_255 / 255.0 * box_muller(u, n)).reshape(clean.shape)
+    if not np.all(np.isfinite(noisy)):
+        raise InvalidInputError("noisy image data contains NaN or Inf")
+    return noisy
 
 
 def _draw_patch_params(

@@ -5,7 +5,9 @@ Gaussian-weighted local statistics over every fully-contained window (no
 padding) and averages the per-window scores; 3-channel inputs are first
 projected to luminance. The window is separable, so each of the five local
 means is two matrix products with read-only band matrices of the 11 taps,
-one per image side, built once per side length.
+one per image side, built once per side length. ``psnrs`` and ``ssims``
+score a stack of images, each image bit for bit as ``psnr`` and ``ssim``
+score it alone, which they do through them.
 """
 
 from __future__ import annotations
@@ -46,10 +48,15 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     Identical images return positive infinity rather than raising, so
     callers can rank perfect reconstructions.
     """
-    m = mse(a, b)
-    if m == 0.0:
-        return math.inf
-    return 10.0 * math.log10(1.0 / m)
+    _check_pair(a, b)
+    return float(psnrs(a[None], b[None])[0])
+
+
+def psnrs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """psnr of each pair of images of two (k, H, W, C) stacks of one shape."""
+    d = a - b
+    mses = np.square(d, out=d).reshape(len(d), -1).mean(axis=1)  # a row sums as its image's whole mean does
+    return np.array([10.0 * math.log10(1.0 / m) if m else math.inf for m in mses.tolist()])  # libm's log10
 
 
 @lru_cache
@@ -70,23 +77,31 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     windows fully inside the image contribute (valid region, no padding).
     """
     _check_pair(a, b)
-    if a.shape[2] == 3:
+    return float(ssims(a[None], b[None])[0])
+
+
+def ssims(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ssim of each pair of images of two (k, H, W, C) stacks of one shape; each image has band products of its own."""
+    if a.shape[3] == 3:
         a, b = to_grayscale(a), to_grayscale(b)
-    x, y = a[:, :, 0], b[:, :, 0]
+    x, y = a[..., 0], b[..., 0]
+    k, h, w = x.shape
     n = SSIM_WINDOW
-    if x.shape[0] < n or x.shape[1] < n:
-        raise InvalidInputError(f"image {x.shape} smaller than the {n}x{n} SSIM window")
+    if h < n or w < n:
+        raise InvalidInputError(f"image {(h, w)} smaller than the {n}x{n} SSIM window")
 
     # each local mean is the separable window, Bh.T @ (S @ Bw), with the five maps of S side by side in every row
-    h, w = x.shape
-    maps = np.empty((h, 5, w), np.result_type(x, y))  # x, y, x*x, y*y, x*y
-    maps[:, 0], maps[:, 1], maps[:, 4] = x, y, x * y
-    np.multiply(maps[:, :2], maps[:, :2], out=maps[:, 2:4])
-    rows = maps.reshape(5 * h, w) @ _band(w)
-    means = np.empty((5, h - n + 1, w - n + 1))  # mu_x, mu_y, E[xx], E[yy], E[xy], each contiguous
-    np.copyto(means.transpose(1, 0, 2), (_band(h).T @ rows.reshape(h, -1)).reshape(h - n + 1, 5, w - n + 1))
+    maps = np.empty((k, h, 5, w), np.result_type(x, y))  # x, y, x*x, y*y, x*y
+    maps[:, :, 0], maps[:, :, 1], maps[:, :, 4] = x, y, x * y
+    np.multiply(maps[:, :, :2], maps[:, :, :2], out=maps[:, :, 2:4])
+    del a, b, x, y  # each input freed once read: a large free at the heap's top is given back and faulted in again
+    rows = np.matmul(maps.reshape(k, 5 * h, w), _band(w))
+    del maps
+    # mu_x, mu_y, E[xx], E[yy], E[xy], each a (k, h - n + 1, w - n + 1) view
+    means = np.matmul(_band(h).T, rows.reshape(k, h, -1)).reshape(k, h - n + 1, 5, -1).transpose(2, 0, 1, 3)
+    del rows
     sq, mu_xy = means[:2] * means[:2], means[0] * means[1]
     var, cov = means[2:4] - sq, means[4] - mu_xy
     c1, c2 = SSIM_C1, SSIM_C2
     score = ((2.0 * mu_xy + c1) * (2.0 * cov + c2)) / ((sq[0] + sq[1] + c1) * (var[0] + var[1] + c2))
-    return float(score.sum() / score.size)  # the mean
+    return score.reshape(k, -1).sum(axis=1) / score[0].size  # the means

@@ -51,11 +51,15 @@ def stream(seed: int, *ids: int) -> np.random.Generator:
 def normal(rng: np.random.Generator, shape: tuple[int, ...], sigma: float) -> np.ndarray:
     """Gaussian deviates via Box-Muller on the stream's uniforms."""
     n = math.prod(shape)
-    m = (n + 1) // 2
-    r = np.sqrt(-2.0 * np.log(1.0 - rng.random(m)))  # 1 - u lies in (0, 1], so the log is finite
-    theta = 2.0 * np.pi * rng.random(m)
-    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-    return (sigma * z).reshape(shape)  # sigma 1 changes no bit
+    return (sigma * box_muller(rng.random((2, (n + 1) // 2)), n)).reshape(shape)  # sigma 1 changes no bit
+
+
+def box_muller(u: np.ndarray, n: int) -> np.ndarray:
+    """The first n standard deviates of each stream in ``u``, (..., 2, m) uniforms whose [..., 0, :] are a stream's
+    first m draws and [..., 1, :] its next m. Elementwise, so each stream's are as if it were transformed alone."""
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., 0, :]))  # 1 - u lies in (0, 1], so the log is finite
+    theta = 2.0 * np.pi * u[..., 1, :]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]
 
 
 def check_seed(seed: int) -> int:

@@ -390,7 +390,7 @@ class TestBenchCli:
         # patch_size 8 fits a 12x12 corpus, so only the image-size floor rejects it
         import luml1.bench as bench
 
-        monkeypatch.setattr(bench, "mean_scores", _must_not_run)
+        monkeypatch.setattr(bench, "score_chunks", _must_not_run)
         kept = [ln for ln in self.PLAN.splitlines() if not ln.startswith(("corpus_size=", "patch_size="))]
         plan = tmp_path / "small.plan"
         plan.write_text("\n".join(kept + ["corpus_size=12x12", "patch_size=8"]) + "\n")

@@ -10,10 +10,11 @@ from luml1.dataset import (
     _draw_patch_params,
     gen_clean,
     make_blind_batches,
+    noisy_chunk,
     noisy_set,
 )
 from luml1.errors import InvalidInputError
-from luml1.rng import DOMAIN_BATCH, DOMAIN_TRAIN_CLEAN, eval_seed, normal, stream
+from luml1.rng import DOMAIN_BATCH, DOMAIN_EVAL_NOISE, DOMAIN_TRAIN_CLEAN, eval_seed, normal, stream
 
 from conftest import rand_image
 from oracles import ks_statistic_uniform
@@ -86,6 +87,18 @@ class TestAddNoise:
         # noisy_set does not check sigma; every caller (gen, eval, bench) runs this check first
         with pytest.raises(InvalidInputError):
             check_sigmas("sigma", (-1.0,))
+
+    def test_a_chunk_is_its_images_noised_alone(self):
+        # one Box-Muller pass over the stacked streams gives each image the noise rng.normal gives it alone
+        clean = gen_clean(7, 5, 17, 19)  # 17*19*3 deviates: odd, so each stream's last one is dropped
+        alone = [im.data + normal(stream(9, DOMAIN_EVAL_NOISE, 3, j), im.data.shape, 37.5 / 255.0) for j, im in enumerate(clean)]
+        for a, b in ((0, 4), (1, 5), (2, 3)):
+            chunk = noisy_chunk(np.stack([im.data for im in clean[a:b]]), 37.5, 9, 3, first=a)
+            assert np.array_equal(chunk, np.stack(alone[a:b]))
+
+    def test_non_finite_chunk_rejected(self):
+        with pytest.raises(InvalidInputError, match="NaN or Inf"):
+            noisy_chunk(np.full((2, 16, 16, 3), np.nan), 25.0, 1, 0)
 
     def test_output_not_clamped(self):
         img = gen_clean(8, 1, 32, 32)[0]

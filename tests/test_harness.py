@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import luml1.bench
+import luml1.dataset
 import luml1.trainer
 from luml1.bench import (
     CONFIG_KEYS,
@@ -33,7 +34,7 @@ from luml1.losses import LossSpec, parse_loss
 from luml1.metrics import psnr
 from luml1.net import ConvLayer, TinyNet
 from luml1.pnm import load_image, save_image
-from luml1.rng import eval_seed
+from luml1.rng import DOMAIN_EVAL_NOISE, eval_seed
 from luml1.trainer import mean_scores, train
 
 from conftest import rand_image
@@ -488,13 +489,20 @@ class TestRunBench:
 
     def test_noisy_sets_are_made_per_sigma_after_training(self, monkeypatch):
         made = []
-        noisy_set = luml1.bench.noisy_set
+        stream = luml1.dataset.stream
         train = luml1.bench.train
-        monkeypatch.setattr(luml1.bench, "noisy_set", lambda *a: made.append(a[3]) or noisy_set(*a))
+
+        def eval_noise_stream(seed, *ids):  # (DOMAIN_EVAL_NOISE, sigma index, image index): one test image's noise
+            if ids[0] == DOMAIN_EVAL_NOISE:
+                made.append(ids[1])
+            return stream(seed, *ids)
+
+        monkeypatch.setattr(luml1.dataset, "stream", eval_noise_stream)
         monkeypatch.setattr(luml1.bench, "train", lambda cfg, **kw: made.append("train") or train(cfg, **kw))
         monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
-        run_bench(micro_plan(steps=1))
-        assert made[:2] == ["train", "train"] and sorted(made[2:]) == [0, 1]
+        plan = micro_plan(steps=1)
+        run_bench(plan)
+        assert made[:2] == ["train", "train"] and sorted(made[2:]) == [0] * plan.eval_count + [1] * plan.eval_count
 
     def test_training_uses_train_domain_and_eval_uses_eval_domain(self, micro_report, monkeypatch):
         plan = micro_report.plan

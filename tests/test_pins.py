@@ -4,14 +4,19 @@ Corpora, patch streams and noisy sets involve no BLAS call, so they hold on
 any IEEE-754 machine. Of the trained outputs only the micro bench's CSV is
 pinned: it was identical under the SkylakeX, Haswell, Sandybridge and
 Katmai kernels of OpenBLAS, while its checkpoints differed between them.
+The same holds for the micro bench at 7 eval images, which are scored in
+chunks of 4 and 3, and for ``luml1 eval`` of its luml1 checkpoint over two
+image sizes (SkylakeX, Haswell and Sandybridge).
 A change that moves these bytes on purpose updates the digests and says so.
 """
 
 import numpy as np
+import pytest
 
 from luml1.cli import main
 from luml1.dataset import gen_clean, make_blind_batches, noisy_set
 from luml1.fnv import fnv1a64
+from luml1.pnm import save_image
 from luml1.rng import DOMAIN_TRAIN_CLEAN, eval_seed
 
 MICRO_PLAN = (
@@ -48,3 +53,29 @@ def test_micro_bench_csv(tmp_path, capsys):
     plan.write_text(MICRO_PLAN)
     assert main(["bench", "--plan", str(plan), "--csv", str(tmp_path / "table.csv")]) == 0
     assert f"{fnv1a64((tmp_path / 'table.csv').read_bytes()):016x}" == "37e65baf7ad7936a"
+
+
+@pytest.fixture(scope="module")
+def micro_run_of_seven(tmp_path_factory):
+    """The directory of a micro bench run at 7 eval images: its table.csv and its checkpoints in ckpt/."""
+    out = tmp_path_factory.mktemp("micro7")
+    (out / "micro.plan").write_text(MICRO_PLAN.replace("eval_count=4", "eval_count=7"))
+    argv = ["bench", "--plan", str(out / "micro.plan"), "--csv", str(out / "table.csv"), "--ckpt-dir", str(out / "ckpt")]
+    assert main(argv) == 0
+    return out
+
+
+def test_micro_bench_csv_with_a_remainder_chunk(micro_run_of_seven):
+    assert f"{fnv1a64((micro_run_of_seven / 'table.csv').read_bytes()):016x}" == "aa7f270dfca42c6e"
+
+
+def test_eval_csv_over_two_image_sizes(micro_run_of_seven, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for prefix, images in (("a", gen_clean(3, 3, 16, 20)), ("b", gen_clean(4, 2, 24, 18))):
+        for i, im in enumerate(images):
+            save_image(im, data / f"{prefix}{i}.lumf")
+    ckpt, csv = micro_run_of_seven / "ckpt" / "luml1_25.ckpt", tmp_path / "eval.csv"
+    argv = ["eval", "--ckpt", str(ckpt), "--data", str(data), "--sigmas", "10,30,50", "--seed", "5", "--csv", str(csv)]
+    assert main(argv) == 0
+    assert f"{fnv1a64(csv.read_bytes()):016x}" == "6fe498a13eb1c923"

@@ -10,11 +10,11 @@ from luml1.dataset import gen_clean, noisy_set
 from luml1.errors import InvalidInputError, NumericalError
 from luml1.image import Image
 from luml1.losses import LossSpec
-from luml1.metrics import psnr, ssim
-from luml1.net import build_tinynet
+from luml1.metrics import psnr, psnrs, ssim, ssims
+from luml1.net import build_tinynet, net_forward
 from luml1.rng import DOMAIN_EVAL_NOISE, eval_seed, normal, stream
 from luml1.bench import Config
-from luml1.trainer import AdamState, adam_step, mean_scores, train
+from luml1.trainer import AdamState, adam_step, mean_scores, score_chunks, train
 
 
 def small_config(loss=LossSpec("l1"), sigma_max=25.0, **overrides) -> Config:
@@ -276,38 +276,55 @@ def recording(fn, into: list):
 
 class TestScoringWorkspace:
     @staticmethod
-    def pair_scores(monkeypatch, net, noisy, clean) -> list[tuple[float, float]]:
-        """(PSNR, SSIM) of every pair, in the order mean_scores scores them."""
+    def pair_scores(monkeypatch, net, noisy, clean, wss) -> list[tuple[float, float]]:
+        """(PSNR, SSIM) of every pair, in the order score_chunks scores them, in the workspaces ``wss``."""
         ps, ss = [], []
-        monkeypatch.setattr(luml1.trainer, "psnr", recording(psnr, ps))
-        monkeypatch.setattr(luml1.trainer, "ssim", recording(ssim, ss))
-        mean_scores(net, noisy, clean)
-        return list(zip(ps, ss))
+        monkeypatch.setattr(luml1.trainer, "psnrs", recording(psnrs, ps))
+        monkeypatch.setattr(luml1.trainer, "ssims", recording(ssims, ss))
+        score_chunks([net], clean, lambda c, first: np.stack([n.data for n in noisy[first : first + len(c)]]), wss)
+        return list(zip(np.concatenate(ps).tolist(), np.concatenate(ss).tolist()))
 
     def test_order_and_fresh_workspaces_give_identical_pair_scores(self, monkeypatch):
+        # 7 images of two sizes go in chunks of 4, 1 and 2, reversed in chunks of 2, 4 and 1; the reversed run
+        # starts in the workspace the forward run left, so stale buffer values would show
         net = build_tinynet(23, 16, 3)
         net.layers[-1].kernels *= 300.0  # a large noise estimate, so stale buffer values would show
-        clean = gen_clean(24, 4, 24, 24) + gen_clean(25, 2, 16, 20)  # a second size: a second workspace
-        noisy = noisy_set(clean[:3], 15.0, 24) + noisy_set(clean[3:], 60.0, 24, level=1)
-        forward = self.pair_scores(monkeypatch, net, noisy, clean)
-        backward = self.pair_scores(monkeypatch, net, noisy[::-1], clean[::-1])
-        alone = [self.pair_scores(monkeypatch, net, [n], [c])[0] for n, c in zip(noisy, clean)]
-        assert len(forward) == 6
-        assert forward == backward[::-1] == alone
+        clean = gen_clean(24, 5, 24, 24) + gen_clean(25, 2, 16, 20)  # a second size: a second workspace
+        noisy = noisy_set(clean[:5], 15.0, 24) + noisy_set(clean[5:], 60.0, 24, level=1)
+        for scored in (net, None):  # a net, and the noisy input
+            wss = [None]
+            forward = self.pair_scores(monkeypatch, scored, noisy, clean, wss)
+            backward = self.pair_scores(monkeypatch, scored, noisy[::-1], clean[::-1], wss)
+            alone = [self.pair_scores(monkeypatch, scored, [n], [c], [None])[0] for n, c in zip(noisy, clean)]
+            assert len(forward) == 7
+            assert forward == backward[::-1] == alone
+            for (p, q), n, c in zip(alone, noisy, clean):  # as the one-image metrics score the one-image pass
+                out = np.clip(n.data if scored is None else net_forward(scored, n.data[None])[0][0], 0.0, 1.0)
+                assert (p, q) == (psnr(out, c.data), ssim(out, c.data))
+
+    def test_a_chunk_holds_at_most_four_images_and_four_40x40_images_of_pixels(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(luml1.trainer, "ssims", lambda a, b: sizes.append(len(a)) or ssims(a, b))
+        clean = gen_clean(28, 5, 40, 40) + gen_clean(29, 3, 48, 48) + gen_clean(30, 2, 16, 20)
+        mean_scores(None, noisy_set(clean, 25.0, 28), clean)
+        assert sizes == [4, 1, 2, 1, 2]  # runs of one shape; 48x48 images go two at a time
 
     def test_scoring_one_more_pair_allocates_no_im2col_sized_array(self, monkeypatch):
+        # one more chunk: its net pass reuses the workspace. A chunk's SSIM holds four images' maps and band
+        # products at once, more than this bound, so the net pass is what is measured.
         net = build_tinynet(26, 16, 3)
-        clean = gen_clean(27, 3, 40, 40)
+        clean = gen_clean(27, 12, 40, 40)  # three chunks
         noisy = noisy_set(clean, 25.0, 27)
         rises = []
 
-        def psnr_marking(a, b):
-            current, peak = tracemalloc.get_traced_memory()
-            rises.append(peak - current)  # the largest transient since the previous pair's psnr
+        def forward_marking(net, x, ws):
             tracemalloc.reset_peak()
-            return psnr(a, b)
+            before = tracemalloc.get_traced_memory()[0]
+            result = net_forward(net, x, ws)
+            rises.append(tracemalloc.get_traced_memory()[1] - before)  # all the pass allocated, kept or not
+            return result
 
-        monkeypatch.setattr(luml1.trainer, "psnr", psnr_marking)
+        monkeypatch.setattr(luml1.trainer, "net_forward", forward_marking)
         tracemalloc.start()
         try:
             mean_scores(net, noisy, clean)
