@@ -21,14 +21,40 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
-from .bench import BenchReport, Config, denoise_file, load_plan, report_to_csv, run_bench
+from .bench import (
+    BenchReport,
+    Config,
+    denoise_file,
+    load_plan,
+    report_to_csv,
+    run_bench,
+)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import gen_clean, make_blind_batches, noisy_set
-from .errors import CorruptCheckpointError, FormatError, InvalidInputError, LumL1Error, NumericalError
+from .errors import (
+    CorruptCheckpointError,
+    FormatError,
+    InvalidInputError,
+    LumL1Error,
+    NumericalError,
+)
 from .image import LUMA_WEIGHTS, Image, to_grayscale
-from .losses import LossOutput, LossSpec, eval_loss, l1_loss, l2_loss, luminance_term
+from .losses import (
+    LossOutput,
+    LossSpec,
+    eval_loss,
+    l1_loss,
+    l2_loss,
+    luminance_term,
+)
 from .metrics import mse, psnr, ssim
-from .net import ConvLayer, TinyNet, build_tinynet, net_backward, net_forward
+from .net import (
+    ConvLayer,
+    TinyNet,
+    build_tinynet,
+    net_backward,
+    net_forward,
+)
 from .pnm import load_image, save_image
 from .trainer import AdamState, TrainLog, adam_step, train
 

@@ -15,8 +15,8 @@ Fairness and reproducibility rules:
   holds bit for bit, so a saved checkpoint reproduces the reported numbers
   exactly;
 * cells train, and eval sigmas are scored, as tasks on a pool of worker
-  threads; each cell and each sigma owns its random streams and the report
-  is assembled in plan order, so the worker count changes no output byte;
+  threads; each task owns its random streams and the report is assembled
+  in plan order, so the worker count changes no output byte;
 * the CSV contains no timestamps, so identical plans give byte-identical
   files. Wall-clock lives only on the in-memory report.
 
@@ -118,9 +118,8 @@ def usable_cpus() -> int:
 def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
     """Train and evaluate every (loss, sigma_max) cell of the plan on a pool of usable_cpus() threads.
 
-    Every cell trains as one task, then each worker scores every
-    usable_cpus()-th eval sigma as one task, reusing one workspace per net:
-    a sigma's noisy images are made a chunk at a time, and the noisy input
+    Every cell trains as one task, then every eval sigma is scored as one
+    task: its noisy images are made a chunk at a time, and the noisy input
     and each cell's net are scored on the chunk, so a noisy chunk lives only
     while it is scored. Each cell and each sigma owns its random streams, so
     the report is the same for any worker count. Checkpoints are saved in
@@ -151,13 +150,8 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
             abandoned[i] = True
             raise
 
-    workers, n, nets = usable_cpus(), len(plan.eval_sigmas), []
-
-    def score_sigmas(w: int) -> list:  # sigmas w, w + workers, ...: one set of workspaces for all of them
-        wss = [None] * (len(nets) + 1)
-        return [score_sigma(nets, clean, plan.eval_sigmas, plan.seed, si, wss) for si in range(w, n, workers)]
-
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(usable_cpus()) as pool:
+        nets = []
         try:
             for (loss, sigma_max), net in zip(grid, pool.map(train_cell, range(len(grid)))):  # in plan order
                 if ckpt_dir is not None:
@@ -165,16 +159,14 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
                 nets.append(net)
         finally:  # after a failed cell, Ctrl-C or a failed save, the cells still training stop at their next step
             abandoned[:] = [True] * len(grid)
-        parts = list(pool.map(score_sigmas, range(workers)))
-    rows = [parts[si % workers][si // workers] for si in range(n)]
+        rows = list(pool.map(lambda si: score_sigma(nets, clean, plan.eval_sigmas, plan.seed, si), range(len(plan.eval_sigmas))))
     return BenchReport(plan, rows, wall_clock_s=time.perf_counter() - t_start)
 
 
-def score_sigma(nets: list[TinyNet], clean: list[Image], sigmas: tuple[float, ...], seed: int, si: int, wss=None) -> list:
-    """Mean (PSNR, SSIM) of the noisy input, then of each net, at ``sigmas[si]``, noised from run seed ``seed``, by
-    score_chunks in ``wss``: a workspace list like (None, *nets), kept for the next call (fresh if None)."""
+def score_sigma(nets: list[TinyNet], clean: list[Image], sigmas: tuple[float, ...], seed: int, si: int) -> list[tuple[float, float]]:
+    """Mean (PSNR, SSIM) of the noisy input, then of each net, at ``sigmas[si]``, noised from run seed ``seed``."""
     noisy_of = partial(noisy_chunk, sigma_255=sigmas[si], seed=eval_seed(seed), level=si)
-    return score_chunks([None, *nets], clean, noisy_of, wss or [None] * (len(nets) + 1))
+    return score_chunks([None, *nets], clean, noisy_of)
 
 
 def parse_sigmas(text: str) -> tuple[float, ...]:

@@ -10,8 +10,19 @@ import argparse
 import os
 import sys
 
-from .bench import Config, denoise_file, fmt_val, load_plan, load_rgb, parse_config, parse_sigmas, parse_size
-from .bench import report_to_csv, run_bench, score_sigma
+from .bench import (
+    Config,
+    denoise_file,
+    fmt_val,
+    load_plan,
+    load_rgb,
+    parse_config,
+    parse_sigmas,
+    parse_size,
+    report_to_csv,
+    run_bench,
+    score_sigma,
+)
 from .checkpoint import load_checkpoint
 from .dataset import check_sigmas, gen_clean, noisy_set
 from .errors import FormatError, InvalidInputError, NumericalError
@@ -78,9 +89,9 @@ def cmd_eval(args) -> int:
     if not names:
         raise InvalidInputError(f"no .ppm or .lumf images in {args.data}")
     clean = [load_rgb(os.path.join(args.data, n), SSIM_WINDOW) for n in names]  # every file checked before any scoring
-    lines, wss = ["sigma,psnr,ssim,noisy_psnr,noisy_ssim"], [None, None]
+    lines = ["sigma,psnr,ssim,noisy_psnr,noisy_ssim"]
     for si, sigma in enumerate(sigmas):
-        baseline, scores = score_sigma([net], clean, sigmas, args.seed, si, wss)
+        baseline, scores = score_sigma([net], clean, sigmas, args.seed, si)
         lines.append(",".join([fmt_float(sigma)] + [fmt_val(v) for v in scores + baseline]))
     text = "\n".join(lines) + "\n"
     write_atomic(args.csv, text)

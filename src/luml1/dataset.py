@@ -93,7 +93,7 @@ def noisy_set(
 
 
 def noisy_chunk(
-    clean: np.ndarray, sigma_255: float, seed: int, level: int, first: int = 0, domain: int = DOMAIN_EVAL_NOISE
+    clean: np.ndarray, sigma_255: float, seed: int, level: int, first: int, domain: int = DOMAIN_EVAL_NOISE
 ) -> np.ndarray:
     """Unclamped noisy copies of a (k, H, W, C) stack of images at one noise level; ``sigma_255`` is not checked here.
 

@@ -79,24 +79,24 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
     theta -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-SCORE_CHUNK = 4  # images per scoring pass at most: 8 were faster, but grew the eval plan's peak RSS 13% more
-SCORE_PIXELS = SCORE_CHUNK * 40 * 40  # and pixels: larger images go fewer at a time, so a chunk's arrays do not grow
+# pixels per scoring pass: four 40x40 images. Eight were as fast, but grew the eval plan's peak RSS 13% more
+SCORE_PIXELS = 4 * 40 * 40
 
 
-def score_chunks(nets: list[TinyNet | None], clean: list[Image], noisy_of, wss: list) -> list[tuple[float, float]]:
+def score_chunks(nets: list[TinyNet | None], clean: list[Image], noisy_of) -> list[tuple[float, float]]:
     """Per net, the mean PSNR and SSIM against ``clean`` of its clamped output on noisy copies of ``clean``; a net
     None scores the noisy images themselves (clamped), which is the noisy-input baseline.
 
-    The images go in chunks: runs of images of one shape, at most SCORE_CHUNK of them and SCORE_PIXELS pixels (or
-    one image). ``noisy_of(c, first)`` makes the noisy copies of the (k, H, W, C) stack ``c`` of images ``first``
-    on, and net i runs on them in one net_forward pass in workspace ``wss[i]``, left there for the next chunk. An
-    image scores the same bit for bit in any chunk, and each mean is over the images' scores in image order.
+    The images go in chunks: runs of images of one shape, at most SCORE_PIXELS pixels (or one image).
+    ``noisy_of(c, first)`` makes the noisy copies of the (k, H, W, C) stack ``c`` of images ``first`` on, and each
+    net runs on them in one net_forward pass, in a workspace it keeps for its next chunk of that shape. An image
+    scores the same bit for bit in any chunk, and each mean is over the images' scores in image order.
     """
     runs = [j for j in range(len(clean)) if j == 0 or clean[j].data.shape != clean[j - 1].data.shape]
     firsts = []  # chunk starts
     for a, b in zip(runs, [*runs[1:], len(clean)]):
-        firsts += range(a, b, min(SCORE_CHUNK, max(1, SCORE_PIXELS // clean[a].data[:, :, 0].size)))
-    scores = [[] for _ in nets]  # per net, per chunk: (PSNRs, SSIMs)
+        firsts += range(a, b, max(1, SCORE_PIXELS // clean[a].data[:, :, 0].size))
+    scores, wss = [[] for _ in nets], [None] * len(nets)  # per net, per chunk: (PSNRs, SSIMs); per net: workspace
     for a, b in zip(firsts, [*firsts[1:], len(clean)]):
         c = np.stack([im.data for im in clean[a:b]])
         noisy = noisy_of(c, first=a)
@@ -109,7 +109,7 @@ def score_chunks(nets: list[TinyNet | None], clean: list[Image], noisy_of, wss: 
 
 def mean_scores(net: TinyNet | None, noisy: list[Image], clean: list[Image]) -> tuple[float, float]:
     """score_chunks of one net (None: the noisy-input baseline) on the images ``noisy``, noisy copies of ``clean``."""
-    return score_chunks([net], clean, lambda c, first: np.stack([n.data for n in noisy[first : first + len(c)]]), [None])[0]
+    return score_chunks([net], clean, lambda c, first: np.stack([n.data for n in noisy[first : first + len(c)]]))[0]
 
 
 def train(cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: None) -> tuple[TinyNet, TrainLog]:

@@ -98,7 +98,7 @@ class TestAddNoise:
 
     def test_non_finite_chunk_rejected(self):
         with pytest.raises(InvalidInputError, match="NaN or Inf"):
-            noisy_chunk(np.full((2, 16, 16, 3), np.nan), 25.0, 1, 0)
+            noisy_chunk(np.full((2, 16, 16, 3), np.nan), 25.0, 1, 0, 0)
 
     def test_output_not_clamped(self):
         img = gen_clean(8, 1, 32, 32)[0]

@@ -4,9 +4,9 @@ Corpora, patch streams and noisy sets involve no BLAS call, so they hold on
 any IEEE-754 machine. Of the trained outputs only the micro bench's CSV is
 pinned: it was identical under the SkylakeX, Haswell, Sandybridge and
 Katmai kernels of OpenBLAS, while its checkpoints differed between them.
-The same holds for the micro bench at 7 eval images, which are scored in
-chunks of 4 and 3, and for ``luml1 eval`` of its luml1 checkpoint over two
-image sizes (SkylakeX, Haswell and Sandybridge).
+The same holds for the micro bench at 7 eval images and for ``luml1 eval``
+of its luml1 checkpoint over two image sizes (SkylakeX, Haswell and
+Sandybridge).
 A change that moves these bytes on purpose updates the digests and says so.
 """
 
@@ -65,7 +65,7 @@ def micro_run_of_seven(tmp_path_factory):
     return out
 
 
-def test_micro_bench_csv_with_a_remainder_chunk(micro_run_of_seven):
+def test_micro_bench_csv_at_seven_eval_images(micro_run_of_seven):
     assert f"{fnv1a64((micro_run_of_seven / 'table.csv').read_bytes()):016x}" == "aa7f270dfca42c6e"
 
 

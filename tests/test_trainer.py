@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,15 +7,15 @@ import pytest
 import luml1.trainer
 
 from luml1.checkpoint import checkpoint_bytes, load_checkpoint, parse_checkpoint
-from luml1.dataset import gen_clean, noisy_set
+from luml1.dataset import gen_clean, noisy_chunk, noisy_set
 from luml1.errors import InvalidInputError, NumericalError
 from luml1.image import Image
 from luml1.losses import LossSpec
-from luml1.metrics import psnr, psnrs, ssim, ssims
+from luml1.metrics import SSIM_WINDOW, psnr, psnrs, ssim, ssims
 from luml1.net import build_tinynet, net_forward
 from luml1.rng import DOMAIN_EVAL_NOISE, eval_seed, normal, stream
 from luml1.bench import Config
-from luml1.trainer import AdamState, adam_step, mean_scores, score_chunks, train
+from luml1.trainer import SCORE_PIXELS, AdamState, adam_step, mean_scores, score_chunks, train
 
 
 def small_config(loss=LossSpec("l1"), sigma_max=25.0, **overrides) -> Config:
@@ -276,59 +277,71 @@ def recording(fn, into: list):
 
 class TestScoringWorkspace:
     @staticmethod
-    def pair_scores(monkeypatch, net, noisy, clean, wss) -> list[tuple[float, float]]:
-        """(PSNR, SSIM) of every pair, in the order score_chunks scores them, in the workspaces ``wss``."""
+    def pair_scores(monkeypatch, net, noisy, clean) -> list[tuple[float, float]]:
+        """(PSNR, SSIM) of every pair, in the order score_chunks scores them."""
         ps, ss = [], []
         monkeypatch.setattr(luml1.trainer, "psnrs", recording(psnrs, ps))
         monkeypatch.setattr(luml1.trainer, "ssims", recording(ssims, ss))
-        score_chunks([net], clean, lambda c, first: np.stack([n.data for n in noisy[first : first + len(c)]]), wss)
+        score_chunks([net], clean, lambda c, first: np.stack([n.data for n in noisy[first : first + len(c)]]))
         return list(zip(np.concatenate(ps).tolist(), np.concatenate(ss).tolist()))
 
     def test_order_and_fresh_workspaces_give_identical_pair_scores(self, monkeypatch):
-        # 7 images of two sizes go in chunks of 4, 1 and 2, reversed in chunks of 2, 4 and 1; the reversed run
-        # starts in the workspace the forward run left, so stale buffer values would show
+        # 11 images of two sizes go in chunks of 4, 4, 1 and 2, reversed in chunks of 2, 4, 4 and 1; a second
+        # chunk of four runs in the workspace the first left, so stale buffer values would show
         net = build_tinynet(23, 16, 3)
         net.layers[-1].kernels *= 300.0  # a large noise estimate, so stale buffer values would show
-        clean = gen_clean(24, 5, 24, 24) + gen_clean(25, 2, 16, 20)  # a second size: a second workspace
-        noisy = noisy_set(clean[:5], 15.0, 24) + noisy_set(clean[5:], 60.0, 24, level=1)
+        clean = gen_clean(24, 9, 40, 40) + gen_clean(25, 2, 16, 20)  # a second size: a second workspace
+        noisy = noisy_set(clean[:9], 15.0, 24) + noisy_set(clean[9:], 60.0, 24, level=1)
         for scored in (net, None):  # a net, and the noisy input
-            wss = [None]
-            forward = self.pair_scores(monkeypatch, scored, noisy, clean, wss)
-            backward = self.pair_scores(monkeypatch, scored, noisy[::-1], clean[::-1], wss)
-            alone = [self.pair_scores(monkeypatch, scored, [n], [c], [None])[0] for n, c in zip(noisy, clean)]
-            assert len(forward) == 7
+            forward = self.pair_scores(monkeypatch, scored, noisy, clean)
+            backward = self.pair_scores(monkeypatch, scored, noisy[::-1], clean[::-1])
+            alone = [self.pair_scores(monkeypatch, scored, [n], [c])[0] for n, c in zip(noisy, clean)]
+            assert len(forward) == 11
             assert forward == backward[::-1] == alone
             for (p, q), n, c in zip(alone, noisy, clean):  # as the one-image metrics score the one-image pass
                 out = np.clip(n.data if scored is None else net_forward(scored, n.data[None])[0][0], 0.0, 1.0)
                 assert (p, q) == (psnr(out, c.data), ssim(out, c.data))
 
-    def test_a_chunk_holds_at_most_four_images_and_four_40x40_images_of_pixels(self, monkeypatch):
+    def test_a_chunk_holds_at_most_four_40x40_images_of_pixels(self, monkeypatch):
         sizes = []
         monkeypatch.setattr(luml1.trainer, "ssims", lambda a, b: sizes.append(len(a)) or ssims(a, b))
-        clean = gen_clean(28, 5, 40, 40) + gen_clean(29, 3, 48, 48) + gen_clean(30, 2, 16, 20)
+        clean = gen_clean(28, 5, 40, 40) + gen_clean(29, 3, 48, 48) + gen_clean(30, 22, 16, 20)
         mean_scores(None, noisy_set(clean, 25.0, 28), clean)
-        assert sizes == [4, 1, 2, 1, 2]  # runs of one shape; 48x48 images go two at a time
+        assert sizes == [4, 1, 2, 1, 20, 2]  # runs of one shape; 48x48 images go two at a time, 16x20 twenty
 
-    def test_scoring_one_more_pair_allocates_no_im2col_sized_array(self, monkeypatch):
-        # one more chunk: its net pass reuses the workspace. A chunk's SSIM holds four images' maps and band
-        # products at once, more than this bound, so the net pass is what is measured.
-        net = build_tinynet(26, 16, 3)
-        clean = gen_clean(27, 12, 40, 40)  # three chunks
-        noisy = noisy_set(clean, 25.0, 27)
-        rises = []
-
-        def forward_marking(net, x, ws):
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            result = net_forward(net, x, ws)
-            rises.append(tracemalloc.get_traced_memory()[1] - before)  # all the pass allocated, kept or not
-            return result
-
-        monkeypatch.setattr(luml1.trainer, "net_forward", forward_marking)
+    def test_a_chunks_ssim_never_holds_every_stage_at_once(self):
+        # its grayscale pair, five maps, band rows and means: each is freed once the next is made from it
+        k, h, w, n = 4, 40, 40, SSIM_WINDOW
+        clean = np.stack([im.data for im in gen_clean(29, k, h, w)])
+        out = np.clip(clean + 0.1, 0.0, 1.0)
+        ssims(out, clean)  # the band matrices are built once and kept
         tracemalloc.start()
         try:
-            mean_scores(net, noisy, clean)
+            before = tracemalloc.get_traced_memory()[0]
+            ssims(out, clean)
+            rise = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        im2col = 3 * 3 * 3 * 40 * 40 * 8  # layer 0's (27, H*W) matrix, the smallest of the five
+        stages = k * (2 * h * w + 5 * h * w + 5 * h * (w - n + 1) + 5 * (h - n + 1) * (w - n + 1)) * 8
+        assert rise < stages, rise
+
+    def test_scoring_one_more_pair_allocates_no_im2col_sized_array(self, monkeypatch):
+        # one more chunk: its noise, net pass, clamp, PSNR and SSIM allocate less than one chunk's im2col matrix
+        net = build_tinynet(26, 16, 3)
+        clean = gen_clean(27, 12, 40, 40)  # three chunks
+        rises = []
+
+        def psnrs_marking(a, b):
+            current, peak = tracemalloc.get_traced_memory()
+            rises.append(peak - current)  # the largest transient since the previous chunk's psnrs
+            tracemalloc.reset_peak()
+            return psnrs(a, b)
+
+        monkeypatch.setattr(luml1.trainer, "psnrs", psnrs_marking)
+        tracemalloc.start()
+        try:
+            score_chunks([net], clean, partial(noisy_chunk, sigma_255=25.0, seed=27, level=0))  # as score_sigma
+        finally:
+            tracemalloc.stop()
+        im2col = 3 * 3 * 3 * SCORE_PIXELS * 8  # layer 0's (27, H*W) matrix over a chunk, the smallest of the five
         assert len(rises) == 3 and max(rises[1:]) < im2col, rises
