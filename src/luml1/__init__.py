@@ -30,7 +30,7 @@ from .bench import (
     run_bench,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dataset import gen_clean, make_blind_batches, noisy_set
+from .dataset import gen_clean, make_blind_batches
 from .errors import (
     CorruptCheckpointError,
     FormatError,
@@ -91,7 +91,6 @@ __all__ = [
     "mse",
     "net_backward",
     "net_forward",
-    "noisy_set",
     "psnr",
     "report_to_csv",
     "run_bench",

@@ -24,9 +24,10 @@ from .bench import (
     score_sigma,
 )
 from .checkpoint import load_checkpoint
-from .dataset import check_sigmas, gen_clean, noisy_set
+from .dataset import check_sigmas, gen_clean, noisy_chunk
 from .errors import FormatError, InvalidInputError, NumericalError
 from .gradcheck import run_gradcheck
+from .image import Image
 from .losses import LossSpec, eval_loss, fmt_float
 from .metrics import SSIM_WINDOW, psnr, ssim
 from .pnm import load_image, save_image, write_atomic
@@ -55,7 +56,8 @@ def cmd_gen(args) -> int:
     images = gen_clean(check_seed(args.seed), args.count, h, w)
     os.makedirs(args.out, exist_ok=True)
     manifest = []
-    for i, (img, noisy) in enumerate(zip(images, noisy_set(images, args.sigma, args.seed))):
+    for i, img in enumerate(images):
+        noisy = Image(noisy_chunk(img.data[None], args.sigma, args.seed, 0, i)[0])
         paths = []
         for kind, im in (("clean", img), ("noisy", noisy)):
             for ext in ("ppm", "lumf"):

@@ -7,7 +7,7 @@ intensity scale and divided by 255 internally.
 
 Blindness: the training batch stream draws a per-patch noise level
 uniformly from [0, sigma_max] but never exposes it -- consumers only see
-(noisy, clean) pairs.
+(noisy, clean) batches.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .image import Image
 from .losses import fmt_float
-from .rng import DOMAIN_BATCH, DOMAIN_CLEAN, DOMAIN_EVAL_NOISE, box_muller, normal, stream
+from .rng import DOMAIN_BATCH, DOMAIN_CLEAN, DOMAIN_EVAL_NOISE, box_muller, stream
 
 # The smallest height and width of a generated image; it holds the 11x11 SSIM
 # window. Corpus and eval sizes are checked against it when a train config or
@@ -85,13 +85,6 @@ def _gen_one(rng: np.random.Generator, h: int, w: int) -> Image:
     return Image(np.clip(img, 0.0, 1.0))
 
 
-def noisy_set(
-    clean: list[Image], sigma_255: float, seed: int, level: int = 0, domain: int = DOMAIN_EVAL_NOISE
-) -> list[Image]:
-    """The noisy_chunk of each image of ``clean`` alone, as Images."""
-    return [Image(noisy_chunk(im.data[None], sigma_255, seed, level, j, domain)[0]) for j, im in enumerate(clean)]
-
-
 def noisy_chunk(
     clean: np.ndarray, sigma_255: float, seed: int, level: int, first: int, domain: int = DOMAIN_EVAL_NOISE
 ) -> np.ndarray:
@@ -127,20 +120,24 @@ def _draw_patch_params(
 
 
 def make_blind_batches(
-    clean: list[Image], sigma_max_255: float, patch_size: int, count: int, seed: int
+    clean: list[Image], sigma_max_255: float, patch_size: int, batch_size: int, count: int, seed: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``count`` (noisy_patch, clean_patch) pairs of (P, P, 3) arrays, P = ``patch_size``.
+    """Yield ``count`` (noisy, clean) batches, each two fresh (batch_size, P, P, 3) arrays, P = ``patch_size``.
 
     Each noisy patch carries noise with a std dev drawn uniformly from
     [0, sigma_max_255]; the draw is internal and not part of the yielded
     values. Crops and noise levels come from a single stream keyed by
-    ``seed``, so the full sequence is reproducible. The clean patch is a
-    read-only view into the corpus; the noisy patch is a fresh array. Bad
-    arguments raise InvalidInputError at the first draw.
+    ``seed``, so the full sequence is reproducible. Each patch draws its
+    crop and sigma, then its uniforms as rng.normal would; one Box-Muller
+    pass over a batch's uniforms makes its noise, bit for bit what
+    rng.normal gives each patch alone. Bad arguments raise
+    InvalidInputError at the first draw.
     """
     check_sigmas("sigma_max", (sigma_max_255,))
     if patch_size < 1:
         raise InvalidInputError(f"patch_size must be positive, got {patch_size}")
+    if batch_size < 1:
+        raise InvalidInputError(f"batch_size must be positive, got {batch_size}")
     if count < 0:
         raise InvalidInputError(f"count must be nonnegative, got {count}")
     if not clean:
@@ -149,9 +146,12 @@ def make_blind_batches(
     if any(patch_size > min(h, w) for h, w in dims):
         raise InvalidInputError(f"patch_size {patch_size} exceeds the smallest image dimension")
     rng = stream(seed, DOMAIN_BATCH)
-    p = patch_size
+    p, n = patch_size, patch_size * patch_size * 3
+    u, sigmas = np.empty((batch_size, 2, (n + 1) // 2)), np.empty((batch_size, 1))
     for _ in range(count):
-        idx, y0, x0, sigma = _draw_patch_params(rng, dims, p, sigma_max_255)
-        patch = clean[idx].data[y0 : y0 + p, x0 : x0 + p]
-        noise = normal(rng, patch.shape, sigma / 255.0)
-        yield patch + noise, patch
+        target = np.empty((batch_size, p, p, 3))
+        for j in range(batch_size):
+            idx, y0, x0, sigmas[j, 0] = _draw_patch_params(rng, dims, p, sigma_max_255)
+            target[j] = clean[idx].data[y0 : y0 + p, x0 : x0 + p]
+            rng.random(out=u[j])  # as rng.normal draws them
+        yield target + (sigmas / 255.0 * box_muller(u, n)).reshape(target.shape), target

@@ -2,9 +2,11 @@
 
 All randomness flows through explicitly seeded Philox (counter-based) bit
 generators; there is no global RNG state anywhere in the package. Gaussian
-deviates come from the Box-Muller transform applied to Philox uniforms, so
-a seed reproduces bit-identical values on any platform with IEEE-754
-doubles.
+deviates come from the Box-Muller transform applied to Philox uniforms. A
+seed's uniforms are the same bits on any machine, but its deviates pass
+through float64 np.log, np.cos and np.sin, which NumPy evaluates with libm
+or with loops of its own, neither correctly rounded: a seed's deviates are
+the same bits for one NumPy build and libm.
 
 Streams are addressed by (seed, *ids). The ids select independent
 sub-streams of one seed: the first id is a domain tag (constants below),

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import gen_clean, make_blind_batches, noisy_set
+from .dataset import gen_clean, make_blind_batches, noisy_chunk
 from .errors import InvalidInputError, NumericalError
 from .image import Image
 from .losses import eval_loss
@@ -107,21 +108,16 @@ def score_chunks(nets: list[TinyNet | None], clean: list[Image], noisy_of) -> li
     return [tuple(float(np.mean(np.concatenate(col))) for col in zip(*per_net)) for per_net in scores]
 
 
-def mean_scores(net: TinyNet | None, noisy: list[Image], clean: list[Image]) -> tuple[float, float]:
-    """score_chunks of one net (None: the noisy-input baseline) on the images ``noisy``, noisy copies of ``clean``."""
-    return score_chunks([net], clean, lambda c, first: np.stack([n.data for n in noisy[first : first + len(c)]]))[0]
-
-
 def train(cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: None) -> tuple[TinyNet, TrainLog]:
     """Build the net of a one-cell config and run its blind training loop.
 
     The net is build_tinynet of the run seed, hidden_channels and
     hidden_depth, cast to float32, so every cell of a plan starts from the
     same net; its Adam moments and patch batches are float32 too. Each
-    step draws ``batch_size`` (noisy, clean) patch pairs into one batch,
-    runs it forward, makes one loss call on the whole batch (the mean of its
-    patches' losses), runs it back once for that loss's gradients, and
-    applies one Adam update.
+    step casts the stream's next (noisy, clean) batch of ``batch_size``
+    patches into those arrays, runs it forward, makes one loss call on the
+    whole batch (the mean of its patches' losses), runs it back once for
+    that loss's gradients, and applies one Adam update.
     Every ``checkpoint_every`` steps (0: never) the net is saved to
     ``ckpt_path`` and scored on four validation images; the final net is
     always saved. A NaN or runaway value anywhere aborts with NumericalError;
@@ -137,17 +133,17 @@ def train(cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: N
     net = TinyNet([ConvLayer(lay.kernels.astype(np.float32), lay.bias.astype(np.float32)) for lay in net.layers])
     log = TrainLog()
     clean = gen_clean(cfg.seed, cfg.corpus_count, *cfg.corpus_size, DOMAIN_TRAIN_CLEAN)
-    batches = make_blind_batches(clean, sigma_max, cfg.patch_size, cfg.steps * cfg.batch_size, cfg.seed)
+    batches = make_blind_batches(clean, sigma_max, cfg.patch_size, cfg.batch_size, cfg.steps, cfg.seed)
     state = AdamState.for_params(net.theta)
     noisy, target = (np.empty((cfg.batch_size, cfg.patch_size, cfg.patch_size, 3), np.float32) for _ in range(2))
-    val_clean = val_noisy = ws = None  # ws: the one workspace of every training forward pass
+    val_clean = ws = None  # ws: the one workspace of every training forward pass
+    val_noisy = partial(noisy_chunk, sigma_255=sigma_max / 2.0, seed=cfg.seed, level=0, domain=DOMAIN_VAL_NOISE)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked explicitly
         for step in range(1, cfg.steps + 1):
             stop()
             try:
                 t0 = time.perf_counter()
-                for item in range(cfg.batch_size):
-                    noisy[item], target[item] = next(batches)
+                noisy[...], target[...] = next(batches)
                 out, ws = net_forward(net, noisy, ws)
                 result = eval_loss(loss, out, target)
                 if not np.isfinite(result.value):
@@ -162,8 +158,7 @@ def train(cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: N
                         save_checkpoint(net, ckpt_path)
                     if val_clean is None:
                         val_clean = gen_clean(cfg.seed, 4, *cfg.corpus_size, DOMAIN_VAL_CLEAN)
-                        val_noisy = noisy_set(val_clean, sigma_max / 2.0, cfg.seed, 0, DOMAIN_VAL_NOISE)
-                    log.validations.append((step, *mean_scores(net, val_noisy, val_clean)))
+                    log.validations.append((step, *score_chunks([net], val_clean, val_noisy)[0]))
             except NumericalError as exc:
                 raise NumericalError(f"aborted at step {step}: {exc}") from exc
     if ckpt_path is not None:

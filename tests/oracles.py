@@ -2,12 +2,16 @@
 
 Everything here is written in the most literal style possible (explicit
 loops, no vectorization) so it shares no code path with the package. The
-bench CSV reader the tests use lives here too: no program path reads a CSV.
+one exception is the blind patch stream's oracle: the stream is defined by
+the package's per-patch draws and rng.normal, which it calls. The bench CSV
+reader the tests use lives here too: no program path reads a CSV.
 """
 
 import numpy as np
 
+from luml1.dataset import _draw_patch_params
 from luml1.metrics import SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW
+from luml1.rng import DOMAIN_BATCH, normal, stream
 
 
 def loop_conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -143,6 +147,24 @@ def ks_statistic_uniform(samples, hi: float) -> float:
     n = len(u)
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - u, u - (i - 1) / n)))
+
+
+def patch_by_patch_stream(clean, sigma_max_255: float, patch_size: int, count: int, seed: int) -> list:
+    """The first ``count`` (noisy, clean) patch pairs of the blind stream, one patch at a time.
+
+    Each patch draws its crop and sigma, then its noise through one
+    rng.normal call on the same generator: the stream's definition, which
+    make_blind_batches computes a batch at a time.
+    """
+    rng = stream(seed, DOMAIN_BATCH)
+    dims = [im.data.shape[:2] for im in clean]
+    p = patch_size
+    pairs = []
+    for _ in range(count):
+        idx, y0, x0, sigma = _draw_patch_params(rng, dims, p, sigma_max_255)
+        patch = clean[idx].data[y0 : y0 + p, x0 : x0 + p]
+        pairs.append((patch + normal(rng, patch.shape, sigma / 255.0), patch))
+    return pairs
 
 
 def parse_report_csv(text: str) -> dict:

@@ -12,7 +12,7 @@ from luml1.bench import Config, parse_config
 from luml1.checkpoint import load_checkpoint, save_checkpoint
 import luml1.cli as cli
 from luml1.cli import main
-from luml1.dataset import gen_clean, noisy_set
+from luml1.dataset import gen_clean, noisy_chunk
 from luml1.gradcheck import run_gradcheck
 from luml1.net import ConvLayer, TinyNet, build_tinynet
 from luml1.pnm import load_image, save_image
@@ -71,8 +71,9 @@ class TestGen:
         out = tmp_path / "corpus"
         main(["gen", "--seed", "4", "--count", "2", "--size", "16x16", "--sigma", "30", "--out", str(out)])
         clean = gen_clean(4, 2, 16, 16)
-        expected = noisy_set(clean, 30.0, 4)[0].data.astype("<f4").astype(np.float64)
-        assert np.array_equal(load_image(out / "noisy_0000.lumf").data, expected)
+        noisy = noisy_chunk(np.stack([im.data for im in clean]), 30.0, 4, 0, 0)
+        for i, expected in enumerate(noisy.astype("<f4").astype(np.float64)):
+            assert np.array_equal(load_image(out / f"noisy_{i:04d}.lumf").data, expected)
 
     @pytest.mark.parametrize(
         "flag,value",

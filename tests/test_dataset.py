@@ -11,13 +11,12 @@ from luml1.dataset import (
     gen_clean,
     make_blind_batches,
     noisy_chunk,
-    noisy_set,
 )
 from luml1.errors import InvalidInputError
 from luml1.rng import DOMAIN_BATCH, DOMAIN_EVAL_NOISE, DOMAIN_TRAIN_CLEAN, eval_seed, normal, stream
 
 from conftest import rand_image
-from oracles import ks_statistic_uniform
+from oracles import ks_statistic_uniform, patch_by_patch_stream
 
 
 class TestGenClean:
@@ -51,40 +50,40 @@ class TestGenClean:
 
 
 class TestAddNoise:
-    """noisy_set, the package's one path that adds Gaussian noise to images."""
+    """noisy_chunk, the package's one path that adds Gaussian noise to images."""
 
     def test_zero_sigma_is_identity(self):
         img = rand_image(1, 16, 16)
-        (out,) = noisy_set([img], 0.0, 123)
-        assert np.array_equal(out.data, img.data)
+        (out,) = noisy_chunk(img.data[None], 0.0, 123, 0, 0)
+        assert np.array_equal(out, img.data)
 
     def test_same_seed_same_noise(self):
         img = rand_image(2, 16, 16)
-        (a,) = noisy_set([img], 25.0, 9)
-        (b,) = noisy_set([img], 25.0, 9)
-        assert np.array_equal(a.data, b.data)
+        (a,) = noisy_chunk(img.data[None], 25.0, 9, 0, 0)
+        (b,) = noisy_chunk(img.data[None], 25.0, 9, 0, 0)
+        assert np.array_equal(a, b)
 
     def test_each_level_and_image_draws_its_own_noise(self):
         img = rand_image(3, 16, 16)
-        draws = [noisy_set([img, img], 25.0, 9, level) for level in (0, 1)]
-        noise = [(n.data - img.data).tobytes() for pair in draws for n in pair]
+        draws = [noisy_chunk(np.stack([img.data, img.data]), 25.0, 9, level, 0) for level in (0, 1)]
+        noise = [(n - img.data).tobytes() for pair in draws for n in pair]
         assert len(set(noise)) == 4
 
     def test_sample_std_matches_sigma(self):
         # law of large numbers on 200*200*3 = 120k elements
         img = gen_clean(5, 1, 200, 200)[0]
-        (noisy,) = noisy_set([img], 25.0, 77)
-        measured = (noisy.data - img.data).std()
+        (noisy,) = noisy_chunk(img.data[None], 25.0, 77, 0, 0)
+        measured = (noisy - img.data).std()
         target = 25.0 / 255.0
         assert abs(measured - target) / target < 0.05
 
     def test_noise_mean_near_zero(self):
         img = gen_clean(6, 1, 128, 128)[0]
-        (noisy,) = noisy_set([img], 50.0, 3)
-        assert abs((noisy.data - img.data).mean()) < 3 * (50 / 255) / np.sqrt(img.data.size)
+        (noisy,) = noisy_chunk(img.data[None], 50.0, 3, 0, 0)
+        assert abs((noisy - img.data).mean()) < 3 * (50 / 255) / np.sqrt(img.data.size)
 
     def test_negative_sigma_rejected(self):
-        # noisy_set does not check sigma; every caller (gen, eval, bench) runs this check first
+        # noisy_chunk does not check sigma; every caller (gen, eval, bench, train) runs this check first
         with pytest.raises(InvalidInputError):
             check_sigmas("sigma", (-1.0,))
 
@@ -102,38 +101,41 @@ class TestAddNoise:
 
     def test_output_not_clamped(self):
         img = gen_clean(8, 1, 32, 32)[0]
-        (noisy,) = noisy_set([img], 75.0, 4)
-        assert noisy.data.min() < 0.0 or noisy.data.max() > 1.0
+        (noisy,) = noisy_chunk(img.data[None], 75.0, 4, 0, 0)
+        assert noisy.min() < 0.0 or noisy.max() > 1.0
 
 
 class TestBlindBatches:
     @staticmethod
-    def batches(clean, count=10, seed=5):
-        return make_blind_batches(clean, 50.0, 12, count, seed)
+    def batches(clean, count=10, seed=5, batch_size=2):
+        return make_blind_batches(clean, 50.0, 12, batch_size, count, seed)
 
     def test_exact_count(self):
         clean = gen_clean(1, 3, 20, 20)
-        pairs = list(self.batches(clean, count=17))
-        assert len(pairs) == 17
+        for batch_size in (1, 3):
+            batches = list(self.batches(clean, count=17, batch_size=batch_size))
+            assert len(batches) == 17
 
     def test_patch_shapes_and_blindness(self):
         clean = gen_clean(1, 3, 20, 20)
-        for noisy, target in self.batches(clean, count=5):
-            assert noisy.shape == (12, 12, 3)
-            assert target.shape == (12, 12, 3)
-            # the pair carries no noise-level information beyond the pixels
-            assert not hasattr(noisy, "sigma_255")
+        for batch_size in (1, 3):
+            for noisy, target in self.batches(clean, count=5, batch_size=batch_size):
+                assert noisy.shape == target.shape == (batch_size, 12, 12, 3)
+                assert noisy.dtype == target.dtype == np.float64
+                # the batch carries no noise-level information beyond the pixels
+                assert not hasattr(noisy, "sigma_255")
 
     def test_clean_patch_is_a_crop(self):
         clean = gen_clean(2, 2, 20, 20)
-        for _, target in self.batches(clean, count=8):
-            found = any(
-                np.array_equal(img.data[y : y + 12, x : x + 12], target)
-                for img in clean
-                for y in range(9)
-                for x in range(9)
-            )
-            assert found
+        for _, targets in self.batches(clean, count=4):
+            for target in targets:
+                found = any(
+                    np.array_equal(img.data[y : y + 12, x : x + 12], target)
+                    for img in clean
+                    for y in range(9)
+                    for x in range(9)
+                )
+                assert found
 
     def test_same_seed_identical_sequence(self):
         clean = gen_clean(3, 2, 20, 20)
@@ -143,15 +145,30 @@ class TestBlindBatches:
             assert np.array_equal(na, nb)
             assert np.array_equal(ca, cb)
 
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_batches_are_the_patch_by_patch_stream_bit_for_bit(self, batch_size):
+        # at P = 5 a patch has 75 values, an odd count, so each patch drops its last Box-Muller deviate
+        clean = gen_clean(4, 3, 16, 16)
+        batches = list(make_blind_batches(clean, 40.0, 5, batch_size, 4, 6))
+        pairs = patch_by_patch_stream(clean, 40.0, 5, 4 * batch_size, 6)
+        items = [(n, c) for noisy, target in batches for n, c in zip(noisy, target)]
+        assert len(items) == len(pairs)
+        for (n, c), (on, oc) in zip(items, pairs):
+            assert np.array_equal(n, on) and np.array_equal(c, oc)
+
     def test_patch_larger_than_image_rejected(self):
         clean = gen_clean(1, 1, 16, 16)
         with pytest.raises(InvalidInputError):
-            list(make_blind_batches(clean, 10.0, 17, 1, 0))
+            list(make_blind_batches(clean, 10.0, 17, 1, 1, 0))
 
-    @pytest.mark.parametrize("sigma_max,patch_size,count", [(float("nan"), 12, 1), (-1.0, 12, 1), (10.0, 0, 1), (10.0, 12, -1)])
-    def test_bad_stream_arguments_rejected(self, sigma_max, patch_size, count):
+    @pytest.mark.parametrize(
+        "sigma_max,patch_size,count,batch_size",
+        [(float("nan"), 12, 1, 2), (-1.0, 12, 1, 2), (10.0, 0, 1, 2), (10.0, 12, -1, 2), (10.0, 12, 1, 0)],
+        ids=["nan-12-1", "-1.0-12-1", "10.0-0-1", "10.0-12--1", "batch_size-0"],  # the first four named as before
+    )
+    def test_bad_stream_arguments_rejected(self, sigma_max, patch_size, count, batch_size):
         with pytest.raises(InvalidInputError):
-            list(make_blind_batches(gen_clean(1, 1, 16, 16), sigma_max, patch_size, count, 0))
+            list(make_blind_batches(gen_clean(1, 1, 16, 16), sigma_max, patch_size, batch_size, count, 0))
 
     def test_sigma_draws_uniform_ks(self):
         # white-box: the same draw helper the batch stream consumes
@@ -164,7 +181,7 @@ class TestBlindBatches:
     def test_draw_helper_drives_the_stream(self):
         # reconstructing the first patch from the helper's draws must match
         clean = gen_clean(3, 2, 20, 20)
-        noisy, target = next(self.batches(clean, count=1, seed=8))
+        (noisy,), (target,) = next(self.batches(clean, count=1, seed=8, batch_size=1))
         rng = stream(8, DOMAIN_BATCH)
         idx, y0, x0, sigma = _draw_patch_params(rng, [(20, 20), (20, 20)], 12, 50.0)
         expected_clean = clean[idx].data[y0 : y0 + 12, x0 : x0 + 12]

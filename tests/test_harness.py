@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from luml1.bench import (
     denoise_file,
 )
 from luml1.checkpoint import load_checkpoint, save_checkpoint
-from luml1.dataset import MIN_IMAGE_SIZE, gen_clean, noisy_set
+from luml1.dataset import MIN_IMAGE_SIZE, gen_clean, noisy_chunk
 from luml1.errors import InvalidInputError, NumericalError
 from luml1.fnv import fnv1a64
 from luml1.losses import LossSpec, parse_loss
@@ -35,7 +36,7 @@ from luml1.metrics import psnr
 from luml1.net import ConvLayer, TinyNet
 from luml1.pnm import load_image, save_image
 from luml1.rng import DOMAIN_EVAL_NOISE, eval_seed
-from luml1.trainer import mean_scores, train
+from luml1.trainer import score_chunks, train
 
 from conftest import rand_image
 from oracles import parse_report_csv
@@ -611,8 +612,8 @@ class TestTrainedModelSanity:
         net, clean = trained_cell["net"], trained_cell["clean"]
         report, plan = trained_cell["report"], trained_cell["plan"]
         for si, sigma in enumerate(plan.eval_sigmas):
-            noisy = noisy_set(clean, sigma, eval_seed(plan.seed), si)
-            assert mean_scores(net, noisy, clean) == report.rows[si][1]
+            noisy_of = partial(noisy_chunk, sigma_255=sigma, seed=eval_seed(plan.seed), level=si)
+            assert score_chunks([net], clean, noisy_of)[0] == report.rows[si][1]
 
 
 class TestFloat32Scoring:

@@ -7,15 +7,15 @@ import pytest
 import luml1.trainer
 
 from luml1.checkpoint import checkpoint_bytes, load_checkpoint, parse_checkpoint
-from luml1.dataset import gen_clean, noisy_chunk, noisy_set
+from luml1.dataset import gen_clean, noisy_chunk
 from luml1.errors import InvalidInputError, NumericalError
 from luml1.image import Image
 from luml1.losses import LossSpec
 from luml1.metrics import SSIM_WINDOW, psnr, psnrs, ssim, ssims
 from luml1.net import build_tinynet, net_forward
-from luml1.rng import DOMAIN_EVAL_NOISE, eval_seed, normal, stream
+from luml1.rng import DOMAIN_EVAL_NOISE, DOMAIN_VAL_CLEAN, DOMAIN_VAL_NOISE, eval_seed, normal, stream
 from luml1.bench import Config
-from luml1.trainer import SCORE_PIXELS, AdamState, adam_step, mean_scores, score_chunks, train
+from luml1.trainer import SCORE_PIXELS, AdamState, adam_step, score_chunks, train
 
 
 def small_config(loss=LossSpec("l1"), sigma_max=25.0, **overrides) -> Config:
@@ -101,16 +101,31 @@ class TestTrainLoop:
     def test_validation_images_and_noise_are_not_test_images_or_noise(self, monkeypatch):
         cfg = small_config(steps=2, corpus_size=(40, 40))  # run_bench scores eval_size images: 40x40 here
         seen = []
-        monkeypatch.setattr(luml1.trainer, "mean_scores", lambda net, n, c: seen.append((n, c)) or (0.0, 0.0))
+
+        def scores(nets, clean, noisy_of):
+            seen.append((noisy_of(np.stack([c.data for c in clean]), first=0), clean))
+            return [(0.0, 0.0)]
+
+        monkeypatch.setattr(luml1.trainer, "score_chunks", scores)
         train(cfg, checkpoint_every=1)
         val_noisy, val_clean = seen[0]
         es = eval_seed(cfg.seed)
         test_clean = gen_clean(es, cfg.eval_count, *cfg.eval_size)
         for j, (n, c) in enumerate(zip(val_noisy, val_clean)):
             assert not any(np.array_equal(c.data, t.data) for t in test_clean)
-            unit = (n.data - c.data) / (cfg.sigma_max[0] / 2.0 / 255.0)  # the deviates, whatever the sigma
+            unit = (n - c.data) / (cfg.sigma_max[0] / 2.0 / 255.0)  # the deviates, whatever the sigma
             for level in range(len(cfg.eval_sigmas)):
                 assert not np.allclose(unit, normal(stream(es, DOMAIN_EVAL_NOISE, level, j), c.data.shape, 1.0))
+
+    def test_validation_scores_are_the_final_checkpoints_scores(self, tmp_path):
+        # on any BLAS kernel: the logged scores are those of the net the checkpoint holds, on the validation stream
+        cfg, ckpt = small_config(steps=6), tmp_path / "net.ckpt"
+        _, log = train(cfg, ckpt, checkpoint_every=cfg.steps)
+        val_clean = gen_clean(cfg.seed, 4, *cfg.corpus_size, DOMAIN_VAL_CLEAN)
+        noisy_of = partial(noisy_chunk, sigma_255=cfg.sigma_max[0] / 2.0, seed=cfg.seed, level=0, domain=DOMAIN_VAL_NOISE)
+        ((p, q),) = score_chunks([load_checkpoint(ckpt)], val_clean, noisy_of)
+        assert [s for s, _, _ in log.validations] == [cfg.steps]
+        assert log.to_csv().splitlines()[-1].split(",")[-2:] == [f"{p:.4f}", f"{q:.4f}"]
 
     def test_determinism_bit_identical_checkpoints(self):
         cfg = small_config(hidden_channels=8)
@@ -258,11 +273,11 @@ class TestTypeBoundary:
 
     @pytest.mark.parametrize("with_net", [True, False], ids=["net", "noisy-baseline"])
     def test_mean_scores_builds_none(self, monkeypatch, with_net):
+        # score_chunks's means: its noise, net pass and metrics build no Image
         clean = gen_clean(5, 3, 16, 16)
-        noisy = noisy_set(clean, 25.0, 5)
         net = build_tinynet(7, 4, 0) if with_net else None
         built = self.count_images(monkeypatch)
-        psnr_mean, ssim_mean = mean_scores(net, noisy, clean)
+        ((psnr_mean, ssim_mean),) = score_chunks([net], clean, partial(noisy_chunk, sigma_255=25.0, seed=5, level=0))
         assert built == []
         assert np.isfinite(psnr_mean) and np.isfinite(ssim_mean)
 
@@ -282,7 +297,7 @@ class TestScoringWorkspace:
         ps, ss = [], []
         monkeypatch.setattr(luml1.trainer, "psnrs", recording(psnrs, ps))
         monkeypatch.setattr(luml1.trainer, "ssims", recording(ssims, ss))
-        score_chunks([net], clean, lambda c, first: np.stack([n.data for n in noisy[first : first + len(c)]]))
+        score_chunks([net], clean, lambda c, first: np.stack(noisy[first : first + len(c)]))
         return list(zip(np.concatenate(ps).tolist(), np.concatenate(ss).tolist()))
 
     def test_order_and_fresh_workspaces_give_identical_pair_scores(self, monkeypatch):
@@ -291,7 +306,8 @@ class TestScoringWorkspace:
         net = build_tinynet(23, 16, 3)
         net.layers[-1].kernels *= 300.0  # a large noise estimate, so stale buffer values would show
         clean = gen_clean(24, 9, 40, 40) + gen_clean(25, 2, 16, 20)  # a second size: a second workspace
-        noisy = noisy_set(clean[:9], 15.0, 24) + noisy_set(clean[9:], 60.0, 24, level=1)
+        noisy = [*noisy_chunk(np.stack([c.data for c in clean[:9]]), 15.0, 24, 0, 0),
+                 *noisy_chunk(np.stack([c.data for c in clean[9:]]), 60.0, 24, 1, 0)]
         for scored in (net, None):  # a net, and the noisy input
             forward = self.pair_scores(monkeypatch, scored, noisy, clean)
             backward = self.pair_scores(monkeypatch, scored, noisy[::-1], clean[::-1])
@@ -299,14 +315,14 @@ class TestScoringWorkspace:
             assert len(forward) == 11
             assert forward == backward[::-1] == alone
             for (p, q), n, c in zip(alone, noisy, clean):  # as the one-image metrics score the one-image pass
-                out = np.clip(n.data if scored is None else net_forward(scored, n.data[None])[0][0], 0.0, 1.0)
+                out = np.clip(n if scored is None else net_forward(scored, n[None])[0][0], 0.0, 1.0)
                 assert (p, q) == (psnr(out, c.data), ssim(out, c.data))
 
     def test_a_chunk_holds_at_most_four_40x40_images_of_pixels(self, monkeypatch):
         sizes = []
         monkeypatch.setattr(luml1.trainer, "ssims", lambda a, b: sizes.append(len(a)) or ssims(a, b))
         clean = gen_clean(28, 5, 40, 40) + gen_clean(29, 3, 48, 48) + gen_clean(30, 22, 16, 20)
-        mean_scores(None, noisy_set(clean, 25.0, 28), clean)
+        score_chunks([None], clean, partial(noisy_chunk, sigma_255=25.0, seed=28, level=0))
         assert sizes == [4, 1, 2, 1, 20, 2]  # runs of one shape; 48x48 images go two at a time, 16x20 twenty
 
     def test_a_chunks_ssim_never_holds_every_stage_at_once(self):
