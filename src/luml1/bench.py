@@ -126,15 +126,20 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
     plan order as the cells finish. If cells fail, the error of the first
     failing cell in plan order is raised, no later cell's checkpoint is
     saved, and the cells after it stop at their next step (on Ctrl-C, every
-    cell does).
+    cell does). A checkpoint path that is an existing directory raises
+    IsADirectoryError before any work.
     """
     # imported here: `luml1 train` loads this module but starts no pool, and the
     # import (logging with it) would add 0.6 MB to its peak RSS
     from concurrent.futures import CancelledError, ThreadPoolExecutor
 
     t_start = time.perf_counter()
-    clean = gen_clean(eval_seed(plan.seed), plan.eval_count, *plan.eval_size)
     grid = [(loss, sigma_max) for sigma_max in plan.sigma_max for loss in plan.losses]
+    ckpts = [f"{ckpt_dir}/{loss.label()}_{fmt_float(sigma_max)}.ckpt" for loss, sigma_max in grid]
+    for path in ckpts:
+        if ckpt_dir is not None and os.path.isdir(path):
+            raise IsADirectoryError(f"checkpoint file {path!r} is an existing directory")
+    clean = gen_clean(eval_seed(plan.seed), plan.eval_count, *plan.eval_size)
 
     abandoned = [False] * len(grid)  # abandoned[i]: cell i failed, or the loop below stopped waiting for it
 
@@ -153,9 +158,9 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
     with ThreadPoolExecutor(usable_cpus()) as pool:
         nets = []
         try:
-            for (loss, sigma_max), net in zip(grid, pool.map(train_cell, range(len(grid)))):  # in plan order
+            for path, net in zip(ckpts, pool.map(train_cell, range(len(grid)))):  # in plan order
                 if ckpt_dir is not None:
-                    save_checkpoint(net, f"{ckpt_dir}/{loss.label()}_{fmt_float(sigma_max)}.ckpt")
+                    save_checkpoint(net, path)
                 nets.append(net)
         finally:  # after a failed cell, Ctrl-C or a failed save, the cells still training stop at their next step
             abandoned[:] = [True] * len(grid)
@@ -222,8 +227,8 @@ def load_rgb(path, min_side: int) -> Image:
 
 
 def denoise_file(ckpt_path, in_path, out_path) -> None:
-    """Run a checkpointed model over one image file and save the clamped result."""
-    out, _ = net_forward(load_checkpoint(ckpt_path), load_rgb(in_path, min_side=1).data[None])
+    """Run a checkpointed model over one image file, in a two-map workspace, and save the clamped result."""
+    out, _ = net_forward(load_checkpoint(ckpt_path), load_rgb(in_path, min_side=1).data[None], backward=False)
     save_image(Image(np.clip(out[0], 0.0, 1.0)), out_path)
 
 

@@ -42,9 +42,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_path(path: str) -> str:
-    """Argument type of an output file; argparse passes on the OSError of a missing directory (exit 3)."""
+    """Argument type of an output file; argparse passes on the OSError of a missing directory or of a path that is
+    a directory (exit 3)."""
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(f"directory of output file {path!r} does not exist")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output file {path!r} is an existing directory")
     return path
 
 

@@ -17,7 +17,11 @@ one stacked product for the batch.
 Passes run in a Workspace: each conv writes straight into the next layer's
 zero-bordered input, where its ReLU runs in place, and gradients are masked
 in place; the workspace builds each view of a buffer that passes use with
-the buffer. A net's parameters are one vector, ``theta``, of which each
+the buffer. A workspace has one of two layouts. Training's, net_forward's
+default, keeps every layer's input, which the backward pass reads.
+Scoring's (score_chunks and denoise_file ask for it) keeps two maps that
+the layers take in turn, so its memory does not grow with depth, and it
+has no backward pass. A net's parameters are one vector, ``theta``, of which each
 layer's kernels and bias are views; net_backward returns a vector like it.
 """
 
@@ -142,15 +146,19 @@ class Map(NamedTuple):
 class Workspace:
     """The buffers for running ``layers`` on (B, C, H, W) batches, refilled by every pass.
 
-    Map j, the input of layer j (map n is the output), is one zero-bordered (B, C, size) buffer whose rows of W
+    Map j, the input of layer j (map n is the output), is a zero-bordered (B, C, size) buffer whose rows of W
     pixels and a 2p border follow each other at stride s = W + 2p. So row (c, dy, dx) of an item's im2col matrix
     is one run of H*s values of the map, and a product with it fills the interior's run (the span) but for 2p
     junk values per row, which land on the border and are zeroed. All layers and items share one im2col matrix.
-    The gradients of all maps share one more buffer, made by the first backward pass: each item's input gradient
-    overwrites its output gradient once that item is unfolded. Each buffer's views are built with it (Map).
+    With ``backward`` (training's layout), each map has a buffer of its own, which the backward pass reads. The
+    gradients of all maps share one more buffer, made by the first backward pass: each item's input gradient
+    overwrites its output gradient once that item is unfolded. Without it (scoring's layout), map j is the first
+    C channels of one of two (B, max C, size) buffers, taken in turn, so a pass of any depth holds two maps; no
+    pass writes a border outside a span, so every map's border stays zero. Each buffer's views are built with it
+    (Map).
     """
 
-    def __init__(self, layers: list[ConvLayer], b: int, h: int, w: int):
+    def __init__(self, layers: list[ConvLayer], b: int, h: int, w: int, backward: bool = True):
         self.shape = (b, h, w)
         self.pad = max(layer.k // 2 for layer in layers)
         self.stride = w + 2 * self.pad
@@ -162,7 +170,13 @@ class Workspace:
         self.bias = np.empty((max(self.channels[1:]), h * self.stride), self.dtype)  # a layer's bias on every pixel
         self.layers = list(layers)
         ks = [layer.k for layer in layers]
-        self.maps = [self.views(np.zeros((b, c, self.size), self.dtype), k) for c, k in zip(self.channels, [*ks, None])]
+        self.backward = backward
+        if backward:
+            bufs = [np.zeros((b, c, self.size), self.dtype) for c in self.channels]
+        else:
+            pair = [np.zeros((b, max(self.channels), self.size), self.dtype) for _ in range(2)]
+            bufs = [pair[j % 2][:, :c] for j, c in enumerate(self.channels)]
+        self.maps = [self.views(buf, k) for buf, k in zip(bufs, [*ks, None])]
         self.grads: list[Map] = []  # grad_maps(), once made, and with them the parameter gradient vector
         self.param_grad: np.ndarray | None = None
 
@@ -181,6 +195,8 @@ class Workspace:
 
     def grad_maps(self) -> list[Map]:
         """The Map of each map's gradient, in one buffer made on first use: scoring never makes it."""
+        if not self.backward:
+            raise RuntimeError("workspace was built for forward passes only")
         if not self.grads:
             buf = np.zeros((self.shape[0], max(self.channels), self.size), self.dtype)
             ks = [None] + [layer.k for layer in self.layers]  # gradient j + 1 is read by layer j's kernel
@@ -272,22 +288,26 @@ def layer_outputs(ws: Workspace, noisy: np.ndarray):
         t, _ = conv_forward(t, layer, ws.work(i))
         yield t
         if i < len(ws.layers) - 1:
-            relu(ws.maps[i + 1].buf, ws.maps[i + 1].buf)  # the whole map, contiguous: its zero border stays zero
+            relu(ws.maps[i + 1].buf, ws.maps[i + 1].buf)  # the whole map, border too: its zero border stays zero
 
 
-def net_forward(net: TinyNet, noisy: np.ndarray, ws: Workspace | None = None) -> tuple[np.ndarray, Workspace]:
+def net_forward(
+    net: TinyNet, noisy: np.ndarray, ws: Workspace | None = None, backward: bool = True
+) -> tuple[np.ndarray, Workspace]:
     """Denoise a (B, H, W, 3) batch; returns the (B, H, W, 3) output and the workspace it ran in.
 
     A single image is a batch of one, and each item's output is the same bit for bit in any batch. ``ws`` is used
     if it was built for this net at this shape, else a fresh one is: pass the returned one back in to allocate no
-    conv buffers. It is the cache net_backward reads until the next pass through it. The stack output is a noise
-    estimate, subtracted from the input; no clamping happens here. A non-finite output raises NumericalError
-    naming the first layer whose conv output is not finite, found by running the batch again.
+    conv buffers. A fresh one has training's layout, the cache net_backward reads until the next pass through it,
+    or without ``backward`` the two-map one that callers which only score (score_chunks, denoise_file) ask for;
+    the output is the same bit for bit in either. The stack output is a noise estimate, subtracted from the input;
+    no clamping happens here. A non-finite output raises NumericalError naming the first layer whose conv output
+    is not finite, found by running the batch again.
     """
     if noisy.ndim != 4 or noisy.shape[3] != 3:
         raise InvalidInputError(f"network input must be (B, H, W, 3), got shape {noisy.shape}")
     if ws is None or not ws.fits(net.layers, noisy.shape[:3]):
-        ws = Workspace(net.layers, *noisy.shape[:3])
+        ws = Workspace(net.layers, *noisy.shape[:3], backward)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked below
         *_, t = layer_outputs(ws, noisy)
         # row-major like every image: to_grayscale's matmul would sum a transposed view in another order
@@ -302,7 +322,8 @@ def net_backward(net: TinyNet, cache: Workspace, grad_out: np.ndarray) -> np.nda
     """Exact parameter gradient of the forward map, summed over the batch, as a vector laid out like ``theta``: the
     workspace's own, which the next backward pass through ``cache`` overwrites.
 
-    ``grad_out`` is shaped like the output; ``cache`` is the workspace of net_forward's last pass on this net.
+    ``grad_out`` is shaped like the output; ``cache`` is the workspace, with backward maps, of net_forward's last
+    pass on this net.
     """
     if not cache.fits(net.layers, cache.shape):
         raise RuntimeError("forward cache does not match this network")

@@ -90,7 +90,7 @@ def score_chunks(nets: list[TinyNet | None], clean: list[Image], noisy_of) -> li
 
     The images go in chunks: runs of images of one shape, at most SCORE_PIXELS pixels (or one image).
     ``noisy_of(c, first)`` makes the noisy copies of the (k, H, W, C) stack ``c`` of images ``first`` on, and each
-    net runs on them in one net_forward pass, in a workspace it keeps for its next chunk of that shape. An image
+    net runs on them in one net_forward pass, in a two-map workspace it keeps for its next chunk of that shape. An image
     scores the same bit for bit in any chunk, and each mean is over the images' scores in image order.
     """
     runs = [j for j in range(len(clean)) if j == 0 or clean[j].data.shape != clean[j - 1].data.shape]
@@ -102,7 +102,7 @@ def score_chunks(nets: list[TinyNet | None], clean: list[Image], noisy_of) -> li
         c = np.stack([im.data for im in clean[a:b]])
         noisy = noisy_of(c, first=a)
         for i, net in enumerate(nets):
-            out, wss[i] = (noisy.copy(), wss[i]) if net is None else net_forward(net, noisy, wss[i])
+            out, wss[i] = (noisy.copy(), wss[i]) if net is None else net_forward(net, noisy, wss[i], backward=False)
             np.clip(out, 0.0, 1.0, out=out)
             scores[i].append((psnrs(out, c), ssims(out, c)))
     return [tuple(float(np.mean(np.concatenate(col))) for col in zip(*per_net)) for per_net in scores]

@@ -607,6 +607,38 @@ class TestOutputLocations:
         assert err.startswith("error: ") and "directory of output file" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command", ["bench --csv", "bench --ckpt-dir", "train --out", "train --log", "eval --csv", "denoise --out"]
+    )
+    def test_existing_directory_as_output_exits_3_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        import luml1.bench as bench
+
+        for module, names in ((cli, ("train", "score_sigma", "denoise_file")), (bench, ("train", "score_chunks"))):
+            for name in names:
+                monkeypatch.setattr(module, name, _must_not_run)
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        plan = tmp_path / "ok.plan"
+        plan.write_text(TestBenchCli.PLAN)
+        data = tmp_path / "data"
+        data.mkdir()
+        save_image(rand_image(35, 16, 16), data / "img.lumf")
+        (tmp_path / "ckpts" / "l1_25.ckpt").mkdir(parents=True)  # the plan's one cell file
+        ok = str(tmp_path / "out")
+        argv = {
+            "bench --csv": ["bench", "--plan", str(plan), "--csv", str(taken)],
+            "bench --ckpt-dir": ["bench", "--plan", str(plan), "--csv", ok, "--ckpt-dir", str(tmp_path / "ckpts")],
+            "train --out": ["train", "--out", str(taken)],
+            "train --log": ["train", "--out", ok, "--log", str(taken)],
+            "eval --csv": ["eval", "--ckpt", str(zero_ckpt(tmp_path)), "--data", str(data), "--csv", str(taken)],
+            "denoise --out": ["denoise", "--ckpt", str(zero_ckpt(tmp_path)), "--in", str(data / "img.lumf"), "--out", str(taken)],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is an existing directory" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_existing_non_regular_output_path_is_accepted(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()

@@ -33,7 +33,7 @@ from luml1.errors import InvalidInputError, NumericalError
 from luml1.fnv import fnv1a64
 from luml1.losses import LossSpec, parse_loss
 from luml1.metrics import psnr
-from luml1.net import ConvLayer, TinyNet
+from luml1.net import ConvLayer, TinyNet, Workspace
 from luml1.pnm import load_image, save_image
 from luml1.rng import DOMAIN_EVAL_NOISE, eval_seed
 from luml1.trainer import score_chunks, train
@@ -504,6 +504,24 @@ class TestRunBench:
         plan = micro_plan(steps=1)
         run_bench(plan)
         assert made[:2] == ["train", "train"] and sorted(made[2:]) == [0] * plan.eval_count + [1] * plan.eval_count
+
+    def test_scoring_builds_no_workspace_with_backward_maps(self, monkeypatch):
+        built, scoring = [], []  # (built while scoring, workspace); scoring turns true at the first score_sigma
+        init, score = Workspace.__init__, luml1.bench.score_sigma
+
+        def recording_init(ws, *args, **kwargs):
+            init(ws, *args, **kwargs)
+            built.append((bool(scoring), ws))
+
+        monkeypatch.setattr(Workspace, "__init__", recording_init)
+        monkeypatch.setattr(luml1.bench, "score_sigma", lambda *args: scoring.append(1) or score(*args))
+        monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
+        plan = micro_plan(steps=1, eval_count=12)  # 24x24 images go 11 to a chunk: chunks of two shapes
+        run_bench(plan)
+        trained, scored = ([ws for s, ws in built if s == phase] for phase in (False, True))
+        assert len(trained) == 2 and all(ws.backward for ws in trained)  # one per cell
+        assert len(scored) == 2 * 2 * 2  # per sigma, cell and chunk shape
+        assert not any(ws.backward or ws.grads for ws in scored)
 
     def test_training_uses_train_domain_and_eval_uses_eval_domain(self, micro_report, monkeypatch):
         plan = micro_report.plan

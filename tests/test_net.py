@@ -12,6 +12,7 @@ from luml1.losses import l2_loss
 from luml1.net import (
     ConvLayer,
     TinyNet,
+    Workspace,
     build_tinynet,
     conv_backward,
     conv_forward,
@@ -421,6 +422,60 @@ class TestWorkspace:
             net_backward(net, ws, grad)
             counts.append(len(made))
         assert counts[0] > 0 and counts[1] == counts[0], counts
+
+
+class TestTwoMapWorkspace:
+    """A workspace built with backward=False holds two maps, which the layers take in turn."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("width", [1, 3, 16])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_same_bits_as_a_full_workspace(self, depth, width, dtype):
+        net = build_tinynet(64 + depth, hidden_channels=width, hidden_depth=depth)
+        net = float32_net(net) if dtype == np.float32 else net
+        net.layers[-1].kernels *= 300.0  # a large noise estimate, so stale or mixed maps would show
+        for b in (1, 4):
+            imgs = np.stack([rand_array(80 + item, 9, 11) for item in range(b)]).astype(dtype)
+            full, _ = net_forward(net, imgs)
+            ws = Workspace(net.layers, b, 9, 11, backward=False)
+            net_forward(net, 40.0 * imgs[::-1], ws)  # leaves other values in both maps
+            two, same_ws = net_forward(net, imgs, ws)
+            assert same_ws is ws and two.dtype == full.dtype
+            assert two.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("depth", [0, 3, 12])
+    def test_maps_are_views_of_two_buffers_at_any_depth(self, depth):
+        net = build_tinynet(68, hidden_channels=8, hidden_depth=depth)
+        ws = Workspace(net.layers, 2, 6, 7, backward=False)
+        bases = [m.buf.base for m in ws.maps]
+        assert len({id(base) for base in bases}) == 2
+        assert all(base is bases[j % 2] for j, base in enumerate(bases))  # map j and map j + 1 never share one
+        assert sum(base.nbytes for base in bases[:2]) == 2 * 2 * 8 * ws.size * 8
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_finite_output_names_the_first_bad_layer(self, dtype):
+        net = build_tinynet(69, hidden_channels=4, hidden_depth=3)
+        net = float32_net(net) if dtype == np.float32 else net
+        big = float(np.finfo(dtype).max)
+        net.layers[1].bias[:] = big**0.7  # finite, but layer 2's sums overflow to +inf
+        net.layers[2].kernels[...] = big**0.3
+        for layer in net.layers[3:]:  # positive kernels carry the +inf through every ReLU to the output
+            np.abs(layer.kernels, out=layer.kernels)
+        img = rand_array(90, 8, 8)[None].astype(dtype)
+        for ws in (None, Workspace(net.layers, 1, 8, 8, backward=False)):
+            with pytest.raises(NumericalError, match="first at layer2$"):
+                net_forward(net, img, ws)
+
+    def test_backward_pass_is_rejected(self):
+        net = build_tinynet(70, hidden_channels=4, hidden_depth=1)
+        img = rand_array(91, 6, 7)[None]
+        out, ws = net_forward(net, img, backward=False)
+        assert not ws.backward
+        with pytest.raises(RuntimeError, match="forward passes only"):
+            net_backward(net, ws, np.ones_like(out))
+        with pytest.raises(RuntimeError, match="forward passes only"):
+            conv_backward(np.ones((1, 4, 6, 7)), ws.work(0))
+        assert not ws.grads
 
 
 class TestParameterVector:
