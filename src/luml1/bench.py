@@ -3,9 +3,10 @@ PSNR/SSIM across a grid of noise levels, and emit a comparison CSV.
 
 Fairness and reproducibility rules:
 
-* every cell trains from the same run seed, so initialization, clean
-  corpus, patch crops, and noise realizations are identical across losses
-  -- the loss is the only varying factor;
+* every cell trains from the same run seed on one clean corpus, which the
+  plan builds once, so initialization, clean corpus, patch crops, and
+  noise realizations are identical across losses -- the loss is the only
+  varying factor;
 * training streams (corpus, patches, initialization, validation) are keyed
   by the run seed, evaluation images and noise by ``eval_seed`` (the run
   seed with its low bit set), each stream in a domain of its own, so no
@@ -16,7 +17,9 @@ Fairness and reproducibility rules:
   exactly;
 * cells train, and eval sigmas are scored, as tasks on a pool of worker
   threads; each task owns its random streams and the report is assembled
-  in plan order, so the worker count changes no output byte;
+  in plan order, so the worker count changes no output byte; the cells
+  only read their shared corpus, and a scoring task runs all its nets of
+  one shape in one workspace, which no other task touches;
 * the CSV contains no timestamps, so identical plans give byte-identical
   files. Wall-clock lives only on the in-memory report.
 
@@ -46,7 +49,7 @@ from .image import Image
 from .losses import LossSpec, fmt_float, loss_token, parse_loss
 from .net import TinyNet, net_forward
 from .pnm import load_image, save_image
-from .rng import check_seed, eval_seed
+from .rng import DOMAIN_TRAIN_CLEAN, check_seed, eval_seed
 from .trainer import score_chunks, train
 
 
@@ -118,16 +121,20 @@ def usable_cpus() -> int:
 def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
     """Train and evaluate every (loss, sigma_max) cell of the plan on a pool of usable_cpus() threads.
 
-    Every cell trains as one task, then every eval sigma is scored as one
-    task: its noisy images are made a chunk at a time, and the noisy input
-    and each cell's net are scored on the chunk, so a noisy chunk lives only
-    while it is scored. Each cell and each sigma owns its random streams, so
-    the report is the same for any worker count. Checkpoints are saved in
-    plan order as the cells finish. If cells fail, the error of the first
-    failing cell in plan order is raised, no later cell's checkpoint is
-    saved, and the cells after it stop at their next step (on Ctrl-C, every
-    cell does). A checkpoint path that is an existing directory raises
-    IsADirectoryError before any work.
+    The training corpus is built once, and every cell trains on it as one
+    task. Once the last cell has trained, the corpus is dropped and the test
+    set built, so training never holds the test set nor scoring the corpus.
+    Then every eval sigma is scored as one task: its noisy images are made a
+    chunk at a time, and the noisy input and each cell's net are scored on
+    the chunk, the nets in one workspace, so a noisy chunk lives only while
+    it is scored and memory does not grow with the number of cells. Each
+    cell and each sigma owns its random streams, so the report is the same
+    for any worker count. Checkpoints are saved in plan order as the cells
+    finish. If cells fail, the error of the first failing cell in plan
+    order is raised, no later cell's checkpoint is saved, and the cells
+    after it stop at their next step (on Ctrl-C, every cell does). A
+    checkpoint path that is an existing directory raises IsADirectoryError
+    before any work.
     """
     # imported here: `luml1 train` loads this module but starts no pool, and the
     # import (logging with it) would add 0.6 MB to its peak RSS
@@ -139,7 +146,7 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
     for path in ckpts:
         if ckpt_dir is not None and os.path.isdir(path):
             raise IsADirectoryError(f"checkpoint file {path!r} is an existing directory")
-    clean = gen_clean(eval_seed(plan.seed), plan.eval_count, *plan.eval_size)
+    corpus = gen_clean(plan.seed, plan.corpus_count, *plan.corpus_size, DOMAIN_TRAIN_CLEAN)  # one for all cells
 
     abandoned = [False] * len(grid)  # abandoned[i]: cell i failed, or the loop below stopped waiting for it
 
@@ -150,7 +157,7 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
 
         loss, sigma_max = grid[i]
         try:  # the trained net is what its checkpoint holds, bit for bit: scoring it scores the checkpoint
-            return train(replace(plan, losses=(loss,), sigma_max=(sigma_max,)), stop=stop)[0]
+            return train(replace(plan, losses=(loss,), sigma_max=(sigma_max,)), stop=stop, corpus=corpus)[0]
         except BaseException:
             abandoned[i] = True
             raise
@@ -164,6 +171,8 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
                 nets.append(net)
         finally:  # after a failed cell, Ctrl-C or a failed save, the cells still training stop at their next step
             abandoned[:] = [True] * len(grid)
+        corpus = None  # every cell has trained: scoring holds the test set alone
+        clean = gen_clean(eval_seed(plan.seed), plan.eval_count, *plan.eval_size)
         rows = list(pool.map(lambda si: score_sigma(nets, clean, plan.eval_sigmas, plan.seed, si), range(len(plan.eval_sigmas))))
     return BenchReport(plan, rows, wall_clock_s=time.perf_counter() - t_start)
 

@@ -20,9 +20,10 @@ in place; the workspace builds each view of a buffer that passes use with
 the buffer. A workspace has one of two layouts. Training's, net_forward's
 default, keeps every layer's input, which the backward pass reads.
 Scoring's (score_chunks and denoise_file ask for it) keeps two maps that
-the layers take in turn, so its memory does not grow with depth, and it
-has no backward pass. A net's parameters are one vector, ``theta``, of which each
-layer's kernels and bias are views; net_backward returns a vector like it.
+the layers take in turn, so its memory does not grow with depth; it has
+no backward pass, and serves any net of the same layer shapes. A net's
+parameters are one vector, ``theta``, of which each layer's kernels and
+bias are views; net_backward returns a vector like it.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ class Workspace:
     gradients of all maps share one more buffer, made by the first backward pass: each item's input gradient
     overwrites its output gradient once that item is unfolded. Without it (scoring's layout), map j is the first
     C channels of one of two (B, max C, size) buffers, taken in turn, so a pass of any depth holds two maps; no
-    pass writes a border outside a span, so every map's border stays zero. Each buffer's views are built with it
-    (Map).
+    pass writes a border outside a span, so every map's border stays zero, and any net of the same layer shapes
+    may run in it (fits). Each buffer's views are built with it (Map).
     """
 
     def __init__(self, layers: list[ConvLayer], b: int, h: int, w: int, backward: bool = True):
@@ -206,7 +207,15 @@ class Workspace:
         return self.grads
 
     def fits(self, layers: list[ConvLayer], shape: tuple[int, ...]) -> bool:
-        return self.shape == shape and list(map(id, self.layers)) == list(map(id, layers))  # these very layers
+        """Whether a pass of ``layers`` on (B, H, W) ``shape`` batches can run here. A training workspace fits only
+        the very layers it was built for, whose pass net_backward reads; a forward-only one fits any layers of the
+        same kernel shapes and dtype, since a pass leaves in it nothing that the next pass reads."""
+        if self.shape != shape:
+            return False
+        if self.backward:
+            return list(map(id, self.layers)) == list(map(id, layers))
+        shapes = [layer.kernels.shape for layer in layers]
+        return self.dtype == layers[0].kernels.dtype and [layer.kernels.shape for layer in self.layers] == shapes
 
     def work(self, i: int) -> ConvWork:
         return ConvWork(self, i, self.layers[i])
@@ -297,17 +306,19 @@ def net_forward(
     """Denoise a (B, H, W, 3) batch; returns the (B, H, W, 3) output and the workspace it ran in.
 
     A single image is a batch of one, and each item's output is the same bit for bit in any batch. ``ws`` is used
-    if it was built for this net at this shape, else a fresh one is: pass the returned one back in to allocate no
-    conv buffers. A fresh one has training's layout, the cache net_backward reads until the next pass through it,
-    or without ``backward`` the two-map one that callers which only score (score_chunks, denoise_file) ask for;
-    the output is the same bit for bit in either. The stack output is a noise estimate, subtracted from the input;
-    no clamping happens here. A non-finite output raises NumericalError naming the first layer whose conv output
-    is not finite, found by running the batch again.
+    if it fits this net at this shape (Workspace.fits), else a fresh one is: pass the returned one back in to
+    allocate no conv buffers. A fresh one has training's layout, the cache net_backward reads until the next pass
+    through it, or without ``backward`` the two-map one that callers which only score (score_chunks, denoise_file)
+    ask for, which serves any net of the same layer shapes: the pass points it at this net. The output is the same
+    bit for bit in either layout and after any earlier pass. The stack output is a noise estimate, subtracted from
+    the input; no clamping happens here. A non-finite output raises NumericalError naming the first layer whose
+    conv output is not finite, found by running the batch again.
     """
     if noisy.ndim != 4 or noisy.shape[3] != 3:
         raise InvalidInputError(f"network input must be (B, H, W, 3), got shape {noisy.shape}")
     if ws is None or not ws.fits(net.layers, noisy.shape[:3]):
         ws = Workspace(net.layers, *noisy.shape[:3], backward)
+    ws.layers = list(net.layers)  # a forward-only workspace may have run another net of these shapes
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked below
         *_, t = layer_outputs(ws, noisy)
         # row-major like every image: to_grayscale's matmul would sum a transposed view in another order

@@ -90,25 +90,35 @@ def score_chunks(nets: list[TinyNet | None], clean: list[Image], noisy_of) -> li
 
     The images go in chunks: runs of images of one shape, at most SCORE_PIXELS pixels (or one image).
     ``noisy_of(c, first)`` makes the noisy copies of the (k, H, W, C) stack ``c`` of images ``first`` on, and each
-    net runs on them in one net_forward pass, in a two-map workspace it keeps for its next chunk of that shape. An image
-    scores the same bit for bit in any chunk, and each mean is over the images' scores in image order.
+    net runs on them in one net_forward pass, in a two-map workspace. Nets of the same layer shapes share one, kept
+    until the chunk shape changes, so the memory held does not grow with the number of nets. An image scores the
+    same bit for bit in any chunk and beside any other nets, and each mean is over the images' scores in image order.
     """
     runs = [j for j in range(len(clean)) if j == 0 or clean[j].data.shape != clean[j - 1].data.shape]
     firsts = []  # chunk starts
     for a, b in zip(runs, [*runs[1:], len(clean)]):
         firsts += range(a, b, max(1, SCORE_PIXELS // clean[a].data[:, :, 0].size))
-    scores, wss = [[] for _ in nets], [None] * len(nets)  # per net, per chunk: (PSNRs, SSIMs); per net: workspace
+    scores, wss = [[] for _ in nets], []  # per net, per chunk: (PSNRs, SSIMs); the workspaces of this chunk shape
     for a, b in zip(firsts, [*firsts[1:], len(clean)]):
         c = np.stack([im.data for im in clean[a:b]])
         noisy = noisy_of(c, first=a)
+        wss = [w for w in wss if w.shape == c.shape[:3]]
         for i, net in enumerate(nets):
-            out, wss[i] = (noisy.copy(), wss[i]) if net is None else net_forward(net, noisy, wss[i], backward=False)
+            if net is None:
+                out = noisy.copy()
+            else:
+                ws = next((w for w in wss if w.fits(net.layers, c.shape[:3])), None)
+                out, ws = net_forward(net, noisy, ws, backward=False)
+                if ws not in wss:  # a net of other layer shapes, or the first of this chunk shape
+                    wss.append(ws)
             np.clip(out, 0.0, 1.0, out=out)
             scores[i].append((psnrs(out, c), ssims(out, c)))
     return [tuple(float(np.mean(np.concatenate(col))) for col in zip(*per_net)) for per_net in scores]
 
 
-def train(cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: None) -> tuple[TinyNet, TrainLog]:
+def train(
+    cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: None, corpus: list[Image] | None = None
+) -> tuple[TinyNet, TrainLog]:
     """Build the net of a one-cell config and run its blind training loop.
 
     The net is build_tinynet of the run seed, hidden_channels and
@@ -122,7 +132,10 @@ def train(cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: N
     ``ckpt_path`` and scored on four validation images; the final net is
     always saved. A NaN or runaway value anywhere aborts with NumericalError;
     the last periodic checkpoint stays on disk. ``stop`` is called before
-    every step and may raise to end the run there.
+    every step and may raise to end the run there. ``corpus`` is the
+    config's training corpus, gen_clean of its seed, corpus_count and
+    corpus_size in the training domain, which run_bench builds once for
+    all its cells; None builds it here. Training only reads it.
     """
     if len(cfg.losses) != 1 or len(cfg.sigma_max) != 1:
         raise InvalidInputError("a training run needs exactly one loss and one sigma_max")
@@ -132,7 +145,7 @@ def train(cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: N
     net = build_tinynet(cfg.seed, cfg.hidden_channels, cfg.hidden_depth)
     net = TinyNet([ConvLayer(lay.kernels.astype(np.float32), lay.bias.astype(np.float32)) for lay in net.layers])
     log = TrainLog()
-    clean = gen_clean(cfg.seed, cfg.corpus_count, *cfg.corpus_size, DOMAIN_TRAIN_CLEAN)
+    clean = gen_clean(cfg.seed, cfg.corpus_count, *cfg.corpus_size, DOMAIN_TRAIN_CLEAN) if corpus is None else corpus
     batches = make_blind_batches(clean, sigma_max, cfg.patch_size, cfg.batch_size, cfg.steps, cfg.seed)
     state = AdamState.for_params(net.theta)
     noisy, target = (np.empty((cfg.batch_size, cfg.patch_size, cfg.patch_size, 3), np.float32) for _ in range(2))

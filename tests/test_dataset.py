@@ -13,7 +13,7 @@ from luml1.dataset import (
     noisy_chunk,
 )
 from luml1.errors import InvalidInputError
-from luml1.rng import DOMAIN_BATCH, DOMAIN_EVAL_NOISE, DOMAIN_TRAIN_CLEAN, eval_seed, normal, stream
+from luml1.rng import DOMAIN_BATCH, DOMAIN_EVAL_NOISE, DOMAIN_TRAIN_CLEAN, box_muller, eval_seed, normal, stream
 
 from conftest import rand_image
 from oracles import ks_statistic_uniform, patch_by_patch_stream
@@ -220,6 +220,14 @@ class TestSeedDomains:
                 if func == "stream" and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
                     literal.append(f"{path.name}:{node.lineno}")
         assert literal == []
+
+    def test_box_muller_computes_in_its_uniforms(self):
+        u = stream(12, 2).random((3, 2, 5))
+        first = u.copy()
+        z = box_muller(u, 9)
+        assert z.shape == (3, 9) and np.shares_memory(z, u)
+        r, theta = np.sqrt(-2.0 * np.log(1.0 - first[:, 0])), 2.0 * np.pi * first[:, 1]  # the two-array form
+        assert np.array_equal(z, np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[:, :9])
 
     def test_box_muller_determinism(self):
         a = normal(stream(11, 2), (64,), 2.0)

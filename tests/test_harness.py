@@ -35,7 +35,7 @@ from luml1.losses import LossSpec, parse_loss
 from luml1.metrics import psnr
 from luml1.net import ConvLayer, TinyNet, Workspace
 from luml1.pnm import load_image, save_image
-from luml1.rng import DOMAIN_EVAL_NOISE, eval_seed
+from luml1.rng import DOMAIN_CLEAN, DOMAIN_EVAL_NOISE, DOMAIN_TRAIN_CLEAN, eval_seed
 from luml1.trainer import score_chunks, train
 
 from conftest import rand_image
@@ -438,14 +438,14 @@ class TestRunBench:
     def test_cells_stop_at_their_next_step_on_ctrl_c(self, tmp_path, monkeypatch):
         steps = []
 
-        def interrupted(cfg, stop):
+        def interrupted(cfg, stop, **kwargs):
             def stop_after_a_step():
                 steps.append(cfg.losses[0].label())
                 if steps.count("l1") == 3 and cfg.losses[0].label() == "l1":  # once, while training: Ctrl-C
                     signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
                 return stop()
 
-            return train(cfg, stop=stop_after_a_step)
+            return train(cfg, stop=stop_after_a_step, **kwargs)
 
         monkeypatch.setattr(luml1.bench, "train", interrupted)
         monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
@@ -505,6 +505,35 @@ class TestRunBench:
         run_bench(plan)
         assert made[:2] == ["train", "train"] and sorted(made[2:]) == [0] * plan.eval_count + [1] * plan.eval_count
 
+    @staticmethod
+    def record_gen_clean(monkeypatch, into: list) -> None:
+        """Append the stream domain of every gen_clean call that run_bench and train make to ``into``."""
+        def recording(seed, count, h, w, domain=DOMAIN_CLEAN):
+            into.append(domain)
+            return gen_clean(seed, count, h, w, domain)
+
+        for module in (luml1.bench, luml1.trainer):
+            monkeypatch.setattr(module, "gen_clean", recording)
+
+    def test_cells_share_one_training_corpus(self, monkeypatch):
+        made = []
+        self.record_gen_clean(monkeypatch, made)
+        monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
+        run_bench(micro_plan(steps=1))  # two cells
+        assert sorted(made) == sorted([DOMAIN_TRAIN_CLEAN, DOMAIN_CLEAN])  # one corpus, one test set
+
+    def test_test_set_is_built_after_the_last_training_step(self, monkeypatch):
+        events = []  # gen_clean domains and "step" per Adam update, in time order
+        self.record_gen_clean(monkeypatch, events)
+        adam_step = luml1.trainer.adam_step
+        monkeypatch.setattr(luml1.trainer, "adam_step", lambda *args: events.append("step") or adam_step(*args))
+        monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
+        plan = micro_plan(steps=3)
+        run_bench(plan)
+        last_step = max(i for i, event in enumerate(events) if event == "step")
+        assert events.count("step") == 2 * plan.steps and events.count(DOMAIN_CLEAN) == 1
+        assert events.index(DOMAIN_CLEAN) > last_step
+
     def test_scoring_builds_no_workspace_with_backward_maps(self, monkeypatch):
         built, scoring = [], []  # (built while scoring, workspace); scoring turns true at the first score_sigma
         init, score = Workspace.__init__, luml1.bench.score_sigma
@@ -520,7 +549,7 @@ class TestRunBench:
         run_bench(plan)
         trained, scored = ([ws for s, ws in built if s == phase] for phase in (False, True))
         assert len(trained) == 2 and all(ws.backward for ws in trained)  # one per cell
-        assert len(scored) == 2 * 2 * 2  # per sigma, cell and chunk shape
+        assert len(scored) == 2 * 2  # per sigma and chunk shape: the cells' nets share one
         assert not any(ws.backward or ws.grads for ws in scored)
 
     def test_training_uses_train_domain_and_eval_uses_eval_domain(self, micro_report, monkeypatch):

@@ -12,7 +12,7 @@ from luml1.errors import InvalidInputError, NumericalError
 from luml1.image import Image
 from luml1.losses import LossSpec
 from luml1.metrics import SSIM_WINDOW, psnr, psnrs, ssim, ssims
-from luml1.net import build_tinynet, net_forward
+from luml1.net import ConvLayer, TinyNet, Workspace, build_tinynet, net_forward
 from luml1.rng import DOMAIN_EVAL_NOISE, DOMAIN_VAL_CLEAN, DOMAIN_VAL_NOISE, eval_seed, normal, stream
 from luml1.bench import Config
 from luml1.trainer import SCORE_PIXELS, AdamState, adam_step, score_chunks, train
@@ -317,6 +317,49 @@ class TestScoringWorkspace:
             for (p, q), n, c in zip(alone, noisy, clean):  # as the one-image metrics score the one-image pass
                 out = np.clip(n if scored is None else net_forward(scored, n[None])[0][0], 0.0, 1.0)
                 assert (p, q) == (psnr(out, c.data), ssim(out, c.data))
+
+    @staticmethod
+    def float32_net(seed: int, width: int) -> TinyNet:
+        """A net of hidden width ``width`` and depth 3 in float32, as training leaves it and a checkpoint loads it."""
+        net = build_tinynet(seed, width, 3)
+        return TinyNet([ConvLayer(lay.kernels.astype(np.float32), lay.bias.astype(np.float32)) for lay in net.layers])
+
+    def test_nets_of_one_shape_share_a_workspace_and_score_as_alone(self, monkeypatch):
+        # the first net's noise estimate is large, so values it left in the shared workspace would show in the
+        # next net's scores; the 8-wide net between two 16-wide ones needs a workspace of its own
+        nets = [self.float32_net(31, 16), self.float32_net(32, 16), self.float32_net(33, 8), self.float32_net(34, 16)]
+        nets[0].layers[-1].kernels *= 300.0
+        clean = gen_clean(35, 6, 40, 40)  # chunks of four and two images
+        noisy_of = partial(noisy_chunk, sigma_255=25.0, seed=35, level=0)
+        alone = [score_chunks([net], clean, noisy_of)[0] for net in [None, *nets]]  # each in fresh workspaces
+        built = []
+        init = Workspace.__init__
+        monkeypatch.setattr(Workspace, "__init__", lambda ws, *args: built.append(ws) or init(ws, *args))
+        assert score_chunks([None, *nets], clean, noisy_of) == alone
+        shapes = [((4, 40, 40), 16), ((4, 40, 40), 8), ((2, 40, 40), 16), ((2, 40, 40), 8)]  # (chunk, hidden width)
+        assert [(ws.shape, ws.channels[1]) for ws in built] == shapes
+
+    def test_more_nets_of_one_shape_hold_no_more_workspaces(self):
+        # four 16x3 nets peak within one workspace (1.98 MB at four 40x40 images) of one net
+        nets = [self.float32_net(40 + i, 16) for i in range(4)]
+        clean = gen_clean(44, 4, 40, 40)
+        noisy_of = partial(noisy_chunk, sigma_255=25.0, seed=44, level=0)
+        score_chunks(nets[:1], clean, noisy_of)  # SSIM's band matrices are built once and kept
+        rises = []
+        tracemalloc.start()
+        try:
+            for scored in (nets[:1], nets, Workspace):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                if scored is Workspace:
+                    Workspace(nets[0].layers, 4, 40, 40, backward=False)
+                else:
+                    score_chunks(scored, clean, noisy_of)
+                rises.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        one, four, workspace = rises
+        assert 1.9e6 < workspace < 2.1e6 and four - one < workspace, rises
 
     def test_a_chunk_holds_at_most_four_40x40_images_of_pixels(self, monkeypatch):
         sizes = []
