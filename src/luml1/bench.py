@@ -142,7 +142,7 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
 
     t_start = time.perf_counter()
     grid = [(loss, sigma_max) for sigma_max in plan.sigma_max for loss in plan.losses]
-    ckpts = [f"{ckpt_dir}/{loss.label()}_{fmt_float(sigma_max)}.ckpt" for loss, sigma_max in grid]
+    ckpts = cell_files(plan, ckpt_dir)
     for path in ckpts:
         if ckpt_dir is not None and os.path.isdir(path):
             raise IsADirectoryError(f"checkpoint file {path!r} is an existing directory")
@@ -175,6 +175,11 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
         clean = gen_clean(eval_seed(plan.seed), plan.eval_count, *plan.eval_size)
         rows = list(pool.map(lambda si: score_sigma(nets, clean, plan.eval_sigmas, plan.seed, si), range(len(plan.eval_sigmas))))
     return BenchReport(plan, rows, wall_clock_s=time.perf_counter() - t_start)
+
+
+def cell_files(plan: Config, ckpt_dir) -> list[str]:
+    """The checkpoint file of each (loss, sigma_max) cell of ``plan`` in ``ckpt_dir``, in plan order."""
+    return [f"{ckpt_dir}/{loss.label()}_{fmt_float(sm)}.ckpt" for sm in plan.sigma_max for loss in plan.losses]
 
 
 def score_sigma(nets: list[TinyNet], clean: list[Image], sigmas: tuple[float, ...], seed: int, si: int) -> list[tuple[float, float]]:
@@ -236,7 +241,7 @@ def load_rgb(path, min_side: int) -> Image:
 
 
 def denoise_file(ckpt_path, in_path, out_path) -> None:
-    """Run a checkpointed model over one image file, in a two-map workspace, and save the clamped result."""
+    """Run a checkpointed model over one image file, in a forward-only workspace, and save the clamped result."""
     out, _ = net_forward(load_checkpoint(ckpt_path), load_rgb(in_path, min_side=1).data[None], backward=False)
     save_image(Image(np.clip(out[0], 0.0, 1.0)), out_path)
 

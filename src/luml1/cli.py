@@ -12,6 +12,7 @@ import sys
 
 from .bench import (
     Config,
+    cell_files,
     denoise_file,
     fmt_val,
     load_plan,
@@ -30,7 +31,7 @@ from .gradcheck import run_gradcheck
 from .image import Image
 from .losses import LossSpec, eval_loss, fmt_float
 from .metrics import SSIM_WINDOW, psnr, ssim
-from .pnm import load_image, save_image, write_atomic
+from .pnm import image_encoder, load_image, save_image, write_atomic
 from .rng import check_seed
 from .trainer import train
 
@@ -49,6 +50,13 @@ def _out_path(path: str) -> str:
     if os.path.isdir(path):
         raise IsADirectoryError(f"output file {path!r} is an existing directory")
     return path
+
+
+def _distinct_outputs(*paths: str | None) -> None:
+    """Raise InvalidInputError if two of a command's output paths (None: not written) name one file."""
+    real = [os.path.realpath(path) for path in paths if path is not None]
+    if len(set(real)) < len(real):
+        raise InvalidInputError(f"two outputs name one file, {max(real, key=real.count)!r}")
 
 
 def cmd_gen(args) -> int:
@@ -76,6 +84,7 @@ def cmd_train(args) -> int:
     flags = {"losses": args.loss, "sigma_max": args.sigma_max, "seed": args.seed}
     overrides = {k: v for k, v in flags.items() if v is not None}
     cfg = load_plan(args.config, overrides) if args.config else parse_config("", overrides)
+    _distinct_outputs(args.out, args.log)
     _, log = train(cfg, ckpt_path=args.out, checkpoint_every=args.checkpoint_every)
     if log.steps:
         first, last = log.steps[0][1], log.steps[-1][1]
@@ -107,6 +116,7 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     plan = load_plan(args.plan)
     if args.ckpt_dir:
+        _distinct_outputs(args.csv, *cell_files(plan, args.ckpt_dir))
         os.makedirs(args.ckpt_dir, exist_ok=True)
     report = run_bench(plan, ckpt_dir=args.ckpt_dir)
     write_atomic(args.csv, report_to_csv(report))
@@ -115,6 +125,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_denoise(args) -> int:
+    image_encoder(args.outfile)  # an unsupported extension fails before the checkpoint is read
     denoise_file(args.ckpt, args.infile, args.outfile)
     print(f"denoised {args.infile} -> {args.outfile}")
     return 0

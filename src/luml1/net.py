@@ -16,14 +16,14 @@ whose input gradient is again such a product and whose kernel gradient is
 one stacked product for the batch.
 Passes run in a Workspace: each conv writes straight into the next layer's
 zero-bordered input, where its ReLU runs in place, and gradients are masked
-in place; the workspace builds each view of a buffer that passes use with
-the buffer. A workspace has one of two layouts. Training's, net_forward's
-default, keeps every layer's input, which the backward pass reads.
-Scoring's (score_chunks and denoise_file ask for it) keeps two maps that
-the layers take in turn, so its memory does not grow with depth; it has
-no backward pass, and serves any net of the same layer shapes. A net's
-parameters are one vector, ``theta``, of which each layer's kernels and
-bias are views; net_backward returns a vector like it.
+in place. A workspace fits a batch shape, kernel shapes and a dtype, so any
+net of those shapes may run in it. Training's layout, net_forward's
+default, keeps every layer's input and the gradients, which the backward
+pass of the net that ran last reads. Scoring's (score_chunks and
+denoise_file ask for it) keeps every map in one buffer, so its memory does
+not grow with depth; it has no backward pass. A net's parameters are one
+vector, ``theta``, of which each layer's kernels and bias are views;
+net_backward returns a vector like it.
 """
 
 from __future__ import annotations
@@ -145,18 +145,16 @@ class Map(NamedTuple):
 
 
 class Workspace:
-    """The buffers for running ``layers`` on (B, C, H, W) batches, refilled by every pass.
+    """The buffers for running layers of given kernel shapes and dtype on (B, C, H, W) batches, refilled by each pass.
 
     Map j, the input of layer j (map n is the output), is a zero-bordered (B, C, size) buffer whose rows of W
     pixels and a 2p border follow each other at stride s = W + 2p. So row (c, dy, dx) of an item's im2col matrix
     is one run of H*s values of the map, and a product with it fills the interior's run (the span) but for 2p
     junk values per row, which land on the border and are zeroed. All layers and items share one im2col matrix.
-    With ``backward`` (training's layout), each map has a buffer of its own, which the backward pass reads. The
-    gradients of all maps share one more buffer, made by the first backward pass: each item's input gradient
-    overwrites its output gradient once that item is unfolded. Without it (scoring's layout), map j is the first
-    C channels of one of two (B, max C, size) buffers, taken in turn, so a pass of any depth holds two maps; no
-    pass writes a border outside a span, so every map's border stays zero, and any net of the same layer shapes
-    may run in it (fits). Each buffer's views are built with it (Map).
+    Without ``backward``, map j is the first C channels of one (B, max C, size) buffer, which each layer overwrites
+    (correlate); with it, each map has a buffer of its own for the backward pass, and all gradients share one more.
+    No pass writes a border outside a span, so borders stay zero and any layers of the same kernel shapes and dtype
+    may run here (fits); ``layers`` ran last. Each buffer's views are built with it (Map).
     """
 
     def __init__(self, layers: list[ConvLayer], b: int, h: int, w: int, backward: bool = True):
@@ -169,17 +167,15 @@ class Workspace:
         rows = max(max(lay.in_ch, lay.out_ch) * lay.k**2 for lay in layers)
         self.cols = np.empty((rows, h * self.stride), self.dtype)
         self.bias = np.empty((max(self.channels[1:]), h * self.stride), self.dtype)  # a layer's bias on every pixel
-        self.layers = list(layers)
+        self.layers, self.backward = list(layers), backward
         ks = [layer.k for layer in layers]
-        self.backward = backward
-        if backward:
-            bufs = [np.zeros((b, c, self.size), self.dtype) for c in self.channels]
-        else:
-            pair = [np.zeros((b, max(self.channels), self.size), self.dtype) for _ in range(2)]
-            bufs = [pair[j % 2][:, :c] for j, c in enumerate(self.channels)]
-        self.maps = [self.views(buf, k) for buf, k in zip(bufs, [*ks, None])]
-        self.grads: list[Map] = []  # grad_maps(), once made, and with them the parameter gradient vector
-        self.param_grad: np.ndarray | None = None
+        if not backward:
+            self.maps, self.grads = self.stacked([*ks, None]), []
+            return
+        self.maps = [self.views(np.zeros((b, c, self.size), self.dtype), k) for c, k in zip(self.channels, [*ks, None])]
+        self.grads = self.stacked([None, *ks])  # gradient j + 1 is read by layer j's kernel
+        # reused, not made per pass: a fresh vector per training step cost some 30 page faults a step
+        self.param_grad = np.empty(sum(lay.kernels.size + lay.out_ch for lay in layers), self.dtype)
 
     def views(self, buf: np.ndarray, k: int | None) -> Map:
         """The Map of a (B, C, size) buffer, with the windows of a k x k kernel unless ``k`` is None."""
@@ -194,28 +190,15 @@ class Workspace:
         cols = self.cols[: c * k * k]
         return Map(buf, span, rows[..., :w], rows[..., w:], windows, cols, cols.reshape(windows.shape[1:]))
 
-    def grad_maps(self) -> list[Map]:
-        """The Map of each map's gradient, in one buffer made on first use: scoring never makes it."""
-        if not self.backward:
-            raise RuntimeError("workspace was built for forward passes only")
-        if not self.grads:
-            buf = np.zeros((self.shape[0], max(self.channels), self.size), self.dtype)
-            ks = [None] + [layer.k for layer in self.layers]  # gradient j + 1 is read by layer j's kernel
-            self.grads = [self.views(buf[:, :c], k) for c, k in zip(self.channels, ks)]
-            # reused, not made per pass: a fresh vector per training step cost some 30 page faults a step
-            self.param_grad = np.empty(sum(lay.kernels.size + lay.out_ch for lay in self.layers), self.dtype)
-        return self.grads
+    def stacked(self, ks: list[int | None]) -> list[Map]:
+        """Map j as the first channels[j] channels of one (B, max C, size) buffer, with a ks[j] kernel's windows."""
+        buf = np.zeros((self.shape[0], max(self.channels), self.size), self.dtype)
+        return [self.views(buf[:, :c], k) for c, k in zip(self.channels, ks)]
 
     def fits(self, layers: list[ConvLayer], shape: tuple[int, ...]) -> bool:
-        """Whether a pass of ``layers`` on (B, H, W) ``shape`` batches can run here. A training workspace fits only
-        the very layers it was built for, whose pass net_backward reads; a forward-only one fits any layers of the
-        same kernel shapes and dtype, since a pass leaves in it nothing that the next pass reads."""
-        if self.shape != shape:
-            return False
-        if self.backward:
-            return list(map(id, self.layers)) == list(map(id, layers))
-        shapes = [layer.kernels.shape for layer in layers]
-        return self.dtype == layers[0].kernels.dtype and [layer.kernels.shape for layer in self.layers] == shapes
+        """Whether a pass of ``layers`` on (B, H, W) ``shape`` batches can run here: their kernel shapes and dtype."""
+        kinds = [[(lay.kernels.shape, lay.kernels.dtype) for lay in ls] for ls in (self.layers, layers)]
+        return self.shape == shape and kinds[0] == kinds[1]
 
     def work(self, i: int) -> ConvWork:
         return ConvWork(self, i, self.layers[i])
@@ -223,7 +206,9 @@ class Workspace:
 
 def correlate(src: Map, kmat: np.ndarray, dst: Map) -> np.ndarray:
     """Item by item, ``kmat`` (rows, C*k*k) times map ``src``'s im2col matrix, into map ``dst``'s span, which it
-    returns: the caller zeroes the junk once done with it."""
+    returns: the caller zeroes the junk once done with it. Each item is unfolded whole before its product is
+    written, so ``dst`` may share ``src``'s buffer: a layer may write over its own input item by item. A form that
+    writes before it has read an item's whole input must give the forward-only layout its second buffer back."""
     for item, window in zip(dst.span, src.windows):
         np.copyto(src.unfolded, window)
         np.matmul(kmat, src.cols, out=item)
@@ -275,8 +260,9 @@ def conv_backward(
     shape = (ws.shape[0], layer.out_ch, *ws.shape[1:])
     if grad_out.shape != shape:
         raise InvalidInputError(f"grad shape {grad_out.shape} != output shape {shape}")
-    grads = ws.grad_maps()
-    gout, gin = grads[i + 1], grads[i]
+    if not ws.backward:
+        raise RuntimeError("workspace was built for forward passes only")
+    gout, gin = ws.grads[i + 1], ws.grads[i]
     if grad_out is not gout.inner:  # net_backward hands each layer its output gradient in place
         np.copyto(gout.inner, grad_out)
     g = gout.span
@@ -307,18 +293,18 @@ def net_forward(
 
     A single image is a batch of one, and each item's output is the same bit for bit in any batch. ``ws`` is used
     if it fits this net at this shape (Workspace.fits), else a fresh one is: pass the returned one back in to
-    allocate no conv buffers. A fresh one has training's layout, the cache net_backward reads until the next pass
-    through it, or without ``backward`` the two-map one that callers which only score (score_chunks, denoise_file)
-    ask for, which serves any net of the same layer shapes: the pass points it at this net. The output is the same
-    bit for bit in either layout and after any earlier pass. The stack output is a noise estimate, subtracted from
-    the input; no clamping happens here. A non-finite output raises NumericalError naming the first layer whose
-    conv output is not finite, found by running the batch again.
+    allocate no conv buffers. The pass points ``ws`` at this net, whichever net of these shapes ran in it before. A
+    fresh one has training's layout, the cache net_backward reads until the next pass through it, or without
+    ``backward`` the one-buffer layout that callers which only score (score_chunks, denoise_file) ask for. The
+    output is the same bit for bit in either layout and after any earlier pass. The stack output is a noise
+    estimate, subtracted from the input; no clamping happens here. A non-finite output raises NumericalError naming
+    the first layer whose conv output is not finite, found by running the batch again.
     """
     if noisy.ndim != 4 or noisy.shape[3] != 3:
         raise InvalidInputError(f"network input must be (B, H, W, 3), got shape {noisy.shape}")
     if ws is None or not ws.fits(net.layers, noisy.shape[:3]):
         ws = Workspace(net.layers, *noisy.shape[:3], backward)
-    ws.layers = list(net.layers)  # a forward-only workspace may have run another net of these shapes
+    ws.layers = list(net.layers)  # it may have run another net of these shapes
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked below
         *_, t = layer_outputs(ws, noisy)
         # row-major like every image: to_grayscale's matmul would sum a transposed view in another order
@@ -333,15 +319,17 @@ def net_backward(net: TinyNet, cache: Workspace, grad_out: np.ndarray) -> np.nda
     """Exact parameter gradient of the forward map, summed over the batch, as a vector laid out like ``theta``: the
     workspace's own, which the next backward pass through ``cache`` overwrites.
 
-    ``grad_out`` is shaped like the output; ``cache`` is the workspace, with backward maps, of net_forward's last
-    pass on this net.
+    ``grad_out`` is shaped like the output; ``cache`` is the training-layout workspace of net_forward's last pass
+    on this net: one whose last pass ran another net raises.
     """
-    if not cache.fits(net.layers, cache.shape):
+    if not cache.backward:
+        raise RuntimeError("workspace was built for forward passes only")
+    if list(map(id, cache.layers)) != list(map(id, net.layers)):
         raise RuntimeError("forward cache does not match this network")
     shape = (*cache.shape, net.layers[-1].out_ch)
     if grad_out.shape != shape:
         raise RuntimeError(f"gradient shape {grad_out.shape} does not match the output shape {shape}")
-    s = np.negative(grad_out.transpose(0, 3, 1, 2), out=cache.grad_maps()[-1].inner)  # output = input - stack(input)
+    s = np.negative(grad_out.transpose(0, 3, 1, 2), out=cache.grads[-1].inner)  # output = input - stack(input)
     views = net.split(cache.param_grad)
     for i in range(len(net.layers) - 1, -1, -1):
         s, gk, gb = conv_backward(s, cache.work(i), input_grad=i > 0)  # nothing reads the input's gradient

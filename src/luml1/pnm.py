@@ -37,16 +37,18 @@ def load_image(path) -> Image:
     raise FormatError(f"{name}: unrecognized magic at byte 0 (expected 'P6' or 'LUMF1')")
 
 
-def save_image(img: Image, path) -> None:
-    """Save as PPM if the path ends in .ppm, as LUMF1 if it ends in .lumf."""
+def image_encoder(path):
+    """The encoder of the format that ``path``'s extension names: PPM for .ppm, LUMF1 for .lumf."""
     name = os.fspath(path)
-    if name.endswith(".ppm"):
-        data = save_ppm_bytes(img)
-    elif name.endswith(".lumf"):
-        data = save_lumf_bytes(img)
-    else:
-        raise InvalidInputError(f"{name}: unsupported image extension (use .ppm or .lumf)")
-    write_atomic(path, data)
+    for ext, encoder in ((".ppm", save_ppm_bytes), (".lumf", save_lumf_bytes)):
+        if name.endswith(ext):
+            return encoder
+    raise InvalidInputError(f"{name}: unsupported image extension (use .ppm or .lumf)")
+
+
+def save_image(img: Image, path) -> None:
+    """Save in the format of ``path``'s extension (image_encoder)."""
+    write_atomic(path, image_encoder(path)(img))
 
 
 def write_atomic(path, data: bytes | str) -> None:

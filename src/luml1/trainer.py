@@ -90,27 +90,20 @@ def score_chunks(nets: list[TinyNet | None], clean: list[Image], noisy_of) -> li
 
     The images go in chunks: runs of images of one shape, at most SCORE_PIXELS pixels (or one image).
     ``noisy_of(c, first)`` makes the noisy copies of the (k, H, W, C) stack ``c`` of images ``first`` on, and each
-    net runs on them in one net_forward pass, in a two-map workspace. Nets of the same layer shapes share one, kept
-    until the chunk shape changes, so the memory held does not grow with the number of nets. An image scores the
-    same bit for bit in any chunk and beside any other nets, and each mean is over the images' scores in image order.
+    net runs on them in one net_forward pass, in one forward-only workspace, which each net reuses if it fits (one
+    of other layer shapes gets a fresh one), so the memory held does not grow with the number of nets. An image
+    scores the same bit for bit in any chunk and beside any other nets; each mean is over its images in order.
     """
     runs = [j for j in range(len(clean)) if j == 0 or clean[j].data.shape != clean[j - 1].data.shape]
     firsts = []  # chunk starts
     for a, b in zip(runs, [*runs[1:], len(clean)]):
         firsts += range(a, b, max(1, SCORE_PIXELS // clean[a].data[:, :, 0].size))
-    scores, wss = [[] for _ in nets], []  # per net, per chunk: (PSNRs, SSIMs); the workspaces of this chunk shape
+    scores, ws = [[] for _ in nets], None  # per net, per chunk: (PSNRs, SSIMs)
     for a, b in zip(firsts, [*firsts[1:], len(clean)]):
         c = np.stack([im.data for im in clean[a:b]])
         noisy = noisy_of(c, first=a)
-        wss = [w for w in wss if w.shape == c.shape[:3]]
         for i, net in enumerate(nets):
-            if net is None:
-                out = noisy.copy()
-            else:
-                ws = next((w for w in wss if w.fits(net.layers, c.shape[:3])), None)
-                out, ws = net_forward(net, noisy, ws, backward=False)
-                if ws not in wss:  # a net of other layer shapes, or the first of this chunk shape
-                    wss.append(ws)
+            out, ws = (noisy.copy(), ws) if net is None else net_forward(net, noisy, ws, backward=False)
             np.clip(out, 0.0, 1.0, out=out)
             scores[i].append((psnrs(out, c), ssims(out, c)))
     return [tuple(float(np.mean(np.concatenate(col))) for col in zip(*per_net)) for per_net in scores]

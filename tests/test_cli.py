@@ -156,6 +156,17 @@ class TestDenoise:
         assert "gray.lumf" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unsupported_output_extension_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch):
+        import luml1.bench as bench
+
+        monkeypatch.setattr(bench, "net_forward", _must_not_run)
+        src, out = tmp_path / "in.ppm", tmp_path / "x.png"
+        save_image(rand_image(8, 16, 16), src)
+        rc = main(["denoise", "--ckpt", str(zero_ckpt(tmp_path)), "--in", str(src), "--out", str(out)])
+        assert rc == 1
+        assert "x.png: unsupported image extension" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainCli:
     def test_train_with_config_file_and_overrides(self, tmp_path, capsys):
@@ -637,6 +648,24 @@ class TestOutputLocations:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "is an existing directory" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["train --out --log", "bench --csv --ckpt-dir"])
+    def test_two_outputs_naming_one_file_exit_1_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        for name in ("run_bench", "train"):
+            monkeypatch.setattr(cli, name, _must_not_run)
+        plan = tmp_path / "ok.plan"
+        plan.write_text(TestBenchCli.PLAN)
+        (tmp_path / "ck").mkdir()
+        argv = {  # each pair is one file by another name: realpath, not the text, decides
+            "train --out --log": ["train", "--out", str(tmp_path / "m.ckpt"), "--log", f"{tmp_path}/./m.ckpt"],
+            "bench --csv --ckpt-dir": [
+                "bench", "--plan", str(plan), "--csv", str(tmp_path / "ck" / "l1_25.ckpt"), "--ckpt-dir", f"{tmp_path}/ck/",
+            ],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        assert "two outputs name one file" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_existing_non_regular_output_path_is_accepted(self, tmp_path, capsys):
