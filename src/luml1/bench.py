@@ -240,10 +240,28 @@ def load_rgb(path, min_side: int) -> Image:
     return img
 
 
+# output rows per denoise pass: a 1024x1024 image through the 16x3 net peaked at 200 MB RSS, against 832 MB in one pass
+DENOISE_TILE_ROWS = 64
+
+
 def denoise_file(ckpt_path, in_path, out_path) -> None:
-    """Run a checkpointed model over one image file, in a forward-only workspace, and save the clamped result."""
-    out, _ = net_forward(load_checkpoint(ckpt_path), load_rgb(in_path, min_side=1).data[None], backward=False)
-    save_image(Image(np.clip(out[0], 0.0, 1.0)), out_path)
+    """Run a checkpointed model over one image file and save the clamped result.
+
+    The net runs on tiles of DENOISE_TILE_ROWS output rows, each read with sum(k // 2) rows of halo on both sides,
+    or up to the image's edge, so each output row sees every input row it depends on. The slabs read are of one
+    height and share one forward-only workspace, which scales with the tile; an image one slab covers is one pass.
+    """
+    net = load_checkpoint(ckpt_path)
+    img = load_rgb(in_path, min_side=1).data
+    h, halo = len(img), sum(layer.k // 2 for layer in net.layers)
+    step = DENOISE_TILE_ROWS if h > DENOISE_TILE_ROWS + 2 * halo else h
+    rows, ws = min(h, step + 2 * halo), None
+    out = np.empty(img.shape, np.result_type(img, net.theta))
+    for r0 in range(0, h, step):
+        a = min(max(r0 - halo, 0), h - rows)  # the slab's first row
+        tile, ws = net_forward(net, img[None, a : a + rows], ws, backward=False)
+        out[r0 : r0 + step] = tile[0, r0 - a : r0 - a + step]
+    save_image(Image(np.clip(out, 0.0, 1.0, out=out)), out_path)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ uniformly from [0, sigma_max] but never exposes it -- consumers only see
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -120,38 +121,40 @@ def _draw_patch_params(
 
 
 def make_blind_batches(
-    clean: list[Image], sigma_max_255: float, patch_size: int, batch_size: int, count: int, seed: int
+    clean: list[Image], sigma_max_255: float, count: int, seed: int, noisy: np.ndarray, target: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``count`` (noisy, clean) batches, each two fresh (batch_size, P, P, 3) arrays, P = ``patch_size``.
+    """Fill the caller's (B, P, P, 3) ``noisy`` and ``target`` arrays with each of ``count`` batches, and yield them.
 
-    Each noisy patch carries noise with a std dev drawn uniformly from
-    [0, sigma_max_255]; the draw is internal and not part of the yielded
-    values. Crops and noise levels come from a single stream keyed by
-    ``seed``, so the full sequence is reproducible. Each patch draws its
-    crop and sigma, then its uniforms as rng.normal would; one Box-Muller
-    pass over a batch's uniforms makes its noise, bit for bit what
-    rng.normal gives each patch alone. Bad arguments raise
-    InvalidInputError at the first draw.
+    The batch size B and patch size P are those of the arrays, which are of one shape and of any float dtype:
+    each yield overwrites the last batch. Each noisy patch carries noise with a std dev drawn uniformly from
+    [0, sigma_max_255]; the draw is internal and not part of the yielded values. Crops and noise levels come from
+    a single stream keyed by ``seed``, so the full sequence is reproducible. Each patch draws its crop and sigma,
+    then its uniforms as rng.normal would; one Box-Muller pass over a batch's uniforms makes its noise, bit for bit
+    what rng.normal gives each patch alone. The crops and noise are float64, kept in two buffers of the stream's,
+    and their sum is rounded once into ``noisy``: a float32 pair holds the float32 cast of the float64 batch.
+    Bad arguments raise InvalidInputError at the first draw.
     """
     check_sigmas("sigma_max", (sigma_max_255,))
-    if patch_size < 1:
-        raise InvalidInputError(f"patch_size must be positive, got {patch_size}")
-    if batch_size < 1:
-        raise InvalidInputError(f"batch_size must be positive, got {batch_size}")
+    shape = target.shape
+    if noisy.shape != shape or len(shape) != 4 or shape[1] != shape[2] or shape[3] != 3 or 0 in shape:
+        raise InvalidInputError(f"batch arrays must both be (B, P, P, 3), B and P positive, got {noisy.shape} and {shape}")
+    (batch_size, p), n = shape[:2], math.prod(shape[1:])
     if count < 0:
         raise InvalidInputError(f"count must be nonnegative, got {count}")
     if not clean:
         raise InvalidInputError("need at least one clean image")
     dims = [im.data.shape[:2] for im in clean]
-    if any(patch_size > min(h, w) for h, w in dims):
-        raise InvalidInputError(f"patch_size {patch_size} exceeds the smallest image dimension")
+    if any(p > min(h, w) for h, w in dims):
+        raise InvalidInputError(f"patch_size {p} exceeds the smallest image dimension")
     rng = stream(seed, DOMAIN_BATCH)
-    p, n = patch_size, patch_size * patch_size * 3
-    u, sigmas = np.empty((batch_size, 2, (n + 1) // 2)), np.empty((batch_size, 1))
+    crops, u, scale = np.empty(shape), np.empty((batch_size, 2, (n + 1) // 2)), np.empty((batch_size, 1))
     for _ in range(count):
-        target = np.empty((batch_size, p, p, 3))
         for j in range(batch_size):
-            idx, y0, x0, sigmas[j, 0] = _draw_patch_params(rng, dims, p, sigma_max_255)
-            target[j] = clean[idx].data[y0 : y0 + p, x0 : x0 + p]
+            idx, y0, x0, sigma = _draw_patch_params(rng, dims, p, sigma_max_255)
+            crops[j], scale[j] = clean[idx].data[y0 : y0 + p, x0 : x0 + p], sigma / 255.0
             rng.random(out=u[j])  # as rng.normal draws them
-        yield target + (sigmas / 255.0 * box_muller(u, n)).reshape(target.shape), target
+        noise = box_muller(u, n)
+        noise *= scale
+        np.add(crops, noise.reshape(shape), out=noisy)
+        np.copyto(target, crops)
+        yield noisy, target

@@ -150,7 +150,8 @@ class Workspace:
     Map j, the input of layer j (map n is the output), is a zero-bordered (B, C, size) buffer whose rows of W
     pixels and a 2p border follow each other at stride s = W + 2p. So row (c, dy, dx) of an item's im2col matrix
     is one run of H*s values of the map, and a product with it fills the interior's run (the span) but for 2p
-    junk values per row, which land on the border and are zeroed. All layers and items share one im2col matrix.
+    junk values per row, which land on the border and are zeroed. All layers and items share one im2col matrix,
+    whose first rows also hold a layer's bias on every pixel once its products are written.
     Without ``backward``, map j is the first C channels of one (B, max C, size) buffer, which each layer overwrites
     (correlate); with it, each map has a buffer of its own for the backward pass, and all gradients share one more.
     No pass writes a border outside a span, so borders stay zero and any layers of the same kernel shapes and dtype
@@ -165,8 +166,7 @@ class Workspace:
         self.size = (h + 2 * self.pad) * self.stride + 2 * self.pad  # of a map's channel: the windows fit inside
         self.dtype = layers[0].kernels.dtype
         rows = max(max(lay.in_ch, lay.out_ch) * lay.k**2 for lay in layers)
-        self.cols = np.empty((rows, h * self.stride), self.dtype)
-        self.bias = np.empty((max(self.channels[1:]), h * self.stride), self.dtype)  # a layer's bias on every pixel
+        self.cols = np.empty((rows, h * self.stride), self.dtype)  # conv_forward also spreads a bias over its rows
         self.layers, self.backward = list(layers), backward
         ks = [layer.k for layer in layers]
         if not backward:
@@ -239,7 +239,8 @@ def conv_forward(x: np.ndarray, layer: ConvLayer, work: ConvWork | None = None) 
     if x is not src.inner:  # net_forward hands each layer after the first its input in place
         np.copyto(src.inner, x)
     out = correlate(src, layer.kernels.reshape(layer.out_ch, -1), dst)
-    np.copyto(plane := work.ws.bias[: layer.out_ch], layer.bias[:, None])  # refreshed per call: a step moves the bias
+    # the bias on every pixel, in im2col rows that are dead once the products are written (out_ch <= out_ch*k*k)
+    np.copyto(plane := work.ws.cols[: layer.out_ch], layer.bias[:, None])
     out += plane  # on the span, from a contiguous plane: faster than a stride-0 bias or an add on the interior view
     dst.junk[...] = 0.0  # the border is zero again
     return dst.inner, work

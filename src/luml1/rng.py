@@ -61,17 +61,20 @@ def box_muller(u: np.ndarray, n: int) -> np.ndarray:
     first m draws and [..., 1, :] its next m. Elementwise, so each stream's are as if it were transformed alone.
 
     Computed in ``u``, which it overwrites: the deviates are the (..., 2m) view of it cut to n, [..., 0, :] times
-    the cosines, then [..., 1, :] times the sines. The one array it makes, r, is half the size of ``u``.
+    the cosines, then [..., 1, :] times the sines. Each stream's contiguous (2, m) rows go in turn, so no operand
+    is copied; the one array made per stream, r, is half the size of its rows.
     """
-    u0, u1 = u[..., 0, :], u[..., 1, :]
-    r = np.subtract(1.0, u0)  # 1 - u lies in (0, 1], so the log is finite
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    u1 *= 2.0 * np.pi  # theta
-    np.cos(u1, out=u0)
-    np.sin(u1, out=u1)
-    u *= r[..., None, :]
+    for i in np.ndindex(u.shape[:-2]):
+        row = u[i]
+        u0, u1 = row
+        r = np.subtract(1.0, u0)  # 1 - u lies in (0, 1], so the log is finite
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        u1 *= 2.0 * np.pi  # theta
+        np.cos(u1, out=u0)
+        np.sin(u1, out=u1)
+        row *= r
     return u.reshape(*u.shape[:-2], -1)[..., :n]
 
 

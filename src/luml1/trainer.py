@@ -117,10 +117,11 @@ def train(
     The net is build_tinynet of the run seed, hidden_channels and
     hidden_depth, cast to float32, so every cell of a plan starts from the
     same net; its Adam moments and patch batches are float32 too. Each
-    step casts the stream's next (noisy, clean) batch of ``batch_size``
-    patches into those arrays, runs it forward, makes one loss call on the
-    whole batch (the mean of its patches' losses), runs it back once for
-    that loss's gradients, and applies one Adam update.
+    step has the stream write its next (noisy, clean) batch of
+    ``batch_size`` patches into those two arrays, runs it forward, makes
+    one loss call on the whole batch (the mean of its patches' losses),
+    runs it back once for that loss's gradients, and applies one Adam
+    update.
     Every ``checkpoint_every`` steps (0: never) the net is saved to
     ``ckpt_path`` and scored on four validation images; the final net is
     always saved. A NaN or runaway value anywhere aborts with NumericalError;
@@ -139,9 +140,9 @@ def train(
     net = TinyNet([ConvLayer(lay.kernels.astype(np.float32), lay.bias.astype(np.float32)) for lay in net.layers])
     log = TrainLog()
     clean = gen_clean(cfg.seed, cfg.corpus_count, *cfg.corpus_size, DOMAIN_TRAIN_CLEAN) if corpus is None else corpus
-    batches = make_blind_batches(clean, sigma_max, cfg.patch_size, cfg.batch_size, cfg.steps, cfg.seed)
     state = AdamState.for_params(net.theta)
     noisy, target = (np.empty((cfg.batch_size, cfg.patch_size, cfg.patch_size, 3), np.float32) for _ in range(2))
+    batches = make_blind_batches(clean, sigma_max, cfg.steps, cfg.seed, noisy, target)
     val_clean = ws = None  # ws: the one workspace of every training forward pass
     val_noisy = partial(noisy_chunk, sigma_255=sigma_max / 2.0, seed=cfg.seed, level=0, domain=DOMAIN_VAL_NOISE)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked explicitly
@@ -149,7 +150,7 @@ def train(
             stop()
             try:
                 t0 = time.perf_counter()
-                noisy[...], target[...] = next(batches)
+                next(batches)  # refills noisy and target
                 out, ws = net_forward(net, noisy, ws)
                 result = eval_loss(loss, out, target)
                 if not np.isfinite(result.value):

@@ -136,6 +136,26 @@ class TestDenoise:
         assert rc == 0
         assert np.array_equal(load_image(dst).data, load_image(src).data)
 
+    def test_tall_image_runs_in_tiles_as_one_pass(self, tmp_path, monkeypatch):
+        import luml1.net
+        from luml1.bench import DENOISE_TILE_ROWS
+        from luml1.net import net_forward
+
+        net = build_tinynet(9, 8, 3)  # five 3x3 layers: each tile reads 5 rows above and below it
+        net.layers[-1].kernels *= 300.0  # an estimate far from zero, so the output is not just the input
+        ckpt, src, dst = tmp_path / "net.ckpt", tmp_path / "in.lumf", tmp_path / "out.lumf"
+        save_checkpoint(net, ckpt)
+        img = rand_image(10, 200, 48)
+        save_image(img, src)
+        built = []
+        init = luml1.net.Workspace.__init__
+        monkeypatch.setattr(luml1.net.Workspace, "__init__", lambda ws, *args: built.append(args[1:4]) or init(ws, *args))
+        assert main(["denoise", "--ckpt", str(ckpt), "--in", str(src), "--out", str(dst)]) == 0
+        assert built == [(1, DENOISE_TILE_ROWS + 2 * 5, 48)]  # one workspace for every tile, none of the image
+        whole, _ = net_forward(load_checkpoint(ckpt), load_image(src).data[None])
+        assert np.abs(whole[0] - img.data).max() > 0.01
+        assert np.allclose(load_image(dst).data, np.clip(whole[0], 0.0, 1.0), rtol=0.0, atol=1e-6)
+
     def test_corrupt_checkpoint_exits_3_with_checksum_message(self, tmp_path, capsys):
         ckpt = zero_ckpt(tmp_path)
         raw = bytearray(ckpt.read_bytes())

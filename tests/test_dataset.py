@@ -105,10 +105,20 @@ class TestAddNoise:
         assert noisy.min() < 0.0 or noisy.max() > 1.0
 
 
+def batch_arrays(batch_size: int, patch_size: int, dtype=np.float64) -> list[np.ndarray]:
+    """A (noisy, target) pair for make_blind_batches to fill."""
+    return [np.empty((batch_size, patch_size, patch_size, 3), dtype) for _ in range(2)]
+
+
+def drawn(batches) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Copies of every batch of a stream, which refills one pair of arrays."""
+    return [(noisy.copy(), target.copy()) for noisy, target in batches]
+
+
 class TestBlindBatches:
     @staticmethod
     def batches(clean, count=10, seed=5, batch_size=2):
-        return make_blind_batches(clean, 50.0, 12, batch_size, count, seed)
+        return make_blind_batches(clean, 50.0, count, seed, *batch_arrays(batch_size, 12))
 
     def test_exact_count(self):
         clean = gen_clean(1, 3, 20, 20)
@@ -139,8 +149,8 @@ class TestBlindBatches:
 
     def test_same_seed_identical_sequence(self):
         clean = gen_clean(3, 2, 20, 20)
-        a = list(self.batches(clean, count=6))
-        b = list(self.batches(clean, count=6))
+        a = drawn(self.batches(clean, count=6))
+        b = drawn(self.batches(clean, count=6))
         for (na, ca), (nb, cb) in zip(a, b):
             assert np.array_equal(na, nb)
             assert np.array_equal(ca, cb)
@@ -149,17 +159,40 @@ class TestBlindBatches:
     def test_batches_are_the_patch_by_patch_stream_bit_for_bit(self, batch_size):
         # at P = 5 a patch has 75 values, an odd count, so each patch drops its last Box-Muller deviate
         clean = gen_clean(4, 3, 16, 16)
-        batches = list(make_blind_batches(clean, 40.0, 5, batch_size, 4, 6))
+        batches = drawn(make_blind_batches(clean, 40.0, 4, 6, *batch_arrays(batch_size, 5)))
         pairs = patch_by_patch_stream(clean, 40.0, 5, 4 * batch_size, 6)
         items = [(n, c) for noisy, target in batches for n, c in zip(noisy, target)]
         assert len(items) == len(pairs)
         for (n, c), (on, oc) in zip(items, pairs):
             assert np.array_equal(n, on) and np.array_equal(c, oc)
 
+    def test_every_batch_is_the_oracle_in_float64_and_its_cast_in_float32(self):
+        # several batches through one pair of arrays: each batch's writes leave nothing of the last one behind
+        clean = gen_clean(7, 3, 20, 20)
+        pairs = patch_by_patch_stream(clean, 30.0, 6, 5 * 3, 8)
+        for dtype in (np.float64, np.float32):
+            arrays = batch_arrays(3, 6, dtype)
+            batches = drawn(make_blind_batches(clean, 30.0, 5, 8, *arrays))
+            assert len(batches) == 5 and all(a.dtype == dtype for pair in batches for a in pair)
+            items = [(n, c) for noisy, target in batches for n, c in zip(noisy, target)]
+            for (n, c), (on, oc) in zip(items, pairs, strict=True):
+                assert np.array_equal(n, on.astype(dtype)) and np.array_equal(c, oc.astype(dtype))
+
+    def test_yields_the_callers_arrays(self):
+        noisy, target = batch_arrays(2, 12)
+        for n, t in make_blind_batches(gen_clean(1, 2, 20, 20), 50.0, 3, 5, noisy, target):
+            assert n is noisy and t is target
+
+    @pytest.mark.parametrize("shapes", [((2, 12, 12, 3), (2, 12, 12, 1)), ((2, 12, 11, 3),) * 2, ((1, 12, 12, 3), (2, 12, 12, 3))])
+    def test_batch_arrays_of_other_shapes_rejected(self, shapes):
+        noisy, target = (np.empty(shape) for shape in shapes)
+        with pytest.raises(InvalidInputError, match="batch arrays"):
+            next(make_blind_batches(gen_clean(1, 1, 16, 16), 10.0, 1, 0, noisy, target))
+
     def test_patch_larger_than_image_rejected(self):
         clean = gen_clean(1, 1, 16, 16)
         with pytest.raises(InvalidInputError):
-            list(make_blind_batches(clean, 10.0, 17, 1, 1, 0))
+            list(make_blind_batches(clean, 10.0, 1, 0, *batch_arrays(1, 17)))
 
     @pytest.mark.parametrize(
         "sigma_max,patch_size,count,batch_size",
@@ -168,7 +201,7 @@ class TestBlindBatches:
     )
     def test_bad_stream_arguments_rejected(self, sigma_max, patch_size, count, batch_size):
         with pytest.raises(InvalidInputError):
-            list(make_blind_batches(gen_clean(1, 1, 16, 16), sigma_max, patch_size, batch_size, count, 0))
+            list(make_blind_batches(gen_clean(1, 1, 16, 16), sigma_max, count, 0, *batch_arrays(batch_size, patch_size)))
 
     def test_sigma_draws_uniform_ks(self):
         # white-box: the same draw helper the batch stream consumes

@@ -556,7 +556,7 @@ class TestRunBench:
         plan = micro_report.plan
         assert plan.seed & 1 and plan.corpus_size == plan.eval_size  # an odd seed is its own eval_seed
         drawn = []
-        monkeypatch.setattr(luml1.trainer, "make_blind_batches", lambda clean, *args: drawn.append((clean, args[-1])) or iter(()))
+        monkeypatch.setattr(luml1.trainer, "make_blind_batches", lambda clean, sigma, count, seed, *batch: drawn.append((clean, seed)) or iter(()))
         train(replace(plan, losses=plan.losses[:1], steps=0))
         corpus, seed = drawn[0]
         assert seed == plan.seed  # the run seed itself: seeds 2k and 2k+1 train different nets

@@ -41,7 +41,7 @@ def test_gen_corpus_bytes(tmp_path, capsys):
 
 def test_first_patches_of_the_blind_stream():
     corpus = gen_clean(5, 3, 24, 24, DOMAIN_TRAIN_CLEAN)
-    ((noisy, clean),) = make_blind_batches(corpus, 25.0, 16, 4, 1, 5)
+    ((noisy, clean),) = make_blind_batches(corpus, 25.0, 1, 5, *(np.empty((4, 16, 16, 3)) for _ in range(2)))
     assert digest(a for pair in zip(noisy, clean) for a in pair) == "ce82b4d91f91a3e9"
 
 
