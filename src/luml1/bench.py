@@ -15,11 +15,12 @@ Fairness and reproducibility rules:
 * each cell is scored with its trained float32 net, which its checkpoint
   holds bit for bit, so a saved checkpoint reproduces the reported numbers
   exactly;
-* cells train, and eval sigmas are scored, as tasks on a pool of worker
-  threads; each task owns its random streams and the report is assembled
-  in plan order, so the worker count changes no output byte; the cells
-  only read their shared corpus, and a scoring task runs all its nets of
-  one shape in one workspace, which no other task touches;
+* cells train, and chunks of test images are scored, as tasks on a pool
+  of worker threads; each task owns its random streams and the report is
+  assembled in plan order, so the worker count changes no output byte;
+  the cells only read their shared corpus, and a scoring task makes its
+  own chunk and runs all its nets of one shape in one workspace, which no
+  other task touches;
 * the CSV contains no timestamps, so identical plans give byte-identical
   files. Wall-clock lives only on the in-memory report.
 
@@ -37,20 +38,19 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, fields, replace
-from functools import partial
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dataset import MIN_IMAGE_SIZE, check_sigmas, gen_clean, noisy_chunk
+from .dataset import MIN_IMAGE_SIZE, check_sigmas, gen_chunk, gen_clean, noisy_chunk
 from .errors import InvalidInputError
 from .fnv import fnv1a64
 from .image import Image
 from .losses import LossSpec, fmt_float, loss_token, parse_loss
-from .net import TinyNet, net_forward
+from .net import TinyNet, denoise
 from .pnm import load_image, save_image
 from .rng import DOMAIN_TRAIN_CLEAN, check_seed, eval_seed
-from .trainer import score_chunks, train
+from .trainer import chunk_bounds, mean_scores, score_chunk, train
 
 
 @dataclass(frozen=True)
@@ -122,14 +122,17 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
     """Train and evaluate every (loss, sigma_max) cell of the plan on a pool of usable_cpus() threads.
 
     The training corpus is built once, and every cell trains on it as one
-    task. Once the last cell has trained, the corpus is dropped and the test
-    set built, so training never holds the test set nor scoring the corpus.
-    Then every eval sigma is scored as one task: its noisy images are made a
-    chunk at a time, and the noisy input and each cell's net are scored on
-    the chunk, the nets in one workspace, so a noisy chunk lives only while
-    it is scored and memory does not grow with the number of cells. Each
-    cell and each sigma owns its random streams, so the report is the same
-    for any worker count. Checkpoints are saved in plan order as the cells
+    task. Once the last cell has trained, the corpus is dropped and scoring
+    starts. Every chunk of test images (chunk_bounds) is scored as one task:
+    it makes its clean images from their own streams, then at every eval
+    sigma their noisy copies, and scores the noisy input and each cell's net
+    on them, all in one workspace (score_chunk). With fewer chunks than
+    workers, each chunk's sigmas are split over that many tasks. So scoring
+    holds a chunk per worker, never the test set, nor the corpus, and its
+    memory grows neither with the number of cells nor with eval_count. Each
+    cell, image and sigma owns its random streams, and the per-image scores
+    are averaged in image order, so the report is the same for any worker
+    count. Checkpoints are saved in plan order as the cells
     finish. If cells fail, the error of the first failing cell in plan
     order is raised, no later cell's checkpoint is saved, and the cells
     after it stop at their next step (on Ctrl-C, every cell does). A
@@ -162,7 +165,8 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
             abandoned[i] = True
             raise
 
-    with ThreadPoolExecutor(usable_cpus()) as pool:
+    workers = usable_cpus()
+    with ThreadPoolExecutor(workers) as pool:
         nets = []
         try:
             for path, net in zip(ckpts, pool.map(train_cell, range(len(grid)))):  # in plan order
@@ -171,10 +175,20 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
                 nets.append(net)
         finally:  # after a failed cell, Ctrl-C or a failed save, the cells still training stop at their next step
             abandoned[:] = [True] * len(grid)
-        corpus = None  # every cell has trained: scoring holds the test set alone
-        clean = gen_clean(eval_seed(plan.seed), plan.eval_count, *plan.eval_size)
-        rows = list(pool.map(lambda si: score_sigma(nets, clean, plan.eval_sigmas, plan.seed, si), range(len(plan.eval_sigmas))))
-    return BenchReport(plan, rows, wall_clock_s=time.perf_counter() - t_start)
+        corpus = None  # every cell has trained: scoring holds no corpus
+        bounds, n = chunk_bounds([(*plan.eval_size, 3)] * plan.eval_count), len(plan.eval_sigmas)
+        parts = min(n, -(-workers // len(bounds)))  # tasks per chunk, each scoring a run of its levels
+        tasks = [(a, b, range(n * p // parts, n * (p + 1) // parts)) for a, b in bounds for p in range(parts)]
+        noisy_of = eval_noise(plan.eval_sigmas, plan.seed)
+
+        def score_task(task: tuple[int, int, range]) -> list:
+            a, b, levels = task
+            clean = gen_chunk(eval_seed(plan.seed), a, b - a, *plan.eval_size)
+            return score_chunk([None, *nets], clean, a, noisy_of, levels)
+
+        done = list(pool.map(score_task, tasks))
+    chunks = [sum(done[i : i + parts], []) for i in range(0, len(done), parts)]  # each chunk's levels, in order
+    return BenchReport(plan, mean_scores(chunks), wall_clock_s=time.perf_counter() - t_start)
 
 
 def cell_files(plan: Config, ckpt_dir) -> list[str]:
@@ -182,10 +196,9 @@ def cell_files(plan: Config, ckpt_dir) -> list[str]:
     return [f"{ckpt_dir}/{loss.label()}_{fmt_float(sm)}.ckpt" for sm in plan.sigma_max for loss in plan.losses]
 
 
-def score_sigma(nets: list[TinyNet], clean: list[Image], sigmas: tuple[float, ...], seed: int, si: int) -> list[tuple[float, float]]:
-    """Mean (PSNR, SSIM) of the noisy input, then of each net, at ``sigmas[si]``, noised from run seed ``seed``."""
-    noisy_of = partial(noisy_chunk, sigma_255=sigmas[si], seed=eval_seed(seed), level=si)
-    return score_chunks([None, *nets], clean, noisy_of)
+def eval_noise(sigmas: tuple[float, ...], seed: int):
+    """The noisy_of of score_chunk that makes the test noise of run seed ``seed``: level i is ``sigmas[i]``."""
+    return lambda clean, first, level: noisy_chunk(clean, sigmas[level], eval_seed(seed), level, first)
 
 
 def parse_sigmas(text: str) -> tuple[float, ...]:
@@ -240,28 +253,10 @@ def load_rgb(path, min_side: int) -> Image:
     return img
 
 
-# output rows per denoise pass: a 1024x1024 image through the 16x3 net peaked at 200 MB RSS, against 832 MB in one pass
-DENOISE_TILE_ROWS = 64
-
-
 def denoise_file(ckpt_path, in_path, out_path) -> None:
-    """Run a checkpointed model over one image file and save the clamped result.
-
-    The net runs on tiles of DENOISE_TILE_ROWS output rows, each read with sum(k // 2) rows of halo on both sides,
-    or up to the image's edge, so each output row sees every input row it depends on. The slabs read are of one
-    height and share one forward-only workspace, which scales with the tile; an image one slab covers is one pass.
-    """
-    net = load_checkpoint(ckpt_path)
-    img = load_rgb(in_path, min_side=1).data
-    h, halo = len(img), sum(layer.k // 2 for layer in net.layers)
-    step = DENOISE_TILE_ROWS if h > DENOISE_TILE_ROWS + 2 * halo else h
-    rows, ws = min(h, step + 2 * halo), None
-    out = np.empty(img.shape, np.result_type(img, net.theta))
-    for r0 in range(0, h, step):
-        a = min(max(r0 - halo, 0), h - rows)  # the slab's first row
-        tile, ws = net_forward(net, img[None, a : a + rows], ws, backward=False)
-        out[r0 : r0 + step] = tile[0, r0 - a : r0 - a + step]
-    save_image(Image(np.clip(out, 0.0, 1.0, out=out)), out_path)
+    """Run a checkpointed model over one image file, in tiles (net.denoise), and save the clamped result."""
+    out, _ = denoise(load_checkpoint(ckpt_path), load_rgb(in_path, min_side=1).data[None])
+    save_image(Image(np.clip(out[0], 0.0, 1.0, out=out[0])), out_path)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from .bench import (
     Config,
     cell_files,
     denoise_file,
+    eval_noise,
     fmt_val,
     load_plan,
     load_rgb,
@@ -22,7 +23,6 @@ from .bench import (
     parse_size,
     report_to_csv,
     run_bench,
-    score_sigma,
 )
 from .checkpoint import load_checkpoint
 from .dataset import check_sigmas, gen_clean, noisy_chunk
@@ -33,7 +33,7 @@ from .losses import LossSpec, eval_loss, fmt_float
 from .metrics import SSIM_WINDOW, psnr, ssim
 from .pnm import image_encoder, load_image, save_image, write_atomic
 from .rng import check_seed
-from .trainer import train
+from .trainer import score_chunks, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,8 +104,8 @@ def cmd_eval(args) -> int:
         raise InvalidInputError(f"no .ppm or .lumf images in {args.data}")
     clean = [load_rgb(os.path.join(args.data, n), SSIM_WINDOW) for n in names]  # every file checked before any scoring
     lines = ["sigma,psnr,ssim,noisy_psnr,noisy_ssim"]
-    for si, sigma in enumerate(sigmas):
-        baseline, scores = score_sigma([net], clean, sigmas, args.seed, si)
+    rows = score_chunks([None, net], clean, eval_noise(sigmas, args.seed), range(len(sigmas)))
+    for sigma, (baseline, scores) in zip(sigmas, rows):
         lines.append(",".join([fmt_float(sigma)] + [fmt_val(v) for v in scores + baseline]))
     text = "\n".join(lines) + "\n"
     write_atomic(args.csv, text)

@@ -46,19 +46,31 @@ def gen_clean(seed: int, count: int, h: int, w: int, domain: int = DOMAIN_CLEAN)
 
     Image i is drawn from its own sub-stream (seed, domain, i), so the corpus is
     reproducible and generation could be partitioned across workers without
-    sharing a stream.
+    sharing a stream. The images are views of one read-only gen_chunk block,
+    which is one allocation: dropping the images gives it back whole.
     """
+    block = gen_chunk(seed, 0, count, h, w, domain)
+    block.flags.writeable = False
+    return [Image(img) for img in block]
+
+
+def gen_chunk(seed: int, first: int, count: int, h: int, w: int, domain: int = DOMAIN_CLEAN) -> np.ndarray:
+    """Images ``first`` .. ``first + count - 1`` of gen_clean's, from the same streams, as one (count, h, w, 3) stack."""
     if count < 0:
         raise InvalidInputError(f"count must be nonnegative, got {count}")
     if count > 0 and min(h, w) < MIN_IMAGE_SIZE:
         raise InvalidInputError(f"clean images must be at least {MIN_IMAGE_SIZE}x{MIN_IMAGE_SIZE}, got {h}x{w}")
-    return [_gen_one(stream(seed, domain, i), h, w) for i in range(count)]
+    out = np.empty((count, h, w, 3))
+    for j, img in enumerate(out):
+        _gen_one(stream(seed, domain, first + j), img)
+    return out
 
 
-def _gen_one(rng: np.random.Generator, h: int, w: int) -> Image:
+def _gen_one(rng: np.random.Generator, img: np.ndarray) -> np.ndarray:
+    """Draw one clean image into the (h, w, 3) float64 array ``img``, and return it."""
+    h, w = img.shape[:2]
     yy = np.linspace(0.0, 1.0, h)[:, None]
     xx = np.linspace(0.0, 1.0, w)[None, :]
-    img = np.empty((h, w, 3))
     # Linear ramps with slope magnitude >= 0.2 per axis: even before any
     # detail is added, per-channel variance stays well above degenerate-flat.
     for c in range(3):
@@ -83,7 +95,7 @@ def _gen_one(rng: np.random.Generator, h: int, w: int) -> Image:
         phase = rng.uniform(0.0, 2.0 * np.pi)
         wave = amp * np.sin(2.0 * np.pi * freq * (np.cos(theta) * xx + np.sin(theta) * yy) + phase)
         img += wave[:, :, None] * rng.uniform(0.5, 1.0, size=3)[None, None, :]
-    return Image(np.clip(img, 0.0, 1.0))
+    return np.clip(img, 0.0, 1.0, out=img)
 
 
 def noisy_chunk(
@@ -93,16 +105,19 @@ def noisy_chunk(
 
     Image j draws its noise from the (seed, domain, level, first + j) stream, where ``level`` is the noise level's
     index in the evaluation's sigma list, so every (level, image) pair has its own realization, in any chunking. The
-    streams fill one array of uniforms, which one Box-Muller pass turns into noise.
+    streams fill one array of uniforms, which one Box-Muller pass turns into noise; the noise is scaled and the images
+    added in that array, which the noisy copies are a view of (a copy of, if an image has an odd number of values).
     """
     k, n = len(clean), clean[0].size
     u = np.empty((k, 2, (n + 1) // 2))
     for j in range(k):
         stream(seed, domain, level, first + j).random(out=u[j])  # as rng.normal draws them
-    noisy = clean + (sigma_255 / 255.0 * box_muller(u, n)).reshape(clean.shape)
+    noisy = box_muller(u, n)
+    noisy *= sigma_255 / 255.0
+    noisy += clean.reshape(k, n)
     if not np.all(np.isfinite(noisy)):
         raise InvalidInputError("noisy image data contains NaN or Inf")
-    return noisy
+    return noisy.reshape(clean.shape)
 
 
 def _draw_patch_params(

@@ -3,7 +3,9 @@
 An ``Image`` is a whole image the program holds, loads or saves: a
 (height, width, channels) float64 array in nominal range [0, 1], checked
 once when it is built, stored C-contiguous (row-major, channel-interleaved)
-and marked read-only, so values can be shared freely across threads. The
+and marked read-only, so values can be shared freely across threads. It
+keeps a private copy of its data, unless the data is already such an
+array and read-only: gen_clean's images are views of one read-only block. The
 math (network, losses, metrics) takes and returns plain (H, W, C) arrays,
 float64 but for training's float32; callers pass ``Image.data``. All
 operations here are pure functions.
@@ -31,7 +33,10 @@ class Image:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float64, order="C")  # private copy
+        arr = self.data
+        stored = isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.flags.c_contiguous
+        if not stored or arr.flags.writeable:  # a read-only array of the stored layout is kept: no one may write it
+            arr = np.array(arr, dtype=np.float64, order="C")  # private copy
         if arr.ndim != 3:
             raise InvalidInputError(f"image data must be (H, W, C), got shape {arr.shape}")
         h, w, c = arr.shape

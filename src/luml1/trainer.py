@@ -24,7 +24,7 @@ from .errors import InvalidInputError, NumericalError
 from .image import Image
 from .losses import eval_loss
 from .metrics import psnrs, ssims
-from .net import ConvLayer, TinyNet, build_tinynet, net_backward, net_forward
+from .net import ConvLayer, TinyNet, build_tinynet, denoise, net_backward, net_forward
 from .checkpoint import save_checkpoint
 from .rng import DOMAIN_TRAIN_CLEAN, DOMAIN_VAL_CLEAN, DOMAIN_VAL_NOISE
 
@@ -84,29 +84,51 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
 SCORE_PIXELS = 4 * 40 * 40
 
 
-def score_chunks(nets: list[TinyNet | None], clean: list[Image], noisy_of) -> list[tuple[float, float]]:
-    """Per net, the mean PSNR and SSIM against ``clean`` of its clamped output on noisy copies of ``clean``; a net
-    None scores the noisy images themselves (clamped), which is the noisy-input baseline.
+def chunk_bounds(shapes: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """The (first, end) image indices of each scoring chunk of images of these (H, W, C) shapes, in order: runs of
+    images of one shape, at most SCORE_PIXELS pixels (or one image)."""
+    runs = [j for j in range(len(shapes)) if j == 0 or shapes[j] != shapes[j - 1]]
+    firsts = []
+    for a, b in zip(runs, [*runs[1:], len(shapes)]):
+        firsts += range(a, b, max(1, SCORE_PIXELS // (shapes[a][0] * shapes[a][1])))
+    return list(zip(firsts, [*firsts[1:], len(shapes)]))
 
-    The images go in chunks: runs of images of one shape, at most SCORE_PIXELS pixels (or one image).
-    ``noisy_of(c, first)`` makes the noisy copies of the (k, H, W, C) stack ``c`` of images ``first`` on, and each
-    net runs on them in one net_forward pass, in one forward-only workspace, which each net reuses if it fits (one
-    of other layer shapes gets a fresh one), so the memory held does not grow with the number of nets. An image
-    scores the same bit for bit in any chunk and beside any other nets; each mean is over its images in order.
+
+def score_chunk(nets: list[TinyNet | None], clean: np.ndarray, first: int, noisy_of, levels) -> list[list]:
+    """Per noise level in ``levels``, per net: the PSNRs and SSIMs, two arrays, of the images of the (k, H, W, C)
+    chunk ``clean`` against the net's clamped output on their noisy copies; a net None scores the noisy images
+    themselves (clamped), which is the noisy-input baseline.
+
+    ``noisy_of(clean, first=first, level=level)`` makes the noisy copies of the chunk, images ``first`` on of their
+    set, at a level. Each net runs on them through denoise, and all levels and nets run in one forward-only
+    workspace, which each net reuses if it fits (one of other layer shapes gets a fresh one), so the memory held
+    does not grow with the number of nets or levels. An image scores the same bit for bit in any chunk and beside
+    any other nets and levels.
     """
-    runs = [j for j in range(len(clean)) if j == 0 or clean[j].data.shape != clean[j - 1].data.shape]
-    firsts = []  # chunk starts
-    for a, b in zip(runs, [*runs[1:], len(clean)]):
-        firsts += range(a, b, max(1, SCORE_PIXELS // clean[a].data[:, :, 0].size))
-    scores, ws = [[] for _ in nets], None  # per net, per chunk: (PSNRs, SSIMs)
-    for a, b in zip(firsts, [*firsts[1:], len(clean)]):
-        c = np.stack([im.data for im in clean[a:b]])
-        noisy = noisy_of(c, first=a)
-        for i, net in enumerate(nets):
-            out, ws = (noisy.copy(), ws) if net is None else net_forward(net, noisy, ws, backward=False)
+    scores, ws = [], None
+    for level in levels:
+        noisy = noisy_of(clean, first=first, level=level)
+        scores.append([])
+        for net in nets:
+            out, ws = (noisy.copy(), ws) if net is None else denoise(net, noisy, ws)
             np.clip(out, 0.0, 1.0, out=out)
-            scores[i].append((psnrs(out, c), ssims(out, c)))
-    return [tuple(float(np.mean(np.concatenate(col))) for col in zip(*per_net)) for per_net in scores]
+            scores[-1].append((psnrs(out, clean), ssims(out, clean)))
+    return scores
+
+
+def mean_scores(chunks: list[list[list]]) -> list[list[tuple[float, float]]]:
+    """Per level, per net: the mean PSNR and SSIM over the images of ``chunks``, score_chunk results in image order,
+    each mean over its images in order."""
+    return [[tuple(float(np.mean(np.concatenate(col))) for col in zip(*net)) for net in zip(*lv)] for lv in zip(*chunks)]
+
+
+def score_chunks(nets: list[TinyNet | None], clean: list[Image], noisy_of, levels) -> list[list[tuple[float, float]]]:
+    """mean_scores of score_chunk on each chunk of ``clean`` (chunk_bounds) in turn: per level, per net, the mean
+    PSNR and SSIM. A chunk's stack and workspace are dropped before the next chunk's are made."""
+    scores = []
+    for a, b in chunk_bounds([im.data.shape for im in clean]):
+        scores.append(score_chunk(nets, np.stack([im.data for im in clean[a:b]]), a, noisy_of, levels))
+    return mean_scores(scores)
 
 
 def train(
@@ -144,7 +166,7 @@ def train(
     noisy, target = (np.empty((cfg.batch_size, cfg.patch_size, cfg.patch_size, 3), np.float32) for _ in range(2))
     batches = make_blind_batches(clean, sigma_max, cfg.steps, cfg.seed, noisy, target)
     val_clean = ws = None  # ws: the one workspace of every training forward pass
-    val_noisy = partial(noisy_chunk, sigma_255=sigma_max / 2.0, seed=cfg.seed, level=0, domain=DOMAIN_VAL_NOISE)
+    val_noisy = partial(noisy_chunk, sigma_255=sigma_max / 2.0, seed=cfg.seed, domain=DOMAIN_VAL_NOISE)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked explicitly
         for step in range(1, cfg.steps + 1):
             stop()
@@ -165,7 +187,7 @@ def train(
                         save_checkpoint(net, ckpt_path)
                     if val_clean is None:
                         val_clean = gen_clean(cfg.seed, 4, *cfg.corpus_size, DOMAIN_VAL_CLEAN)
-                    log.validations.append((step, *score_chunks([net], val_clean, val_noisy)[0]))
+                    log.validations.append((step, *score_chunks([net], val_clean, val_noisy, [0])[0][0]))
             except NumericalError as exc:
                 raise NumericalError(f"aborted at step {step}: {exc}") from exc
     if ckpt_path is not None:

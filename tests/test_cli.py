@@ -138,8 +138,7 @@ class TestDenoise:
 
     def test_tall_image_runs_in_tiles_as_one_pass(self, tmp_path, monkeypatch):
         import luml1.net
-        from luml1.bench import DENOISE_TILE_ROWS
-        from luml1.net import net_forward
+        from luml1.net import DENOISE_TILE_ROWS, net_forward
 
         net = build_tinynet(9, 8, 3)  # five 3x3 layers: each tile reads 5 rows above and below it
         net.layers[-1].kernels *= 300.0  # an estimate far from zero, so the output is not just the input
@@ -179,7 +178,7 @@ class TestDenoise:
     def test_unsupported_output_extension_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch):
         import luml1.bench as bench
 
-        monkeypatch.setattr(bench, "net_forward", _must_not_run)
+        monkeypatch.setattr(bench, "denoise", _must_not_run)
         src, out = tmp_path / "in.ppm", tmp_path / "x.png"
         save_image(rand_image(8, 16, 16), src)
         rc = main(["denoise", "--ckpt", str(zero_ckpt(tmp_path)), "--in", str(src), "--out", str(out)])
@@ -422,7 +421,7 @@ class TestBenchCli:
         # patch_size 8 fits a 12x12 corpus, so only the image-size floor rejects it
         import luml1.bench as bench
 
-        monkeypatch.setattr(bench, "score_chunks", _must_not_run)
+        monkeypatch.setattr(bench, "score_chunk", _must_not_run)
         kept = [ln for ln in self.PLAN.splitlines() if not ln.startswith(("corpus_size=", "patch_size="))]
         plan = tmp_path / "small.plan"
         plan.write_text("\n".join(kept + ["corpus_size=12x12", "patch_size=8"]) + "\n")
@@ -530,6 +529,37 @@ class TestEvalCli:
             _, p, _, np_, _ = line.split(",")
             assert p == np_
 
+    def test_tall_image_is_scored_in_tiles_as_one_pass(self, tmp_path, monkeypatch):
+        import luml1.net
+        from luml1.bench import eval_noise, fmt_val
+        from luml1.image import Image
+        from luml1.metrics import psnr, ssim
+        from luml1.net import DENOISE_TILE_ROWS, net_forward
+        from luml1.trainer import score_chunks
+
+        net = build_tinynet(9, 8, 3)  # five 3x3 layers: each tile reads 5 rows above and below it
+        net.layers[-1].kernels *= 300.0  # an estimate far from zero, so the output is not just the input
+        ckpt, data, csv = tmp_path / "net.ckpt", tmp_path / "data", tmp_path / "eval.csv"
+        save_checkpoint(net, ckpt)
+        data.mkdir()
+        save_image(rand_image(11, 200, 48), data / "tall.lumf")
+        built = []
+        init = luml1.net.Workspace.__init__
+        monkeypatch.setattr(luml1.net.Workspace, "__init__", lambda ws, *args: built.append(args[1:4]) or init(ws, *args))
+        argv = ["eval", "--ckpt", str(ckpt), "--data", str(data), "--sigmas", "10,40", "--seed", "3", "--csv", str(csv)]
+        assert main(argv) == 0
+        assert built == [(1, DENOISE_TILE_ROWS + 2 * 5, 48)]  # one workspace for every tile at both sigmas, none of the image
+        net, clean = load_checkpoint(ckpt), load_image(data / "tall.lumf").data
+        noisy_of = eval_noise((10.0, 40.0), 3)
+        tiled = score_chunks([net], [Image(clean)], noisy_of, range(2))
+        for level, ((scores,), row) in enumerate(zip(tiled, csv.read_text().splitlines()[1:])):
+            assert row.split(",")[1:3] == [fmt_val(v) for v in scores]
+            noisy = noisy_of(clean[None], first=0, level=level)
+            whole, _ = net_forward(net, noisy)
+            assert np.abs(whole[0] - noisy[0]).max() > 0.01
+            out = np.clip(whole[0], 0.0, 1.0)
+            assert np.allclose(scores, (psnr(out, clean), ssim(out, clean)), rtol=0.0, atol=1e-6)
+
     def test_sigmas_equal_to_six_digits_are_two_rows(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
@@ -549,7 +579,7 @@ class TestEvalCli:
         data.mkdir()
         save_image(rand_image(23, 20, 20), data / "a.lumf")  # sorts first: a check made while scoring would follow its scores
         save_image(rand_image(24, *shape), data / "b.lumf")
-        monkeypatch.setattr(cli, "score_sigma", _must_not_run)
+        monkeypatch.setattr(cli, "score_chunks", _must_not_run)
         csv = tmp_path / "eval.csv"
         rc = main(["eval", "--ckpt", str(zero_ckpt(tmp_path)), "--data", str(data), "--sigmas", "10", "--csv", str(csv)])
         assert rc == 1
@@ -617,7 +647,7 @@ class TestNonFiniteNetworkOutput:
 class TestOutputLocations:
     @pytest.mark.parametrize("command", ["train --out", "train --log", "eval --csv", "bench --csv", "denoise --out"])
     def test_missing_output_directory_exits_3_before_any_work(self, tmp_path, capsys, monkeypatch, command):
-        for name in ("run_bench", "train", "score_sigma", "denoise_file"):
+        for name in ("run_bench", "train", "score_chunks", "denoise_file"):
             monkeypatch.setattr(cli, name, _must_not_run)
         missing = str(tmp_path / "missing" / "out")
         ok = str(tmp_path / "out")
@@ -644,7 +674,7 @@ class TestOutputLocations:
     def test_existing_directory_as_output_exits_3_before_any_work(self, tmp_path, capsys, monkeypatch, command):
         import luml1.bench as bench
 
-        for module, names in ((cli, ("train", "score_sigma", "denoise_file")), (bench, ("train", "score_chunks"))):
+        for module, names in ((cli, ("train", "score_chunks", "denoise_file")), (bench, ("train", "score_chunk"))):
             for name in names:
                 monkeypatch.setattr(module, name, _must_not_run)
         taken = tmp_path / "taken"

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import luml1.rng
 from luml1.bench import check_sigmas
 from luml1.dataset import (
     _draw_patch_params,
+    gen_chunk,
     gen_clean,
     make_blind_batches,
     noisy_chunk,
@@ -47,6 +49,20 @@ class TestGenClean:
     def test_tiny_dims_rejected(self):
         with pytest.raises(InvalidInputError):
             gen_clean(1, 1, 8, 8)
+        with pytest.raises(InvalidInputError):
+            gen_chunk(1, 0, 1, 8, 8)
+
+    def test_images_are_views_of_one_read_only_block(self):
+        images = gen_clean(42, 3, 20, 24)
+        assert all(im.data.base is images[0].data.base for im in images)
+        assert images[0].data.base.shape == (3, 20, 24, 3) and not images[0].data.base.flags.writeable
+
+    def test_a_chunk_is_the_same_images_bit_for_bit(self):
+        images = gen_clean(42, 6, 20, 24, DOMAIN_TRAIN_CLEAN)
+        for first, count in ((0, 6), (2, 3), (5, 1), (4, 0)):
+            chunk = gen_chunk(42, first, count, 20, 24, DOMAIN_TRAIN_CLEAN)
+            assert chunk.shape == (count, 20, 24, 3)
+            assert all(np.array_equal(c, im.data) for c, im in zip(chunk, images[first : first + count]))
 
 
 class TestAddNoise:
@@ -94,6 +110,18 @@ class TestAddNoise:
         for a, b in ((0, 4), (1, 5), (2, 3)):
             chunk = noisy_chunk(np.stack([im.data for im in clean[a:b]]), 37.5, 9, 3, first=a)
             assert np.array_equal(chunk, np.stack(alone[a:b]))
+
+    def test_noise_is_scaled_and_added_in_the_uniforms_buffer(self):
+        # the uniforms, then a little of Box-Muller's and the finite check's: no chunk-sized noise or sum array more
+        clean = np.stack([im.data for im in gen_clean(12, 4, 40, 40)])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            noisy = noisy_chunk(clean, 25.0, 9, 0, 0)
+            rise = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert noisy.shape == clean.shape and rise < 1.5 * clean.nbytes, rise
 
     def test_non_finite_chunk_rejected(self):
         with pytest.raises(InvalidInputError, match="NaN or Inf"):

@@ -3,8 +3,9 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
+import weakref
 from dataclasses import fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +24,12 @@ from luml1.bench import (
     parse_config,
     parse_kv,
     report_to_csv,
-    run_bench,
-    score_sigma,
     denoise_file,
+    eval_noise,
+    run_bench,
 )
 from luml1.checkpoint import load_checkpoint, save_checkpoint
-from luml1.dataset import MIN_IMAGE_SIZE, gen_clean, noisy_chunk
+from luml1.dataset import MIN_IMAGE_SIZE, gen_chunk, gen_clean
 from luml1.errors import InvalidInputError, NumericalError
 from luml1.fnv import fnv1a64
 from luml1.losses import LossSpec, parse_loss
@@ -507,23 +508,29 @@ class TestRunBench:
 
     @staticmethod
     def record_gen_clean(monkeypatch, into: list) -> None:
-        """Append the stream domain of every gen_clean call that run_bench and train make to ``into``."""
+        """Append the stream domain of every gen_clean and gen_chunk call that run_bench and train make to ``into``."""
         def recording(seed, count, h, w, domain=DOMAIN_CLEAN):
             into.append(domain)
             return gen_clean(seed, count, h, w, domain)
 
+        def recording_chunk(seed, first, count, h, w, domain=DOMAIN_CLEAN):
+            into.append(domain)
+            return gen_chunk(seed, first, count, h, w, domain)
+
         for module in (luml1.bench, luml1.trainer):
             monkeypatch.setattr(module, "gen_clean", recording)
+        monkeypatch.setattr(luml1.bench, "gen_chunk", recording_chunk)
 
     def test_cells_share_one_training_corpus(self, monkeypatch):
         made = []
         self.record_gen_clean(monkeypatch, made)
         monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
         run_bench(micro_plan(steps=1))  # two cells
-        assert sorted(made) == sorted([DOMAIN_TRAIN_CLEAN, DOMAIN_CLEAN])  # one corpus, one test set
+        # one corpus; one chunk of test images, made by each of the two tasks that its two sigmas are split over
+        assert sorted(made) == sorted([DOMAIN_TRAIN_CLEAN, DOMAIN_CLEAN, DOMAIN_CLEAN])
 
     def test_test_set_is_built_after_the_last_training_step(self, monkeypatch):
-        events = []  # gen_clean domains and "step" per Adam update, in time order
+        events = []  # gen_clean and gen_chunk domains and "step" per Adam update, in time order
         self.record_gen_clean(monkeypatch, events)
         adam_step = luml1.trainer.adam_step
         monkeypatch.setattr(luml1.trainer, "adam_step", lambda *args: events.append("step") or adam_step(*args))
@@ -531,25 +538,25 @@ class TestRunBench:
         plan = micro_plan(steps=3)
         run_bench(plan)
         last_step = max(i for i, event in enumerate(events) if event == "step")
-        assert events.count("step") == 2 * plan.steps and events.count(DOMAIN_CLEAN) == 1
+        assert events.count("step") == 2 * plan.steps and events.count(DOMAIN_CLEAN) == 2  # a task per sigma
         assert events.index(DOMAIN_CLEAN) > last_step
 
     def test_scoring_builds_no_workspace_with_backward_maps(self, monkeypatch):
-        built, scoring = [], []  # (built while scoring, workspace); scoring turns true at the first score_sigma
-        init, score = Workspace.__init__, luml1.bench.score_sigma
+        built, scoring = [], []  # (built while scoring, workspace); scoring turns true at the first score_chunk
+        init, score = Workspace.__init__, luml1.bench.score_chunk
 
         def recording_init(ws, *args, **kwargs):
             init(ws, *args, **kwargs)
             built.append((bool(scoring), ws))
 
         monkeypatch.setattr(Workspace, "__init__", recording_init)
-        monkeypatch.setattr(luml1.bench, "score_sigma", lambda *args: scoring.append(1) or score(*args))
+        monkeypatch.setattr(luml1.bench, "score_chunk", lambda *args: scoring.append(1) or score(*args))
         monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
         plan = micro_plan(steps=1, eval_count=12)  # 24x24 images go 11 to a chunk: chunks of two shapes
         run_bench(plan)
         trained, scored = ([ws for s, ws in built if s == phase] for phase in (False, True))
         assert len(trained) == 2 and all(ws.backward for ws in trained)  # one per cell
-        assert len(scored) == 2 * 2  # per sigma and chunk shape: the cells' nets share one
+        assert sorted(ws.shape[0] for ws in scored) == [1, 11]  # per chunk, at every sigma: the cells' nets share one
         assert not any(ws.backward or ws.grads for ws in scored)
 
     def test_training_uses_train_domain_and_eval_uses_eval_domain(self, micro_report, monkeypatch):
@@ -581,6 +588,81 @@ class TestRunBench:
     def test_noisy_baseline_present_per_sigma(self, micro_report):
         for (baseline_psnr, _), *_ in micro_report.rows:
             assert 0 < baseline_psnr < 100
+
+
+class TestChunkMajorScoring:
+    """run_bench scores each chunk of test images at every sigma as one task, which makes the chunk itself."""
+
+    @staticmethod
+    def plan(**overrides) -> Config:
+        return micro_plan(**{"steps": 2, "eval_size": (40, 40), "eval_sigmas": (5.0, 20.0, 45.0), **overrides})
+
+    @pytest.mark.parametrize("eval_count", [7, 48])  # chunks of 4 and 3; twelve chunks of 4
+    def test_csv_is_the_same_bytes_at_any_worker_count(self, monkeypatch, tmp_path, eval_count):
+        plan, csvs = self.plan(eval_count=eval_count), []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: workers)
+            report = run_bench(plan, ckpt_dir=tmp_path)
+            csvs.append(report_to_csv(report))
+        assert csvs[0] == csvs[1] == csvs[2]
+        # the means of the per-image scores of the whole test set, scored a chunk at a time in one pass
+        nets = [load_checkpoint(path) for path in luml1.bench.cell_files(plan, tmp_path)]
+        clean = gen_clean(eval_seed(plan.seed), plan.eval_count, *plan.eval_size)
+        noisy_of = eval_noise(plan.eval_sigmas, plan.seed)
+        assert score_chunks([None, *nets], clean, noisy_of, range(len(plan.eval_sigmas))) == report.rows
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_bench_makes_one_chunk_of_test_images_at_a_time(self, monkeypatch, workers):
+        made, alive = [], []  # per chunk made: (its images, earlier chunks alive); a weak reference to each chunk
+
+        def recording(seed, first, count, h, w, domain=DOMAIN_CLEAN):
+            made.append((count, sum(ref() is not None for ref in alive)))
+            alive.append(weakref.ref(chunk := gen_chunk(seed, first, count, h, w, domain)))
+            return chunk
+
+        domains = []
+        monkeypatch.setattr(luml1.bench, "gen_chunk", recording)
+        monkeypatch.setattr(luml1.bench, "gen_clean", lambda *args: domains.append(args[4]) or gen_clean(*args))
+        monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: workers)
+        run_bench(self.plan(eval_count=10, eval_sigmas=(5.0, 20.0)))
+        assert domains == [DOMAIN_TRAIN_CLEAN]  # the corpus: no test image is made whole-set
+        assert sorted(count for count, _ in made) == [2, 4, 4]
+        assert max(earlier for _, earlier in made) <= workers - 1  # each worker holds one chunk
+
+    def test_scorings_traced_peak_does_not_grow_with_eval_count(self, monkeypatch):
+        # from the end of training to the end of the run: the test chunks, their noise, a workspace, the scores
+        rises = []
+        for eval_count in (8, 64):
+            base = []
+
+            def training(*args, **kwargs):
+                result = train(*args, **kwargs)
+                tracemalloc.reset_peak()
+                base.append(tracemalloc.get_traced_memory()[0])
+                return result
+
+            monkeypatch.setattr(luml1.bench, "train", training)
+            monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 1)
+            plan = self.plan(steps=1, eval_count=eval_count, losses=(LossSpec("l1"),), eval_sigmas=(5.0, 45.0))
+            tracemalloc.start()
+            try:
+                run_bench(plan)
+                rises.append(tracemalloc.get_traced_memory()[1] - base[-1])
+            finally:
+                tracemalloc.stop()
+        one_chunk = 4 * 40 * 40 * 3 * 8  # bytes of four float64 40x40 images; the test set of 64 is sixteen
+        assert abs(rises[1] - rises[0]) < one_chunk, rises
+
+    def test_fewer_chunks_than_workers_split_a_chunks_sigmas(self, monkeypatch):
+        plan, tasks, csvs = self.plan(eval_count=4), [], []  # one chunk, three sigmas
+        score = luml1.bench.score_chunk
+        monkeypatch.setattr(luml1.bench, "score_chunk", lambda *args: tasks.append(list(args[-1])) or score(*args))
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: workers)
+            tasks.clear()
+            csvs.append(report_to_csv(run_bench(plan)))
+            assert sorted(tasks) == {1: [[0, 1, 2]], 2: [[0], [1, 2]]}.get(workers, [[0], [1], [2]])
+        assert len(set(csvs)) == 1
 
 
 class TestReportCsv:
@@ -658,9 +740,9 @@ class TestTrainedModelSanity:
     def test_saved_checkpoint_reproduces_the_reported_numbers(self, trained_cell):
         net, clean = trained_cell["net"], trained_cell["clean"]
         report, plan = trained_cell["report"], trained_cell["plan"]
-        for si, sigma in enumerate(plan.eval_sigmas):
-            noisy_of = partial(noisy_chunk, sigma_255=sigma, seed=eval_seed(plan.seed), level=si)
-            assert score_chunks([net], clean, noisy_of)[0] == report.rows[si][1]
+        levels = range(len(plan.eval_sigmas))
+        scores = score_chunks([net], clean, eval_noise(plan.eval_sigmas, plan.seed), levels)
+        assert [row[0] for row in scores] == [row[1] for row in report.rows]
 
 
 class TestFloat32Scoring:
@@ -669,8 +751,8 @@ class TestFloat32Scoring:
         net, clean, plan = trained_cell["net"], trained_cell["clean"], trained_cell["plan"]
         wide = TinyNet([ConvLayer(k.astype(np.float64), b.astype(np.float64)) for k, b in net.split(net.theta)])
         assert net.theta.dtype == np.float32 and np.array_equal(wide.theta, net.theta)
-        for si in range(len(plan.eval_sigmas)):
-            _, (psnr32, ssim32), (psnr64, ssim64) = score_sigma([net, wide], clean, plan.eval_sigmas, plan.seed, si)
+        noisy_of, levels = eval_noise(plan.eval_sigmas, plan.seed), range(len(plan.eval_sigmas))
+        for (psnr32, ssim32), (psnr64, ssim64) in score_chunks([net, wide], clean, noisy_of, levels):
             assert abs(psnr32 - psnr64) < 1e-6 and abs(ssim32 - ssim64) < 1e-7
 
 

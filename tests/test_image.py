@@ -33,6 +33,14 @@ class TestImageType:
         with pytest.raises(ValueError):
             img.data[0, 0, 0] = 1.0
 
+    def test_read_only_float64_data_is_kept_uncopied(self):
+        # gen_clean's images are views of one read-only block, so dropping them gives the block back whole
+        block = np.zeros((2, 4, 4, 3))
+        block.flags.writeable = False
+        assert all(Image(view).data is view for view in block)
+        assert Image(block[0].astype(np.float32)).data.dtype == np.float64  # any other array is copied
+        assert not np.shares_memory(Image(block[:, 0]).data, block)
+
 
 class TestLuminanceWeights:
     def test_defaults_are_the_standard_constants(self):

@@ -103,9 +103,9 @@ class TestTrainLoop:
         cfg = small_config(steps=2, corpus_size=(40, 40))  # run_bench scores eval_size images: 40x40 here
         seen = []
 
-        def scores(nets, clean, noisy_of):
-            seen.append((noisy_of(np.stack([c.data for c in clean]), first=0), clean))
-            return [(0.0, 0.0)]
+        def scores(nets, clean, noisy_of, levels):
+            seen.append((noisy_of(np.stack([c.data for c in clean]), first=0, level=levels[0]), clean))
+            return [[(0.0, 0.0)]]
 
         monkeypatch.setattr(luml1.trainer, "score_chunks", scores)
         train(cfg, checkpoint_every=1)
@@ -124,7 +124,7 @@ class TestTrainLoop:
         _, log = train(cfg, ckpt, checkpoint_every=cfg.steps)
         val_clean = gen_clean(cfg.seed, 4, *cfg.corpus_size, DOMAIN_VAL_CLEAN)
         noisy_of = partial(noisy_chunk, sigma_255=cfg.sigma_max[0] / 2.0, seed=cfg.seed, level=0, domain=DOMAIN_VAL_NOISE)
-        ((p, q),) = score_chunks([load_checkpoint(ckpt)], val_clean, noisy_of)
+        [((p, q),)] = score_chunks([load_checkpoint(ckpt)], val_clean, noisy_of, [0])
         assert [s for s, _, _ in log.validations] == [cfg.steps]
         assert log.to_csv().splitlines()[-1].split(",")[-2:] == [f"{p:.4f}", f"{q:.4f}"]
 
@@ -278,7 +278,7 @@ class TestTypeBoundary:
         clean = gen_clean(5, 3, 16, 16)
         net = build_tinynet(7, 4, 0) if with_net else None
         built = self.count_images(monkeypatch)
-        ((psnr_mean, ssim_mean),) = score_chunks([net], clean, partial(noisy_chunk, sigma_255=25.0, seed=5, level=0))
+        [((psnr_mean, ssim_mean),)] = score_chunks([net], clean, partial(noisy_chunk, sigma_255=25.0, seed=5), [0])
         assert built == []
         assert np.isfinite(psnr_mean) and np.isfinite(ssim_mean)
 
@@ -327,7 +327,7 @@ class TestScoringWorkspace:
         ps, ss = [], []
         monkeypatch.setattr(luml1.trainer, "psnrs", recording(psnrs, ps))
         monkeypatch.setattr(luml1.trainer, "ssims", recording(ssims, ss))
-        score_chunks([net], clean, lambda c, first: np.stack(noisy[first : first + len(c)]))
+        score_chunks([net], clean, lambda c, first, level: np.stack(noisy[first : first + len(c)]), [0])
         return list(zip(np.concatenate(ps).tolist(), np.concatenate(ss).tolist()))
 
     def test_order_and_fresh_workspaces_give_identical_pair_scores(self, monkeypatch):
@@ -361,13 +361,13 @@ class TestScoringWorkspace:
         nets[0].layers[-1].kernels *= 300.0
         clean = gen_clean(35, 6, 40, 40)  # chunks of four and two images
         noisy_of = partial(noisy_chunk, sigma_255=25.0, seed=35, level=0)
-        alone = [score_chunks([net], clean, noisy_of)[0] for net in [None, *nets]]  # each in fresh workspaces
-        assert score_chunks([None, *nets], clean, noisy_of) == alone
+        alone = [score_chunks([net], clean, noisy_of, [0])[0][0] for net in [None, *nets]]  # each in fresh workspaces
+        assert score_chunks([None, *nets], clean, noisy_of, [0]) == [alone]
         built = []
         init = Workspace.__init__
         monkeypatch.setattr(Workspace, "__init__", lambda ws, *args: built.append(ws) or init(ws, *args))
         one_width = [nets[0], nets[1], nets[3]]
-        assert score_chunks([None, *one_width], clean, noisy_of) == [alone[0], *(alone[i + 1] for i in (0, 1, 3))]
+        assert score_chunks([None, *one_width], clean, noisy_of, [0]) == [[alone[0], *(alone[i + 1] for i in (0, 1, 3))]]
         assert [ws.shape for ws in built] == [(4, 40, 40), (2, 40, 40)]  # one per chunk shape
         assert all(len({id(m.buf.base) for m in ws.maps}) == 1 for ws in built)  # each holds its maps in one buffer
 
@@ -376,7 +376,7 @@ class TestScoringWorkspace:
         nets = [self.float32_net(40 + i, 16) for i in range(4)]
         clean = gen_clean(44, 4, 40, 40)
         noisy_of = partial(noisy_chunk, sigma_255=25.0, seed=44, level=0)
-        score_chunks(nets[:1], clean, noisy_of)  # SSIM's band matrices are built once and kept
+        score_chunks(nets[:1], clean, noisy_of, [0])  # SSIM's band matrices are built once and kept
         rises = []
         tracemalloc.start()
         try:
@@ -386,18 +386,40 @@ class TestScoringWorkspace:
                 if scored is Workspace:
                     Workspace(nets[0].layers, 4, 40, 40, backward=False)
                 else:
-                    score_chunks(scored, clean, noisy_of)
+                    score_chunks(scored, clean, noisy_of, [0])
                 rises.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
         one, four, workspace = rises
         assert 1.35e6 < workspace < 1.5e6 and four - one < workspace, rises
 
+    def test_a_chunk_shape_change_drops_the_old_workspace_first(self):
+        # seven 40x40 images go in chunks of four and three: at most one of their two workspaces is alive at a time
+        net = self.float32_net(45, 32)  # wide, so a workspace outweighs a chunk's other arrays
+        clean = gen_clean(46, 7, 40, 40)
+        noisy_of = partial(noisy_chunk, sigma_255=25.0, seed=46)
+        score_chunks([net], clean, noisy_of, [0])  # SSIM's band matrices are built once and kept
+        rises = []
+        tracemalloc.start()
+        try:
+            for k in (4, 3, None):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                if k is None:
+                    score_chunks([net], clean, noisy_of, [0])
+                else:
+                    Workspace(net.layers, k, 40, 40, backward=False)
+                rises.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        four, three, scoring = rises
+        assert four < scoring < four + three, rises
+
     def test_a_chunk_holds_at_most_four_40x40_images_of_pixels(self, monkeypatch):
         sizes = []
         monkeypatch.setattr(luml1.trainer, "ssims", lambda a, b: sizes.append(len(a)) or ssims(a, b))
         clean = gen_clean(28, 5, 40, 40) + gen_clean(29, 3, 48, 48) + gen_clean(30, 22, 16, 20)
-        score_chunks([None], clean, partial(noisy_chunk, sigma_255=25.0, seed=28, level=0))
+        score_chunks([None], clean, partial(noisy_chunk, sigma_255=25.0, seed=28), [0])
         assert sizes == [4, 1, 2, 1, 20, 2]  # runs of one shape; 48x48 images go two at a time, 16x20 twenty
 
     def test_a_chunks_ssim_never_holds_every_stage_at_once(self):
@@ -431,7 +453,7 @@ class TestScoringWorkspace:
         monkeypatch.setattr(luml1.trainer, "psnrs", psnrs_marking)
         tracemalloc.start()
         try:
-            score_chunks([net], clean, partial(noisy_chunk, sigma_255=25.0, seed=27, level=0))  # as score_sigma
+            score_chunks([net], clean, partial(noisy_chunk, sigma_255=25.0, seed=27), [0])
         finally:
             tracemalloc.stop()
         im2col = 3 * 3 * 3 * SCORE_PIXELS * 8  # layer 0's (27, H*W) matrix over a chunk, the smallest of the five
