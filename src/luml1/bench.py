@@ -15,12 +15,12 @@ Fairness and reproducibility rules:
 * each cell is scored with its trained float32 net, which its checkpoint
   holds bit for bit, so a saved checkpoint reproduces the reported numbers
   exactly;
-* cells train, and chunks of test images are scored, as tasks on a pool
-  of worker threads; each task owns its random streams and the report is
-  assembled in plan order, so the worker count changes no output byte;
-  the cells only read their shared corpus, and a scoring task makes its
-  own chunk and runs all its nets of one shape in one workspace, which no
-  other task touches;
+* cells train as tasks on a pool of worker threads, then chunks of test
+  images are scored as tasks on another (trainer.score_set); each task
+  owns its random streams and the report is assembled in plan order, so
+  the worker count changes no output byte; the cells only read their
+  shared corpus, and a scoring task makes its own chunk and runs all its
+  nets of one shape in one workspace, which no other task touches;
 * the CSV contains no timestamps, so identical plans give byte-identical
   files. Wall-clock lives only on the in-memory report.
 
@@ -50,7 +50,7 @@ from .losses import LossSpec, fmt_float, loss_token, parse_loss
 from .net import TinyNet, denoise
 from .pnm import load_image, save_image
 from .rng import DOMAIN_TRAIN_CLEAN, check_seed, eval_seed
-from .trainer import chunk_bounds, mean_scores, score_chunk, train
+from .trainer import score_set, train
 
 
 @dataclass(frozen=True)
@@ -119,29 +119,23 @@ def usable_cpus() -> int:
 
 
 def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
-    """Train and evaluate every (loss, sigma_max) cell of the plan on a pool of usable_cpus() threads.
+    """Train and evaluate every (loss, sigma_max) cell of the plan on usable_cpus() threads.
 
     The training corpus is built once, and every cell trains on it as one
-    task. Once the last cell has trained, the corpus is dropped and scoring
-    starts. Every chunk of test images (chunk_bounds) is scored as one task:
-    it makes its clean images from their own streams, then at every eval
-    sigma their noisy copies, and scores the noisy input and each cell's net
-    on them, all in one workspace (score_chunk). With fewer chunks than
-    workers, each chunk's sigmas are split over that many tasks. So scoring
-    holds a chunk per worker, never the test set, nor the corpus, and its
-    memory grows neither with the number of cells nor with eval_count. Each
-    cell, image and sigma owns its random streams, and the per-image scores
-    are averaged in image order, so the report is the same for any worker
-    count. Checkpoints are saved in plan order as the cells
-    finish. If cells fail, the error of the first failing cell in plan
-    order is raised, no later cell's checkpoint is saved, and the cells
-    after it stop at their next step (on Ctrl-C, every cell does). A
-    checkpoint path that is an existing directory raises IsADirectoryError
-    before any work.
+    task of a pool. Once the last cell has trained, the corpus is dropped,
+    and the test set is scored on as many threads (score_set): each task
+    makes its chunk of clean images from their own streams, then at every
+    eval sigma their noisy copies, and scores the noisy input and each
+    cell's net on them. So scoring holds neither the corpus nor the test
+    set. Each cell, image and sigma owns its random streams, so the report
+    is the same for any worker count. Checkpoints are saved in plan order
+    as the cells finish. If cells fail, the error of the first failing
+    cell in plan order is raised, no later cell's checkpoint is saved, and
+    the cells after it stop at their next step (on Ctrl-C, every cell
+    does). A checkpoint path that is an existing directory raises
+    IsADirectoryError before any work.
     """
-    # imported here: `luml1 train` loads this module but starts no pool, and the
-    # import (logging with it) would add 0.6 MB to its peak RSS
-    from concurrent.futures import CancelledError, ThreadPoolExecutor
+    from concurrent.futures import CancelledError, ThreadPoolExecutor  # imported here, as score_set imports its pool
 
     t_start = time.perf_counter()
     grid = [(loss, sigma_max) for sigma_max in plan.sigma_max for loss in plan.losses]
@@ -175,20 +169,11 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
                 nets.append(net)
         finally:  # after a failed cell, Ctrl-C or a failed save, the cells still training stop at their next step
             abandoned[:] = [True] * len(grid)
-        corpus = None  # every cell has trained: scoring holds no corpus
-        bounds, n = chunk_bounds([(*plan.eval_size, 3)] * plan.eval_count), len(plan.eval_sigmas)
-        parts = min(n, -(-workers // len(bounds)))  # tasks per chunk, each scoring a run of its levels
-        tasks = [(a, b, range(n * p // parts, n * (p + 1) // parts)) for a, b in bounds for p in range(parts)]
-        noisy_of = eval_noise(plan.eval_sigmas, plan.seed)
-
-        def score_task(task: tuple[int, int, range]) -> list:
-            a, b, levels = task
-            clean = gen_chunk(eval_seed(plan.seed), a, b - a, *plan.eval_size)
-            return score_chunk([None, *nets], clean, a, noisy_of, levels)
-
-        done = list(pool.map(score_task, tasks))
-    chunks = [sum(done[i : i + parts], []) for i in range(0, len(done), parts)]  # each chunk's levels, in order
-    return BenchReport(plan, mean_scores(chunks), wall_clock_s=time.perf_counter() - t_start)
+    corpus = None  # every cell has trained: scoring holds no corpus
+    test_chunk = lambda a, b: gen_chunk(eval_seed(plan.seed), a, b - a, *plan.eval_size)
+    rows = score_set([None, *nets], [(*plan.eval_size, 3)] * plan.eval_count, test_chunk,
+                     eval_noise(plan.eval_sigmas, plan.seed), len(plan.eval_sigmas), workers)
+    return BenchReport(plan, rows, wall_clock_s=time.perf_counter() - t_start)
 
 
 def cell_files(plan: Config, ckpt_dir) -> list[str]:

@@ -10,6 +10,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .bench import (
     Config,
     cell_files,
@@ -23,6 +25,7 @@ from .bench import (
     parse_size,
     report_to_csv,
     run_bench,
+    usable_cpus,
 )
 from .checkpoint import load_checkpoint
 from .dataset import check_sigmas, gen_clean, noisy_chunk
@@ -33,7 +36,7 @@ from .losses import LossSpec, eval_loss, fmt_float
 from .metrics import SSIM_WINDOW, psnr, ssim
 from .pnm import image_encoder, load_image, save_image, write_atomic
 from .rng import check_seed
-from .trainer import score_chunks, train
+from .trainer import score_set, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,9 +105,10 @@ def cmd_eval(args) -> int:
     names = sorted(n for n in os.listdir(args.data) if n.endswith((".ppm", ".lumf")))
     if not names:
         raise InvalidInputError(f"no .ppm or .lumf images in {args.data}")
-    clean = [load_rgb(os.path.join(args.data, n), SSIM_WINDOW) for n in names]  # every file checked before any scoring
+    clean = [load_rgb(os.path.join(args.data, n), SSIM_WINDOW).data for n in names]  # all checked before any scoring
     lines = ["sigma,psnr,ssim,noisy_psnr,noisy_ssim"]
-    rows = score_chunks([None, net], clean, eval_noise(sigmas, args.seed), range(len(sigmas)))
+    noisy_of, shapes = eval_noise(sigmas, args.seed), [c.shape for c in clean]
+    rows = score_set([None, net], shapes, lambda a, b: np.stack(clean[a:b]), noisy_of, len(sigmas), usable_cpus())
     for sigma, (baseline, scores) in zip(sigmas, rows):
         lines.append(",".join([fmt_float(sigma)] + [fmt_val(v) for v in scores + baseline]))
     text = "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Deterministic training: Adam and the blind training loop.
+"""Deterministic training: Adam, the blind training loop, and score_set, the one path that scores an image set.
 
 A run is fully determined by its config: the seed fixes the clean corpus,
 the patch/noise stream and the network initialization, hidden_channels and
@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import gen_clean, make_blind_batches, noisy_chunk
+from .dataset import gen_chunk, gen_clean, make_blind_batches, noisy_chunk
 from .errors import InvalidInputError, NumericalError
 from .image import Image
 from .losses import eval_loss
@@ -116,19 +116,29 @@ def score_chunk(nets: list[TinyNet | None], clean: np.ndarray, first: int, noisy
     return scores
 
 
-def mean_scores(chunks: list[list[list]]) -> list[list[tuple[float, float]]]:
-    """Per level, per net: the mean PSNR and SSIM over the images of ``chunks``, score_chunk results in image order,
-    each mean over its images in order."""
+def score_set(nets: list[TinyNet | None], shapes, chunk_of, noisy_of, n_levels: int, workers: int) -> list[list]:
+    """Per noise level 0 .. n_levels - 1, per net: the mean PSNR and SSIM of score_chunk over a set of images of
+    these (H, W, C) ``shapes``, whose stack of images ``first`` .. ``end - 1`` is ``chunk_of(first, end)``.
+
+    Each chunk (chunk_bounds) is one task on a pool of ``workers`` threads or, with fewer chunks than workers, that
+    many tasks, each at a run of the chunk's levels. So scoring holds a chunk per worker, never the set. The
+    per-image scores are averaged in image order, so the means are the same for any worker count.
+    """
+    # imported here: `luml1 train` without validation loads this module but scores nothing, and the
+    # import (logging with it) would add 0.6 MB to its peak RSS
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = chunk_bounds(shapes)
+    parts = min(n_levels, -(-workers // len(bounds)))  # tasks per chunk, each scoring a run of its levels
+    tasks = [(a, b, range(n_levels * p // parts, n_levels * (p + 1) // parts)) for a, b in bounds for p in range(parts)]
+
+    def score_task(a: int, b: int, levels: range) -> list:
+        return score_chunk(nets, chunk_of(a, b), a, noisy_of, levels)
+
+    with ThreadPoolExecutor(workers) as pool:
+        done = list(pool.map(score_task, *zip(*tasks)))
+    chunks = [sum(done[i : i + parts], []) for i in range(0, len(done), parts)]  # each chunk's levels, in order
     return [[tuple(float(np.mean(np.concatenate(col))) for col in zip(*net)) for net in zip(*lv)] for lv in zip(*chunks)]
-
-
-def score_chunks(nets: list[TinyNet | None], clean: list[Image], noisy_of, levels) -> list[list[tuple[float, float]]]:
-    """mean_scores of score_chunk on each chunk of ``clean`` (chunk_bounds) in turn: per level, per net, the mean
-    PSNR and SSIM. A chunk's stack and workspace are dropped before the next chunk's are made."""
-    scores = []
-    for a, b in chunk_bounds([im.data.shape for im in clean]):
-        scores.append(score_chunk(nets, np.stack([im.data for im in clean[a:b]]), a, noisy_of, levels))
-    return mean_scores(scores)
 
 
 def train(
@@ -165,7 +175,9 @@ def train(
     state = AdamState.for_params(net.theta)
     noisy, target = (np.empty((cfg.batch_size, cfg.patch_size, cfg.patch_size, 3), np.float32) for _ in range(2))
     batches = make_blind_batches(clean, sigma_max, cfg.steps, cfg.seed, noisy, target)
-    val_clean = ws = None  # ws: the one workspace of every training forward pass
+    ws = None  # the one workspace of every training forward pass
+    val_shapes = [(*cfg.corpus_size, 3)] * 4  # four validation images
+    val_chunk = lambda a, b: gen_chunk(cfg.seed, a, b - a, *cfg.corpus_size, DOMAIN_VAL_CLEAN)
     val_noisy = partial(noisy_chunk, sigma_255=sigma_max / 2.0, seed=cfg.seed, domain=DOMAIN_VAL_NOISE)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked explicitly
         for step in range(1, cfg.steps + 1):
@@ -185,9 +197,7 @@ def train(
                 if checkpoint_every > 0 and step % checkpoint_every == 0:
                     if ckpt_path is not None:
                         save_checkpoint(net, ckpt_path)
-                    if val_clean is None:
-                        val_clean = gen_clean(cfg.seed, 4, *cfg.corpus_size, DOMAIN_VAL_CLEAN)
-                    log.validations.append((step, *score_chunks([net], val_clean, val_noisy, [0])[0][0]))
+                    log.validations.append((step, *score_set([net], val_shapes, val_chunk, val_noisy, 1, 1)[0][0]))
             except NumericalError as exc:
                 raise NumericalError(f"aborted at step {step}: {exc}") from exc
     if ckpt_path is not None:

@@ -19,3 +19,11 @@ def rand_image(seed: int, h: int = 8, w: int = 8, c: int = 3, tag: int = 99) -> 
 def rand_pair(seed: int, h: int = 8, w: int = 8, c: int = 3):
     rng = stream(seed, 98)
     return rng.random((h, w, c)), rng.random((h, w, c))
+
+
+def score_images(nets, clean: list[Image], noisy_of, n_levels: int = 1, workers: int = 1):
+    """trainer.score_set over a list of Images, each chunk stacked from them as `luml1 eval` stacks its files."""
+    from luml1.trainer import score_set
+
+    chunk_of = lambda a, b: np.stack([im.data for im in clean[a:b]])
+    return score_set(nets, [im.data.shape for im in clean], chunk_of, noisy_of, n_levels, workers)

@@ -17,7 +17,7 @@ from luml1.gradcheck import run_gradcheck
 from luml1.net import ConvLayer, TinyNet, build_tinynet
 from luml1.pnm import load_image, save_image
 
-from conftest import rand_image
+from conftest import rand_image, score_images
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 # a child python finds the package only through PYTHONPATH
@@ -277,6 +277,18 @@ class TestTrainCli:
         validated = [line.split(",")[0] for line in log.read_text().splitlines()[1:] if not line.endswith(",,")]
         assert validated == ["5", "10"]
 
+    def test_train_without_validation_does_not_import_concurrent_futures(self, tmp_path):
+        # only a pool needs it (run_bench's, score_set's), and the import costs `luml1 train` about 0.6 MB of peak RSS
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps=4\nbatch_size=2\npatch_size=16\ncorpus_count=2\ncorpus_size=16x16\n")
+        code = "import sys; from luml1.cli import main; print(main(sys.argv[1:]), 'concurrent.futures' in sys.modules)"
+        seen = []
+        for flags in ([], ["--checkpoint-every", "2"]):  # no validation; validation, which scores
+            argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "net.ckpt"), *flags]
+            result = subprocess.run([sys.executable, "-c", code, *argv], env=CHILD_ENV, capture_output=True, text=True)
+            seen.append(result.stdout.split()[-2:])
+        assert seen == [["0", "False"], ["0", "True"]]
+
     @pytest.mark.parametrize("flags", [["--lambda", "0.5"], ["--loss", "luml1", "--lambda", "0.5"]])
     def test_lambda_flag_exits_1_before_training(self, tmp_path, capsys, monkeypatch, flags):
         # a luml1 loss's lambda is set by its token, --loss luml1:0.5; there is no second way to set it
@@ -419,9 +431,9 @@ class TestBenchCli:
 
     def test_corpus_below_the_size_floor_exits_1_before_scoring(self, tmp_path, capsys, monkeypatch):
         # patch_size 8 fits a 12x12 corpus, so only the image-size floor rejects it
-        import luml1.bench as bench
+        import luml1.trainer as trainer
 
-        monkeypatch.setattr(bench, "score_chunk", _must_not_run)
+        monkeypatch.setattr(trainer, "score_chunk", _must_not_run)
         kept = [ln for ln in self.PLAN.splitlines() if not ln.startswith(("corpus_size=", "patch_size="))]
         plan = tmp_path / "small.plan"
         plan.write_text("\n".join(kept + ["corpus_size=12x12", "patch_size=8"]) + "\n")
@@ -535,7 +547,6 @@ class TestEvalCli:
         from luml1.image import Image
         from luml1.metrics import psnr, ssim
         from luml1.net import DENOISE_TILE_ROWS, net_forward
-        from luml1.trainer import score_chunks
 
         net = build_tinynet(9, 8, 3)  # five 3x3 layers: each tile reads 5 rows above and below it
         net.layers[-1].kernels *= 300.0  # an estimate far from zero, so the output is not just the input
@@ -548,10 +559,11 @@ class TestEvalCli:
         monkeypatch.setattr(luml1.net.Workspace, "__init__", lambda ws, *args: built.append(args[1:4]) or init(ws, *args))
         argv = ["eval", "--ckpt", str(ckpt), "--data", str(data), "--sigmas", "10,40", "--seed", "3", "--csv", str(csv)]
         assert main(argv) == 0
-        assert built == [(1, DENOISE_TILE_ROWS + 2 * 5, 48)]  # one workspace for every tile at both sigmas, none of the image
+        tasks = min(2, cli.usable_cpus())  # the image's two sigmas, split over the workers
+        assert built == [(1, DENOISE_TILE_ROWS + 2 * 5, 48)] * tasks  # a tile workspace per task, none of the image
         net, clean = load_checkpoint(ckpt), load_image(data / "tall.lumf").data
         noisy_of = eval_noise((10.0, 40.0), 3)
-        tiled = score_chunks([net], [Image(clean)], noisy_of, range(2))
+        tiled = score_images([net], [Image(clean)], noisy_of, 2)
         for level, ((scores,), row) in enumerate(zip(tiled, csv.read_text().splitlines()[1:])):
             assert row.split(",")[1:3] == [fmt_val(v) for v in scores]
             noisy = noisy_of(clean[None], first=0, level=level)
@@ -579,7 +591,7 @@ class TestEvalCli:
         data.mkdir()
         save_image(rand_image(23, 20, 20), data / "a.lumf")  # sorts first: a check made while scoring would follow its scores
         save_image(rand_image(24, *shape), data / "b.lumf")
-        monkeypatch.setattr(cli, "score_chunks", _must_not_run)
+        monkeypatch.setattr(cli, "score_set", _must_not_run)
         csv = tmp_path / "eval.csv"
         rc = main(["eval", "--ckpt", str(zero_ckpt(tmp_path)), "--data", str(data), "--sigmas", "10", "--csv", str(csv)])
         assert rc == 1
@@ -647,7 +659,7 @@ class TestNonFiniteNetworkOutput:
 class TestOutputLocations:
     @pytest.mark.parametrize("command", ["train --out", "train --log", "eval --csv", "bench --csv", "denoise --out"])
     def test_missing_output_directory_exits_3_before_any_work(self, tmp_path, capsys, monkeypatch, command):
-        for name in ("run_bench", "train", "score_chunks", "denoise_file"):
+        for name in ("run_bench", "train", "score_set", "denoise_file"):
             monkeypatch.setattr(cli, name, _must_not_run)
         missing = str(tmp_path / "missing" / "out")
         ok = str(tmp_path / "out")
@@ -673,8 +685,10 @@ class TestOutputLocations:
     )
     def test_existing_directory_as_output_exits_3_before_any_work(self, tmp_path, capsys, monkeypatch, command):
         import luml1.bench as bench
+        import luml1.trainer as trainer
 
-        for module, names in ((cli, ("train", "score_chunks", "denoise_file")), (bench, ("train", "score_chunk"))):
+        stubbed = ((cli, ("train", "score_set", "denoise_file")), (bench, ("train",)), (trainer, ("score_chunk",)))
+        for module, names in stubbed:
             for name in names:
                 monkeypatch.setattr(module, name, _must_not_run)
         taken = tmp_path / "taken"

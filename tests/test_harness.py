@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import luml1.bench
+import luml1.cli
 import luml1.dataset
 import luml1.trainer
 from luml1.bench import (
@@ -37,9 +38,9 @@ from luml1.metrics import psnr
 from luml1.net import ConvLayer, TinyNet, Workspace
 from luml1.pnm import load_image, save_image
 from luml1.rng import DOMAIN_CLEAN, DOMAIN_EVAL_NOISE, DOMAIN_TRAIN_CLEAN, eval_seed
-from luml1.trainer import score_chunks, train
+from luml1.trainer import train
 
-from conftest import rand_image
+from conftest import rand_image, score_images
 from oracles import parse_report_csv
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -543,14 +544,14 @@ class TestRunBench:
 
     def test_scoring_builds_no_workspace_with_backward_maps(self, monkeypatch):
         built, scoring = [], []  # (built while scoring, workspace); scoring turns true at the first score_chunk
-        init, score = Workspace.__init__, luml1.bench.score_chunk
+        init, score = Workspace.__init__, luml1.trainer.score_chunk
 
         def recording_init(ws, *args, **kwargs):
             init(ws, *args, **kwargs)
             built.append((bool(scoring), ws))
 
         monkeypatch.setattr(Workspace, "__init__", recording_init)
-        monkeypatch.setattr(luml1.bench, "score_chunk", lambda *args: scoring.append(1) or score(*args))
+        monkeypatch.setattr(luml1.trainer, "score_chunk", lambda *args: scoring.append(1) or score(*args))
         monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
         plan = micro_plan(steps=1, eval_count=12)  # 24x24 images go 11 to a chunk: chunks of two shapes
         run_bench(plan)
@@ -609,7 +610,7 @@ class TestChunkMajorScoring:
         nets = [load_checkpoint(path) for path in luml1.bench.cell_files(plan, tmp_path)]
         clean = gen_clean(eval_seed(plan.seed), plan.eval_count, *plan.eval_size)
         noisy_of = eval_noise(plan.eval_sigmas, plan.seed)
-        assert score_chunks([None, *nets], clean, noisy_of, range(len(plan.eval_sigmas))) == report.rows
+        assert score_images([None, *nets], clean, noisy_of, len(plan.eval_sigmas)) == report.rows
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_bench_makes_one_chunk_of_test_images_at_a_time(self, monkeypatch, workers):
@@ -653,16 +654,30 @@ class TestChunkMajorScoring:
         one_chunk = 4 * 40 * 40 * 3 * 8  # bytes of four float64 40x40 images; the test set of 64 is sixteen
         assert abs(rises[1] - rises[0]) < one_chunk, rises
 
-    def test_fewer_chunks_than_workers_split_a_chunks_sigmas(self, monkeypatch):
-        plan, tasks, csvs = self.plan(eval_count=4), [], []  # one chunk, three sigmas
-        score = luml1.bench.score_chunk
-        monkeypatch.setattr(luml1.bench, "score_chunk", lambda *args: tasks.append(list(args[-1])) or score(*args))
-        for workers in (1, 2, 3, 4):
-            monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: workers)
-            tasks.clear()
-            csvs.append(report_to_csv(run_bench(plan)))
-            assert sorted(tasks) == {1: [[0, 1, 2]], 2: [[0], [1, 2]]}.get(workers, [[0], [1], [2]])
-        assert len(set(csvs)) == 1
+    def test_fewer_chunks_than_workers_split_a_chunks_sigmas(self, monkeypatch, tmp_path):
+        # run_bench's test set, then the same images as `luml1 eval` files: one chunk, three sigmas
+        plan, tasks = self.plan(eval_count=4), []
+        score = luml1.trainer.score_chunk
+        monkeypatch.setattr(luml1.trainer, "score_chunk", lambda *args: tasks.append(list(args[-1])) or score(*args))
+        data, csv = tmp_path / "data", tmp_path / "eval.csv"
+        data.mkdir()
+        for i, im in enumerate(gen_clean(eval_seed(plan.seed), plan.eval_count, *plan.eval_size)):
+            save_image(im, data / f"{i}.lumf")
+        ckpt = luml1.bench.cell_files(plan, tmp_path)[0]
+        argv = ["eval", "--ckpt", ckpt, "--data", str(data), "--sigmas", "5,20,45", "--csv", str(csv)]
+        for command in ("bench", "eval"):
+            csvs = []
+            for workers in (1, 2, 3, 4):
+                monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: workers)
+                monkeypatch.setattr(luml1.cli, "usable_cpus", lambda: workers)
+                tasks.clear()
+                if command == "bench":
+                    csvs.append(report_to_csv(run_bench(plan, ckpt_dir=tmp_path)))
+                else:
+                    assert luml1.cli.main(argv) == 0
+                    csvs.append(csv.read_text())
+                assert sorted(tasks) == {1: [[0, 1, 2]], 2: [[0], [1, 2]]}.get(workers, [[0], [1], [2]]), command
+            assert len(set(csvs)) == 1, command
 
 
 class TestReportCsv:
@@ -740,8 +755,7 @@ class TestTrainedModelSanity:
     def test_saved_checkpoint_reproduces_the_reported_numbers(self, trained_cell):
         net, clean = trained_cell["net"], trained_cell["clean"]
         report, plan = trained_cell["report"], trained_cell["plan"]
-        levels = range(len(plan.eval_sigmas))
-        scores = score_chunks([net], clean, eval_noise(plan.eval_sigmas, plan.seed), levels)
+        scores = score_images([net], clean, eval_noise(plan.eval_sigmas, plan.seed), len(plan.eval_sigmas))
         assert [row[0] for row in scores] == [row[1] for row in report.rows]
 
 
@@ -751,8 +765,8 @@ class TestFloat32Scoring:
         net, clean, plan = trained_cell["net"], trained_cell["clean"], trained_cell["plan"]
         wide = TinyNet([ConvLayer(k.astype(np.float64), b.astype(np.float64)) for k, b in net.split(net.theta)])
         assert net.theta.dtype == np.float32 and np.array_equal(wide.theta, net.theta)
-        noisy_of, levels = eval_noise(plan.eval_sigmas, plan.seed), range(len(plan.eval_sigmas))
-        for (psnr32, ssim32), (psnr64, ssim64) in score_chunks([net, wide], clean, noisy_of, levels):
+        noisy_of, n_levels = eval_noise(plan.eval_sigmas, plan.seed), len(plan.eval_sigmas)
+        for (psnr32, ssim32), (psnr64, ssim64) in score_images([net, wide], clean, noisy_of, n_levels):
             assert abs(psnr32 - psnr64) < 1e-6 and abs(ssim32 - ssim64) < 1e-7
 
 

@@ -16,7 +16,9 @@ from luml1.metrics import SSIM_WINDOW, psnr, psnrs, ssim, ssims
 from luml1.net import ConvLayer, TinyNet, Workspace, build_tinynet, net_forward
 from luml1.rng import DOMAIN_EVAL_NOISE, DOMAIN_VAL_CLEAN, DOMAIN_VAL_NOISE, eval_seed, normal, stream
 from luml1.bench import Config, load_plan
-from luml1.trainer import SCORE_PIXELS, AdamState, adam_step, score_chunks, train
+from luml1.trainer import SCORE_PIXELS, AdamState, adam_step, train
+
+from conftest import score_images
 
 
 def small_config(loss=LossSpec("l1"), sigma_max=25.0, **overrides) -> Config:
@@ -103,20 +105,21 @@ class TestTrainLoop:
         cfg = small_config(steps=2, corpus_size=(40, 40))  # run_bench scores eval_size images: 40x40 here
         seen = []
 
-        def scores(nets, clean, noisy_of, levels):
-            seen.append((noisy_of(np.stack([c.data for c in clean]), first=0, level=levels[0]), clean))
+        def scores(nets, shapes, chunk_of, noisy_of, n_levels, workers):
+            clean = chunk_of(0, len(shapes))
+            seen.append((noisy_of(clean, first=0, level=0), clean))
             return [[(0.0, 0.0)]]
 
-        monkeypatch.setattr(luml1.trainer, "score_chunks", scores)
+        monkeypatch.setattr(luml1.trainer, "score_set", scores)
         train(cfg, checkpoint_every=1)
         val_noisy, val_clean = seen[0]
         es = eval_seed(cfg.seed)
         test_clean = gen_clean(es, cfg.eval_count, *cfg.eval_size)
         for j, (n, c) in enumerate(zip(val_noisy, val_clean)):
-            assert not any(np.array_equal(c.data, t.data) for t in test_clean)
-            unit = (n - c.data) / (cfg.sigma_max[0] / 2.0 / 255.0)  # the deviates, whatever the sigma
+            assert not any(np.array_equal(c, t.data) for t in test_clean)
+            unit = (n - c) / (cfg.sigma_max[0] / 2.0 / 255.0)  # the deviates, whatever the sigma
             for level in range(len(cfg.eval_sigmas)):
-                assert not np.allclose(unit, normal(stream(es, DOMAIN_EVAL_NOISE, level, j), c.data.shape, 1.0))
+                assert not np.allclose(unit, normal(stream(es, DOMAIN_EVAL_NOISE, level, j), c.shape, 1.0))
 
     def test_validation_scores_are_the_final_checkpoints_scores(self, tmp_path):
         # on any BLAS kernel: the logged scores are those of the net the checkpoint holds, on the validation stream
@@ -124,7 +127,7 @@ class TestTrainLoop:
         _, log = train(cfg, ckpt, checkpoint_every=cfg.steps)
         val_clean = gen_clean(cfg.seed, 4, *cfg.corpus_size, DOMAIN_VAL_CLEAN)
         noisy_of = partial(noisy_chunk, sigma_255=cfg.sigma_max[0] / 2.0, seed=cfg.seed, level=0, domain=DOMAIN_VAL_NOISE)
-        [((p, q),)] = score_chunks([load_checkpoint(ckpt)], val_clean, noisy_of, [0])
+        [((p, q),)] = score_images([load_checkpoint(ckpt)], val_clean, noisy_of)
         assert [s for s, _, _ in log.validations] == [cfg.steps]
         assert log.to_csv().splitlines()[-1].split(",")[-2:] == [f"{p:.4f}", f"{q:.4f}"]
 
@@ -273,12 +276,12 @@ class TestTypeBoundary:
         assert len(built) == cfg.corpus_count
 
     @pytest.mark.parametrize("with_net", [True, False], ids=["net", "noisy-baseline"])
-    def test_mean_scores_builds_none(self, monkeypatch, with_net):
-        # score_chunks's means: its noise, net pass and metrics build no Image
+    def test_score_set_builds_none(self, monkeypatch, with_net):
+        # score_set's means: its noise, net pass and metrics build no Image
         clean = gen_clean(5, 3, 16, 16)
         net = build_tinynet(7, 4, 0) if with_net else None
         built = self.count_images(monkeypatch)
-        [((psnr_mean, ssim_mean),)] = score_chunks([net], clean, partial(noisy_chunk, sigma_255=25.0, seed=5), [0])
+        [((psnr_mean, ssim_mean),)] = score_images([net], clean, partial(noisy_chunk, sigma_255=25.0, seed=5))
         assert built == []
         assert np.isfinite(psnr_mean) and np.isfinite(ssim_mean)
 
@@ -323,11 +326,11 @@ def recording(fn, into: list):
 class TestScoringWorkspace:
     @staticmethod
     def pair_scores(monkeypatch, net, noisy, clean) -> list[tuple[float, float]]:
-        """(PSNR, SSIM) of every pair, in the order score_chunks scores them."""
+        """(PSNR, SSIM) of every pair, in the order score_set scores them."""
         ps, ss = [], []
         monkeypatch.setattr(luml1.trainer, "psnrs", recording(psnrs, ps))
         monkeypatch.setattr(luml1.trainer, "ssims", recording(ssims, ss))
-        score_chunks([net], clean, lambda c, first, level: np.stack(noisy[first : first + len(c)]), [0])
+        score_images([net], clean, lambda c, first, level: np.stack(noisy[first : first + len(c)]))
         return list(zip(np.concatenate(ps).tolist(), np.concatenate(ss).tolist()))
 
     def test_order_and_fresh_workspaces_give_identical_pair_scores(self, monkeypatch):
@@ -361,13 +364,13 @@ class TestScoringWorkspace:
         nets[0].layers[-1].kernels *= 300.0
         clean = gen_clean(35, 6, 40, 40)  # chunks of four and two images
         noisy_of = partial(noisy_chunk, sigma_255=25.0, seed=35, level=0)
-        alone = [score_chunks([net], clean, noisy_of, [0])[0][0] for net in [None, *nets]]  # each in fresh workspaces
-        assert score_chunks([None, *nets], clean, noisy_of, [0]) == [alone]
+        alone = [score_images([net], clean, noisy_of)[0][0] for net in [None, *nets]]  # each in fresh workspaces
+        assert score_images([None, *nets], clean, noisy_of) == [alone]
         built = []
         init = Workspace.__init__
         monkeypatch.setattr(Workspace, "__init__", lambda ws, *args: built.append(ws) or init(ws, *args))
         one_width = [nets[0], nets[1], nets[3]]
-        assert score_chunks([None, *one_width], clean, noisy_of, [0]) == [[alone[0], *(alone[i + 1] for i in (0, 1, 3))]]
+        assert score_images([None, *one_width], clean, noisy_of) == [[alone[0], *(alone[i + 1] for i in (0, 1, 3))]]
         assert [ws.shape for ws in built] == [(4, 40, 40), (2, 40, 40)]  # one per chunk shape
         assert all(len({id(m.buf.base) for m in ws.maps}) == 1 for ws in built)  # each holds its maps in one buffer
 
@@ -376,7 +379,7 @@ class TestScoringWorkspace:
         nets = [self.float32_net(40 + i, 16) for i in range(4)]
         clean = gen_clean(44, 4, 40, 40)
         noisy_of = partial(noisy_chunk, sigma_255=25.0, seed=44, level=0)
-        score_chunks(nets[:1], clean, noisy_of, [0])  # SSIM's band matrices are built once and kept
+        score_images(nets[:1], clean, noisy_of)  # SSIM's band matrices are built once and kept
         rises = []
         tracemalloc.start()
         try:
@@ -386,7 +389,7 @@ class TestScoringWorkspace:
                 if scored is Workspace:
                     Workspace(nets[0].layers, 4, 40, 40, backward=False)
                 else:
-                    score_chunks(scored, clean, noisy_of, [0])
+                    score_images(scored, clean, noisy_of)
                 rises.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
@@ -398,7 +401,7 @@ class TestScoringWorkspace:
         net = self.float32_net(45, 32)  # wide, so a workspace outweighs a chunk's other arrays
         clean = gen_clean(46, 7, 40, 40)
         noisy_of = partial(noisy_chunk, sigma_255=25.0, seed=46)
-        score_chunks([net], clean, noisy_of, [0])  # SSIM's band matrices are built once and kept
+        score_images([net], clean, noisy_of)  # SSIM's band matrices are built once and kept
         rises = []
         tracemalloc.start()
         try:
@@ -406,7 +409,7 @@ class TestScoringWorkspace:
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 if k is None:
-                    score_chunks([net], clean, noisy_of, [0])
+                    score_images([net], clean, noisy_of)
                 else:
                     Workspace(net.layers, k, 40, 40, backward=False)
                 rises.append(tracemalloc.get_traced_memory()[1] - before)
@@ -419,7 +422,7 @@ class TestScoringWorkspace:
         sizes = []
         monkeypatch.setattr(luml1.trainer, "ssims", lambda a, b: sizes.append(len(a)) or ssims(a, b))
         clean = gen_clean(28, 5, 40, 40) + gen_clean(29, 3, 48, 48) + gen_clean(30, 22, 16, 20)
-        score_chunks([None], clean, partial(noisy_chunk, sigma_255=25.0, seed=28), [0])
+        score_images([None], clean, partial(noisy_chunk, sigma_255=25.0, seed=28))
         assert sizes == [4, 1, 2, 1, 20, 2]  # runs of one shape; 48x48 images go two at a time, 16x20 twenty
 
     def test_a_chunks_ssim_never_holds_every_stage_at_once(self):
@@ -453,7 +456,7 @@ class TestScoringWorkspace:
         monkeypatch.setattr(luml1.trainer, "psnrs", psnrs_marking)
         tracemalloc.start()
         try:
-            score_chunks([net], clean, partial(noisy_chunk, sigma_255=25.0, seed=27), [0])
+            score_images([net], clean, partial(noisy_chunk, sigma_255=25.0, seed=27))
         finally:
             tracemalloc.stop()
         im2col = 3 * 3 * 3 * SCORE_PIXELS * 8  # layer 0's (27, H*W) matrix over a chunk, the smallest of the five
