@@ -42,10 +42,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dataset import MIN_IMAGE_SIZE, check_sigmas, gen_chunk, gen_clean, noisy_chunk
+from .dataset import MIN_IMAGE_SIZE, check_sigmas, gen_chunk, noisy_chunk
 from .errors import InvalidInputError
 from .fnv import fnv1a64
-from .image import Image
 from .losses import LossSpec, fmt_float, loss_token, parse_loss
 from .net import TinyNet, denoise
 from .pnm import load_image, save_image
@@ -143,7 +142,7 @@ def run_bench(plan: Config, ckpt_dir=None) -> BenchReport:
     for path in ckpts:
         if ckpt_dir is not None and os.path.isdir(path):
             raise IsADirectoryError(f"checkpoint file {path!r} is an existing directory")
-    corpus = gen_clean(plan.seed, plan.corpus_count, *plan.corpus_size, DOMAIN_TRAIN_CLEAN)  # one for all cells
+    corpus = gen_chunk(plan.seed, 0, plan.corpus_count, *plan.corpus_size, DOMAIN_TRAIN_CLEAN)  # one for all cells
 
     abandoned = [False] * len(grid)  # abandoned[i]: cell i failed, or the loop below stopped waiting for it
 
@@ -230,18 +229,20 @@ def report_to_csv(report: BenchReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_rgb(path, min_side: int) -> Image:
+def load_rgb(path, min_side: int) -> np.ndarray:
     """``load_image``; an image that is not RGB (the net's input) or has a side below ``min_side`` raises, naming the file."""
     img = load_image(path)
-    if img.data.shape[2] != 3 or min(img.data.shape[:2]) < min_side:
-        raise InvalidInputError(f"{os.fspath(path)}: need an RGB image at least {min_side}x{min_side}, got shape {img.data.shape}")
+    if img.shape[2] != 3 or min(img.shape[:2]) < min_side:
+        raise InvalidInputError(f"{os.fspath(path)}: need an RGB image at least {min_side}x{min_side}, got shape {img.shape}")
     return img
 
 
 def denoise_file(ckpt_path, in_path, out_path) -> None:
     """Run a checkpointed model over one image file, in tiles (net.denoise), and save the clamped result."""
-    out, _ = denoise(load_checkpoint(ckpt_path), load_rgb(in_path, min_side=1).data[None])
-    save_image(Image(np.clip(out[0], 0.0, 1.0, out=out[0])), out_path)
+    out, _ = denoise(load_checkpoint(ckpt_path), load_rgb(in_path, min_side=1)[None])
+    img = np.clip(out[0], 0.0, 1.0, out=out[0])
+    img.flags.writeable = False  # so save_image checks it without a copy
+    save_image(img, out_path)
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,8 @@ from .bench import (
     usable_cpus,
 )
 from .checkpoint import load_checkpoint
-from .dataset import check_sigmas, gen_clean, noisy_chunk
+from .dataset import check_sigmas, gen_chunk, noisy_chunk
 from .errors import FormatError, InvalidInputError, NumericalError
-from .gradcheck import run_gradcheck
-from .image import Image
 from .losses import LossSpec, eval_loss, fmt_float
 from .metrics import SSIM_WINDOW, psnr, ssim
 from .pnm import image_encoder, load_image, save_image, write_atomic
@@ -67,11 +65,11 @@ def cmd_gen(args) -> int:
     check_sigmas("sigma", (args.sigma,))
     if args.count < 1:
         raise InvalidInputError(f"count must be >= 1, got {args.count}")
-    images = gen_clean(check_seed(args.seed), args.count, h, w)
+    images = gen_chunk(check_seed(args.seed), 0, args.count, h, w)
     os.makedirs(args.out, exist_ok=True)
     manifest = []
     for i, img in enumerate(images):
-        noisy = Image(noisy_chunk(img.data[None], args.sigma, args.seed, 0, i)[0])
+        noisy = noisy_chunk(img[None], args.sigma, args.seed, 0, i)[0]
         paths = []
         for kind, im in (("clean", img), ("noisy", noisy)):
             for ext in ("ppm", "lumf"):
@@ -102,10 +100,10 @@ def cmd_eval(args) -> int:
     sigmas = parse_sigmas(args.sigmas)
     check_seed(args.seed)
     net = load_checkpoint(args.ckpt)
-    names = sorted(n for n in os.listdir(args.data) if n.endswith((".ppm", ".lumf")))
+    names = sorted(n for n in os.listdir(args.data_dir) if n.endswith((".ppm", ".lumf")))
     if not names:
-        raise InvalidInputError(f"no .ppm or .lumf images in {args.data}")
-    clean = [load_rgb(os.path.join(args.data, n), SSIM_WINDOW).data for n in names]  # all checked before any scoring
+        raise InvalidInputError(f"no .ppm or .lumf images in {args.data_dir}")
+    clean = [load_rgb(os.path.join(args.data_dir, n), SSIM_WINDOW) for n in names]  # all checked before any scoring
     lines = ["sigma,psnr,ssim,noisy_psnr,noisy_ssim"]
     noisy_of, shapes = eval_noise(sigmas, args.seed), [c.shape for c in clean]
     rows = score_set([None, net], shapes, lambda a, b: np.stack(clean[a:b]), noisy_of, len(sigmas), usable_cpus())
@@ -137,8 +135,7 @@ def cmd_denoise(args) -> int:
 
 def cmd_metric(args) -> int:
     spec = LossSpec(lam=args.lam)  # checks --lambda before any output
-    a = load_image(args.a).data
-    b = load_image(args.b).data
+    a, b = load_image(args.a), load_image(args.b)
     want_any = args.psnr or args.ssim or args.luml1
     lines = []  # every value is computed before any is printed: a failing one prints nothing
     if args.psnr or not want_any:
@@ -152,6 +149,8 @@ def cmd_metric(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from .gradcheck import run_gradcheck  # imported here, as score_set imports its pool: no other command runs it
+
     ok, lines = run_gradcheck(check_seed(args.seed))
     for line in lines:
         print(line)
@@ -183,7 +182,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint over a clean-image directory")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", dest="data_dir", required=True)
     sigmas = ",".join(fmt_float(s) for s in Config().eval_sigmas)
     p.add_argument("--sigmas", default=sigmas, help="comma-separated noise levels (default 5,10,...,75)")
     p.add_argument("--seed", type=int, default=1)

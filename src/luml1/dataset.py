@@ -42,20 +42,17 @@ def check_sigmas(what: str, sigmas: tuple[float, ...]) -> None:
 
 
 def gen_clean(seed: int, count: int, h: int, w: int, domain: int = DOMAIN_CLEAN) -> list[Image]:
-    """Generate ``count`` deterministic 3-channel clean images in [0, 1].
-
-    Image i is drawn from its own sub-stream (seed, domain, i), so the corpus is
-    reproducible and generation could be partitioned across workers without
-    sharing a stream. The images are views of one read-only gen_chunk block,
-    which is one allocation: dropping the images gives it back whole.
-    """
-    block = gen_chunk(seed, 0, count, h, w, domain)
-    block.flags.writeable = False
-    return [Image(img) for img in block]
+    """gen_chunk's ``count`` images as Images, views of its one read-only block: dropping them gives it back whole."""
+    return [Image(img) for img in gen_chunk(seed, 0, count, h, w, domain)]
 
 
 def gen_chunk(seed: int, first: int, count: int, h: int, w: int, domain: int = DOMAIN_CLEAN) -> np.ndarray:
-    """Images ``first`` .. ``first + count - 1`` of gen_clean's, from the same streams, as one (count, h, w, 3) stack."""
+    """Deterministic 3-channel clean images ``first`` .. ``first + count - 1`` in [0, 1], as one read-only
+    (count, h, w, 3) block.
+
+    Image i is drawn from its own sub-stream (seed, domain, i), so a set is reproducible and any chunk of it is
+    the same images: generation could be partitioned across workers without sharing a stream.
+    """
     if count < 0:
         raise InvalidInputError(f"count must be nonnegative, got {count}")
     if count > 0 and min(h, w) < MIN_IMAGE_SIZE:
@@ -63,6 +60,7 @@ def gen_chunk(seed: int, first: int, count: int, h: int, w: int, domain: int = D
     out = np.empty((count, h, w, 3))
     for j, img in enumerate(out):
         _gen_one(stream(seed, domain, first + j), img)
+    out.flags.writeable = False
     return out
 
 
@@ -120,34 +118,20 @@ def noisy_chunk(
     return noisy.reshape(clean.shape)
 
 
-def _draw_patch_params(
-    rng: np.random.Generator,
-    dims: list[tuple[int, int]],
-    patch: int,
-    sigma_max: float,
-) -> tuple[int, int, int, float]:
-    """One (image index, y0, x0, sigma_255) draw of the blind patch stream."""
-    idx = int(rng.integers(0, len(dims)))
-    h, w = dims[idx]
-    y0 = int(rng.integers(0, h - patch + 1))
-    x0 = int(rng.integers(0, w - patch + 1))
-    sigma = float(rng.uniform(0.0, sigma_max))
-    return idx, y0, x0, sigma
-
-
 def make_blind_batches(
-    clean: list[Image], sigma_max_255: float, count: int, seed: int, noisy: np.ndarray, target: np.ndarray
+    clean: np.ndarray, sigma_max_255: float, count: int, seed: int, noisy: np.ndarray, target: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Fill the caller's (B, P, P, 3) ``noisy`` and ``target`` arrays with each of ``count`` batches, and yield them.
+    """Fill the caller's (B, P, P, 3) ``noisy`` and ``target`` arrays with each of ``count`` batches of patches of
+    the (N, H, W, 3) float block ``clean``, and yield them.
 
     The batch size B and patch size P are those of the arrays, which are of one shape and of any float dtype:
     each yield overwrites the last batch. Each noisy patch carries noise with a std dev drawn uniformly from
     [0, sigma_max_255]; the draw is internal and not part of the yielded values. Crops and noise levels come from
-    a single stream keyed by ``seed``, so the full sequence is reproducible. Each patch draws its crop and sigma,
-    then its uniforms as rng.normal would; one Box-Muller pass over a batch's uniforms makes its noise, bit for bit
-    what rng.normal gives each patch alone. The crops and noise are float64, kept in two buffers of the stream's,
-    and their sum is rounded once into ``noisy``: a float32 pair holds the float32 cast of the float64 batch.
-    Bad arguments raise InvalidInputError at the first draw.
+    a single stream keyed by ``seed``, so the full sequence is reproducible. Each patch draws its image index, crop
+    corner (y0, x0) and sigma, then its uniforms as rng.normal would; one Box-Muller pass over a batch's uniforms
+    makes its noise, bit for bit what rng.normal gives each patch alone. The crops and noise are float64, kept in
+    two buffers of the stream's, and their sum is rounded once into ``noisy``: a float32 pair holds the float32
+    cast of the float64 batch. Bad arguments raise InvalidInputError at the first draw.
     """
     check_sigmas("sigma_max", (sigma_max_255,))
     shape = target.shape
@@ -156,17 +140,19 @@ def make_blind_batches(
     (batch_size, p), n = shape[:2], math.prod(shape[1:])
     if count < 0:
         raise InvalidInputError(f"count must be nonnegative, got {count}")
-    if not clean:
+    if not (isinstance(clean, np.ndarray) and clean.dtype.kind == "f" and clean.ndim == 4 and clean.shape[3] == 3):
+        raise InvalidInputError(f"the corpus must be an (N, H, W, 3) float array, got {type(clean).__name__} {np.shape(clean)}")
+    n_images, h, w = clean.shape[:3]
+    if n_images == 0:
         raise InvalidInputError("need at least one clean image")
-    dims = [im.data.shape[:2] for im in clean]
-    if any(p > min(h, w) for h, w in dims):
+    if p > min(h, w):
         raise InvalidInputError(f"patch_size {p} exceeds the smallest image dimension")
     rng = stream(seed, DOMAIN_BATCH)
     crops, u, scale = np.empty(shape), np.empty((batch_size, 2, (n + 1) // 2)), np.empty((batch_size, 1))
     for _ in range(count):
         for j in range(batch_size):
-            idx, y0, x0, sigma = _draw_patch_params(rng, dims, p, sigma_max_255)
-            crops[j], scale[j] = clean[idx].data[y0 : y0 + p, x0 : x0 + p], sigma / 255.0
+            idx, y0, x0 = int(rng.integers(0, n_images)), int(rng.integers(0, h - p + 1)), int(rng.integers(0, w - p + 1))
+            crops[j], scale[j] = clean[idx, y0 : y0 + p, x0 : x0 + p], rng.uniform(0.0, sigma_max_255) / 255.0
             rng.random(out=u[j])  # as rng.normal draws them
         noise = box_muller(u, n)
         noise *= scale

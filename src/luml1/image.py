@@ -1,14 +1,13 @@
-"""Pixel container and luminance projection.
+"""Image checks and luminance projection.
 
-An ``Image`` is a whole image the program holds, loads or saves: a
-(height, width, channels) float64 array in nominal range [0, 1], checked
-once when it is built, stored C-contiguous (row-major, channel-interleaved)
-and marked read-only, so values can be shared freely across threads. It
-keeps a private copy of its data, unless the data is already such an
-array and read-only: gen_clean's images are views of one read-only block. The
-math (network, losses, metrics) takes and returns plain (H, W, C) arrays,
-float64 but for training's float32; callers pass ``Image.data``. All
-operations here are pure functions.
+An image is a plain (height, width, channels) float64 array in nominal
+range [0, 1], C in {1, 3}; a set of images of one size is an (N, H, W, C)
+stack. check_image checks one when it is loaded, saved or built, and hands it
+on C-contiguous (row-major, channel-interleaved) and read-only, so values can
+be shared freely across threads. The math (network, losses, metrics) takes
+and returns such arrays, float64 but for training's float32. ``Image`` wraps
+one checked image; only gen_clean returns it. All operations here are pure
+functions.
 """
 
 from __future__ import annotations
@@ -26,26 +25,32 @@ LUMA_WEIGHTS = np.array([0.2989, 0.5870, 0.1140])
 LUMA_WEIGHTS.flags.writeable = False
 
 
+def check_image(arr) -> np.ndarray:
+    """``arr`` as a checked image: finite, (H, W, C) with H, W >= 1 and C in {1, 3}, float64, C-contiguous and
+    read-only. An array that is all of these already is returned as it is, so no one may write it; any other is
+    copied."""
+    stored = isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.flags.c_contiguous
+    if not stored or arr.flags.writeable:
+        arr = np.array(arr, dtype=np.float64, order="C")  # private copy
+        arr.flags.writeable = False
+    if arr.ndim != 3:
+        raise InvalidInputError(f"image data must be (H, W, C), got shape {arr.shape}")
+    h, w, c = arr.shape
+    if h < 1 or w < 1 or c not in (1, 3):
+        raise InvalidInputError(f"bad image shape {arr.shape}: need H, W >= 1 and C in {{1, 3}}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("image data contains NaN or Inf")
+    return arr
+
+
 @dataclass(frozen=True)
 class Image:
-    """An (H, W, C) float64 pixel tensor with C in {1, 3}, all values finite."""
+    """One checked image (check_image): gen_clean's type, views of one read-only block."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = self.data
-        stored = isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.flags.c_contiguous
-        if not stored or arr.flags.writeable:  # a read-only array of the stored layout is kept: no one may write it
-            arr = np.array(arr, dtype=np.float64, order="C")  # private copy
-        if arr.ndim != 3:
-            raise InvalidInputError(f"image data must be (H, W, C), got shape {arr.shape}")
-        h, w, c = arr.shape
-        if h < 1 or w < 1 or c not in (1, 3):
-            raise InvalidInputError(f"bad image shape {arr.shape}: need H, W >= 1 and C in {{1, 3}}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("image data contains NaN or Inf")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", check_image(self.data))
 
 
 def require_same_shape(a: np.ndarray, b: np.ndarray) -> None:

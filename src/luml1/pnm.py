@@ -18,15 +18,15 @@ import threading
 import numpy as np
 
 from .errors import FormatError, InvalidInputError
-from .image import Image
+from .image import check_image
 
 _WHITESPACE = b" \t\r\n"
 
 LUMF_MAGIC = b"LUMF1\n"
 
 
-def load_image(path) -> Image:
-    """Load a PPM (P6) or LUMF1 file, dispatching on the magic bytes."""
+def load_image(path) -> np.ndarray:
+    """Load a PPM (P6) or LUMF1 file, dispatching on the magic bytes, as a checked image (check_image)."""
     with open(path, "rb") as fh:
         buf = fh.read()
     name = os.fspath(path)
@@ -46,9 +46,9 @@ def image_encoder(path):
     raise InvalidInputError(f"{name}: unsupported image extension (use .ppm or .lumf)")
 
 
-def save_image(img: Image, path) -> None:
-    """Save in the format of ``path``'s extension (image_encoder)."""
-    write_atomic(path, image_encoder(path)(img))
+def save_image(img: np.ndarray, path) -> None:
+    """Save an (H, W, C) image in the format of ``path``'s extension (image_encoder), after check_image."""
+    write_atomic(path, image_encoder(path)(check_image(img)))
 
 
 def write_atomic(path, data: bytes | str) -> None:
@@ -74,22 +74,22 @@ def write_atomic(path, data: bytes | str) -> None:
         raise
 
 
-def save_ppm_bytes(img: Image) -> bytes:
-    """Encode a 3-channel image as binary PPM, clamping to [0, 1] first."""
-    h, w, c = img.data.shape
+def save_ppm_bytes(img: np.ndarray) -> bytes:
+    """Encode a checked 3-channel image as binary PPM, clamping to [0, 1] first."""
+    h, w, c = img.shape
     if c != 3:
         raise InvalidInputError(f"PPM requires 3 channels, image has {c}")
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    quantized = np.rint(np.clip(img.data, 0.0, 1.0) * 255.0).astype(np.uint8)
+    quantized = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
     return header + quantized.tobytes()
 
 
-def save_lumf_bytes(img: Image) -> bytes:
-    """Encode as LUMF1; a value beyond float32 range would be stored as an infinity, so it raises instead."""
-    if np.abs(img.data).max() > np.finfo(np.float32).max:
+def save_lumf_bytes(img: np.ndarray) -> bytes:
+    """Encode a checked image as LUMF1; a value beyond float32 range would be stored as an infinity, so it raises instead."""
+    if np.abs(img).max() > np.finfo(np.float32).max:
         raise InvalidInputError("a pixel value is beyond the float32 range of LUMF1")
-    header = LUMF_MAGIC + b"%d %d %d\n" % img.data.shape
-    return header + img.data.astype("<f4").tobytes()
+    header = LUMF_MAGIC + b"%d %d %d\n" % img.shape
+    return header + img.astype("<f4").tobytes()
 
 
 def int_line(buf: bytes, pos: int, name: str, what: str) -> tuple[list[int], int, int]:
@@ -139,7 +139,7 @@ def _int_token(buf: bytes, pos: int, name: str, what: str) -> tuple[int, int]:
     return int(tok), pos
 
 
-def _load_ppm(buf: bytes, name: str) -> Image:
+def _load_ppm(buf: bytes, name: str) -> np.ndarray:
     tok, pos, start = _next_token(buf, 0, name)
     if tok != b"P6":
         raise FormatError(f"{name}: expected magic 'P6' at byte {start}, found {tok!r}")
@@ -154,10 +154,12 @@ def _load_ppm(buf: bytes, name: str) -> Image:
     if pos >= len(buf) or buf[pos] not in _WHITESPACE:
         raise FormatError(f"{name}: expected single whitespace after maxval at byte {pos}")
     raw = np.frombuffer(payload(buf, pos + 1, width * height * 3, name, "pixel data"), dtype=np.uint8)
-    return Image(raw.reshape(height, width, 3).astype(np.float64) / 255.0)
+    img = raw.reshape(height, width, 3) / 255.0
+    img.flags.writeable = False  # a read-only float64 array is checked, not copied
+    return check_image(img)
 
 
-def _load_lumf(buf: bytes, name: str) -> Image:
+def _load_lumf(buf: bytes, name: str) -> np.ndarray:
     shape, start, pos = int_line(buf, len(LUMF_MAGIC), name, "shape")
     if len(shape) != 3 or min(shape) < 1 or shape[2] not in (1, 3):
         raise FormatError(f"{name}: bad shape line {shape} at byte {start} (expected H W C, C 1 or 3)")
@@ -165,4 +167,5 @@ def _load_lumf(buf: bytes, name: str) -> Image:
     arr = np.frombuffer(payload(buf, pos, h * w * c * 4, name, "float payload"), dtype="<f4").astype(np.float64)
     if not np.all(np.isfinite(arr)):
         raise FormatError(f"{name}: non-finite pixel values in payload at byte {pos}")
-    return Image(arr.reshape(h, w, c))
+    arr.flags.writeable = False  # as in _load_ppm: checked, not copied
+    return check_image(arr.reshape(h, w, c))

@@ -19,9 +19,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import gen_chunk, gen_clean, make_blind_batches, noisy_chunk
+from .dataset import gen_chunk, make_blind_batches, noisy_chunk
 from .errors import InvalidInputError, NumericalError
-from .image import Image
 from .losses import eval_loss
 from .metrics import psnrs, ssims
 from .net import ConvLayer, TinyNet, build_tinynet, denoise, net_backward, net_forward
@@ -142,7 +141,7 @@ def score_set(nets: list[TinyNet | None], shapes, chunk_of, noisy_of, n_levels: 
 
 
 def train(
-    cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: None, corpus: list[Image] | None = None
+    cfg: Config, ckpt_path=None, checkpoint_every: int = 0, stop=lambda: None, corpus: np.ndarray | None = None
 ) -> tuple[TinyNet, TrainLog]:
     """Build the net of a one-cell config and run its blind training loop.
 
@@ -159,8 +158,8 @@ def train(
     always saved. A NaN or runaway value anywhere aborts with NumericalError;
     the last periodic checkpoint stays on disk. ``stop`` is called before
     every step and may raise to end the run there. ``corpus`` is the
-    config's training corpus, gen_clean of its seed, corpus_count and
-    corpus_size in the training domain, which run_bench builds once for
+    config's training corpus, the gen_chunk block of its seed, corpus_count
+    and corpus_size in the training domain, which run_bench builds once for
     all its cells; None builds it here. Training only reads it.
     """
     if len(cfg.losses) != 1 or len(cfg.sigma_max) != 1:
@@ -171,7 +170,7 @@ def train(
     net = build_tinynet(cfg.seed, cfg.hidden_channels, cfg.hidden_depth)
     net = TinyNet([ConvLayer(lay.kernels.astype(np.float32), lay.bias.astype(np.float32)) for lay in net.layers])
     log = TrainLog()
-    clean = gen_clean(cfg.seed, cfg.corpus_count, *cfg.corpus_size, DOMAIN_TRAIN_CLEAN) if corpus is None else corpus
+    clean = gen_chunk(cfg.seed, 0, cfg.corpus_count, *cfg.corpus_size, DOMAIN_TRAIN_CLEAN) if corpus is None else corpus
     state = AdamState.for_params(net.theta)
     noisy, target = (np.empty((cfg.batch_size, cfg.patch_size, cfg.patch_size, 3), np.float32) for _ in range(2))
     batches = make_blind_batches(clean, sigma_max, cfg.steps, cfg.seed, noisy, target)

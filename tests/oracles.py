@@ -3,13 +3,12 @@
 Everything here is written in the most literal style possible (explicit
 loops, no vectorization) so it shares no code path with the package. The
 one exception is the blind patch stream's oracle: the stream is defined by
-the package's per-patch draws and rng.normal, which it calls. The bench CSV
+its per-patch draws, spelled out here, and rng.normal, which it calls. The bench CSV
 reader the tests use lives here too: no program path reads a CSV.
 """
 
 import numpy as np
 
-from luml1.dataset import _draw_patch_params
 from luml1.metrics import SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW
 from luml1.rng import DOMAIN_BATCH, normal, stream
 
@@ -149,20 +148,29 @@ def ks_statistic_uniform(samples, hi: float) -> float:
     return float(np.max(np.maximum(i / n - u, u - (i - 1) / n)))
 
 
-def patch_by_patch_stream(clean, sigma_max_255: float, patch_size: int, count: int, seed: int) -> list:
-    """The first ``count`` (noisy, clean) patch pairs of the blind stream, one patch at a time.
+def patch_draw(rng, n: int, h: int, w: int, p: int, sigma_max_255: float) -> tuple[int, int, int, float]:
+    """One (image index, y0, x0, sigma_255) draw of the blind patch stream over n images of h x w, in its order."""
+    idx = int(rng.integers(0, n))
+    y0 = int(rng.integers(0, h - p + 1))
+    x0 = int(rng.integers(0, w - p + 1))
+    return idx, y0, x0, float(rng.uniform(0.0, sigma_max_255))
+
+
+def patch_by_patch_stream(clean: np.ndarray, sigma_max_255: float, patch_size: int, count: int, seed: int) -> list:
+    """The first ``count`` (noisy, clean) patch pairs of the blind stream over the (N, H, W, 3) block ``clean``, one
+    patch at a time.
 
     Each patch draws its crop and sigma, then its noise through one
     rng.normal call on the same generator: the stream's definition, which
     make_blind_batches computes a batch at a time.
     """
     rng = stream(seed, DOMAIN_BATCH)
-    dims = [im.data.shape[:2] for im in clean]
+    n, h, w = clean.shape[:3]
     p = patch_size
     pairs = []
     for _ in range(count):
-        idx, y0, x0, sigma = _draw_patch_params(rng, dims, p, sigma_max_255)
-        patch = clean[idx].data[y0 : y0 + p, x0 : x0 + p]
+        idx, y0, x0, sigma = patch_draw(rng, n, h, w, p, sigma_max_255)
+        patch = clean[idx, y0 : y0 + p, x0 : x0 + p]
         pairs.append((patch + normal(rng, patch.shape, sigma / 255.0), patch))
     return pairs
 

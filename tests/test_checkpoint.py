@@ -17,7 +17,7 @@ from luml1.fnv import fnv1a64
 from luml1.net import build_tinynet, net_forward
 from luml1.pnm import save_image, write_atomic
 
-from conftest import rand_image
+from conftest import rand_array
 
 
 class TestFnv:
@@ -60,7 +60,7 @@ class TestCheckpointRoundTrip:
         with pytest.raises(FormatError, match="layer-count line"):
             load_checkpoint(path)
         src = tmp_path / "in.lumf"
-        save_image(rand_image(2, 8, 8), src)
+        save_image(rand_array(2, 8, 8), src)
         out = tmp_path / "out.ppm"
         assert main(["denoise", "--ckpt", str(path), "--in", str(src), "--out", str(out)]) == 3
         assert not out.exists()
@@ -69,7 +69,7 @@ class TestCheckpointRoundTrip:
         net = build_tinynet(53, hidden_channels=4, hidden_depth=0)
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path)
-        out, _ = net_forward(load_checkpoint(path), rand_image(1, 8, 8).data[None])
+        out, _ = net_forward(load_checkpoint(path), rand_array(1, 8, 8)[None])
         assert out.shape == (1, 8, 8, 3)
 
 
@@ -120,7 +120,7 @@ class TestCheckpointCorruption:
             load_checkpoint(path)
         assert str(info.value).startswith(f"{path}: ")
         src = tmp_path / "in.lumf"
-        save_image(rand_image(3, 8, 8), src)
+        save_image(rand_array(3, 8, 8), src)
         out = tmp_path / "out.ppm"
         assert main(["denoise", "--ckpt", str(path), "--in", str(src), "--out", str(out)]) == 3
         assert str(path) in capsys.readouterr().err

@@ -12,12 +12,12 @@ from luml1.bench import Config, parse_config
 from luml1.checkpoint import load_checkpoint, save_checkpoint
 import luml1.cli as cli
 from luml1.cli import main
-from luml1.dataset import gen_clean, noisy_chunk
+from luml1.dataset import gen_chunk, noisy_chunk
 from luml1.gradcheck import run_gradcheck
 from luml1.net import ConvLayer, TinyNet, build_tinynet
 from luml1.pnm import load_image, save_image
 
-from conftest import rand_image, score_images
+from conftest import rand_array, score_images
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 # a child python finds the package only through PYTHONPATH
@@ -70,10 +70,9 @@ class TestGen:
     def test_noisy_file_is_clean_plus_noisy_set_noise(self, tmp_path):
         out = tmp_path / "corpus"
         main(["gen", "--seed", "4", "--count", "2", "--size", "16x16", "--sigma", "30", "--out", str(out)])
-        clean = gen_clean(4, 2, 16, 16)
-        noisy = noisy_chunk(np.stack([im.data for im in clean]), 30.0, 4, 0, 0)
+        noisy = noisy_chunk(gen_chunk(4, 0, 2, 16, 16), 30.0, 4, 0, 0)
         for i, expected in enumerate(noisy.astype("<f4").astype(np.float64)):
-            assert np.array_equal(load_image(out / f"noisy_{i:04d}.lumf").data, expected)
+            assert np.array_equal(load_image(out / f"noisy_{i:04d}.lumf"), expected)
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -90,7 +89,7 @@ class TestGen:
 
 class TestMetric:
     def test_default_prints_psnr_and_ssim(self, tmp_path, capsys):
-        a, b = rand_image(1, 16, 16), rand_image(2, 16, 16)
+        a, b = rand_array(1, 16, 16), rand_array(2, 16, 16)
         pa, pb = tmp_path / "a.lumf", tmp_path / "b.lumf"
         save_image(a, pa)
         save_image(b, pb)
@@ -100,7 +99,7 @@ class TestMetric:
         assert out.startswith("psnr ") and "ssim " in out
 
     def test_luml1_metric(self, tmp_path, capsys):
-        a, b = rand_image(3, 12, 12), rand_image(4, 12, 12)
+        a, b = rand_array(3, 12, 12), rand_array(4, 12, 12)
         pa, pb = tmp_path / "a.lumf", tmp_path / "b.lumf"
         save_image(a, pa)
         save_image(b, pb)
@@ -110,7 +109,7 @@ class TestMetric:
 
     def test_bad_lambda_exits_1_before_any_output(self, tmp_path, capsys):
         pa = tmp_path / "a.lumf"
-        save_image(rand_image(3, 12, 12), pa)
+        save_image(rand_array(3, 12, 12), pa)
         rc = main(["metric", "--a", str(pa), "--b", str(pa), "--lambda", "nan"])
         out, err = capsys.readouterr()
         assert rc == 1
@@ -119,7 +118,7 @@ class TestMetric:
     def test_failing_metric_prints_no_value(self, tmp_path, capsys):
         # identical 8x8 images: psnr is inf, then the SSIM window does not fit
         pa = tmp_path / "a.lumf"
-        save_image(rand_image(3, 8, 8), pa)
+        save_image(rand_array(3, 8, 8), pa)
         rc = main(["metric", "--a", str(pa), "--b", str(pa)])
         out, err = capsys.readouterr()
         assert rc == 1
@@ -129,12 +128,12 @@ class TestMetric:
 class TestDenoise:
     def test_roundtrip_with_zero_checkpoint(self, tmp_path):
         ckpt = zero_ckpt(tmp_path)
-        img = rand_image(5, 16, 16)
+        img = rand_array(5, 16, 16)
         src, dst = tmp_path / "in.ppm", tmp_path / "out.ppm"
         save_image(img, src)
         rc = main(["denoise", "--ckpt", str(ckpt), "--in", str(src), "--out", str(dst)])
         assert rc == 0
-        assert np.array_equal(load_image(dst).data, load_image(src).data)
+        assert np.array_equal(load_image(dst), load_image(src))
 
     def test_tall_image_runs_in_tiles_as_one_pass(self, tmp_path, monkeypatch):
         import luml1.net
@@ -144,23 +143,23 @@ class TestDenoise:
         net.layers[-1].kernels *= 300.0  # an estimate far from zero, so the output is not just the input
         ckpt, src, dst = tmp_path / "net.ckpt", tmp_path / "in.lumf", tmp_path / "out.lumf"
         save_checkpoint(net, ckpt)
-        img = rand_image(10, 200, 48)
+        img = rand_array(10, 200, 48)
         save_image(img, src)
         built = []
         init = luml1.net.Workspace.__init__
         monkeypatch.setattr(luml1.net.Workspace, "__init__", lambda ws, *args: built.append(args[1:4]) or init(ws, *args))
         assert main(["denoise", "--ckpt", str(ckpt), "--in", str(src), "--out", str(dst)]) == 0
         assert built == [(1, DENOISE_TILE_ROWS + 2 * 5, 48)]  # one workspace for every tile, none of the image
-        whole, _ = net_forward(load_checkpoint(ckpt), load_image(src).data[None])
-        assert np.abs(whole[0] - img.data).max() > 0.01
-        assert np.allclose(load_image(dst).data, np.clip(whole[0], 0.0, 1.0), rtol=0.0, atol=1e-6)
+        whole, _ = net_forward(load_checkpoint(ckpt), load_image(src)[None])
+        assert np.abs(whole[0] - img).max() > 0.01
+        assert np.allclose(load_image(dst), np.clip(whole[0], 0.0, 1.0), rtol=0.0, atol=1e-6)
 
     def test_corrupt_checkpoint_exits_3_with_checksum_message(self, tmp_path, capsys):
         ckpt = zero_ckpt(tmp_path)
         raw = bytearray(ckpt.read_bytes())
         raw[len(raw) // 2] ^= 0x01  # flip one stored kernel bit
         ckpt.write_bytes(bytes(raw))
-        img = rand_image(6, 16, 16)
+        img = rand_array(6, 16, 16)
         src = tmp_path / "in.ppm"
         save_image(img, src)
         rc = main(["denoise", "--ckpt", str(ckpt), "--in", str(src), "--out", str(tmp_path / "o.ppm")])
@@ -169,7 +168,7 @@ class TestDenoise:
 
     def test_image_the_net_cannot_take_exits_1_naming_it(self, tmp_path, capsys):
         src, out = tmp_path / "gray.lumf", tmp_path / "o.ppm"
-        save_image(rand_image(7, 16, 16, 1), src)
+        save_image(rand_array(7, 16, 16, 1), src)
         rc = main(["denoise", "--ckpt", str(zero_ckpt(tmp_path)), "--in", str(src), "--out", str(out)])
         assert rc == 1
         assert "gray.lumf" in capsys.readouterr().err
@@ -180,7 +179,7 @@ class TestDenoise:
 
         monkeypatch.setattr(bench, "denoise", _must_not_run)
         src, out = tmp_path / "in.ppm", tmp_path / "x.png"
-        save_image(rand_image(8, 16, 16), src)
+        save_image(rand_array(8, 16, 16), src)
         rc = main(["denoise", "--ckpt", str(zero_ckpt(tmp_path)), "--in", str(src), "--out", str(out)])
         assert rc == 1
         assert "x.png: unsupported image extension" in capsys.readouterr().err
@@ -261,7 +260,7 @@ class TestTrainCli:
     def test_bad_checkpoint_every_exits_1_before_training(self, tmp_path, capsys, monkeypatch, value, message):
         import luml1.trainer
 
-        monkeypatch.setattr(luml1.trainer, "gen_clean", _must_not_run)
+        monkeypatch.setattr(luml1.trainer, "gen_chunk", _must_not_run)
         ckpt = tmp_path / "x.ckpt"
         assert main(["train", "--checkpoint-every", value, "--out", str(ckpt)]) == 1
         assert message in capsys.readouterr().err
@@ -285,6 +284,17 @@ class TestTrainCli:
         seen = []
         for flags in ([], ["--checkpoint-every", "2"]):  # no validation; validation, which scores
             argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "net.ckpt"), *flags]
+            result = subprocess.run([sys.executable, "-c", code, *argv], env=CHILD_ENV, capture_output=True, text=True)
+            seen.append(result.stdout.split()[-2:])
+        assert seen == [["0", "False"], ["0", "True"]]
+
+    def test_only_gradcheck_imports_the_gradient_suite(self, tmp_path):
+        # the suite's module is loaded by the one command that runs it, not by every command
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps=2\nbatch_size=2\npatch_size=16\ncorpus_count=2\ncorpus_size=16x16\n")
+        code = "import sys; from luml1.cli import main; print(main(sys.argv[1:]), 'luml1.gradcheck' in sys.modules)"
+        seen = []
+        for argv in (["train", "--config", str(cfg), "--out", str(tmp_path / "net.ckpt")], ["gradcheck"]):
             result = subprocess.run([sys.executable, "-c", code, *argv], env=CHILD_ENV, capture_output=True, text=True)
             seen.append(result.stdout.split()[-2:])
         assert seen == [["0", "False"], ["0", "True"]]
@@ -325,7 +335,7 @@ class TestTrainCli:
     ):
         import luml1.trainer
 
-        monkeypatch.setattr(luml1.trainer, "gen_clean", _must_not_run)
+        monkeypatch.setattr(luml1.trainer, "gen_chunk", _must_not_run)
         cfg = tmp_path / "train.cfg"
         cfg.write_text("steps=2\n" + line + "\n")
         ckpt = tmp_path / "x.ckpt"
@@ -526,7 +536,7 @@ class TestEvalCli:
         data = tmp_path / "data"
         data.mkdir()
         for i in range(2):
-            save_image(rand_image(20 + i, 16, 16), data / f"img_{i}.lumf")
+            save_image(rand_array(20 + i, 16, 16), data / f"img_{i}.lumf")
         csv = tmp_path / "eval.csv"
         rc = main([
             "eval", "--ckpt", str(zero_ckpt(tmp_path)), "--data", str(data),
@@ -544,7 +554,6 @@ class TestEvalCli:
     def test_tall_image_is_scored_in_tiles_as_one_pass(self, tmp_path, monkeypatch):
         import luml1.net
         from luml1.bench import eval_noise, fmt_val
-        from luml1.image import Image
         from luml1.metrics import psnr, ssim
         from luml1.net import DENOISE_TILE_ROWS, net_forward
 
@@ -553,7 +562,7 @@ class TestEvalCli:
         ckpt, data, csv = tmp_path / "net.ckpt", tmp_path / "data", tmp_path / "eval.csv"
         save_checkpoint(net, ckpt)
         data.mkdir()
-        save_image(rand_image(11, 200, 48), data / "tall.lumf")
+        save_image(rand_array(11, 200, 48), data / "tall.lumf")
         built = []
         init = luml1.net.Workspace.__init__
         monkeypatch.setattr(luml1.net.Workspace, "__init__", lambda ws, *args: built.append(args[1:4]) or init(ws, *args))
@@ -561,9 +570,9 @@ class TestEvalCli:
         assert main(argv) == 0
         tasks = min(2, cli.usable_cpus())  # the image's two sigmas, split over the workers
         assert built == [(1, DENOISE_TILE_ROWS + 2 * 5, 48)] * tasks  # a tile workspace per task, none of the image
-        net, clean = load_checkpoint(ckpt), load_image(data / "tall.lumf").data
+        net, clean = load_checkpoint(ckpt), load_image(data / "tall.lumf")
         noisy_of = eval_noise((10.0, 40.0), 3)
-        tiled = score_images([net], [Image(clean)], noisy_of, 2)
+        tiled = score_images([net], [clean], noisy_of, 2)
         for level, ((scores,), row) in enumerate(zip(tiled, csv.read_text().splitlines()[1:])):
             assert row.split(",")[1:3] == [fmt_val(v) for v in scores]
             noisy = noisy_of(clean[None], first=0, level=level)
@@ -575,7 +584,7 @@ class TestEvalCli:
     def test_sigmas_equal_to_six_digits_are_two_rows(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
-        save_image(rand_image(22, 16, 16), data / "img.lumf")
+        save_image(rand_array(22, 16, 16), data / "img.lumf")
         csv = tmp_path / "eval.csv"
         rc = main([
             "eval", "--ckpt", str(zero_ckpt(tmp_path)), "--data", str(data),
@@ -589,8 +598,8 @@ class TestEvalCli:
     def test_image_the_net_or_ssim_cannot_take_exits_1_naming_it_before_scoring(self, tmp_path, capsys, monkeypatch, shape):
         data = tmp_path / "data"
         data.mkdir()
-        save_image(rand_image(23, 20, 20), data / "a.lumf")  # sorts first: a check made while scoring would follow its scores
-        save_image(rand_image(24, *shape), data / "b.lumf")
+        save_image(rand_array(23, 20, 20), data / "a.lumf")  # sorts first: a check made while scoring would follow its scores
+        save_image(rand_array(24, *shape), data / "b.lumf")
         monkeypatch.setattr(cli, "score_set", _must_not_run)
         csv = tmp_path / "eval.csv"
         rc = main(["eval", "--ckpt", str(zero_ckpt(tmp_path)), "--data", str(data), "--sigmas", "10", "--csv", str(csv)])
@@ -625,7 +634,7 @@ class TestEvalCli:
 class TestNonFiniteNetworkOutput:
     def test_denoise_exits_2_naming_a_layer(self, tmp_path, capsys):
         noisy = tmp_path / "noisy.lumf"
-        save_image(rand_image(30, 12, 12), noisy)
+        save_image(rand_array(30, 12, 12), noisy)
         out = tmp_path / "out.ppm"
         rc = main(["denoise", "--ckpt", str(overflow_ckpt(tmp_path)), "--in", str(noisy), "--out", str(out)])
         assert rc == 2
@@ -635,7 +644,7 @@ class TestNonFiniteNetworkOutput:
     def test_eval_exits_2_naming_a_layer(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
-        save_image(rand_image(31, 16, 16), data / "img.lumf")
+        save_image(rand_array(31, 16, 16), data / "img.lumf")
         csv = tmp_path / "eval.csv"
         rc = main([
             "eval", "--ckpt", str(overflow_ckpt(tmp_path)), "--data", str(data),
@@ -649,7 +658,7 @@ class TestNonFiniteNetworkOutput:
         ckpt = str(overflow_ckpt(tmp_path))
         data = tmp_path / "data"
         data.mkdir()
-        save_image(rand_image(34, 16, 16), data / "img.lumf")
+        save_image(rand_array(34, 16, 16), data / "img.lumf")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["denoise", "--ckpt", ckpt, "--in", str(data / "img.lumf"), "--out", str(tmp_path / "o.ppm")]) == 2
@@ -667,7 +676,7 @@ class TestOutputLocations:
         plan.write_text(TestBenchCli.PLAN)
         data = tmp_path / "data"
         data.mkdir()
-        save_image(rand_image(32, 16, 16), data / "img.lumf")
+        save_image(rand_array(32, 16, 16), data / "img.lumf")
         argv = {
             "train --out": ["train", "--out", missing],
             "train --log": ["train", "--out", ok, "--log", missing],
@@ -697,7 +706,7 @@ class TestOutputLocations:
         plan.write_text(TestBenchCli.PLAN)
         data = tmp_path / "data"
         data.mkdir()
-        save_image(rand_image(35, 16, 16), data / "img.lumf")
+        save_image(rand_array(35, 16, 16), data / "img.lumf")
         (tmp_path / "ckpts" / "l1_25.ckpt").mkdir(parents=True)  # the plan's one cell file
         ok = str(tmp_path / "out")
         argv = {
@@ -735,7 +744,7 @@ class TestOutputLocations:
     def test_existing_non_regular_output_path_is_accepted(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
-        save_image(rand_image(33, 16, 16), data / "img.lumf")
+        save_image(rand_array(33, 16, 16), data / "img.lumf")
         rc = main([
             "eval", "--ckpt", str(zero_ckpt(tmp_path)), "--data", str(data), "--sigmas", "10", "--csv", "/dev/null",
         ])

@@ -1,14 +1,17 @@
 import ast
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import luml1.dataset
 import luml1.rng
 from luml1.bench import check_sigmas
 from luml1.dataset import (
-    _draw_patch_params,
     gen_chunk,
     gen_clean,
     make_blind_batches,
@@ -17,8 +20,17 @@ from luml1.dataset import (
 from luml1.errors import InvalidInputError
 from luml1.rng import DOMAIN_BATCH, DOMAIN_EVAL_NOISE, DOMAIN_TRAIN_CLEAN, box_muller, eval_seed, normal, stream
 
-from conftest import rand_image
-from oracles import ks_statistic_uniform, patch_by_patch_stream
+from conftest import rand_array
+from oracles import ks_statistic_uniform, patch_by_patch_stream, patch_draw
+
+
+def assert_block_box_muller_is_each_stream_alone() -> None:
+    """box_muller of k streams' uniforms at once gives each stream the deviates it gives that stream alone."""
+    for k in (1, 2, 3, 8):
+        for n in (1, 3, 17, 75, 257, 3071):  # odd: each stream's last deviate is dropped
+            u = stream(k, 2, n).random((k, 2, (n + 1) // 2))
+            alone = [box_muller(row.copy(), n) for row in u]
+            assert np.array_equal(box_muller(u, n), np.stack(alone)), (k, n)
 
 
 class TestGenClean:
@@ -69,34 +81,34 @@ class TestAddNoise:
     """noisy_chunk, the package's one path that adds Gaussian noise to images."""
 
     def test_zero_sigma_is_identity(self):
-        img = rand_image(1, 16, 16)
-        (out,) = noisy_chunk(img.data[None], 0.0, 123, 0, 0)
-        assert np.array_equal(out, img.data)
+        img = rand_array(1, 16, 16)
+        (out,) = noisy_chunk(img[None], 0.0, 123, 0, 0)
+        assert np.array_equal(out, img)
 
     def test_same_seed_same_noise(self):
-        img = rand_image(2, 16, 16)
-        (a,) = noisy_chunk(img.data[None], 25.0, 9, 0, 0)
-        (b,) = noisy_chunk(img.data[None], 25.0, 9, 0, 0)
+        img = rand_array(2, 16, 16)
+        (a,) = noisy_chunk(img[None], 25.0, 9, 0, 0)
+        (b,) = noisy_chunk(img[None], 25.0, 9, 0, 0)
         assert np.array_equal(a, b)
 
     def test_each_level_and_image_draws_its_own_noise(self):
-        img = rand_image(3, 16, 16)
-        draws = [noisy_chunk(np.stack([img.data, img.data]), 25.0, 9, level, 0) for level in (0, 1)]
-        noise = [(n - img.data).tobytes() for pair in draws for n in pair]
+        img = rand_array(3, 16, 16)
+        draws = [noisy_chunk(np.stack([img, img]), 25.0, 9, level, 0) for level in (0, 1)]
+        noise = [(n - img).tobytes() for pair in draws for n in pair]
         assert len(set(noise)) == 4
 
     def test_sample_std_matches_sigma(self):
         # law of large numbers on 200*200*3 = 120k elements
-        img = gen_clean(5, 1, 200, 200)[0]
-        (noisy,) = noisy_chunk(img.data[None], 25.0, 77, 0, 0)
-        measured = (noisy - img.data).std()
+        img = gen_chunk(5, 0, 1, 200, 200)[0]
+        (noisy,) = noisy_chunk(img[None], 25.0, 77, 0, 0)
+        measured = (noisy - img).std()
         target = 25.0 / 255.0
         assert abs(measured - target) / target < 0.05
 
     def test_noise_mean_near_zero(self):
-        img = gen_clean(6, 1, 128, 128)[0]
-        (noisy,) = noisy_chunk(img.data[None], 50.0, 3, 0, 0)
-        assert abs((noisy - img.data).mean()) < 3 * (50 / 255) / np.sqrt(img.data.size)
+        img = gen_chunk(6, 0, 1, 128, 128)[0]
+        (noisy,) = noisy_chunk(img[None], 50.0, 3, 0, 0)
+        assert abs((noisy - img).mean()) < 3 * (50 / 255) / np.sqrt(img.size)
 
     def test_negative_sigma_rejected(self):
         # noisy_chunk does not check sigma; every caller (gen, eval, bench, train) runs this check first
@@ -105,15 +117,15 @@ class TestAddNoise:
 
     def test_a_chunk_is_its_images_noised_alone(self):
         # one Box-Muller pass over the stacked streams gives each image the noise rng.normal gives it alone
-        clean = gen_clean(7, 5, 17, 19)  # 17*19*3 deviates: odd, so each stream's last one is dropped
-        alone = [im.data + normal(stream(9, DOMAIN_EVAL_NOISE, 3, j), im.data.shape, 37.5 / 255.0) for j, im in enumerate(clean)]
+        clean = gen_chunk(7, 0, 5, 17, 19)  # 17*19*3 deviates: odd, so each stream's last one is dropped
+        alone = [im + normal(stream(9, DOMAIN_EVAL_NOISE, 3, j), im.shape, 37.5 / 255.0) for j, im in enumerate(clean)]
         for a, b in ((0, 4), (1, 5), (2, 3)):
-            chunk = noisy_chunk(np.stack([im.data for im in clean[a:b]]), 37.5, 9, 3, first=a)
+            chunk = noisy_chunk(clean[a:b], 37.5, 9, 3, first=a)
             assert np.array_equal(chunk, np.stack(alone[a:b]))
 
     def test_noise_is_scaled_and_added_in_the_uniforms_buffer(self):
         # the uniforms, then a little of Box-Muller's and the finite check's: no chunk-sized noise or sum array more
-        clean = np.stack([im.data for im in gen_clean(12, 4, 40, 40)])
+        clean = gen_chunk(12, 0, 4, 40, 40)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -128,8 +140,8 @@ class TestAddNoise:
             noisy_chunk(np.full((2, 16, 16, 3), np.nan), 25.0, 1, 0, 0)
 
     def test_output_not_clamped(self):
-        img = gen_clean(8, 1, 32, 32)[0]
-        (noisy,) = noisy_chunk(img.data[None], 75.0, 4, 0, 0)
+        img = gen_chunk(8, 0, 1, 32, 32)[0]
+        (noisy,) = noisy_chunk(img[None], 75.0, 4, 0, 0)
         assert noisy.min() < 0.0 or noisy.max() > 1.0
 
 
@@ -149,13 +161,13 @@ class TestBlindBatches:
         return make_blind_batches(clean, 50.0, count, seed, *batch_arrays(batch_size, 12))
 
     def test_exact_count(self):
-        clean = gen_clean(1, 3, 20, 20)
+        clean = gen_chunk(1, 0, 3, 20, 20)
         for batch_size in (1, 3):
             batches = list(self.batches(clean, count=17, batch_size=batch_size))
             assert len(batches) == 17
 
     def test_patch_shapes_and_blindness(self):
-        clean = gen_clean(1, 3, 20, 20)
+        clean = gen_chunk(1, 0, 3, 20, 20)
         for batch_size in (1, 3):
             for noisy, target in self.batches(clean, count=5, batch_size=batch_size):
                 assert noisy.shape == target.shape == (batch_size, 12, 12, 3)
@@ -164,11 +176,11 @@ class TestBlindBatches:
                 assert not hasattr(noisy, "sigma_255")
 
     def test_clean_patch_is_a_crop(self):
-        clean = gen_clean(2, 2, 20, 20)
+        clean = gen_chunk(2, 0, 2, 20, 20)
         for _, targets in self.batches(clean, count=4):
             for target in targets:
                 found = any(
-                    np.array_equal(img.data[y : y + 12, x : x + 12], target)
+                    np.array_equal(img[y : y + 12, x : x + 12], target)
                     for img in clean
                     for y in range(9)
                     for x in range(9)
@@ -176,7 +188,7 @@ class TestBlindBatches:
                 assert found
 
     def test_same_seed_identical_sequence(self):
-        clean = gen_clean(3, 2, 20, 20)
+        clean = gen_chunk(3, 0, 2, 20, 20)
         a = drawn(self.batches(clean, count=6))
         b = drawn(self.batches(clean, count=6))
         for (na, ca), (nb, cb) in zip(a, b):
@@ -186,7 +198,7 @@ class TestBlindBatches:
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_batches_are_the_patch_by_patch_stream_bit_for_bit(self, batch_size):
         # at P = 5 a patch has 75 values, an odd count, so each patch drops its last Box-Muller deviate
-        clean = gen_clean(4, 3, 16, 16)
+        clean = gen_chunk(4, 0, 3, 16, 16)
         batches = drawn(make_blind_batches(clean, 40.0, 4, 6, *batch_arrays(batch_size, 5)))
         pairs = patch_by_patch_stream(clean, 40.0, 5, 4 * batch_size, 6)
         items = [(n, c) for noisy, target in batches for n, c in zip(noisy, target)]
@@ -196,7 +208,7 @@ class TestBlindBatches:
 
     def test_every_batch_is_the_oracle_in_float64_and_its_cast_in_float32(self):
         # several batches through one pair of arrays: each batch's writes leave nothing of the last one behind
-        clean = gen_clean(7, 3, 20, 20)
+        clean = gen_chunk(7, 0, 3, 20, 20)
         pairs = patch_by_patch_stream(clean, 30.0, 6, 5 * 3, 8)
         for dtype in (np.float64, np.float32):
             arrays = batch_arrays(3, 6, dtype)
@@ -208,17 +220,27 @@ class TestBlindBatches:
 
     def test_yields_the_callers_arrays(self):
         noisy, target = batch_arrays(2, 12)
-        for n, t in make_blind_batches(gen_clean(1, 2, 20, 20), 50.0, 3, 5, noisy, target):
+        for n, t in make_blind_batches(gen_chunk(1, 0, 2, 20, 20), 50.0, 3, 5, noisy, target):
             assert n is noisy and t is target
 
     @pytest.mark.parametrize("shapes", [((2, 12, 12, 3), (2, 12, 12, 1)), ((2, 12, 11, 3),) * 2, ((1, 12, 12, 3), (2, 12, 12, 3))])
     def test_batch_arrays_of_other_shapes_rejected(self, shapes):
         noisy, target = (np.empty(shape) for shape in shapes)
         with pytest.raises(InvalidInputError, match="batch arrays"):
-            next(make_blind_batches(gen_clean(1, 1, 16, 16), 10.0, 1, 0, noisy, target))
+            next(make_blind_batches(gen_chunk(1, 0, 1, 16, 16), 10.0, 1, 0, noisy, target))
+
+    @pytest.mark.parametrize(
+        "corpus",
+        [gen_clean(1, 2, 20, 20), gen_chunk(1, 0, 1, 20, 20)[0], np.zeros((2, 20, 20, 1))],
+        ids=["list-of-images", "one-image", "one-channel-block"],
+    )
+    def test_corpus_that_is_not_an_rgb_block_rejected_before_the_first_draw(self, corpus, monkeypatch):
+        monkeypatch.setattr(luml1.dataset, "stream", lambda *ids: pytest.fail("the stream was drawn from"))
+        with pytest.raises(InvalidInputError, match="corpus must be an"):
+            next(make_blind_batches(corpus, 10.0, 1, 0, *batch_arrays(1, 12)))
 
     def test_patch_larger_than_image_rejected(self):
-        clean = gen_clean(1, 1, 16, 16)
+        clean = gen_chunk(1, 0, 1, 16, 16)
         with pytest.raises(InvalidInputError):
             list(make_blind_batches(clean, 10.0, 1, 0, *batch_arrays(1, 17)))
 
@@ -229,23 +251,22 @@ class TestBlindBatches:
     )
     def test_bad_stream_arguments_rejected(self, sigma_max, patch_size, count, batch_size):
         with pytest.raises(InvalidInputError):
-            list(make_blind_batches(gen_clean(1, 1, 16, 16), sigma_max, count, 0, *batch_arrays(batch_size, patch_size)))
+            list(make_blind_batches(gen_chunk(1, 0, 1, 16, 16), sigma_max, count, 0, *batch_arrays(batch_size, patch_size)))
 
     def test_sigma_draws_uniform_ks(self):
-        # white-box: the same draw helper the batch stream consumes
+        # the oracle's draws, which the batch stream makes bit for bit (test_batches_are_the_patch_by_patch_stream)
         rng = stream(5, DOMAIN_BATCH)
-        dims = [(20, 20)]
-        sigmas = [_draw_patch_params(rng, dims, 12, 50.0)[3] for _ in range(10_000)]
+        sigmas = [patch_draw(rng, 1, 20, 20, 12, 50.0)[3] for _ in range(10_000)]
         assert 0.0 <= min(sigmas) and max(sigmas) <= 50.0
         assert ks_statistic_uniform(sigmas, 50.0) < 0.02
 
     def test_draw_helper_drives_the_stream(self):
-        # reconstructing the first patch from the helper's draws must match
-        clean = gen_clean(3, 2, 20, 20)
+        # reconstructing the first patch from the stream's draws, in their order, must match
+        clean = gen_chunk(3, 0, 2, 20, 20)
         (noisy,), (target,) = next(self.batches(clean, count=1, seed=8, batch_size=1))
         rng = stream(8, DOMAIN_BATCH)
-        idx, y0, x0, sigma = _draw_patch_params(rng, [(20, 20), (20, 20)], 12, 50.0)
-        expected_clean = clean[idx].data[y0 : y0 + 12, x0 : x0 + 12]
+        idx, y0, x0, sigma = patch_draw(rng, 2, 20, 20, 12, 50.0)
+        expected_clean = clean[idx, y0 : y0 + 12, x0 : x0 + 12]
         assert np.array_equal(target, expected_clean)
         noise = normal(rng, (12, 12, 3), sigma / 255.0)
         assert np.array_equal(noisy, expected_clean + noise)
@@ -257,9 +278,9 @@ class TestSeedDomains:
         # seed, its own eval_seed, still trains on images that are not its test images
         for seed in (0, 1, 2, 3, 12345, 2**40 + 7):
             assert eval_seed(seed) & 1 == 1 and eval_seed(seed) - seed in (0, 1)
-            corpus = gen_clean(seed, 2, 16, 16, DOMAIN_TRAIN_CLEAN)
-            test_images = gen_clean(eval_seed(seed), 2, 16, 16)
-            assert not any(np.array_equal(c.data, t.data) for c in corpus for t in test_images)
+            corpus = gen_chunk(seed, 0, 2, 16, 16, DOMAIN_TRAIN_CLEAN)
+            test_images = gen_chunk(eval_seed(seed), 0, 2, 16, 16)
+            assert not any(np.array_equal(c, t) for c in corpus for t in test_images)
 
     def test_streams_with_different_ids_differ(self):
         a = stream(7, 1, 0).random(8)
@@ -289,6 +310,17 @@ class TestSeedDomains:
         assert z.shape == (3, 9) and np.shares_memory(z, u)
         r, theta = np.sqrt(-2.0 * np.log(1.0 - first[:, 0])), 2.0 * np.pi * first[:, 1]  # the two-array form
         assert np.array_equal(z, np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[:, :9])
+
+    def test_box_muller_of_a_block_is_each_stream_alone(self):
+        assert_block_box_muller_is_each_stream_alone()
+
+    def test_box_muller_of_a_block_is_each_stream_alone_on_numpys_other_simd_path(self):
+        # without AVX-512, numpy evaluates log with other loops, whose bits differ: the block must still match each stream
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+               "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+        code = "from test_dataset import assert_block_box_muller_is_each_stream_alone as check; check(); print('ok')"
+        result = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent, env=env, capture_output=True, text=True)
+        assert result.stdout.split()[-1:] == ["ok"], result.stderr
 
     def test_box_muller_determinism(self):
         a = normal(stream(11, 2), (64,), 2.0)

@@ -30,7 +30,7 @@ from luml1.bench import (
     run_bench,
 )
 from luml1.checkpoint import load_checkpoint, save_checkpoint
-from luml1.dataset import MIN_IMAGE_SIZE, gen_chunk, gen_clean
+from luml1.dataset import MIN_IMAGE_SIZE, gen_chunk
 from luml1.errors import InvalidInputError, NumericalError
 from luml1.fnv import fnv1a64
 from luml1.losses import LossSpec, parse_loss
@@ -40,7 +40,7 @@ from luml1.pnm import load_image, save_image
 from luml1.rng import DOMAIN_CLEAN, DOMAIN_EVAL_NOISE, DOMAIN_TRAIN_CLEAN, eval_seed
 from luml1.trainer import train
 
-from conftest import rand_image, score_images
+from conftest import rand_array, score_images
 from oracles import parse_report_csv
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -147,7 +147,7 @@ def trained_cell(tmp_path_factory):
     ckpt_dir = tmp_path_factory.mktemp("trained_cell")
     report = run_bench(plan, ckpt_dir=ckpt_dir)
     net = load_checkpoint(ckpt_dir / "l1_25.ckpt")
-    clean = gen_clean(eval_seed(plan.seed), plan.eval_count, *plan.eval_size)
+    clean = gen_chunk(eval_seed(plan.seed), 0, plan.eval_count, *plan.eval_size)
     return {"plan": plan, "report": report, "net": net, "clean": clean}
 
 
@@ -508,31 +508,26 @@ class TestRunBench:
         assert made[:2] == ["train", "train"] and sorted(made[2:]) == [0] * plan.eval_count + [1] * plan.eval_count
 
     @staticmethod
-    def record_gen_clean(monkeypatch, into: list) -> None:
-        """Append the stream domain of every gen_clean and gen_chunk call that run_bench and train make to ``into``."""
-        def recording(seed, count, h, w, domain=DOMAIN_CLEAN):
-            into.append(domain)
-            return gen_clean(seed, count, h, w, domain)
-
-        def recording_chunk(seed, first, count, h, w, domain=DOMAIN_CLEAN):
+    def record_gen_chunk(monkeypatch, into: list) -> None:
+        """Append the stream domain of every gen_chunk call that run_bench and train make to ``into``."""
+        def recording(seed, first, count, h, w, domain=DOMAIN_CLEAN):
             into.append(domain)
             return gen_chunk(seed, first, count, h, w, domain)
 
         for module in (luml1.bench, luml1.trainer):
-            monkeypatch.setattr(module, "gen_clean", recording)
-        monkeypatch.setattr(luml1.bench, "gen_chunk", recording_chunk)
+            monkeypatch.setattr(module, "gen_chunk", recording)
 
     def test_cells_share_one_training_corpus(self, monkeypatch):
         made = []
-        self.record_gen_clean(monkeypatch, made)
+        self.record_gen_chunk(monkeypatch, made)
         monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
         run_bench(micro_plan(steps=1))  # two cells
         # one corpus; one chunk of test images, made by each of the two tasks that its two sigmas are split over
         assert sorted(made) == sorted([DOMAIN_TRAIN_CLEAN, DOMAIN_CLEAN, DOMAIN_CLEAN])
 
     def test_test_set_is_built_after_the_last_training_step(self, monkeypatch):
-        events = []  # gen_clean and gen_chunk domains and "step" per Adam update, in time order
-        self.record_gen_clean(monkeypatch, events)
+        events = []  # gen_chunk domains and "step" per Adam update, in time order
+        self.record_gen_chunk(monkeypatch, events)
         adam_step = luml1.trainer.adam_step
         monkeypatch.setattr(luml1.trainer, "adam_step", lambda *args: events.append("step") or adam_step(*args))
         monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: 2)
@@ -568,8 +563,8 @@ class TestRunBench:
         train(replace(plan, losses=plan.losses[:1], steps=0))
         corpus, seed = drawn[0]
         assert seed == plan.seed  # the run seed itself: seeds 2k and 2k+1 train different nets
-        test_images = gen_clean(eval_seed(plan.seed), plan.eval_count, *plan.eval_size)
-        assert not any(np.array_equal(c.data, t.data) for c in corpus for t in test_images)
+        test_images = gen_chunk(eval_seed(plan.seed), 0, plan.eval_count, *plan.eval_size)
+        assert not any(np.array_equal(c, t) for c in corpus for t in test_images)
 
     def test_seeds_that_differ_in_the_low_bit_train_different_nets(self):
         # one-cell plans at seeds 2 and 3 share their test set (eval_seed sets the low bit) but not their training
@@ -582,7 +577,7 @@ class TestRunBench:
 
     @pytest.mark.parametrize("cell", [dict(sigma_max=(25.0, 50.0)), dict(losses=(LossSpec("l1"), LossSpec("l2")))])
     def test_train_takes_one_cell_only(self, monkeypatch, cell):
-        monkeypatch.setattr(luml1.trainer, "gen_clean", _must_not_run)
+        monkeypatch.setattr(luml1.trainer, "gen_chunk", _must_not_run)
         with pytest.raises(InvalidInputError, match="exactly one loss and one sigma_max"):
             train(replace(micro_plan(), **cell))
 
@@ -608,25 +603,27 @@ class TestChunkMajorScoring:
         assert csvs[0] == csvs[1] == csvs[2]
         # the means of the per-image scores of the whole test set, scored a chunk at a time in one pass
         nets = [load_checkpoint(path) for path in luml1.bench.cell_files(plan, tmp_path)]
-        clean = gen_clean(eval_seed(plan.seed), plan.eval_count, *plan.eval_size)
+        clean = gen_chunk(eval_seed(plan.seed), 0, plan.eval_count, *plan.eval_size)
         noisy_of = eval_noise(plan.eval_sigmas, plan.seed)
         assert score_images([None, *nets], clean, noisy_of, len(plan.eval_sigmas)) == report.rows
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_bench_makes_one_chunk_of_test_images_at_a_time(self, monkeypatch, workers):
-        made, alive = [], []  # per chunk made: (its images, earlier chunks alive); a weak reference to each chunk
+        made, alive, domains = [], [], []  # per test chunk made: (its images, earlier ones alive); a weak reference to each
 
         def recording(seed, first, count, h, w, domain=DOMAIN_CLEAN):
-            made.append((count, sum(ref() is not None for ref in alive)))
-            alive.append(weakref.ref(chunk := gen_chunk(seed, first, count, h, w, domain)))
+            domains.append(domain)
+            chunk = gen_chunk(seed, first, count, h, w, domain)
+            if domain == DOMAIN_CLEAN:
+                made.append((count, sum(ref() is not None for ref in alive)))
+                alive.append(weakref.ref(chunk))
             return chunk
 
-        domains = []
         monkeypatch.setattr(luml1.bench, "gen_chunk", recording)
-        monkeypatch.setattr(luml1.bench, "gen_clean", lambda *args: domains.append(args[4]) or gen_clean(*args))
         monkeypatch.setattr(luml1.bench, "usable_cpus", lambda: workers)
         run_bench(self.plan(eval_count=10, eval_sigmas=(5.0, 20.0)))
-        assert domains == [DOMAIN_TRAIN_CLEAN]  # the corpus: no test image is made whole-set
+        assert domains[0] == DOMAIN_TRAIN_CLEAN and DOMAIN_TRAIN_CLEAN not in domains[1:]  # the corpus, made once
+        assert len(domains) == 1 + len(made)  # no test image is made whole-set
         assert sorted(count for count, _ in made) == [2, 4, 4]
         assert max(earlier for _, earlier in made) <= workers - 1  # each worker holds one chunk
 
@@ -661,7 +658,7 @@ class TestChunkMajorScoring:
         monkeypatch.setattr(luml1.trainer, "score_chunk", lambda *args: tasks.append(list(args[-1])) or score(*args))
         data, csv = tmp_path / "data", tmp_path / "eval.csv"
         data.mkdir()
-        for i, im in enumerate(gen_clean(eval_seed(plan.seed), plan.eval_count, *plan.eval_size)):
+        for i, im in enumerate(gen_chunk(eval_seed(plan.seed), 0, plan.eval_count, *plan.eval_size)):
             save_image(im, data / f"{i}.lumf")
         ckpt = luml1.bench.cell_files(plan, tmp_path)[0]
         argv = ["eval", "--ckpt", ckpt, "--data", str(data), "--sigmas", "5,20,45", "--csv", str(csv)]
@@ -744,7 +741,7 @@ class TestTrainedModelSanity:
         from luml1.net import net_forward
 
         net, clean, report = trained_cell["net"], trained_cell["clean"], trained_cell["report"]
-        score = np.mean([psnr(np.clip(net_forward(net, c.data[None])[0][0], 0.0, 1.0), c.data) for c in clean])
+        score = np.mean([psnr(np.clip(net_forward(net, c[None])[0][0], 0.0, 1.0), c) for c in clean])
         easiest = report.rows[0][1][0]  # the one cell at the first eval sigma
         assert score > easiest
 
@@ -775,20 +772,20 @@ class TestDenoiseFile:
         zero = TinyNet([ConvLayer(np.zeros((3, 3, 3, 3)), np.zeros(3))])
         ckpt = tmp_path / "zero.ckpt"
         save_checkpoint(zero, ckpt)
-        img = rand_image(80, 16, 16)
+        img = rand_array(80, 16, 16)
         src = tmp_path / "in.lumf"
         dst = tmp_path / "out.lumf"
         save_image(img, src)
         denoise_file(ckpt, src, dst)
         out = load_image(dst)
-        expected = np.clip(load_image(src).data, 0.0, 1.0)
-        assert np.array_equal(out.data, expected.astype("<f4").astype(np.float64))
+        expected = np.clip(load_image(src), 0.0, 1.0)
+        assert np.array_equal(out, expected.astype("<f4").astype(np.float64))
 
     def test_deterministic_output_bytes(self, tmp_path):
         zero = TinyNet([ConvLayer(np.zeros((3, 3, 3, 3)), np.zeros(3))])
         ckpt = tmp_path / "zero.ckpt"
         save_checkpoint(zero, ckpt)
-        img = rand_image(81, 16, 16)
+        img = rand_array(81, 16, 16)
         src = tmp_path / "in.ppm"
         save_image(img, src)
         outs = []

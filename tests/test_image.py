@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from luml1.errors import InvalidInputError
-from luml1.image import LUMA_WEIGHTS, Image, grayscale_backward, to_grayscale
+from luml1.image import LUMA_WEIGHTS, Image, check_image, grayscale_backward, to_grayscale
 
 from conftest import rand_array
 
@@ -13,33 +13,37 @@ def one_pixel(r, g, b):
 
 
 class TestImageType:
+    """check_image, which every image loaded or saved passes, and Image, gen_clean's type, runs."""
+
     def test_rejects_nan(self):
         with pytest.raises(InvalidInputError):
-            Image(np.array([[[np.nan, 0.0, 0.0]]]))
+            check_image(np.array([[[np.nan, 0.0, 0.0]]]))
 
     def test_rejects_bad_channel_count(self):
         with pytest.raises(InvalidInputError):
-            Image(np.zeros((2, 2, 2)))
+            check_image(np.zeros((2, 2, 2)))
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(InvalidInputError):
-            Image(np.zeros((2, 2)))
+            check_image(np.zeros((2, 2)))
 
     def test_data_is_read_only_and_private(self):
         src = np.zeros((2, 2, 3))
-        img = Image(src)
+        img = check_image(src)
         src[0, 0, 0] = 5.0  # mutating the source must not leak in
-        assert img.data[0, 0, 0] == 0.0
+        assert img[0, 0, 0] == 0.0
         with pytest.raises(ValueError):
-            img.data[0, 0, 0] = 1.0
+            img[0, 0, 0] = 1.0
 
     def test_read_only_float64_data_is_kept_uncopied(self):
         # gen_clean's images are views of one read-only block, so dropping them gives the block back whole
         block = np.zeros((2, 4, 4, 3))
         block.flags.writeable = False
-        assert all(Image(view).data is view for view in block)
-        assert Image(block[0].astype(np.float32)).data.dtype == np.float64  # any other array is copied
-        assert not np.shares_memory(Image(block[:, 0]).data, block)
+        assert all(check_image(view) is view and Image(view).data is view for view in block)
+        assert check_image(block[0].astype(np.float32)).dtype == np.float64  # any other array is copied
+        assert not np.shares_memory(check_image(block[:, 0]), block)
+        with pytest.raises(InvalidInputError):
+            Image(np.zeros((2, 2)))  # Image checks its data with check_image
 
 
 class TestLuminanceWeights:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from luml1.cli import main
-from luml1.dataset import gen_clean, make_blind_batches, noisy_chunk
+from luml1.dataset import gen_chunk, make_blind_batches, noisy_chunk
 from luml1.fnv import fnv1a64
 from luml1.pnm import save_image
 from luml1.rng import DOMAIN_TRAIN_CLEAN, eval_seed
@@ -40,14 +40,13 @@ def test_gen_corpus_bytes(tmp_path, capsys):
 
 
 def test_first_patches_of_the_blind_stream():
-    corpus = gen_clean(5, 3, 24, 24, DOMAIN_TRAIN_CLEAN)
+    corpus = gen_chunk(5, 0, 3, 24, 24, DOMAIN_TRAIN_CLEAN)
     ((noisy, clean),) = make_blind_batches(corpus, 25.0, 1, 5, *(np.empty((4, 16, 16, 3)) for _ in range(2)))
     assert digest(a for pair in zip(noisy, clean) for a in pair) == "ce82b4d91f91a3e9"
 
 
 def test_eval_noisy_set():
-    clean = gen_clean(eval_seed(909), 3, 24, 24)
-    noisy = noisy_chunk(np.stack([im.data for im in clean]), 15.0, eval_seed(909), 2, 0)
+    noisy = noisy_chunk(gen_chunk(eval_seed(909), 0, 3, 24, 24), 15.0, eval_seed(909), 2, 0)
     assert digest(noisy) == "34e51be02aa3cc50"
 
 
@@ -75,7 +74,7 @@ def test_micro_bench_csv_at_seven_eval_images(micro_run_of_seven):
 def test_eval_csv_over_two_image_sizes(micro_run_of_seven, tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()
-    for prefix, images in (("a", gen_clean(3, 3, 16, 20)), ("b", gen_clean(4, 2, 24, 18))):
+    for prefix, images in (("a", gen_chunk(3, 0, 3, 16, 20)), ("b", gen_chunk(4, 0, 2, 24, 18))):
         for i, im in enumerate(images):
             save_image(im, data / f"{prefix}{i}.lumf")
     ckpt, csv = micro_run_of_seven / "ckpt" / "luml1_25.ckpt", tmp_path / "eval.csv"

@@ -4,11 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from luml1.checkpoint import checkpoint_bytes, load_checkpoint
 from luml1.errors import FormatError, InvalidInputError
-from luml1.image import Image
 from luml1.net import build_tinynet
 from luml1.pnm import load_image, save_image, save_lumf_bytes, save_ppm_bytes
 
-from conftest import rand_image
+from conftest import rand_array
 
 
 def write(tmp_path, name, data: bytes):
@@ -24,16 +23,16 @@ def canonical_p6(h, w, pixels: np.ndarray) -> bytes:
 class TestPpmLoad:
     def test_byte_255_maps_to_one(self, tmp_path):
         img = load_image(write(tmp_path, "a.ppm", canonical_p6(1, 1, np.array([255, 255, 255]))))
-        assert np.all(img.data == 1.0)
+        assert np.all(img == 1.0)
 
     def test_byte_128_maps_to_128_over_255(self, tmp_path):
         img = load_image(write(tmp_path, "a.ppm", canonical_p6(1, 1, np.array([128, 0, 0]))))
-        assert img.data[0, 0, 0] == 128 / 255
+        assert img[0, 0, 0] == 128 / 255
 
     def test_header_comments_and_whitespace(self, tmp_path):
         raw = b"P6 # a comment\n# another\n 2\t1 \n255\n" + bytes(6)
         img = load_image(write(tmp_path, "a.ppm", raw))
-        assert img.data.shape == (1, 2, 3)
+        assert img.shape == (1, 2, 3)
 
     def test_bad_magic_names_offset(self, tmp_path):
         with pytest.raises(FormatError, match="byte 0"):
@@ -70,49 +69,49 @@ class TestPpmRoundTrip:
         assert again == first
 
     def test_save_quantizes_and_clamps(self, tmp_path):
-        img = Image(np.array([[[1.4, -0.3, 0.5]]]))
+        img = np.array([[[1.4, -0.3, 0.5]]])
         path = tmp_path / "c.ppm"
         save_image(img, path)
         back = load_image(path)
-        assert back.data[0, 0, 0] == 1.0
-        assert back.data[0, 0, 1] == 0.0
-        assert back.data[0, 0, 2] == 128 / 255  # 0.5*255 = 127.5 rounds half-to-even
+        assert back[0, 0, 0] == 1.0
+        assert back[0, 0, 1] == 0.0
+        assert back[0, 0, 2] == 128 / 255  # 0.5*255 = 127.5 rounds half-to-even
 
     def test_grayscale_to_ppm_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):
-            save_image(rand_image(1, c=1), tmp_path / "g.ppm")
+            save_image(rand_array(1, c=1), tmp_path / "g.ppm")
 
 
 class TestLumf:
     def test_round_trip_preserves_float32_bits(self, tmp_path):
-        img = rand_image(17, 6, 5)
+        img = rand_array(17, 6, 5)
         path = tmp_path / "x.lumf"
         save_image(img, path)
         back = load_image(path)
-        assert np.array_equal(back.data, img.data.astype("<f4").astype(np.float64))
+        assert np.array_equal(back, img.astype("<f4").astype(np.float64))
 
     def test_round_trip_is_stable(self, tmp_path):
-        img = rand_image(18, 4, 4, c=1)
+        img = rand_array(18, 4, 4, c=1)
         first = save_lumf_bytes(img)
         path = write(tmp_path, "x.lumf", first)
         assert save_lumf_bytes(load_image(path)) == first
 
     def test_values_outside_unit_range_survive(self, tmp_path):
-        img = Image(np.array([[[-1.5, 0.25, 3.0]]]))
+        img = np.array([[[-1.5, 0.25, 3.0]]])
         path = tmp_path / "x.lumf"
         save_image(img, path)
-        assert np.allclose(load_image(path).data, img.data)
+        assert np.allclose(load_image(path), img)
 
     @pytest.mark.parametrize("value", [1e39, -1e39])
     def test_value_beyond_float32_range_rejected(self, value):
         # cast to float32 it would be an infinity, which no LUMF1 reader accepts
         with pytest.raises(InvalidInputError, match="float32 range"):
-            save_lumf_bytes(Image(np.array([[[0.5, value, 0.5]]])))
+            save_lumf_bytes(np.array([[[0.5, value, 0.5]]]))
         f32_max = float(np.finfo(np.float32).max)
-        save_lumf_bytes(Image(np.array([[[0.5, f32_max, -f32_max]]])))  # the range's own ends are stored
+        save_lumf_bytes(np.array([[[0.5, f32_max, -f32_max]]]))  # the range's own ends are stored
 
     def test_truncated_payload(self, tmp_path):
-        good = save_lumf_bytes(rand_image(19, 4, 4))
+        good = save_lumf_bytes(rand_array(19, 4, 4))
         with pytest.raises(FormatError, match="truncated float payload"):
             load_image(write(tmp_path, "x.lumf", good[:-4]))
 
@@ -127,7 +126,7 @@ def _framed(fmt):
         net = build_tinynet(3, hidden_channels=4, hidden_depth=0)
         data = checkpoint_bytes(net)
         return data, len(data) - 4 * net.theta.size - 8, load_checkpoint, "ckpt"
-    img = rand_image(7, 3, 5)
+    img = rand_array(7, 3, 5)
     if fmt == "PPM":
         return save_ppm_bytes(img), len(b"P6\n5 3\n255\n"), load_image, "ppm"
     return save_lumf_bytes(img), len(b"LUMF1\n3 5 3\n"), load_image, "lumf"
@@ -169,7 +168,7 @@ class TestDispatch:
 
     def test_unknown_extension_on_save(self, tmp_path):
         with pytest.raises(InvalidInputError, match="extension"):
-            save_image(rand_image(1), tmp_path / "x.png")
+            save_image(rand_array(1), tmp_path / "x.png")
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):

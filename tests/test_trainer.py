@@ -8,7 +8,7 @@ import pytest
 import luml1.trainer
 
 from luml1.checkpoint import checkpoint_bytes, load_checkpoint, parse_checkpoint
-from luml1.dataset import gen_clean, noisy_chunk
+from luml1.dataset import gen_chunk, noisy_chunk
 from luml1.errors import InvalidInputError, NumericalError
 from luml1.image import Image
 from luml1.losses import LossSpec
@@ -114,9 +114,9 @@ class TestTrainLoop:
         train(cfg, checkpoint_every=1)
         val_noisy, val_clean = seen[0]
         es = eval_seed(cfg.seed)
-        test_clean = gen_clean(es, cfg.eval_count, *cfg.eval_size)
+        test_clean = gen_chunk(es, 0, cfg.eval_count, *cfg.eval_size)
         for j, (n, c) in enumerate(zip(val_noisy, val_clean)):
-            assert not any(np.array_equal(c, t.data) for t in test_clean)
+            assert not any(np.array_equal(c, t) for t in test_clean)
             unit = (n - c) / (cfg.sigma_max[0] / 2.0 / 255.0)  # the deviates, whatever the sigma
             for level in range(len(cfg.eval_sigmas)):
                 assert not np.allclose(unit, normal(stream(es, DOMAIN_EVAL_NOISE, level, j), c.shape, 1.0))
@@ -125,7 +125,7 @@ class TestTrainLoop:
         # on any BLAS kernel: the logged scores are those of the net the checkpoint holds, on the validation stream
         cfg, ckpt = small_config(steps=6), tmp_path / "net.ckpt"
         _, log = train(cfg, ckpt, checkpoint_every=cfg.steps)
-        val_clean = gen_clean(cfg.seed, 4, *cfg.corpus_size, DOMAIN_VAL_CLEAN)
+        val_clean = gen_chunk(cfg.seed, 0, 4, *cfg.corpus_size, DOMAIN_VAL_CLEAN)
         noisy_of = partial(noisy_chunk, sigma_255=cfg.sigma_max[0] / 2.0, seed=cfg.seed, level=0, domain=DOMAIN_VAL_NOISE)
         [((p, q),)] = score_images([load_checkpoint(ckpt)], val_clean, noisy_of)
         assert [s for s, _, _ in log.validations] == [cfg.steps]
@@ -255,7 +255,7 @@ class TestTrainLoop:
 
 
 class TestTypeBoundary:
-    """Whole images are Images; training patches and scored outputs are plain arrays."""
+    """Images are plain arrays: only gen_clean builds an Image."""
 
     @staticmethod
     def count_images(monkeypatch) -> list:
@@ -269,16 +269,34 @@ class TestTypeBoundary:
         monkeypatch.setattr(Image, "__post_init__", counting)
         return built
 
-    def test_train_builds_only_the_corpus(self, monkeypatch):
+    def test_train_builds_none(self, monkeypatch):
         cfg = small_config(loss=LossSpec(lam=1.0), steps=5, batch_size=2)
         built = self.count_images(monkeypatch)
         train(cfg)
-        assert len(built) == cfg.corpus_count
+        assert built == []  # the corpus is one block
+
+    def test_bench_and_the_file_commands_build_none(self, monkeypatch, tmp_path):
+        # loading, saving, the corpus and scoring pass arrays
+        from luml1.bench import run_bench
+        from luml1.cli import main
+
+        cfg, ckpt, corpus, data = tmp_path / "train.cfg", tmp_path / "net.ckpt", tmp_path / "gen", tmp_path / "data"
+        cfg.write_text("steps=2\nbatch_size=2\npatch_size=16\ncorpus_count=2\ncorpus_size=16x16\n")
+        data.mkdir()
+        built = self.count_images(monkeypatch)
+        run_bench(small_config(steps=2, eval_count=2, eval_size=(16, 16), eval_sigmas=(10.0, 20.0)))
+        assert main(["gen", "--count", "2", "--size", "16x16", "--out", str(corpus)]) == 0
+        for name in ("clean_0000.ppm", "noisy_0001.ppm"):
+            (data / name).write_bytes((corpus / name).read_bytes())
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--sigmas", "10", "--csv", str(tmp_path / "e.csv")]) == 0
+        assert main(["denoise", "--ckpt", str(ckpt), "--in", str(data / "clean_0000.ppm"), "--out", str(tmp_path / "d.ppm")]) == 0
+        assert built == []
 
     @pytest.mark.parametrize("with_net", [True, False], ids=["net", "noisy-baseline"])
     def test_score_set_builds_none(self, monkeypatch, with_net):
         # score_set's means: its noise, net pass and metrics build no Image
-        clean = gen_clean(5, 3, 16, 16)
+        clean = gen_chunk(5, 0, 3, 16, 16)
         net = build_tinynet(7, 4, 0) if with_net else None
         built = self.count_images(monkeypatch)
         [((psnr_mean, ssim_mean),)] = score_images([net], clean, partial(noisy_chunk, sigma_255=25.0, seed=5))
@@ -338,9 +356,8 @@ class TestScoringWorkspace:
         # chunk of four runs in the workspace the first left, so stale buffer values would show
         net = build_tinynet(23, 16, 3)
         net.layers[-1].kernels *= 300.0  # a large noise estimate, so stale buffer values would show
-        clean = gen_clean(24, 9, 40, 40) + gen_clean(25, 2, 16, 20)  # a second size: a second workspace
-        noisy = [*noisy_chunk(np.stack([c.data for c in clean[:9]]), 15.0, 24, 0, 0),
-                 *noisy_chunk(np.stack([c.data for c in clean[9:]]), 60.0, 24, 1, 0)]
+        clean = [*gen_chunk(24, 0, 9, 40, 40), *gen_chunk(25, 0, 2, 16, 20)]  # a second size: a second workspace
+        noisy = [*noisy_chunk(np.stack(clean[:9]), 15.0, 24, 0, 0), *noisy_chunk(np.stack(clean[9:]), 60.0, 24, 1, 0)]
         for scored in (net, None):  # a net, and the noisy input
             forward = self.pair_scores(monkeypatch, scored, noisy, clean)
             backward = self.pair_scores(monkeypatch, scored, noisy[::-1], clean[::-1])
@@ -349,7 +366,7 @@ class TestScoringWorkspace:
             assert forward == backward[::-1] == alone
             for (p, q), n, c in zip(alone, noisy, clean):  # as the one-image metrics score the one-image pass
                 out = np.clip(n if scored is None else net_forward(scored, n[None])[0][0], 0.0, 1.0)
-                assert (p, q) == (psnr(out, c.data), ssim(out, c.data))
+                assert (p, q) == (psnr(out, c), ssim(out, c))
 
     @staticmethod
     def float32_net(seed: int, width: int) -> TinyNet:
@@ -362,7 +379,7 @@ class TestScoringWorkspace:
         # next net's scores; an 8-wide net between two 16-wide ones scores as alone too
         nets = [self.float32_net(31, 16), self.float32_net(32, 16), self.float32_net(33, 8), self.float32_net(34, 16)]
         nets[0].layers[-1].kernels *= 300.0
-        clean = gen_clean(35, 6, 40, 40)  # chunks of four and two images
+        clean = gen_chunk(35, 0, 6, 40, 40)  # chunks of four and two images
         noisy_of = partial(noisy_chunk, sigma_255=25.0, seed=35, level=0)
         alone = [score_images([net], clean, noisy_of)[0][0] for net in [None, *nets]]  # each in fresh workspaces
         assert score_images([None, *nets], clean, noisy_of) == [alone]
@@ -377,7 +394,7 @@ class TestScoringWorkspace:
     def test_more_nets_of_one_shape_hold_no_more_workspaces(self):
         # four 16x3 nets peak within one workspace (1.43 MB at four 40x40 images) of one net
         nets = [self.float32_net(40 + i, 16) for i in range(4)]
-        clean = gen_clean(44, 4, 40, 40)
+        clean = gen_chunk(44, 0, 4, 40, 40)
         noisy_of = partial(noisy_chunk, sigma_255=25.0, seed=44, level=0)
         score_images(nets[:1], clean, noisy_of)  # SSIM's band matrices are built once and kept
         rises = []
@@ -399,7 +416,7 @@ class TestScoringWorkspace:
     def test_a_chunk_shape_change_drops_the_old_workspace_first(self):
         # seven 40x40 images go in chunks of four and three: at most one of their two workspaces is alive at a time
         net = self.float32_net(45, 32)  # wide, so a workspace outweighs a chunk's other arrays
-        clean = gen_clean(46, 7, 40, 40)
+        clean = gen_chunk(46, 0, 7, 40, 40)
         noisy_of = partial(noisy_chunk, sigma_255=25.0, seed=46)
         score_images([net], clean, noisy_of)  # SSIM's band matrices are built once and kept
         rises = []
@@ -421,14 +438,14 @@ class TestScoringWorkspace:
     def test_a_chunk_holds_at_most_four_40x40_images_of_pixels(self, monkeypatch):
         sizes = []
         monkeypatch.setattr(luml1.trainer, "ssims", lambda a, b: sizes.append(len(a)) or ssims(a, b))
-        clean = gen_clean(28, 5, 40, 40) + gen_clean(29, 3, 48, 48) + gen_clean(30, 22, 16, 20)
+        clean = [*gen_chunk(28, 0, 5, 40, 40), *gen_chunk(29, 0, 3, 48, 48), *gen_chunk(30, 0, 22, 16, 20)]
         score_images([None], clean, partial(noisy_chunk, sigma_255=25.0, seed=28))
         assert sizes == [4, 1, 2, 1, 20, 2]  # runs of one shape; 48x48 images go two at a time, 16x20 twenty
 
     def test_a_chunks_ssim_never_holds_every_stage_at_once(self):
         # its grayscale pair, five maps, band rows and means: each is freed once the next is made from it
         k, h, w, n = 4, 40, 40, SSIM_WINDOW
-        clean = np.stack([im.data for im in gen_clean(29, k, h, w)])
+        clean = gen_chunk(29, 0, k, h, w)
         out = np.clip(clean + 0.1, 0.0, 1.0)
         ssims(out, clean)  # the band matrices are built once and kept
         tracemalloc.start()
@@ -444,7 +461,7 @@ class TestScoringWorkspace:
     def test_scoring_one_more_pair_allocates_no_im2col_sized_array(self, monkeypatch):
         # one more chunk: its noise, net pass, clamp, PSNR and SSIM allocate less than one chunk's im2col matrix
         net = build_tinynet(26, 16, 3)
-        clean = gen_clean(27, 12, 40, 40)  # three chunks
+        clean = gen_chunk(27, 0, 12, 40, 40)  # three chunks
         rises = []
 
         def psnrs_marking(a, b):
